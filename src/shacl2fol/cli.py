@@ -188,7 +188,7 @@ def _run_emit(args) -> int:
         ns.shapes, ns.data = args.files
     task = _build_task(kind, ns, ProverConfig("none"))
     doc = decide.build_problem(task)
-    path = decide.write_problem(doc, args.out)
+    path = decide.write_problem(decide.render(doc), args.out)
     if args.json:
         print(json.dumps({"problemFile": path, "approximate": doc.approximate}))
     else:

@@ -20,10 +20,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Optional
 
-from . import miniprover, scl, shapes, translate as tr
+from . import miniprover, scl, translate as tr
 from .errors import InvalidOptions, ProverNotFound, ProverProtocolError
 from .rdf import Graph, RdfTerm
-from .scl import SclSentence, ShapeDef, TARGET_TYPES
+from .scl import SclSentence, ShapeDef
 from .shapes import ShapeGraph
 from .tptp import (
     Emitter, EmitOptions, SHAPE_PRED, TptpDocument, attach_ambient_axioms,
@@ -196,8 +196,8 @@ def _build_validation(task: DecisionTask) -> TptpDocument:
 
 # --- prover execution -------------------------------------------------------
 
-def write_problem(doc: TptpDocument, path: Optional[str] = None) -> str:
-    text = render(doc)
+def write_problem(text: str, path: Optional[str] = None) -> str:
+    """Write rendered TPTP text to `path`, or to a fresh temp file; returns the path."""
     if path is None:
         fd, path = tempfile.mkstemp(suffix=".p", prefix="shacl2fol_")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -230,12 +230,13 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
                problem_path: Optional[str] = None) -> tuple[str, str, str, int]:
     """Returns (szs_status, raw_output, problem_file, elapsed_ms)."""
     config = config.resolve()
-    problem_file = write_problem(doc, problem_path)
+    text = render(doc)
+    problem_file = write_problem(text, problem_path)
     start = time.monotonic()
     if config.kind == "none":
         return "NotRun", "", problem_file, 0
     if config.kind == "builtin":
-        result = miniprover.decide_tptp_text(render(doc), timeout_s=config.timeout_s)
+        result = miniprover.decide_tptp_text(text, timeout_s=config.timeout_s)
         elapsed = int((time.monotonic() - start) * 1000)
         raw = f"% SZS status {result.status} for {problem_file}\n"
         return result.status, raw, problem_file, elapsed

@@ -16,7 +16,7 @@ from .rdf import Graph, RDF_TYPE, RdfTerm, XSD_NS
 from .shapes import (
     Alternative, And, Closed, Constraint, DisjointProp, EqConst, EqualsProp,
     HasShape, Inverse, MaxCount, MinCount, NodeKind, NodeKindValue, Not, OneOrMore,
-    OrderOp, OrderProp, Predicate, PropertyPath, Sequence, Shape, ShapeGraph,
+    OrderOp, OrderProp, Predicate, PropertyPath, Sequence, ShapeGraph,
     SomeThrough, TargetDecl, TargetKind, TrueC, ZeroOrMore, ZeroOrOne,
     detect_recursion,
 )
@@ -43,37 +43,41 @@ class ValidationReport:
 
 def path_eval(path: PropertyPath, g: Graph, node: RdfTerm) -> set[RdfTerm]:
     """All nodes reachable from `node` along `path`."""
-    return _step(path, g, {node})
+    return _step(path, g, {node}, backward=False)
 
 
-def _step(path: PropertyPath, g: Graph, nodes: set[RdfTerm]) -> set[RdfTerm]:
+def _step(path: PropertyPath, g: Graph, nodes: set[RdfTerm], backward: bool) -> set[RdfTerm]:
+    """The nodes one `path` step from `nodes`; `backward` follows every edge
+    from object to subject, which is a step along the inverse path."""
     if isinstance(path, Predicate):
+        if backward:
+            return {
+                triple.subject for o in nodes for triple in g.into(o)
+                if triple.predicate.lexical == path.iri
+            }
         return {
-            t.object for t in g.triples
-            if t.predicate.lexical == path.iri and t.subject in nodes
+            triple.object for s in nodes for triple in g.about(s)
+            if triple.predicate.lexical == path.iri
         }
     if isinstance(path, Inverse):
-        # x is an inverse-successor of the set when x steps into it
-        return {
-            x for x in g.constants()
-            if _step(path.path, g, {x}) & nodes
-        }
+        return _step(path.path, g, nodes, not backward)
     if isinstance(path, Sequence):
-        return _step(path.right, g, _step(path.left, g, nodes))
+        first, second = (path.right, path.left) if backward else (path.left, path.right)
+        return _step(second, g, _step(first, g, nodes, backward), backward)
     if isinstance(path, Alternative):
-        return _step(path.left, g, nodes) | _step(path.right, g, nodes)
+        return _step(path.left, g, nodes, backward) | _step(path.right, g, nodes, backward)
     if isinstance(path, ZeroOrOne):
-        return nodes | _step(path.path, g, nodes)
+        return nodes | _step(path.path, g, nodes, backward)
     if isinstance(path, ZeroOrMore):
         reached = set(nodes)
         frontier = set(nodes)
         while frontier:
-            nxt = _step(path.path, g, frontier) - reached
+            nxt = _step(path.path, g, frontier, backward) - reached
             reached |= nxt
             frontier = nxt
         return reached
     if isinstance(path, OneOrMore):
-        return _step(ZeroOrMore(path.path), g, _step(path.path, g, nodes))
+        return _step(ZeroOrMore(path.path), g, _step(path.path, g, nodes, backward), backward)
     raise TypeError(f"not a property path: {path!r}")
 
 
@@ -153,13 +157,11 @@ class _Evaluator:
                         return False
             return True
         if isinstance(c, Closed):
-            for t in g.triples:
-                if t.subject != node:
-                    continue
-                p = t.predicate.lexical
-                if p != RDF_TYPE and p not in c.allowed_predicates:
-                    return False
-            return True
+            return all(
+                triple.predicate.lexical == RDF_TYPE
+                or triple.predicate.lexical in c.allowed_predicates
+                for triple in g.about(node)
+            )
         raise TypeError(f"not a constraint: {c!r}")
 
     def shape_holds(self, name: RdfTerm, node: RdfTerm) -> bool:
@@ -176,10 +178,7 @@ def target_nodes(target: TargetDecl, g: Graph) -> set[RdfTerm]:
         return set(g.subjects(RDF_TYPE, target.argument))
     if target.kind is TargetKind.SUBJECTS_OF:
         return g.subjects_of(target.argument.lexical)
-    return {
-        t.object for t in g.triples
-        if t.predicate.lexical == target.argument.lexical
-    }
+    return {triple.object for triple in g.with_predicate(target.argument.lexical)}
 
 
 def evaluate(sg: ShapeGraph, g: Graph) -> ValidationReport:

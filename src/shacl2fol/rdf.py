@@ -11,7 +11,7 @@ are rejected.  Literal equality is syntactic: "01"^^xsd:integer and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
@@ -113,10 +113,29 @@ class Triple:
 
 
 class Graph:
-    """An immutable set of triples with convenience accessors."""
+    """An immutable set of triples, indexed by subject, object and predicate.
+
+    The three indexes are built once, in the constructor.  Finding the
+    triples about a subject (`about`), into an object (`into`) or with a
+    predicate IRI (`with_predicate`) is a constant-time dictionary lookup;
+    `objects`, `subjects` and `subjects_of` cost time linear in the
+    triples of that one subject, object or predicate, and
+    `predicate_names` and `constants` linear in the distinct keys.  No
+    accessor scans the whole graph.
+    """
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples = frozenset(triples)
+        by_subject: dict[RdfTerm, list[Triple]] = {}
+        by_object: dict[RdfTerm, list[Triple]] = {}
+        by_predicate: dict[str, list[Triple]] = {}
+        for t in self._triples:
+            by_subject.setdefault(t.subject, []).append(t)
+            by_object.setdefault(t.object, []).append(t)
+            by_predicate.setdefault(t.predicate.lexical, []).append(t)
+        self._by_subject = {k: tuple(v) for k, v in by_subject.items()}
+        self._by_object = {k: tuple(v) for k, v in by_object.items()}
+        self._by_predicate = {k: tuple(v) for k, v in by_predicate.items()}
 
     @property
     def triples(self) -> frozenset[Triple]:
@@ -140,20 +159,27 @@ class Graph:
     def __repr__(self):
         return f"Graph({len(self._triples)} triples)"
 
+    def about(self, subject: RdfTerm) -> tuple[Triple, ...]:
+        """The triples whose subject is `subject`."""
+        return self._by_subject.get(subject, ())
+
+    def into(self, obj: RdfTerm) -> tuple[Triple, ...]:
+        """The triples whose object is `obj`."""
+        return self._by_object.get(obj, ())
+
+    def with_predicate(self, predicate_iri: str) -> tuple[Triple, ...]:
+        """The triples whose predicate is the IRI `predicate_iri`."""
+        return self._by_predicate.get(predicate_iri, ())
+
     def predicate_names(self) -> set[str]:
-        return {t.predicate.lexical for t in self._triples}
+        return set(self._by_predicate)
 
     def constants(self) -> set[RdfTerm]:
-        out = set()
-        for t in self._triples:
-            out.add(t.subject)
-            out.add(t.object)
-        return out
+        return self._by_subject.keys() | self._by_object.keys()
 
     def objects(self, subject: RdfTerm, predicate_iri: str) -> list[RdfTerm]:
         return sorted(
-            t.object for t in self._triples
-            if t.subject == subject and t.predicate.lexical == predicate_iri
+            t.object for t in self.about(subject) if t.predicate.lexical == predicate_iri
         )
 
     def object(self, subject: RdfTerm, predicate_iri: str) -> Optional[RdfTerm]:
@@ -162,12 +188,11 @@ class Graph:
 
     def subjects(self, predicate_iri: str, obj: RdfTerm) -> list[RdfTerm]:
         return sorted(
-            t.subject for t in self._triples
-            if t.predicate.lexical == predicate_iri and t.object == obj
+            t.subject for t in self.into(obj) if t.predicate.lexical == predicate_iri
         )
 
     def subjects_of(self, predicate_iri: str) -> set[RdfTerm]:
-        return {t.subject for t in self._triples if t.predicate.lexical == predicate_iri}
+        return {t.subject for t in self.with_predicate(predicate_iri)}
 
     def walk_list(self, head: RdfTerm) -> list[RdfTerm]:
         """Walk an rdf:first/rdf:rest chain; raises on malformed lists."""

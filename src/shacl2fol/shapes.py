@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from . import rdf
 from .errors import MalformedShape, UnsupportedComponent
-from .rdf import Graph, RdfTerm, SH_NS, RDF_TYPE, TermKind
+from .rdf import Graph, RdfTerm, SH_NS, RDF_TYPE
 
 SH = SH_NS
 
@@ -312,35 +312,22 @@ class _Extractor:
         return sg
 
     def find_shape_nodes(self) -> set[RdfTerm]:
+        g = self.g
         nodes: set[RdfTerm] = set()
-        for t in self.g:
-            if t.predicate.lexical in _TARGET_PREDICATES:
-                nodes.add(t.subject)
-            elif t.predicate.lexical in (_sh("node"), _sh("qualifiedValueShape"), _sh("not")):
-                nodes.add(t.subject)
-                nodes.add(t.object)
-            elif t.predicate.lexical in (_sh("and"), _sh("or")):
-                nodes.add(t.subject)
-                for member in self.g.walk_list(t.object):
-                    nodes.add(member)
-            elif t.predicate.lexical == _sh("property"):
-                nodes.add(t.subject)
-            elif t.predicate.lexical in _CONSTRAINT_PARAMS or t.predicate.lexical in _UNSUPPORTED_PARAMS:
-                nodes.add(t.subject)
+        for pred_iri in _TARGET_PREDICATES.keys() | _CONSTRAINT_PARAMS | _UNSUPPORTED_PARAMS:
+            nodes |= g.subjects_of(pred_iri)
+        for pred_iri in (_sh("node"), _sh("qualifiedValueShape"), _sh("not")):
+            nodes.update(triple.object for triple in g.with_predicate(pred_iri))
+        for pred_iri in (_sh("and"), _sh("or")):
+            for triple in g.with_predicate(pred_iri):
+                nodes.update(g.walk_list(triple.object))
+        # explicitly declared shapes without any parameter still count
+        for cls in (_sh("NodeShape"), _sh("PropertyShape")):
+            nodes.update(g.subjects(RDF_TYPE, rdf.iri(cls)))
         # property shapes hang off sh:property and are folded into their
         # parent, not promoted to named shapes, unless independently targeted
-        property_objects = {
-            t.object for t in self.g if t.predicate.lexical == _sh("property")
-        }
-        targeted = {
-            t.subject for t in self.g if t.predicate.lexical in _TARGET_PREDICATES
-        }
-        # explicitly declared shapes without any parameter still count
-        for t in self.g:
-            if t.predicate.lexical == RDF_TYPE and t.object.is_iri and t.object.lexical in (
-                _sh("NodeShape"), _sh("PropertyShape")
-            ):
-                nodes.add(t.subject)
+        property_objects = {triple.object for triple in g.with_predicate(_sh("property"))}
+        targeted = set().union(*(g.subjects_of(p) for p in _TARGET_PREDICATES))
         return (nodes - property_objects) | targeted
 
     def is_deactivated(self, node: RdfTerm) -> bool:
@@ -380,9 +367,9 @@ class _Extractor:
         """
         conjuncts: list[Constraint] = []
         params = sorted(
-            (t.predicate.lexical, t.object)
-            for t in self.g
-            if t.subject == node and t.predicate.lexical.startswith(SH)
+            (triple.predicate.lexical, triple.object)
+            for triple in self.g.about(node)
+            if triple.predicate.lexical.startswith(SH)
         )
         for pred_iri, obj in params:
             local = pred_iri[len(SH):]

@@ -11,18 +11,18 @@ hand, as an exact grounded closure.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
 from . import fol, scl
 from .errors import CardinalityLimitExceeded, InvalidOptions
 from .fol import (
-    AndN, Atom, Const, Distinct, Eq, Exists, Forall, Formula, Iff, Implies,
-    NotN, OrN, TrueF, Var, conj, disj, neg,
+    Atom, Const, Distinct, Eq, Exists, Forall, Formula, Iff, Implies, TrueF,
+    Var, conj, disj, neg,
 )
-from .rdf import Graph, RdfTerm, TermKind
-from .scl import SclSentence, ShapeDef, TARGET_TYPES
+from .rdf import Graph, RDF_TYPE, RdfTerm, TermKind
+from .scl import SclSentence, ShapeDef
 
 SHAPE_PRED = "hasShape"
 FILTER_PREDS = ("isIRI", "isLiteral", "isBlank")
@@ -103,16 +103,13 @@ def term_symbol(t: RdfTerm) -> str:
     return str(t)
 
 
-def role_symbol(name: str) -> str:
-    """Role names are predicate IRIs except for the reserved relations."""
-    return name
-
-
 def graph_role_pairs(g: Graph, role: str) -> set[tuple[RdfTerm, RdfTerm]]:
-    from .rdf import RDF_TYPE
-
     wanted = RDF_TYPE if role == scl.IS_A else role
-    return {(t.subject, t.object) for t in g if t.predicate.lexical == wanted}
+    return {(triple.subject, triple.object) for triple in g.with_predicate(wanted)}
+
+
+def _pair_key(ab: tuple[RdfTerm, RdfTerm]):
+    return (ab[0].sort_key(), ab[1].sort_key())
 
 
 class Emitter:
@@ -153,7 +150,7 @@ class Emitter:
             return Forall(
                 ("X", "Y"),
                 Implies(
-                    Atom(role_symbol(s.role), (x, y)),
+                    Atom(s.role, (x, y)),
                     Atom(shape_pred, (x, self.const(s.shape_name))),
                 ),
             )
@@ -162,7 +159,7 @@ class Emitter:
             return Forall(
                 ("X", "Y"),
                 Implies(
-                    Atom(role_symbol(s.role), (y, x)),
+                    Atom(s.role, (y, x)),
                     Atom(shape_pred, (x, self.const(s.shape_name))),
                 ),
             )
@@ -215,7 +212,7 @@ class Emitter:
                     (y.name,),
                     conj([
                         self.path_formula(f.path, x, y),
-                        Atom(role_symbol(f.role), (x, y)),
+                        Atom(f.role, (x, y)),
                     ]),
                 )
             )
@@ -223,7 +220,7 @@ class Emitter:
             y = self.fresh_var()
             return Forall(
                 (y.name,),
-                Iff(self.path_formula(f.path, x, y), Atom(role_symbol(f.role), (x, y))),
+                Iff(self.path_formula(f.path, x, y), Atom(f.role, (x, y))),
             )
         if isinstance(f, scl.PairwiseOrder):
             self.uses_order = True
@@ -240,7 +237,7 @@ class Emitter:
                 Implies(
                     conj([
                         self.path_formula(f.path, x, y),
-                        Atom(role_symbol(f.role), (x, z)),
+                        Atom(f.role, (x, z)),
                     ]),
                     order_atom,
                 ),
@@ -263,7 +260,7 @@ class Emitter:
     def path_formula(self, p: scl.PathFormula, x: fol.Term, y: fol.Term) -> Formula:
         if isinstance(p, scl.Role):
             args = (y, x) if p.inverted else (x, y)
-            return Atom(role_symbol(p.name), args)
+            return Atom(p.name, args)
         if isinstance(p, scl.Seq):
             z = self.fresh_var("Z")
             return Exists(
@@ -300,38 +297,22 @@ class Emitter:
                 ),
             ))
         else:
-            pairs = self.grounded_closure(p.path)
-            for i, (a, b) in enumerate(sorted(pairs, key=lambda ab: (ab[0].sort_key(), ab[1].sort_key())), start=1):
+            universe = set(self.known_constants) | self.data_graph.constants()
+            pairs = sorted(self.path_pairs(p, universe), key=_pair_key)
+            for i, (a, b) in enumerate(pairs, start=1):
                 self.star_axioms.append((
                     f"{name}_fact_{i}", Atom(name, (self.const(a), self.const(b)))
                 ))
             x, y = Var("X"), Var("Y")
             cases = disj([
                 conj([Eq(x, self.const(a)), Eq(y, self.const(b))])
-                for a, b in sorted(pairs, key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()))
+                for a, b in pairs
             ])
             self.star_axioms.append((
                 f"{name}_complete",
                 Forall(("X", "Y"), Implies(Atom(name, (x, y)), cases)),
             ))
         return name
-
-    def grounded_closure(self, p: scl.PathFormula) -> set[tuple[RdfTerm, RdfTerm]]:
-        """Exact reflexive-transitive closure of a path over the known universe."""
-        universe = set(self.known_constants) | self.data_graph.constants()
-        base = self.path_pairs(p, universe)
-        closure = {(t, t) for t in universe}
-        frontier = set(closure)
-        while True:
-            new = {
-                (a, c)
-                for (a, b1) in closure
-                for (b2, c) in base
-                if b1 == b2
-            } - closure
-            if not new:
-                return closure
-            closure |= new
 
     def path_pairs(self, p: scl.PathFormula, universe: set[RdfTerm]) -> set[tuple[RdfTerm, RdfTerm]]:
         g = self.data_graph
@@ -421,26 +402,21 @@ def emit_una(constants: list[RdfTerm], opts: EmitOptions) -> list[TptpFormula]:
 def emit_graph_axioms(g: Graph, signature: set[str]) -> list[TptpFormula]:
     """Positive ground facts plus per-relation completeness axioms."""
     out: list[TptpFormula] = []
-    roles = sorted(signature)
+    role_pairs = {
+        role: sorted(graph_role_pairs(g, role), key=_pair_key)
+        for role in sorted(signature)
+    }
     i = 0
-    for role in roles:
-        pairs = sorted(
-            graph_role_pairs(g, role),
-            key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()),
-        )
+    for role, pairs in role_pairs.items():
         for a, b in pairs:
             i += 1
             out.append(TptpFormula(
                 f"graph_pos_{i}", "axiom",
-                Atom(role_symbol(role), (Const(term_symbol(a)), Const(term_symbol(b)))),
+                Atom(role, (Const(term_symbol(a)), Const(term_symbol(b)))),
             ))
     x, y = Var("X"), Var("Y")
-    for j, role in enumerate(roles, start=1):
-        pairs = sorted(
-            graph_role_pairs(g, role),
-            key=lambda ab: (ab[0].sort_key(), ab[1].sort_key()),
-        )
-        atom = Atom(role_symbol(role), (x, y))
+    for j, (role, pairs) in enumerate(role_pairs.items(), start=1):
+        atom = Atom(role, (x, y))
         if not pairs:
             body: Formula = neg(Exists(("X", "Y"), atom))
         else:
@@ -454,29 +430,6 @@ def emit_graph_axioms(g: Graph, signature: set[str]) -> list[TptpFormula]:
             body = Forall(("X", "Y"), Implies(atom, cases))
         out.append(TptpFormula(f"graph_neg_{j}", "axiom", body))
     return out
-
-
-def emit_theory(
-    sentences: list[SclSentence],
-    opts: EmitOptions,
-    data_graph: Optional[Graph] = None,
-    extra_constants: Iterable[RdfTerm] = (),
-    header: Iterable[str] = (),
-) -> TptpDocument:
-    """One axiom per sentence plus filter, order, star and UNA axioms."""
-    errors = scl.validate_theory(sentences)
-    if errors:
-        raise InvalidOptions(f"ill-formed theory: {errors}")
-    emitter = Emitter(opts, data_graph=data_graph,
-                      known_constants=set(scl.theory_constants(sentences)) | set(extra_constants))
-    if data_graph is not None:
-        emitter.known_constants |= data_graph.constants()
-    doc = TptpDocument(dialect=opts.dialect, header=list(header))
-    for s in sentences:
-        hint = "shape_def" if isinstance(s, ShapeDef) else "target"
-        doc.add(hint, emitter.sentence_formula(s))
-    attach_ambient_axioms(doc, emitter, opts)
-    return doc
 
 
 def attach_ambient_axioms(doc: TptpDocument, emitter: Emitter, opts: EmitOptions):

@@ -170,6 +170,26 @@ class TestRunProver:
             assert fh.read() == render(doc)
         assert szs == "Unsatisfiable"
 
+    def test_builtin_decides_the_written_text_rendered_once(self, tmp_path, monkeypatch):
+        from shacl2fol import decide, miniprover
+
+        rendered, decided = [], []
+
+        def counting_render(doc):
+            rendered.append(render(doc))
+            return rendered[-1]
+
+        def recording_decide(text, timeout_s):
+            decided.append(text)
+            return miniprover.ProverResult("Unsatisfiable")
+
+        monkeypatch.setattr(decide, "render", counting_render)
+        monkeypatch.setattr(miniprover, "decide_tptp_text", recording_decide)
+        path = str(tmp_path / "problem.p")
+        run_prover(self._doc(), ProverConfig("builtin", timeout_s=10), path)
+        with open(path, encoding="utf-8") as fh:
+            assert [fh.read()] == rendered == decided
+
 
 class TestEndToEnd:
     def test_satisfiability_verdicts(self, builtin_prover):

@@ -1,12 +1,14 @@
+import time
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import load_graph, load_shapes
 from shacl2fol.errors import RecursiveShapeGraph
 from shacl2fol.oracle import evaluate, path_eval
-from shacl2fol.rdf import Graph, Triple, iri, literal
+from shacl2fol.rdf import RDF_TYPE, Graph, Triple, iri, literal
 from shacl2fol.shapes import (
-    Alternative, Inverse, Predicate, Sequence, ZeroOrMore, ZeroOrOne,
+    Alternative, Inverse, OneOrMore, Predicate, Sequence, ZeroOrMore, ZeroOrOne,
 )
 
 PREFIX = """\
@@ -93,6 +95,73 @@ class TestPathEval:
                 break
             reach = new
         assert path_eval(ZeroOrMore(Predicate(R)), g, start) == reach
+
+
+P, Q = Predicate(EX + "p"), Predicate(EX + "q")
+
+
+class TestInversePath:
+    """Inverse paths step backward; they must agree with the definition
+    by forward steps: x is reached from `node` along ^path iff `node` is
+    reached from x along path."""
+
+    @pytest.mark.parametrize("inner", [
+        Sequence(P, Q),
+        Sequence(Inverse(P), ZeroOrOne(Q)),
+        Alternative(P, Inverse(Q)),
+        ZeroOrMore(P),
+        ZeroOrMore(Sequence(P, Inverse(Q))),
+        OneOrMore(Alternative(P, Q)),
+        Inverse(P),
+        Inverse(Sequence(P, ZeroOrMore(Q))),
+    ], ids=["p/q", "^p/q?", "p|^q", "p*", "(p/^q)*", "(p|q)+", "^p", "^(p/q*)"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        edges=st.sets(st.tuples(
+            st.sampled_from("abcd"), st.sampled_from("pq"), st.sampled_from("abcd"),
+        ), min_size=1, max_size=10),
+        start=st.sampled_from("abcd"),
+    )
+    def test_matches_definition(self, inner, edges, start):
+        g = Graph(Triple(iri(EX + s), iri(EX + p), iri(EX + o)) for s, p, o in edges)
+        node = iri(EX + start)
+        assume(node in g.constants())
+        definition = {x for x in g.constants() if node in path_eval(inner, g, x)}
+        assert path_eval(Inverse(inner), g, node) == definition
+
+    def test_zero_length_reaches_a_node_outside_the_graph(self):
+        # the focus node of sh:targetNode need not occur in the data; a
+        # zero-length step still reaches it, as the translated problem says
+        shapes = load_shapes(PREFIX + """
+        ex:S a sh:NodeShape ; sh:targetNode ex:n ;
+          sh:property [ sh:path [ sh:inversePath [ sh:zeroOrOnePath ex:p ] ] ;
+                        sh:minCount 1 ] .
+        """)
+        data = load_graph(PREFIX + "ex:a ex:p ex:b .")
+        assert path_eval(Inverse(ZeroOrOne(P)), data, iri(EX + "n")) == {iri(EX + "n")}
+        assert evaluate(shapes, data).conforms
+
+    def test_large_graph_validates_quickly(self):
+        # 375 people known by two others each, plus one extra acquaintance
+        # of p0: 1501 triples
+        people = [iri(EX + f"p{i}") for i in range(375)]
+        knows, person = iri(EX + "knows"), iri(EX + "Person")
+        triples = [Triple(iri(EX + "x"), knows, people[0])]
+        for i, p in enumerate(people):
+            triples.append(Triple(p, iri(RDF_TYPE), person))
+            triples.append(Triple(p, iri(EX + "name"), literal(f"n{i}")))
+            triples.append(Triple(p, knows, people[(i + 1) % len(people)]))
+            triples.append(Triple(p, knows, people[(i + 7) % len(people)]))
+        shapes = load_shapes(PREFIX + """
+        ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
+          sh:property [ sh:path [ sh:inversePath ex:knows ] ; sh:maxCount 2 ] .
+        """)
+        g = Graph(triples)
+        started = time.perf_counter()
+        report = evaluate(shapes, g)
+        elapsed = time.perf_counter() - started
+        assert [v.focus_node for v in report.violations] == [people[0]]
+        assert elapsed < 5.0, f"{len(g)} triples took {elapsed:.1f} s"
 
 
 class TestValidation:

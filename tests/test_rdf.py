@@ -175,3 +175,59 @@ class TestRoundTrip:
         text = serialize_ntriples(g)
         again = serialize_ntriples(parse_document(text, Syntax.NTRIPLES))
         assert text == again
+
+
+_POOL_NODES = [iri("http://e/a"), iri("http://e/b"), bnode("x")]
+_POOL_OBJECTS = _POOL_NODES + [literal("v"), literal("v", lang="en")]
+_POOL_PREDICATES = ["http://e/p", "http://e/q", rdf.RDF_TYPE]
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs over a few terms, so that lookups share subjects and objects."""
+    triples = draw(st.sets(st.builds(
+        Triple,
+        st.sampled_from(_POOL_NODES),
+        st.builds(iri, st.sampled_from(_POOL_PREDICATES)),
+        st.sampled_from(_POOL_OBJECTS),
+    ), max_size=12))
+    return Graph(triples)
+
+
+class TestIndexedAccessors:
+    """Every accessor agrees with a brute-force scan over `g.triples`."""
+
+    @given(small_graphs(), st.sampled_from(_POOL_OBJECTS),
+           st.sampled_from(_POOL_PREDICATES + ["http://e/absent"]))
+    def test_accessors_match_scan(self, g, term, pred):
+        scan = g.triples
+        assert set(g.about(term)) == {t for t in scan if t.subject == term}
+        assert set(g.into(term)) == {t for t in scan if t.object == term}
+        assert set(g.with_predicate(pred)) == {
+            t for t in scan if t.predicate.lexical == pred
+        }
+        assert g.predicate_names() == {t.predicate.lexical for t in scan}
+        assert g.constants() == (
+            {t.subject for t in scan} | {t.object for t in scan}
+        )
+        objs = sorted(
+            t.object for t in scan
+            if t.subject == term and t.predicate.lexical == pred
+        )
+        assert g.objects(term, pred) == objs
+        assert g.object(term, pred) == (objs[0] if objs else None)
+        assert g.subjects(pred, term) == sorted(
+            t.subject for t in scan
+            if t.object == term and t.predicate.lexical == pred
+        )
+        assert g.subjects_of(pred) == {
+            t.subject for t in scan if t.predicate.lexical == pred
+        }
+
+    @given(small_graphs())
+    def test_every_triple_is_indexed_once(self, g):
+        by_subject = [t for s in {t.subject for t in g} for t in g.about(s)]
+        by_object = [t for o in {t.object for t in g} for t in g.into(o)]
+        by_predicate = [t for p in g.predicate_names() for t in g.with_predicate(p)]
+        for listed in (by_subject, by_object, by_predicate):
+            assert sorted(listed) == sorted(g)
