@@ -74,14 +74,24 @@ class TptpDocument:
     formulas: list[TptpFormula] = field(default_factory=list)
     header: list[str] = field(default_factory=list)
     approximate: bool = False
+    # every unit name in `formulas`, and for each name passed to `add` the
+    # suffix it last got (1 for the bare name): all lower suffixes are taken
+    _used: set[str] = field(init=False, repr=False, compare=False)
+    _suffix: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._used = {f.name for f in self.formulas}
+        self._suffix = {}
 
     def add(self, name: str, body: Formula, role: str = "axiom"):
-        used = {f.name for f in self.formulas}
-        final = name
-        k = 1
-        while final in used:
+        """Append a unit named `name`, or `name_2`, `name_3`... if taken."""
+        k = self._suffix.get(name, 1)
+        final = name if k == 1 else f"{name}_{k}"
+        while final in self._used:
             k += 1
             final = f"{name}_{k}"
+        self._suffix[name] = k
+        self._used.add(final)
         self.formulas.append(TptpFormula(final, role, body))
 
     def extend(self, formulas: Iterable[TptpFormula]):
@@ -110,6 +120,13 @@ def graph_role_pairs(g: Graph, role: str) -> set[tuple[RdfTerm, RdfTerm]]:
 
 def _pair_key(ab: tuple[RdfTerm, RdfTerm]):
     return (ab[0].sort_key(), ab[1].sort_key())
+
+
+def _by_source(pairs: set[tuple[RdfTerm, RdfTerm]]) -> dict[RdfTerm, list[RdfTerm]]:
+    out: dict[RdfTerm, list[RdfTerm]] = {}
+    for a, b in pairs:
+        out.setdefault(a, []).append(b)
+    return out
 
 
 class Emitter:
@@ -321,22 +338,23 @@ class Emitter:
             return {(b, a) for (a, b) in pairs} if p.inverted else pairs
         if isinstance(p, scl.Seq):
             left = self.path_pairs(p.left, universe)
-            right = self.path_pairs(p.right, universe)
-            return {(a, c) for (a, b1) in left for (b2, c) in right if b1 == b2}
+            right = _by_source(self.path_pairs(p.right, universe))
+            return {(a, c) for (a, b) in left for c in right.get(b, ())}
         if isinstance(p, scl.Alt):
             return self.path_pairs(p.left, universe) | self.path_pairs(p.right, universe)
         if isinstance(p, scl.Opt):
             return {(t, t) for t in universe} | self.path_pairs(p.path, universe)
         if isinstance(p, scl.Star):
-            base = self.path_pairs(p.path, universe)
+            base = _by_source(self.path_pairs(p.path, universe))
             closure = {(t, t) for t in universe}
-            while True:
-                new = {
-                    (a, c) for (a, b1) in closure for (b2, c) in base if b1 == b2
+            # semi-naive: only the pairs found last round can reach new ones
+            frontier = closure
+            while frontier:
+                frontier = {
+                    (a, c) for (a, b) in frontier for c in base.get(b, ())
                 } - closure
-                if not new:
-                    return closure
-                closure |= new
+                closure |= frontier
+            return closure
         raise TypeError(f"not a path formula: {p!r}")
 
     # --- ambient axioms ---

@@ -21,30 +21,33 @@ class TptpParseError(ValueError):
     pass
 
 
+_SPACE = re.compile(r"\s*")
 _TOKEN = re.compile(
-    r"\s*(?:"
     r"(?P<comment>%[^\n]*)"
     r"|(?P<quoted>'(?:[^'\\]|\\.)*')"
     r"|(?P<dword>\$[a-z][A-Za-z0-9_]*)"
     r"|(?P<word>[a-zA-Z_][A-Za-z0-9_]*)"
     r"|(?P<op><=>|=>|!=|[=!?~&|():,.\[\]*>])"
-    r")"
 )
+_VARIABLE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
+_LOWER_WORD = re.compile(r"^[a-z_][A-Za-z0-9_]*$")
 
 
 def _tokenize(text: str) -> list[str]:
     tokens = []
+    end = len(text)
     pos = 0
-    while pos < len(text):
-        if text[pos:].strip() == "":
-            break
-        m = _TOKEN.match(text, pos)
+    while True:
+        start = _SPACE.match(text, pos).end()
+        if start == end:
+            return tokens
+        m = _TOKEN.match(text, start)
         if m is None:
             raise TptpParseError(f"bad TPTP input at {text[pos:pos+30]!r}")
-        if m.lastgroup != "comment":
-            tokens.append(m.group().strip())
+        kind = m.lastgroup
+        if kind != "comment":
+            tokens.append(m.group(kind))
         pos = m.end()
-    return tokens
 
 
 @dataclass
@@ -164,7 +167,7 @@ class _Parser:
 
     def variable(self) -> str:
         tok = self.next()
-        if not re.match(r"^[A-Z][A-Za-z0-9_]*$", tok):
+        if not _VARIABLE.match(tok):
             raise TptpParseError(f"bad variable name {tok!r}")
         return tok
 
@@ -175,9 +178,9 @@ class _Parser:
 
     def term(self):
         tok = self.next()
-        if re.match(r"^[A-Z][A-Za-z0-9_]*$", tok):
+        if _VARIABLE.match(tok):
             return Var(tok)
-        if tok.startswith("'") or re.match(r"^[a-z_][A-Za-z0-9_]*$", tok):
+        if tok.startswith("'") or _LOWER_WORD.match(tok):
             name = unquote_atom(tok)
             if self.peek() == "(":
                 raise TptpParseError("function terms are not part of the emitted subset")
@@ -200,9 +203,9 @@ class _Parser:
             if any(isinstance(c, Var) for c in consts):
                 raise TptpParseError("$distinct expects constants")
             return Distinct(tuple(consts))
-        if re.match(r"^[A-Z][A-Za-z0-9_]*$", tok):
+        if _VARIABLE.match(tok):
             return self.equality_tail(Var(tok))
-        if tok.startswith("'") or re.match(r"^[a-z_][A-Za-z0-9_]*$", tok):
+        if tok.startswith("'") or _LOWER_WORD.match(tok):
             name = unquote_atom(tok)
             if self.peek() == "(":
                 self.next()

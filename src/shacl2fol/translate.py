@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 
 from . import scl, shapes
 from .errors import UnsupportedComponent
-from .rdf import RDF_TYPE, RdfTerm, TermKind, iri
+from .rdf import RDF_TYPE, RdfTerm, iri
 from .scl import (
     Alt, AndF, AtLeast, EqConstF, Exists, Filter, ForallIff, HasShapeF,
     NotExistsBoth, NotF, Opt, OrderAtom, OrderRel, PairwiseOrder, Role,
@@ -22,9 +22,8 @@ from .scl import (
 from .shapes import (
     Alternative, And, Closed, Constraint, DisjointProp, EqConst, EqualsProp,
     HasShape, Inverse, MaxCount, MinCount, NodeKind, NodeKindValue, Not,
-    OneOrMore, OrderOp, OrderProp, Predicate, PropertyPath, Sequence, Shape,
-    ShapeGraph, SomeThrough, TargetDecl, TargetKind, TrueC, ZeroOrMore,
-    ZeroOrOne,
+    OrderOp, OrderProp, Predicate, PropertyPath, Sequence, ShapeGraph,
+    SomeThrough, TargetDecl, TargetKind, TrueC, ZeroOrMore, ZeroOrOne,
 )
 
 DUMMY_PREFIX = "urn:shacl2fol:dummy:"

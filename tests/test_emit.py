@@ -1,17 +1,19 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from shacl2fol import fol, scl
+from shacl2fol import cli, fol, scl
 from shacl2fol.errors import CardinalityLimitExceeded, InvalidOptions
 from shacl2fol.fol import (
-    AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN, Var,
+    AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN, TrueF,
+    Var,
 )
 from shacl2fol.rdf import Graph, RDF_TYPE, Triple, iri, literal
-from shacl2fol.scl import AtLeast, Role, ShapeDef, Star, Top
+from shacl2fol.scl import Alt, AtLeast, Opt, Role, Seq, ShapeDef, Star, Top
 from shacl2fol.tptp import (
-    Dialect, Emitter, EmitOptions, StarMode, TptpDocument, UnaMode,
+    Dialect, Emitter, EmitOptions, StarMode, TptpDocument, TptpFormula, UnaMode,
     emit_graph_axioms, emit_una, render,
 )
 from shacl2fol.tptp_parse import parse_tptp
@@ -195,6 +197,62 @@ class TestStarModes:
         assert (a, c) in closure  # two steps
         assert (a, a) in closure and (c, c) in closure  # reflexivity
 
+    def test_grounded_pairs_match_their_definition(self):
+        def reference(p, g, universe):
+            # the relational definitions, joined by nested loops
+            if isinstance(p, Role):
+                wanted = RDF_TYPE if p.name == scl.IS_A else p.name
+                pairs = {(t.subject, t.object) for t in g.triples
+                         if t.predicate.lexical == wanted}
+                return {(b, a) for a, b in pairs} if p.inverted else pairs
+            if isinstance(p, Seq):
+                left, right = reference(p.left, g, universe), reference(p.right, g, universe)
+                return {(a, c) for a, b1 in left for b2, c in right if b1 == b2}
+            if isinstance(p, Alt):
+                return reference(p.left, g, universe) | reference(p.right, g, universe)
+            if isinstance(p, Opt):
+                return {(t, t) for t in universe} | reference(p.path, g, universe)
+            base = reference(p.path, g, universe)
+            closure = {(t, t) for t in universe}
+            while True:
+                new = {(a, c) for a, b1 in closure for b2, c in base if b1 == b2} - closure
+                if not new:
+                    return closure
+                closure |= new
+
+        p, q = Role(EX + "p"), Role(EX + "q")
+        paths = [
+            Seq(p, q), Seq(p, Role(EX + "p", inverted=True)), Star(p),
+            Star(Seq(p, q)), Star(Alt(p, Role(EX + "q", inverted=True))),
+            Seq(Star(p), Opt(q)), Star(Star(q)),
+        ]
+        rng = random.Random(11)
+        for _ in range(60):
+            g = _random_graph(rng)
+            emitter = Emitter(EmitOptions(star_mode=StarMode.GROUNDED), data_graph=g)
+            for path in paths:
+                universe = g.constants()
+                assert emitter.path_pairs(path, universe) == reference(path, g, universe)
+
+    def test_grounded_star_on_a_long_chain(self, tmp_path):
+        prefix = ("@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+                  "@prefix ex: <http://example.org/> .\n")
+        shapes, data = tmp_path / "s.ttl", tmp_path / "d.ttl"
+        shapes.write_text(prefix + (
+            "ex:S a sh:NodeShape ; sh:targetNode ex:n0 ; sh:property [\n"
+            "  sh:path [ sh:zeroOrMorePath ex:p ] ; sh:minCount 1 ] .\n"))
+        data.write_text(prefix + "".join(
+            f"ex:n{i} ex:p ex:n{i + 1} .\n" for i in range(200)))
+        out = tmp_path / "o.p"
+        started = time.perf_counter()
+        code = cli.main(["emit", "validate", str(shapes), str(data),
+                         "--star", "ground", "--out", str(out)])
+        elapsed = time.perf_counter() - started
+        assert code == 0
+        # every pair (n_i, n_j) with i <= j of the 201-node chain, and (S, S)
+        assert out.read_text().count("star_1_fact_") == 201 * 202 // 2 + 1
+        assert elapsed < 5.0, f"200 triples took {elapsed:.1f} s"
+
     def test_star_roles_deduplicated(self):
         emitter = Emitter(EmitOptions())
         r1 = emitter.star_role(Star(Role(EX + "p")))
@@ -240,3 +298,38 @@ class TestRendering:
         doc.add("target", f)
         names = [u.name for u in doc.formulas]
         assert len(names) == len(set(names))
+
+
+class TestUnitNames:
+    def _names(self, doc):
+        return [f.name for f in doc.formulas]
+
+    def test_repeated_names_count_up(self):
+        doc = TptpDocument(dialect=Dialect.TFF)
+        for _ in range(3):
+            doc.add("a", TrueF())
+        assert self._names(doc) == ["a", "a_2", "a_3"]
+
+    def test_explicit_suffix_is_skipped(self):
+        doc = TptpDocument(dialect=Dialect.TFF)
+        doc.add("b", TrueF())
+        doc.add("b_2", TrueF())
+        doc.add("b", TrueF())
+        assert self._names(doc) == ["b", "b_2", "b_3"]
+
+    def test_names_given_at_construction_are_taken(self):
+        doc = TptpDocument(dialect=Dialect.TFF,
+                           formulas=[TptpFormula("c", "axiom", TrueF())])
+        doc.add("c", TrueF())
+        assert self._names(doc) == ["c", "c_2"]
+
+    def test_extend_names_like_add(self):
+        names = ["a", "b", "a", "a_2", "b_2", "a", "b", "c"]
+        one_by_one = TptpDocument(dialect=Dialect.TFF)
+        for name in names:
+            one_by_one.add(name, TrueF())
+        extended = TptpDocument(dialect=Dialect.TFF)
+        extended.extend(TptpFormula(name, "axiom", TrueF()) for name in names)
+        assert self._names(extended) == self._names(one_by_one) == [
+            "a", "b", "a_2", "a_2_2", "b_2", "a_3", "b_3", "c",
+        ]
