@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import miniprover, scl, translate as tr
 from .errors import InvalidOptions, ProverNotFound, ProverProtocolError
@@ -109,6 +109,7 @@ class DecisionResult:
     problem_file: str
     prover_time_ms: int
     prover_kind: str = ""
+    prover_detail: str = ""
 
     def as_dict(self) -> dict:
         return {
@@ -118,6 +119,7 @@ class DecisionResult:
             "problemFile": self.problem_file,
             "proverTimeMs": self.prover_time_ms,
             "prover": self.prover_kind,
+            "proverDetail": self.prover_detail,
         }
 
 
@@ -226,20 +228,28 @@ def prover_command(config: ProverConfig, problem_file: str) -> list[str]:
     raise ProverNotFound(f"unknown prover kind {config.kind!r}")
 
 
+class ProverRun(NamedTuple):
+    szs_status: str
+    output: str
+    problem_file: str
+    elapsed_ms: int
+    detail: str = ""  # the built-in prover's deciding procedure
+
+
 def run_prover(doc: TptpDocument, config: ProverConfig,
-               problem_path: Optional[str] = None) -> tuple[str, str, str, int]:
-    """Returns (szs_status, raw_output, problem_file, elapsed_ms)."""
+               problem_path: Optional[str] = None) -> ProverRun:
+    """Write the problem, then run the configured prover on it."""
     config = config.resolve()
     text = render(doc)
     problem_file = write_problem(text, problem_path)
     start = time.monotonic()
     if config.kind == "none":
-        return "NotRun", "", problem_file, 0
+        return ProverRun("NotRun", "", problem_file, 0)
     if config.kind == "builtin":
         result = miniprover.decide_tptp_text(text, timeout_s=config.timeout_s)
         elapsed = int((time.monotonic() - start) * 1000)
         raw = f"% SZS status {result.status} for {problem_file}\n"
-        return result.status, raw, problem_file, elapsed
+        return ProverRun(result.status, raw, problem_file, elapsed, result.detail)
     argv = prover_command(config, problem_file)
     try:
         proc = subprocess.run(
@@ -250,7 +260,7 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
         raise ProverNotFound(str(exc)) from exc
     except subprocess.TimeoutExpired:
         elapsed = int((time.monotonic() - start) * 1000)
-        return "Timeout", "", problem_file, elapsed
+        return ProverRun("Timeout", "", problem_file, elapsed)
     elapsed = int((time.monotonic() - start) * 1000)
     output = proc.stdout + "\n" + proc.stderr
     m = _SZS_RE.search(output)
@@ -258,7 +268,7 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
         raise ProverProtocolError(
             f"no SZS status line in prover output (exit {proc.returncode})"
         )
-    return m.group(1), output, problem_file, elapsed
+    return ProverRun(m.group(1), output, problem_file, elapsed)
 
 
 # --- verdict mapping --------------------------------------------------------
@@ -282,14 +292,15 @@ def _verdict(kind: TaskKind, szs: str) -> Verdict:
 def run_task(task: DecisionTask) -> DecisionResult:
     doc = build_problem(task)
     config = task.prover.resolve()
-    szs, _raw, problem_file, elapsed = run_prover(doc, config, task.problem_path)
+    run = run_prover(doc, config, task.problem_path)
     return DecisionResult(
-        verdict=_verdict(task.kind, szs),
+        verdict=_verdict(task.kind, run.szs_status),
         approximate=doc.approximate,
-        szs_status=szs,
-        problem_file=problem_file,
-        prover_time_ms=elapsed,
+        szs_status=run.szs_status,
+        problem_file=run.problem_file,
+        prover_time_ms=run.elapsed_ms,
         prover_kind=config.kind,
+        prover_detail=run.detail,
     )
 
 

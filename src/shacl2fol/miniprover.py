@@ -42,7 +42,7 @@ def _flatten_clause(cl: Clause, fresh: "_FreshVars") -> list[Literal]:
     Allowed literal shapes afterwards: P(vars...), var=var, var=const,
     var=f(vars...), and their negations.
     """
-    lits = list(cl)
+    lits = _ordered(cl)
     changed = True
     while changed:
         changed = False
@@ -85,6 +85,30 @@ def _flatten_clause(cl: Clause, fresh: "_FreshVars") -> list[Literal]:
     return lits
 
 
+def _ordered(cl: Clause) -> list[Literal]:
+    """The clause's literals in a fixed order: a frozenset's iteration order
+    follows the string hash seed, and the grounding and the SAT search would
+    follow it too."""
+    return sorted(cl, key=lambda lit: (lit.pred, lit.positive, repr(lit.args)))
+
+
+_CHECK_EVERY = 4096
+
+
+def _instances(values, repeat: int, deadline: Optional[float]):
+    """`itertools.product(values, repeat=repeat)`, checking the deadline
+    before each run of a few thousand tuples, so that one large clause
+    cannot overrun its slice."""
+    tuples = itertools.product(values, repeat=repeat)
+    while True:
+        chunk = list(itertools.islice(tuples, _CHECK_EVERY))
+        if not chunk:
+            return
+        if deadline is not None and time.monotonic() > deadline:
+            raise sat.TimeBudgetExceeded()
+        yield from chunk
+
+
 class _FreshVars:
     def __init__(self):
         self.n = 0
@@ -95,6 +119,7 @@ class _FreshVars:
 
 
 def _collect_signature(clauses: list[Clause]):
+    """Predicate and function arities, and the constants, all sorted by name."""
     preds: dict[str, int] = {}
     consts: set[str] = set()
     funcs: dict[str, int] = {}
@@ -113,7 +138,7 @@ def _collect_signature(clauses: list[Clause]):
                 preds[lit.pred] = len(lit.args)
             for a in lit.args:
                 scan(a)
-    return preds, consts, funcs
+    return dict(sorted(preds.items())), sorted(consts), dict(sorted(funcs.items()))
 
 
 # --- finite model search ----------------------------------------------------
@@ -136,7 +161,7 @@ def find_model(
     """Search for a model over a fixed domain size; None if none exists."""
     fresh = _FreshVars()
     flat = [_flatten_clause(cl, fresh) for cl in clauses]
-    preds, consts, funcs = _collect_signature(clauses)
+    _, consts, funcs = _collect_signature(clauses)
     domain = range(domain_size)
     pool = _VarPool()
     prop: list[tuple[int, ...]] = []
@@ -162,7 +187,7 @@ def find_model(
         vs = sorted({v.name for lit in lits for a in lit.args for v in _vars_of(a)})
         if len(domain) ** len(vs) > 400_000:
             raise sat.TimeBudgetExceeded()
-        for values in itertools.product(domain, repeat=len(vs)):
+        for values in _instances(domain, len(vs), deadline):
             env = dict(zip(vs, values))
             out = []
             is_true = False
@@ -177,8 +202,6 @@ def find_model(
             if is_true:
                 continue
             prop.append(tuple(out))
-        if deadline is not None and time.monotonic() > deadline:
-            raise sat.TimeBudgetExceeded()
 
     # totality and functionality for constants and skolem functions
     for c in consts:
@@ -187,7 +210,7 @@ def find_model(
         for x, y in itertools.combinations(row, 2):
             prop.append((-x, -y))
     for fname, arity in funcs.items():
-        for args in itertools.product(domain, repeat=arity):
+        for args in _instances(domain, arity, deadline):
             row = [pool.get(("f", fname, args, d)) for d in domain]
             prop.append(tuple(row))
             for x, y in itertools.combinations(row, 2):
@@ -223,12 +246,12 @@ def refute(
     inconclusive for the first-order question).
     """
     preds, consts, funcs = _collect_signature(clauses)
-    base: list[Term] = [Const(c) for c in sorted(consts)]
+    base: list[Term] = [Const(c) for c in consts]
     if not base:
         base = [Const("herbrand_c0")]
     universe: list[Term] = list(base)
     if with_skolem_terms:
-        for fname, arity in sorted(funcs.items()):
+        for fname, arity in funcs.items():
             for args in itertools.product(base, repeat=arity):
                 if len(universe) >= max_universe:
                     break
@@ -274,11 +297,12 @@ def refute(
         n_inst = len(universe) ** len(vs)
         if n_inst * max(len(cl), 1) > max_ground_clauses:
             return None
-        for values in itertools.product(universe, repeat=len(vs)):
+        lits = _ordered(cl)
+        for values in _instances(universe, len(vs), deadline):
             env = dict(zip(vs, values))
             codes: list[Optional[int]] = []
             skip = False
-            for lit in cl:
+            for lit in lits:
                 if lit.pred == EQ:
                     a = ground_term(lit.args[0], env)
                     b = ground_term(lit.args[1], env)
@@ -296,8 +320,6 @@ def refute(
                     codes.append(v if lit.positive else -v)
             if not skip:
                 emit(codes)
-        if deadline is not None and time.monotonic() > deadline:
-            raise sat.TimeBudgetExceeded()
 
     # ground equality theory: transitivity and congruence (symmetry and
     # reflexivity are folded into the canonical eq_code encoding)
@@ -314,10 +336,10 @@ def refute(
                 e2 = pool.get(("e", *sorted((shared, rest[1]))))
                 prop.append((-e1, -e2, conclusion))
     # predicate congruence, one argument position at a time
-    for pname, arity in sorted(preds.items()):
+    for pname, arity in preds.items():
         if len(universe) ** (arity + 1) * arity > max_ground_clauses:
             continue
-        for args in itertools.product(ids, repeat=arity):
+        for args in _instances(ids, arity, deadline):
             pa = pool.get(("p", pname, args))
             for pos in range(arity):
                 for other in ids:
@@ -333,7 +355,6 @@ def refute(
             for u in universe:
                 if isinstance(u, Func) and u.name == t.name and u != t:
                     arg_eqs = []
-                    ok = True
                     for a, b in zip(t.args, u.args):
                         if a == b:
                             continue
@@ -351,50 +372,72 @@ def refute(
 
 # --- orchestration ----------------------------------------------------------
 
+_CUT = object()  # an attempt's result when its slice of the clock ran out
+
+
 def decide_clauses(
     clauses: list[Clause],
     timeout_s: float = 10.0,
     max_domain: Optional[int] = None,
 ) -> ProverResult:
-    start = time.monotonic()
-    deadline = start + timeout_s
-    _, consts, _ = _collect_signature(clauses)
+    """Run the procedures in turn, each in a slice of one shared deadline.
+
+    1. ground refutation over the constants;
+    2. finite model search at the smallest size, one element per constant;
+    3. ground refutation with the depth-1 Skolem terms, which decides the
+       violating graphs and the containments;
+    4. finite model search at the larger sizes, up to `max_domain`;
+    5. step 3 again with the time left, if its slice cut it.
+
+    Without function symbols the depth-1 universe is the depth-0 one, so
+    steps 3 and 5 would repeat step 1 and are skipped.
+    """
+    deadline = time.monotonic() + timeout_s
+    _, consts, funcs = _collect_signature(clauses)
     lower = max(1, len(consts))
     if max_domain is None:
         max_domain = lower + 3
+    sizes = range(lower, max_domain + 1)
 
-    try:
-        # cheap refutation pass without skolem-term instances
-        got = refute(
-            clauses, deadline=min(deadline, time.monotonic() + timeout_s * 0.25),
-            with_skolem_terms=False,
-        )
-        if got:
-            return ProverResult("Unsatisfiable", "ground refutation (constants)")
-    except sat.TimeBudgetExceeded:
-        pass
-
-    for size in range(lower, max_domain + 1):
-        if time.monotonic() > deadline:
-            return ProverResult("Timeout")
+    def attempt(procedure, share: float, *args, **kwargs):
+        slice_end = min(deadline, time.monotonic() + timeout_s * share)
         try:
-            model = find_model(
-                clauses, size,
-                deadline=min(deadline, time.monotonic() + timeout_s * 0.4),
-            )
+            return procedure(*args, deadline=slice_end, **kwargs)
         except sat.TimeBudgetExceeded:
-            break
-        if model is not None:
-            return ProverResult("Satisfiable", f"finite model of size {size}")
+            return _CUT
 
-    if time.monotonic() > deadline:
-        return ProverResult("Timeout")
-    try:
-        got = refute(clauses, deadline=deadline, with_skolem_terms=True)
-        if got:
+    def first_model(candidates) -> tuple[Optional[int], bool]:
+        """The first size with a model, and whether the clock cut the search
+        (larger sizes only cost more, so the search stops there)."""
+        for size in candidates:
+            got = attempt(find_model, 0.4, clauses, size)
+            if got is _CUT:
+                return None, True
+            if got is not None:
+                return size, False
+        return None, False
+
+    if attempt(refute, 0.25, clauses, with_skolem_terms=False) is True:
+        return ProverResult("Unsatisfiable", "ground refutation (constants)")
+
+    size, cut = first_model(sizes[:1])
+    if size is not None:
+        return ProverResult("Satisfiable", f"finite model of size {size}")
+    grow = not cut and len(sizes) > 1
+    depth1_cut = False
+    if funcs:
+        # without a larger model search to follow, this takes the rest
+        got = attempt(refute, 0.4 if grow else 1.0, clauses, with_skolem_terms=True)
+        if got is True:
             return ProverResult("Unsatisfiable", "ground refutation (skolem depth 1)")
-    except sat.TimeBudgetExceeded:
-        return ProverResult("Timeout")
+        depth1_cut = got is _CUT
+    if grow:
+        size, _ = first_model(sizes[1:])
+        if size is not None:
+            return ProverResult("Satisfiable", f"finite model of size {size}")
+    if depth1_cut and time.monotonic() < deadline:
+        if attempt(refute, 1.0, clauses, with_skolem_terms=True) is True:
+            return ProverResult("Unsatisfiable", "ground refutation (skolem depth 1)")
     if time.monotonic() > deadline:
         return ProverResult("Timeout")
     return ProverResult("GaveUp")

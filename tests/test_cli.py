@@ -94,7 +94,7 @@ class TestJson:
         assert got["verdict"] == "Satisfiable"
         assert set(got) == {
             "verdict", "approximate", "szsStatus", "problemFile",
-            "proverTimeMs", "prover",
+            "proverTimeMs", "prover", "proverDetail",
         }
 
     def test_oracle_schema(self, files, capsys):

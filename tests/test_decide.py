@@ -135,13 +135,14 @@ class TestRunProver:
     def test_custom_stub_status_parsed(self, tmp_path):
         exe = stub_prover(tmp_path, "ok.sh",
                           'echo "% SZS status Unsatisfiable for $1"')
-        szs, raw, problem, _ = run_prover(
+        run = run_prover(
             self._doc(), ProverConfig("custom", exe, 5),
             problem_path=str(tmp_path / "out.p"),
         )
-        assert szs == "Unsatisfiable"
-        assert "SZS status" in raw
-        assert os.path.exists(problem)
+        assert run.szs_status == "Unsatisfiable"
+        assert "SZS status" in run.output
+        assert os.path.exists(run.problem_file)
+        assert run.detail == ""
 
     def test_missing_szs_line_is_protocol_error(self, tmp_path):
         exe = stub_prover(tmp_path, "silent.sh", "echo hello")
@@ -150,25 +151,26 @@ class TestRunProver:
 
     def test_hung_prover_times_out(self, tmp_path):
         exe = stub_prover(tmp_path, "sleep.sh", "sleep 30")
-        szs, _, _, _ = run_prover(self._doc(), ProverConfig("custom", exe, -4))
-        assert szs == "Timeout"
+        run = run_prover(self._doc(), ProverConfig("custom", exe, -4))
+        assert run.szs_status == "Timeout"
 
     def test_none_skips_execution(self, tmp_path):
-        szs, raw, problem, ms = run_prover(
+        run = run_prover(
             self._doc(), ProverConfig("none"),
             problem_path=str(tmp_path / "out.p"),
         )
-        assert szs == "NotRun" and raw == "" and ms == 0
-        assert os.path.getsize(problem) > 0
+        assert run.szs_status == "NotRun" and run.output == "" and run.elapsed_ms == 0
+        assert os.path.getsize(run.problem_file) > 0
 
     def test_builtin_output_matches_written_file(self, tmp_path):
         doc = self._doc()
         path = str(tmp_path / "problem.p")
-        szs, _, problem, _ = run_prover(doc, ProverConfig("builtin", timeout_s=10), path)
-        assert problem == path
+        run = run_prover(doc, ProverConfig("builtin", timeout_s=10), path)
+        assert run.problem_file == path
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == render(doc)
-        assert szs == "Unsatisfiable"
+        assert run.szs_status == "Unsatisfiable"
+        assert run.detail.startswith("ground refutation")
 
     def test_builtin_decides_the_written_text_rendered_once(self, tmp_path, monkeypatch):
         from shacl2fol import decide, miniprover
@@ -223,6 +225,7 @@ class TestEndToEnd:
         d = run_task(task).as_dict()
         assert set(d) == {
             "verdict", "approximate", "szsStatus", "problemFile",
-            "proverTimeMs", "prover",
+            "proverTimeMs", "prover", "proverDetail",
         }
         assert d["verdict"] == "Satisfiable" and d["approximate"] is False
+        assert d["proverDetail"].startswith("finite model of size ")

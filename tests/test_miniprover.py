@@ -1,10 +1,25 @@
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
-from shacl2fol import miniprover
-from shacl2fol.clausify import clausify
+from conftest import load_graph, load_shapes
+from corpus import CASES, PREFIXES
+from shacl2fol import miniprover, sat
+from shacl2fol.clausify import Literal, clausify
+from shacl2fol.decide import (
+    DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
+)
 from shacl2fol.fol import (
     Atom, Const, Eq, Exists, Forall, Implies, NotN, OrN, Var,
 )
+from shacl2fol.tptp import render
+from shacl2fol.tptp_parse import parse_tptp
+from test_acceptance import SHAPES_ONE_TARGET, SHAPES_TWO_TARGETS
 
 A, B, C = Const("a"), Const("b"), Const("c")
 X, Y = Var("X"), Var("Y")
@@ -138,3 +153,127 @@ class TestMain:
         bad.write_text("fof(broken, axiom, p(a).")
         assert miniprover.main([str(bad), "--parse-only"]) == 1
         assert "SZS status SyntaxError" in capsys.readouterr().out
+
+
+def counting(monkeypatch, name):
+    """Replace miniprover.<name> by a wrapper that counts its calls."""
+    calls = []
+    inner = getattr(miniprover, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(miniprover, name, wrapper)
+    return calls
+
+
+def validate(case):
+    return run_task(DecisionTask(
+        TaskKind.VALIDATION, load_shapes(case.shapes_ttl),
+        data_graph=load_graph(case.data_ttl),
+        prover=ProverConfig("builtin", timeout_s=10),
+    ))
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("name", ["or_violates", "and_violates", "qualified_min_violates"])
+    def test_violation_decided_by_refutation_before_the_model_search_grows(
+            self, name, monkeypatch):
+        models = counting(monkeypatch, "find_model")
+        case = next(c for c in CASES if c.name == name)
+        got = validate(case)
+        assert got.szs_status == "Unsatisfiable"
+        assert got.prover_detail == "ground refutation (skolem depth 1)"
+        assert len(models) <= 1
+
+    def test_function_free_clauses_run_one_refutation(self, monkeypatch):
+        # satisfiable only in a one-element domain, which the search starting
+        # at one element per constant never tries; without function symbols
+        # a depth-1 refutation would only repeat the first one
+        refutations = counting(monkeypatch, "refute")
+        got = decide([
+            Atom("p", (A,)), Atom("p", (B,)),
+            Forall(("X", "Y"), Eq(X, Y)),
+        ])
+        assert got.status != "Unsatisfiable"
+        assert len(refutations) == 1
+
+    def test_containment_decided_well_inside_the_timeout(self):
+        start = time.monotonic()
+        got = run_task(DecisionTask(
+            TaskKind.CONTAINMENT, load_shapes(SHAPES_TWO_TARGETS),
+            shape_graph_b=load_shapes(SHAPES_ONE_TARGET),
+            prover=ProverConfig("builtin", timeout_s=10),
+        ))
+        assert got.verdict.value == "Contained"
+        assert time.monotonic() - start < 3
+
+
+WIDE = tuple(Var(f"X{i}") for i in range(6))
+
+
+class TestDeadline:
+    def test_find_model_stops_inside_a_large_grounding(self):
+        # 8 ** 6 instances of one clause: seconds of grounding
+        clause = frozenset({Literal(True, "p", WIDE), Literal(False, "q", WIDE)})
+        start = time.monotonic()
+        with pytest.raises(sat.TimeBudgetExceeded):
+            miniprover.find_model([clause], 8, deadline=time.monotonic() - 1)
+        assert time.monotonic() - start < 0.2
+
+    def test_refute_stops_inside_a_large_grounding(self):
+        # 20 ** 4 instances of one clause over twenty constants
+        facts = [frozenset({Literal(True, "r", (Const(f"c{i}"),))}) for i in range(20)]
+        clause = frozenset({Literal(True, "p", WIDE[:4]), Literal(False, "q", WIDE[:4])})
+        start = time.monotonic()
+        with pytest.raises(sat.TimeBudgetExceeded):
+            miniprover.refute([clause] + facts, deadline=time.monotonic() - 1)
+        assert time.monotonic() - start < 0.2
+
+    def test_decide_keeps_a_short_timeout(self):
+        # a conforming graph of ten people, which the prover does not decide
+        # in two seconds
+        shapes = load_shapes(PREFIXES + """
+ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
+  sh:property [ sh:path ex:name ; sh:minCount 1 ; sh:maxCount 1 ] .
+""")
+        data = load_graph(PREFIXES + "".join(
+            f'ex:p{i} a ex:Person ; ex:name "n{i}" .\n' for i in range(10)))
+        doc = build_problem(DecisionTask(TaskKind.VALIDATION, shapes, data_graph=data))
+        clauses = clausify([u.body for u in parse_tptp(render(doc))])
+        start = time.monotonic()
+        got = miniprover.decide_clauses(clauses, timeout_s=2)
+        assert time.monotonic() - start < 2.5
+        assert got.status in ("Satisfiable", "Timeout", "GaveUp")
+
+
+RECORD_SOLVE = """
+import json
+from corpus import CASES
+from shacl2fol import sat
+from test_miniprover import validate
+
+calls = []
+solve = sat.solve
+
+def recording(clauses, deadline=None):
+    calls.append(list(clauses))
+    return solve(calls[-1], deadline=deadline)
+
+sat.solve = recording
+validate(next(c for c in CASES if c.name == "or_violates"))
+print(json.dumps(calls))
+"""
+
+
+def test_prover_work_does_not_depend_on_the_hash_seed():
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")]
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", RECORD_SOLVE], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        runs.append(json.loads(out))
+    assert runs[0] and runs[0] == runs[1]
