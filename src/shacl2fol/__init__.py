@@ -9,8 +9,7 @@ oracle validator cross-checks validation verdicts.
 
 from .decide import (
     DecisionResult, DecisionTask, ProverConfig, TaskKind, Verdict,
-    build_problem, check_containment, check_satisfiability, check_validation,
-    run_prover, run_task, write_problem,
+    build_problem, run_prover, run_task, write_problem,
 )
 from .errors import (
     CardinalityLimitExceeded, InvalidOptions, MalformedShape, ProverNotFound,
@@ -35,8 +34,7 @@ __all__ = [
     "RdfTerm", "RecursiveShapeGraph", "Shacl2FolError", "Shape", "ShapeGraph",
     "StarMode", "Syntax", "TaskKind", "TermKind", "Triple", "UnaMode",
     "UnsupportedComponent", "UnsupportedFeature", "ValidationReport",
-    "Verdict", "Violation", "bnode", "build_problem", "check_containment",
-    "check_satisfiability", "check_validation", "detect_recursion",
+    "Verdict", "Violation", "bnode", "build_problem", "detect_recursion",
     "evaluate", "extract_shape_graph", "iri", "literal", "parse_document",
     "parse_file", "path_eval", "render", "run_prover", "run_task",
     "serialize_ntriples", "signature_of", "translate_shape_graph",

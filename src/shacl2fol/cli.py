@@ -165,7 +165,8 @@ def _run_decision(args) -> int:
         print(f"{result.verdict.value}{note}")
         print(f"  szs: {result.szs_status}  prover: {result.prover_kind}  "
               f"time: {result.prover_time_ms} ms")
-        print(f"  problem: {result.problem_file}")
+        if result.problem_file:
+            print(f"  problem: {result.problem_file}")
     if result.verdict is Verdict.UNKNOWN:
         return EXIT_UNKNOWN
     return EXIT_POSITIVE if result.verdict in POSITIVE_VERDICTS else EXIT_NEGATIVE

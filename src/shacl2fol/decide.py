@@ -3,8 +3,9 @@
 Each task builds one axiom-only TPTP problem; the verdict is read off the
 prover's SZS status line.  External provers (E, Vampire) are driven as
 child processes with a wall-clock timeout; the built-in prover runs in
-process but writes the identical problem file first, so `emit` followed by
-a manual prover run reproduces the integrated result bit for bit.
+process on the same rendered text.  `emit` (or `--out`) writes that text,
+so a manual prover run on the file reproduces the integrated result bit
+for bit.
 """
 
 from __future__ import annotations
@@ -238,29 +239,40 @@ class ProverRun(NamedTuple):
 
 def run_prover(doc: TptpDocument, config: ProverConfig,
                problem_path: Optional[str] = None) -> ProverRun:
-    """Write the problem, then run the configured prover on it."""
+    """Run the configured prover on the rendered problem.
+
+    The problem file is kept at `problem_path` when one is given, and for
+    the prover `none`, whose only product is the file.  Otherwise nothing
+    is left behind and `problem_file` is "": the built-in prover decides the
+    text in memory, and an external prover reads it from a temporary
+    directory that is removed after the run.
+    """
     config = config.resolve()
     text = render(doc)
-    problem_file = write_problem(text, problem_path)
+    problem_file = ""
+    if problem_path is not None or config.kind == "none":
+        problem_file = write_problem(text, problem_path)
     start = time.monotonic()
     if config.kind == "none":
         return ProverRun("NotRun", "", problem_file, 0)
     if config.kind == "builtin":
         result = miniprover.decide_tptp_text(text, timeout_s=config.timeout_s)
         elapsed = int((time.monotonic() - start) * 1000)
-        raw = f"% SZS status {result.status} for {problem_file}\n"
+        raw = f"% SZS status {result.status} for {problem_file or 'problem'}\n"
         return ProverRun(result.status, raw, problem_file, elapsed, result.detail)
-    argv = prover_command(config, problem_file)
-    try:
-        proc = subprocess.run(
-            argv, capture_output=True, text=True,
-            timeout=config.timeout_s + 5,
-        )
-    except FileNotFoundError as exc:
-        raise ProverNotFound(str(exc)) from exc
-    except subprocess.TimeoutExpired:
-        elapsed = int((time.monotonic() - start) * 1000)
-        return ProverRun("Timeout", "", problem_file, elapsed)
+    with tempfile.TemporaryDirectory(prefix="shacl2fol_") as tmp:
+        path = problem_file or write_problem(text, os.path.join(tmp, "problem.p"))
+        argv = prover_command(config, path)
+        try:
+            proc = subprocess.run(
+                argv, capture_output=True, text=True,
+                timeout=config.timeout_s + 5,
+            )
+        except FileNotFoundError as exc:
+            raise ProverNotFound(str(exc)) from exc
+        except subprocess.TimeoutExpired:
+            elapsed = int((time.monotonic() - start) * 1000)
+            return ProverRun("Timeout", "", problem_file, elapsed)
     elapsed = int((time.monotonic() - start) * 1000)
     output = proc.stdout + "\n" + proc.stderr
     m = _SZS_RE.search(output)
@@ -302,18 +314,3 @@ def run_task(task: DecisionTask) -> DecisionResult:
         prover_kind=config.kind,
         prover_detail=run.detail,
     )
-
-
-def check_satisfiability(task: DecisionTask) -> DecisionResult:
-    assert task.kind is TaskKind.SATISFIABILITY
-    return run_task(task)
-
-
-def check_containment(task: DecisionTask) -> DecisionResult:
-    assert task.kind is TaskKind.CONTAINMENT
-    return run_task(task)
-
-
-def check_validation(task: DecisionTask) -> DecisionResult:
-    assert task.kind is TaskKind.VALIDATION
-    return run_task(task)

@@ -9,6 +9,9 @@ Two sound, incomplete procedures over the clausal form:
   plus ground equality axioms; a propositionally unsatisfiable grounding
   witnesses first-order unsatisfiability, so Unsatisfiable is sound.
 
+Both instantiate clauses through one routine, `_ground`; each keeps only
+its own encoding of a ground literal.
+
 If neither procedure concludes within its bounds the status is GaveUp
 (or Timeout when the wall clock ran out).  The command-line entry point
 prints a standard `% SZS status <Status>` line.
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import sat
-from .clausify import EQ, Clause, Literal, clause_vars, clausify
+from .clausify import EQ, Clause, Literal, clausify
 from .fol import Const, Func, Term, Var
 from .tptp_parse import parse_tptp
 
@@ -94,6 +97,13 @@ def _ordered(cl: Clause) -> list[Literal]:
 
 _CHECK_EVERY = 4096
 
+# Largest grounding either procedure attempts, as each size guard counts it.
+_MAX_GROUND = 400_000
+# Most terms in the depth-1 Herbrand universe of the refutation.
+_MAX_UNIVERSE = 24
+# Model sizes searched above the smallest (one element per constant).
+_LARGER_SIZES = 3
+
 
 def _instances(values, repeat: int, deadline: Optional[float]):
     """`itertools.product(values, repeat=repeat)`, checking the deadline
@@ -107,6 +117,35 @@ def _instances(values, repeat: int, deadline: Optional[float]):
         if deadline is not None and time.monotonic() > deadline:
             raise sat.TimeBudgetExceeded()
         yield from chunk
+
+
+def _var_names(lits: list[Literal]) -> list[str]:
+    return sorted({v.name for lit in lits for a in lit.args for v in _vars_of(a)})
+
+
+def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[float]):
+    """The propositional clauses of every instance of `clauses` over `values`.
+
+    `encode(lit, env)` gives the code of one literal under the binding `env`
+    of the clause's variables: None drops the instance (the literal is true,
+    or it names a term outside the universe), 0 drops the literal (it is
+    false), and any other value is a SAT literal.
+    """
+    prop: list[tuple[int, ...]] = []
+    for lits in clauses:
+        vs = _var_names(lits)
+        for inst in _instances(values, len(vs), deadline):
+            env = dict(zip(vs, inst))
+            out = []
+            for lit in lits:
+                code = encode(lit, env)
+                if code is None:
+                    break
+                if code:
+                    out.append(code)
+            else:
+                prop.append(tuple(out))
+    return prop
 
 
 class _FreshVars:
@@ -163,8 +202,9 @@ def find_model(
     flat = [_flatten_clause(cl, fresh) for cl in clauses]
     _, consts, funcs = _collect_signature(clauses)
     domain = range(domain_size)
+    if any(domain_size ** len(_var_names(lits)) > _MAX_GROUND for lits in flat):
+        raise sat.TimeBudgetExceeded()
     pool = _VarPool()
-    prop: list[tuple[int, ...]] = []
 
     def lit_code(lit: Literal, env: dict[str, int]) -> Optional[int]:
         """Propositional literal; None = literal true, 0 = literal false."""
@@ -183,26 +223,7 @@ def find_model(
         args = tuple(env[a.name] for a in lit.args)
         return sign * pool.get(("p", lit.pred, args))
 
-    for lits in flat:
-        vs = sorted({v.name for lit in lits for a in lit.args for v in _vars_of(a)})
-        if len(domain) ** len(vs) > 400_000:
-            raise sat.TimeBudgetExceeded()
-        for values in _instances(domain, len(vs), deadline):
-            env = dict(zip(vs, values))
-            out = []
-            is_true = False
-            for lit in lits:
-                code = lit_code(lit, env)
-                if code is None:
-                    is_true = True
-                    break
-                if code == 0:
-                    continue
-                out.append(code)
-            if is_true:
-                continue
-            prop.append(tuple(out))
-
+    prop = _ground(flat, domain, lit_code, deadline)
     # totality and functionality for constants and skolem functions
     for c in consts:
         row = [pool.get(("a", c, d)) for d in domain]
@@ -235,8 +256,6 @@ def _vars_of(t: Term):
 
 def refute(
     clauses: list[Clause],
-    max_universe: int = 24,
-    max_ground_clauses: int = 400_000,
     deadline: Optional[float] = None,
     with_skolem_terms: bool = True,
 ) -> Optional[bool]:
@@ -253,7 +272,7 @@ def refute(
     if with_skolem_terms:
         for fname, arity in funcs.items():
             for args in itertools.product(base, repeat=arity):
-                if len(universe) >= max_universe:
+                if len(universe) >= _MAX_UNIVERSE:
                     break
                 universe.append(Func(fname, tuple(args)))
 
@@ -280,46 +299,19 @@ def refute(
         v = pool.get(("e", ia, ib))
         return v if positive else -v
 
-    prop: list[tuple[int, ...]] = []
+    def lit_code(lit: Literal, env: dict[str, Term]) -> Optional[int]:
+        args = [ground_term(a, env) for a in lit.args]
+        if any(a is None for a in args):
+            return None  # the instance names a term outside the universe
+        if lit.pred == EQ:
+            return eq_code(*args, lit.positive)
+        v = pool.get(("p", lit.pred, tuple(term_ids[a] for a in args)))
+        return v if lit.positive else -v
 
-    def emit(lits: list[Optional[int]]) -> None:
-        out = []
-        for code in lits:
-            if code is None:
-                return  # clause true
-            if code == 0:
-                continue  # literal false
-            out.append(code)
-        prop.append(tuple(out))
-
-    for cl in clauses:
-        vs = sorted(clause_vars(cl))
-        n_inst = len(universe) ** len(vs)
-        if n_inst * max(len(cl), 1) > max_ground_clauses:
-            return None
-        lits = _ordered(cl)
-        for values in _instances(universe, len(vs), deadline):
-            env = dict(zip(vs, values))
-            codes: list[Optional[int]] = []
-            skip = False
-            for lit in lits:
-                if lit.pred == EQ:
-                    a = ground_term(lit.args[0], env)
-                    b = ground_term(lit.args[1], env)
-                    if a is None or b is None:
-                        skip = True  # instance mentions a term outside the universe
-                        break
-                    codes.append(eq_code(a, b, lit.positive))
-                else:
-                    args = [ground_term(a, env) for a in lit.args]
-                    if any(a is None for a in args):
-                        skip = True
-                        break
-                    ids = tuple(term_ids[a] for a in args)
-                    v = pool.get(("p", lit.pred, ids))
-                    codes.append(v if lit.positive else -v)
-            if not skip:
-                emit(codes)
+    if any(len(universe) ** len(_var_names(cl)) * max(len(cl), 1) > _MAX_GROUND
+           for cl in clauses):
+        return None
+    prop = _ground([_ordered(cl) for cl in clauses], universe, lit_code, deadline)
 
     # ground equality theory: transitivity and congruence (symmetry and
     # reflexivity are folded into the canonical eq_code encoding)
@@ -337,7 +329,7 @@ def refute(
                 prop.append((-e1, -e2, conclusion))
     # predicate congruence, one argument position at a time
     for pname, arity in preds.items():
-        if len(universe) ** (arity + 1) * arity > max_ground_clauses:
+        if len(universe) ** (arity + 1) * arity > _MAX_GROUND:
             continue
         for args in _instances(ids, arity, deadline):
             pa = pool.get(("p", pname, args))
@@ -362,7 +354,7 @@ def refute(
                     it, iu = sorted((term_ids[t], term_ids[u]))
                     prop.append(tuple(-e for e in arg_eqs) + (pool.get(("e", it, iu)),))
 
-    if len(prop) > max_ground_clauses:
+    if len(prop) > _MAX_GROUND:
         return None
     result = sat.solve(prop, deadline=deadline)
     if result is None:
@@ -375,18 +367,14 @@ def refute(
 _CUT = object()  # an attempt's result when its slice of the clock ran out
 
 
-def decide_clauses(
-    clauses: list[Clause],
-    timeout_s: float = 10.0,
-    max_domain: Optional[int] = None,
-) -> ProverResult:
+def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResult:
     """Run the procedures in turn, each in a slice of one shared deadline.
 
     1. ground refutation over the constants;
     2. finite model search at the smallest size, one element per constant;
     3. ground refutation with the depth-1 Skolem terms, which decides the
        violating graphs and the containments;
-    4. finite model search at the larger sizes, up to `max_domain`;
+    4. finite model search at the larger sizes, up to `_LARGER_SIZES` more;
     5. step 3 again with the time left, if its slice cut it.
 
     Without function symbols the depth-1 universe is the depth-0 one, so
@@ -395,9 +383,7 @@ def decide_clauses(
     deadline = time.monotonic() + timeout_s
     _, consts, funcs = _collect_signature(clauses)
     lower = max(1, len(consts))
-    if max_domain is None:
-        max_domain = lower + 3
-    sizes = range(lower, max_domain + 1)
+    sizes = range(lower, lower + _LARGER_SIZES + 1)
 
     def attempt(procedure, share: float, *args, **kwargs):
         slice_end = min(deadline, time.monotonic() + timeout_s * share)

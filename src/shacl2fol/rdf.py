@@ -266,7 +266,7 @@ _TOKEN_SPEC = [
     ("DOUBLE", r"[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+"),
     ("DECIMAL", r"[+-]?\d*\.\d+"),
     ("INTEGER", r"[+-]?\d+"),
-    ("BNODE", r"_:[A-Za-z0-9_][A-Za-z0-9_.-]*"),
+    ("BNODE", r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"),
     ("DTYPE", r"\^\^"),
     ("PUNCT", r"[;,.\[\]()]"),
     ("BRACE", r"[{}]"),

@@ -6,20 +6,15 @@ formulas are closed under negation and conjunction and carry constant
 equality, node-kind filters, shape references, path quantifiers, the
 property-pair forms, and counting quantifiers.  Paths are roles (optionally
 inverted), sequences, alternatives, zero-or-one and zero-or-more.
-
-A human-readable text form is provided for debugging and golden files; it
-round-trips through `parse_sentence` / `parse_node_formula`.  Precedence:
-`~` binds tighter than `&`; quantified forms are always parenthesized.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from .rdf import RdfTerm, TermKind
+from .rdf import RdfTerm
 
 # Reserved role name for class-membership (rdf:type) edges.
 IS_A = "isA"
@@ -305,312 +300,4 @@ def validate_theory(sentences: list[SclSentence]) -> list[WellFormednessError]:
     for name in sorted(referenced, key=lambda t: t.sort_key()):
         if name not in defined:
             errors.append(WellFormednessError("UndefinedShape", str(name)))
-    for s in sentences:
-        if isinstance(s, ShapeDef):
-            errors.extend(_check_formula(s.body))
     return errors
-
-
-def _check_formula(f: NodeFormula) -> list[WellFormednessError]:
-    errors = []
-    if isinstance(f, Filter) and f.name not in FILTER_NAMES:
-        errors.append(WellFormednessError("BadFilter", f.name))
-    if isinstance(f, AtLeast):
-        if f.n < 1:
-            errors.append(WellFormednessError("BadCardinality", str(f.n)))
-        errors.extend(_check_formula(f.body))
-    elif isinstance(f, NotF):
-        errors.extend(_check_formula(f.operand))
-    elif isinstance(f, AndF):
-        errors.extend(_check_formula(f.left))
-        errors.extend(_check_formula(f.right))
-    elif isinstance(f, Exists):
-        errors.extend(_check_formula(f.body))
-    return errors
-
-
-# --- Text form -------------------------------------------------------------
-
-def _term_str(t: RdfTerm) -> str:
-    return str(t)
-
-
-def path_str(p: PathFormula) -> str:
-    if isinstance(p, Role):
-        return f"<{p.name}>^-" if p.inverted else f"<{p.name}>"
-    if isinstance(p, Seq):
-        return f"seq({path_str(p.left)}, {path_str(p.right)})"
-    if isinstance(p, Alt):
-        return f"alt({path_str(p.left)}, {path_str(p.right)})"
-    if isinstance(p, Star):
-        return f"star({path_str(p.path)})"
-    if isinstance(p, Opt):
-        return f"opt({path_str(p.path)})"
-    raise TypeError(f"not a path formula: {p!r}")
-
-
-def formula_str(f: NodeFormula) -> str:
-    if isinstance(f, Top):
-        return "T"
-    if isinstance(f, NotF):
-        return f"~{_paren(f.operand)}"
-    if isinstance(f, AndF):
-        return f"{_paren(f.left)} & {_paren(f.right)}"
-    if isinstance(f, EqConstF):
-        return f"eq({_term_str(f.constant)})"
-    if isinstance(f, Filter):
-        return f"filter({f.name})"
-    if isinstance(f, HasShapeF):
-        return f"shape({_term_str(f.shape_name)})"
-    if isinstance(f, Exists):
-        return f"some({path_str(f.path)}, {formula_str(f.body)})"
-    if isinstance(f, NotExistsBoth):
-        return f"noboth({path_str(f.path)}, <{f.role}>)"
-    if isinstance(f, ForallIff):
-        return f"eqrel({path_str(f.path)}, <{f.role}>)"
-    if isinstance(f, PairwiseOrder):
-        op = f.atom.op.value + ("^-" if f.atom.inverted else "")
-        return f"order({path_str(f.path)}, <{f.role}>, {op})"
-    if isinstance(f, AtLeast):
-        return f"atleast({f.n}, {path_str(f.path)}, {formula_str(f.body)})"
-    raise TypeError(f"not a node formula: {f!r}")
-
-
-def _paren(f: NodeFormula) -> str:
-    if isinstance(f, AndF):
-        return f"({formula_str(f)})"
-    return formula_str(f)
-
-
-def sentence_str(s: SclSentence) -> str:
-    if isinstance(s, TargetNode):
-        return f"targetNode({_term_str(s.constant)}, {_term_str(s.shape_name)})"
-    if isinstance(s, TargetClass):
-        return f"targetClass({_term_str(s.class_constant)}, {_term_str(s.shape_name)})"
-    if isinstance(s, TargetSubjectsOf):
-        return f"targetSubjectsOf(<{s.role}>, {_term_str(s.shape_name)})"
-    if isinstance(s, TargetObjectsOf):
-        return f"targetObjectsOf(<{s.role}>, {_term_str(s.shape_name)})"
-    if isinstance(s, ShapeDef):
-        return f"def {_term_str(s.shape_name)} := {formula_str(s.body)}"
-    raise TypeError(f"not a sentence: {s!r}")
-
-
-def theory_str(sentences: list[SclSentence]) -> str:
-    return "\n".join(sentence_str(s) for s in sentences) + ("\n" if sentences else "")
-
-
-# --- Text-form parser ------------------------------------------------------
-
-_SCL_TOKEN = re.compile(
-    r"\s*(?:"
-    r"(?P<iri><[^<>\s]*>)"
-    r"|(?P<bnode>_:[A-Za-z0-9_.-]+)"
-    r"|(?P<string>\"(?:[^\"\\]|\\.)*\"(?:@[a-zA-Z-]+|\^\^<[^<>\s]*>)?)"
-    r"|(?P<num>\d+)"
-    r"|(?P<op><=\^-|<\^-|<=|<|\^-|~|&|:=|[(),])"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9]*)"
-    r")"
-)
-
-
-class SclParseError(ValueError):
-    pass
-
-
-class _SclParser:
-    def __init__(self, text: str):
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _SCL_TOKEN.match(text, pos)
-            if m is None or m.end() == m.start():
-                if text[pos:].strip():
-                    raise SclParseError(f"bad token at {text[pos:pos+20]!r}")
-                break
-            self.tokens.append((m.lastgroup, m.group().strip()))
-            pos = m.end()
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ("eof", "")
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, value):
-        kind, v = self.next()
-        if v != value:
-            raise SclParseError(f"expected {value!r}, found {v!r}")
-
-    def term(self) -> RdfTerm:
-        kind, v = self.next()
-        if kind == "iri":
-            return RdfTerm(TermKind.IRI, v[1:-1])
-        if kind == "bnode":
-            return RdfTerm(TermKind.BLANK, v[2:])
-        if kind == "string":
-            m = re.match(r'"((?:[^"\\]|\\.)*)"(?:@([a-zA-Z-]+)|\^\^<([^<>\s]*)>)?$', v)
-            lex = m.group(1).replace('\\"', '"').replace("\\n", "\n").replace("\\\\", "\\")
-            from .rdf import literal
-
-            if m.group(2):
-                return literal(lex, lang=m.group(2))
-            return literal(lex, datatype=m.group(3))
-        raise SclParseError(f"expected a term, found {v!r}")
-
-    def role_name(self) -> str:
-        kind, v = self.next()
-        if kind != "iri":
-            raise SclParseError(f"expected a role, found {v!r}")
-        return v[1:-1]
-
-    def path(self) -> PathFormula:
-        kind, v = self.peek()
-        if kind == "iri":
-            self.next()
-            name = v[1:-1]
-            if self.peek()[1] == "^-":
-                self.next()
-                return Role(name, inverted=True)
-            return Role(name)
-        if kind == "word" and v in ("seq", "alt"):
-            self.next()
-            self.expect("(")
-            left = self.path()
-            self.expect(",")
-            right = self.path()
-            self.expect(")")
-            return (Seq if v == "seq" else Alt)(left, right)
-        if kind == "word" and v in ("star", "opt"):
-            self.next()
-            self.expect("(")
-            inner = self.path()
-            self.expect(")")
-            return (Star if v == "star" else Opt)(inner)
-        raise SclParseError(f"expected a path, found {v!r}")
-
-    def formula(self) -> NodeFormula:
-        left = self.unary()
-        while self.peek()[1] == "&":
-            self.next()
-            right = self.unary()
-            left = AndF(left, right)
-        return left
-
-    def unary(self) -> NodeFormula:
-        kind, v = self.peek()
-        if v == "~":
-            self.next()
-            return NotF(self.unary())
-        if v == "(":
-            self.next()
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        if kind == "word":
-            return self.atom()
-        raise SclParseError(f"unexpected token {v!r}")
-
-    def atom(self) -> NodeFormula:
-        kind, v = self.next()
-        if v == "T":
-            return Top()
-        self.expect("(")
-        if v == "eq":
-            out: NodeFormula = EqConstF(self.term())
-        elif v == "filter":
-            out = Filter(self.next()[1])
-        elif v == "shape":
-            out = HasShapeF(self.term())
-        elif v == "some":
-            p = self.path()
-            self.expect(",")
-            out = Exists(p, self.formula())
-        elif v == "noboth":
-            p = self.path()
-            self.expect(",")
-            out = NotExistsBoth(p, self.role_name())
-        elif v == "eqrel":
-            p = self.path()
-            self.expect(",")
-            out = ForallIff(p, self.role_name())
-        elif v == "order":
-            p = self.path()
-            self.expect(",")
-            role = self.role_name()
-            self.expect(",")
-            opk, opv = self.next()
-            table = {
-                "<": OrderAtom(OrderRel.LT),
-                "<=": OrderAtom(OrderRel.LEQ),
-                "<^-": OrderAtom(OrderRel.LT, inverted=True),
-                "<=^-": OrderAtom(OrderRel.LEQ, inverted=True),
-            }
-            if opv not in table:
-                raise SclParseError(f"bad order operator {opv!r}")
-            out = PairwiseOrder(p, role, table[opv])
-        elif v == "atleast":
-            nk, nv = self.next()
-            if nk != "num":
-                raise SclParseError("atleast expects a number")
-            p_comma = self.expect(",")
-            p = self.path()
-            self.expect(",")
-            out = AtLeast(int(nv), p, self.formula())
-        else:
-            raise SclParseError(f"unknown operator {v!r}")
-        self.expect(")")
-        return out
-
-    def sentence(self) -> SclSentence:
-        kind, v = self.next()
-        if v == "def":
-            name = self.term()
-            self.expect(":=")
-            return ShapeDef(name, self.formula())
-        self.expect("(")
-        if v == "targetNode":
-            c = self.term()
-            self.expect(",")
-            s = self.term()
-            out: SclSentence = TargetNode(c, s)
-        elif v == "targetClass":
-            c = self.term()
-            self.expect(",")
-            s = self.term()
-            out = TargetClass(c, s)
-        elif v == "targetSubjectsOf":
-            r = self.role_name()
-            self.expect(",")
-            out = TargetSubjectsOf(r, self.term())
-        elif v == "targetObjectsOf":
-            r = self.role_name()
-            self.expect(",")
-            out = TargetObjectsOf(r, self.term())
-        else:
-            raise SclParseError(f"unknown sentence form {v!r}")
-        self.expect(")")
-        return out
-
-
-def parse_node_formula(text: str) -> NodeFormula:
-    p = _SclParser(text)
-    out = p.formula()
-    if p.peek()[0] != "eof":
-        raise SclParseError(f"trailing input {p.peek()[1]!r}")
-    return out
-
-
-def parse_sentence(text: str) -> SclSentence:
-    p = _SclParser(text)
-    out = p.sentence()
-    if p.peek()[0] != "eof":
-        raise SclParseError(f"trailing input {p.peek()[1]!r}")
-    return out
-
-
-def parse_theory(text: str) -> list[SclSentence]:
-    return [parse_sentence(line) for line in text.splitlines() if line.strip()]

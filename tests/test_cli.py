@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import pytest
 
@@ -61,7 +62,8 @@ class TestExitCodes:
         assert code == 0
         assert capsys.readouterr().out.startswith("Contained")
 
-    def test_prover_none_is_unknown(self, files, capsys):
+    def test_prover_none_is_unknown(self, files, capsys, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(files["dir"]))  # keeps its file
         assert cli.main(["sat", files["shapes"], "--prover", "none"]) == 2
         assert capsys.readouterr().out.startswith("Unknown")
 
@@ -141,6 +143,30 @@ class TestEmit:
         assert cli.main(["emit", "sat", files["shapes"], "--json", "--out", out]) == 0
         got = json.loads(capsys.readouterr().out)
         assert got == {"problemFile": out, "approximate": False}
+
+
+class TestProblemFile:
+    def test_decisions_without_out_keep_no_file(self, files, tmp_path, monkeypatch, capsys):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        assert cli.main(["sat", files["shapes"], *BUILTIN]) == 0
+        assert cli.main(["validate", files["shapes"], files["ok"], *BUILTIN]) == 0
+        assert cli.main(["contains", files["shapes"], files["shapes"], *BUILTIN]) == 0
+        assert "problem:" not in capsys.readouterr().out
+        assert not list(tmp.glob("shacl2fol_*"))
+        # the prover none writes the problem and keeps it
+        assert cli.main(["sat", files["shapes"], "--prover", "none"]) == 2
+        assert len(list(tmp.glob("shacl2fol_*.p"))) == 1
+
+    def test_problem_file_reported_only_with_out(self, files, capsys):
+        assert cli.main(["sat", files["shapes"], "--json", *BUILTIN]) == 0
+        assert json.loads(capsys.readouterr().out)["problemFile"] == ""
+        out = str(files["dir"] / "kept.p")
+        assert cli.main(["sat", files["shapes"], "--out", out, *BUILTIN]) == 0
+        assert f"problem: {out}" in capsys.readouterr().out
+        with open(out, encoding="utf-8") as fh:
+            parse_tptp(fh.read())
 
 
 class TestConfigPlumbing:

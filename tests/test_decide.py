@@ -1,5 +1,6 @@
 import os
 import stat
+import tempfile
 
 import pytest
 
@@ -161,6 +162,16 @@ class TestRunProver:
         )
         assert run.szs_status == "NotRun" and run.output == "" and run.elapsed_ms == 0
         assert os.path.getsize(run.problem_file) > 0
+
+    def test_external_prover_reads_a_file_that_is_removed_after(self, tmp_path, monkeypatch):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        exe = stub_prover(tmp_path, "reads.sh",
+                          'test -s "$1" && echo "% SZS status Unsatisfiable for $1"')
+        run = run_prover(self._doc(), ProverConfig("custom", exe, 5))
+        assert run.szs_status == "Unsatisfiable" and run.problem_file == ""
+        assert not list(tmp.iterdir())
 
     def test_builtin_output_matches_written_file(self, tmp_path):
         doc = self._doc()

@@ -15,7 +15,7 @@ from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
 )
 from shacl2fol.fol import (
-    Atom, Const, Eq, Exists, Forall, Implies, NotN, OrN, Var,
+    Atom, Const, Eq, Exists, Forall, Func, Implies, NotN, OrN, Var,
 )
 from shacl2fol.tptp import render
 from shacl2fol.tptp_parse import parse_tptp
@@ -84,6 +84,35 @@ class TestDecideClauses:
             NotN(Atom("q", (A,))),
         ])
         assert got.status == "Unsatisfiable"
+
+
+class TestGround:
+    def test_drops_true_instances_false_literals_and_outside_terms(self):
+        # universe {a, f(a)}; p is fixed (p(a) true, p(f(a)) false), q(t) is
+        # the SAT variable 1 + the index of t, and f(f(a)) lies outside
+        fa = Func("f", (A,))
+        universe = [A, fa]
+
+        def ground(t, env):
+            if isinstance(t, Var):
+                return env[t.name]
+            gt = Func(t.name, tuple(ground(a, env) for a in t.args))
+            return gt if gt in universe else None
+
+        def encode(lit, env):
+            arg = ground(lit.args[0], env)
+            if arg is None:
+                return None
+            if lit.pred == "p":
+                return None if arg == A else 0
+            return 1 + universe.index(arg)
+
+        p_or_q = [Literal(True, "p", (X,)), Literal(True, "q", (X,))]
+        q_of_f = [Literal(True, "q", (Func("f", (X,)),))]
+        got = miniprover._ground([p_or_q, q_of_f], universe, encode, None)
+        # p_or_q: X=a is true and dropped, X=f(a) keeps only q(f(a));
+        # q_of_f: X=a gives q(f(a)), X=f(a) names f(f(a)) and is dropped
+        assert got == [(2,), (2,)]
 
 
 class TestFindModel:

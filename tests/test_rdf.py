@@ -91,6 +91,18 @@ class TestTurtle:
         inner = [t for t in g if t.predicate == iri("http://e/q")]
         assert inner and inner[0].subject.kind is TermKind.BLANK
 
+    def test_blank_node_label_ends_before_the_final_dot(self):
+        g = parse_document(
+            "<http://e/a> <http://e/p> _:b1.\n_:a.b <http://e/p> _:b1 .",
+            Syntax.TURTLE,
+        )
+        assert len(g) == 2
+        objects = {t.object for t in g}
+        subjects = {t.subject for t in g}
+        assert len(objects) == 1 and next(iter(objects)).kind is TermKind.BLANK
+        assert iri("http://e/a") in subjects and len(subjects) == 2
+        assert not subjects & objects  # _:a.b is one label, apart from _:b1
+
     def test_collection(self):
         g = parse_document(
             "@prefix ex: <http://e/> .\nex:a ex:p ( ex:x ex:y ) .", Syntax.TURTLE

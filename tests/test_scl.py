@@ -6,46 +6,11 @@ from shacl2fol import scl
 from shacl2fol.scl import (
     Alt, AndF, AtLeast, EqConstF, Exists, Filter, ForallIff, HasShapeF,
     NotExistsBoth, NotF, Opt, OrderAtom, OrderRel, PairwiseOrder, Role,
-    ShapeDef, Star, TargetClass, TargetNode, TargetSubjectsOf, Top,
-    formula_constants, formula_str, free_shape_refs, parse_node_formula,
-    parse_sentence, parse_theory, sentence_str, theory_str, validate_theory,
+    ShapeDef, Star, TargetNode, Top,
+    formula_constants, free_shape_refs, validate_theory,
 )
 
 EX = "http://example.org/"
-
-
-class TestTextForm:
-    def test_sentence_examples(self):
-        cases = [
-            TargetNode(iri(EX + "a"), iri(EX + "S")),
-            TargetClass(iri(EX + "C"), iri(EX + "S")),
-            TargetSubjectsOf(EX + "p", iri(EX + "S")),
-            ShapeDef(iri(EX + "S"), AndF(Top(), Filter("isIRI"))),
-        ]
-        for s in cases:
-            assert parse_sentence(sentence_str(s)) == s
-
-    def test_formula_examples(self):
-        cases = [
-            Top(),
-            NotF(Top()),
-            EqConstF(literal("v")),
-            Exists(Seq := Role(EX + "p"), HasShapeF(iri(EX + "S"))),
-            AtLeast(3, Star(Role(EX + "p", inverted=True)), Top()),
-            NotExistsBoth(Alt(Role(EX + "p"), Role(EX + "q")), EX + "r"),
-            ForallIff(Opt(Role(EX + "p")), EX + "q"),
-            PairwiseOrder(Role(EX + "p"), EX + "q",
-                          OrderAtom(OrderRel.LT, inverted=True)),
-        ]
-        for f in cases:
-            assert parse_node_formula(formula_str(f)) == f
-
-    def test_theory_round_trip(self):
-        theory = [
-            TargetNode(iri(EX + "a"), iri(EX + "S")),
-            ShapeDef(iri(EX + "S"), Exists(Role(EX + "p"), Top())),
-        ]
-        assert parse_theory(theory_str(theory)) == theory
 
 
 _paths = st.deferred(lambda: st.one_of(
@@ -78,11 +43,6 @@ _formulas = st.deferred(lambda: st.one_of(
 
 
 class TestRoundTripProperty:
-    @settings(max_examples=200)
-    @given(_formulas)
-    def test_parse_inverts_print(self, f):
-        assert parse_node_formula(formula_str(f)) == f
-
     @settings(max_examples=100)
     @given(_formulas)
     def test_free_shape_refs_matches_brute_traversal(self, f):
