@@ -239,10 +239,6 @@ def _term_vars(t: Term):
             yield from _term_vars(a)
 
 
-def clause_vars(cl: Clause) -> set[str]:
-    return {v.name for lit in cl for arg in lit.args for v in _term_vars(arg)}
-
-
 def _is_tautology(cl: Clause) -> bool:
     for lit in cl:
         if lit.negate() in cl:

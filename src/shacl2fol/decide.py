@@ -140,7 +140,10 @@ def _strong_sat_selection(task: DecisionTask, theory: list[SclSentence]) -> list
     selected = task.strong_sat_shapes
     if not selected:
         selected = [s.shape_name for s in theory if isinstance(s, ShapeDef)]
-    return tr.add_strong_satisfiability_targets(theory, selected)
+    try:
+        return tr.add_strong_satisfiability_targets(theory, selected)
+    except ValueError as exc:
+        raise InvalidOptions(f"--strong-sat: {exc}") from exc
 
 
 def _build_satisfiability(task: DecisionTask) -> TptpDocument:

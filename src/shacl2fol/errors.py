@@ -33,7 +33,7 @@ class MalformedShape(Shacl2FolError):
 
 
 class RecursiveShapeGraph(Shacl2FolError):
-    """The direct evaluator only handles non-recursive shape graphs."""
+    """A shape reaches itself through references; translation and oracle reject it."""
 
 
 class InvalidOptions(Shacl2FolError):

@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import RecursiveShapeGraph
 from .rdf import Graph, RDF_TYPE, RdfTerm, XSD_NS
 from .shapes import (
     Alternative, And, Closed, Constraint, DisjointProp, EqConst, EqualsProp,
     HasShape, Inverse, MaxCount, MinCount, NodeKind, NodeKindValue, Not, OneOrMore,
     OrderOp, OrderProp, Predicate, PropertyPath, Sequence, ShapeGraph,
     SomeThrough, TargetDecl, TargetKind, TrueC, ZeroOrMore, ZeroOrOne,
-    detect_recursion,
+    check_shape_graph,
 )
 
 _NUMERIC_DATATYPES = {
@@ -183,9 +182,7 @@ def target_nodes(target: TargetDecl, g: Graph) -> set[RdfTerm]:
 
 def evaluate(sg: ShapeGraph, g: Graph) -> ValidationReport:
     """Check every targeted node of every shape; conforms iff no violations."""
-    cycles = detect_recursion(sg)
-    if cycles:
-        raise RecursiveShapeGraph(f"recursive shape graph: {cycles[0]}")
+    check_shape_graph(sg)
     ev = _Evaluator(sg, g)
     violations = []
     for shape in sg.shapes:

@@ -233,12 +233,13 @@ def _unescape(s: str, line: int, col: int) -> str:
         if nxt in _ECHAR:
             out.append(_ECHAR[nxt])
             i += 2
-        elif nxt == "u":
-            out.append(chr(int(s[i + 2:i + 6], 16)))
-            i += 6
-        elif nxt == "U":
-            out.append(chr(int(s[i + 2:i + 10], 16)))
-            i += 10
+        elif nxt in "uU":
+            m = _UCHAR.match(s, i)
+            code = int(m.group(1) or m.group(2), 16) if m else -1
+            if not (0 <= code <= 0x10FFFF) or 0xD800 <= code <= 0xDFFF:
+                raise RdfSyntaxError(f"bad escape \\{nxt}: no Unicode character", line, col + i)
+            out.append(chr(code))
+            i = m.end()
         else:
             raise RdfSyntaxError(f"bad escape \\{nxt}", line, col + i)
     return "".join(out)
@@ -392,6 +393,8 @@ class _TurtleParser:
             self.predicate_object_list(subj)
         else:
             subj = self.term(position="subject")
+            if subj.is_literal:
+                raise RdfSyntaxError("literal in subject position", tok.line, tok.col)
             self.predicate_object_list(subj)
         self.expect("PUNCT", ".")
 
@@ -518,7 +521,6 @@ class _TurtleParser:
 
 _NT_IRI = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
 _NT_BNODE = r"_:([A-Za-z0-9_][A-Za-z0-9_.-]*)"
-_NT_LITERAL = r'"((?:[^"\\\n]|\\.)*)"(?:\^\^' + _NT_IRI.replace("(", "(?:").replace(")", ")") + r"|@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*))?"
 _NT_LITERAL = r'"((?:[^"\\\n]|\\.)*)"(?:(?:\^\^<([^<>\"{}|^`\\\x00-\x20]*)>)|(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)))?'
 _NT_LINE = re.compile(
     r"^\s*(?:"

@@ -187,8 +187,6 @@ class ShapeDef:
 
 SclSentence = Union[TargetNode, TargetClass, TargetSubjectsOf, TargetObjectsOf, ShapeDef]
 
-TARGET_TYPES = (TargetNode, TargetClass, TargetSubjectsOf, TargetObjectsOf)
-
 
 # --- Structural queries ----------------------------------------------------
 
@@ -272,32 +270,3 @@ def theory_constants(sentences: list[SclSentence]) -> set[RdfTerm]:
             out |= free_shape_refs(s.body)
     return out
 
-
-# --- Well-formedness -------------------------------------------------------
-
-@dataclass(frozen=True)
-class WellFormednessError:
-    code: str
-    detail: str
-
-
-def validate_theory(sentences: list[SclSentence]) -> list[WellFormednessError]:
-    """Structural checks; returns [] when the theory is well formed."""
-    errors = []
-    defined: dict[RdfTerm, int] = {}
-    for s in sentences:
-        if isinstance(s, ShapeDef):
-            defined[s.shape_name] = defined.get(s.shape_name, 0) + 1
-    for name, count in defined.items():
-        if count > 1:
-            errors.append(WellFormednessError("DuplicateDefinition", str(name)))
-    referenced: set[RdfTerm] = set()
-    for s in sentences:
-        if isinstance(s, TARGET_TYPES):
-            referenced.add(s.shape_name)
-        elif isinstance(s, ShapeDef):
-            referenced |= free_shape_refs(s.body)
-    for name in sorted(referenced, key=lambda t: t.sort_key()):
-        if name not in defined:
-            errors.append(WellFormednessError("UndefinedShape", str(name)))
-    return errors

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional, Union
 
 from . import rdf
-from .errors import MalformedShape, UnsupportedComponent
+from .errors import MalformedShape, RecursiveShapeGraph, UnsupportedComponent
 from .rdf import Graph, RdfTerm, SH_NS, RDF_TYPE
 
 SH = SH_NS
@@ -249,12 +249,6 @@ class ShapeGraph:
     def shape_names(self) -> list[RdfTerm]:
         return [s.name for s in self.shapes]
 
-    def shape(self, name: RdfTerm) -> Shape:
-        for s in self.shapes:
-            if s.name == name:
-                return s
-        raise KeyError(name)
-
     def __iter__(self):
         return iter(self.shapes)
 
@@ -307,9 +301,7 @@ class _Extractor:
         roots = self.find_shape_nodes()
         for node in sorted(roots):
             self.shape_for(node)
-        sg = ShapeGraph(sorted(self.shapes.values(), key=lambda s: str(s.name)))
-        self.check_references(sg)
-        return sg
+        return ShapeGraph(sorted(self.shapes.values(), key=lambda s: str(s.name)))
 
     def find_shape_nodes(self) -> set[RdfTerm]:
         g = self.g
@@ -318,9 +310,9 @@ class _Extractor:
             nodes |= g.subjects_of(pred_iri)
         for pred_iri in (_sh("node"), _sh("qualifiedValueShape"), _sh("not")):
             nodes.update(triple.object for triple in g.with_predicate(pred_iri))
-        for pred_iri in (_sh("and"), _sh("or")):
-            for triple in g.with_predicate(pred_iri):
-                nodes.update(g.walk_list(triple.object))
+        for local in ("and", "or"):
+            for triple in g.with_predicate(_sh(local)):
+                nodes.update(self.list_members(triple.object, "sh:" + local))
         # explicitly declared shapes without any parameter still count
         for cls in (_sh("NodeShape"), _sh("PropertyShape")):
             nodes.update(g.subjects(RDF_TYPE, rdf.iri(cls)))
@@ -419,13 +411,13 @@ class _Extractor:
         return self.at_values(path, Not(HasShape(obj)))
 
     def c_and(self, node, obj, path) -> Constraint:
-        members = self.g.walk_list(obj)
+        members = self.list_members(obj, "sh:and")
         for m in members:
             self.require_shape(m)
         return self.at_values(path, conjoin([HasShape(m) for m in members]))
 
     def c_or(self, node, obj, path) -> Constraint:
-        members = self.g.walk_list(obj)
+        members = self.list_members(obj, "sh:or")
         for m in members:
             self.require_shape(m)
         return self.at_values(path, or_of([HasShape(m) for m in members]))
@@ -443,7 +435,7 @@ class _Extractor:
         return SomeThrough(path, EqConst(obj))
 
     def c_in(self, node, obj, path) -> Constraint:
-        members = self.g.walk_list(obj)
+        members = self.list_members(obj, "sh:in")
         return self.at_values(path, or_of([EqConst(m) for m in members]))
 
     def c_class(self, node, obj, path) -> Constraint:
@@ -508,7 +500,7 @@ class _Extractor:
                 allowed.add(ppath.lexical)
         ignored = self.g.object(node, _sh("ignoredProperties"))
         if ignored is not None:
-            for m in self.g.walk_list(ignored):
+            for m in self.list_members(ignored, "sh:ignoredProperties"):
                 if not m.is_iri:
                     raise MalformedShape("sh:ignoredProperties must list IRIs")
                 allowed.add(m.lexical)
@@ -525,14 +517,24 @@ class _Extractor:
         if not obj.is_literal:
             raise MalformedShape(f"{name} expects an integer literal")
         try:
-            return int(obj.lexical)
+            n = int(obj.lexical)
         except ValueError as exc:
             raise MalformedShape(f"{name} expects an integer literal") from exc
+        if n < 0:
+            raise MalformedShape(f"{name} expects a non-negative integer, not {n}")
+        return n
 
     def pred_param(self, obj: RdfTerm, name: str) -> str:
         if not obj.is_iri:
             raise MalformedShape(f"{name} expects a predicate IRI")
         return obj.lexical
+
+    def list_members(self, head: RdfTerm, what: str) -> list[RdfTerm]:
+        """The members of the RDF list at `head`; MalformedShape if it is not one."""
+        try:
+            return self.g.walk_list(head)
+        except ValueError as exc:
+            raise MalformedShape(f"{what}: {exc}") from exc
 
     def require_shape(self, node: RdfTerm):
         if node.is_literal:
@@ -557,7 +559,7 @@ class _Extractor:
                 return ctor(self.parse_path(inner))
         alt = self.g.object(term, _sh("alternativePath"))
         if alt is not None:
-            members = [self.parse_path(m) for m in self.g.walk_list(alt)]
+            members = [self.parse_path(m) for m in self.list_members(alt, "sh:alternativePath")]
             if len(members) < 2:
                 raise MalformedShape("sh:alternativePath needs at least two members")
             out = members[-1]
@@ -565,23 +567,13 @@ class _Extractor:
                 out = Alternative(m, out)
             return out
         # a blank node heading an rdf list is a sequence path
-        try:
-            members = [self.parse_path(m) for m in self.g.walk_list(term)]
-        except ValueError as exc:
-            raise MalformedShape(f"unrecognized property path at {term}") from exc
+        members = [self.parse_path(m) for m in self.list_members(term, "property path")]
         if len(members) < 2:
             raise MalformedShape("sequence path needs at least two members")
         out = members[-1]
         for m in reversed(members[:-1]):
             out = Sequence(m, out)
         return out
-
-    def check_references(self, sg: ShapeGraph):
-        names = set(sg.shape_names())
-        for shape in sg:
-            for ref in constraint_shape_refs(shape.constraint):
-                if ref not in names:
-                    raise MalformedShape(f"dangling shape reference {ref}")
 
 
 def constraint_shape_refs(c: Constraint) -> set[RdfTerm]:
@@ -639,12 +631,46 @@ def extract_shape_graph(g: Graph) -> ShapeGraph:
 
 
 def detect_recursion(sg: ShapeGraph) -> list[list[RdfTerm]]:
-    """All elementary cycles in the shape-reference digraph, [] iff non-recursive."""
-    import networkx as nx
-
-    dg = nx.DiGraph()
-    dg.add_nodes_from(sg.shape_names())
+    """[[s1, ..., sk]] for the first reference cycle found (each si refers to
+    the next, sk to s1), [] iff non-recursive.  One iterative depth-first
+    pass (Tarjan, 1972), linear in shapes plus references."""
+    refs: dict[RdfTerm, set[RdfTerm]] = {}
     for shape in sg:
-        for ref in constraint_shape_refs(shape.constraint):
-            dg.add_edge(shape.name, ref)
-    return [cycle for cycle in nx.simple_cycles(dg)]
+        refs.setdefault(shape.name, set()).update(constraint_shape_refs(shape.constraint))
+    on_path: dict[RdfTerm, bool] = {}  # visited shapes: True while on the DFS path
+    for root in refs:
+        if root in on_path:
+            continue
+        on_path[root] = True
+        path = [root]
+        pending = [iter(sorted(refs[root]))]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                on_path[path.pop()] = False
+                pending.pop()
+            elif on_path.get(nxt):
+                return [path[path.index(nxt):]]
+            elif nxt not in on_path:
+                on_path[nxt] = True
+                path.append(nxt)
+                pending.append(iter(sorted(refs.get(nxt, ()))))
+    return []
+
+
+def check_shape_graph(sg: ShapeGraph) -> None:
+    """MalformedShape for a duplicate shape name or a reference to an undefined
+    shape, RecursiveShapeGraph for a cycle of references."""
+    names: set[RdfTerm] = set()
+    for shape in sg:
+        if shape.name in names:
+            raise MalformedShape(f"duplicate shape name {shape.name}")
+        names.add(shape.name)
+    for shape in sg:
+        dangling = sorted(constraint_shape_refs(shape.constraint) - names)
+        if dangling:
+            raise MalformedShape(f"dangling shape reference {dangling[0]}")
+    cycles = detect_recursion(sg)
+    if cycles:
+        walk = cycles[0] + cycles[0][:1]
+        raise RecursiveShapeGraph("recursive shape graph: " + " -> ".join(map(str, walk)))

@@ -152,8 +152,10 @@ def translate(
     """Full theory for a shape graph: target axioms then shape definitions.
 
     `extra_signature` widens the predicate signature used to expand closed
-    shapes (pass the data-graph predicates for validation runs).
+    shapes (pass the data-graph predicates for validation runs).  Rejects
+    ill-formed and recursive shape graphs first (`shapes.check_shape_graph`).
     """
+    shapes.check_shape_graph(sg)
     signature = signature_of(sg) | set(extra_signature)
     sentences: list[SclSentence] = []
     for shape in sg:
@@ -163,9 +165,6 @@ def translate(
         sentences.append(
             ShapeDef(shape.name, translate_constraint(shape.constraint, signature))
         )
-    errors = scl.validate_theory(sentences)
-    if errors:
-        raise ValueError(f"translation produced an ill-formed theory: {errors}")
     return sentences
 
 

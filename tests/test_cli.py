@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +197,82 @@ class TestConfigPlumbing:
         """)
         assert cli.main(["sat", str(untargeted), *BUILTIN]) == 0
         assert cli.main(["sat", str(untargeted), "--strong-sat", *BUILTIN]) == 1
+
+
+RECURSIVE = PREFIX + "ex:S a sh:NodeShape ; sh:targetNode ex:a ; sh:not ex:S ."
+EX_NOPE = "http://example.org/Nope"
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("command", [
+        ["sat", "{rec}", *BUILTIN],
+        ["contains", "{rec}", "{shapes}", *BUILTIN],
+        ["contains", "{shapes}", "{rec}", *BUILTIN],
+        ["validate", "{rec}", "{ok}", *BUILTIN],
+        ["emit", "sat", "{rec}", "--out", "{out}"],
+        ["emit", "contains", "{shapes}", "{rec}", "--out", "{out}"],
+        ["emit", "validate", "{rec}", "{ok}", "--out", "{out}"],
+        ["oracle", "{rec}", "{ok}"],
+    ], ids=["sat", "contains-left", "contains-right", "validate", "emit-sat",
+            "emit-contains", "emit-validate", "oracle"])
+    def test_recursion_rejected_by_every_command(self, files, capsys, command):
+        rec = files["dir"] / "recursive.ttl"
+        rec.write_text(RECURSIVE)
+        out = files["dir"] / "problem.p"
+        argv = [a.format(rec=rec, out=out, **files) for a in command]
+        assert cli.main(argv) == 65
+        err = capsys.readouterr().err
+        assert "<http://example.org/S> -> <http://example.org/S>" in err
+        assert "RdfTerm(" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shapes, data_file, data", [
+        (SHAPES, "data.ttl", PREFIX + 'ex:a ex:p "x\\uZZZZ" .'),
+        (SHAPES, "data.nt", '<http://e/a> <http://e/p> "x\\U0011FFFF" .\n'),
+        (SHAPES, "data.ttl", PREFIX + 'ex:a ex:p "x\\uD800" .'),
+        (SHAPES, "data.ttl", PREFIX + '"x" ex:p ex:b .'),
+        (PREFIX + "ex:S sh:targetNode ex:a ; sh:and ex:L .", "data.ttl", OK_DATA),
+        (PREFIX + "ex:S sh:targetNode ex:a ; sh:or ex:L .", "data.ttl", OK_DATA),
+        (PREFIX + 'ex:S sh:targetNode ex:a ; sh:in "x" .', "data.ttl", OK_DATA),
+        (PREFIX + """ex:S sh:targetNode ex:a ;
+            sh:property [ sh:path ex:p ; sh:minCount -2 ] .""", "data.ttl", OK_DATA),
+        (PREFIX + """ex:S sh:targetNode ex:a ;
+            sh:property [ sh:path ex:p ; sh:maxCount -1 ] .""", "data.ttl", OK_DATA),
+    ], ids=["turtle-u-escape", "ntriples-U-escape", "surrogate-escape", "literal-subject",
+            "and-not-a-list", "or-not-a-list", "in-not-a-list", "negative-min-count",
+            "negative-max-count"])
+    def test_bad_input_exits_65_with_one_line(self, tmp_path, capsys, shapes, data_file, data):
+        (tmp_path / "shapes.ttl").write_text(shapes)
+        (tmp_path / data_file).write_text(data)
+        assert cli.main(["oracle", str(tmp_path / "shapes.ttl"), str(tmp_path / data_file)]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("shacl2fol: ")
+        assert "Traceback" not in captured.err
+
+    def test_strong_sat_naming_an_undefined_shape_is_a_usage_error(self, files, capsys):
+        code = cli.main(["sat", files["shapes"], "--strong-sat", EX_NOPE, *BUILTIN])
+        assert code == 64
+        assert EX_NOPE in capsys.readouterr().err
+
+
+NO_NETWORKX = """
+import sys
+from shacl2fol import cli
+shapes, data = sys.argv[1:]
+assert cli.main(["oracle", shapes, data]) == 0
+assert cli.main(["validate", shapes, data, "--prover", "builtin", "--timeout", "10"]) == 0
+print("networkx" in sys.modules)
+"""
+
+
+def test_no_request_imports_networkx(files):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX, files["shapes"], files["ok"]],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -6,8 +6,8 @@ from shacl2fol import scl
 from shacl2fol.scl import (
     Alt, AndF, AtLeast, EqConstF, Exists, Filter, ForallIff, HasShapeF,
     NotExistsBoth, NotF, Opt, OrderAtom, OrderRel, PairwiseOrder, Role,
-    ShapeDef, Star, TargetNode, Top,
-    formula_constants, free_shape_refs, validate_theory,
+    Star, Top,
+    formula_constants, free_shape_refs,
 )
 
 EX = "http://example.org/"
@@ -58,31 +58,6 @@ class TestRoundTripProperty:
 
 
 class TestWellFormedness:
-    def test_valid_theory(self):
-        theory = [
-            TargetNode(iri(EX + "a"), iri(EX + "S")),
-            ShapeDef(iri(EX + "S"), Top()),
-        ]
-        assert validate_theory(theory) == []
-
-    def test_undefined_shape_reported(self):
-        theory = [TargetNode(iri(EX + "a"), iri(EX + "S"))]
-        codes = {e.code for e in validate_theory(theory)}
-        assert "UndefinedShape" in codes
-
-    def test_duplicate_definition_reported(self):
-        theory = [
-            ShapeDef(iri(EX + "S"), Top()),
-            ShapeDef(iri(EX + "S"), NotF(Top())),
-        ]
-        codes = {e.code for e in validate_theory(theory)}
-        assert "DuplicateDefinition" in codes
-
-    def test_undefined_reference_inside_body(self):
-        theory = [ShapeDef(iri(EX + "S"), HasShapeF(iri(EX + "T")))]
-        codes = {e.code for e in validate_theory(theory)}
-        assert "UndefinedShape" in codes
-
     def test_bad_filter_name_rejected_at_construction(self):
         with pytest.raises(ValueError):
             Filter("isWeird")

@@ -1,14 +1,20 @@
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import load_shapes
-from shacl2fol.errors import MalformedShape, UnsupportedComponent
-from shacl2fol.rdf import iri, literal
+from shacl2fol.errors import MalformedShape, RecursiveShapeGraph, UnsupportedComponent
+from shacl2fol.oracle import evaluate
+from shacl2fol.rdf import Graph, iri, literal
 from shacl2fol.shapes import (
     Alternative, And, Closed, DisjointProp, EqConst, EqualsProp, HasShape,
     Inverse, MaxCount, MinCount, NodeKind, NodeKindValue, Not, OneOrMore,
-    OrderOp, OrderProp, Predicate, Sequence, SomeThrough, TargetKind, TrueC,
-    ZeroOrMore, ZeroOrOne, detect_recursion, normalize_path,
+    OrderOp, OrderProp, Predicate, Sequence, Shape, ShapeGraph, SomeThrough,
+    TargetDecl, TargetKind, TrueC, ZeroOrMore, ZeroOrOne, check_shape_graph,
+    conjoin, constraint_shape_refs, detect_recursion, normalize_path,
 )
+from shacl2fol.translate import translate
 
 PREFIX = """\
 @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -225,6 +231,111 @@ class TestRecursion:
         ex:T a sh:NodeShape ; sh:nodeKind sh:IRI .
         """)
         assert detect_recursion(sg) == []
+
+    def test_cycle_is_reported_in_reference_order(self):
+        sg = load_shapes(PREFIX + """
+        ex:A a sh:NodeShape ; sh:node ex:B .
+        ex:B a sh:NodeShape ; sh:property [ sh:path ex:p ; sh:not ex:C ] .
+        ex:C a sh:NodeShape ; sh:or ( ex:D ex:A ) .
+        ex:D a sh:NodeShape .
+        """)
+        assert detect_recursion(sg) == [[iri(EX + n) for n in "ABC"]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.sets(st.integers(0, n - 1), max_size=n), min_size=n, max_size=n)))
+    def test_matches_brute_force_reachability(self, succ):
+        names = [iri(f"{EX}S{i}") for i in range(len(succ))]
+        sg = ShapeGraph([
+            Shape(names[i], (), conjoin([
+                Not(SomeThrough(Predicate(EX + "p"), HasShape(names[j]))) if j % 2
+                else HasShape(names[j])
+                for j in sorted(refs)
+            ]))
+            for i, refs in enumerate(succ)
+        ])
+
+        def reaches_itself(i):
+            seen, todo = set(), list(succ[i])
+            while todo:
+                j = todo.pop()
+                if j not in seen:
+                    seen.add(j)
+                    todo.extend(succ[j])
+            return i in seen
+
+        cycles = detect_recursion(sg)
+        assert bool(cycles) == any(reaches_itself(i) for i in range(len(succ)))
+        edges = {(s.name, r) for s in sg for r in constraint_shape_refs(s.constraint)}
+        for cycle in cycles:
+            assert all((a, b) in edges for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_long_chain_is_linear(self, closed):
+        n = 5000
+        names = [iri(f"{EX}S{i}") for i in range(n)]
+        refs = [HasShape(names[i + 1]) for i in range(n - 1)]
+        refs.append(HasShape(names[0]) if closed else TrueC())
+        sg = ShapeGraph([Shape(name, (), c) for name, c in zip(names, refs)])
+        start = time.perf_counter()
+        if closed:
+            with pytest.raises(RecursiveShapeGraph):
+                check_shape_graph(sg)
+            assert detect_recursion(sg) == [names]
+        else:
+            check_shape_graph(sg)
+            assert detect_recursion(sg) == []
+        assert time.perf_counter() - start < 1.0
+
+
+S = iri(EX + "S")
+T = iri(EX + "T")
+
+
+class TestCheckShapeGraph:
+    def test_valid_graph_passes(self):
+        sg = ShapeGraph([
+            Shape(S, (TargetDecl(TargetKind.NODE, iri(EX + "a")),), HasShape(T)),
+            Shape(T, (), TrueC()),
+        ])
+        assert check_shape_graph(sg) is None
+
+    def test_undefined_shape_rejected(self):
+        sg = ShapeGraph([Shape(S, (TargetDecl(TargetKind.NODE, iri(EX + "a")),), HasShape(T))])
+        with pytest.raises(MalformedShape, match="dangling shape reference <http://example.org/T>"):
+            check_shape_graph(sg)
+
+    def test_undefined_reference_inside_body_rejected(self):
+        body = Not(SomeThrough(Predicate(EX + "p"), MinCount(1, Predicate(EX + "q"), HasShape(T))))
+        with pytest.raises(MalformedShape, match="dangling"):
+            check_shape_graph(ShapeGraph([Shape(S, (), body)]))
+
+    def test_duplicate_name_rejected(self):
+        sg = ShapeGraph([Shape(S, (), TrueC()), Shape(S, (), Not(TrueC()))])
+        with pytest.raises(MalformedShape, match="duplicate shape name <http://example.org/S>"):
+            check_shape_graph(sg)
+
+    @pytest.mark.parametrize("entry", [translate, lambda sg: evaluate(sg, Graph())],
+                             ids=["translate", "evaluate"])
+    @pytest.mark.parametrize("sg", [
+        ShapeGraph([Shape(S, (), TrueC()), Shape(S, (), TrueC())]),
+        ShapeGraph([Shape(S, (), Not(HasShape(T)))]),
+    ], ids=["duplicate", "dangling"])
+    def test_both_entry_points_reject_ill_formed_graphs(self, entry, sg):
+        with pytest.raises(MalformedShape):
+            entry(sg)
+
+    def test_cycle_is_named_by_iris(self):
+        sg = load_shapes(PREFIX + """
+        ex:S a sh:NodeShape ; sh:targetNode ex:a ; sh:node ex:T .
+        ex:T a sh:NodeShape ; sh:not ex:S .
+        """)
+        with pytest.raises(RecursiveShapeGraph) as exc:
+            check_shape_graph(sg)
+        assert str(exc.value) == (
+            "recursive shape graph: <http://example.org/S> -> <http://example.org/T>"
+            " -> <http://example.org/S>"
+        )
 
 
 def _flatten(c):

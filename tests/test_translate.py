@@ -145,8 +145,14 @@ class TestFullTranslation:
         assert isinstance(theory[-1], ShapeDef)
 
     def test_theory_is_well_formed(self):
-        theory = tr.translate(load_shapes(self.SHAPES))
-        assert scl.validate_theory(theory) == []
+        sg = load_shapes(self.SHAPES + "ex:T a sh:NodeShape ; sh:node ex:S .")
+        shapes.check_shape_graph(sg)
+        theory = tr.translate(sg)
+        defined = [s.shape_name for s in theory if isinstance(s, ShapeDef)]
+        assert sorted(defined) == sorted(sg.shape_names())  # one definition each
+        for s in theory:
+            refs = scl.free_shape_refs(s.body) if isinstance(s, ShapeDef) else {s.shape_name}
+            assert refs <= set(defined)
 
     def test_signature_of(self):
         assert tr.signature_of(load_shapes(self.SHAPES)) == {EX + "p"}
