@@ -21,14 +21,14 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from . import miniprover, scl, translate as tr
+from . import miniprover, translate as tr
 from .errors import InvalidOptions, ProverNotFound, ProverProtocolError
+from .fol import conj, neg
 from .rdf import Graph, RdfTerm
-from .scl import SclSentence, ShapeDef
 from .shapes import ShapeGraph
 from .tptp import (
     Emitter, EmitOptions, SHAPE_PRED, TptpDocument, attach_ambient_axioms,
-    emit_graph_axioms, render,
+    render,
 )
 
 SHAPE_PRED_B = "hasShapeB"
@@ -134,27 +134,20 @@ def build_problem(task: DecisionTask) -> TptpDocument:
     return _build_validation(task)
 
 
-def _strong_sat_selection(task: DecisionTask, theory: list[SclSentence]) -> list[SclSentence]:
-    if task.strong_sat_shapes is None:
-        return theory
-    selected = task.strong_sat_shapes
-    if not selected:
-        selected = [s.shape_name for s in theory if isinstance(s, ShapeDef)]
-    try:
-        return tr.add_strong_satisfiability_targets(theory, selected)
-    except ValueError as exc:
-        raise InvalidOptions(f"--strong-sat: {exc}") from exc
-
-
 def _build_satisfiability(task: DecisionTask) -> TptpDocument:
-    theory = tr.translate(task.shape_graph_a)
-    theory = _strong_sat_selection(task, theory)
     doc = TptpDocument(dialect=task.options.dialect,
                        header=["task: satisfiability"])
-    emitter = Emitter(task.options, known_constants=scl.theory_constants(theory))
-    for s in theory:
-        hint = "shape_def" if isinstance(s, ShapeDef) else "target"
-        doc.add(hint, emitter.sentence_formula(s))
+    emitter = Emitter(task.options)
+    doc.extend(tr.translate(task.shape_graph_a, emitter=emitter))
+    if task.strong_sat_shapes is not None:
+        # an empty selection selects every shape
+        selected = task.strong_sat_shapes or task.shape_graph_a.shape_names()
+        try:
+            doc.extend(tr.strong_satisfiability_targets(
+                task.shape_graph_a, selected, emitter,
+            ))
+        except ValueError as exc:
+            raise InvalidOptions(f"--strong-sat: {exc}") from exc
     attach_ambient_axioms(doc, emitter, task.options)
     return doc
 
@@ -162,22 +155,18 @@ def _build_satisfiability(task: DecisionTask) -> TptpDocument:
 def _build_containment(task: DecisionTask) -> TptpDocument:
     sig_a = tr.signature_of(task.shape_graph_a)
     sig_b = tr.signature_of(task.shape_graph_b)
-    theory_a = tr.translate(task.shape_graph_a, extra_signature=sig_b)
-    theory_b = tr.translate(task.shape_graph_b, extra_signature=sig_a)
     doc = TptpDocument(dialect=task.options.dialect, header=["task: containment"])
-    constants = scl.theory_constants(theory_a) | scl.theory_constants(theory_b)
-    emitter = Emitter(task.options, known_constants=constants)
+    emitter = Emitter(task.options)
+    theory_a = tr.translate(task.shape_graph_a, sig_b, emitter, SHAPE_PRED)
+    theory_b = tr.translate(task.shape_graph_b, sig_a, emitter, SHAPE_PRED_B)
     for s in theory_a:
-        hint = "shape_def_a" if isinstance(s, ShapeDef) else "target_a"
-        doc.add(hint, emitter.sentence_formula(s, shape_pred=SHAPE_PRED))
-    from .fol import conj, neg
-
+        doc.add(s.name + "_a", s.body)
     b_targets = []
     for s in theory_b:
-        if isinstance(s, ShapeDef):
-            doc.add("shape_def_b", emitter.sentence_formula(s, shape_pred=SHAPE_PRED_B))
+        if s.name == "shape_def":
+            doc.add("shape_def_b", s.body)
         else:
-            b_targets.append(emitter.sentence_formula(s, shape_pred=SHAPE_PRED_B))
+            b_targets.append(s.body)
     # a witness graph conforms to A but violates B's target obligations
     doc.add("neg_targets_b", neg(conj(b_targets)))
     attach_ambient_axioms(doc, emitter, task.options)
@@ -186,16 +175,9 @@ def _build_containment(task: DecisionTask) -> TptpDocument:
 
 def _build_validation(task: DecisionTask) -> TptpDocument:
     g = task.data_graph
-    data_roles = {tr.role_name(p) for p in g.predicate_names()}
-    theory = tr.translate(task.shape_graph_a, extra_signature=g.predicate_names())
     doc = TptpDocument(dialect=task.options.dialect, header=["task: validation"])
-    constants = scl.theory_constants(theory) | g.constants()
-    emitter = Emitter(task.options, data_graph=g, known_constants=constants)
-    for s in theory:
-        hint = "shape_def" if isinstance(s, ShapeDef) else "target"
-        doc.add(hint, emitter.sentence_formula(s))
-    signature = scl.theory_roles(theory) | data_roles
-    doc.extend(emit_graph_axioms(g, signature))
+    emitter = Emitter(task.options, data_graph=g)
+    doc.extend(tr.translate(task.shape_graph_a, g.predicate_names(), emitter))
     attach_ambient_axioms(doc, emitter, task.options)
     return doc
 

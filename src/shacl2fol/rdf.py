@@ -550,16 +550,16 @@ def _parse_ntriples(text: str) -> Graph:
             continue
         g = m.groups()
         if g[0] is not None:
-            subj = iri(_unescape(g[0], lineno, 1))
+            subj = iri(_unescape(g[0], lineno, m.start(1) + 1))
         else:
             subj = node_for(g[1])
-        pred = iri(_unescape(g[2], lineno, 1))
+        pred = iri(_unescape(g[2], lineno, m.start(3) + 1))
         if g[3] is not None:
-            obj = iri(_unescape(g[3], lineno, 1))
+            obj = iri(_unescape(g[3], lineno, m.start(4) + 1))
         elif g[4] is not None:
             obj = node_for(g[4])
         else:
-            lex = _unescape(g[5], lineno, 1)
+            lex = _unescape(g[5], lineno, m.start(6) + 1)
             if g[6] is not None:
                 obj = literal(lex, datatype=g[6])
             elif g[7] is not None:

@@ -1,11 +1,16 @@
-"""Serialization of constraint theories and data graphs into TPTP problems.
+"""Lowering of the shape-graph AST into first-order formulas, and their
+serialization into TPTP problems.
 
-Emits either untyped FOF or TFF (needed for the `$distinct` encoding of
-the unique name assumption).  Counting quantifiers expand into explicit
-existentials with pairwise inequalities.  Zero-or-more paths are encoded
-either with over-approximating closure axioms (sound for refutation only,
-results are flagged approximate) or, when a concrete data graph is at
-hand, as an exact grounded closure.
+`Emitter` lowers targets, shapes, constraints and property paths straight
+into `fol` formulas.  Counting constraints expand into explicit
+existentials with pairwise inequalities, and `sh:closed` into one "no
+successor" clause per banned role of the signature.  Inverse paths are
+pushed down onto the predicates before lowering.  Zero-or-more paths are
+encoded either with over-approximating closure axioms (sound for
+refutation only, results are flagged approximate) or, when a concrete data
+graph is at hand, as an exact grounded closure.  Problems are rendered in
+untyped FOF or in TFF (needed for the `$distinct` encoding of the unique
+name assumption).
 """
 
 from __future__ import annotations
@@ -15,19 +20,26 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
 
-from . import fol, scl
+from . import fol
 from .errors import CardinalityLimitExceeded, InvalidOptions
 from .fol import (
     Atom, Const, Distinct, Eq, Exists, Forall, Formula, Iff, Implies, TrueF,
     Var, conj, disj, neg,
 )
 from .rdf import Graph, RDF_TYPE, RdfTerm, TermKind
-from .scl import SclSentence, ShapeDef
+from .shapes import (
+    Alternative, And, Closed, Constraint, DisjointProp, EqConst, EqualsProp,
+    HasShape, Inverse, MaxCount, MinCount, NodeKind, Not, OrderOp, OrderProp,
+    Predicate, PropertyPath, Sequence, Shape, SomeThrough, TargetDecl,
+    TargetKind, TrueC, ZeroOrMore, ZeroOrOne, normalize_path,
+)
 
 SHAPE_PRED = "hasShape"
-FILTER_PREDS = ("isIRI", "isLiteral", "isBlank")
+IS_A = "isA"  # the role of class-membership (rdf:type) edges
+# the filter predicate of a term kind or a node kind, by the kinds' shared values
+_FILTER_OF_KIND = {"iri": "isIRI", "literal": "isLiteral", "blank": "isBlank"}
+FILTER_PREDS = tuple(_FILTER_OF_KIND.values())
 LT, LEQ = "lt", "leq"
-RESERVED_PREDS = (SHAPE_PRED, scl.IS_A, LT, LEQ) + FILTER_PREDS
 
 
 class Dialect(Enum):
@@ -114,7 +126,7 @@ def term_symbol(t: RdfTerm) -> str:
 
 
 def graph_role_pairs(g: Graph, role: str) -> set[tuple[RdfTerm, RdfTerm]]:
-    wanted = RDF_TYPE if role == scl.IS_A else role
+    wanted = RDF_TYPE if role == IS_A else role
     return {(triple.subject, triple.object) for triple in g.with_predicate(wanted)}
 
 
@@ -129,17 +141,56 @@ def _by_source(pairs: set[tuple[RdfTerm, RdfTerm]]) -> dict[RdfTerm, list[RdfTer
     return out
 
 
-class Emitter:
-    """Stateful lowering of one problem into FOL formulas."""
+def role_name(predicate_iri: str) -> str:
+    """Map a predicate IRI to its role name; rdf:type becomes the isA role."""
+    if predicate_iri == RDF_TYPE:
+        return IS_A
+    return predicate_iri
 
-    def __init__(self, opts: EmitOptions, data_graph: Optional[Graph] = None,
-                 known_constants: Iterable[RdfTerm] = ()):
+
+def role_path(p: PropertyPath) -> PropertyPath:
+    """The path as the logic side reads it: one-or-more expanded, inverses
+    pushed onto the predicates (reversing sequences) and predicates renamed
+    to roles, so that `^(p*)` and `(^p)*` become the same path."""
+
+    def go(p: PropertyPath, inverted: bool) -> PropertyPath:
+        if isinstance(p, Predicate):
+            role = Predicate(role_name(p.iri))
+            return Inverse(role) if inverted else role
+        if isinstance(p, Inverse):
+            return go(p.path, not inverted)
+        if isinstance(p, Sequence):
+            left, right = go(p.left, inverted), go(p.right, inverted)
+            return Sequence(right, left) if inverted else Sequence(left, right)
+        if isinstance(p, Alternative):
+            return Alternative(go(p.left, inverted), go(p.right, inverted))
+        if isinstance(p, ZeroOrOne):
+            return ZeroOrOne(go(p.path, inverted))
+        if isinstance(p, ZeroOrMore):
+            return ZeroOrMore(go(p.path, inverted))
+        raise TypeError(f"unexpected path node {p!r}")
+
+    return go(normalize_path(p), False)
+
+
+class Emitter:
+    """Stateful lowering of one problem into FOL formulas.
+
+    The emitter records every constant it names (`known_constants`, which
+    starts with the data graph's) and every data role it uses (`roles`);
+    the ambient axioms are built from both.
+    """
+
+    def __init__(self, opts: EmitOptions, data_graph: Optional[Graph] = None):
         opts.check(has_data_graph=data_graph is not None)
         self.opts = opts
         self.data_graph = data_graph
-        self.known_constants: set[RdfTerm] = set(known_constants)
+        self.known_constants: set[RdfTerm] = (
+            set(data_graph.constants()) if data_graph is not None else set()
+        )
+        self.roles: set[str] = set()
         self.var_counter = 0
-        self.star_roles: dict[scl.PathFormula, str] = {}
+        self.star_roles: dict[PropertyPath, str] = {}
         self.star_axioms: list[tuple[str, Formula]] = []
         self.uses_order = False
         self.approximate = False
@@ -148,151 +199,171 @@ class Emitter:
         self.var_counter += 1
         return Var(f"{hint}{self.var_counter}")
 
-    # --- sentences ---
-
-    def sentence_formula(self, s: SclSentence, shape_pred: str = SHAPE_PRED) -> Formula:
-        if isinstance(s, scl.TargetNode):
-            return Atom(shape_pred, (self.const(s.constant), self.const(s.shape_name)))
-        if isinstance(s, scl.TargetClass):
-            x = Var("X")
-            return Forall(
-                ("X",),
-                Implies(
-                    Atom(scl.IS_A, (x, self.const(s.class_constant))),
-                    Atom(shape_pred, (x, self.const(s.shape_name))),
-                ),
-            )
-        if isinstance(s, scl.TargetSubjectsOf):
-            x, y = Var("X"), Var("Y")
-            return Forall(
-                ("X", "Y"),
-                Implies(
-                    Atom(s.role, (x, y)),
-                    Atom(shape_pred, (x, self.const(s.shape_name))),
-                ),
-            )
-        if isinstance(s, scl.TargetObjectsOf):
-            x, y = Var("X"), Var("Y")
-            return Forall(
-                ("X", "Y"),
-                Implies(
-                    Atom(s.role, (y, x)),
-                    Atom(shape_pred, (x, self.const(s.shape_name))),
-                ),
-            )
-        if isinstance(s, ShapeDef):
-            x = Var("X")
-            return Forall(
-                ("X",),
-                Iff(
-                    Atom(shape_pred, (x, self.const(s.shape_name))),
-                    self.node_formula(s.body, x, shape_pred),
-                ),
-            )
-        raise TypeError(f"not a sentence: {s!r}")
-
     def const(self, t: RdfTerm) -> Const:
         self.known_constants.add(t)
         return Const(term_symbol(t))
 
+    def role_atom(self, name: str, a: fol.Term, b: fol.Term) -> Atom:
+        self.roles.add(name)
+        return Atom(name, (a, b))
+
+    # --- sentences ---
+
+    def target_formula(self, t: TargetDecl, shape_name: RdfTerm,
+                       shape_pred: str = SHAPE_PRED) -> Formula:
+        """The axiom of one target declaration of the shape `shape_name`."""
+        shape = self.const(shape_name)
+        if t.kind is TargetKind.NODE:
+            return Atom(shape_pred, (self.const(t.argument), shape))
+        x, y = Var("X"), Var("Y")
+        if t.kind is TargetKind.CLASS:
+            return Forall(
+                ("X",),
+                Implies(self.role_atom(IS_A, x, self.const(t.argument)),
+                        Atom(shape_pred, (x, shape))),
+            )
+        role = role_name(t.argument.lexical)
+        if t.kind is TargetKind.SUBJECTS_OF:
+            edge = self.role_atom(role, x, y)
+        elif t.kind is TargetKind.OBJECTS_OF:
+            edge = self.role_atom(role, y, x)
+        else:
+            raise TypeError(f"unexpected target kind {t.kind!r}")
+        return Forall(("X", "Y"), Implies(edge, Atom(shape_pred, (x, shape))))
+
+    def shape_formula(self, shape: Shape, signature: Iterable[str] = (),
+                      shape_pred: str = SHAPE_PRED) -> Formula:
+        """The definition `![X]: (shape_pred(X, name) <=> body)` of one shape;
+        `sh:closed` bans the roles of `signature` the shape does not allow."""
+        x = Var("X")
+        return Forall(
+            ("X",),
+            Iff(
+                Atom(shape_pred, (x, self.const(shape.name))),
+                self.node_formula(shape.constraint, x, shape_pred, signature),
+            ),
+        )
+
     # --- node formulas ---
 
-    def node_formula(self, f: scl.NodeFormula, x: fol.Term, shape_pred: str) -> Formula:
-        if isinstance(f, scl.Top):
+    def node_formula(self, c: Constraint, x: fol.Term, shape_pred: str = SHAPE_PRED,
+                     signature: Iterable[str] = ()) -> Formula:
+        def node(c: Constraint, x: fol.Term) -> Formula:
+            return self.node_formula(c, x, shape_pred, signature)
+
+        if isinstance(c, TrueC):
             return TrueF()
-        if isinstance(f, scl.NotF):
-            return neg(self.node_formula(f.operand, x, shape_pred))
-        if isinstance(f, scl.AndF):
+        if isinstance(c, Not):
+            return neg(node(c.operand, x))
+        if isinstance(c, And):
             return conj([
-                self.node_formula(f.left, x, shape_pred),
-                self.node_formula(f.right, x, shape_pred),
+                node(c.left, x),
+                node(c.right, x),
             ])
-        if isinstance(f, scl.EqConstF):
-            return Eq(x, self.const(f.constant))
-        if isinstance(f, scl.Filter):
-            return Atom(f.name, (x,))
-        if isinstance(f, scl.HasShapeF):
-            return Atom(shape_pred, (x, self.const(f.shape_name)))
-        if isinstance(f, scl.Exists):
+        if isinstance(c, EqConst):
+            return Eq(x, self.const(c.term))
+        if isinstance(c, NodeKind):
+            return Atom(_FILTER_OF_KIND[c.kind.value], (x,))
+        if isinstance(c, HasShape):
+            return Atom(shape_pred, (x, self.const(c.shape_name)))
+        if isinstance(c, SomeThrough):
             y = self.fresh_var()
             return Exists(
                 (y.name,),
                 conj([
-                    self.path_formula(f.path, x, y),
-                    self.node_formula(f.body, y, shape_pred),
+                    self.path_formula(role_path(c.path), x, y),
+                    node(c.constraint, y),
                 ]),
             )
-        if isinstance(f, scl.NotExistsBoth):
+        if isinstance(c, MinCount):
+            return self.at_least(
+                c.n, role_path(c.path), c.constraint, x, shape_pred, signature,
+            )
+        if isinstance(c, MaxCount):
+            return neg(self.at_least(
+                c.n + 1, role_path(c.path), c.constraint, x, shape_pred, signature,
+            ))
+        if isinstance(c, DisjointProp):
             y = self.fresh_var()
             return neg(
                 Exists(
                     (y.name,),
                     conj([
-                        self.path_formula(f.path, x, y),
-                        Atom(f.role, (x, y)),
+                        self.path_formula(role_path(c.path), x, y),
+                        self.role_atom(role_name(c.predicate), x, y),
                     ]),
                 )
             )
-        if isinstance(f, scl.ForallIff):
+        if isinstance(c, EqualsProp):
             y = self.fresh_var()
             return Forall(
                 (y.name,),
-                Iff(self.path_formula(f.path, x, y), Atom(f.role, (x, y))),
+                Iff(self.path_formula(role_path(c.path), x, y),
+                    self.role_atom(role_name(c.predicate), x, y)),
             )
-        if isinstance(f, scl.PairwiseOrder):
+        if isinstance(c, OrderProp):
             self.uses_order = True
             self.approximate = True
             y, z = self.fresh_var(), self.fresh_var("Z")
-            if f.atom.op is scl.OrderRel.LT:
-                order_atom = Atom(LT, (y, z))
-            else:
-                order_atom = Atom(LEQ, (y, z))
-            if f.atom.inverted:
-                order_atom = Atom(order_atom.pred, (z, y))
+            order_pred = LT if c.op is OrderOp.LT else LEQ
+            order_atom = Atom(order_pred, (z, y) if c.inverted else (y, z))
             return Forall(
                 (y.name, z.name),
                 Implies(
                     conj([
-                        self.path_formula(f.path, x, y),
-                        Atom(f.role, (x, z)),
+                        self.path_formula(role_path(c.path), x, y),
+                        self.role_atom(role_name(c.predicate), x, z),
                     ]),
                     order_atom,
                 ),
             )
-        if isinstance(f, scl.AtLeast):
-            if f.n > self.opts.cardinality_limit:
-                raise CardinalityLimitExceeded(f.n, self.opts.cardinality_limit)
-            ys = [self.fresh_var() for _ in range(f.n)]
-            parts: list[Formula] = []
-            for y in ys:
-                parts.append(self.path_formula(f.path, x, y))
-                parts.append(self.node_formula(f.body, y, shape_pred))
-            for a, b in itertools.combinations(ys, 2):
-                parts.append(neg(Eq(a, b)))
-            return Exists(tuple(y.name for y in ys), conj(parts))
-        raise TypeError(f"not a node formula: {f!r}")
+        if isinstance(c, Closed):
+            # no successor through any banned role, as a left-nested conjunction
+            out: Optional[Formula] = None
+            for r in sorted(set(signature) - c.allowed_predicates - {RDF_TYPE}):
+                clause = neg(self.at_least(1, Predicate(r), TrueC(), x, shape_pred, signature))
+                out = clause if out is None else conj([out, clause])
+            return TrueF() if out is None else out
+        raise TypeError(f"not a constraint: {c!r}")
 
-    # --- paths ---
+    def at_least(self, n: int, path: PropertyPath, c: Constraint, x: fol.Term,
+                 shape_pred: str, signature: Iterable[str]) -> Formula:
+        """n distinct successors of x through the role path `path` satisfy `c`."""
+        if n > self.opts.cardinality_limit:
+            raise CardinalityLimitExceeded(n, self.opts.cardinality_limit)
+        ys = [self.fresh_var() for _ in range(n)]
+        parts: list[Formula] = []
+        for y in ys:
+            parts.append(self.path_formula(path, x, y))
+            parts.append(self.node_formula(c, y, shape_pred, signature))
+        for a, b in itertools.combinations(ys, 2):
+            parts.append(neg(Eq(a, b)))
+        return Exists(tuple(y.name for y in ys), conj(parts))
 
-    def path_formula(self, p: scl.PathFormula, x: fol.Term, y: fol.Term) -> Formula:
-        if isinstance(p, scl.Role):
-            args = (y, x) if p.inverted else (x, y)
-            return Atom(p.name, args)
-        if isinstance(p, scl.Seq):
+    # --- paths (as given by `role_path`) ---
+
+    def path_formula(self, p: PropertyPath, x: fol.Term, y: fol.Term) -> Formula:
+        if isinstance(p, Predicate):
+            return self.role_atom(p.iri, x, y)
+        if isinstance(p, Inverse):
+            return self.role_atom(p.path.iri, y, x)
+        if isinstance(p, Sequence):
             z = self.fresh_var("Z")
             return Exists(
                 (z.name,),
                 conj([self.path_formula(p.left, x, z), self.path_formula(p.right, z, y)]),
             )
-        if isinstance(p, scl.Alt):
+        if isinstance(p, Alternative):
             return disj([self.path_formula(p.left, x, y), self.path_formula(p.right, x, y)])
-        if isinstance(p, scl.Opt):
+        if isinstance(p, ZeroOrOne):
             return disj([Eq(x, y), self.path_formula(p.path, x, y)])
-        if isinstance(p, scl.Star):
+        if isinstance(p, ZeroOrMore):
             return Atom(self.star_role(p), (x, y))
-        raise TypeError(f"not a path formula: {p!r}")
+        raise TypeError(f"not a role path: {p!r}")
 
-    def star_role(self, p: scl.Star) -> str:
+    def star_role(self, p: ZeroOrMore) -> str:
+        """The role of a zero-or-more path.  Approximate mode adds its closure
+        axioms now; grounded mode grounds it in `ground_stars`."""
         if p in self.star_roles:
             return self.star_roles[p]
         name = f"star_{len(self.star_roles) + 1}"
@@ -313,8 +384,18 @@ class Emitter:
                     ),
                 ),
             ))
-        else:
-            universe = set(self.known_constants) | self.data_graph.constants()
+        return name
+
+    def ground_stars(self):
+        """Facts and completeness axiom of each star role in grounded mode.
+
+        This runs once every sentence is lowered, so the closure's universe
+        holds every constant of the theory and of the data graph.
+        """
+        if self.opts.star_mode is not StarMode.GROUNDED:
+            return
+        universe = set(self.known_constants)
+        for p, name in self.star_roles.items():
             pairs = sorted(self.path_pairs(p, universe), key=_pair_key)
             for i, (a, b) in enumerate(pairs, start=1):
                 self.star_axioms.append((
@@ -329,22 +410,25 @@ class Emitter:
                 f"{name}_complete",
                 Forall(("X", "Y"), Implies(Atom(name, (x, y)), cases)),
             ))
-        return name
 
-    def path_pairs(self, p: scl.PathFormula, universe: set[RdfTerm]) -> set[tuple[RdfTerm, RdfTerm]]:
+    def path_pairs(self, p: PropertyPath, universe: set[RdfTerm]) -> set[tuple[RdfTerm, RdfTerm]]:
+        """The pairs of `universe` related by the role path `p` in the data graph."""
         g = self.data_graph
-        if isinstance(p, scl.Role):
-            pairs = graph_role_pairs(g, p.name)
-            return {(b, a) for (a, b) in pairs} if p.inverted else pairs
-        if isinstance(p, scl.Seq):
+        if isinstance(p, Predicate):
+            self.roles.add(p.iri)
+            return graph_role_pairs(g, p.iri)
+        if isinstance(p, Inverse):
+            self.roles.add(p.path.iri)
+            return {(b, a) for (a, b) in graph_role_pairs(g, p.path.iri)}
+        if isinstance(p, Sequence):
             left = self.path_pairs(p.left, universe)
             right = _by_source(self.path_pairs(p.right, universe))
             return {(a, c) for (a, b) in left for c in right.get(b, ())}
-        if isinstance(p, scl.Alt):
+        if isinstance(p, Alternative):
             return self.path_pairs(p.left, universe) | self.path_pairs(p.right, universe)
-        if isinstance(p, scl.Opt):
+        if isinstance(p, ZeroOrOne):
             return {(t, t) for t in universe} | self.path_pairs(p.path, universe)
-        if isinstance(p, scl.Star):
+        if isinstance(p, ZeroOrMore):
             base = _by_source(self.path_pairs(p.path, universe))
             closure = {(t, t) for t in universe}
             # semi-naive: only the pairs found last round can reach new ones
@@ -355,7 +439,7 @@ class Emitter:
                 } - closure
                 closure |= frontier
             return closure
-        raise TypeError(f"not a path formula: {p!r}")
+        raise TypeError(f"not a role path: {p!r}")
 
     # --- ambient axioms ---
 
@@ -367,14 +451,9 @@ class Emitter:
                 f"filter_disjoint_{i}",
                 Forall(("X",), neg(conj([Atom(a, (x,)), Atom(b, (x,))]))),
             ))
-        kind_pred = {
-            TermKind.IRI: "isIRI",
-            TermKind.LITERAL: "isLiteral",
-            TermKind.BLANK: "isBlank",
-        }
         for i, t in enumerate(sorted(self.known_constants, key=lambda t: t.sort_key()), start=1):
             out.append((
-                f"filter_kind_{i}", Atom(kind_pred[t.kind], (self.const(t),))
+                f"filter_kind_{i}", Atom(_FILTER_OF_KIND[t.kind.value], (self.const(t),))
             ))
         return out
 
@@ -451,7 +530,14 @@ def emit_graph_axioms(g: Graph, signature: set[str]) -> list[TptpFormula]:
 
 
 def attach_ambient_axioms(doc: TptpDocument, emitter: Emitter, opts: EmitOptions):
-    """Star, order, filter and UNA axioms for everything the emitter saw."""
+    """Data-graph, star, order, filter and UNA axioms for everything the
+    emitter saw; the data graph's relations are closed over the roles the
+    emitter used and those of the graph."""
+    emitter.ground_stars()
+    g = emitter.data_graph
+    if g is not None:
+        data_roles = {role_name(p) for p in g.predicate_names()}
+        doc.extend(emit_graph_axioms(g, emitter.roles | data_roles))
     for name, body in emitter.star_axioms:
         doc.add(name, body)
     for name, body in emitter.order_axioms():

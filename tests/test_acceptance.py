@@ -13,14 +13,13 @@ import pytest
 import conftest
 from conftest import load_graph, load_shapes
 from corpus import CASES, PREFIXES
-from shacl2fol import oracle, translate as tr
+from shacl2fol import oracle
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, Verdict, run_task,
 )
 from shacl2fol.fol import formula_text
 from shacl2fol.rdf import RDF_TYPE, iri
-from shacl2fol.scl import AtLeast, Role, ShapeDef, Top
-from shacl2fol.shapes import TargetDecl, TargetKind
+from shacl2fol.shapes import MinCount, Predicate, TargetDecl, TargetKind, TrueC
 from shacl2fol.tptp import (
     Dialect, Emitter, EmitOptions, StarMode, UnaMode, emit_una, render,
 )
@@ -46,10 +45,6 @@ def criterion(number, title):
             conftest.ACCEPTANCE_RESULTS.append((number, title, "pass"))
         return wrapper
     return deco
-
-
-def emitted(sentence):
-    return formula_text(Emitter(EmitOptions()).sentence_formula(sentence))
 
 
 def options_for(case, dialect=Dialect.TFF, una=UnaMode.DISTINCT):
@@ -86,7 +81,7 @@ def test_criterion_1_target_axioms():
          " => hasShape(X, 'http://example.org/S')))"),
     ]
     for decl, want in cases:
-        assert emitted(tr.translate_target(decl, S)) == want
+        assert formula_text(Emitter(EmitOptions()).target_formula(decl, S)) == want
 
 
 @criterion(2, "graph axioms vs independent re-implementation")
@@ -270,7 +265,7 @@ def test_criterion_8_encodings():
     domain = [0, 1, 2, 3]
     for n in (1, 2, 3):
         body = Emitter(EmitOptions()).node_formula(
-            AtLeast(n, Role(EX + "p"), Top()), Var("X"), "hasShape",
+            MinCount(n, Predicate(EX + "p"), TrueC()), Var("X"),
         )
         for mask in range(16):
             edges = {(0, d) for d in domain if mask & (1 << d)}

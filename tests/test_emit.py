@@ -4,17 +4,21 @@ import time
 
 import pytest
 
-from shacl2fol import cli, fol, scl
+from shacl2fol import cli, fol
 from shacl2fol.errors import CardinalityLimitExceeded, InvalidOptions
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN, TrueF,
     Var,
 )
 from shacl2fol.rdf import Graph, RDF_TYPE, Triple, iri, literal
-from shacl2fol.scl import Alt, AtLeast, Opt, Role, Seq, ShapeDef, Star, Top
+from shacl2fol.shapes import (
+    Alternative, Inverse, MaxCount, MinCount, NodeKind, NodeKindValue,
+    Predicate, Sequence, Shape, TargetDecl, TargetKind, TrueC, ZeroOrMore,
+    ZeroOrOne,
+)
 from shacl2fol.tptp import (
-    Dialect, Emitter, EmitOptions, StarMode, TptpDocument, TptpFormula, UnaMode,
-    emit_graph_axioms, emit_una, render,
+    IS_A, Dialect, Emitter, EmitOptions, StarMode, TptpDocument, TptpFormula,
+    UnaMode, emit_graph_axioms, emit_una, render,
 )
 from shacl2fol.tptp_parse import parse_tptp
 
@@ -161,7 +165,7 @@ class TestCardinality:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_at_least_matches_counting_semantics(self, n):
         emitter = Emitter(EmitOptions())
-        body = emitter.node_formula(AtLeast(n, Role(EX + "p"), Top()), Var("X"), "hasShape")
+        body = emitter.node_formula(MinCount(n, Predicate(EX + "p"), TrueC()), Var("X"))
         domain = [0, 1, 2, 3]
         rng = random.Random(n)
         for _ in range(30):
@@ -172,16 +176,29 @@ class TestCardinality:
             want = len(edges) >= n
             assert _eval(body, {"X": 0}, relations) == want
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_max_count_matches_counting_semantics(self, n):
+        body = Emitter(EmitOptions()).node_formula(
+            MaxCount(n, Predicate(EX + "p"), TrueC()), Var("X"),
+        )
+        domain = [0, 1, 2, 3, 4]
+        for mask in range(32):
+            edges = {(0, d) for d in domain if mask & (1 << d)}
+            relations = {"__domain__": domain, EX + "p": edges}
+            assert _eval(body, {"X": 0}, relations) == (len(edges) <= n)
+
     def test_limit_enforced(self):
         emitter = Emitter(EmitOptions(cardinality_limit=4))
         with pytest.raises(CardinalityLimitExceeded):
-            emitter.node_formula(AtLeast(5, Role(EX + "p"), Top()), Var("X"), "hasShape")
+            emitter.node_formula(MinCount(5, Predicate(EX + "p"), TrueC()), Var("X"))
+        with pytest.raises(CardinalityLimitExceeded):  # at most 4 means not 5
+            emitter.node_formula(MaxCount(4, Predicate(EX + "p"), TrueC()), Var("X"))
 
 
 class TestStarModes:
     def test_approximate_mode_flags_document(self):
         emitter = Emitter(EmitOptions(star_mode=StarMode.APPROXIMATE))
-        emitter.path_formula(Star(Role(EX + "p")), Var("X"), Var("Y"))
+        emitter.path_formula(ZeroOrMore(Predicate(EX + "p")), Var("X"), Var("Y"))
         assert emitter.approximate
 
     def test_grounded_mode_stays_exact(self):
@@ -190,9 +207,9 @@ class TestStarModes:
             Triple(iri(EX + "b"), iri(EX + "p"), iri(EX + "c")),
         }))
         emitter = Emitter(EmitOptions(star_mode=StarMode.GROUNDED), data_graph=g)
-        emitter.path_formula(Star(Role(EX + "p")), Var("X"), Var("Y"))
+        emitter.path_formula(ZeroOrMore(Predicate(EX + "p")), Var("X"), Var("Y"))
         assert not emitter.approximate
-        closure = emitter.path_pairs(Star(Role(EX + "p")), g.constants())
+        closure = emitter.path_pairs(ZeroOrMore(Predicate(EX + "p")), g.constants())
         a, b, c = iri(EX + "a"), iri(EX + "b"), iri(EX + "c")
         assert (a, c) in closure  # two steps
         assert (a, a) in closure and (c, c) in closure  # reflexivity
@@ -200,17 +217,18 @@ class TestStarModes:
     def test_grounded_pairs_match_their_definition(self):
         def reference(p, g, universe):
             # the relational definitions, joined by nested loops
-            if isinstance(p, Role):
-                wanted = RDF_TYPE if p.name == scl.IS_A else p.name
-                pairs = {(t.subject, t.object) for t in g.triples
-                         if t.predicate.lexical == wanted}
-                return {(b, a) for a, b in pairs} if p.inverted else pairs
-            if isinstance(p, Seq):
+            if isinstance(p, Inverse):
+                return {(b, a) for a, b in reference(p.path, g, universe)}
+            if isinstance(p, Predicate):
+                wanted = RDF_TYPE if p.iri == IS_A else p.iri
+                return {(t.subject, t.object) for t in g.triples
+                        if t.predicate.lexical == wanted}
+            if isinstance(p, Sequence):
                 left, right = reference(p.left, g, universe), reference(p.right, g, universe)
                 return {(a, c) for a, b1 in left for b2, c in right if b1 == b2}
-            if isinstance(p, Alt):
+            if isinstance(p, Alternative):
                 return reference(p.left, g, universe) | reference(p.right, g, universe)
-            if isinstance(p, Opt):
+            if isinstance(p, ZeroOrOne):
                 return {(t, t) for t in universe} | reference(p.path, g, universe)
             base = reference(p.path, g, universe)
             closure = {(t, t) for t in universe}
@@ -220,11 +238,11 @@ class TestStarModes:
                     return closure
                 closure |= new
 
-        p, q = Role(EX + "p"), Role(EX + "q")
+        p, q = Predicate(EX + "p"), Predicate(EX + "q")
         paths = [
-            Seq(p, q), Seq(p, Role(EX + "p", inverted=True)), Star(p),
-            Star(Seq(p, q)), Star(Alt(p, Role(EX + "q", inverted=True))),
-            Seq(Star(p), Opt(q)), Star(Star(q)),
+            Sequence(p, q), Sequence(p, Inverse(p)), ZeroOrMore(p),
+            ZeroOrMore(Sequence(p, q)), ZeroOrMore(Alternative(p, Inverse(q))),
+            Sequence(ZeroOrMore(p), ZeroOrOne(q)), ZeroOrMore(ZeroOrMore(q)),
         ]
         rng = random.Random(11)
         for _ in range(60):
@@ -255,9 +273,9 @@ class TestStarModes:
 
     def test_star_roles_deduplicated(self):
         emitter = Emitter(EmitOptions())
-        r1 = emitter.star_role(Star(Role(EX + "p")))
-        r2 = emitter.star_role(Star(Role(EX + "p")))
-        r3 = emitter.star_role(Star(Role(EX + "q")))
+        r1 = emitter.star_role(ZeroOrMore(Predicate(EX + "p")))
+        r2 = emitter.star_role(ZeroOrMore(Predicate(EX + "p")))
+        r3 = emitter.star_role(ZeroOrMore(Predicate(EX + "q")))
         assert r1 == r2 != r3
 
 
@@ -268,8 +286,9 @@ class TestRendering:
             dialect=dialect,
             una_mode=UnaMode.DISTINCT if dialect is Dialect.TFF else UnaMode.PAIRWISE,
         ))
-        s = ShapeDef(iri(EX + "S"), AtLeast(2, Role(EX + "p"), scl.Filter("isIRI")))
-        doc.add("shape_def", emitter.sentence_formula(s))
+        s = Shape(iri(EX + "S"), (),
+                  MinCount(2, Predicate(EX + "p"), NodeKind(NodeKindValue.IRI)))
+        doc.add("shape_def", emitter.shape_formula(s))
         from shacl2fol.tptp import attach_ambient_axioms
         attach_ambient_axioms(doc, emitter, emitter.opts)
         return doc
@@ -293,7 +312,7 @@ class TestRendering:
     def test_duplicate_names_get_suffixes(self):
         doc = TptpDocument(dialect=Dialect.TFF)
         emitter = Emitter(EmitOptions())
-        f = emitter.sentence_formula(scl.TargetNode(iri(EX + "a"), iri(EX + "S")))
+        f = emitter.target_formula(TargetDecl(TargetKind.NODE, iri(EX + "a")), iri(EX + "S"))
         doc.add("target", f)
         doc.add("target", f)
         names = [u.name for u in doc.formulas]

@@ -56,6 +56,15 @@ class TestNTriples:
             parse_document("<http://e/a> <http://e/p> .", Syntax.NTRIPLES)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("line, column", [
+        ('<http://e/a> <http://e/p> "x\\uZZZZ" .', 29),
+        ('_:b <http://e/p> "ab\\q"@en .', 21),
+    ])
+    def test_escape_error_carries_its_column(self, line, column):
+        with pytest.raises(RdfSyntaxError) as err:
+            parse_document(line, Syntax.NTRIPLES)
+        assert (err.value.line, err.value.column) == (1, column)
+
 
 class TestTurtle:
     def test_prefixes_and_a(self):

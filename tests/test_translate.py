@@ -1,134 +1,164 @@
+import dataclasses
+
 import pytest
 
 from conftest import load_shapes
-from shacl2fol.errors import UnsupportedComponent
-from shacl2fol.fol import formula_text
+from shacl2fol.fol import Atom, Var, formula_text
 from shacl2fol.rdf import RDF_TYPE, iri, literal
-from shacl2fol import scl, shapes, translate as tr
-from shacl2fol.scl import (
-    Alt, AndF, AtLeast, EqConstF, Exists, Filter, ForallIff, HasShapeF,
-    NotExistsBoth, NotF, Opt, OrderAtom, OrderRel, PairwiseOrder, Role,
-    ShapeDef, Star, TargetClass, TargetNode, TargetObjectsOf,
-    TargetSubjectsOf, Top,
-)
+from shacl2fol import shapes, translate as tr
 from shacl2fol.shapes import (
-    Alternative, Closed, DisjointProp, EqConst, EqualsProp, HasShape,
-    Inverse, MaxCount, MinCount, NodeKind, NodeKindValue, Not, OrderOp,
-    OrderProp, Predicate, Sequence, SomeThrough, TargetDecl, TargetKind,
-    TrueC, ZeroOrMore, ZeroOrOne,
+    Alternative, Closed, DisjointProp, EqConst, EqualsProp, Inverse, MaxCount,
+    MinCount, NodeKind, NodeKindValue, OneOrMore, OrderOp, OrderProp,
+    Predicate, Sequence, SomeThrough, TargetDecl, TargetKind, TrueC,
+    ZeroOrMore, ZeroOrOne,
 )
-from shacl2fol.tptp import Emitter, EmitOptions
+from shacl2fol.tptp import Emitter, EmitOptions, role_path
 
 EX = "http://example.org/"
 S = iri(EX + "S")
+P, Q = f"'{EX}p'", f"'{EX}q'"
 
 
-def emitted(sentence) -> str:
-    return formula_text(Emitter(EmitOptions()).sentence_formula(sentence))
+def target(kind, argument) -> str:
+    return formula_text(Emitter(EmitOptions()).target_formula(TargetDecl(kind, argument), S))
+
+
+def node(c, signature=()) -> str:
+    return formula_text(Emitter(EmitOptions()).node_formula(c, Var("X"), signature=signature))
+
+
+def path(p) -> str:
+    return formula_text(Emitter(EmitOptions()).path_formula(role_path(p), Var("X"), Var("Y")))
 
 
 class TestTargetAxioms:
     """The four target-declaration forms, as emitted axiom text."""
 
     def test_node_target(self):
-        s = tr.translate_target(TargetDecl(TargetKind.NODE, iri(EX + "a")), S)
-        assert s == TargetNode(iri(EX + "a"), S)
-        assert emitted(s) == (
+        assert target(TargetKind.NODE, iri(EX + "a")) == (
             "hasShape('http://example.org/a', 'http://example.org/S')"
         )
 
     def test_class_target(self):
-        s = tr.translate_target(TargetDecl(TargetKind.CLASS, iri(EX + "C")), S)
-        assert s == TargetClass(iri(EX + "C"), S)
-        assert emitted(s) == (
+        assert target(TargetKind.CLASS, iri(EX + "C")) == (
             "(![X]: (isA(X, 'http://example.org/C')"
             " => hasShape(X, 'http://example.org/S')))"
         )
 
     def test_subjects_of_target(self):
-        s = tr.translate_target(TargetDecl(TargetKind.SUBJECTS_OF, iri(EX + "p")), S)
-        assert s == TargetSubjectsOf(EX + "p", S)
-        assert emitted(s) == (
+        assert target(TargetKind.SUBJECTS_OF, iri(EX + "p")) == (
             "(![X, Y]: ('http://example.org/p'(X, Y)"
             " => hasShape(X, 'http://example.org/S')))"
         )
 
     def test_objects_of_target(self):
         # the inverse role swaps the argument order
-        s = tr.translate_target(TargetDecl(TargetKind.OBJECTS_OF, iri(EX + "p")), S)
-        assert s == TargetObjectsOf(EX + "p", S)
-        assert emitted(s) == (
+        assert target(TargetKind.OBJECTS_OF, iri(EX + "p")) == (
             "(![X, Y]: ('http://example.org/p'(Y, X)"
             " => hasShape(X, 'http://example.org/S')))"
         )
 
     def test_rdf_type_targets_use_is_a(self):
-        s = tr.translate_target(TargetDecl(TargetKind.SUBJECTS_OF, iri(RDF_TYPE)), S)
-        assert s == TargetSubjectsOf(scl.IS_A, S)
+        assert target(TargetKind.SUBJECTS_OF, iri(RDF_TYPE)) == (
+            "(![X, Y]: (isA(X, Y) => hasShape(X, 'http://example.org/S')))"
+        )
 
 
 class TestConstraintTranslation:
     def test_min_count_becomes_at_least(self):
         c = MinCount(2, Predicate(EX + "p"), TrueC())
-        assert tr.translate_constraint(c, set()) == AtLeast(2, Role(EX + "p"), Top())
+        assert node(c) == f"(?[Y1, Y2]: ({P}(X, Y1) & {P}(X, Y2) & (Y1 != Y2)))"
 
     def test_max_count_becomes_negated_at_least(self):
+        # at most 3 is "not 4 distinct witnesses"
         c = MaxCount(3, Predicate(EX + "p"), TrueC())
-        assert tr.translate_constraint(c, set()) == NotF(
-            AtLeast(4, Role(EX + "p"), Top())
+        witnesses = " & ".join(f"{P}(X, Y{i})" for i in range(1, 5))
+        distinct = " & ".join(
+            f"(Y{i} != Y{j})" for i in range(1, 5) for j in range(i + 1, 5)
         )
+        assert node(c) == f"~((?[Y1, Y2, Y3, Y4]: ({witnesses} & {distinct})))"
+
+    def test_min_count_requires_positive(self):
+        # so the at-least expansion never has zero witnesses
+        with pytest.raises(ValueError):
+            MinCount(0, Predicate(EX + "p"), TrueC())
 
     def test_equals_becomes_extension_equality(self):
         c = EqualsProp(Predicate(EX + "p"), EX + "q")
-        assert tr.translate_constraint(c, set()) == ForallIff(Role(EX + "p"), EX + "q")
+        assert node(c) == f"(![Y1]: ({P}(X, Y1) <=> {Q}(X, Y1)))"
 
     def test_disjoint_becomes_no_shared_successor(self):
         c = DisjointProp(Predicate(EX + "p"), EX + "q")
-        assert tr.translate_constraint(c, set()) == NotExistsBoth(
-            Role(EX + "p"), EX + "q"
-        )
+        assert node(c) == f"~((?[Y1]: ({P}(X, Y1) & {Q}(X, Y1))))"
 
     def test_less_than_becomes_pairwise_order(self):
         c = OrderProp(Predicate(EX + "p"), EX + "q", OrderOp.LT)
-        assert tr.translate_constraint(c, set()) == PairwiseOrder(
-            Role(EX + "p"), EX + "q", OrderAtom(OrderRel.LT, False)
-        )
+        assert node(c) == f"(![Y1, Z2]: (({P}(X, Y1) & {Q}(X, Z2)) => lt(Y1, Z2)))"
+        inverted = OrderProp(Predicate(EX + "p"), EX + "q", OrderOp.LEQ, inverted=True)
+        assert node(inverted) == f"(![Y1, Z2]: (({P}(X, Y1) & {Q}(X, Z2)) => leq(Z2, Y1)))"
 
     def test_node_kind_becomes_filter(self):
-        c = NodeKind(NodeKindValue.LITERAL)
-        assert tr.translate_constraint(c, set()) == Filter("isLiteral")
+        assert node(NodeKind(NodeKindValue.LITERAL)) == "isLiteral(X)"
+        assert node(NodeKind(NodeKindValue.BLANK)) == "isBlank(X)"
 
     def test_closed_bans_signature_minus_allowed(self):
         c = Closed(frozenset({EX + "p"}))
-        got = tr.translate_constraint(c, {EX + "p", EX + "q", RDF_TYPE})
         # only q is banned: p is allowed and rdf:type is always exempt
-        assert got == NotF(AtLeast(1, Role(EX + "q"), Top()))
+        assert node(c, {EX + "p", EX + "q", RDF_TYPE}) == f"~((?[Y1]: {Q}(X, Y1)))"
+        # several banned roles form a left-nested conjunction in role order
+        assert node(c, {EX + "r", EX + "q"}) == (
+            f"(~((?[Y1]: {Q}(X, Y1))) & ~((?[Y2]: '{EX}r'(X, Y2))))"
+        )
+        assert node(c, {EX + "p"}) == "$true"
 
     def test_has_value_becomes_existential_equality(self):
         c = SomeThrough(Predicate(EX + "p"), EqConst(literal("v")))
-        assert tr.translate_constraint(c, set()) == Exists(
-            Role(EX + "p"), EqConstF(literal("v"))
-        )
+        assert node(c) == f"(?[Y1]: ({P}(X, Y1) & (Y1 = '\"v\"')))"
 
 
 class TestPathTranslation:
     def test_constructors(self):
         p, q = Predicate(EX + "p"), Predicate(EX + "q")
-        assert tr.translate_path(p) == Role(EX + "p")
-        assert tr.translate_path(Inverse(p)) == Role(EX + "p", inverted=True)
-        assert tr.translate_path(Sequence(p, q)) == scl.Seq(Role(EX + "p"), Role(EX + "q"))
-        assert tr.translate_path(Alternative(p, q)) == Alt(Role(EX + "p"), Role(EX + "q"))
-        assert tr.translate_path(ZeroOrOne(p)) == Opt(Role(EX + "p"))
-        assert tr.translate_path(ZeroOrMore(p)) == Star(Role(EX + "p"))
+        assert path(p) == f"{P}(X, Y)"
+        assert path(Inverse(p)) == f"{P}(Y, X)"
+        assert path(Sequence(p, q)) == f"(?[Z1]: ({P}(X, Z1) & {Q}(Z1, Y)))"
+        assert path(Alternative(p, q)) == f"({P}(X, Y) | {Q}(X, Y))"
+        assert path(ZeroOrOne(p)) == f"((X = Y) | {P}(X, Y))"
+        assert path(ZeroOrMore(p)) == "star_1(X, Y)"
+        assert path(OneOrMore(p)) == f"(?[Z1]: ({P}(X, Z1) & star_1(Z1, Y)))"
+        assert path(Predicate(RDF_TYPE)) == "isA(X, Y)"
 
     def test_inverse_distributes_over_sequence(self):
         p, q = Predicate(EX + "p"), Predicate(EX + "q")
-        got = tr.translate_path(Inverse(Sequence(p, q)))
-        assert got == scl.Seq(Role(EX + "q", True), Role(EX + "p", True))
+        assert role_path(Inverse(Sequence(p, q))) == Sequence(Inverse(q), Inverse(p))
+        assert path(Inverse(Sequence(p, q))) == f"(?[Z1]: ({Q}(Z1, X) & {P}(Y, Z1)))"
 
     def test_double_inverse_cancels(self):
         p = Predicate(EX + "p")
-        assert tr.translate_path(Inverse(Inverse(p))) == Role(EX + "p")
+        assert role_path(Inverse(Inverse(p))) == p
+        assert path(Inverse(Inverse(p))) == f"{P}(X, Y)"
+
+    def test_inverse_star_and_star_of_inverse_share_a_role(self):
+        p = Predicate(EX + "p")
+        emitter = Emitter(EmitOptions())
+        x, y = Var("X"), Var("Y")
+        a = emitter.path_formula(role_path(Inverse(ZeroOrMore(p))), x, y)
+        b = emitter.path_formula(role_path(ZeroOrMore(Inverse(p))), x, y)
+        assert a == b == Atom("star_1", (x, y))
+        assert list(emitter.star_roles.values()) == ["star_1"]
+
+
+def _shape_refs(formula) -> set[str]:
+    """Second arguments of every hasShape atom under a formula."""
+    if isinstance(formula, Atom):
+        return {formula.args[1].name} if formula.pred == "hasShape" else set()
+    out = set()
+    for f in dataclasses.fields(formula):
+        value = getattr(formula, f.name)
+        for part in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(part):
+                out |= _shape_refs(part)
+    return out
 
 
 class TestFullTranslation:
@@ -141,33 +171,43 @@ class TestFullTranslation:
 
     def test_targets_precede_definitions(self):
         theory = tr.translate(load_shapes(self.SHAPES))
-        assert isinstance(theory[0], TargetClass)
-        assert isinstance(theory[-1], ShapeDef)
+        assert [s.name for s in theory] == ["target", "shape_def"]
+        assert formula_text(theory[0].body).startswith("(![X]: (isA(X, ")
 
     def test_theory_is_well_formed(self):
         sg = load_shapes(self.SHAPES + "ex:T a sh:NodeShape ; sh:node ex:S .")
         shapes.check_shape_graph(sg)
         theory = tr.translate(sg)
-        defined = [s.shape_name for s in theory if isinstance(s, ShapeDef)]
-        assert sorted(defined) == sorted(sg.shape_names())  # one definition each
+        defs = [s.body for s in theory if s.name == "shape_def"]
+        # one definition each, whose left side names the shape
+        defined = {d.body.left.args[1].name for d in defs}
+        assert sorted(defined) == sorted(n.lexical for n in sg.shape_names())
         for s in theory:
-            refs = scl.free_shape_refs(s.body) if isinstance(s, ShapeDef) else {s.shape_name}
-            assert refs <= set(defined)
+            assert _shape_refs(s.body) <= defined
 
     def test_signature_of(self):
         assert tr.signature_of(load_shapes(self.SHAPES)) == {EX + "p"}
 
     def test_strong_sat_adds_fresh_dummy_targets(self):
-        theory = tr.translate(load_shapes(self.SHAPES))
-        widened = tr.add_strong_satisfiability_targets(theory, [S])
-        added = [s for s in widened if s not in theory]
-        assert len(added) == 1
-        (t,) = added
-        assert isinstance(t, TargetNode)
-        assert t.constant.lexical.startswith(tr.DUMMY_PREFIX)
-        assert t.shape_name == S
+        sg = load_shapes(self.SHAPES)
+        emitter = Emitter(EmitOptions())
+        tr.translate(sg, emitter=emitter)
+        (t,) = tr.strong_satisfiability_targets(sg, [S], emitter)
+        assert t.name == "target"
+        assert formula_text(t.body) == (
+            f"hasShape('{tr.DUMMY_PREFIX}1', 'http://example.org/S')"
+        )
+
+    def test_strong_sat_dummies_avoid_theory_constants(self):
+        sg = load_shapes(self.SHAPES.replace("ex:C", f"<{tr.DUMMY_PREFIX}1>"))
+        emitter = Emitter(EmitOptions())
+        tr.translate(sg, emitter=emitter)
+        (t,) = tr.strong_satisfiability_targets(sg, [S], emitter)
+        assert t.body.args[0].name == f"{tr.DUMMY_PREFIX}2"
 
     def test_strong_sat_rejects_unknown_shape(self):
-        theory = tr.translate(load_shapes(self.SHAPES))
+        sg = load_shapes(self.SHAPES)
+        emitter = Emitter(EmitOptions())
+        tr.translate(sg, emitter=emitter)
         with pytest.raises(ValueError):
-            tr.add_strong_satisfiability_targets(theory, [iri(EX + "nope")])
+            tr.strong_satisfiability_targets(sg, [iri(EX + "nope")], emitter)
