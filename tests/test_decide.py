@@ -12,7 +12,8 @@ from shacl2fol.decide import (
 from shacl2fol.errors import (
     InvalidOptions, ProverNotFound, ProverProtocolError,
 )
-from shacl2fol.tptp import EmitOptions, render
+from shacl2fol.fol import formula_text
+from shacl2fol.tptp import EmitOptions, StarMode, render
 
 PREFIX = """\
 @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -59,6 +60,36 @@ class TestTaskValidation:
         with pytest.raises(InvalidOptions):
             DecisionTask(TaskKind.SATISFIABILITY, sg,
                          data_graph=load_graph(PREFIX))
+
+
+class TestValidationProblem:
+    """The data-graph axioms close off every role the theory uses."""
+
+    DATA = PREFIX + "ex:a ex:p ex:b ."
+
+    def closed_roles(self, shapes_ttl, star=StarMode.APPROXIMATE):
+        doc = build_problem(DecisionTask(
+            TaskKind.VALIDATION, load_shapes(shapes_ttl),
+            data_graph=load_graph(self.DATA), options=EmitOptions(star_mode=star),
+        ))
+        return {formula_text(f.body) for f in doc.formulas if f.name.startswith("graph_neg")}
+
+    def test_roles_inside_a_grounded_star(self):
+        # ex:r occurs in no emitted formula, only inside the grounded closure
+        roles = self.closed_roles(PREFIX + """
+ex:S a sh:NodeShape ; sh:targetNode ex:a ;
+  sh:property [ sh:path [ sh:zeroOrMorePath ex:r ] ; sh:minCount 1 ] .
+""", StarMode.GROUNDED)
+        assert f"~((?[X, Y]: '{EX}r'(X, Y)))" in roles
+        assert len(roles) == 2  # ex:p and ex:r
+
+    def test_not_the_ignored_properties_of_a_closed_shape(self):
+        roles = self.closed_roles(PREFIX + """
+ex:S a sh:NodeShape ; sh:targetNode ex:a ; sh:closed true ;
+  sh:ignoredProperties ( ex:ign ) .
+""")
+        assert len(roles) == 1  # ex:p only
+        assert not any(EX + "ign" in r for r in roles)
 
 
 class TestVerdictMapping:
