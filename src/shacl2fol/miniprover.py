@@ -10,7 +10,10 @@ Two sound, incomplete procedures over the clausal form:
   witnesses first-order unsatisfiability, so Unsatisfiable is sound.
 
 Both instantiate clauses through one routine, `_ground`; each keeps only
-its own encoding of a ground literal.
+its own encoding of a ground literal.  Both read the unique-name axioms,
+the ground units `¬(a = b)` that `_apart` collects: the model search pins
+constants kept apart to their own domain elements, and the refutation
+folds the false equalities out of its equality axioms.
 
 If neither procedure concludes within its bounds the status is GaveUp
 (or Timeout when the wall clock ran out).  The command-line entry point
@@ -123,19 +126,26 @@ def _var_names(lits: list[Literal]) -> list[str]:
     return sorted({v.name for lit in lits for a in lit.args for v in _vars_of(a)})
 
 
-def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[float]):
+def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[float],
+            fixed: Optional[dict] = None):
     """The propositional clauses of every instance of `clauses` over `values`.
 
     `encode(lit, env)` gives the code of one literal under the binding `env`
     of the clause's variables: None drops the instance (the literal is true,
     or it names a term outside the universe), 0 drops the literal (it is
-    false), and any other value is a SAT literal.
+    false), and any other value is a SAT literal.  The variables that
+    `fixed` binds keep their value and are not enumerated.
     """
+    fixed = fixed or {}
     prop: list[tuple[int, ...]] = []
     for lits in clauses:
-        vs = _var_names(lits)
+        names = _var_names(lits)
+        vs = [v for v in names if v not in fixed]
+        bound = {v: fixed[v] for v in names if v in fixed}
         for inst in _instances(values, len(vs), deadline):
             env = dict(zip(vs, inst))
+            if bound:
+                env.update(bound)
             out = []
             for lit in lits:
                 code = encode(lit, env)
@@ -180,6 +190,22 @@ def _collect_signature(clauses: list[Clause]):
     return dict(sorted(preds.items())), sorted(consts), dict(sorted(funcs.items()))
 
 
+def _apart(clauses: list[Clause]) -> set[tuple[str, str]]:
+    """The pairs of constants, each pair sorted, that a ground unit clause
+    `¬(a = b)` keeps apart: every model gives the two different elements."""
+    pairs = set()
+    for cl in clauses:
+        if len(cl) != 1:
+            continue
+        (lit,) = cl
+        if lit.positive or lit.pred != EQ:
+            continue
+        a, b = lit.args
+        if isinstance(a, Const) and isinstance(b, Const) and a != b:
+            pairs.add(tuple(sorted((a.name, b.name))))
+    return pairs
+
+
 # --- finite model search ----------------------------------------------------
 
 class _VarPool:
@@ -192,17 +218,53 @@ class _VarPool:
         return self.ids[key]
 
 
+def _pin(consts: list[str], apart: set[tuple[str, str]], domain_size: int) -> dict[str, int]:
+    """Constants pinned to the elements 0, 1, ...: each constant, in order,
+    that is kept apart from every one pinned before it, while elements last.
+
+    Every model gives the pinned constants pairwise different elements, so
+    a permutation of the domain maps them to 0, 1, ...: pinning keeps at
+    least one model of each isomorphism class.
+    """
+    pinned: dict[str, int] = {}
+    for c in consts:
+        if len(pinned) == domain_size:
+            break
+        if all(tuple(sorted((c, p))) in apart for p in pinned):
+            pinned[c] = len(pinned)
+    return pinned
+
+
+def _substitute(t: Term, pins: dict[str, Var]) -> Term:
+    if isinstance(t, Const):
+        return pins.get(t.name, t)
+    if isinstance(t, Func):
+        return Func(t.name, tuple(_substitute(a, pins) for a in t.args))
+    return t
+
+
 def find_model(
     clauses: list[Clause],
     domain_size: int,
     deadline: Optional[float] = None,
 ) -> Optional[dict]:
     """Search for a model over a fixed domain size; None if none exists."""
-    fresh = _FreshVars()
-    flat = [_flatten_clause(cl, fresh) for cl in clauses]
     _, consts, funcs = _collect_signature(clauses)
+    pinned = _pin(consts, _apart(clauses), domain_size)
+    # a pinned constant becomes a variable that grounding never enumerates;
+    # the name is no TPTP variable, so it cannot clash with one
+    pins = {c: Var(f"pin:{c}") for c in pinned}
+    fixed = {pins[c].name: e for c, e in pinned.items()}
+    fresh = _FreshVars()
+    flat = [
+        _flatten_clause(frozenset(
+            Literal(lit.positive, lit.pred, tuple(_substitute(a, pins) for a in lit.args))
+            for lit in cl), fresh)
+        for cl in clauses
+    ]
     domain = range(domain_size)
-    if any(domain_size ** len(_var_names(lits)) > _MAX_GROUND for lits in flat):
+    if any(domain_size ** len([v for v in _var_names(lits) if v not in fixed]) > _MAX_GROUND
+           for lits in flat):
         raise sat.TimeBudgetExceeded()
     pool = _VarPool()
 
@@ -223,9 +285,11 @@ def find_model(
         args = tuple(env[a.name] for a in lit.args)
         return sign * pool.get(("p", lit.pred, args))
 
-    prop = _ground(flat, domain, lit_code, deadline)
-    # totality and functionality for constants and skolem functions
+    prop = _ground(flat, domain, lit_code, deadline, fixed)
+    # totality and functionality for the unpinned constants and skolem functions
     for c in consts:
+        if c in pinned:
+            continue
         row = [pool.get(("a", c, d)) for d in domain]
         prop.append(tuple(row))
         for x, y in itertools.combinations(row, 2):
@@ -241,6 +305,9 @@ def find_model(
     if model is None:
         return None
     table = {key: model.get(vid, False) for key, vid in pool.ids.items()}
+    for c, e in pinned.items():
+        for d in domain:
+            table[("a", c, d)] = d == e
     return {"size": domain_size, "table": table}
 
 
@@ -278,6 +345,14 @@ def refute(
 
     pool = _VarPool()
     term_ids = {t: i for i, t in enumerate(universe)}
+    # the unique-name units make these equalities false: each gets no SAT
+    # variable, and the rows it would make true are never built
+    apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
+             for a, b in _apart(clauses)}
+
+    def eq_var(pair: tuple[int, int]) -> Optional[int]:
+        """The SAT variable of a sorted pair's equality; None if it is false."""
+        return None if pair in apart else pool.get(("e", *pair))
 
     def ground_term(t: Term, env: dict[str, Term]) -> Optional[Term]:
         if isinstance(t, Var):
@@ -294,9 +369,9 @@ def refute(
         if a == b:
             return None if positive else 0  # None = literal true, 0 = literal false
         ia, ib = term_ids[a], term_ids[b]
-        if ia > ib:
-            ia, ib = ib, ia
-        v = pool.get(("e", ia, ib))
+        v = eq_var((ia, ib) if ia < ib else (ib, ia))
+        if v is None:
+            return 0 if positive else None
         return v if positive else -v
 
     def lit_code(lit: Literal, env: dict[str, Term]) -> Optional[int]:
@@ -314,19 +389,23 @@ def refute(
     prop = _ground([_ordered(cl) for cl in clauses], universe, lit_code, deadline)
 
     # ground equality theory: transitivity and congruence (symmetry and
-    # reflexivity are folded into the canonical eq_code encoding)
+    # reflexivity are folded into the canonical eq_code encoding); a row
+    # with a false premise is true and never built, a false conclusion is
+    # dropped from its row
     ids = list(range(len(universe)))
     if len(ids) <= 16:
         for triple in itertools.combinations(ids, 3):
             # one clause per choice of conclusion pair: the other two
             # canonical atoms jointly imply it
             for k in range(3):
-                rest = [t for i, t in enumerate(triple) if i != k]
-                conclusion = pool.get(("e", *sorted(rest)))
+                rest = tuple(t for i, t in enumerate(triple) if i != k)
                 shared = triple[k]
-                e1 = pool.get(("e", *sorted((shared, rest[0]))))
-                e2 = pool.get(("e", *sorted((shared, rest[1]))))
-                prop.append((-e1, -e2, conclusion))
+                premises = [tuple(sorted((shared, other))) for other in rest]
+                if any(pair in apart for pair in premises):
+                    continue
+                conclusion = eq_var(rest)
+                e1, e2 = (pool.get(("e", *pair)) for pair in premises)
+                prop.append((-e1, -e2) if conclusion is None else (-e1, -e2, conclusion))
     # predicate congruence, one argument position at a time
     for pname, arity in preds.items():
         if len(universe) ** (arity + 1) * arity > _MAX_GROUND:
@@ -337,22 +416,26 @@ def refute(
                 for other in ids:
                     if other == args[pos]:
                         continue
+                    pair = tuple(sorted((args[pos], other)))
+                    if pair in apart:
+                        continue
                     new_args = args[:pos] + (other,) + args[pos + 1:]
                     pb = pool.get(("p", pname, new_args))
-                    e = pool.get(("e", *sorted((args[pos], other))))
+                    e = pool.get(("e", *pair))
                     prop.append((-pa, -e, pb))
     # skolem function congruence over universe members
     for t in universe:
         if isinstance(t, Func):
             for u in universe:
                 if isinstance(u, Func) and u.name == t.name and u != t:
-                    arg_eqs = []
-                    for a, b in zip(t.args, u.args):
-                        if a == b:
-                            continue
-                        arg_eqs.append(pool.get(("e", *sorted((term_ids[a], term_ids[b])))))
-                    it, iu = sorted((term_ids[t], term_ids[u]))
-                    prop.append(tuple(-e for e in arg_eqs) + (pool.get(("e", it, iu)),))
+                    premises = [tuple(sorted((term_ids[a], term_ids[b])))
+                                for a, b in zip(t.args, u.args) if a != b]
+                    if any(pair in apart for pair in premises):
+                        continue
+                    arg_eqs = [pool.get(("e", *pair)) for pair in premises]
+                    conclusion = eq_var(tuple(sorted((term_ids[t], term_ids[u]))))
+                    prop.append(tuple(-e for e in arg_eqs)
+                                + (() if conclusion is None else (conclusion,)))
 
     if len(prop) > _MAX_GROUND:
         return None

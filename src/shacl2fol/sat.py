@@ -27,7 +27,9 @@ def solve(
     cls: list[list[int]] = []
     units: list[int] = []
     all_vars: set[int] = set()
-    for c in clauses:
+    for n, c in enumerate(clauses):
+        if deadline is not None and n % 4096 == 0 and time.monotonic() > deadline:
+            raise TimeBudgetExceeded()
         c = list(dict.fromkeys(c))
         all_vars.update(abs(l) for l in c)
         if any(-lit in c for lit in c):
@@ -209,6 +211,10 @@ def solve(
             restart_limit *= 1.5
             backtrack(0)
             continue
+        # each decision scans every variable, so a search without conflicts
+        # checks the clock here
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded()
         var = None
         best = -1.0
         for v in all_vars:

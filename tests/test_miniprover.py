@@ -9,7 +9,7 @@ import pytest
 
 from conftest import load_graph, load_shapes
 from corpus import CASES, PREFIXES
-from shacl2fol import miniprover, sat
+from shacl2fol import cli, miniprover, oracle, sat
 from shacl2fol.clausify import Literal, clausify
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
@@ -19,7 +19,7 @@ from shacl2fol.fol import (
 )
 from shacl2fol.tptp import render
 from shacl2fol.tptp_parse import parse_tptp
-from test_acceptance import SHAPES_ONE_TARGET, SHAPES_TWO_TARGETS
+from test_acceptance import SHAPES_EMPTY, SHAPES_ONE_TARGET, SHAPES_TWO_TARGETS
 
 A, B, C = Const("a"), Const("b"), Const("c")
 X, Y = Var("X"), Var("Y")
@@ -237,6 +237,81 @@ class TestSchedule:
         ))
         assert got.verdict.value == "Contained"
         assert time.monotonic() - start < 3
+
+
+def containment(a_ttl, b_ttl):
+    return run_task(DecisionTask(
+        TaskKind.CONTAINMENT, load_shapes(a_ttl), shape_graph_b=load_shapes(b_ttl),
+        prover=ProverConfig("builtin", timeout_s=10),
+    ))
+
+
+PEOPLE_SHAPES = PREFIXES + """
+ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
+  sh:property [ sh:path ex:name ; sh:minCount 1 ; sh:maxCount 1 ] .
+"""
+
+
+def people(n, unnamed=None):
+    return PREFIXES + "".join(
+        f"ex:p{i} a ex:Person" + ("" if i == unnamed else f' ; ex:name "n{i}"') + " .\n"
+        for i in range(n))
+
+
+class TestUniqueNames:
+    """Constants that the unique-name units keep apart are pinned in the
+    model search, and their equalities folded out of the refutation."""
+
+    def test_refutation_builds_no_variable_for_a_false_equality(self, monkeypatch):
+        # a = b is false by the unit ~(a = b): the clause a = b | b = c keeps
+        # b = c (1), the transitivity rows with premise a = b are never
+        # built, and a = c & b = c -> a = b loses its conclusion
+        solved = []
+        monkeypatch.setattr(sat, "solve", lambda prop, deadline=None: solved.append(prop))
+        miniprover.refute(clausify([NotN(Eq(A, B)), OrN((Eq(A, B), Eq(B, C)))]))
+        assert solved == [[(1,), (-2, -1)]]
+
+    def test_self_containment_of_two_targets_is_decided_quickly(self, monkeypatch):
+        searches = []
+        search = miniprover.find_model
+
+        def recording(clauses, domain_size, deadline=None):
+            try:
+                got = search(clauses, domain_size, deadline=deadline)
+            except sat.TimeBudgetExceeded:
+                searches.append((domain_size, "cut"))
+                raise
+            searches.append((domain_size, got))
+            return got
+
+        monkeypatch.setattr(miniprover, "find_model", recording)
+        start = time.monotonic()
+        got = containment(SHAPES_TWO_TARGETS, SHAPES_TWO_TARGETS)
+        assert got.verdict.value == "Contained"
+        assert searches == [(7, None)]
+        assert time.monotonic() - start < 1.5
+
+    @pytest.mark.parametrize("a_ttl", [SHAPES_ONE_TARGET, SHAPES_EMPTY],
+                             ids=["one_target", "empty"])
+    def test_two_targets_separated_by_a_typed_node_without_p(self, a_ttl):
+        assert containment(a_ttl, SHAPES_TWO_TARGETS).verdict.value == "NotContained"
+        g = load_graph(PREFIXES + "ex:a ex:p ex:b . ex:x a ex:C .")
+        assert oracle.evaluate(load_shapes(a_ttl), g).conforms
+        assert not oracle.evaluate(load_shapes(SHAPES_TWO_TARGETS), g).conforms
+
+    @pytest.mark.parametrize("unnamed, code, verdict",
+                             [(None, 0, "Conforms"), (2, 1, "DoesNotConform")])
+    def test_five_people_validate(self, unnamed, code, verdict, tmp_path, capsys):
+        shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
+        shapes.write_text(PEOPLE_SHAPES)
+        data.write_text(people(5, unnamed))
+        start = time.monotonic()
+        got = cli.main(["validate", str(shapes), str(data),
+                        "--prover", "builtin", "--timeout", "10", "--json"])
+        elapsed = time.monotonic() - start
+        assert (got, json.loads(capsys.readouterr().out)["verdict"]) == (code, verdict)
+        if unnamed is None:
+            assert elapsed < 2
 
 
 WIDE = tuple(Var(f"X{i}") for i in range(6))

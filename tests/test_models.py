@@ -1,0 +1,232 @@
+"""The models the model search returns, checked by an evaluator of its own.
+
+Nothing here comes from `miniprover` but the procedures under test: the
+evaluator reads a model's table as a first-order structure and checks
+every clause under every binding of its variables over the domain,
+equality included.  A brute-force search over all small interpretations
+checks that pinning the constants kept apart loses no model.
+"""
+
+import itertools
+from dataclasses import dataclass
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import load_graph, load_shapes
+from corpus import CASES
+from shacl2fol import miniprover
+from shacl2fol.clausify import EQ, Literal
+from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, run_task
+from shacl2fol.fol import Const, Func, Var
+from test_acceptance import (
+    SHAPES_EMPTY, SHAPES_ONE_TARGET, SHAPES_TWO_TARGETS, UNTARGETED_CONTRADICTION,
+)
+
+
+@dataclass
+class Structure:
+    size: int
+    consts: dict  # constant name -> element
+    funcs: dict  # (function name, argument elements) -> element
+    preds: set  # (predicate name, argument elements) that hold
+
+
+def _symbols(clauses):
+    consts, funcs = set(), set()
+
+    def scan(t):
+        if isinstance(t, Const):
+            consts.add(t.name)
+        elif isinstance(t, Func):
+            funcs.add((t.name, len(t.args)))
+            for a in t.args:
+                scan(a)
+
+    for cl in clauses:
+        for lit in cl:
+            for a in lit.args:
+                scan(a)
+    return consts, funcs
+
+
+def _variables(t):
+    if isinstance(t, Var):
+        return {t.name}
+    if isinstance(t, Func):
+        return set().union(*(_variables(a) for a in t.args))
+    return set()
+
+
+def _value(t, env, m: Structure):
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return m.consts[t.name]
+    return m.funcs[(t.name, tuple(_value(a, env, m) for a in t.args))]
+
+
+def _true(lit: Literal, env, m: Structure) -> bool:
+    args = tuple(_value(a, env, m) for a in lit.args)
+    if lit.pred == EQ:
+        return (args[0] == args[1]) == lit.positive
+    return ((lit.pred, args) in m.preds) == lit.positive
+
+
+def satisfies(m: Structure, clauses) -> bool:
+    """Every clause holds under every binding of its variables."""
+    for cl in clauses:
+        names = sorted(set().union(*(_variables(a) for lit in cl for a in lit.args)))
+        for values in itertools.product(range(m.size), repeat=len(names)):
+            env = dict(zip(names, values))
+            if not any(_true(lit, env, m) for lit in cl):
+                return False
+    return True
+
+
+def read_model(model: dict, clauses) -> Structure:
+    """The structure a model's table describes; it must interpret every
+    constant and every function application by exactly one element."""
+    size, table = model["size"], model["table"]
+    consts, funcs, preds = {}, {}, set()
+    for key, holds in table.items():
+        if not holds:
+            continue
+        if key[0] == "a":
+            _, name, element = key
+            assert name not in consts, f"{name} has two values"
+            consts[name] = element
+        elif key[0] == "f":
+            _, name, args, element = key
+            assert (name, args) not in funcs, f"{name}{args} has two values"
+            funcs[(name, args)] = element
+        else:
+            preds.add((key[1], key[2]))
+    const_names, func_symbols = _symbols(clauses)
+    for name in const_names:
+        assert name in consts, f"{name} has no value"
+        assert all(key in table for key in (("a", name, d) for d in range(size)))
+    for name, arity in func_symbols:
+        for args in itertools.product(range(size), repeat=arity):
+            assert (name, args) in funcs, f"{name}{args} has no value"
+    return Structure(size, consts, funcs, preds)
+
+
+# --- every returned model of the pipeline -----------------------------------
+
+def _returned_models(monkeypatch, task: DecisionTask):
+    models = []
+    search = miniprover.find_model
+
+    def recording(clauses, domain_size, deadline=None):
+        got = search(clauses, domain_size, deadline=deadline)
+        if got is not None:
+            models.append((clauses, got))
+        return got
+
+    monkeypatch.setattr(miniprover, "find_model", recording)
+    run_task(task)
+    return models
+
+
+BUILTIN = ProverConfig("builtin", timeout_s=10)
+CONFORMING = [c for c in CASES if c.conforms]
+
+
+@pytest.mark.parametrize("case", CONFORMING, ids=lambda c: c.name)
+def test_models_of_conforming_validations_satisfy_every_clause(case, monkeypatch):
+    models = _returned_models(monkeypatch, DecisionTask(
+        TaskKind.VALIDATION, load_shapes(case.shapes_ttl),
+        data_graph=load_graph(case.data_ttl), prover=BUILTIN,
+    ))
+    assert models
+    for clauses, model in models:
+        assert satisfies(read_model(model, clauses), clauses)
+
+
+ACCEPTANCE_MODELS = {
+    "sat_empty": DecisionTask(
+        TaskKind.SATISFIABILITY, load_shapes(SHAPES_EMPTY), prover=BUILTIN),
+    "sat_untargeted_contradiction": DecisionTask(
+        TaskKind.SATISFIABILITY, load_shapes(UNTARGETED_CONTRADICTION), prover=BUILTIN),
+    "empty_in_one_target": DecisionTask(
+        TaskKind.CONTAINMENT, load_shapes(SHAPES_EMPTY),
+        shape_graph_b=load_shapes(SHAPES_ONE_TARGET), prover=BUILTIN),
+    "one_target_in_two_targets": DecisionTask(
+        TaskKind.CONTAINMENT, load_shapes(SHAPES_ONE_TARGET),
+        shape_graph_b=load_shapes(SHAPES_TWO_TARGETS), prover=BUILTIN),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE_MODELS))
+def test_models_of_acceptance_problems_satisfy_every_clause(name, monkeypatch):
+    models = _returned_models(monkeypatch, ACCEPTANCE_MODELS[name])
+    assert models
+    for clauses, model in models:
+        assert satisfies(read_model(model, clauses), clauses)
+
+
+def test_pinned_constants_keep_their_table_entries():
+    a, b = Const("a"), Const("b")
+    clauses = [
+        frozenset({Literal(False, EQ, (a, b))}),
+        frozenset({Literal(True, "p", (a,))}),
+    ]
+    model = miniprover.find_model(clauses, 3)
+    table = model["table"]
+    for name in ("a", "b"):
+        assert [table[("a", name, d)] for d in range(3)].count(True) == 1
+    assert satisfies(read_model(model, clauses), clauses)
+
+
+# --- pinning keeps every model ----------------------------------------------
+
+NAMES = [Const("c0"), Const("c1"), Const("c2")]
+VARIABLES = [Var("X"), Var("Y")]
+PREDICATES = ["p", "q"]
+SIZES = (1, 2, 3)
+
+
+@st.composite
+def clause_sets(draw):
+    consts = NAMES[:draw(st.integers(2, 3))]
+    apart = draw(st.lists(
+        st.sampled_from(list(itertools.combinations(consts, 2))), unique=True))
+    terms = st.sampled_from(consts + VARIABLES)
+    literal = st.one_of(
+        st.builds(lambda positive, pred, t: Literal(positive, pred, (t,)),
+                  st.booleans(), st.sampled_from(PREDICATES), terms),
+        st.builds(lambda positive, s, t: Literal(positive, EQ, (s, t)),
+                  st.booleans(), terms, terms),
+    )
+    clauses = draw(st.lists(st.frozensets(literal, min_size=1, max_size=3), max_size=5))
+    return [frozenset({Literal(False, EQ, pair)}) for pair in apart] + clauses
+
+
+def brute_force_model(clauses, size: int):
+    """Some structure of the size that satisfies the clauses, or None."""
+    consts = sorted(_symbols(clauses)[0])
+    atoms = [(pred, (d,)) for pred in PREDICATES for d in range(size)]
+    for values in itertools.product(range(size), repeat=len(consts)):
+        for truth in itertools.product((False, True), repeat=len(atoms)):
+            m = Structure(size, dict(zip(consts, values)), {},
+                          {atom for atom, holds in zip(atoms, truth) if holds})
+            if satisfies(m, clauses):
+                return m
+    return None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(clause_sets())
+def test_pinning_keeps_every_model(clauses):
+    exists = {}
+    for size in SIZES:
+        exists[size] = brute_force_model(clauses, size) is not None
+        got = miniprover.find_model(clauses, size)
+        assert (got is not None) == exists[size]
+        if got is not None:
+            assert satisfies(read_model(got, clauses), clauses)
+    if miniprover.refute(clauses) is True:
+        assert not any(exists.values())
