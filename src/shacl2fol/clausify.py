@@ -175,9 +175,6 @@ class _Clausifier:
                 if not p:
                     continue  # a $true disjunct makes the whole clause true
                 out = [a + b for a in out for b in p]
-                if any(len(x) == 0 for x in p):
-                    # an empty clause inside a disjunct contributes nothing
-                    pass
             # any disjunct that was [] (true) makes the disjunction true
             if any(len(p) == 0 for p in parts):
                 return []
@@ -191,7 +188,7 @@ class _Clausifier:
             for cl in clauses
             for lit in cl
             for arg in lit.args
-            for t in _term_vars(arg)
+            for t in term_vars(arg)
         })
         d = Literal(True, self.fresh_defpred(), tuple(Var(v) for v in vars_used))
         for cl in clauses:
@@ -226,17 +223,17 @@ def _one_point(body: Formula, var: str, bound: set[str]) -> Optional[Term]:
             continue
         for this, other in ((c.left, c.right), (c.right, c.left)):
             if isinstance(this, Var) and this.name == var \
-                    and not any(v.name in bound for v in _term_vars(other)):
+                    and not any(v.name in bound for v in term_vars(other)):
                 return other
     return None
 
 
-def _term_vars(t: Term):
+def term_vars(t: Term):
     if isinstance(t, Var):
         yield t
     elif isinstance(t, Func):
         for a in t.args:
-            yield from _term_vars(a)
+            yield from term_vars(a)
 
 
 def _is_tautology(cl: Clause) -> bool:

@@ -35,6 +35,11 @@ SHAPE_PRED_B = "hasShapeB"
 
 E_PATH_ENV = "SHACL2FOL_E_PATH"
 VAMPIRE_PATH_ENV = "SHACL2FOL_VAMPIRE_PATH"
+# per external prover kind: its path variable, then its names on PATH
+_EXECUTABLES = {
+    "e": (E_PATH_ENV, ("eprover", "E")),
+    "vampire": (VAMPIRE_PATH_ENV, ("vampire",)),
+}
 
 _SZS_RE = re.compile(r"SZS status (\w+)")
 
@@ -69,15 +74,22 @@ class ProverConfig:
     timeout_s: float = 60.0
 
     def resolve(self) -> "ProverConfig":
+        """The first installed of E, Vampire and the built-in prover for
+        `auto`; any other kind unchanged."""
         if self.kind != "auto":
             return self
-        e = os.environ.get(E_PATH_ENV) or shutil.which("eprover") or shutil.which("E")
-        if e:
-            return ProverConfig("e", e, self.timeout_s)
-        v = os.environ.get(VAMPIRE_PATH_ENV) or shutil.which("vampire")
-        if v:
-            return ProverConfig("vampire", v, self.timeout_s)
+        for kind in _EXECUTABLES:
+            exe = _find_executable(kind)
+            if exe:
+                return ProverConfig(kind, exe, self.timeout_s)
         return ProverConfig("builtin", None, self.timeout_s)
+
+
+def _find_executable(kind: str) -> Optional[str]:
+    """The executable of the external prover `kind` ("e" or "vampire"): its
+    path variable if set, else the first of its names found on PATH."""
+    env, names = _EXECUTABLES[kind]
+    return os.environ.get(env) or next(filter(None, map(shutil.which, names)), None)
 
 
 @dataclass
@@ -198,12 +210,12 @@ def write_problem(text: str, path: Optional[str] = None) -> str:
 def prover_command(config: ProverConfig, problem_file: str) -> list[str]:
     timeout = max(1, int(config.timeout_s))
     if config.kind == "e":
-        exe = config.executable or os.environ.get(E_PATH_ENV) or shutil.which("eprover")
+        exe = config.executable or _find_executable("e")
         if not exe:
             raise ProverNotFound("no E executable found")
         return [exe, "--auto", "--silent", f"--soft-cpu-limit={timeout}", problem_file]
     if config.kind == "vampire":
-        exe = config.executable or os.environ.get(VAMPIRE_PATH_ENV) or shutil.which("vampire")
+        exe = config.executable or _find_executable("vampire")
         if not exe:
             raise ProverNotFound("no Vampire executable found")
         return [exe, "--mode", "casc_sat", "--time_limit", str(timeout), problem_file]
@@ -224,7 +236,8 @@ class ProverRun(NamedTuple):
 
 def run_prover(doc: TptpDocument, config: ProverConfig,
                problem_path: Optional[str] = None) -> ProverRun:
-    """Run the configured prover on the rendered problem.
+    """Run the prover of `config` on the rendered problem; `config` is
+    resolved already (`ProverConfig.resolve`), so its kind is not `auto`.
 
     The problem file is kept at `problem_path` when one is given, and for
     the prover `none`, whose only product is the file.  Otherwise nothing
@@ -232,7 +245,6 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
     text in memory, and an external prover reads it from a temporary
     directory that is removed after the run.
     """
-    config = config.resolve()
     text = render(doc)
     problem_file = ""
     if problem_path is not None or config.kind == "none":

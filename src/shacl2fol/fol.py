@@ -139,7 +139,6 @@ def neg(f: Formula) -> Formula:
 # --- Rendering to TPTP syntax ----------------------------------------------
 
 _LOWER_WORD = re.compile(r"^[a-z][A-Za-z0-9_]*$")
-_TPTP_VAR = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
 
 
 def atom_name(symbol: str) -> str:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import sat
-from .clausify import EQ, Clause, Literal, clausify
-from .fol import Const, Func, Term, Var
+from .clausify import EQ, Clause, Literal, clausify, term_vars
+from .fol import Const, Func, NotN, Term, Var
 from .tptp_parse import parse_tptp
 
 
@@ -123,7 +123,7 @@ def _instances(values, repeat: int, deadline: Optional[float]):
 
 
 def _var_names(lits: list[Literal]) -> list[str]:
-    return sorted({v.name for lit in lits for a in lit.args for v in _vars_of(a)})
+    return sorted({v.name for lit in lits for a in lit.args for v in term_vars(a)})
 
 
 def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[float],
@@ -309,14 +309,6 @@ def find_model(
         for d in domain:
             table[("a", c, d)] = d == e
     return {"size": domain_size, "table": table}
-
-
-def _vars_of(t: Term):
-    if isinstance(t, Var):
-        yield t
-    elif isinstance(t, Func):
-        for a in t.args:
-            yield from _vars_of(a)
 
 
 # --- ground refutation ------------------------------------------------------
@@ -517,8 +509,6 @@ def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
     formulas = [u.body for u in units if u.role in ("axiom", "hypothesis", "definition")]
     conjectures = [u.body for u in units if u.role == "conjecture"]
     if conjectures:
-        from .fol import NotN
-
         formulas.extend(NotN(c) for c in conjectures)
     clauses = clausify(formulas)
     result = decide_clauses(clauses, timeout_s=timeout_s)

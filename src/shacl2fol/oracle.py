@@ -14,10 +14,9 @@ from typing import Optional
 from .rdf import Graph, RDF_TYPE, RdfTerm, XSD_NS
 from .shapes import (
     Alternative, And, Closed, Constraint, DisjointProp, EqConst, EqualsProp,
-    HasShape, Inverse, MaxCount, MinCount, NodeKind, NodeKindValue, Not, OneOrMore,
-    OrderOp, OrderProp, Predicate, PropertyPath, Sequence, ShapeGraph,
-    SomeThrough, TargetDecl, TargetKind, TrueC, ZeroOrMore, ZeroOrOne,
-    check_shape_graph,
+    HasShape, Inverse, MinCount, NodeKind, NodeKindValue, Not, OrderOp,
+    OrderProp, Predicate, PropertyPath, Sequence, ShapeGraph, TargetDecl,
+    TargetKind, TrueC, ZeroOrMore, ZeroOrOne, check_shape_graph,
 )
 
 _NUMERIC_DATATYPES = {
@@ -75,8 +74,6 @@ def _step(path: PropertyPath, g: Graph, nodes: set[RdfTerm], backward: bool) -> 
             reached |= nxt
             frontier = nxt
         return reached
-    if isinstance(path, OneOrMore):
-        return _step(ZeroOrMore(path.path), g, _step(path.path, g, nodes, backward), backward)
     raise TypeError(f"not a property path: {path!r}")
 
 
@@ -117,7 +114,7 @@ class _Evaluator:
         if isinstance(c, Not):
             return not self.holds(c.operand, node)
         if isinstance(c, And):
-            return self.holds(c.left, node) and self.holds(c.right, node)
+            return all(self.holds(op, node) for op in c.operands)
         if isinstance(c, EqConst):
             return node == c.term
         if isinstance(c, NodeKind):
@@ -128,20 +125,15 @@ class _Evaluator:
             return node.is_blank
         if isinstance(c, HasShape):
             return self.shape_holds(c.shape_name, node)
-        if isinstance(c, SomeThrough):
-            return any(
-                self.holds(c.constraint, v) for v in path_eval(c.path, g, node)
-            )
         if isinstance(c, MinCount):
-            hits = sum(
-                1 for v in path_eval(c.path, g, node) if self.holds(c.constraint, v)
-            )
-            return hits >= c.n
-        if isinstance(c, MaxCount):
-            hits = sum(
-                1 for v in path_eval(c.path, g, node) if self.holds(c.constraint, v)
-            )
-            return hits <= c.n
+            # stop at the n-th hit, so the value lift ¬≥1¬ exits at the first failure
+            hits = 0
+            for v in path_eval(c.path, g, node):
+                if self.holds(c.constraint, v):
+                    hits += 1
+                    if hits == c.n:
+                        return True
+            return False
         if isinstance(c, EqualsProp):
             return path_eval(c.path, g, node) == set(g.objects(node, c.predicate))
         if isinstance(c, DisjointProp):

@@ -1,11 +1,23 @@
 """SHACL shape-graph AST and its extraction from an RDF graph.
 
-The extractor recognizes the constraint components that map into the
-constraint algebra: targets, cardinalities, node kind, value-equality
-(`sh:in`, `sh:hasValue`), shape references (`sh:node`, `sh:not`, `sh:and`,
+The AST is the core constraint language of Pareti et al. (SHACL
+Satisfiability and Containment, ISWC 2020): `TrueC`, `Not`, an n-ary
+`And`, `EqConst`, `NodeKind`, `HasShape`, the counting constraint
+`MinCount` (at least n values through a path satisfy a constraint), the
+property pair constraints `EqualsProp`, `DisjointProp` and `OrderProp`,
+and `Closed`.  Paths are `Predicate`, `Inverse`, `Sequence`,
+`Alternative`, `ZeroOrOne` and `ZeroOrMore`.
+
+The extractor recognizes the constraint components that map into this
+language: targets, cardinalities, node kind, value-equality (`sh:in`,
+`sh:hasValue`), shape references (`sh:node`, `sh:not`, `sh:and`,
 `sh:or`), property pair components (`sh:equals`, `sh:disjoint`,
 `sh:lessThan`, `sh:lessThanOrEquals`), `sh:class`, `sh:closed`, and the
-full property-path vocabulary.  Anything else that is a known SHACL
+full property-path vocabulary.  It desugars with three rewrites: "some
+value satisfies c" is `MinCount(1, path, c)` and "every value satisfies
+c" is `Not(MinCount(1, path, Not(c)))`; "at most n" is
+`Not(MinCount(n + 1, ...))`; and `sh:oneOrMorePath p` is
+`Sequence(p, ZeroOrMore(p))`.  Anything else that is a known SHACL
 constraint parameter raises UnsupportedComponent.
 """
 
@@ -60,32 +72,7 @@ class ZeroOrMore:
     path: "PropertyPath"
 
 
-@dataclass(frozen=True)
-class OneOrMore:
-    path: "PropertyPath"
-
-
-PropertyPath = Union[Predicate, Inverse, Sequence, Alternative, ZeroOrOne, ZeroOrMore, OneOrMore]
-
-
-def normalize_path(p: PropertyPath) -> PropertyPath:
-    """Rewrite OneOrMore(p) into Sequence(p, ZeroOrMore(p)); idempotent."""
-    if isinstance(p, Predicate):
-        return p
-    if isinstance(p, Inverse):
-        return Inverse(normalize_path(p.path))
-    if isinstance(p, Sequence):
-        return Sequence(normalize_path(p.left), normalize_path(p.right))
-    if isinstance(p, Alternative):
-        return Alternative(normalize_path(p.left), normalize_path(p.right))
-    if isinstance(p, ZeroOrOne):
-        return ZeroOrOne(normalize_path(p.path))
-    if isinstance(p, ZeroOrMore):
-        return ZeroOrMore(normalize_path(p.path))
-    if isinstance(p, OneOrMore):
-        inner = normalize_path(p.path)
-        return Sequence(inner, ZeroOrMore(inner))
-    raise TypeError(f"not a property path: {p!r}")
+PropertyPath = Union[Predicate, Inverse, Sequence, Alternative, ZeroOrOne, ZeroOrMore]
 
 
 # --- Constraints -----------------------------------------------------------
@@ -113,8 +100,7 @@ class Not:
 
 @dataclass(frozen=True)
 class And:
-    left: "Constraint"
-    right: "Constraint"
+    operands: tuple["Constraint", ...]
 
 
 @dataclass(frozen=True)
@@ -133,12 +119,6 @@ class HasShape:
 
 
 @dataclass(frozen=True)
-class SomeThrough:
-    path: PropertyPath
-    constraint: "Constraint"
-
-
-@dataclass(frozen=True)
 class MinCount:
     n: int
     path: PropertyPath
@@ -147,17 +127,6 @@ class MinCount:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("MinCount requires n >= 1")
-
-
-@dataclass(frozen=True)
-class MaxCount:
-    n: int
-    path: PropertyPath
-    constraint: "Constraint"
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("MaxCount requires n >= 0")
 
 
 @dataclass(frozen=True)
@@ -186,18 +155,17 @@ class Closed:
 
 
 Constraint = Union[
-    TrueC, Not, And, EqConst, NodeKind, HasShape, SomeThrough,
-    MinCount, MaxCount, EqualsProp, DisjointProp, OrderProp, Closed,
+    TrueC, Not, And, EqConst, NodeKind, HasShape, MinCount,
+    EqualsProp, DisjointProp, OrderProp, Closed,
 ]
 
 
 def conjoin(constraints: list[Constraint]) -> Constraint:
     if not constraints:
         return TrueC()
-    out = constraints[0]
-    for c in constraints[1:]:
-        out = And(out, c)
-    return out
+    if len(constraints) == 1:
+        return constraints[0]
+    return And(tuple(constraints))
 
 
 def or_of(constraints: list[Constraint]) -> Constraint:
@@ -387,7 +355,7 @@ class _Extractor:
         """Universal lift of a node constraint over a property path."""
         if path is None:
             return inner
-        return Not(SomeThrough(path, Not(inner)))
+        return Not(MinCount(1, path, Not(inner)))
 
     def c_property(self, node, obj, path) -> Constraint:
         if path is not None:
@@ -397,7 +365,7 @@ class _Extractor:
             raise MalformedShape(f"property shape {obj} has no sh:path")
         if self.is_deactivated(obj):
             return TrueC()
-        ppath = normalize_path(self.parse_path(ppath_term))
+        ppath = self.parse_path(ppath_term)
         c = self.extract_constraints(obj, path=ppath)
         # cardinalities are about the path itself, handled inside via path
         return c
@@ -432,14 +400,14 @@ class _Extractor:
         if path is None:
             return EqConst(obj)
         # at least one value node equals the given term
-        return SomeThrough(path, EqConst(obj))
+        return MinCount(1, path, EqConst(obj))
 
     def c_in(self, node, obj, path) -> Constraint:
         members = self.list_members(obj, "sh:in")
         return self.at_values(path, or_of([EqConst(m) for m in members]))
 
     def c_class(self, node, obj, path) -> Constraint:
-        member = SomeThrough(Predicate(RDF_TYPE), EqConst(obj))
+        member = MinCount(1, Predicate(RDF_TYPE), EqConst(obj))
         return self.at_values(path, member)
 
     def c_minCount(self, node, obj, path) -> Constraint:
@@ -454,7 +422,7 @@ class _Extractor:
         n = self.int_param(obj, "sh:maxCount")
         if path is None:
             raise MalformedShape("sh:maxCount outside a property shape")
-        return MaxCount(n, path, TrueC())
+        return Not(MinCount(n + 1, path, TrueC()))
 
     def c_qualifiedValueShape(self, node, obj, path) -> Constraint:
         if path is None:
@@ -469,7 +437,7 @@ class _Extractor:
                 conjuncts.append(MinCount(n, path, HasShape(obj)))
         if qmax is not None:
             n = self.int_param(qmax, "sh:qualifiedMaxCount")
-            conjuncts.append(MaxCount(n, path, HasShape(obj)))
+            conjuncts.append(Not(MinCount(n + 1, path, HasShape(obj))))
         if not conjuncts:
             raise MalformedShape("sh:qualifiedValueShape without qualified counts")
         return conjoin(conjuncts)
@@ -551,7 +519,7 @@ class _Extractor:
         for local, ctor in (
             ("inversePath", Inverse),
             ("zeroOrMorePath", ZeroOrMore),
-            ("oneOrMorePath", OneOrMore),
+            ("oneOrMorePath", lambda p: Sequence(p, ZeroOrMore(p))),
             ("zeroOrOnePath", ZeroOrOne),
         ):
             inner = self.g.object(term, _sh(local))
@@ -576,52 +544,49 @@ class _Extractor:
         return out
 
 
+def subconstraints(c: Constraint):
+    """`c` and every constraint nested in it, in pre-order, without recursion."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        yield c
+        if isinstance(c, Not):
+            stack.append(c.operand)
+        elif isinstance(c, And):
+            stack.extend(reversed(c.operands))
+        elif isinstance(c, MinCount):
+            stack.append(c.constraint)
+
+
+def _path_predicates(p: PropertyPath) -> set[str]:
+    """The predicate IRIs a property path steps through."""
+    out: set[str] = set()
+    stack = [p]
+    while stack:
+        p = stack.pop()
+        if isinstance(p, Predicate):
+            out.add(p.iri)
+        elif isinstance(p, (Sequence, Alternative)):
+            stack += (p.left, p.right)
+        else:
+            stack.append(p.path)
+    return out
+
+
 def constraint_shape_refs(c: Constraint) -> set[RdfTerm]:
-    if isinstance(c, HasShape):
-        return {c.shape_name}
-    if isinstance(c, Not):
-        return constraint_shape_refs(c.operand)
-    if isinstance(c, And):
-        return constraint_shape_refs(c.left) | constraint_shape_refs(c.right)
-    if isinstance(c, SomeThrough):
-        return constraint_shape_refs(c.constraint)
-    if isinstance(c, (MinCount, MaxCount)):
-        return constraint_shape_refs(c.constraint)
-    return set()
+    return {s.shape_name for s in subconstraints(c) if isinstance(s, HasShape)}
 
 
 def constraint_predicates(c: Constraint) -> set[str]:
     """Predicate IRIs used by paths and pair components of one constraint."""
     out: set[str] = set()
-
-    def path_preds(p: PropertyPath):
-        if isinstance(p, Predicate):
-            out.add(p.iri)
-        elif isinstance(p, (Inverse, ZeroOrOne, ZeroOrMore, OneOrMore)):
-            path_preds(p.path)
-        elif isinstance(p, (Sequence, Alternative)):
-            path_preds(p.left)
-            path_preds(p.right)
-
-    def walk(c: Constraint):
-        if isinstance(c, Not):
-            walk(c.operand)
-        elif isinstance(c, And):
-            walk(c.left)
-            walk(c.right)
-        elif isinstance(c, SomeThrough):
-            path_preds(c.path)
-            walk(c.constraint)
-        elif isinstance(c, (MinCount, MaxCount)):
-            path_preds(c.path)
-            walk(c.constraint)
-        elif isinstance(c, (EqualsProp, DisjointProp, OrderProp)):
-            path_preds(c.path)
-            out.add(c.predicate)
-        elif isinstance(c, Closed):
-            out.update(c.allowed_predicates)
-
-    walk(c)
+    for s in subconstraints(c):
+        if isinstance(s, (MinCount, EqualsProp, DisjointProp, OrderProp)):
+            out |= _path_predicates(s.path)
+        if isinstance(s, (EqualsProp, DisjointProp, OrderProp)):
+            out.add(s.predicate)
+        elif isinstance(s, Closed):
+            out |= s.allowed_predicates
     return out
 
 

@@ -29,9 +29,9 @@ from .fol import (
 from .rdf import Graph, RDF_TYPE, RdfTerm, TermKind
 from .shapes import (
     Alternative, And, Closed, Constraint, DisjointProp, EqConst, EqualsProp,
-    HasShape, Inverse, MaxCount, MinCount, NodeKind, Not, OrderOp, OrderProp,
-    Predicate, PropertyPath, Sequence, Shape, SomeThrough, TargetDecl,
-    TargetKind, TrueC, ZeroOrMore, ZeroOrOne, normalize_path,
+    HasShape, Inverse, MinCount, NodeKind, Not, OrderOp, OrderProp,
+    Predicate, PropertyPath, Sequence, Shape, TargetDecl, TargetKind, TrueC,
+    ZeroOrMore, ZeroOrOne,
 )
 
 SHAPE_PRED = "hasShape"
@@ -149,9 +149,9 @@ def role_name(predicate_iri: str) -> str:
 
 
 def role_path(p: PropertyPath) -> PropertyPath:
-    """The path as the logic side reads it: one-or-more expanded, inverses
-    pushed onto the predicates (reversing sequences) and predicates renamed
-    to roles, so that `^(p*)` and `(^p)*` become the same path."""
+    """The path as the logic side reads it: inverses pushed onto the
+    predicates (reversing sequences) and predicates renamed to roles, so
+    that `^(p*)` and `(^p)*` become the same path."""
 
     def go(p: PropertyPath, inverted: bool) -> PropertyPath:
         if isinstance(p, Predicate):
@@ -170,7 +170,7 @@ def role_path(p: PropertyPath) -> PropertyPath:
             return ZeroOrMore(go(p.path, inverted))
         raise TypeError(f"unexpected path node {p!r}")
 
-    return go(normalize_path(p), False)
+    return go(p, False)
 
 
 class Emitter:
@@ -256,33 +256,21 @@ class Emitter:
         if isinstance(c, Not):
             return neg(node(c.operand, x))
         if isinstance(c, And):
-            return conj([
-                node(c.left, x),
-                node(c.right, x),
-            ])
+            # folded left: the emitted text is the left-nested conjunction
+            out: Formula = TrueF()
+            for op in c.operands:
+                out = conj([out, node(op, x)])
+            return out
         if isinstance(c, EqConst):
             return Eq(x, self.const(c.term))
         if isinstance(c, NodeKind):
             return Atom(_FILTER_OF_KIND[c.kind.value], (x,))
         if isinstance(c, HasShape):
             return Atom(shape_pred, (x, self.const(c.shape_name)))
-        if isinstance(c, SomeThrough):
-            y = self.fresh_var()
-            return Exists(
-                (y.name,),
-                conj([
-                    self.path_formula(role_path(c.path), x, y),
-                    node(c.constraint, y),
-                ]),
-            )
         if isinstance(c, MinCount):
             return self.at_least(
                 c.n, role_path(c.path), c.constraint, x, shape_pred, signature,
             )
-        if isinstance(c, MaxCount):
-            return neg(self.at_least(
-                c.n + 1, role_path(c.path), c.constraint, x, shape_pred, signature,
-            ))
         if isinstance(c, DisjointProp):
             y = self.fresh_var()
             return neg(
@@ -319,11 +307,11 @@ class Emitter:
             )
         if isinstance(c, Closed):
             # no successor through any banned role, as a left-nested conjunction
-            out: Optional[Formula] = None
+            out: Formula = TrueF()
             for r in sorted(set(signature) - c.allowed_predicates - {RDF_TYPE}):
                 clause = neg(self.at_least(1, Predicate(r), TrueC(), x, shape_pred, signature))
-                out = clause if out is None else conj([out, clause])
-            return TrueF() if out is None else out
+                out = conj([out, clause])
+            return out
         raise TypeError(f"not a constraint: {c!r}")
 
     def at_least(self, n: int, path: PropertyPath, c: Constraint, x: fol.Term,

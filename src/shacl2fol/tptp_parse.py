@@ -162,7 +162,7 @@ class _Parser:
             self.next()
             inner = self.formula()
             self.expect(")")
-            return self.maybe_equality(inner)
+            return inner
         return self.atom()
 
     def variable(self) -> str:
@@ -170,11 +170,6 @@ class _Parser:
         if not _VARIABLE.match(tok):
             raise TptpParseError(f"bad variable name {tok!r}")
         return tok
-
-    def maybe_equality(self, inner: Formula) -> Formula:
-        # '(term = term)' parses the left side as a formula-looking atom;
-        # handled directly in atom(), so nothing to do here
-        return inner
 
     def term(self):
         tok = self.next()

@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 from shacl2fol import cli
+from shacl2fol.rdf import iri
+from shacl2fol.shapes import And, HasShape, check_shape_graph
 from shacl2fol.tptp_parse import parse_tptp
 
 PREFIX = """\
 @prefix sh: <http://www.w3.org/ns/shacl#> .
 @prefix ex: <http://example.org/> .
 """
+EX = "http://example.org/"
 
 SHAPES = PREFIX + """
 ex:S a sh:NodeShape ; sh:targetClass ex:C ;
@@ -93,6 +96,22 @@ class TestExitCodes:
         assert cli.main(["emit", "validate", files["shapes"]]) == 64
 
 
+class TestProverDiscovery:
+    @pytest.mark.parametrize("kind", ["e", "auto"])
+    def test_e_found_under_its_short_name(self, files, tmp_path, monkeypatch, capsys, kind):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        exe = bin_dir / "E"
+        exe.write_text('#!/bin/sh\necho "% SZS status Unsatisfiable"\n')
+        exe.chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        monkeypatch.delenv("SHACL2FOL_E_PATH", raising=False)
+        monkeypatch.delenv("SHACL2FOL_VAMPIRE_PATH", raising=False)
+        assert cli.main(["sat", files["contradiction"], "--prover", kind]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("Unsatisfiable") and "prover: e " in out
+
+
 class TestJson:
     def test_decision_schema(self, files, capsys):
         assert cli.main(["sat", files["shapes"], "--json", *BUILTIN]) == 0
@@ -121,6 +140,19 @@ class TestOracle:
         out = capsys.readouterr().out
         assert out.startswith("DoesNotConform")
         assert "violates" in out
+
+    def test_wide_and_conforms(self, files, capsys):
+        # the members are one flat conjunction, so no walk recurses per member
+        n = 1500
+        members = " ".join(f"ex:T{i}" for i in range(n))
+        shapes_ttl = files["dir"] / "wide.ttl"
+        shapes_ttl.write_text(PREFIX + f"ex:S sh:targetNode ex:a ; sh:and ( {members} ) .")
+        sg = cli._load_shapes(str(shapes_ttl))
+        check_shape_graph(sg)
+        body = next(s for s in sg if s.name == iri(EX + "S")).constraint
+        assert body == And(tuple(HasShape(iri(f"{EX}T{i}")) for i in range(n)))
+        assert cli.main(["oracle", str(shapes_ttl), files["ok"]]) == 0
+        assert capsys.readouterr().out == "Conforms\n"
 
 
 class TestEmit:

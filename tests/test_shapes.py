@@ -9,10 +9,10 @@ from shacl2fol.oracle import evaluate
 from shacl2fol.rdf import Graph, iri, literal
 from shacl2fol.shapes import (
     Alternative, And, Closed, DisjointProp, EqConst, EqualsProp, HasShape,
-    Inverse, MaxCount, MinCount, NodeKind, NodeKindValue, Not, OneOrMore,
-    OrderOp, OrderProp, Predicate, Sequence, Shape, ShapeGraph, SomeThrough,
-    TargetDecl, TargetKind, TrueC, ZeroOrMore, ZeroOrOne, check_shape_graph,
-    conjoin, constraint_shape_refs, detect_recursion, normalize_path,
+    Inverse, MinCount, NodeKind, NodeKindValue, Not, OrderOp, OrderProp,
+    Predicate, Sequence, Shape, ShapeGraph, TargetDecl, TargetKind, TrueC,
+    ZeroOrMore, ZeroOrOne, check_shape_graph, conjoin, constraint_predicates,
+    constraint_shape_refs, detect_recursion, subconstraints,
 )
 from shacl2fol.translate import translate
 
@@ -64,7 +64,8 @@ class TestConstraintExtraction:
         ex:S a sh:NodeShape ;
           sh:property [ sh:path ex:p ; sh:maxCount 0 ] .
         """)
-        assert shape_named(sg, "S").constraint == MaxCount(0, Predicate(EX + "p"), TrueC())
+        # at most 0 == not at least 1
+        assert shape_named(sg, "S").constraint == Not(MinCount(1, Predicate(EX + "p"), TrueC()))
 
     def test_node_kind_on_values_is_universal(self):
         sg = load_shapes(PREFIX + """
@@ -73,16 +74,16 @@ class TestConstraintExtraction:
         """)
         c = shape_named(sg, "S").constraint
         # every value is a literal == no value is a non-literal
-        assert c == Not(SomeThrough(Predicate(EX + "p"),
-                                    Not(NodeKind(NodeKindValue.LITERAL))))
+        assert c == Not(MinCount(1, Predicate(EX + "p"),
+                                 Not(NodeKind(NodeKindValue.LITERAL))))
 
     def test_has_value(self):
         sg = load_shapes(PREFIX + """
         ex:S a sh:NodeShape ;
           sh:property [ sh:path ex:p ; sh:hasValue "v" ] .
         """)
-        assert shape_named(sg, "S").constraint == SomeThrough(
-            Predicate(EX + "p"), EqConst(literal("v"))
+        assert shape_named(sg, "S").constraint == MinCount(
+            1, Predicate(EX + "p"), EqConst(literal("v"))
         )
 
     def test_class_constraint(self):
@@ -91,11 +92,11 @@ class TestConstraintExtraction:
           sh:property [ sh:path ex:p ; sh:class ex:C ] .
         """)
         c = shape_named(sg, "S").constraint
-        inner = SomeThrough(
-            Predicate("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
+        inner = MinCount(
+            1, Predicate("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"),
             EqConst(iri(EX + "C")),
         )
-        assert c == Not(SomeThrough(Predicate(EX + "p"), Not(inner)))
+        assert c == Not(MinCount(1, Predicate(EX + "p"), Not(inner)))
 
     def test_property_pairs(self):
         sg = load_shapes(PREFIX + """
@@ -105,21 +106,12 @@ class TestConstraintExtraction:
           sh:property [ sh:path ex:p ; sh:lessThan ex:s ] ;
           sh:property [ sh:path ex:p ; sh:lessThanOrEquals ex:t ] .
         """)
-        c = shape_named(sg, "S").constraint
-        found = set()
-
-        def walk(x):
-            if isinstance(x, And):
-                walk(x.left)
-                walk(x.right)
-            else:
-                found.add(x)
-
-        walk(c)
-        assert EqualsProp(Predicate(EX + "p"), EX + "q") in found
-        assert DisjointProp(Predicate(EX + "p"), EX + "r") in found
-        assert OrderProp(Predicate(EX + "p"), EX + "s", OrderOp.LT) in found
-        assert OrderProp(Predicate(EX + "p"), EX + "t", OrderOp.LEQ) in found
+        p = Predicate(EX + "p")
+        # one flat conjunction, in the order of the sorted property shapes
+        assert set(shape_named(sg, "S").constraint.operands) == {
+            EqualsProp(p, EX + "q"), DisjointProp(p, EX + "r"),
+            OrderProp(p, EX + "s", OrderOp.LT), OrderProp(p, EX + "t", OrderOp.LEQ),
+        }
 
     def test_closed_with_ignored(self):
         sg = load_shapes(PREFIX + """
@@ -128,10 +120,10 @@ class TestConstraintExtraction:
           sh:property [ sh:path ex:p ; sh:minCount 1 ] .
         """)
         c = shape_named(sg, "S").constraint
-        closed = [x for x in _flatten(c) if isinstance(x, Closed)]
-        assert closed and closed[0].allowed_predicates == frozenset(
-            {EX + "p", EX + "extra"}
-        )
+        assert set(c.operands) == {
+            Closed(frozenset({EX + "p", EX + "extra"})),
+            MinCount(1, Predicate(EX + "p"), TrueC()),
+        }
 
     def test_shape_reference(self):
         sg = load_shapes(PREFIX + """
@@ -154,15 +146,13 @@ class TestConstraintExtraction:
             sh:qualifiedValueShape [ sh:nodeKind sh:IRI ] ;
             sh:qualifiedMinCount 2 ; sh:qualifiedMaxCount 3 ] .
         """)
-        parts = _flatten(shape_named(sg, "S").constraint)
-        mins = [x for x in parts if isinstance(x, MinCount)]
-        maxs = [x for x in parts if isinstance(x, MaxCount)]
-        assert mins[0].n == 2 and maxs[0].n == 3
+        c = shape_named(sg, "S").constraint
         # the qualified value shape becomes an anonymous referenced shape
-        assert isinstance(mins[0].constraint, HasShape)
-        qualified = next(s for s in sg.shapes
-                         if s.name == mins[0].constraint.shape_name)
+        qualified = next(s for s in sg.shapes if s is not shape_named(sg, "S"))
         assert qualified.constraint == NodeKind(NodeKindValue.IRI)
+        # at least 2 and at most 3 (not at least 4) values conform to it
+        p, has = Predicate(EX + "p"), HasShape(qualified.name)
+        assert c == And((MinCount(2, p, has), Not(MinCount(4, p, has))))
 
 
 class TestPaths:
@@ -176,20 +166,53 @@ class TestPaths:
           sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:minCount 1 ] ;
           sh:property [ sh:path [ sh:oneOrMorePath ex:p ] ; sh:minCount 1 ] .
         """)
-        paths = {x.path for x in _flatten(shape_named(sg, "S").constraint)
-                 if isinstance(x, MinCount)}
+        paths = {x.path for x in shape_named(sg, "S").constraint.operands}
         p, q = Predicate(EX + "p"), Predicate(EX + "q")
-        # one-or-more is normalized into a sequence with a star tail
+        # one-or-more is parsed into a sequence with a star tail
         assert paths == {
             Inverse(p), Sequence(p, q), Alternative(p, q),
             ZeroOrOne(p), ZeroOrMore(p), Sequence(p, ZeroOrMore(p)),
         }
 
     def test_normalize_one_or_more(self):
-        p = Predicate(EX + "p")
-        assert normalize_path(OneOrMore(p)) == Sequence(p, ZeroOrMore(p))
-        # idempotent
-        assert normalize_path(normalize_path(OneOrMore(p))) == normalize_path(OneOrMore(p))
+        sg = load_shapes(PREFIX + """
+        ex:S a sh:NodeShape ;
+          sh:property [ sh:path [ sh:oneOrMorePath [ sh:inversePath ex:p ] ] ;
+                        sh:minCount 1 ] .
+        """)
+        p = Inverse(Predicate(EX + "p"))
+        assert shape_named(sg, "S").constraint == MinCount(
+            1, Sequence(p, ZeroOrMore(p)), TrueC()
+        )
+
+
+class TestSubconstraints:
+    def test_pre_order_walk(self):
+        p, q = Predicate(EX + "p"), Predicate(EX + "q")
+        inner = MinCount(2, q, HasShape(T))
+        c = And((Not(inner), EqualsProp(p, EX + "r"), Closed(frozenset({EX + "s"}))))
+        assert list(subconstraints(c)) == [
+            c, Not(inner), inner, HasShape(T), EqualsProp(p, EX + "r"),
+            Closed(frozenset({EX + "s"})),
+        ]
+        assert constraint_shape_refs(c) == {T}
+        assert constraint_predicates(c) == {EX + "p", EX + "q", EX + "r", EX + "s"}
+
+    def test_path_predicates_through_every_constructor(self):
+        p, q, r = (Predicate(EX + x) for x in "pqr")
+        path = Sequence(Inverse(p), Alternative(ZeroOrOne(q), ZeroOrMore(r)))
+        assert constraint_predicates(Not(MinCount(1, path, TrueC()))) == {
+            EX + "p", EX + "q", EX + "r",
+        }
+
+    def test_deep_and_wide_constraints_do_not_recurse(self):
+        deep = HasShape(T)
+        for _ in range(20000):
+            deep = Not(deep)
+        assert constraint_shape_refs(deep) == {T}
+        wide = conjoin([HasShape(iri(f"{EX}T{i}")) for i in range(20000)])
+        assert len(wide.operands) == 20000
+        assert len(constraint_shape_refs(wide)) == 20000
 
 
 class TestErrors:
@@ -248,7 +271,7 @@ class TestRecursion:
         names = [iri(f"{EX}S{i}") for i in range(len(succ))]
         sg = ShapeGraph([
             Shape(names[i], (), conjoin([
-                Not(SomeThrough(Predicate(EX + "p"), HasShape(names[j]))) if j % 2
+                Not(MinCount(1, Predicate(EX + "p"), HasShape(names[j]))) if j % 2
                 else HasShape(names[j])
                 for j in sorted(refs)
             ]))
@@ -306,7 +329,7 @@ class TestCheckShapeGraph:
             check_shape_graph(sg)
 
     def test_undefined_reference_inside_body_rejected(self):
-        body = Not(SomeThrough(Predicate(EX + "p"), MinCount(1, Predicate(EX + "q"), HasShape(T))))
+        body = Not(MinCount(1, Predicate(EX + "p"), MinCount(1, Predicate(EX + "q"), HasShape(T))))
         with pytest.raises(MalformedShape, match="dangling"):
             check_shape_graph(ShapeGraph([Shape(S, (), body)]))
 
@@ -337,8 +360,3 @@ class TestCheckShapeGraph:
             " -> <http://example.org/S>"
         )
 
-
-def _flatten(c):
-    if isinstance(c, And):
-        return _flatten(c.left) + _flatten(c.right)
-    return [c]

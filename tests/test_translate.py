@@ -7,10 +7,9 @@ from shacl2fol.fol import Atom, Var, formula_text
 from shacl2fol.rdf import RDF_TYPE, iri, literal
 from shacl2fol import shapes, translate as tr
 from shacl2fol.shapes import (
-    Alternative, Closed, DisjointProp, EqConst, EqualsProp, Inverse, MaxCount,
-    MinCount, NodeKind, NodeKindValue, OneOrMore, OrderOp, OrderProp,
-    Predicate, Sequence, SomeThrough, TargetDecl, TargetKind, TrueC,
-    ZeroOrMore, ZeroOrOne,
+    Alternative, And, Closed, DisjointProp, EqConst, EqualsProp, Inverse, MinCount,
+    NodeKind, NodeKindValue, Not, OrderOp, OrderProp, Predicate, Sequence,
+    TargetDecl, TargetKind, TrueC, ZeroOrMore, ZeroOrOne,
 )
 from shacl2fol.tptp import Emitter, EmitOptions, role_path
 
@@ -71,7 +70,7 @@ class TestConstraintTranslation:
 
     def test_max_count_becomes_negated_at_least(self):
         # at most 3 is "not 4 distinct witnesses"
-        c = MaxCount(3, Predicate(EX + "p"), TrueC())
+        c = Not(MinCount(4, Predicate(EX + "p"), TrueC()))
         witnesses = " & ".join(f"{P}(X, Y{i})" for i in range(1, 5))
         distinct = " & ".join(
             f"(Y{i} != Y{j})" for i in range(1, 5) for j in range(i + 1, 5)
@@ -111,8 +110,14 @@ class TestConstraintTranslation:
         )
         assert node(c, {EX + "p"}) == "$true"
 
+    def test_and_becomes_left_nested_conjunction(self):
+        kinds = [NodeKind(k) for k in NodeKindValue]
+        assert node(And(tuple(kinds))) == "((isIRI(X) & isLiteral(X)) & isBlank(X))"
+        # $true operands drop out, as they did from the binary conjunction
+        assert node(And((TrueC(), kinds[0], TrueC()))) == "isIRI(X)"
+
     def test_has_value_becomes_existential_equality(self):
-        c = SomeThrough(Predicate(EX + "p"), EqConst(literal("v")))
+        c = MinCount(1, Predicate(EX + "p"), EqConst(literal("v")))
         assert node(c) == f"(?[Y1]: ({P}(X, Y1) & (Y1 = '\"v\"')))"
 
 
@@ -125,7 +130,7 @@ class TestPathTranslation:
         assert path(Alternative(p, q)) == f"({P}(X, Y) | {Q}(X, Y))"
         assert path(ZeroOrOne(p)) == f"((X = Y) | {P}(X, Y))"
         assert path(ZeroOrMore(p)) == "star_1(X, Y)"
-        assert path(OneOrMore(p)) == f"(?[Z1]: ({P}(X, Z1) & star_1(Z1, Y)))"
+        assert path(Sequence(p, ZeroOrMore(p))) == f"(?[Z1]: ({P}(X, Z1) & star_1(Z1, Y)))"
         assert path(Predicate(RDF_TYPE)) == "isA(X, Y)"
 
     def test_inverse_distributes_over_sequence(self):
