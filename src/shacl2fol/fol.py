@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
@@ -165,37 +165,72 @@ def term_text(t: Term) -> str:
     raise TypeError(f"not a term: {t!r}")
 
 
-def formula_text(f: Formula) -> str:
-    """Fully parenthesized TPTP rendering."""
-    if isinstance(f, TrueF):
-        return "$true"
-    if isinstance(f, FalseF):
-        return "$false"
+def _atomic_text(f: Formula) -> Optional[str]:
+    """The text of a formula without subformulas, a negated equality
+    included; None for any other formula."""
     if isinstance(f, Atom):
         if not f.args:
             return atom_name(f.pred)
         return f"{atom_name(f.pred)}({', '.join(term_text(a) for a in f.args)})"
-    if isinstance(f, Eq):
-        return f"({term_text(f.left)} = {term_text(f.right)})"
-    if isinstance(f, Distinct):
-        return f"$distinct({', '.join(term_text(c) for c in f.constants)})"
     if isinstance(f, NotN):
         if isinstance(f.operand, Eq):
             return f"({term_text(f.operand.left)} != {term_text(f.operand.right)})"
-        return f"~({formula_text(f.operand)})"
-    if isinstance(f, AndN):
-        return "(" + " & ".join(formula_text(x) for x in f.operands) + ")"
-    if isinstance(f, OrN):
-        return "(" + " | ".join(formula_text(x) for x in f.operands) + ")"
-    if isinstance(f, Implies):
-        return f"({formula_text(f.left)} => {formula_text(f.right)})"
-    if isinstance(f, Iff):
-        return f"({formula_text(f.left)} <=> {formula_text(f.right)})"
-    if isinstance(f, Forall):
-        return f"(![{', '.join(f.variables)}]: {formula_text(f.body)})"
-    if isinstance(f, Exists):
-        return f"(?[{', '.join(f.variables)}]: {formula_text(f.body)})"
-    raise TypeError(f"not a formula: {f!r}")
+        return None
+    if isinstance(f, Eq):
+        return f"({term_text(f.left)} = {term_text(f.right)})"
+    if isinstance(f, TrueF):
+        return "$true"
+    if isinstance(f, FalseF):
+        return "$false"
+    if isinstance(f, Distinct):
+        return f"$distinct({', '.join(term_text(c) for c in f.constants)})"
+    return None
+
+
+def formula_text(f: Formula) -> str:
+    """Fully parenthesized TPTP rendering.
+
+    A compound formula is written as its opening, its subformulas joined by
+    its separator, and ")".  The walk keeps its own stack of subformulas and
+    text still to write, so a deeply nested formula needs no deep Python
+    recursion.
+    """
+    text = _atomic_text(f)
+    if text is not None:
+        return text
+    parts: list[str] = []
+    stack: list = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
+        if isinstance(node, (AndN, OrN)):
+            opening, subformulas = "(", node.operands
+            sep = " & " if isinstance(node, AndN) else " | "
+        elif isinstance(node, NotN):
+            opening, subformulas, sep = "~(", (node.operand,), ""
+        elif isinstance(node, (Implies, Iff)):
+            opening, subformulas = "(", (node.left, node.right)
+            sep = " => " if isinstance(node, Implies) else " <=> "
+        elif isinstance(node, (Forall, Exists)):
+            quantifier = "!" if isinstance(node, Forall) else "?"
+            opening = f"({quantifier}[{', '.join(node.variables)}]: "
+            subformulas, sep = (node.body,), ""
+        else:
+            raise TypeError(f"not a formula: {node!r}")
+        texts = [_atomic_text(x) for x in subformulas]
+        if None not in texts:
+            parts.append(opening + sep.join(texts) + ")")
+            continue
+        # pushed in reverse, so that the opening pops first
+        stack.append(")")
+        for i in range(len(subformulas) - 1, -1, -1):
+            stack.append(subformulas[i] if texts[i] is None else texts[i])
+            if i:
+                stack.append(sep)
+        stack.append(opening)
+    return "".join(parts)
 
 
 # --- Structural helpers ----------------------------------------------------

@@ -6,8 +6,10 @@ Two sound, incomplete procedures over the clausal form:
   over increasing domain sizes; any model found is a genuine first-order
   model, so the answer Satisfiable is sound.
 * ground refutation: clause instantiation over a bounded Herbrand universe
-  plus ground equality axioms; a propositionally unsatisfiable grounding
-  witnesses first-order unsatisfiability, so Unsatisfiable is sound.
+  plus ground equality axioms, predicate congruence among them added as
+  lemmas a candidate model violates; a propositionally unsatisfiable
+  grounding witnesses first-order unsatisfiability, so Unsatisfiable is
+  sound.
 
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
@@ -135,26 +137,48 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     or it names a term outside the universe), 0 drops the literal (it is
     false), and any other value is a SAT literal.  The variables that
     `fixed` binds keep their value and are not enumerated.
+
+    The variables are bound one at a time in sorted order, depth-first, so
+    the instances come in the order of `itertools.product`.  Each literal is
+    encoded as soon as its last variable is bound, and a None drops every
+    instance below that partial binding without enumerating it.
     """
     fixed = fixed or {}
     prop: list[tuple[int, ...]] = []
+    bindings = 0
     for lits in clauses:
         names = _var_names(lits)
         vs = [v for v in names if v not in fixed]
-        bound = {v: fixed[v] for v in names if v in fixed}
-        for inst in _instances(values, len(vs), deadline):
-            env = dict(zip(vs, inst))
-            if bound:
-                env.update(bound)
-            out = []
-            for lit in lits:
-                code = encode(lit, env)
+        env = {v: fixed[v] for v in names if v in fixed}
+        depth = {v: k + 1 for k, v in enumerate(vs)}
+        # the literals to encode once the first k variables are bound
+        ready: list[list[int]] = [[] for _ in range(len(vs) + 1)]
+        for i, lit in enumerate(lits):
+            k = max((depth.get(v.name, 0) for a in lit.args for v in term_vars(a)),
+                    default=0)
+            ready[k].append(i)
+        codes = [0] * len(lits)
+
+        def bind(k: int) -> None:
+            nonlocal bindings
+            for i in ready[k]:
+                code = encode(lits[i], env)
                 if code is None:
-                    break
-                if code:
-                    out.append(code)
-            else:
-                prop.append(tuple(out))
+                    return
+                codes[i] = code
+            if k == len(vs):
+                prop.append(tuple(filter(None, codes)))
+                return
+            name = vs[k]
+            for value in values:
+                bindings += 1
+                if bindings % _CHECK_EVERY == 0 and deadline is not None \
+                        and time.monotonic() > deadline:
+                    raise sat.TimeBudgetExceeded()
+                env[name] = value
+                bind(k + 1)
+
+        bind(0)
     return prop
 
 
@@ -323,7 +347,7 @@ def refute(
     Returns None when the grounding was satisfiable or too large (both
     inconclusive for the first-order question).
     """
-    preds, consts, funcs = _collect_signature(clauses)
+    _, consts, funcs = _collect_signature(clauses)
     base: list[Term] = [Const(c) for c in consts]
     if not base:
         base = [Const("herbrand_c0")]
@@ -336,55 +360,56 @@ def refute(
                 universe.append(Func(fname, tuple(args)))
 
     pool = _VarPool()
-    term_ids = {t: i for i, t in enumerate(universe)}
+    # grounding binds variables to universe indices: constants by name,
+    # Skolem terms by their symbol and argument indices
+    const_ids = {t.name: i for i, t in enumerate(universe) if isinstance(t, Const)}
+    app_ids = {(t.name, tuple(const_ids[a.name] for a in t.args)): i
+               for i, t in enumerate(universe) if isinstance(t, Func)}
     # the unique-name units make these equalities false: each gets no SAT
     # variable, and the rows it would make true are never built
-    apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
-             for a, b in _apart(clauses)}
+    apart = {tuple(sorted((const_ids[a], const_ids[b]))) for a, b in _apart(clauses)}
 
     def eq_var(pair: tuple[int, int]) -> Optional[int]:
         """The SAT variable of a sorted pair's equality; None if it is false."""
         return None if pair in apart else pool.get(("e", *pair))
 
-    def ground_term(t: Term, env: dict[str, Term]) -> Optional[Term]:
+    def ground_term(t: Term, env: dict[str, int]) -> Optional[int]:
+        """The universe index of `t` under `env`; None outside the universe."""
         if isinstance(t, Var):
             return env[t.name]
         if isinstance(t, Const):
-            return t
-        args = [ground_term(a, env) for a in t.args]
-        if any(a is None for a in args):
-            return None
-        gt = Func(t.name, tuple(args))
-        return gt if gt in term_ids else None
+            return const_ids[t.name]
+        args = tuple(ground_term(a, env) for a in t.args)
+        return None if None in args else app_ids.get((t.name, args))
 
-    def eq_code(a: Term, b: Term, positive: bool) -> Optional[int]:
+    def eq_code(a: int, b: int, positive: bool) -> Optional[int]:
         if a == b:
             return None if positive else 0  # None = literal true, 0 = literal false
-        ia, ib = term_ids[a], term_ids[b]
-        v = eq_var((ia, ib) if ia < ib else (ib, ia))
+        v = eq_var((a, b) if a < b else (b, a))
         if v is None:
             return 0 if positive else None
         return v if positive else -v
 
-    def lit_code(lit: Literal, env: dict[str, Term]) -> Optional[int]:
-        args = [ground_term(a, env) for a in lit.args]
-        if any(a is None for a in args):
+    def lit_code(lit: Literal, env: dict[str, int]) -> Optional[int]:
+        args = tuple(ground_term(a, env) for a in lit.args)
+        if None in args:
             return None  # the instance names a term outside the universe
         if lit.pred == EQ:
             return eq_code(*args, lit.positive)
-        v = pool.get(("p", lit.pred, tuple(term_ids[a] for a in args)))
+        v = pool.get(("p", lit.pred, args))
         return v if lit.positive else -v
 
-    if any(len(universe) ** len(_var_names(cl)) * max(len(cl), 1) > _MAX_GROUND
+    ids = range(len(universe))
+    if any(len(ids) ** len(_var_names(cl)) * max(len(cl), 1) > _MAX_GROUND
            for cl in clauses):
         return None
-    prop = _ground([_ordered(cl) for cl in clauses], universe, lit_code, deadline)
+    prop = _ground([_ordered(cl) for cl in clauses], ids, lit_code, deadline)
 
-    # ground equality theory: transitivity and congruence (symmetry and
-    # reflexivity are folded into the canonical eq_code encoding); a row
-    # with a false premise is true and never built, a false conclusion is
-    # dropped from its row
-    ids = list(range(len(universe)))
+    # ground equality theory: transitivity and function congruence up front
+    # (symmetry and reflexivity are folded into the canonical eq_code
+    # encoding), predicate congruence on demand below; a row with a false
+    # premise is true and never built, a false conclusion is dropped from
+    # its row
     if len(ids) <= 16:
         for triple in itertools.combinations(ids, 3):
             # one clause per choice of conclusion pair: the other two
@@ -398,43 +423,55 @@ def refute(
                 conclusion = eq_var(rest)
                 e1, e2 = (pool.get(("e", *pair)) for pair in premises)
                 prop.append((-e1, -e2) if conclusion is None else (-e1, -e2, conclusion))
-    # predicate congruence, one argument position at a time
-    for pname, arity in preds.items():
-        if len(universe) ** (arity + 1) * arity > _MAX_GROUND:
-            continue
-        for args in _instances(ids, arity, deadline):
-            pa = pool.get(("p", pname, args))
-            for pos in range(arity):
-                for other in ids:
-                    if other == args[pos]:
-                        continue
-                    pair = tuple(sorted((args[pos], other)))
-                    if pair in apart:
-                        continue
-                    new_args = args[:pos] + (other,) + args[pos + 1:]
-                    pb = pool.get(("p", pname, new_args))
-                    e = pool.get(("e", *pair))
-                    prop.append((-pa, -e, pb))
     # skolem function congruence over universe members
-    for t in universe:
-        if isinstance(t, Func):
-            for u in universe:
-                if isinstance(u, Func) and u.name == t.name and u != t:
-                    premises = [tuple(sorted((term_ids[a], term_ids[b])))
-                                for a, b in zip(t.args, u.args) if a != b]
-                    if any(pair in apart for pair in premises):
-                        continue
-                    arg_eqs = [pool.get(("e", *pair)) for pair in premises]
-                    conclusion = eq_var(tuple(sorted((term_ids[t], term_ids[u]))))
-                    prop.append(tuple(-e for e in arg_eqs)
-                                + (() if conclusion is None else (conclusion,)))
+    for (fname, args), i in app_ids.items():
+        for (gname, other_args), j in app_ids.items():
+            if gname == fname and j != i:
+                premises = [tuple(sorted(pair)) for pair in zip(args, other_args)
+                            if pair[0] != pair[1]]
+                if any(pair in apart for pair in premises):
+                    continue
+                arg_eqs = [pool.get(("e", *pair)) for pair in premises]
+                conclusion = eq_var((i, j) if i < j else (j, i))
+                prop.append(tuple(-e for e in arg_eqs)
+                            + (() if conclusion is None else (conclusion,)))
 
-    if len(prop) > _MAX_GROUND:
-        return None
-    result = sat.solve(prop, deadline=deadline)
-    if result is None:
-        return True
+    # predicate congruence, as lemmas: solve, then add the rows that the
+    # model violates, until it violates none or the rows refute
+    while len(prop) <= _MAX_GROUND:
+        model = sat.solve(prop, deadline=deadline)
+        if model is None:
+            return True
+        lemmas = _congruence_lemmas(pool, model)
+        if not lemmas:
+            return None
+        prop.extend(lemmas)
     return None
+
+
+def _congruence_lemmas(pool: _VarPool, model: dict[int, bool]) -> list[tuple[int, ...]]:
+    """The predicate-congruence rows `¬p(ā) ∨ ¬(a_i = u) ∨ p(ā[i:=u])` that
+    the model violates: p(ā) and a_i = u true, p(ā[i:=u]) false.  A variable
+    the model does not assign counts as false."""
+    equal: dict[int, list[tuple[int, int]]] = {}
+    atoms = []
+    for key, v in pool.ids.items():
+        if not model.get(v, False):
+            continue
+        if key[0] == "e":
+            _, i, j = key
+            equal.setdefault(i, []).append((j, v))
+            equal.setdefault(j, []).append((i, v))
+        else:
+            atoms.append((key, v))
+    lemmas = []
+    for (_, pname, args), pa in atoms:
+        for pos, a in enumerate(args):
+            for other, e in equal.get(a, ()):
+                pb = pool.get(("p", pname, args[:pos] + (other,) + args[pos + 1:]))
+                if not model.get(pb, False):
+                    lemmas.append((-pa, -e, pb))
+    return lemmas
 
 
 # --- orchestration ----------------------------------------------------------

@@ -180,6 +180,18 @@ class TestEmit:
         got = json.loads(capsys.readouterr().out)
         assert got == {"problemFile": out, "approximate": False}
 
+    @pytest.mark.parametrize("n", [1500, 10_000])
+    def test_emit_sat_of_a_wide_and(self, files, n, capsys):
+        # the lowering nests the conjunction n deep; rendering it must not
+        # recurse per member
+        members = " ".join(f"ex:T{i}" for i in range(n))
+        shapes_ttl = files["dir"] / "wide.ttl"
+        shapes_ttl.write_text(PREFIX + f"ex:S sh:targetNode ex:a ; sh:and ( {members} ) .")
+        out = files["dir"] / "wide.p"
+        assert cli.main(["emit", "sat", str(shapes_ttl), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.strip() == str(out)
+        assert f"& hasShape(X, '{EX}T{n - 1}'))" in out.read_text()
+
 
 class TestProblemFile:
     def test_decisions_without_out_keep_no_file(self, files, tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -6,11 +7,13 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import load_graph, load_shapes
 from corpus import CASES, PREFIXES
 from shacl2fol import cli, miniprover, oracle, sat
-from shacl2fol.clausify import Literal, clausify
+from shacl2fol.clausify import Literal, clausify, term_vars
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
 )
@@ -113,6 +116,132 @@ class TestGround:
         # p_or_q: X=a is true and dropped, X=f(a) keeps only q(f(a));
         # q_of_f: X=a gives q(f(a)), X=f(a) names f(f(a)) and is dropped
         assert got == [(2,), (2,)]
+
+
+# a random clause set over the universe {a, b, f(a)}, with an encoding of
+# its ground literals drawn as a table: no side effects, so any order of
+# encoding gives the same codes
+GROUND_UNIVERSE = [A, B, Func("f", (A,))]
+GROUND_VARS = [X, Y, Var("Z")]
+GROUND_TERMS = GROUND_VARS + [A, Func("f", (X,)), Func("f", (Y,))]
+
+
+def _ground_term(t, env):
+    if isinstance(t, Var):
+        return env[t.name]
+    if isinstance(t, Const):
+        return t
+    gt = Func(t.name, tuple(_ground_term(a, env) for a in t.args))
+    return gt if gt in GROUND_UNIVERSE else None
+
+
+@st.composite
+def ground_problems(draw):
+    literal = st.builds(
+        lambda positive, pred, args: Literal(positive, pred, tuple(args)),
+        st.booleans(), st.sampled_from(["p", "q"]),
+        st.lists(st.sampled_from(GROUND_TERMS), min_size=1, max_size=2))
+    clauses = draw(st.lists(st.lists(literal, min_size=1, max_size=4), max_size=4))
+    table = draw(st.dictionaries(
+        st.tuples(st.sampled_from(["p", "q"]), st.booleans(),
+                  st.lists(st.sampled_from(GROUND_UNIVERSE), min_size=1, max_size=2)
+                  .map(tuple)),
+        st.sampled_from([None, 0, 1, -2, 3])))
+    fixed = draw(st.sampled_from([None, {"Z": B}]))
+
+    def encode(lit, env):
+        args = tuple(_ground_term(a, env) for a in lit.args)
+        if None in args:
+            return None
+        return table.get((lit.pred, lit.positive, args), 7)
+
+    return clauses, encode, fixed
+
+
+def ground_reference(clauses, values, encode, fixed):
+    """Every instance over `itertools.product`, each literal encoded."""
+    fixed = fixed or {}
+    prop = []
+    for lits in clauses:
+        names = sorted({v.name for lit in lits for a in lit.args for v in term_vars(a)})
+        free = [v for v in names if v not in fixed]
+        for inst in itertools.product(values, repeat=len(free)):
+            env = dict(zip(free, inst), **{v: fixed[v] for v in names if v in fixed})
+            codes = [encode(lit, env) for lit in lits]
+            if None not in codes:
+                prop.append(tuple(c for c in codes if c))
+    return prop
+
+
+class TestGroundPruning:
+    @settings(max_examples=200, deadline=None)
+    @given(ground_problems())
+    def test_same_instances_in_the_same_order_as_the_product(self, problem):
+        clauses, encode, fixed = problem
+        assert miniprover._ground(clauses, GROUND_UNIVERSE, encode, None, fixed) \
+            == ground_reference(clauses, GROUND_UNIVERSE, encode, fixed)
+
+    def test_a_true_literal_prunes_the_later_variables(self):
+        # p(X) is bound first and true for X = a: no binding of Y or Z
+        # below X = a is ever made
+        seen = []
+
+        def encode(lit, env):
+            seen.append((lit.pred, dict(env)))
+            if lit.pred == "p":
+                return None if env["X"] == A else 1
+            return 2
+
+        clause = [Literal(True, "p", (X,)), Literal(True, "q", (X, Y, Var("Z")))]
+        got = miniprover._ground([clause], [A, B], encode, None)
+        assert got == [(1, 2)] * 4
+        assert seen[0] == ("p", {"X": A})
+        assert all(env["X"] == B for _, env in seen[1:])
+        assert len(seen) == 1 + 1 + 4  # p(a), p(b), then q under X = b
+
+
+class TestCongruenceLemmas:
+    """`refute` adds predicate congruence only as rows a model violates."""
+
+    def test_lemma_through_a_skolem_term(self, monkeypatch):
+        # p(c), f(c) = c, ~p(f(c)): the first model makes p(c) and
+        # f(c) = c true and p(f(c)) false, and its one lemma refutes
+        fc = Func("f", (C,))
+        clauses = clausify([Atom("p", (C,)), Eq(fc, C), NotN(Atom("p", (fc,)))])
+        calls = counting_solve(monkeypatch)
+        assert miniprover.refute(clauses) is True
+        assert [len(prop) for prop in calls] == [3, 4]
+        assert decide([Atom("p", (C,)), Eq(fc, C), NotN(Atom("p", (fc,)))]).status \
+            == "Unsatisfiable"
+
+    def test_two_rounds(self, monkeypatch):
+        # r(a, a), a = b, ~r(b, b): the first round gives r(b, a) and
+        # r(a, b), and only the second reaches r(b, b)
+        clauses = clausify([Atom("r", (A, A)), Eq(A, B), NotN(Atom("r", (B, B)))])
+        calls = counting_solve(monkeypatch)
+        assert miniprover.refute(clauses) is True
+        assert len(calls) == 3
+
+    def test_no_lemma_for_a_model_that_keeps_congruence(self, monkeypatch):
+        clauses = clausify([Atom("r", (A, A)), Eq(A, B), Atom("r", (B, B))])
+        calls = counting_solve(monkeypatch)
+        assert miniprover.refute(clauses) is None
+        # the model still needs r(a, b) and r(b, a); once they hold, no
+        # row is violated
+        assert len(calls) == 2
+
+
+def counting_solve(monkeypatch):
+    """Record a copy of every clause list that `sat.solve` is given."""
+    calls = []
+    solve = sat.solve
+
+    def recording(prop, deadline=None):
+        calls.append(list(prop))
+        return solve(prop, deadline=deadline)
+
+    monkeypatch.setattr(sat, "solve", recording)
+    return calls
 
 
 class TestFindModel:
@@ -301,10 +430,12 @@ class TestUniqueNames:
 
     @pytest.mark.parametrize("unnamed, code, verdict",
                              [(None, 0, "Conforms"), (2, 1, "DoesNotConform")])
-    def test_five_people_validate(self, unnamed, code, verdict, tmp_path, capsys):
+    def test_five_people_validate(self, unnamed, code, verdict, tmp_path, capsys,
+                                  monkeypatch):
         shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
         shapes.write_text(PEOPLE_SHAPES)
         data.write_text(people(5, unnamed))
+        solved = counting_solve(monkeypatch)
         start = time.monotonic()
         got = cli.main(["validate", str(shapes), str(data),
                         "--prover", "builtin", "--timeout", "10", "--json"])
@@ -312,6 +443,10 @@ class TestUniqueNames:
         assert (got, json.loads(capsys.readouterr().out)["verdict"]) == (code, verdict)
         if unnamed is None:
             assert elapsed < 2
+        else:
+            # the refutation gets no congruence rows it does not use
+            assert elapsed < 1.5
+            assert max(len(prop) for prop in solved) <= 40_000
 
 
 WIDE = tuple(Var(f"X{i}") for i in range(6))

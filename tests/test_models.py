@@ -9,6 +9,7 @@ checks that pinning the constants kept apart loses no model.
 
 import itertools
 from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import load_graph, load_shapes
 from corpus import CASES
-from shacl2fol import miniprover
+from shacl2fol import miniprover, sat
 from shacl2fol.clausify import EQ, Literal
 from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, run_task
 from shacl2fol.fol import Const, Func, Var
@@ -189,30 +190,91 @@ SIZES = (1, 2, 3)
 
 
 @st.composite
-def clause_sets(draw):
+def clause_sets(draw, functions=False):
+    """Small clause sets over two or three constants kept apart at random.
+
+    With `functions`, terms may also be `f(t)` for a constant or variable
+    `t`, and literals may also be of the binary predicate `r`."""
     consts = NAMES[:draw(st.integers(2, 3))]
     apart = draw(st.lists(
         st.sampled_from(list(itertools.combinations(consts, 2))), unique=True))
     terms = st.sampled_from(consts + VARIABLES)
-    literal = st.one_of(
+    if functions:
+        terms = st.one_of(terms, st.builds(lambda t: Func("f", (t,)), terms))
+    literals = [
         st.builds(lambda positive, pred, t: Literal(positive, pred, (t,)),
                   st.booleans(), st.sampled_from(PREDICATES), terms),
         st.builds(lambda positive, s, t: Literal(positive, EQ, (s, t)),
                   st.booleans(), terms, terms),
-    )
+    ]
+    if functions:
+        literals.append(st.builds(lambda positive, s, t: Literal(positive, "r", (s, t)),
+                                  st.booleans(), terms, terms))
+    literal = st.one_of(*literals)
     clauses = draw(st.lists(st.frozensets(literal, min_size=1, max_size=3), max_size=5))
     return [frozenset({Literal(False, EQ, pair)}) for pair in apart] + clauses
 
 
+def _instance_rows(clauses, m: Structure):
+    """Each clause instance of `m`'s constants and functions as a row of
+    (predicate atom, sign), equalities evaluated; None if an instance is
+    false whatever the predicates are."""
+    rows = []
+    for cl in clauses:
+        names = sorted(set().union(*(_variables(a) for lit in cl for a in lit.args)))
+        for values in itertools.product(range(m.size), repeat=len(names)):
+            env = dict(zip(names, values))
+            row = []
+            for lit in cl:
+                args = tuple(_value(a, env, m) for a in lit.args)
+                if lit.pred != EQ:
+                    row.append(((lit.pred, args), lit.positive))
+                elif (args[0] == args[1]) == lit.positive:
+                    break
+            else:
+                if not row:
+                    return None
+                rows.append(row)
+    return rows
+
+
+def _predicates(rows) -> Optional[set]:
+    """The atoms to make true so every row holds, by exhaustive search."""
+    atoms = sorted({atom for row in rows for atom, _ in row})
+    truth = {}
+
+    def search(k: int) -> bool:
+        if any(all(atom in truth and truth[atom] != positive for atom, positive in row)
+               for row in rows):
+            return False
+        if k == len(atoms):
+            return True
+        for value in (False, True):
+            truth[atoms[k]] = value
+            if search(k + 1):
+                return True
+        del truth[atoms[k]]
+        return False
+
+    return {atom for atom in atoms if truth[atom]} if search(0) else None
+
+
 def brute_force_model(clauses, size: int):
-    """Some structure of the size that satisfies the clauses, or None."""
-    consts = sorted(_symbols(clauses)[0])
-    atoms = [(pred, (d,)) for pred in PREDICATES for d in range(size)]
+    """Some structure of the size that satisfies the clauses, or None: every
+    value of the constants and every table of the functions, each with an
+    exhaustive search of the predicates."""
+    consts, funcs = (sorted(symbols) for symbols in _symbols(clauses))
+    applications = [(name, args) for name, arity in funcs
+                    for args in itertools.product(range(size), repeat=arity)]
     for values in itertools.product(range(size), repeat=len(consts)):
-        for truth in itertools.product((False, True), repeat=len(atoms)):
-            m = Structure(size, dict(zip(consts, values)), {},
-                          {atom for atom, holds in zip(atoms, truth) if holds})
-            if satisfies(m, clauses):
+        for table in itertools.product(range(size), repeat=len(applications)):
+            m = Structure(size, dict(zip(consts, values)),
+                          dict(zip(applications, table)), set())
+            rows = _instance_rows(clauses, m)
+            preds = None if rows is None else _predicates(rows)
+            if preds is not None:
+                m.preds = preds
+                assert satisfies(m, clauses)
                 return m
     return None
 
@@ -230,3 +292,75 @@ def test_pinning_keeps_every_model(clauses):
             assert satisfies(read_model(got, clauses), clauses)
     if miniprover.refute(clauses) is True:
         assert not any(exists.values())
+
+
+# --- predicate congruence on demand ------------------------------------------
+
+def eager_congruence_rows(pool, clauses, with_skolem_terms: bool):
+    """Every predicate-congruence row over the refutation's universe, as
+    `refute` once built them up front; `pool` numbers the atoms."""
+    preds, consts, funcs = miniprover._collect_signature(clauses)
+    base = [Const(c) for c in consts] or [Const("herbrand_c0")]
+    universe = list(base)
+    if with_skolem_terms:
+        universe += [Func(name, args) for name, arity in funcs.items()
+                     for args in itertools.product(base, repeat=arity)]
+    assert len(universe) <= miniprover._MAX_UNIVERSE
+    term_ids = {t: i for i, t in enumerate(universe)}
+    apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
+             for a, b in miniprover._apart(clauses)}
+    ids = range(len(universe))
+    rows = []
+    for pname, arity in preds.items():
+        for args in itertools.product(ids, repeat=arity):
+            pa = pool.get(("p", pname, args))
+            for pos in range(arity):
+                for other in ids:
+                    if other == args[pos]:
+                        continue
+                    pair = tuple(sorted((args[pos], other)))
+                    if pair in apart:
+                        continue
+                    new_args = args[:pos] + (other,) + args[pos + 1:]
+                    pb = pool.get(("p", pname, new_args))
+                    e = pool.get(("e", *pair))
+                    rows.append((-pa, -e, pb))
+    return rows
+
+
+def eager_refute(clauses, with_skolem_terms: bool):
+    """`refute` with every predicate-congruence row given to the solver up
+    front: its first model then violates no row, so it solves once."""
+    pools, calls = [], []
+
+    class RecordingPool(miniprover._VarPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+    solve = sat.solve
+
+    def with_rows(prop, deadline=None):
+        calls.append(prop)
+        rows = eager_congruence_rows(pools[-1], clauses, with_skolem_terms)
+        return solve(list(prop) + rows, deadline=deadline)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(miniprover, "_VarPool", RecordingPool)
+        mp.setattr(sat, "solve", with_rows)
+        got = miniprover.refute(clauses, with_skolem_terms=with_skolem_terms)
+    assert len(calls) == 1
+    return got
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(clause_sets(functions=True))
+def test_congruence_lemmas_refute_as_the_eager_rows_do(clauses):
+    refuted = False
+    for with_skolem_terms in (False, True):
+        got = miniprover.refute(clauses, with_skolem_terms=with_skolem_terms)
+        assert got == eager_refute(clauses, with_skolem_terms)
+        refuted = refuted or got is True
+    if refuted:
+        assert all(brute_force_model(clauses, size) is None for size in SIZES)
