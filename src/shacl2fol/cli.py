@@ -52,7 +52,7 @@ def _add_common(sp: argparse.ArgumentParser, with_prover: bool = True):
     sp.add_argument("--out", metavar="FILE", help="where to write the TPTP problem")
     sp.add_argument("--json", action="store_true", help="machine-readable result")
     if with_prover:
-        sp.add_argument("--prover", choices=["auto", "e", "vampire", "builtin", "none"],
+        sp.add_argument("--prover", choices=["auto", "e", "vampire", "builtin"],
                         default="auto")
         sp.add_argument("--prover-path", metavar="EXE",
                         help="prover executable (overrides discovery)")
@@ -103,13 +103,12 @@ def build_parser() -> _ArgumentParser:
 
 
 def _options(args) -> EmitOptions:
-    dialect = Dialect.FOF if args.dialect == "fof" else Dialect.TFF
+    dialect = Dialect(args.dialect)
     if args.una is None:
         una = UnaMode.PAIRWISE if dialect is Dialect.FOF else UnaMode.DISTINCT
     else:
-        una = UnaMode.PAIRWISE if args.una == "pairwise" else UnaMode.DISTINCT
-    star = StarMode.APPROXIMATE if args.star == "approx" else StarMode.GROUNDED
-    return EmitOptions(una_mode=una, dialect=dialect, star_mode=star,
+        una = UnaMode(args.una)
+    return EmitOptions(una_mode=una, dialect=dialect, star_mode=StarMode(args.star),
                        cardinality_limit=args.cardinality_limit)
 
 
@@ -187,7 +186,7 @@ def _run_emit(args) -> int:
         ns.shapes_a, ns.shapes_b = args.files
     else:
         ns.shapes, ns.data = args.files
-    task = _build_task(kind, ns, ProverConfig("none"))
+    task = _build_task(kind, ns, ProverConfig())
     doc = decide.build_problem(task)
     path = decide.write_problem(decide.render(doc), args.out)
     if args.json:

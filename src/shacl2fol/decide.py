@@ -43,7 +43,7 @@ _EXECUTABLES = {
 
 _SZS_RE = re.compile(r"SZS status (\w+)")
 
-_UNKNOWN_STATUSES = {"Timeout", "GaveUp", "Error", "ResourceOut", "Unknown", "NotRun"}
+_UNKNOWN_STATUSES = {"Timeout", "GaveUp", "Error", "ResourceOut", "Unknown"}
 _SAT_STATUSES = {"Satisfiable", "CounterSatisfiable"}
 _UNSAT_STATUSES = {"Unsatisfiable", "Theorem", "ContradictoryAxioms"}
 
@@ -69,7 +69,7 @@ POSITIVE_VERDICTS = {Verdict.SATISFIABLE, Verdict.CONTAINED, Verdict.CONFORMS}
 
 @dataclass
 class ProverConfig:
-    kind: str = "auto"  # e | vampire | builtin | none | auto
+    kind: str = "auto"  # auto | e | vampire | builtin | custom (runs `executable`)
     executable: Optional[str] = None
     timeout_s: float = 60.0
 
@@ -239,19 +239,16 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
     """Run the prover of `config` on the rendered problem; `config` is
     resolved already (`ProverConfig.resolve`), so its kind is not `auto`.
 
-    The problem file is kept at `problem_path` when one is given, and for
-    the prover `none`, whose only product is the file.  Otherwise nothing
-    is left behind and `problem_file` is "": the built-in prover decides the
-    text in memory, and an external prover reads it from a temporary
-    directory that is removed after the run.
+    The problem file is kept at `problem_path` when one is given.
+    Otherwise nothing is left behind and `problem_file` is "": the built-in
+    prover decides the text in memory, and an external prover reads it from
+    a temporary directory that is removed after the run.
     """
     text = render(doc)
     problem_file = ""
-    if problem_path is not None or config.kind == "none":
+    if problem_path is not None:
         problem_file = write_problem(text, problem_path)
     start = time.monotonic()
-    if config.kind == "none":
-        return ProverRun("NotRun", "", problem_file, 0)
     if config.kind == "builtin":
         result = miniprover.decide_tptp_text(text, timeout_s=config.timeout_s)
         elapsed = int((time.monotonic() - start) * 1000)

@@ -6,10 +6,9 @@ Two sound, incomplete procedures over the clausal form:
   over increasing domain sizes; any model found is a genuine first-order
   model, so the answer Satisfiable is sound.
 * ground refutation: clause instantiation over a bounded Herbrand universe
-  plus ground equality axioms, predicate congruence among them added as
-  lemmas a candidate model violates; a propositionally unsatisfiable
-  grounding witnesses first-order unsatisfiability, so Unsatisfiable is
-  sound.
+  plus the ground equality axioms, each added as a lemma once a candidate
+  model violates it; a propositionally unsatisfiable grounding witnesses
+  first-order unsatisfiability, so Unsatisfiable is sound.
 
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
@@ -108,6 +107,7 @@ _MAX_GROUND = 400_000
 _MAX_UNIVERSE = 24
 # Model sizes searched above the smallest (one element per constant).
 _LARGER_SIZES = 3
+_END = object()  # an exhausted iterator's `next` default
 
 
 def _instances(values, repeat: int, deadline: Optional[float]):
@@ -138,10 +138,10 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     false), and any other value is a SAT literal.  The variables that
     `fixed` binds keep their value and are not enumerated.
 
-    The variables are bound one at a time in sorted order, depth-first, so
-    the instances come in the order of `itertools.product`.  Each literal is
-    encoded as soon as its last variable is bound, and a None drops every
-    instance below that partial binding without enumerating it.
+    The variables are bound one at a time in sorted order, depth-first on a
+    stack, so the instances come in the order of `itertools.product`.  Each
+    literal is encoded as soon as its last variable is bound, and a None
+    drops every instance below that partial binding without enumerating it.
     """
     fixed = fixed or {}
     prop: list[tuple[int, ...]] = []
@@ -158,27 +158,30 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
                     default=0)
             ready[k].append(i)
         codes = [0] * len(lits)
-
-        def bind(k: int) -> None:
-            nonlocal bindings
-            for i in ready[k]:
-                code = encode(lits[i], env)
-                if code is None:
-                    return
-                codes[i] = code
-            if k == len(vs):
-                prop.append(tuple(filter(None, codes)))
-                return
-            name = vs[k]
-            for value in values:
+        # levels[k] binds the k-th variable; level 0 binds none
+        levels = [iter((None,))]
+        while levels:
+            k = len(levels) - 1
+            value = next(levels[-1], _END)
+            if value is _END:
+                levels.pop()
+                continue
+            if k:
                 bindings += 1
                 if bindings % _CHECK_EVERY == 0 and deadline is not None \
                         and time.monotonic() > deadline:
                     raise sat.TimeBudgetExceeded()
-                env[name] = value
-                bind(k + 1)
-
-        bind(0)
+                env[vs[k - 1]] = value
+            for i in ready[k]:
+                code = encode(lits[i], env)
+                if code is None:
+                    break
+                codes[i] = code
+            else:
+                if k == len(vs):
+                    prop.append(tuple(filter(None, codes)))
+                else:
+                    levels.append(iter(values))
     return prop
 
 
@@ -405,69 +408,61 @@ def refute(
         return None
     prop = _ground([_ordered(cl) for cl in clauses], ids, lit_code, deadline)
 
-    # ground equality theory: transitivity and function congruence up front
-    # (symmetry and reflexivity are folded into the canonical eq_code
-    # encoding), predicate congruence on demand below; a row with a false
-    # premise is true and never built, a false conclusion is dropped from
-    # its row
-    if len(ids) <= 16:
-        for triple in itertools.combinations(ids, 3):
-            # one clause per choice of conclusion pair: the other two
-            # canonical atoms jointly imply it
-            for k in range(3):
-                rest = tuple(t for i, t in enumerate(triple) if i != k)
-                shared = triple[k]
-                premises = [tuple(sorted((shared, other))) for other in rest]
-                if any(pair in apart for pair in premises):
-                    continue
-                conclusion = eq_var(rest)
-                e1, e2 = (pool.get(("e", *pair)) for pair in premises)
-                prop.append((-e1, -e2) if conclusion is None else (-e1, -e2, conclusion))
-    # skolem function congruence over universe members
-    for (fname, args), i in app_ids.items():
-        for (gname, other_args), j in app_ids.items():
-            if gname == fname and j != i:
-                premises = [tuple(sorted(pair)) for pair in zip(args, other_args)
-                            if pair[0] != pair[1]]
-                if any(pair in apart for pair in premises):
-                    continue
-                arg_eqs = [pool.get(("e", *pair)) for pair in premises]
-                conclusion = eq_var((i, j) if i < j else (j, i))
-                prop.append(tuple(-e for e in arg_eqs)
-                            + (() if conclusion is None else (conclusion,)))
-
-    # predicate congruence, as lemmas: solve, then add the rows that the
-    # model violates, until it violates none or the rows refute
+    # the ground equality theory but symmetry and reflexivity (eq_code
+    # folds them in), as lemmas: solve, then add the rows that the model
+    # violates, until it violates none or the rows refute
     while len(prop) <= _MAX_GROUND:
         model = sat.solve(prop, deadline=deadline)
         if model is None:
             return True
-        lemmas = _congruence_lemmas(pool, model)
+        lemmas = _equality_lemmas(pool, model, app_ids, eq_var)
         if not lemmas:
             return None
         prop.extend(lemmas)
     return None
 
 
-def _congruence_lemmas(pool: _VarPool, model: dict[int, bool]) -> list[tuple[int, ...]]:
-    """The predicate-congruence rows `¬p(ā) ∨ ¬(a_i = u) ∨ p(ā[i:=u])` that
-    the model violates: p(ā) and a_i = u true, p(ā[i:=u]) false.  A variable
-    the model does not assign counts as false."""
-    equal: dict[int, list[tuple[int, int]]] = {}
+def _equality_lemmas(pool: _VarPool, model: dict[int, bool], app_ids: dict,
+                     eq_var) -> list[tuple[int, ...]]:
+    """The rows the model violates of transitivity `¬(a = b) ∨ ¬(b = c) ∨
+    a = c`, function congruence `¬(ā = b̄) ∨ f(ā) = f(b̄)` and predicate
+    congruence `¬p(ā) ∨ ¬(a_i = u) ∨ p(ā[i:=u])`.
+
+    A variable the model does not assign counts as false.  A conclusion
+    that `eq_var` makes false is dropped; a premise it makes false is never
+    true, so its rows are never violated."""
+    equal: dict[int, dict[int, int]] = {}  # term -> {equal term: its variable}
     atoms = []
     for key, v in pool.ids.items():
         if not model.get(v, False):
             continue
         if key[0] == "e":
             _, i, j = key
-            equal.setdefault(i, []).append((j, v))
-            equal.setdefault(j, []).append((i, v))
+            equal.setdefault(i, {})[j] = v
+            equal.setdefault(j, {})[i] = v
         else:
             atoms.append((key, v))
+
+    def same(i: int, j: int) -> bool:
+        return i == j or j in equal.get(i, {})
+
+    def row(premises, i: int, j: int) -> tuple[int, ...]:
+        conclusion = eq_var((i, j) if i < j else (j, i))
+        return tuple(-e for e in premises) + (() if conclusion is None else (conclusion,))
+
     lemmas = []
+    for others in equal.values():
+        for (a, e1), (c, e2) in itertools.combinations(others.items(), 2):
+            if not same(a, c):
+                lemmas.append(row((e1, e2), a, c))
+    for ((fname, args), i), ((gname, other_args), j) in itertools.combinations(
+            app_ids.items(), 2):
+        pairs = list(zip(args, other_args))
+        if gname == fname and not same(i, j) and all(same(*p) for p in pairs):
+            lemmas.append(row([equal[a][b] for a, b in pairs if a != b], i, j))
     for (_, pname, args), pa in atoms:
         for pos, a in enumerate(args):
-            for other, e in equal.get(a, ()):
+            for other, e in equal.get(a, {}).items():
                 pb = pool.get(("p", pname, args[:pos] + (other,) + args[pos + 1:]))
                 if not model.get(pb, False):
                     lemmas.append((-pa, -e, pb))

@@ -241,7 +241,6 @@ def test_criterion_7_problems_parse():
                 load_shapes(case.shapes_ttl),
                 data_graph=load_graph(case.data_ttl),
                 options=options_for(case, dialect, una),
-                prover=ProverConfig("none"),
             )
             units = parse_tptp(render(build_problem(task)))
             assert units

@@ -69,11 +69,6 @@ class TestExitCodes:
         assert code == 0
         assert capsys.readouterr().out.startswith("Contained")
 
-    def test_prover_none_is_unknown(self, files, capsys, monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(files["dir"]))  # keeps its file
-        assert cli.main(["sat", files["shapes"], "--prover", "none"]) == 2
-        assert capsys.readouterr().out.startswith("Unknown")
-
     def test_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sat"])
@@ -203,9 +198,10 @@ class TestProblemFile:
         assert cli.main(["contains", files["shapes"], files["shapes"], *BUILTIN]) == 0
         assert "problem:" not in capsys.readouterr().out
         assert not list(tmp.glob("shacl2fol_*"))
-        # the prover none writes the problem and keeps it
-        assert cli.main(["sat", files["shapes"], "--prover", "none"]) == 2
-        assert len(list(tmp.glob("shacl2fol_*.p"))) == 1
+        # emit without --out writes the problem to a temp file and keeps it
+        assert cli.main(["emit", "sat", files["shapes"]]) == 0
+        kept = list(tmp.glob("shacl2fol_*.p"))
+        assert len(kept) == 1 and capsys.readouterr().out.strip() == str(kept[0])
 
     def test_problem_file_reported_only_with_out(self, files, capsys):
         assert cli.main(["sat", files["shapes"], "--json", *BUILTIN]) == 0

@@ -101,7 +101,6 @@ class TestVerdictMapping:
         ("ContradictoryAxioms", Verdict.UNSATISFIABLE),
         ("Timeout", Verdict.UNKNOWN),
         ("GaveUp", Verdict.UNKNOWN),
-        ("NotRun", Verdict.UNKNOWN),
     ])
     def test_satisfiability(self, szs, want):
         assert _verdict(TaskKind.SATISFIABILITY, szs) == want
@@ -185,14 +184,6 @@ class TestRunProver:
         exe = stub_prover(tmp_path, "sleep.sh", "sleep 30")
         run = run_prover(self._doc(), ProverConfig("custom", exe, -4))
         assert run.szs_status == "Timeout"
-
-    def test_none_skips_execution(self, tmp_path):
-        run = run_prover(
-            self._doc(), ProverConfig("none"),
-            problem_path=str(tmp_path / "out.p"),
-        )
-        assert run.szs_status == "NotRun" and run.output == "" and run.elapsed_ms == 0
-        assert os.path.getsize(run.problem_file) > 0
 
     def test_external_prover_reads_a_file_that_is_removed_after(self, tmp_path, monkeypatch):
         tmp = tmp_path / "tmp"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -117,6 +118,23 @@ class TestGround:
         # q_of_f: X=a gives q(f(a)), X=f(a) names f(f(a)) and is dropped
         assert got == [(2,), (2,)]
 
+    def test_grounding_leaves_no_garbage_per_clause(self):
+        # with the cyclic collector off, what one refutation and one model
+        # search leave unreachable must not grow with the clause count
+        def garbage(n):
+            clauses = [frozenset({Literal(True, f"p{i}", (X,)),
+                                  Literal(False, f"q{i}", (X, A))}) for i in range(n)]
+            gc.collect()
+            gc.disable()
+            try:
+                miniprover.refute(clauses)
+                miniprover.find_model(clauses, 2)
+                return gc.collect()
+            finally:
+                gc.enable()
+
+        assert garbage(100) == garbage(10)
+
 
 # a random clause set over the universe {a, b, f(a)}, with an encoding of
 # its ground literals drawn as a table: no side effects, so any order of
@@ -201,7 +219,8 @@ class TestGroundPruning:
 
 
 class TestCongruenceLemmas:
-    """`refute` adds predicate congruence only as rows a model violates."""
+    """`refute` adds the ground equality theory (transitivity, function and
+    predicate congruence) only as rows a model violates."""
 
     def test_lemma_through_a_skolem_term(self, monkeypatch):
         # p(c), f(c) = c, ~p(f(c)): the first model makes p(c) and
@@ -229,6 +248,39 @@ class TestCongruenceLemmas:
         # the model still needs r(a, b) and r(b, a); once they hold, no
         # row is violated
         assert len(calls) == 2
+
+    def test_transitivity_over_more_than_sixteen_constants(self):
+        # c0 = c1, c1 = c2 and ~(c0 = c2) among 17 constants: the one
+        # transitivity row the first model violates refutes
+        consts = [Const(f"c{i}") for i in range(17)]
+        formulas = [Atom("p", (c,)) for c in consts] + [
+            Eq(consts[0], consts[1]), Eq(consts[1], consts[2]),
+            NotN(Eq(consts[0], consts[2]))]
+        assert miniprover.refute(clausify(formulas), with_skolem_terms=False) is True
+        assert decide(formulas).status == "Unsatisfiable"
+
+    def test_function_congruence_lemma(self, monkeypatch):
+        # a = b and ~(f(a) = f(b)): the first model violates one function
+        # congruence row, a = b -> f(a) = f(b), and that row refutes
+        fa, fb = Func("f", (A,)), Func("f", (B,))
+        clauses = clausify([Eq(A, B), NotN(Eq(fa, fb))])
+        calls = counting_solve(monkeypatch)
+        assert miniprover.refute(clauses, with_skolem_terms=False) is None
+        assert miniprover.refute(clauses) is True
+        assert [len(prop) for prop in calls] == [1, 2, 3]
+
+
+def recording_pools(monkeypatch):
+    """Record every `_VarPool` that the prover makes."""
+    pools = []
+
+    class RecordingPool(miniprover._VarPool):
+        def __init__(self):
+            super().__init__()
+            pools.append(self)
+
+    monkeypatch.setattr(miniprover, "_VarPool", RecordingPool)
+    return pools
 
 
 def counting_solve(monkeypatch):
@@ -393,12 +445,15 @@ class TestUniqueNames:
 
     def test_refutation_builds_no_variable_for_a_false_equality(self, monkeypatch):
         # a = b is false by the unit ~(a = b): the clause a = b | b = c keeps
-        # b = c (1), the transitivity rows with premise a = b are never
-        # built, and a = c & b = c -> a = b loses its conclusion
-        solved = []
-        monkeypatch.setattr(sat, "solve", lambda prop, deadline=None: solved.append(prop))
-        miniprover.refute(clausify([NotN(Eq(A, B)), OrN((Eq(A, B), Eq(B, C)))]))
-        assert solved == [[(1,), (-2, -1)]]
+        # b = c (1) and a = c is (2); the model makes both true, and the
+        # violated transitivity row a = c & b = c -> a = b loses its
+        # conclusion, which refutes
+        solved = counting_solve(monkeypatch)
+        pools = recording_pools(monkeypatch)
+        clauses = clausify([NotN(Eq(A, B)), OrN((Eq(A, B), Eq(B, C))), Eq(A, C)])
+        assert miniprover.refute(clauses) is True
+        assert solved == [[(1,), (2,)], [(1,), (2,), (-1, -2)]]
+        assert pools[0].ids == {("e", 1, 2): 1, ("e", 0, 2): 2}
 
     def test_self_containment_of_two_targets_is_decided_quickly(self, monkeypatch):
         searches = []
