@@ -8,7 +8,11 @@ Two sound, incomplete procedures over the clausal form:
 * ground refutation: clause instantiation over a bounded Herbrand universe
   plus the ground equality axioms, each added as a lemma once a candidate
   model violates it; a propositionally unsatisfiable grounding witnesses
-  first-order unsatisfiability, so Unsatisfiable is sound.
+  first-order unsatisfiability, so Unsatisfiable is sound.  Only the
+  relevant instances are built: each clause's negative literals are
+  joined against the atoms that can be true, which grow semi-naively from
+  the facts.  Making every other atom false extends a model of those
+  instances to one of the full grounding, so the answer is the same.
 
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
@@ -24,10 +28,12 @@ prints a standard `% SZS status <Status>` line.
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import sat
 from .clausify import EQ, Clause, Literal, clausify, term_vars
@@ -108,6 +114,7 @@ _MAX_UNIVERSE = 24
 # Model sizes searched above the smallest (one element per constant).
 _LARGER_SIZES = 3
 _END = object()  # an exhausted iterator's `next` default
+_SECOND = operator.itemgetter(1)
 
 
 def _instances(values, repeat: int, deadline: Optional[float]):
@@ -128,9 +135,78 @@ def _var_names(lits: list[Literal]) -> list[str]:
     return sorted({v.name for lit in lits for a in lit.args for v in term_vars(a)})
 
 
+class _Guard(NamedTuple):
+    """A level of `_ground` that binds `names` by matching the negative
+    literal `lits[lit]` against the atoms that can be true."""
+    lit: int
+    names: tuple[str, ...]
+    keyed: tuple[int, ...]  # the argument positions ground before this level
+    free: tuple[int, ...]  # the others, matched one by one
+    # the position of each name, when the free positions are distinct
+    # variables (then `names` follows them); None when they need
+    # `_Relevant._match`
+    pick: Optional[tuple[int, ...]]
+    # which atoms: -1, those of the last round; 0, those before it; 1, both
+    order: int
+
+
+def _plans(lits: list[Literal], fixed: dict, guards: tuple[int, ...] = ()):
+    """How to bind a clause's variables: `levels`, and `ready[k]`, the
+    literals that the first k levels make ground.
+
+    Without `guards`, one plan, in which each level is one variable, in
+    sorted order.  With them, one plan per guard: that guard first, matched
+    against the atoms of the last round; then the other guards, each time
+    the one with the most arguments already ground; then, one at a time,
+    the variables no guard binds."""
+    lit_vars = [{v.name for a in lit.args for v in term_vars(a)} for lit in lits]
+    if not guards:
+        levels = sorted(set().union(*lit_vars).difference(fixed))
+        return [(levels, _ready(lit_vars, {v: k for k, v in enumerate(levels, 1)}, levels))]
+    arg_vars = [[{v.name for v in term_vars(a)} for a in lit.args] for lit in lits]
+    plans = []
+    for first in range(len(guards)):
+        bound = set(fixed)
+        levels: list = []
+
+        def keyed(i: int) -> tuple[int, ...]:
+            return tuple(p for p, names in enumerate(arg_vars[i]) if names <= bound)
+
+        todo = list(guards)
+        while todo:
+            g = guards[first] if not levels else max(todo, key=lambda i: len(keyed(i)))
+            todo.remove(g)
+            args = lits[g].args
+            ground = keyed(g)
+            free = tuple(p for p in range(len(args)) if p not in ground)
+            plain = {args[p].name: p for p in free if isinstance(args[p], Var)}
+            if len(plain) == len(free) == len(lit_vars[g] - bound):
+                names, pick = tuple(plain), tuple(plain.values())
+            else:
+                names, pick = tuple(sorted(lit_vars[g] - bound)), None
+            order = -1 if not levels else int(guards.index(g) > first)
+            levels.append(_Guard(g, names, ground, free, pick, order))
+            bound.update(names)
+        levels.extend(sorted(set().union(*lit_vars) - bound))
+        depth = {}
+        for k, level in enumerate(levels, 1):
+            for name in ((level,) if isinstance(level, str) else level.names):
+                depth[name] = k
+        plans.append((levels, _ready(lit_vars, depth, levels)))
+    return plans
+
+
+def _ready(lit_vars: list[set[str]], depth: dict[str, int], levels: list) -> list[list[int]]:
+    """For each depth, the literals whose last variable it binds."""
+    ready: list[list[int]] = [[] for _ in range(len(levels) + 1)]
+    for i, names in enumerate(lit_vars):
+        ready[max((depth[n] for n in names if n in depth), default=0)].append(i)
+    return ready
+
+
 def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[float],
-            fixed: Optional[dict] = None):
-    """The propositional clauses of every instance of `clauses` over `values`.
+            fixed: Optional[dict] = None, relevant: Optional["_Relevant"] = None):
+    """The propositional clauses of the instances of `clauses` over `values`.
 
     `encode(lit, env)` gives the code of one literal under the binding `env`
     of the clause's variables: None drops the instance (the literal is true,
@@ -138,50 +214,69 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     false), and any other value is a SAT literal.  The variables that
     `fixed` binds keep their value and are not enumerated.
 
-    The variables are bound one at a time in sorted order, depth-first on a
-    stack, so the instances come in the order of `itertools.product`.  Each
-    literal is encoded as soon as its last variable is bound, and a None
-    drops every instance below that partial binding without enumerating it.
+    Without `relevant`, every instance: the variables are bound one at a
+    time in sorted order, depth-first on a stack, so the instances come in
+    the order of `itertools.product`.  Each literal is encoded as soon as
+    its last variable is bound, and a None drops every instance below that
+    partial binding without enumerating it.
+
+    With `relevant` (the refutation), only the instances whose negative
+    literals, the guards, all fall on atoms that can be true: a clause
+    without guards is enumerated as above, and a guarded one is built by
+    joining its guards against `relevant`'s atoms, each instance in the
+    round its last guard atom arrives; only the variables no guard binds
+    are enumerated.  Each ground clause is kept once, as a sorted tuple of
+    its literals, and its positive literals make their atoms possibly true
+    for the next round.
     """
     fixed = fixed or {}
     prop: list[tuple[int, ...]] = []
+    kept: set[tuple[int, ...]] = set()
     bindings = 0
-    for lits in clauses:
-        names = _var_names(lits)
-        vs = [v for v in names if v not in fixed]
-        env = {v: fixed[v] for v in names if v in fixed}
-        depth = {v: k + 1 for k, v in enumerate(vs)}
-        # the literals to encode once the first k variables are bound
-        ready: list[list[int]] = [[] for _ in range(len(vs) + 1)]
-        for i, lit in enumerate(lits):
-            k = max((depth.get(v.name, 0) for a in lit.args for v in term_vars(a)),
-                    default=0)
-            ready[k].append(i)
+    if relevant is None:
+        jobs = ((lits, *_plans(lits, fixed)[0], None) for lits in clauses)
+    else:
+        jobs = relevant.jobs(clauses, fixed, prop)
+    for lits, levels, ready, rounds in jobs:
+        env = dict(fixed)
         codes = [0] * len(lits)
-        # levels[k] binds the k-th variable; level 0 binds none
-        levels = [iter((None,))]
-        while levels:
-            k = len(levels) - 1
-            value = next(levels[-1], _END)
+        # levels[k - 1] binds at depth k; depth 0 binds nothing
+        stack = [iter((None,))]
+        while stack:
+            k = len(stack) - 1
+            value = next(stack[-1], _END)
             if value is _END:
-                levels.pop()
+                stack.pop()
                 continue
+            bindings += 1
+            if bindings % _CHECK_EVERY == 0 and deadline is not None \
+                    and time.monotonic() > deadline:
+                raise sat.TimeBudgetExceeded()
             if k:
-                bindings += 1
-                if bindings % _CHECK_EVERY == 0 and deadline is not None \
-                        and time.monotonic() > deadline:
-                    raise sat.TimeBudgetExceeded()
-                env[vs[k - 1]] = value
+                level = levels[k - 1]
+                if isinstance(level, str):
+                    env[level] = value
+                else:
+                    env.update(zip(level.names, value))
             for i in ready[k]:
                 code = encode(lits[i], env)
                 if code is None:
                     break
                 codes[i] = code
             else:
-                if k == len(vs):
+                if k < len(levels):
+                    level = levels[k]
+                    stack.append(iter(values if isinstance(level, str)
+                                      else relevant.matches(lits[level.lit], level, env, rounds)))
+                    continue
+                if relevant is None:
                     prop.append(tuple(filter(None, codes)))
-                else:
-                    levels.append(iter(values))
+                    continue
+                # a set of literals, as a sorted tuple
+                instance = tuple(sorted(set(filter(None, codes))))
+                if instance not in kept:
+                    kept.add(instance)
+                    prop.append(instance)
     return prop
 
 
@@ -220,17 +315,20 @@ def _collect_signature(clauses: list[Clause]):
 def _apart(clauses: list[Clause]) -> set[tuple[str, str]]:
     """The pairs of constants, each pair sorted, that a ground unit clause
     `¬(a = b)` keeps apart: every model gives the two different elements."""
-    pairs = set()
-    for cl in clauses:
-        if len(cl) != 1:
-            continue
-        (lit,) = cl
-        if lit.positive or lit.pred != EQ:
-            continue
-        a, b = lit.args
-        if isinstance(a, Const) and isinstance(b, Const) and a != b:
-            pairs.add(tuple(sorted((a.name, b.name))))
-    return pairs
+    return {pair for cl in clauses if (pair := _apart_pair(cl)) is not None}
+
+
+def _apart_pair(cl: Clause) -> Optional[tuple[str, str]]:
+    """The sorted pair of constants if `cl` is a unit `¬(a = b)`, else None."""
+    if len(cl) != 1:
+        return None
+    (lit,) = cl
+    if lit.positive or lit.pred != EQ:
+        return None
+    a, b = lit.args
+    if isinstance(a, Const) and isinstance(b, Const) and a != b:
+        return tuple(sorted((a.name, b.name)))
+    return None
 
 
 # --- finite model search ----------------------------------------------------
@@ -340,6 +438,204 @@ def find_model(
 
 # --- ground refutation ------------------------------------------------------
 
+class _Relevant:
+    """The refutation's universe, and the ground atoms that can be true.
+
+    Terms are universe indices: constants by name, Skolem terms by their
+    symbol and argument indices.  The atoms that can be true start empty
+    and grow, semi-naively, with the positive literals of the instances
+    that `_ground` keeps.  Possibly-equal terms are union-find classes,
+    filled from the positive equality literals and closed under Skolem-
+    function congruence; the atoms are closed under the classes, and the
+    relation `=` holds the possibly-equal pairs, each term with itself
+    included.
+    """
+
+    def __init__(self, universe: list[Term], pool: _VarPool):
+        self.pool = pool
+        self.const_ids = {t.name: i for i, t in enumerate(universe) if isinstance(t, Const)}
+        self.app_ids = {(t.name, tuple(self.const_ids[a.name] for a in t.args)): i
+                        for i, t in enumerate(universe) if isinstance(t, Func)}
+        self.apps = {i: key for key, i in self.app_ids.items()}
+        self.rep = list(range(len(universe)))  # each term's class representative
+        self.members = {i: [i] for i in range(len(universe))}
+        # atom -> its arrival number, how many atoms came before it
+        self.arrival: dict[tuple[str, tuple[int, ...]], int] = {}
+        self.fresh: set[str] = set()  # the relations with atoms since the last round
+        self.learned: set[int] = set()  # the codes `_learn` has seen
+        # relation -> the (arrival, arguments) of its atoms, in arrival order
+        self.atoms: dict[str, list] = {}
+        # relation -> {argument positions: {their values: (arrival, arguments)}}
+        self.indexes: dict[str, dict] = {}
+        for i in range(len(universe)):
+            self._add(EQ, (i, i))
+
+    def value(self, t: Term, env: dict[str, int]) -> Optional[int]:
+        """The universe index of `t` under `env`; None outside the universe."""
+        if isinstance(t, Var):
+            return env[t.name]
+        if isinstance(t, Const):
+            return self.const_ids[t.name]
+        args = tuple(self.value(a, env) for a in t.args)
+        return None if None in args else self.app_ids.get((t.name, args))
+
+    def jobs(self, clauses: list[list[Literal]], fixed: dict, prop: list):
+        """`_ground`'s work, in rounds of semi-naive evaluation.
+
+        First each clause without guards, over the universe.  Then, while
+        atoms arrive, each clause with a guard on the relation of an atom
+        that arrived in the last round, that guard matched against those
+        atoms.  Between rounds the atoms of the instances kept, the tail
+        of `prop`, are learned."""
+        triggers: dict[str, list] = {}
+        for lits in clauses:
+            guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
+            plans = _plans(lits, fixed, guards)
+            if not guards:
+                yield (lits, *plans[0], None)
+            for g, plan in zip(guards, plans):
+                triggers.setdefault(lits[g].pred, []).append((lits, *plan))
+        learned = done = 0
+        while True:
+            self._learn(prop[learned:])
+            learned = len(prop)
+            if done == len(self.arrival):
+                return
+            rounds = (done, len(self.arrival))
+            fresh, self.fresh = self.fresh, set()
+            for rel, entries in triggers.items():
+                if rel in fresh:
+                    for lits, levels, ready in entries:
+                        yield lits, levels, ready, rounds
+            done = rounds[1]
+
+    def matches(self, lit: Literal, level: _Guard, env: dict[str, int], rounds):
+        """The values of `level.names` under which `lit` falls on an atom
+        that can be true, of those that arrived before the last round ends
+        (`rounds`); in the last round itself if `level.order` is -1, or
+        before it if 0.  An atom is looked up by the positions already
+        ground; a Skolem term in another position is matched through its
+        symbol and arguments."""
+        args = lit.args
+        key = tuple([env[args[p].name] if isinstance(args[p], Var) else self.value(args[p], env)
+                     for p in level.keyed])
+        if None in key:
+            return ()
+        since, until = rounds
+        if not level.free:  # the atom is ground: is it there?
+            arrival = self.arrival.get((lit.pred, key), until)
+            return ((),) if (since if level.order < 0 else 0) <= arrival \
+                < (until if level.order else since) else ()
+        entries = self._lookup(lit.pred, level.keyed, key)
+        # the entries come in arrival order
+        entries = itertools.islice(
+            entries, bisect_left(entries, (since,)) if level.order < 0 else 0,
+            bisect_left(entries, (until if level.order else since,)))
+        pick = level.pick
+        if pick is None:
+            return self._matched(lit, level, env, entries)
+        if len(pick) == len(args):  # every position free, in order
+            return map(_SECOND, entries)
+        return [tuple([atom[p] for p in pick]) for _, atom in entries]
+
+    def _matched(self, lit: Literal, level: _Guard, env: dict[str, int], entries):
+        for _, args in entries:
+            local: dict[str, int] = {}
+            if all(self._match(lit.args[p], args[p], level.names, env, local)
+                   for p in level.free):
+                yield tuple(local[n] for n in level.names)
+
+    def _match(self, t: Term, v: int, names, env, local) -> bool:
+        if isinstance(t, Var):
+            if t.name not in names:
+                return env[t.name] == v
+            return local.setdefault(t.name, v) == v
+        if isinstance(t, Const):
+            return self.const_ids[t.name] == v
+        app = self.apps.get(v)
+        return app is not None and app[0] == t.name and len(app[1]) == len(t.args) \
+            and all(self._match(a, w, names, env, local) for a, w in zip(t.args, app[1]))
+
+    def _lookup(self, rel: str, keyed: tuple[int, ...], key: tuple[int, ...]):
+        if not keyed:
+            return self.atoms.get(rel, ())
+        tables = self.indexes.setdefault(rel, {})
+        table = tables.get(keyed)
+        if table is None:
+            table = tables[keyed] = {}
+            for entry in self.atoms.get(rel, ()):
+                table.setdefault(tuple(entry[1][p] for p in keyed), []).append(entry)
+        return table.get(key, ())
+
+    def _learn(self, instances) -> None:
+        """Make the atoms of the instances' positive literals possibly true."""
+        pairs = []
+        fresh = set(itertools.chain.from_iterable(instances)) - self.learned
+        self.learned |= fresh
+        keys = list(self.pool.ids)  # variable v is keys[v - 1]
+        for code in sorted(fresh):
+            if code > 0:
+                key = keys[code - 1]
+                if key[0] == "e":
+                    pairs.append(key[1:])
+                elif key[1:] not in self.arrival:
+                    self._close(key[1], key[2])
+        if pairs:
+            self._union(pairs)
+
+    def _add(self, rel: str, args: tuple[int, ...]) -> None:
+        if (rel, args) in self.arrival:
+            return
+        entry = (len(self.arrival), args)
+        self.arrival[rel, args] = entry[0]
+        self.fresh.add(rel)
+        self.atoms.setdefault(rel, []).append(entry)
+        for keyed, table in self.indexes.get(rel, {}).items():
+            table.setdefault(tuple(args[p] for p in keyed), []).append(entry)
+
+    def _close(self, rel: str, args: tuple[int, ...]) -> None:
+        """Add the atom, and every atom whose arguments are in the same classes."""
+        for combo in itertools.product(*(self.members[self.rep[a]] for a in args)):
+            self._add(rel, combo)
+
+    def _union(self, pairs: list[tuple[int, int]]) -> None:
+        """Join the classes of each pair, then those of the Skolem terms
+        the joins make congruent, and close the atoms under the new classes."""
+        changed = set()
+        while pairs:
+            for a, b in pairs:
+                a, b = sorted((self.rep[a], self.rep[b]))
+                if a != b:
+                    moved = self.members.pop(b)
+                    for v in moved:
+                        self.rep[v] = a
+                    self.members[a].extend(moved)
+                    changed.add(a)
+            # applications of one symbol to possibly-equal arguments are
+            # possibly equal
+            classes: dict[tuple, list[int]] = {}
+            for (name, args), i in self.app_ids.items():
+                classes.setdefault((name, tuple(self.rep[x] for x in args)), []).append(i)
+            pairs = [(same[0], j) for same in classes.values() for j in same[1:]
+                     if self.rep[same[0]] != self.rep[j]]
+        changed = {self.rep[c] for c in changed}
+        for c in sorted(changed):
+            for u in self.members[c]:
+                for v in self.members[c]:
+                    self._add(EQ, (u, v))
+        # the atoms were closed under the old classes, so one atom of each
+        # pattern of classes through a changed one closes them all
+        for rel, entries in list(self.atoms.items()):
+            if rel != EQ:
+                patterns = {}
+                for _, args in entries:
+                    pattern = tuple([self.rep[x] for x in args])
+                    if not changed.isdisjoint(pattern):
+                        patterns.setdefault(pattern, args)
+                for args in patterns.values():
+                    self._close(rel, args)
+
+
 def refute(
     clauses: list[Clause],
     deadline: Optional[float] = None,
@@ -349,6 +645,13 @@ def refute(
 
     Returns None when the grounding was satisfiable or too large (both
     inconclusive for the first-order question).
+
+    Only the relevant instances are ground (see `_ground`): an instance
+    with a negative literal on an atom that cannot be true, or a negative
+    equality between terms that cannot be equal, is left out.  A model of
+    the kept instances and the equality rows, with every atom outside the
+    closure false, satisfies every left-out instance too, so the answer is
+    that of the full grounding.
     """
     _, consts, funcs = _collect_signature(clauses)
     base: list[Term] = [Const(c) for c in consts]
@@ -363,11 +666,8 @@ def refute(
                 universe.append(Func(fname, tuple(args)))
 
     pool = _VarPool()
-    # grounding binds variables to universe indices: constants by name,
-    # Skolem terms by their symbol and argument indices
-    const_ids = {t.name: i for i, t in enumerate(universe) if isinstance(t, Const)}
-    app_ids = {(t.name, tuple(const_ids[a.name] for a in t.args)): i
-               for i, t in enumerate(universe) if isinstance(t, Func)}
+    relevant = _Relevant(universe, pool)
+    const_ids = relevant.const_ids
     # the unique-name units make these equalities false: each gets no SAT
     # variable, and the rows it would make true are never built
     apart = {tuple(sorted((const_ids[a], const_ids[b]))) for a, b in _apart(clauses)}
@@ -375,15 +675,6 @@ def refute(
     def eq_var(pair: tuple[int, int]) -> Optional[int]:
         """The SAT variable of a sorted pair's equality; None if it is false."""
         return None if pair in apart else pool.get(("e", *pair))
-
-    def ground_term(t: Term, env: dict[str, int]) -> Optional[int]:
-        """The universe index of `t` under `env`; None outside the universe."""
-        if isinstance(t, Var):
-            return env[t.name]
-        if isinstance(t, Const):
-            return const_ids[t.name]
-        args = tuple(ground_term(a, env) for a in t.args)
-        return None if None in args else app_ids.get((t.name, args))
 
     def eq_code(a: int, b: int, positive: bool) -> Optional[int]:
         if a == b:
@@ -393,8 +684,10 @@ def refute(
             return 0 if positive else None
         return v if positive else -v
 
+    value = relevant.value
+
     def lit_code(lit: Literal, env: dict[str, int]) -> Optional[int]:
-        args = tuple(ground_term(a, env) for a in lit.args)
+        args = tuple([env[a.name] if isinstance(a, Var) else value(a, env) for a in lit.args])
         if None in args:
             return None  # the instance names a term outside the universe
         if lit.pred == EQ:
@@ -406,7 +699,9 @@ def refute(
     if any(len(ids) ** len(_var_names(cl)) * max(len(cl), 1) > _MAX_GROUND
            for cl in clauses):
         return None
-    prop = _ground([_ordered(cl) for cl in clauses], ids, lit_code, deadline)
+    # eq_code makes the unique-name units true, so they are not ground
+    prop = _ground([_ordered(cl) for cl in clauses if _apart_pair(cl) is None],
+                   ids, lit_code, deadline, relevant=relevant)
 
     # the ground equality theory but symmetry and reflexivity (eq_code
     # folds them in), as lemmas: solve, then add the rows that the model
@@ -415,7 +710,7 @@ def refute(
         model = sat.solve(prop, deadline=deadline)
         if model is None:
             return True
-        lemmas = _equality_lemmas(pool, model, app_ids, eq_var)
+        lemmas = _equality_lemmas(pool, model, relevant.app_ids, eq_var)
         if not lemmas:
             return None
         prop.extend(lemmas)

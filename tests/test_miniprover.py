@@ -135,6 +135,28 @@ class TestGround:
 
         assert garbage(100) == garbage(10)
 
+    def test_a_guard_binds_only_from_the_atoms_that_can_be_true(self):
+        # over twenty constants, q(c3, c4) and q(c7, c8) are the only q
+        # atoms that can be true: the guard ~q(X, Y) binds X and Y from
+        # them, and the other 398 bindings are never made
+        universe = [Const(f"c{i}") for i in range(20)]
+        pool = miniprover._VarPool()
+        relevant = miniprover._Relevant(universe, pool)
+        seen = []
+
+        def encode(lit, env):
+            seen.append((lit.pred, dict(env)))
+            v = pool.get(("p", lit.pred, tuple(relevant.value(a, env) for a in lit.args)))
+            return v if lit.positive else -v
+
+        facts = [[Literal(True, "q", (Const(f"c{i}"), Const(f"c{i + 1}")))] for i in (3, 7)]
+        guarded = [Literal(False, "q", (X, Y)), Literal(True, "p", (Y,))]
+        got = miniprover._ground(facts + [guarded], range(20), encode, None,
+                                 relevant=relevant)
+        assert got == [(1,), (2,), (-1, 3), (-2, 4)]
+        assert seen[2:] == [("q", {"X": 3, "Y": 4}), ("p", {"X": 3, "Y": 4}),
+                            ("q", {"X": 7, "Y": 8}), ("p", {"X": 7, "Y": 8})]
+
 
 # a random clause set over the universe {a, b, f(a)}, with an encoding of
 # its ground literals drawn as a table: no side effects, so any order of
@@ -409,6 +431,17 @@ class TestSchedule:
         assert got.status != "Unsatisfiable"
         assert len(refutations) == 1
 
+    def test_min_count_three_in_two_grounds_only_the_relevant_instances(self, monkeypatch):
+        # the full depth-1 grounding is 17,482 clauses; the relevant ones are
+        # those on the three p-values of the target node
+        solved = counting_solve(monkeypatch)
+        shape = PREFIXES + """
+ex:S a sh:NodeShape ; sh:targetNode ex:a ;
+  sh:property [ sh:path ex:p ; sh:minCount %d ] .
+"""
+        assert containment(shape % 3, shape % 2).verdict.value == "Contained"
+        assert sum(len(prop) for prop in solved) <= 1_000
+
     def test_containment_decided_well_inside_the_timeout(self):
         start = time.monotonic()
         got = run_task(DecisionTask(
@@ -491,6 +524,17 @@ class TestUniqueNames:
         shapes.write_text(PEOPLE_SHAPES)
         data.write_text(people(5, unnamed))
         solved = counting_solve(monkeypatch)
+        refuted = []
+        refute = miniprover.refute
+
+        def recording(*args, **kwargs):
+            start = len(solved)
+            try:
+                return refute(*args, **kwargs)
+            finally:
+                refuted.extend(solved[start:])
+
+        monkeypatch.setattr(miniprover, "refute", recording)
         start = time.monotonic()
         got = cli.main(["validate", str(shapes), str(data),
                         "--prover", "builtin", "--timeout", "10", "--json"])
@@ -499,9 +543,10 @@ class TestUniqueNames:
         if unnamed is None:
             assert elapsed < 2
         else:
-            # the refutation gets no congruence rows it does not use
+            # the refutation grounds only the relevant instances and gets no
+            # congruence rows it does not use
             assert elapsed < 1.5
-            assert max(len(prop) for prop in solved) <= 40_000
+            assert refuted and max(len(prop) for prop in refuted) <= 2_000
 
 
 WIDE = tuple(Var(f"X{i}") for i in range(6))
@@ -517,9 +562,10 @@ class TestDeadline:
         assert time.monotonic() - start < 0.2
 
     def test_refute_stops_inside_a_large_grounding(self):
-        # 20 ** 4 instances of one clause over twenty constants
+        # 20 ** 4 instances of one clause over twenty constants: r(X0) can
+        # be true for each of them
         facts = [frozenset({Literal(True, "r", (Const(f"c{i}"),))}) for i in range(20)]
-        clause = frozenset({Literal(True, "p", WIDE[:4]), Literal(False, "q", WIDE[:4])})
+        clause = frozenset({Literal(True, "p", WIDE[:4]), Literal(False, "r", WIDE[:1])})
         start = time.monotonic()
         with pytest.raises(sat.TimeBudgetExceeded):
             miniprover.refute([clause] + facts, deadline=time.monotonic() - 1)

@@ -21,6 +21,7 @@ from shacl2fol import miniprover, sat
 from shacl2fol.clausify import EQ, Literal
 from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, run_task
 from shacl2fol.fol import Const, Func, Var
+from test_miniprover import ground_reference
 from test_acceptance import (
     SHAPES_EMPTY, SHAPES_ONE_TARGET, SHAPES_TWO_TARGETS, UNTARGETED_CONTRADICTION,
 )
@@ -296,19 +297,27 @@ def test_pinning_keeps_every_model(clauses):
 
 # --- the equality theory on demand -------------------------------------------
 
-def eager_equality_rows(pool, clauses, with_skolem_terms: bool):
-    """Every row of the ground equality theory over the refutation's
-    universe, of any size: transitivity, function congruence and predicate
-    congruence.  A row with a premise that a unique-name unit makes false
-    is left out, and such a conclusion is dropped; `pool` numbers the
-    atoms."""
-    preds, consts, funcs = miniprover._collect_signature(clauses)
+def refutation_universe(clauses, with_skolem_terms: bool):
+    """The refutation's universe: the constants, then the Skolem terms of
+    depth 1."""
+    _, consts, funcs = miniprover._collect_signature(clauses)
     base = [Const(c) for c in consts] or [Const("herbrand_c0")]
     universe = list(base)
     if with_skolem_terms:
         universe += [Func(name, args) for name, arity in funcs.items()
                      for args in itertools.product(base, repeat=arity)]
     assert len(universe) <= miniprover._MAX_UNIVERSE
+    return universe
+
+
+def eager_equality_rows(pool, clauses, with_skolem_terms: bool):
+    """Every row of the ground equality theory over the refutation's
+    universe, of any size: transitivity, function congruence and predicate
+    congruence.  A row with a premise that a unique-name unit makes false
+    is left out, and such a conclusion is dropped; `pool` numbers the
+    atoms."""
+    preds, _, _ = miniprover._collect_signature(clauses)
+    universe = refutation_universe(clauses, with_skolem_terms)
     term_ids = {t: i for i, t in enumerate(universe)}
     apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
              for a, b in miniprover._apart(clauses)}
@@ -387,3 +396,70 @@ def test_congruence_lemmas_refute_as_the_eager_rows_do(clauses):
         refuted = refuted or got is True
     if refuted:
         assert all(brute_force_model(clauses, size) is None for size in SIZES)
+
+
+# --- relevance: the full grounding refutes no more ---------------------------
+
+def full_refute(clauses, with_skolem_terms: bool):
+    """`refute` by a reference that never calls `_ground`: every instance
+    over the universe (`ground_reference`, by `itertools.product`), every
+    row of the equality theory, and one `sat.solve`."""
+    universe = refutation_universe(clauses, with_skolem_terms)
+    term_ids = {t: i for i, t in enumerate(universe)}
+    apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
+             for a, b in miniprover._apart(clauses)}
+    pool = miniprover._VarPool()
+
+    def index(t, env):
+        if isinstance(t, Var):
+            return env[t.name]
+        if isinstance(t, Const):
+            return term_ids[t]
+        args = [index(a, env) for a in t.args]
+        return None if None in args else \
+            term_ids.get(Func(t.name, tuple(universe[i] for i in args)))
+
+    def encode(lit, env):
+        args = tuple(index(a, env) for a in lit.args)
+        if None in args:
+            return None
+        sign = 1 if lit.positive else -1
+        if lit.pred != EQ:
+            return sign * pool.get(("p", lit.pred, args))
+        a, b = sorted(args)
+        if a == b:
+            return None if lit.positive else 0
+        if (a, b) in apart:
+            return 0 if lit.positive else None
+        return sign * pool.get(("e", a, b))
+
+    prop = ground_reference([sorted(cl, key=repr) for cl in clauses],
+                            range(len(universe)), encode, None)
+    rows = eager_equality_rows(pool, clauses, with_skolem_terms)
+    return True if sat.solve(prop + rows) is None else None
+
+
+C0, C1, C2 = NAMES
+X, Y = VARIABLES
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(clause_sets(functions=True))
+# a closed role: r(c0, c2), and r holds only where its subject is c1
+@example([frozenset({Literal(False, EQ, (C0, C1))}),
+          frozenset({Literal(True, "r", (C0, C2))}),
+          frozenset({Literal(True, EQ, (X, C1)), Literal(False, "r", (X, Y))})])
+# a negative-equality guard, which only c0 = c1 lets match X = c1
+@example([frozenset({Literal(False, EQ, (X, C0)), Literal(True, "p", (X,))}),
+          frozenset({Literal(False, "p", (C1,))}),
+          frozenset({Literal(True, EQ, (C0, C1))})])
+# c0 = c1, p(f(c0)), ~p(f(c1)): the guard on p(f(c1)) can match only
+# through the function congruence f(c0) = f(c1)
+@example([frozenset({Literal(True, EQ, (C0, C1))}),
+          frozenset({Literal(True, "p", (Func("f", (C0,)),))}),
+          frozenset({Literal(False, "p", (Func("f", (C1,)),))})])
+def test_relevant_instances_refute_as_the_full_grounding_does(clauses):
+    for with_skolem_terms in (False, True):
+        assert miniprover.refute(clauses, with_skolem_terms=with_skolem_terms) \
+            == full_refute(clauses, with_skolem_terms)
