@@ -136,72 +136,65 @@ def _var_names(lits: list[Literal]) -> list[str]:
 
 
 class _Guard(NamedTuple):
-    """A level of `_ground` that binds `names` by matching the negative
-    literal `lits[lit]` against the atoms that can be true."""
+    """A level of `_ground` that matches the negative literal `lits[lit]`
+    against the atoms that can be true, and binds each variable that
+    stands alone as an argument to the atom's argument there."""
     lit: int
-    names: tuple[str, ...]
+    # per argument position, the variable it binds, or None: `_ground`
+    # binds the names to an atom's arguments, and the key None takes the rest
+    names: tuple[Optional[str], ...]
     keyed: tuple[int, ...]  # the argument positions ground before this level
-    free: tuple[int, ...]  # the others, matched one by one
-    # the position of each name, when the free positions are distinct
-    # variables (then `names` follows them); None when they need
-    # `_Relevant._match`
-    pick: Optional[tuple[int, ...]]
+    checks: tuple[tuple[int, Term], ...]  # the others, ground once `names` are bound
     # which atoms: -1, those of the last round; 0, those before it; 1, both
     order: int
 
 
-def _plans(lits: list[Literal], fixed: dict, guards: tuple[int, ...] = ()):
+def _plan(lits: list[Literal], fixed: dict, guards: tuple[int, ...] = (), first: int = 0):
     """How to bind a clause's variables: `levels`, and `ready[k]`, the
-    literals that the first k levels make ground.
+    literals whose last variable level k binds (level 0 binds nothing).
 
-    Without `guards`, one plan, in which each level is one variable, in
-    sorted order.  With them, one plan per guard: that guard first, matched
-    against the atoms of the last round; then the other guards, each time
-    the one with the most arguments already ground; then, one at a time,
-    the variables no guard binds."""
-    lit_vars = [{v.name for a in lit.args for v in term_vars(a)} for lit in lits]
-    if not guards:
-        levels = sorted(set().union(*lit_vars).difference(fixed))
-        return [(levels, _ready(lit_vars, {v: k for k, v in enumerate(levels, 1)}, levels))]
+    The guards come first: `guards[first]`, matched against the atoms of
+    the last round, then the others, each time the one with the most
+    arguments already ground; a variable that occurs in a guard only inside
+    its compound arguments is bound just before it, over the universe.
+    Then, one at a time in sorted order, the variables no guard binds;
+    without `guards`, that is every variable."""
     arg_vars = [[{v.name for v in term_vars(a)} for a in lit.args] for lit in lits]
-    plans = []
-    for first in range(len(guards)):
-        bound = set(fixed)
-        levels: list = []
+    lit_vars = [set().union(*names) for names in arg_vars]
+    bound = set(fixed)
+    levels: list = []
+    depth: dict[str, int] = {}
 
-        def keyed(i: int) -> tuple[int, ...]:
-            return tuple(p for p, names in enumerate(arg_vars[i]) if names <= bound)
+    def bind(names) -> None:
+        bound.update(names)
+        depth.update(dict.fromkeys(names, len(levels)))
 
-        todo = list(guards)
-        while todo:
-            g = guards[first] if not levels else max(todo, key=lambda i: len(keyed(i)))
-            todo.remove(g)
-            args = lits[g].args
-            ground = keyed(g)
-            free = tuple(p for p in range(len(args)) if p not in ground)
-            plain = {args[p].name: p for p in free if isinstance(args[p], Var)}
-            if len(plain) == len(free) == len(lit_vars[g] - bound):
-                names, pick = tuple(plain), tuple(plain.values())
-            else:
-                names, pick = tuple(sorted(lit_vars[g] - bound)), None
-            order = -1 if not levels else int(guards.index(g) > first)
-            levels.append(_Guard(g, names, ground, free, pick, order))
-            bound.update(names)
-        levels.extend(sorted(set().union(*lit_vars) - bound))
-        depth = {}
-        for k, level in enumerate(levels, 1):
-            for name in ((level,) if isinstance(level, str) else level.names):
-                depth[name] = k
-        plans.append((levels, _ready(lit_vars, depth, levels)))
-    return plans
-
-
-def _ready(lit_vars: list[set[str]], depth: dict[str, int], levels: list) -> list[list[int]]:
-    """For each depth, the literals whose last variable it binds."""
+    todo = list(guards)
+    while todo:
+        g = guards[first] if not levels else \
+            max(todo, key=lambda i: sum(names <= bound for names in arg_vars[i]))
+        todo.remove(g)
+        args = lits[g].args
+        for name in sorted(lit_vars[g] - bound - {a.name for a in args if isinstance(a, Var)}):
+            levels.append(name)
+            bind((name,))
+        keyed = tuple(p for p, names in enumerate(arg_vars[g]) if names <= bound)
+        names: dict[int, str] = {}
+        for p, t in enumerate(args):
+            if p not in keyed and isinstance(t, Var) and t.name not in names.values():
+                names[p] = t.name
+        checks = tuple((p, t) for p, t in enumerate(args) if p not in keyed and p not in names)
+        order = -1 if g == guards[first] else int(guards.index(g) > first)
+        levels.append(_Guard(g, tuple(names.get(p) for p in range(len(args))), keyed, checks,
+                             order))
+        bind(names.values())
+    for name in sorted(set().union(*lit_vars) - bound):
+        levels.append(name)
+        bind((name,))
     ready: list[list[int]] = [[] for _ in range(len(levels) + 1)]
     for i, names in enumerate(lit_vars):
         ready[max((depth[n] for n in names if n in depth), default=0)].append(i)
-    return ready
+    return levels, ready
 
 
 def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[float],
@@ -234,7 +227,7 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     kept: set[tuple[int, ...]] = set()
     bindings = 0
     if relevant is None:
-        jobs = ((lits, *_plans(lits, fixed)[0], None) for lits in clauses)
+        jobs = ((lits, *_plan(lits, fixed), None) for lits in clauses)
     else:
         jobs = relevant.jobs(clauses, fixed, prop)
     for lits, levels, ready, rounds in jobs:
@@ -315,20 +308,17 @@ def _collect_signature(clauses: list[Clause]):
 def _apart(clauses: list[Clause]) -> set[tuple[str, str]]:
     """The pairs of constants, each pair sorted, that a ground unit clause
     `¬(a = b)` keeps apart: every model gives the two different elements."""
-    return {pair for cl in clauses if (pair := _apart_pair(cl)) is not None}
-
-
-def _apart_pair(cl: Clause) -> Optional[tuple[str, str]]:
-    """The sorted pair of constants if `cl` is a unit `¬(a = b)`, else None."""
-    if len(cl) != 1:
-        return None
-    (lit,) = cl
-    if lit.positive or lit.pred != EQ:
-        return None
-    a, b = lit.args
-    if isinstance(a, Const) and isinstance(b, Const) and a != b:
-        return tuple(sorted((a.name, b.name)))
-    return None
+    pairs = set()
+    for cl in clauses:
+        if len(cl) != 1:
+            continue
+        (lit,) = cl
+        if lit.positive or lit.pred != EQ:
+            continue
+        a, b = lit.args
+        if isinstance(a, Const) and isinstance(b, Const) and a != b:
+            pairs.add(tuple(sorted((a.name, b.name))))
+    return pairs
 
 
 # --- finite model search ----------------------------------------------------
@@ -456,7 +446,6 @@ class _Relevant:
         self.const_ids = {t.name: i for i, t in enumerate(universe) if isinstance(t, Const)}
         self.app_ids = {(t.name, tuple(self.const_ids[a.name] for a in t.args)): i
                         for i, t in enumerate(universe) if isinstance(t, Func)}
-        self.apps = {i: key for key, i in self.app_ids.items()}
         self.rep = list(range(len(universe)))  # each term's class representative
         self.members = {i: [i] for i in range(len(universe))}
         # atom -> its arrival number, how many atoms came before it
@@ -485,16 +474,16 @@ class _Relevant:
         First each clause without guards, over the universe.  Then, while
         atoms arrive, each clause with a guard on the relation of an atom
         that arrived in the last round, that guard matched against those
-        atoms.  Between rounds the atoms of the instances kept, the tail
-        of `prop`, are learned."""
+        atoms; its plan is made the first time.  Between rounds the atoms
+        of the instances kept, the tail of `prop`, are learned."""
         triggers: dict[str, list] = {}
-        for lits in clauses:
+        for n, lits in enumerate(clauses):
             guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
-            plans = _plans(lits, fixed, guards)
             if not guards:
-                yield (lits, *plans[0], None)
-            for g, plan in zip(guards, plans):
-                triggers.setdefault(lits[g].pred, []).append((lits, *plan))
+                yield (lits, *_plan(lits, fixed), None)
+            for first, g in enumerate(guards):
+                triggers.setdefault(lits[g].pred, []).append((n, guards, first))
+        plans: dict[tuple[int, int], tuple] = {}
         learned = done = 0
         while True:
             self._learn(prop[learned:])
@@ -505,56 +494,43 @@ class _Relevant:
             fresh, self.fresh = self.fresh, set()
             for rel, entries in triggers.items():
                 if rel in fresh:
-                    for lits, levels, ready in entries:
-                        yield lits, levels, ready, rounds
+                    for n, guards, first in entries:
+                        plan = plans.get((n, first))
+                        if plan is None:
+                            plan = plans[n, first] = _plan(clauses[n], fixed, guards, first)
+                        yield (clauses[n], *plan, rounds)
             done = rounds[1]
 
     def matches(self, lit: Literal, level: _Guard, env: dict[str, int], rounds):
-        """The values of `level.names` under which `lit` falls on an atom
-        that can be true, of those that arrived before the last round ends
-        (`rounds`); in the last round itself if `level.order` is -1, or
-        before it if 0.  An atom is looked up by the positions already
-        ground; a Skolem term in another position is matched through its
-        symbol and arguments."""
+        """The atoms that can be true on which `lit` falls under `env` and
+        the binding of `level.names`, of those that arrived before the last
+        round ends (`rounds`); in the last round itself if `level.order` is
+        -1, or before it if 0.  An atom is looked up by the positions
+        already ground, and must agree with the other compound arguments
+        and repeated variables (`level.checks`) once bound."""
         args = lit.args
         key = tuple([env[args[p].name] if isinstance(args[p], Var) else self.value(args[p], env)
                      for p in level.keyed])
         if None in key:
             return ()
         since, until = rounds
-        if not level.free:  # the atom is ground: is it there?
+        if len(key) == len(args):  # the atom is ground: is it there?
             arrival = self.arrival.get((lit.pred, key), until)
-            return ((),) if (since if level.order < 0 else 0) <= arrival \
+            return (key,) if (since if level.order < 0 else 0) <= arrival \
                 < (until if level.order else since) else ()
         entries = self._lookup(lit.pred, level.keyed, key)
         # the entries come in arrival order
-        entries = itertools.islice(
+        atoms = map(_SECOND, itertools.islice(
             entries, bisect_left(entries, (since,)) if level.order < 0 else 0,
-            bisect_left(entries, (until if level.order else since,)))
-        pick = level.pick
-        if pick is None:
-            return self._matched(lit, level, env, entries)
-        if len(pick) == len(args):  # every position free, in order
-            return map(_SECOND, entries)
-        return [tuple([atom[p] for p in pick]) for _, atom in entries]
+            bisect_left(entries, (until if level.order else since,))))
+        if not level.checks:
+            return atoms
+        return (atom for atom in atoms if self._agrees(level, env, atom))
 
-    def _matched(self, lit: Literal, level: _Guard, env: dict[str, int], entries):
-        for _, args in entries:
-            local: dict[str, int] = {}
-            if all(self._match(lit.args[p], args[p], level.names, env, local)
-                   for p in level.free):
-                yield tuple(local[n] for n in level.names)
-
-    def _match(self, t: Term, v: int, names, env, local) -> bool:
-        if isinstance(t, Var):
-            if t.name not in names:
-                return env[t.name] == v
-            return local.setdefault(t.name, v) == v
-        if isinstance(t, Const):
-            return self.const_ids[t.name] == v
-        app = self.apps.get(v)
-        return app is not None and app[0] == t.name and len(app[1]) == len(t.args) \
-            and all(self._match(a, w, names, env, local) for a, w in zip(t.args, app[1]))
+    def _agrees(self, level: _Guard, env: dict[str, int], atom: tuple[int, ...]) -> bool:
+        local = dict(env)
+        local.update(zip(level.names, atom))
+        return all(self.value(t, local) == atom[p] for p, t in level.checks)
 
     def _lookup(self, rel: str, keyed: tuple[int, ...], key: tuple[int, ...]):
         if not keyed:
@@ -699,9 +675,8 @@ def refute(
     if any(len(ids) ** len(_var_names(cl)) * max(len(cl), 1) > _MAX_GROUND
            for cl in clauses):
         return None
-    # eq_code makes the unique-name units true, so they are not ground
-    prop = _ground([_ordered(cl) for cl in clauses if _apart_pair(cl) is None],
-                   ids, lit_code, deadline, relevant=relevant)
+    prop = _ground([_ordered(cl) for cl in clauses], ids, lit_code, deadline,
+                   relevant=relevant)
 
     # the ground equality theory but symmetry and reflexivity (eq_code
     # folds them in), as lemmas: solve, then add the rows that the model

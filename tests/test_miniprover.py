@@ -546,6 +546,7 @@ class TestUniqueNames:
             # the refutation grounds only the relevant instances and gets no
             # congruence rows it does not use
             assert elapsed < 1.5
+            assert max(len(prop) for prop in solved) <= 40_000
             assert refuted and max(len(prop) for prop in refuted) <= 2_000
 
 
