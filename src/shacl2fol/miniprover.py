@@ -11,8 +11,9 @@ Two sound, incomplete procedures over the clausal form:
   first-order unsatisfiability, so Unsatisfiable is sound.  Only the
   relevant instances are built: each clause's negative literals are
   joined against the atoms that can be true, which grow semi-naively from
-  the facts.  Making every other atom false extends a model of those
-  instances to one of the full grounding, so the answer is the same.
+  the facts and from the lemmas' conclusions.  Making every other atom
+  false extends a model of those instances to one of the full grounding,
+  so the answer is the same.
 
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
@@ -220,16 +221,18 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     round its last guard atom arrives; only the variables no guard binds
     are enumerated.  Each ground clause is kept once, as a sorted tuple of
     its literals, and its positive literals make their atoms possibly true
-    for the next round.
+    for the next round.  The clauses go onto `relevant.prop`, and a later
+    call with the same `clauses` resumes from the atoms that the rows added
+    to it since make possible.
     """
     fixed = fixed or {}
-    prop: list[tuple[int, ...]] = []
-    kept: set[tuple[int, ...]] = set()
     bindings = 0
     if relevant is None:
+        prop: list[tuple[int, ...]] = []
         jobs = ((lits, *_plan(lits, fixed), None) for lits in clauses)
     else:
-        jobs = relevant.jobs(clauses, fixed, prop)
+        prop, kept = relevant.prop, relevant.kept
+        jobs = relevant.jobs(clauses, fixed)
     for lits, levels, ready, rounds in jobs:
         env = dict(fixed)
         codes = [0] * len(lits)
@@ -326,11 +329,14 @@ def _apart(clauses: list[Clause]) -> set[tuple[str, str]]:
 class _VarPool:
     def __init__(self):
         self.ids: dict[tuple, int] = {}
+        self.keys: list[tuple] = []  # variable v is keys[v - 1]
 
     def get(self, key: tuple) -> int:
-        if key not in self.ids:
-            self.ids[key] = len(self.ids) + 1
-        return self.ids[key]
+        v = self.ids.get(key)
+        if v is None:
+            self.keys.append(key)
+            v = self.ids[key] = len(self.keys)
+        return v
 
 
 def _pin(consts: list[str], apart: set[tuple[str, str]], domain_size: int) -> dict[str, int]:
@@ -429,16 +435,15 @@ def find_model(
 # --- ground refutation ------------------------------------------------------
 
 class _Relevant:
-    """The refutation's universe, and the ground atoms that can be true.
+    """The refutation's universe, the ground atoms that can be true, and
+    `_ground`'s semi-naive state, which each later call resumes.
 
     Terms are universe indices: constants by name, Skolem terms by their
-    symbol and argument indices.  The atoms that can be true start empty
-    and grow, semi-naively, with the positive literals of the instances
-    that `_ground` keeps.  Possibly-equal terms are union-find classes,
-    filled from the positive equality literals and closed under Skolem-
-    function congruence; the atoms are closed under the classes, and the
-    relation `=` holds the possibly-equal pairs, each term with itself
-    included.
+    symbol and argument indices.  The atoms that can be true are each term
+    equal to itself, and the atoms of the positive literals in `prop`, in
+    the instances that `_ground` keeps and in the lemma rows that `refute`
+    adds; an equality of two terms is the two atoms `(i, j)` and `(j, i)`
+    of the relation `=`.
     """
 
     def __init__(self, universe: list[Term], pool: _VarPool):
@@ -446,8 +451,14 @@ class _Relevant:
         self.const_ids = {t.name: i for i, t in enumerate(universe) if isinstance(t, Const)}
         self.app_ids = {(t.name, tuple(self.const_ids[a.name] for a in t.args)): i
                         for i, t in enumerate(universe) if isinstance(t, Func)}
-        self.rep = list(range(len(universe)))  # each term's class representative
-        self.members = {i: [i] for i in range(len(universe))}
+        self.prop: list[tuple[int, ...]] = []  # the instances kept and the lemma rows
+        self.kept: set[tuple[int, ...]] = set()  # the instances kept
+        # relation -> the (clause, guards, first) of its guards; None before
+        # the first `jobs`
+        self.triggers: Optional[dict[str, list]] = None
+        self.plans: dict[tuple[int, int], tuple] = {}  # (clause, first) -> its plan
+        self.read = 0  # how far into `prop` `_learn` has read
+        self.done = 0  # how many atoms the rounds so far have matched
         # atom -> its arrival number, how many atoms came before it
         self.arrival: dict[tuple[str, tuple[int, ...]], int] = {}
         self.fresh: set[str] = set()  # the relations with atoms since the last round
@@ -468,38 +479,38 @@ class _Relevant:
         args = tuple(self.value(a, env) for a in t.args)
         return None if None in args else self.app_ids.get((t.name, args))
 
-    def jobs(self, clauses: list[list[Literal]], fixed: dict, prop: list):
+    def jobs(self, clauses: list[list[Literal]], fixed: dict):
         """`_ground`'s work, in rounds of semi-naive evaluation.
 
-        First each clause without guards, over the universe.  Then, while
-        atoms arrive, each clause with a guard on the relation of an atom
-        that arrived in the last round, that guard matched against those
-        atoms; its plan is made the first time.  Between rounds the atoms
-        of the instances kept, the tail of `prop`, are learned."""
-        triggers: dict[str, list] = {}
-        for n, lits in enumerate(clauses):
-            guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
-            if not guards:
-                yield (lits, *_plan(lits, fixed), None)
-            for first, g in enumerate(guards):
-                triggers.setdefault(lits[g].pred, []).append((n, guards, first))
-        plans: dict[tuple[int, int], tuple] = {}
-        learned = done = 0
+        On the first call, each clause without guards, over the universe.
+        Then, while atoms arrive, each clause with a guard on the relation
+        of an atom that arrived in the last round, that guard matched
+        against those atoms; its plan is made the first time.  Before each
+        round the rows added to `prop` since the last one, instances and
+        lemma rows alike, are learned."""
+        if self.triggers is None:
+            self.triggers = {}
+            for n, lits in enumerate(clauses):
+                guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
+                if not guards:
+                    yield (lits, *_plan(lits, fixed), None)
+                for first, g in enumerate(guards):
+                    self.triggers.setdefault(lits[g].pred, []).append((n, guards, first))
         while True:
-            self._learn(prop[learned:])
-            learned = len(prop)
-            if done == len(self.arrival):
+            self._learn(self.prop[self.read:])
+            self.read = len(self.prop)
+            if self.done == len(self.arrival):
                 return
-            rounds = (done, len(self.arrival))
+            rounds = (self.done, len(self.arrival))
             fresh, self.fresh = self.fresh, set()
-            for rel, entries in triggers.items():
+            for rel, entries in self.triggers.items():
                 if rel in fresh:
                     for n, guards, first in entries:
-                        plan = plans.get((n, first))
+                        plan = self.plans.get((n, first))
                         if plan is None:
-                            plan = plans[n, first] = _plan(clauses[n], fixed, guards, first)
+                            plan = self.plans[n, first] = _plan(clauses[n], fixed, guards, first)
                         yield (clauses[n], *plan, rounds)
-            done = rounds[1]
+            self.done = rounds[1]
 
     def matches(self, lit: Literal, level: _Guard, env: dict[str, int], rounds):
         """The atoms that can be true on which `lit` falls under `env` and
@@ -543,21 +554,19 @@ class _Relevant:
                 table.setdefault(tuple(entry[1][p] for p in keyed), []).append(entry)
         return table.get(key, ())
 
-    def _learn(self, instances) -> None:
-        """Make the atoms of the instances' positive literals possibly true."""
-        pairs = []
-        fresh = set(itertools.chain.from_iterable(instances)) - self.learned
+    def _learn(self, rows) -> None:
+        """Make the atoms of the rows' positive literals possibly true."""
+        fresh = set(itertools.chain.from_iterable(rows)) - self.learned
         self.learned |= fresh
-        keys = list(self.pool.ids)  # variable v is keys[v - 1]
         for code in sorted(fresh):
             if code > 0:
-                key = keys[code - 1]
+                key = self.pool.keys[code - 1]
                 if key[0] == "e":
-                    pairs.append(key[1:])
-                elif key[1:] not in self.arrival:
-                    self._close(key[1], key[2])
-        if pairs:
-            self._union(pairs)
+                    _, i, j = key
+                    self._add(EQ, (i, j))
+                    self._add(EQ, (j, i))
+                else:
+                    self._add(key[1], key[2])
 
     def _add(self, rel: str, args: tuple[int, ...]) -> None:
         if (rel, args) in self.arrival:
@@ -568,48 +577,6 @@ class _Relevant:
         self.atoms.setdefault(rel, []).append(entry)
         for keyed, table in self.indexes.get(rel, {}).items():
             table.setdefault(tuple(args[p] for p in keyed), []).append(entry)
-
-    def _close(self, rel: str, args: tuple[int, ...]) -> None:
-        """Add the atom, and every atom whose arguments are in the same classes."""
-        for combo in itertools.product(*(self.members[self.rep[a]] for a in args)):
-            self._add(rel, combo)
-
-    def _union(self, pairs: list[tuple[int, int]]) -> None:
-        """Join the classes of each pair, then those of the Skolem terms
-        the joins make congruent, and close the atoms under the new classes."""
-        changed = set()
-        while pairs:
-            for a, b in pairs:
-                a, b = sorted((self.rep[a], self.rep[b]))
-                if a != b:
-                    moved = self.members.pop(b)
-                    for v in moved:
-                        self.rep[v] = a
-                    self.members[a].extend(moved)
-                    changed.add(a)
-            # applications of one symbol to possibly-equal arguments are
-            # possibly equal
-            classes: dict[tuple, list[int]] = {}
-            for (name, args), i in self.app_ids.items():
-                classes.setdefault((name, tuple(self.rep[x] for x in args)), []).append(i)
-            pairs = [(same[0], j) for same in classes.values() for j in same[1:]
-                     if self.rep[same[0]] != self.rep[j]]
-        changed = {self.rep[c] for c in changed}
-        for c in sorted(changed):
-            for u in self.members[c]:
-                for v in self.members[c]:
-                    self._add(EQ, (u, v))
-        # the atoms were closed under the old classes, so one atom of each
-        # pattern of classes through a changed one closes them all
-        for rel, entries in list(self.atoms.items()):
-            if rel != EQ:
-                patterns = {}
-                for _, args in entries:
-                    pattern = tuple([self.rep[x] for x in args])
-                    if not changed.isdisjoint(pattern):
-                        patterns.setdefault(pattern, args)
-                for args in patterns.values():
-                    self._close(rel, args)
 
 
 def refute(
@@ -622,12 +589,21 @@ def refute(
     Returns None when the grounding was satisfiable or too large (both
     inconclusive for the first-order question).
 
-    Only the relevant instances are ground (see `_ground`): an instance
-    with a negative literal on an atom that cannot be true, or a negative
-    equality between terms that cannot be equal, is left out.  A model of
-    the kept instances and the equality rows, with every atom outside the
-    closure false, satisfies every left-out instance too, so the answer is
-    that of the full grounding.
+    One loop: ground to a fixpoint, solve, add the equality rows the model
+    violates, and resume the grounding from the atoms their conclusions
+    make possible.  Only the relevant instances are ground (see `_ground`
+    and `_Relevant`): an instance with a negative literal on an atom that
+    cannot be true is left out.  The answer is that of the full grounding:
+
+    1. every SAT variable in `prop` is an atom that can be true: the
+       positive literals, of instances and lemma rows alike, are learned;
+       every negative literal of an instance is a guard, and guards match
+       only such atoms; a lemma's premises are variables already in `prop`;
+    2. None comes only from a model that violates no equality row;
+    3. with every other atom false, that model satisfies every left-out
+       instance, as each has a guard on such an atom, and the whole ground
+       equality theory over the universe;
+    4. the lemma rows are ground equality axioms, so True is sound.
     """
     _, consts, funcs = _collect_signature(clauses)
     base: list[Term] = [Const(c) for c in consts]
@@ -675,13 +651,14 @@ def refute(
     if any(len(ids) ** len(_var_names(cl)) * max(len(cl), 1) > _MAX_GROUND
            for cl in clauses):
         return None
-    prop = _ground([_ordered(cl) for cl in clauses], ids, lit_code, deadline,
-                   relevant=relevant)
-
+    ordered = [_ordered(cl) for cl in clauses]
     # the ground equality theory but symmetry and reflexivity (eq_code
-    # folds them in), as lemmas: solve, then add the rows that the model
-    # violates, until it violates none or the rows refute
-    while len(prop) <= _MAX_GROUND:
+    # folds them in) comes as lemma rows, until the model violates none or
+    # the rows refute
+    while True:
+        prop = _ground(ordered, ids, lit_code, deadline, relevant=relevant)
+        if len(prop) > _MAX_GROUND:
+            return None
         model = sat.solve(prop, deadline=deadline)
         if model is None:
             return True
@@ -689,7 +666,6 @@ def refute(
         if not lemmas:
             return None
         prop.extend(lemmas)
-    return None
 
 
 def _equality_lemmas(pool: _VarPool, model: dict[int, bool], app_ids: dict,

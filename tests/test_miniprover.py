@@ -245,13 +245,17 @@ class TestCongruenceLemmas:
     predicate congruence) only as rows a model violates."""
 
     def test_lemma_through_a_skolem_term(self, monkeypatch):
-        # p(c), f(c) = c, ~p(f(c)): the first model makes p(c) and
-        # f(c) = c true and p(f(c)) false, and its one lemma refutes
+        # p(c), f(c) = c, ~p(f(c)): p(f(c)) cannot be true before the
+        # congruence lemma arrives, so the first solve gets the two facts;
+        # its model makes p(f(c)) false and violates one row, p(c) and
+        # c = f(c) -> p(f(c)); that row's conclusion lets the guard
+        # ~p(f(c)) match, and the second solve gets the two facts, the row
+        # and ~p(f(c)), and refutes
         fc = Func("f", (C,))
         clauses = clausify([Atom("p", (C,)), Eq(fc, C), NotN(Atom("p", (fc,)))])
         calls = counting_solve(monkeypatch)
         assert miniprover.refute(clauses) is True
-        assert [len(prop) for prop in calls] == [3, 4]
+        assert [len(prop) for prop in calls] == [2, 4]
         assert decide([Atom("p", (C,)), Eq(fc, C), NotN(Atom("p", (fc,)))]).status \
             == "Unsatisfiable"
 
@@ -282,14 +286,37 @@ class TestCongruenceLemmas:
         assert decide(formulas).status == "Unsatisfiable"
 
     def test_function_congruence_lemma(self, monkeypatch):
-        # a = b and ~(f(a) = f(b)): the first model violates one function
-        # congruence row, a = b -> f(a) = f(b), and that row refutes
+        # a = b and ~(f(a) = f(b)): over the constants f(a) lies outside
+        # the universe, so one solve gets a = b alone.  With f(a) and f(b)
+        # in the universe, f(a) = f(b) cannot be true before the function
+        # congruence row arrives, so the first solve again gets a = b; its
+        # model violates the row a = b -> f(a) = f(b), whose conclusion
+        # lets the guard ~(f(a) = f(b)) match, and the second solve gets
+        # a = b, the row and ~(f(a) = f(b)), and refutes
         fa, fb = Func("f", (A,)), Func("f", (B,))
         clauses = clausify([Eq(A, B), NotN(Eq(fa, fb))])
         calls = counting_solve(monkeypatch)
         assert miniprover.refute(clauses, with_skolem_terms=False) is None
         assert miniprover.refute(clauses) is True
-        assert [len(prop) for prop in calls] == [1, 2, 3]
+        assert [len(prop) for prop in calls] == [1, 1, 3]
+
+    @pytest.mark.parametrize("name, refuted, bound",
+                             [("max_one_violates", True, 100),
+                              ("less_than_conforms", None, 2_000)])
+    def test_atoms_grow_only_from_kept_rows(self, name, refuted, bound, monkeypatch):
+        # the atoms that can be true come from the instances kept and the
+        # lemma rows alone, so no term is joined with a constant that the
+        # unique-name units keep apart from it: the depth-1 refutations
+        # give the solver 54 and 1,340 clauses in all, where joining such
+        # constants through the Skolem terms makes it 1,092 and 3,641
+        case = next(c for c in CASES if c.name == name)
+        doc = build_problem(DecisionTask(
+            TaskKind.VALIDATION, load_shapes(case.shapes_ttl),
+            data_graph=load_graph(case.data_ttl)))
+        clauses = clausify([u.body for u in parse_tptp(render(doc))])
+        solved = counting_solve(monkeypatch)
+        assert miniprover.refute(clauses) is refuted
+        assert sum(len(prop) for prop in solved) < bound
 
 
 def recording_pools(monkeypatch):
@@ -441,6 +468,27 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
 """
         assert containment(shape % 3, shape % 2).verdict.value == "Contained"
         assert sum(len(prop) for prop in solved) <= 1_000
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_max_count_two_violation_decided_over_the_constants(self, n, tmp_path, capsys):
+        # one person with three names: the maxCount clause has four
+        # variables, and over the depth-1 universe, full at 24 terms, the
+        # worst-case guard (24 ** 4 instances times the clause's length
+        # above 400,000) gives up, so only the refutation over the
+        # constants decides the violation
+        shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
+        shapes.write_text(PREFIXES + """
+ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
+  sh:property [ sh:path ex:name ; sh:maxCount 2 ] .
+""")
+        data.write_text(PREFIXES + 'ex:p0 a ex:Person ; ex:name "n0", "n1", "n2" .\n'
+                        + "".join(f'ex:p{i} a ex:Person ; ex:name "m{i}" .\n'
+                                  for i in range(1, n)))
+        got = cli.main(["validate", str(shapes), str(data),
+                        "--prover", "builtin", "--timeout", "10", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert (got, out["verdict"], out["proverDetail"]) \
+            == (1, "DoesNotConform", "ground refutation (constants)")
 
     def test_containment_decided_well_inside_the_timeout(self):
         start = time.monotonic()

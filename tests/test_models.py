@@ -295,7 +295,7 @@ def test_pinning_keeps_every_model(clauses):
         assert not any(exists.values())
 
 
-# --- the equality theory on demand -------------------------------------------
+# --- relevance: the full grounding refutes no more ---------------------------
 
 def refutation_universe(clauses, with_skolem_terms: bool):
     """The refutation's universe: the constants, then the Skolem terms of
@@ -354,51 +354,6 @@ def eager_equality_rows(pool, clauses, with_skolem_terms: bool):
                         rows.append((-pa,) + premise + (pb,))
     return [r for r in rows if r is not None]
 
-
-def eager_refute(clauses, with_skolem_terms: bool):
-    """`refute` with every row of the equality theory given to the solver
-    up front: its first model then violates no row, so it solves once."""
-    pools, calls = [], []
-
-    class RecordingPool(miniprover._VarPool):
-        def __init__(self):
-            super().__init__()
-            pools.append(self)
-
-    solve = sat.solve
-
-    def with_rows(prop, deadline=None):
-        calls.append(prop)
-        rows = eager_equality_rows(pools[-1], clauses, with_skolem_terms)
-        return solve(list(prop) + rows, deadline=deadline)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(miniprover, "_VarPool", RecordingPool)
-        mp.setattr(sat, "solve", with_rows)
-        got = miniprover.refute(clauses, with_skolem_terms=with_skolem_terms)
-    assert len(calls) == 1
-    return got
-
-
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(clause_sets(functions=True))
-# c0 = c1, p(f(c0)), ~p(f(c1)): refuted only through f(c0) = f(c1), which
-# random sets this small rarely need
-@example([frozenset({Literal(True, EQ, (NAMES[0], NAMES[1]))}),
-          frozenset({Literal(True, "p", (Func("f", (NAMES[0],)),))}),
-          frozenset({Literal(False, "p", (Func("f", (NAMES[1],)),))})])
-def test_congruence_lemmas_refute_as_the_eager_rows_do(clauses):
-    refuted = False
-    for with_skolem_terms in (False, True):
-        got = miniprover.refute(clauses, with_skolem_terms=with_skolem_terms)
-        assert got == eager_refute(clauses, with_skolem_terms)
-        refuted = refuted or got is True
-    if refuted:
-        assert all(brute_force_model(clauses, size) is None for size in SIZES)
-
-
-# --- relevance: the full grounding refutes no more ---------------------------
 
 def full_refute(clauses, with_skolem_terms: bool):
     """`refute` by a reference that never calls `_ground`: every instance
@@ -460,6 +415,10 @@ X, Y = VARIABLES
           frozenset({Literal(True, "p", (Func("f", (C0,)),))}),
           frozenset({Literal(False, "p", (Func("f", (C1,)),))})])
 def test_relevant_instances_refute_as_the_full_grounding_does(clauses):
+    refuted = False
     for with_skolem_terms in (False, True):
-        assert miniprover.refute(clauses, with_skolem_terms=with_skolem_terms) \
-            == full_refute(clauses, with_skolem_terms)
+        got = miniprover.refute(clauses, with_skolem_terms=with_skolem_terms)
+        assert got == full_refute(clauses, with_skolem_terms)
+        refuted = refuted or got is True
+    if refuted:
+        assert all(brute_force_model(clauses, size) is None for size in SIZES)
