@@ -55,7 +55,8 @@ def _add_common(sp: argparse.ArgumentParser, with_prover: bool = True):
         sp.add_argument("--prover", choices=["auto", "e", "vampire", "builtin"],
                         default="auto")
         sp.add_argument("--prover-path", metavar="EXE",
-                        help="prover executable (overrides discovery)")
+                        help="prover executable (overrides discovery); only "
+                        "with --prover e or vampire")
         sp.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS")
 
 

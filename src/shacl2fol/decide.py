@@ -73,6 +73,12 @@ class ProverConfig:
     executable: Optional[str] = None
     timeout_s: float = 60.0
 
+    def __post_init__(self):
+        # `auto` and `builtin` run no executable of the caller's choosing
+        if self.executable is not None and self.kind not in ("e", "vampire", "custom"):
+            raise InvalidOptions(f"a prover path needs the prover e or vampire, "
+                                 f"not {self.kind}")
+
     def resolve(self) -> "ProverConfig":
         """The first installed of E, Vampire and the built-in prover for
         `auto`; any other kind unchanged."""

@@ -8,12 +8,13 @@ Two sound, incomplete procedures over the clausal form:
 * ground refutation: clause instantiation over a bounded Herbrand universe
   plus the ground equality axioms, each added as a lemma once a candidate
   model violates it; a propositionally unsatisfiable grounding witnesses
-  first-order unsatisfiability, so Unsatisfiable is sound.  Only the
-  relevant instances are built: each clause's negative literals are
-  joined against the atoms that can be true, which grow semi-naively from
-  the facts and from the lemmas' conclusions.  Making every other atom
-  false extends a model of those instances to one of the full grounding,
-  so the answer is the same.
+  first-order unsatisfiability, so Unsatisfiable is sound.  The universe
+  is the constants and the depth-1 Skolem terms.  Only the relevant
+  instances are built: each clause's negative literals are joined against
+  the atoms that can be true, which grow semi-naively from the facts and
+  from the lemmas' conclusions.  Making every other atom false extends a
+  model of those instances to one of the full grounding, so the answer is
+  the same.
 
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
@@ -21,7 +22,8 @@ the ground units `¬(a = b)` that `_apart` collects: the model search pins
 constants kept apart to their own domain elements, and the refutation
 folds the false equalities out of its equality axioms.
 
-If neither procedure concludes within its bounds the status is GaveUp
+`decide_clauses` runs the refutation once, then the model search.  If
+neither procedure concludes within its bounds the status is GaveUp
 (or Timeout when the wall clock ran out).  The command-line entry point
 prints a standard `% SZS status <Status>` line.
 """
@@ -108,7 +110,8 @@ def _ordered(cl: Clause) -> list[Literal]:
 
 _CHECK_EVERY = 4096
 
-# Largest grounding either procedure attempts, as each size guard counts it.
+# Largest grounding either procedure attempts: the instances `find_model`
+# would enumerate, counted up front, or the clauses the refutation keeps.
 _MAX_GROUND = 400_000
 # Most terms in the depth-1 Herbrand universe of the refutation.
 _MAX_UNIVERSE = 24
@@ -223,7 +226,8 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     its literals, and its positive literals make their atoms possibly true
     for the next round.  The clauses go onto `relevant.prop`, and a later
     call with the same `clauses` resumes from the atoms that the rows added
-    to it since make possible.
+    to it since make possible.  Once `prop` holds more than `_MAX_GROUND`
+    clauses the grounding stops there, and the refutation gives up.
     """
     fixed = fixed or {}
     bindings = 0
@@ -245,9 +249,11 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
                 stack.pop()
                 continue
             bindings += 1
-            if bindings % _CHECK_EVERY == 0 and deadline is not None \
-                    and time.monotonic() > deadline:
-                raise sat.TimeBudgetExceeded()
+            if bindings % _CHECK_EVERY == 0:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise sat.TimeBudgetExceeded()
+                if relevant is not None and len(prop) > _MAX_GROUND:
+                    return prop  # too large for the refutation, which gives up
             if k:
                 level = levels[k - 1]
                 if isinstance(level, str):
@@ -579,15 +585,15 @@ class _Relevant:
             table.setdefault(tuple(args[p] for p in keyed), []).append(entry)
 
 
-def refute(
-    clauses: list[Clause],
-    deadline: Optional[float] = None,
-    with_skolem_terms: bool = True,
-) -> Optional[bool]:
+def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[bool]:
     """True if a bounded grounding is propositionally unsatisfiable.
 
-    Returns None when the grounding was satisfiable or too large (both
-    inconclusive for the first-order question).
+    The universe is the constants (one fresh constant if there are none)
+    and the depth-1 Skolem terms over them, at most `_MAX_UNIVERSE` terms
+    in all.  Returns None when the grounding was satisfiable or too large
+    (both inconclusive for the first-order question): it is too large once
+    it keeps more than `_MAX_GROUND` clauses, counted as `_ground` builds
+    them, not estimated up front.
 
     One loop: ground to a fixpoint, solve, add the equality rows the model
     violates, and resume the grounding from the atoms their conclusions
@@ -610,12 +616,11 @@ def refute(
     if not base:
         base = [Const("herbrand_c0")]
     universe: list[Term] = list(base)
-    if with_skolem_terms:
-        for fname, arity in funcs.items():
-            for args in itertools.product(base, repeat=arity):
-                if len(universe) >= _MAX_UNIVERSE:
-                    break
-                universe.append(Func(fname, tuple(args)))
+    for fname, arity in funcs.items():
+        for args in itertools.product(base, repeat=arity):
+            if len(universe) >= _MAX_UNIVERSE:
+                break
+            universe.append(Func(fname, tuple(args)))
 
     pool = _VarPool()
     relevant = _Relevant(universe, pool)
@@ -648,9 +653,6 @@ def refute(
         return v if lit.positive else -v
 
     ids = range(len(universe))
-    if any(len(ids) ** len(_var_names(cl)) * max(len(cl), 1) > _MAX_GROUND
-           for cl in clauses):
-        return None
     ordered = [_ordered(cl) for cl in clauses]
     # the ground equality theory but symmetry and reflexivity (eq_code
     # folds them in) comes as lemma rows, until the model violates none or
@@ -721,62 +723,35 @@ _CUT = object()  # an attempt's result when its slice of the clock ran out
 
 
 def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResult:
-    """Run the procedures in turn, each in a slice of one shared deadline.
+    """Run the procedures in turn, each attempt in a slice of 0.4 of the
+    timeout, and all within it.
 
-    1. ground refutation over the constants;
-    2. finite model search at the smallest size, one element per constant;
-    3. ground refutation with the depth-1 Skolem terms, which decides the
-       violating graphs and the containments;
-    4. finite model search at the larger sizes, up to `_LARGER_SIZES` more;
-    5. step 3 again with the time left, if its slice cut it.
-
-    Without function symbols the depth-1 universe is the depth-0 one, so
-    steps 3 and 5 would repeat step 1 and are skipped.
+    1. ground refutation over the constants and the depth-1 Skolem terms,
+       which decides the violating graphs and the containments;
+    2. finite model search from the smallest size, one element per
+       constant, up to `_LARGER_SIZES` more; it stops at the first size
+       the clock cuts, as larger sizes only cost more.
     """
     deadline = time.monotonic() + timeout_s
     _, consts, funcs = _collect_signature(clauses)
-    lower = max(1, len(consts))
-    sizes = range(lower, lower + _LARGER_SIZES + 1)
 
-    def attempt(procedure, share: float, *args, **kwargs):
-        slice_end = min(deadline, time.monotonic() + timeout_s * share)
+    def attempt(procedure, *args):
+        slice_end = min(deadline, time.monotonic() + timeout_s * 0.4)
         try:
-            return procedure(*args, deadline=slice_end, **kwargs)
+            return procedure(*args, deadline=slice_end)
         except sat.TimeBudgetExceeded:
             return _CUT
 
-    def first_model(candidates) -> tuple[Optional[int], bool]:
-        """The first size with a model, and whether the clock cut the search
-        (larger sizes only cost more, so the search stops there)."""
-        for size in candidates:
-            got = attempt(find_model, 0.4, clauses, size)
-            if got is _CUT:
-                return None, True
-            if got is not None:
-                return size, False
-        return None, False
-
-    if attempt(refute, 0.25, clauses, with_skolem_terms=False) is True:
-        return ProverResult("Unsatisfiable", "ground refutation (constants)")
-
-    size, cut = first_model(sizes[:1])
-    if size is not None:
-        return ProverResult("Satisfiable", f"finite model of size {size}")
-    grow = not cut and len(sizes) > 1
-    depth1_cut = False
-    if funcs:
-        # without a larger model search to follow, this takes the rest
-        got = attempt(refute, 0.4 if grow else 1.0, clauses, with_skolem_terms=True)
-        if got is True:
-            return ProverResult("Unsatisfiable", "ground refutation (skolem depth 1)")
-        depth1_cut = got is _CUT
-    if grow:
-        size, _ = first_model(sizes[1:])
-        if size is not None:
+    if attempt(refute, clauses) is True:
+        depth = "skolem depth 1" if funcs else "constants"
+        return ProverResult("Unsatisfiable", f"ground refutation ({depth})")
+    lower = max(1, len(consts))
+    for size in range(lower, lower + _LARGER_SIZES + 1):
+        got = attempt(find_model, clauses, size)
+        if got is _CUT:
+            break
+        if got is not None:
             return ProverResult("Satisfiable", f"finite model of size {size}")
-    if depth1_cut and time.monotonic() < deadline:
-        if attempt(refute, 1.0, clauses, with_skolem_terms=True) is True:
-            return ProverResult("Unsatisfiable", "ground refutation (skolem depth 1)")
     if time.monotonic() > deadline:
         return ProverResult("Timeout")
     return ProverResult("GaveUp")

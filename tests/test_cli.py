@@ -106,6 +106,16 @@ class TestProverDiscovery:
         out = capsys.readouterr().out
         assert out.startswith("Unsatisfiable") and "prover: e " in out
 
+    @pytest.mark.parametrize("kind", ["auto", "builtin"])
+    def test_prover_path_needs_an_external_prover(self, files, capsys, kind):
+        # neither `auto` nor `builtin` would run the path given, so it is
+        # refused rather than silently ignored
+        code = cli.main(["sat", files["shapes"], "--prover", kind,
+                         "--prover-path", str(files["dir"] / "vampire"), "--json"])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "prover path" in captured.err
+
 
 class TestJson:
     def test_decision_schema(self, files, capsys):

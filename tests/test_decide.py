@@ -153,6 +153,11 @@ class TestResolve:
         monkeypatch.setattr("shutil.which", lambda name: None)
         assert ProverConfig("auto").resolve().kind == "builtin"
 
+    @pytest.mark.parametrize("kind", ["auto", "builtin"])
+    def test_executable_only_for_an_external_prover(self, kind):
+        with pytest.raises(InvalidOptions):
+            ProverConfig(kind, "/opt/vampire")
+
     def test_explicit_kind_untouched(self):
         cfg = ProverConfig("builtin", timeout_s=3)
         assert cfg.resolve() is cfg

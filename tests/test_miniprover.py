@@ -282,23 +282,21 @@ class TestCongruenceLemmas:
         formulas = [Atom("p", (c,)) for c in consts] + [
             Eq(consts[0], consts[1]), Eq(consts[1], consts[2]),
             NotN(Eq(consts[0], consts[2]))]
-        assert miniprover.refute(clausify(formulas), with_skolem_terms=False) is True
+        assert miniprover.refute(clausify(formulas)) is True
         assert decide(formulas).status == "Unsatisfiable"
 
     def test_function_congruence_lemma(self, monkeypatch):
-        # a = b and ~(f(a) = f(b)): over the constants f(a) lies outside
-        # the universe, so one solve gets a = b alone.  With f(a) and f(b)
-        # in the universe, f(a) = f(b) cannot be true before the function
-        # congruence row arrives, so the first solve again gets a = b; its
-        # model violates the row a = b -> f(a) = f(b), whose conclusion
-        # lets the guard ~(f(a) = f(b)) match, and the second solve gets
-        # a = b, the row and ~(f(a) = f(b)), and refutes
+        # a = b and ~(f(a) = f(b)), with f(a) and f(b) in the universe:
+        # f(a) = f(b) cannot be true before the function congruence row
+        # arrives, so the first solve gets a = b alone; its model violates
+        # the row a = b -> f(a) = f(b), whose conclusion lets the guard
+        # ~(f(a) = f(b)) match, and the second solve gets a = b, the row
+        # and ~(f(a) = f(b)), and refutes
         fa, fb = Func("f", (A,)), Func("f", (B,))
         clauses = clausify([Eq(A, B), NotN(Eq(fa, fb))])
         calls = counting_solve(monkeypatch)
-        assert miniprover.refute(clauses, with_skolem_terms=False) is None
         assert miniprover.refute(clauses) is True
-        assert [len(prop) for prop in calls] == [1, 1, 3]
+        assert [len(prop) for prop in calls] == [1, 3]
 
     @pytest.mark.parametrize("name, refuted, bound",
                              [("max_one_violates", True, 100),
@@ -435,6 +433,12 @@ def validate(case):
     ))
 
 
+MAX_ONE, MAX_TWO = (PREFIXES + """
+ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:q ;
+  sh:property [ sh:path ex:p ; sh:maxCount %d ] .
+""" % n for n in (1, 2))
+
+
 class TestSchedule:
     @pytest.mark.parametrize("name", ["or_violates", "and_violates", "qualified_min_violates"])
     def test_violation_decided_by_refutation_before_the_model_search_grows(
@@ -444,12 +448,13 @@ class TestSchedule:
         got = validate(case)
         assert got.szs_status == "Unsatisfiable"
         assert got.prover_detail == "ground refutation (skolem depth 1)"
-        assert len(models) <= 1
+        # the refutation runs first, so no model search runs at all
+        assert models == []
 
     def test_function_free_clauses_run_one_refutation(self, monkeypatch):
         # satisfiable only in a one-element domain, which the search starting
-        # at one element per constant never tries; without function symbols
-        # a depth-1 refutation would only repeat the first one
+        # at one element per constant never tries; one refutation runs, as
+        # with function symbols (below)
         refutations = counting(monkeypatch, "refute")
         got = decide([
             Atom("p", (A,)), Atom("p", (B,)),
@@ -457,6 +462,31 @@ class TestSchedule:
         ])
         assert got.status != "Unsatisfiable"
         assert len(refutations) == 1
+
+    def test_one_refutation_with_function_symbols(self, monkeypatch):
+        # p(a) and ~p(f(a)) have no model of one element, only of two: the
+        # one refutation, over a and f(a), finds no contradiction, and the
+        # model search goes on to the second size without refuting again
+        refutations = counting(monkeypatch, "refute")
+        got = decide([Atom("p", (A,)), NotN(Atom("p", (Func("f", (A,)),)))])
+        assert (got.status, got.detail) == ("Satisfiable", "finite model of size 2")
+        assert len(refutations) == 1
+
+    @pytest.mark.parametrize("a_ttl, b_ttl, code, verdict",
+                             [(MAX_ONE, MAX_TWO, 0, "Contained"),
+                              (MAX_TWO, MAX_ONE, 1, "NotContained")],
+                             ids=["one_in_two", "two_in_one"])
+    def test_max_count_one_in_two(self, a_ttl, b_ttl, code, verdict, tmp_path, capsys):
+        # the maxCount 2 clause has four variables over a depth-1 universe
+        # of 24 terms, but the refutation keeps only the instances on the
+        # p-values that can be true, a few dozen clauses; the reverse has a
+        # model of three elements, a subject with two p-values
+        a, b = tmp_path / "a.ttl", tmp_path / "b.ttl"
+        a.write_text(a_ttl)
+        b.write_text(b_ttl)
+        got = cli.main(["contains", str(a), str(b),
+                        "--prover", "builtin", "--timeout", "3", "--json"])
+        assert (got, json.loads(capsys.readouterr().out)["verdict"]) == (code, verdict)
 
     def test_min_count_three_in_two_grounds_only_the_relevant_instances(self, monkeypatch):
         # the full depth-1 grounding is 17,482 clauses; the relevant ones are
@@ -470,12 +500,12 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
         assert sum(len(prop) for prop in solved) <= 1_000
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_max_count_two_violation_decided_over_the_constants(self, n, tmp_path, capsys):
+    def test_max_count_two_violation_decided_at_skolem_depth_1(self, n, tmp_path, capsys):
         # one person with three names: the maxCount clause has four
-        # variables, and over the depth-1 universe, full at 24 terms, the
-        # worst-case guard (24 ** 4 instances times the clause's length
-        # above 400,000) gives up, so only the refutation over the
-        # constants decides the violation
+        # variables, and the depth-1 universe is full at 24 terms, but the
+        # refutation builds only the instances whose guards fall on atoms
+        # that can be true, a few per name, so the one refutation over the
+        # constants and the Skolem terms decides the violation
         shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
         shapes.write_text(PREFIXES + """
 ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
@@ -488,7 +518,7 @@ ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
                         "--prover", "builtin", "--timeout", "10", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert (got, out["verdict"], out["proverDetail"]) \
-            == (1, "DoesNotConform", "ground refutation (constants)")
+            == (1, "DoesNotConform", "ground refutation (skolem depth 1)")
 
     def test_containment_decided_well_inside_the_timeout(self):
         start = time.monotonic()
@@ -553,7 +583,8 @@ class TestUniqueNames:
         start = time.monotonic()
         got = containment(SHAPES_TWO_TARGETS, SHAPES_TWO_TARGETS)
         assert got.verdict.value == "Contained"
-        assert searches == [(7, None)]
+        # the one refutation, which runs first, decides it: no model search
+        assert searches == []
         assert time.monotonic() - start < 1.5
 
     @pytest.mark.parametrize("a_ttl", [SHAPES_ONE_TARGET, SHAPES_EMPTY],
@@ -619,6 +650,31 @@ class TestDeadline:
         with pytest.raises(sat.TimeBudgetExceeded):
             miniprover.refute([clause] + facts, deadline=time.monotonic() - 1)
         assert time.monotonic() - start < 0.2
+
+    def test_refute_gives_up_once_it_keeps_too_many_clauses(self, monkeypatch):
+        # the clause of the test above, without a deadline: its 20 ** 4
+        # relevant instances pass the cap of 1,000 kept clauses, so the
+        # refutation stops grounding and never solves
+        monkeypatch.setattr(miniprover, "_MAX_GROUND", 1_000)
+        solved = counting_solve(monkeypatch)
+        facts = [frozenset({Literal(True, "r", (Const(f"c{i}"),))}) for i in range(20)]
+        clause = frozenset({Literal(True, "p", WIDE[:4]), Literal(False, "r", WIDE[:1])})
+        start = time.monotonic()
+        assert miniprover.refute([clause] + facts) is None
+        assert solved == []
+        assert time.monotonic() - start < 0.5
+
+    def test_refute_counts_the_clauses_it_keeps_not_the_worst_case(self, monkeypatch):
+        # ~r(X0) | ... | ~r(X3) | s(X0) over twenty constants: 20 ** 4
+        # instances in the worst case, but r holds only for c0 and c1, so
+        # 2 ** 4 are kept, and with r(c0) and ~s(c0) they refute
+        monkeypatch.setattr(miniprover, "_MAX_GROUND", 1_000)
+        facts = [frozenset({Literal(True, "q", (Const(f"c{i}"),))}) for i in range(20)]
+        facts += [frozenset({Literal(True, "r", (Const(f"c{i}"),))}) for i in range(2)]
+        facts.append(frozenset({Literal(False, "s", (Const("c0"),))}))
+        clause = frozenset({Literal(False, "r", (v,)) for v in WIDE[:4]}
+                           | {Literal(True, "s", WIDE[:1])})
+        assert miniprover.refute([clause] + facts) is True
 
     def test_decide_keeps_a_short_timeout(self):
         # a conforming graph of ten people, which the prover does not decide

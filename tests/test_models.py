@@ -297,27 +297,25 @@ def test_pinning_keeps_every_model(clauses):
 
 # --- relevance: the full grounding refutes no more ---------------------------
 
-def refutation_universe(clauses, with_skolem_terms: bool):
+def refutation_universe(clauses):
     """The refutation's universe: the constants, then the Skolem terms of
     depth 1."""
     _, consts, funcs = miniprover._collect_signature(clauses)
     base = [Const(c) for c in consts] or [Const("herbrand_c0")]
-    universe = list(base)
-    if with_skolem_terms:
-        universe += [Func(name, args) for name, arity in funcs.items()
-                     for args in itertools.product(base, repeat=arity)]
+    universe = base + [Func(name, args) for name, arity in funcs.items()
+                       for args in itertools.product(base, repeat=arity)]
     assert len(universe) <= miniprover._MAX_UNIVERSE
     return universe
 
 
-def eager_equality_rows(pool, clauses, with_skolem_terms: bool):
+def eager_equality_rows(pool, clauses):
     """Every row of the ground equality theory over the refutation's
     universe, of any size: transitivity, function congruence and predicate
     congruence.  A row with a premise that a unique-name unit makes false
     is left out, and such a conclusion is dropped; `pool` numbers the
     atoms."""
     preds, _, _ = miniprover._collect_signature(clauses)
-    universe = refutation_universe(clauses, with_skolem_terms)
+    universe = refutation_universe(clauses)
     term_ids = {t: i for i, t in enumerate(universe)}
     apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
              for a, b in miniprover._apart(clauses)}
@@ -355,11 +353,11 @@ def eager_equality_rows(pool, clauses, with_skolem_terms: bool):
     return [r for r in rows if r is not None]
 
 
-def full_refute(clauses, with_skolem_terms: bool):
+def full_refute(clauses):
     """`refute` by a reference that never calls `_ground`: every instance
     over the universe (`ground_reference`, by `itertools.product`), every
     row of the equality theory, and one `sat.solve`."""
-    universe = refutation_universe(clauses, with_skolem_terms)
+    universe = refutation_universe(clauses)
     term_ids = {t: i for i, t in enumerate(universe)}
     apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
              for a, b in miniprover._apart(clauses)}
@@ -390,7 +388,7 @@ def full_refute(clauses, with_skolem_terms: bool):
 
     prop = ground_reference([sorted(cl, key=repr) for cl in clauses],
                             range(len(universe)), encode, None)
-    rows = eager_equality_rows(pool, clauses, with_skolem_terms)
+    rows = eager_equality_rows(pool, clauses)
     return True if sat.solve(prop + rows) is None else None
 
 
@@ -415,10 +413,9 @@ X, Y = VARIABLES
           frozenset({Literal(True, "p", (Func("f", (C0,)),))}),
           frozenset({Literal(False, "p", (Func("f", (C1,)),))})])
 def test_relevant_instances_refute_as_the_full_grounding_does(clauses):
-    refuted = False
-    for with_skolem_terms in (False, True):
-        got = miniprover.refute(clauses, with_skolem_terms=with_skolem_terms)
-        assert got == full_refute(clauses, with_skolem_terms)
-        refuted = refuted or got is True
-    if refuted:
+    # one universe now, the constants and the depth-1 Skolem terms: the
+    # universe of the constants alone is no longer refuted over
+    got = miniprover.refute(clauses)
+    assert got == full_refute(clauses)
+    if got is True:
         assert all(brute_force_model(clauses, size) is None for size in SIZES)
