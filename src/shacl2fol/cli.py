@@ -13,6 +13,7 @@ when no prover is available, 70 for a prover protocol failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -101,6 +102,13 @@ def build_parser() -> _ArgumentParser:
     sp.add_argument("data")
     sp.add_argument("--json", action="store_true")
     return ap
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> _ArgumentParser:
+    """`build_parser()`, once per process: parse_args keeps no state
+    between calls, so one parser serves every request."""
+    return build_parser()
 
 
 def _options(args) -> EmitOptions:
@@ -217,7 +225,7 @@ def _run_oracle(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "emit":
             return _run_emit(args)

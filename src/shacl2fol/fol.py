@@ -151,7 +151,10 @@ def atom_name(symbol: str) -> str:
 
 def unquote_atom(text: str) -> str:
     if text.startswith("'") and text.endswith("'"):
-        return text[1:-1].replace("\\'", "'").replace("\\\\", "\\")
+        body = text[1:-1]
+        if "\\" in body:
+            body = body.replace("\\'", "'").replace("\\\\", "\\")
+        return body
     return text
 
 

@@ -30,6 +30,8 @@ prints a standard `% SZS status <Status>` line.
 
 from __future__ import annotations
 
+import argparse
+import functools
 import itertools
 import operator
 import sys
@@ -771,9 +773,9 @@ def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
     return result
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    import argparse
-
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="shacl2fol-miniprover",
         description="Desk-scale TPTP prover: sound Satisfiable/Unsatisfiable answers "
@@ -782,7 +784,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     ap.add_argument("problem", help="TPTP problem file")
     ap.add_argument("--timeout", type=float, default=10.0, help="seconds of wall clock")
     ap.add_argument("--parse-only", action="store_true", help="only check TPTP syntax")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     with open(args.problem, encoding="utf-8") as fh:
         text = fh.read()
     if args.parse_only:

@@ -4,6 +4,14 @@ Accepts `fof(name, role, formula).` and `tff(...)` units, including TFF
 type declarations (which are checked for shape and otherwise ignored) and
 the `$distinct` defined predicate.  Used by the built-in prover and by the
 well-formedness checks of the test suite.
+
+The text is read in two steps.  One compiled-regex call splits the whole
+text into its token strings, skipping whitespace and `%` comments; the
+input is rejected, with its line and column, at the first character no
+token starts with.  The parser then walks the token list by index and
+keeps the formulas it has opened (parentheses, `~`, quantifiers, and `&`/
+`|` chains or a binary `=>`/`<=>`) on one explicit stack, so the depth of
+a problem is bounded by memory, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -21,33 +29,31 @@ class TptpParseError(ValueError):
     pass
 
 
-_SPACE = re.compile(r"\s*")
-_TOKEN = re.compile(
-    r"(?P<comment>%[^\n]*)"
-    r"|(?P<quoted>'(?:[^'\\]|\\.)*')"
-    r"|(?P<dword>\$[a-z][A-Za-z0-9_]*)"
-    r"|(?P<word>[a-zA-Z_][A-Za-z0-9_]*)"
-    r"|(?P<op><=>|=>|!=|[=!?~&|():,.\[\]*>])"
+_TOKENS = (
+    r"'[^'\\]*(?:\\.[^'\\]*)*'"  # quoted atom
+    r"|\$[a-z][A-Za-z0-9_]*"  # defined word
+    r"|[a-zA-Z_][A-Za-z0-9_]*"  # word
+    r"|<=>|=>|!=|[=!?~&|():,.\[\]*>]"
 )
-_VARIABLE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
-_LOWER_WORD = re.compile(r"^[a-z_][A-Za-z0-9_]*$")
+# Each match skips whitespace and comments, then captures a token, "" at
+# the end of the text, or, where no token starts, the whole rest of the
+# text.  That rest ends the list, and is the one string in it that is not
+# a token.
+_TOKEN = re.compile(rf"(?:\s+|%[^\n]*)*({_TOKENS}|\Z|(?s:.+))")
+_ONE_TOKEN = re.compile(_TOKENS)
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    end = len(text)
-    pos = 0
-    while True:
-        start = _SPACE.match(text, pos).end()
-        if start == end:
-            return tokens
-        m = _TOKEN.match(text, start)
-        if m is None:
-            raise TptpParseError(f"bad TPTP input at {text[pos:pos+30]!r}")
-        kind = m.lastgroup
-        if kind != "comment":
-            tokens.append(m.group(kind))
-        pos = m.end()
+    """The token strings of `text`, followed by one or two "" (the end)."""
+    tokens = _TOKEN.findall(text)
+    rest = tokens[-2] if len(tokens) > 1 else ""  # the last before the end
+    if rest and _ONE_TOKEN.fullmatch(rest) is None:
+        at = len(text) - len(rest)
+        line = text.count("\n", 0, at) + 1
+        column = at - text.rfind("\n", 0, at)
+        snippet = rest.partition("\n")[0][:30]
+        raise TptpParseError(f"bad TPTP input at line {line}, column {column}: {snippet!r}")
+    return tokens
 
 
 @dataclass
@@ -57,181 +63,200 @@ class TptpUnit:
     body: Formula
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else ""
-
-    def next(self) -> str:
-        tok = self.peek()
+def _expect(tokens: list[str], i: int, value: str) -> int:
+    """The index after tokens[i], which must be `value`."""
+    tok = tokens[i]
+    if tok != value:
         if not tok:
             raise TptpParseError("unexpected end of input")
-        self.pos += 1
-        return tok
+        raise TptpParseError(f"expected {value!r}, found {tok!r}")
+    return i + 1
 
-    def expect(self, value: str):
-        tok = self.next()
-        if tok != value:
-            raise TptpParseError(f"expected {value!r}, found {tok!r}")
 
-    def units(self) -> list[TptpUnit]:
-        out = []
-        while self.peek():
-            out.append(self.unit())
-        return [u for u in out if u is not None]
+def _term(tokens: list[str], i: int):
+    """The constant or variable at tokens[i], and the index after it."""
+    tok = tokens[i]
+    first = tok[:1]
+    if "A" <= first <= "Z":
+        return Var(tok), i + 1
+    if first == "'" or "a" <= first <= "z" or first == "_":
+        if tokens[i + 1] == "(":
+            raise TptpParseError("function terms are not part of the emitted subset")
+        return Const(unquote_atom(tok) if first == "'" else tok), i + 1
+    if not tok:
+        raise TptpParseError("unexpected end of input")
+    raise TptpParseError(f"bad term {tok!r}")
 
-    def unit(self):
-        kw = self.next()
-        if kw not in ("fof", "tff"):
-            raise TptpParseError(f"expected fof/tff unit, found {kw!r}")
-        self.expect("(")
-        name = self.next()
-        self.expect(",")
-        role = self.next()
-        self.expect(",")
-        if role == "type":
-            self.skip_type_declaration()
-            self.expect(")")
-            self.expect(".")
-            return None
-        body = self.formula()
-        self.expect(")")
-        self.expect(".")
-        return TptpUnit(name, role, body)
 
-    def skip_type_declaration(self):
-        depth = 0
-        while True:
-            tok = self.peek()
-            if not tok:
-                raise TptpParseError("unterminated type declaration")
-            if tok == "(" :
-                depth += 1
-            elif tok == ")":
-                if depth == 0:
-                    return
-                depth -= 1
-            self.next()
+def _terms(tokens: list[str], i: int):
+    """The comma-separated terms from tokens[i] up to a closing ")"."""
+    terms = []
+    while True:
+        t, i = _term(tokens, i)
+        terms.append(t)
+        if tokens[i] != ",":
+            return tuple(terms), _expect(tokens, i, ")")
+        i += 1
 
-    # formula grammar: iff/implies are non-associative binary, and/or n-ary
 
-    def formula(self) -> Formula:
-        left = self.unitary()
-        tok = self.peek()
-        if tok == "<=>":
-            self.next()
-            return Iff(left, self.unitary())
-        if tok == "=>":
-            self.next()
-            return Implies(left, self.unitary())
-        if tok == "&":
-            ops = [left]
-            while self.peek() == "&":
-                self.next()
-                ops.append(self.unitary())
-            return AndN(tuple(ops))
-        if tok == "|":
-            ops = [left]
-            while self.peek() == "|":
-                self.next()
-                ops.append(self.unitary())
-            return OrN(tuple(ops))
-        return left
+def _equality(left, tokens: list[str], i: int):
+    """`left = t` or `left != t`, with tokens[i] the sign."""
+    sign = tokens[i]
+    right, i = _term(tokens, i + 1)
+    eq = Eq(left, right)
+    return (eq if sign == "=" else NotN(eq)), i
 
-    def unitary(self) -> Formula:
-        tok = self.peek()
-        if tok == "~":
-            self.next()
-            return NotN(self.unitary())
-        if tok in ("!", "?"):
-            self.next()
-            self.expect("[")
-            variables = [self.variable()]
-            while self.peek() == ",":
-                self.next()
-                variables.append(self.variable())
-            self.expect("]")
-            self.expect(":")
-            body = self.unitary()
-            ctor = Forall if tok == "!" else Exists
-            return ctor(tuple(variables), body)
-        if tok == "(":
-            self.next()
-            inner = self.formula()
-            self.expect(")")
-            return inner
-        return self.atom()
 
-    def variable(self) -> str:
-        tok = self.next()
-        if not _VARIABLE.match(tok):
-            raise TptpParseError(f"bad variable name {tok!r}")
-        return tok
-
-    def term(self):
-        tok = self.next()
-        if _VARIABLE.match(tok):
-            return Var(tok)
-        if tok.startswith("'") or _LOWER_WORD.match(tok):
-            name = unquote_atom(tok)
-            if self.peek() == "(":
-                raise TptpParseError("function terms are not part of the emitted subset")
-            return Const(name)
-        raise TptpParseError(f"bad term {tok!r}")
-
-    def atom(self) -> Formula:
-        tok = self.next()
-        if tok == "$true":
-            return TrueF()
-        if tok == "$false":
-            return FalseF()
-        if tok == "$distinct":
-            self.expect("(")
-            consts = [self.term()]
-            while self.peek() == ",":
-                self.next()
-                consts.append(self.term())
-            self.expect(")")
-            if any(isinstance(c, Var) for c in consts):
-                raise TptpParseError("$distinct expects constants")
-            return Distinct(tuple(consts))
-        if _VARIABLE.match(tok):
-            return self.equality_tail(Var(tok))
-        if tok.startswith("'") or _LOWER_WORD.match(tok):
-            name = unquote_atom(tok)
-            if self.peek() == "(":
-                self.next()
-                args = [self.term()]
-                while self.peek() == ",":
-                    self.next()
-                    args.append(self.term())
-                self.expect(")")
-                nxt = self.peek()
-                if nxt in ("=", "!="):
-                    raise TptpParseError("function terms are not part of the emitted subset")
-                return Atom(name, tuple(args))
-            nxt = self.peek()
-            if nxt in ("=", "!="):
-                return self.equality_tail(Const(name))
-            return Atom(name, ())
-        raise TptpParseError(f"unexpected token {tok!r}")
-
-    def equality_tail(self, left) -> Formula:
-        tok = self.peek()
-        if tok == "=":
-            self.next()
-            return Eq(left, self.term())
-        if tok == "!=":
-            self.next()
-            return NotN(Eq(left, self.term()))
-        if isinstance(left, Var):
+def _atom(tokens: list[str], i: int):
+    """The atomic formula at tokens[i], and the index after it."""
+    tok = tokens[i]
+    first = tok[:1]
+    nxt = tokens[i + 1] if tok else ""
+    if "A" <= first <= "Z":
+        if nxt != "=" and nxt != "!=":
             raise TptpParseError("a bare variable is not a formula")
-        return Atom(left.name, ())
+        return _equality(Var(tok), tokens, i + 1)
+    if first == "'" or "a" <= first <= "z" or first == "_":
+        name = unquote_atom(tok) if first == "'" else tok
+        if nxt == "(":
+            args, i = _terms(tokens, i + 2)
+            if tokens[i] == "=" or tokens[i] == "!=":
+                raise TptpParseError("function terms are not part of the emitted subset")
+            return Atom(name, args), i
+        if nxt == "=" or nxt == "!=":
+            return _equality(Const(name), tokens, i + 1)
+        return Atom(name, ()), i + 1
+    if tok == "$true":
+        return TrueF(), i + 1
+    if tok == "$false":
+        return FalseF(), i + 1
+    if tok == "$distinct":
+        consts, i = _terms(tokens, _expect(tokens, i + 1, "("))
+        if any(isinstance(c, Var) for c in consts):
+            raise TptpParseError("$distinct expects constants")
+        return Distinct(consts), i
+    if not tok:
+        raise TptpParseError("unexpected end of input")
+    raise TptpParseError(f"unexpected token {tok!r}")
+
+
+def _variable(tokens: list[str], i: int) -> str:
+    tok = tokens[i]
+    if not tok:
+        raise TptpParseError("unexpected end of input")
+    if not "A" <= tok[0] <= "Z":
+        raise TptpParseError(f"bad variable name {tok!r}")
+    return tok
+
+
+# Frames of the formula stack, besides a quantifier's (constructor,
+# variables) tuple and a connective's [operator, operand, ...] list.
+_OPEN = "("
+_NOT = "~"
+_CONNECTIVES = frozenset(("&", "|", "=>", "<=>"))
+
+
+def _formula(tokens: list[str], i: int):
+    """The formula at tokens[i], and the index after it.
+
+    Grammar: a formula is a unitary formula, optionally followed by one
+    `=>` or `<=>` and a unitary formula, or by one or more `&` (or `|`)
+    and unitary formulas; a unitary formula is `~` or a quantifier before
+    a unitary formula, a parenthesized formula, or an atom.
+    """
+    stack: list = []
+    while True:
+        tok = tokens[i]
+        if tok == "(":
+            stack.append(_OPEN)
+            i += 1
+            continue
+        if tok == "~":
+            stack.append(_NOT)
+            i += 1
+            continue
+        if tok == "!" or tok == "?":
+            i = _expect(tokens, i + 1, "[")
+            variables = [_variable(tokens, i)]
+            i += 1
+            while tokens[i] == ",":
+                variables.append(_variable(tokens, i + 1))
+                i += 2
+            i = _expect(tokens, _expect(tokens, i, "]"), ":")
+            stack.append((Forall if tok == "!" else Exists, tuple(variables)))
+            continue
+        f, i = _atom(tokens, i)
+        # f is a whole unitary formula: close the frames it completes
+        while True:
+            top = stack[-1] if stack else None
+            if top is _NOT:
+                stack.pop()
+                f = NotN(f)
+                continue
+            if type(top) is tuple:
+                stack.pop()
+                f = top[0](top[1], f)
+                continue
+            if type(top) is list:
+                op = top[0]
+                if op == "&" or op == "|":
+                    top.append(f)
+                    if tokens[i] == op:
+                        i += 1
+                        break  # on to the next operand
+                    f = (AndN if op == "&" else OrN)(tuple(top[1:]))
+                else:
+                    f = (Implies if op == "=>" else Iff)(top[1], f)
+                stack.pop()
+            elif tokens[i] in _CONNECTIVES:
+                stack.append([tokens[i], f])
+                i += 1
+                break  # on to the second operand
+            # f is a whole formula
+            if not stack:
+                return f, i
+            i = _expect(tokens, i, ")")
+            stack.pop()  # _OPEN
+
+
+def _skip_type_declaration(tokens: list[str], i: int) -> int:
+    """The index of the ")" that closes the type declaration at tokens[i]."""
+    depth = 0
+    while True:
+        tok = tokens[i]
+        if not tok:
+            raise TptpParseError("unterminated type declaration")
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            if depth == 0:
+                return i
+            depth -= 1
+        i += 1
 
 
 def parse_tptp(text: str) -> list[TptpUnit]:
     """Parse a TPTP problem into its annotated formulas (type units skipped)."""
-    return _Parser(text).units()
+    tokens = _tokenize(text)
+    units = []
+    i = 0
+    while tokens[i]:
+        kw = tokens[i]
+        if kw != "fof" and kw != "tff":
+            raise TptpParseError(f"expected fof/tff unit, found {kw!r}")
+        i = _expect(tokens, i + 1, "(")
+        name = tokens[i]
+        if not name:
+            raise TptpParseError("unexpected end of input")
+        i = _expect(tokens, i + 1, ",")
+        role = tokens[i]
+        if not role:
+            raise TptpParseError("unexpected end of input")
+        i = _expect(tokens, i + 1, ",")
+        if role == "type":
+            i = _skip_type_declaration(tokens, i)
+        else:
+            body, i = _formula(tokens, i)
+            units.append(TptpUnit(name, role, body))
+        i = _expect(tokens, _expect(tokens, i, ")"), ".")
+    return units

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from shacl2fol import cli
+from shacl2fol import cli, miniprover
 from shacl2fol.rdf import iri
 from shacl2fol.shapes import And, HasShape, check_shape_graph
 from shacl2fol.tptp_parse import parse_tptp
@@ -247,6 +247,36 @@ class TestConfigPlumbing:
         """)
         assert cli.main(["sat", str(untargeted), *BUILTIN]) == 0
         assert cli.main(["sat", str(untargeted), "--strong-sat", *BUILTIN]) == 1
+
+
+def test_shared_parsers_keep_no_state_between_requests(files, tmp_path, capsys):
+    # cli.main and miniprover.main each build their parser once per
+    # process; every request must answer as in a fresh process
+    untargeted = tmp_path / "untargeted.ttl"
+    untargeted.write_text(PREFIX + """
+    ex:S a sh:NodeShape ;
+      sh:and ( [ sh:nodeKind sh:IRI ] [ sh:nodeKind sh:Literal ] ) .
+    """)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sat", str(untargeted), "--timeout", "soon"])
+    assert exc.value.code == 64
+    strong, plain, fresh = (tmp_path / f"{n}.p" for n in ("strong", "plain", "fresh"))
+    assert cli.main(["sat", str(untargeted), "--strong-sat", "--out", str(strong), *BUILTIN]) == 1
+    assert cli.main(["sat", str(untargeted), "--out", str(plain), *BUILTIN]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shacl2fol.cli", "sat", str(untargeted), "--out", str(fresh),
+         *BUILTIN], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert plain.read_text() == fresh.read_text() != strong.read_text()
+    capsys.readouterr()
+
+    assert miniprover.main([str(plain), "--parse-only"]) == 0
+    assert capsys.readouterr().out == f"% SZS status Success for {plain}\n"
+    assert miniprover.main([str(plain)]) == 0
+    assert capsys.readouterr().out.startswith(f"% SZS status Satisfiable for {plain}\n")
 
 
 RECURSIVE = PREFIX + "ex:S a sh:NodeShape ; sh:targetNode ex:a ; sh:not ex:S ."
