@@ -138,12 +138,12 @@ def neg(f: Formula) -> Formula:
 
 # --- Rendering to TPTP syntax ----------------------------------------------
 
-_LOWER_WORD = re.compile(r"^[a-z][A-Za-z0-9_]*$")
+_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_]*")
 
 
 def atom_name(symbol: str) -> str:
     """Quote a symbol into a TPTP atom unless it is already a lower word."""
-    if _LOWER_WORD.match(symbol) and symbol not in ("fof", "tff", "cnf", "include"):
+    if _LOWER_WORD.fullmatch(symbol) and symbol not in ("fof", "tff", "cnf", "include"):
         return symbol
     escaped = symbol.replace("\\", "\\\\").replace("'", "\\'")
     return f"'{escaped}'"

@@ -9,7 +9,7 @@ Two sound, incomplete procedures over the clausal form:
   plus the ground equality axioms, each added as a lemma once a candidate
   model violates it; a propositionally unsatisfiable grounding witnesses
   first-order unsatisfiability, so Unsatisfiable is sound.  The universe
-  is the constants and the depth-1 Skolem terms.  Only the relevant
+  is the constants and every depth-1 Skolem term.  Only the relevant
   instances are built: each clause's negative literals are joined against
   the atoms that can be true, which grow semi-naively from the facts and
   from the lemmas' conclusions.  Making every other atom false extends a
@@ -18,9 +18,11 @@ Two sound, incomplete procedures over the clausal form:
 
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
-the ground units `¬(a = b)` that `_apart` collects: the model search pins
-constants kept apart to their own domain elements, and the refutation
-folds the false equalities out of its equality axioms.
+the ground units `¬(a = b)` that `_unit_apart` recognises: the model
+search pins constants kept apart to their own domain elements, and the
+refutation folds the false equalities out of its equality axioms; neither
+grounds a unit it has read.  Both give up on a problem larger than one
+limit, `_MAX_GROUND`, counted on what they build.
 
 `decide_clauses` runs the refutation once, then the model search.  If
 neither procedure concludes within its bounds the status is GaveUp
@@ -112,33 +114,14 @@ def _ordered(cl: Clause) -> list[Literal]:
 
 _CHECK_EVERY = 4096
 
-# Largest grounding either procedure attempts: the instances `find_model`
-# would enumerate, counted up front, or the clauses the refutation keeps.
+# The one size limit of both procedures, counted on what they build: the
+# propositional clauses of `find_model`, its totality and functionality rows
+# included, and the refutation's universe and the clauses it keeps.
 _MAX_GROUND = 400_000
-# Most terms in the depth-1 Herbrand universe of the refutation.
-_MAX_UNIVERSE = 24
 # Model sizes searched above the smallest (one element per constant).
 _LARGER_SIZES = 3
 _END = object()  # an exhausted iterator's `next` default
 _SECOND = operator.itemgetter(1)
-
-
-def _instances(values, repeat: int, deadline: Optional[float]):
-    """`itertools.product(values, repeat=repeat)`, checking the deadline
-    before each run of a few thousand tuples, so that one large clause
-    cannot overrun its slice."""
-    tuples = itertools.product(values, repeat=repeat)
-    while True:
-        chunk = list(itertools.islice(tuples, _CHECK_EVERY))
-        if not chunk:
-            return
-        if deadline is not None and time.monotonic() > deadline:
-            raise sat.TimeBudgetExceeded()
-        yield from chunk
-
-
-def _var_names(lits: list[Literal]) -> list[str]:
-    return sorted({v.name for lit in lits for a in lit.args for v in term_vars(a)})
 
 
 class _Guard(NamedTuple):
@@ -228,8 +211,10 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     its literals, and its positive literals make their atoms possibly true
     for the next round.  The clauses go onto `relevant.prop`, and a later
     call with the same `clauses` resumes from the atoms that the rows added
-    to it since make possible.  Once `prop` holds more than `_MAX_GROUND`
-    clauses the grounding stops there, and the refutation gives up.
+    to it since make possible.
+
+    In both modes the grounding stops once `prop` holds more than
+    `_MAX_GROUND` clauses, and the caller gives up.
     """
     fixed = fixed or {}
     bindings = 0
@@ -254,8 +239,8 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
             if bindings % _CHECK_EVERY == 0:
                 if deadline is not None and time.monotonic() > deadline:
                     raise sat.TimeBudgetExceeded()
-                if relevant is not None and len(prop) > _MAX_GROUND:
-                    return prop  # too large for the refutation, which gives up
+                if len(prop) > _MAX_GROUND:
+                    return prop  # too large: the caller gives up
             if k:
                 level = levels[k - 1]
                 if isinstance(level, str):
@@ -316,20 +301,24 @@ def _collect_signature(clauses: list[Clause]):
     return dict(sorted(preds.items())), sorted(consts), dict(sorted(funcs.items()))
 
 
+def _unit_apart(cl: Clause) -> Optional[tuple[str, str]]:
+    """The pair of constants, sorted, that `cl` keeps apart if it is a
+    unique-name unit, a ground unit clause `¬(a = b)`; None otherwise."""
+    if len(cl) != 1:
+        return None
+    (lit,) = cl
+    if lit.positive or lit.pred != EQ:
+        return None
+    a, b = lit.args
+    if not (isinstance(a, Const) and isinstance(b, Const)) or a.name == b.name:
+        return None
+    return (a.name, b.name) if a.name < b.name else (b.name, a.name)
+
+
 def _apart(clauses: list[Clause]) -> set[tuple[str, str]]:
-    """The pairs of constants, each pair sorted, that a ground unit clause
-    `¬(a = b)` keeps apart: every model gives the two different elements."""
-    pairs = set()
-    for cl in clauses:
-        if len(cl) != 1:
-            continue
-        (lit,) = cl
-        if lit.positive or lit.pred != EQ:
-            continue
-        a, b = lit.args
-        if isinstance(a, Const) and isinstance(b, Const) and a != b:
-            pairs.add(tuple(sorted((a.name, b.name))))
-    return pairs
+    """The pairs of constants that the unique-name units keep apart: every
+    model gives the two different elements."""
+    return set(filter(None, map(_unit_apart, clauses)))
 
 
 # --- finite model search ----------------------------------------------------
@@ -380,6 +369,13 @@ def find_model(
     """Search for a model over a fixed domain size; None if none exists."""
     _, consts, funcs = _collect_signature(clauses)
     pinned = _pin(consts, _apart(clauses), domain_size)
+    domain = range(domain_size)
+    # the totality and functionality rows of the unpinned constants and the
+    # Skolem terms, 1 + d(d-1)/2 clauses each, counted before any is built
+    rows = (len(consts) - len(pinned) + sum(domain_size ** a for a in funcs.values())) \
+        * (1 + domain_size * (domain_size - 1) // 2)
+    if rows > _MAX_GROUND:
+        raise sat.TimeBudgetExceeded()
     # a pinned constant becomes a variable that grounding never enumerates;
     # the name is no TPTP variable, so it cannot clash with one
     pins = {c: Var(f"pin:{c}") for c in pinned}
@@ -389,12 +385,10 @@ def find_model(
         _flatten_clause(frozenset(
             Literal(lit.positive, lit.pred, tuple(_substitute(a, pins) for a in lit.args))
             for lit in cl), fresh)
-        for cl in clauses
+        for cl, pair in zip(clauses, map(_unit_apart, clauses))
+        # a unique-name unit on two pinned constants: the pins make it true
+        if pair is None or not (pair[0] in pinned and pair[1] in pinned)
     ]
-    domain = range(domain_size)
-    if any(domain_size ** len([v for v in _var_names(lits) if v not in fixed]) > _MAX_GROUND
-           for lits in flat):
-        raise sat.TimeBudgetExceeded()
     pool = _VarPool()
 
     def lit_code(lit: Literal, env: dict[str, int]) -> Optional[int]:
@@ -415,20 +409,15 @@ def find_model(
         return sign * pool.get(("p", lit.pred, args))
 
     prop = _ground(flat, domain, lit_code, deadline, fixed)
-    # totality and functionality for the unpinned constants and skolem functions
-    for c in consts:
-        if c in pinned:
-            continue
-        row = [pool.get(("a", c, d)) for d in domain]
+    if len(prop) + rows > _MAX_GROUND:
+        raise sat.TimeBudgetExceeded()
+    for term in itertools.chain(
+            (("a", c) for c in consts if c not in pinned),
+            (("f", fname, args) for fname, arity in funcs.items()
+             for args in itertools.product(domain, repeat=arity))):
+        row = [pool.get((*term, d)) for d in domain]
         prop.append(tuple(row))
-        for x, y in itertools.combinations(row, 2):
-            prop.append((-x, -y))
-    for fname, arity in funcs.items():
-        for args in _instances(domain, arity, deadline):
-            row = [pool.get(("f", fname, args, d)) for d in domain]
-            prop.append(tuple(row))
-            for x, y in itertools.combinations(row, 2):
-                prop.append((-x, -y))
+        prop.extend((-x, -y) for x, y in itertools.combinations(row, 2))
 
     model = sat.solve(prop, deadline=deadline)
     if model is None:
@@ -446,19 +435,22 @@ class _Relevant:
     """The refutation's universe, the ground atoms that can be true, and
     `_ground`'s semi-naive state, which each later call resumes.
 
-    Terms are universe indices: constants by name, Skolem terms by their
-    symbol and argument indices.  The atoms that can be true are each term
-    equal to itself, and the atoms of the positive literals in `prop`, in
-    the instances that `_ground` keeps and in the lemma rows that `refute`
-    adds; an equality of two terms is the two atoms `(i, j)` and `(j, i)`
-    of the relation `=`.
+    The universe is the constants `consts` and every depth-1 term over
+    them of the functions `funcs`, each a universe index: a constant by
+    name, a Skolem term by its symbol and argument indices.  The atoms that
+    can be true are each term equal to itself, and the atoms of the
+    positive literals in `prop`, in the instances that `_ground` keeps and
+    in the lemma rows that `refute` adds; an equality of two terms is the
+    two atoms `(i, j)` and `(j, i)` of the relation `=`.
     """
 
-    def __init__(self, universe: list[Term], pool: _VarPool):
+    def __init__(self, consts: list[str], funcs: dict[str, int], pool: _VarPool):
         self.pool = pool
-        self.const_ids = {t.name: i for i, t in enumerate(universe) if isinstance(t, Const)}
-        self.app_ids = {(t.name, tuple(self.const_ids[a.name] for a in t.args)): i
-                        for i, t in enumerate(universe) if isinstance(t, Func)}
+        self.const_ids = {c: i for i, c in enumerate(consts)}
+        apps = ((fname, args) for fname, arity in funcs.items()
+                for args in itertools.product(range(len(consts)), repeat=arity))
+        self.app_ids = dict(zip(apps, itertools.count(len(consts))))
+        self.size = len(consts) + len(self.app_ids)  # of the universe
         self.prop: list[tuple[int, ...]] = []  # the instances kept and the lemma rows
         self.kept: set[tuple[int, ...]] = set()  # the instances kept
         # relation -> the (clause, guards, first) of its guards; None before
@@ -467,16 +459,16 @@ class _Relevant:
         self.plans: dict[tuple[int, int], tuple] = {}  # (clause, first) -> its plan
         self.read = 0  # how far into `prop` `_learn` has read
         self.done = 0  # how many atoms the rounds so far have matched
-        # atom -> its arrival number, how many atoms came before it
-        self.arrival: dict[tuple[str, tuple[int, ...]], int] = {}
-        self.fresh: set[str] = set()  # the relations with atoms since the last round
         self.learned: set[int] = set()  # the codes `_learn` has seen
-        # relation -> the (arrival, arguments) of its atoms, in arrival order
-        self.atoms: dict[str, list] = {}
         # relation -> {argument positions: {their values: (arrival, arguments)}}
         self.indexes: dict[str, dict] = {}
-        for i in range(len(universe)):
-            self._add(EQ, (i, i))
+        # relation -> the (arrival, arguments) of its atoms, in arrival order;
+        # the first to arrive are each term equal to itself
+        self.atoms: dict[str, list] = {EQ: [(i, (i, i)) for i in range(self.size)]}
+        # atom -> its arrival number, how many atoms came before it
+        self.arrival: dict[tuple[str, tuple[int, ...]], int] = {
+            (EQ, args): i for i, args in self.atoms[EQ]}
+        self.fresh: set[str] = {EQ}  # the relations with atoms since the last round
 
     def value(self, t: Term, env: dict[str, int]) -> Optional[int]:
         """The universe index of `t` under `env`; None outside the universe."""
@@ -591,11 +583,13 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
     """True if a bounded grounding is propositionally unsatisfiable.
 
     The universe is the constants (one fresh constant if there are none)
-    and the depth-1 Skolem terms over them, at most `_MAX_UNIVERSE` terms
-    in all.  Returns None when the grounding was satisfiable or too large
-    (both inconclusive for the first-order question): it is too large once
-    it keeps more than `_MAX_GROUND` clauses, counted as `_ground` builds
-    them, not estimated up front.
+    and every depth-1 Skolem term over them.  Returns None when the
+    grounding was satisfiable or too large (both inconclusive for the
+    first-order question).  Both the universe and the clauses kept count
+    against `_MAX_GROUND`: the universe's size is known before it is
+    built, and it is too large when it passes the limit; the grounding is
+    too large once it keeps more than `_MAX_GROUND` clauses, counted as
+    `_ground` builds them.
 
     One loop: ground to a fixpoint, solve, add the equality rows the model
     violates, and resume the grounding from the atoms their conclusions
@@ -614,18 +608,11 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
     4. the lemma rows are ground equality axioms, so True is sound.
     """
     _, consts, funcs = _collect_signature(clauses)
-    base: list[Term] = [Const(c) for c in consts]
-    if not base:
-        base = [Const("herbrand_c0")]
-    universe: list[Term] = list(base)
-    for fname, arity in funcs.items():
-        for args in itertools.product(base, repeat=arity):
-            if len(universe) >= _MAX_UNIVERSE:
-                break
-            universe.append(Func(fname, tuple(args)))
-
+    consts = consts or ["herbrand_c0"]
+    if len(consts) + sum(len(consts) ** arity for arity in funcs.values()) > _MAX_GROUND:
+        return None  # the universe alone passes the limit
     pool = _VarPool()
-    relevant = _Relevant(universe, pool)
+    relevant = _Relevant(consts, funcs, pool)
     const_ids = relevant.const_ids
     # the unique-name units make these equalities false: each gets no SAT
     # variable, and the rows it would make true are never built
@@ -654,8 +641,9 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
         v = pool.get(("p", lit.pred, args))
         return v if lit.positive else -v
 
-    ids = range(len(universe))
-    ordered = [_ordered(cl) for cl in clauses]
+    ids = range(relevant.size)
+    # `eq_code` makes every unique-name unit true: none is ground
+    ordered = [_ordered(cl) for cl in clauses if _unit_apart(cl) is None]
     # the ground equality theory but symmetry and reflexivity (eq_code
     # folds them in) comes as lemma rows, until the model violates none or
     # the rows refute
@@ -705,11 +693,15 @@ def _equality_lemmas(pool: _VarPool, model: dict[int, bool], app_ids: dict,
         for (a, e1), (c, e2) in itertools.combinations(others.items(), 2):
             if not same(a, c):
                 lemmas.append(row((e1, e2), a, c))
-    for ((fname, args), i), ((gname, other_args), j) in itertools.combinations(
-            app_ids.items(), 2):
-        pairs = list(zip(args, other_args))
-        if gname == fname and not same(i, j) and all(same(*p) for p in pairs):
-            lemmas.append(row([equal[a][b] for a, b in pairs if a != b], i, j))
+    for (fname, args), i in app_ids.items():
+        # the later terms f(b̄) whose arguments the model makes equal to ā,
+        # looked up from the equal terms of each argument, so the work
+        # follows the equalities, not the square of the universe
+        later = sorted((j, other) for other in itertools.product(
+            *([a, *equal.get(a, ())] for a in args))
+            if (j := app_ids.get((fname, other), i)) > i and not same(i, j))
+        for j, other in later:
+            lemmas.append(row([equal[a][b] for a, b in zip(args, other) if a != b], i, j))
     for (_, pname, args), pa in atoms:
         for pos, a in enumerate(args):
             for other, e in equal.get(a, {}).items():
@@ -732,7 +724,8 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
        which decides the violating graphs and the containments;
     2. finite model search from the smallest size, one element per
        constant, up to `_LARGER_SIZES` more; it stops at the first size
-       the clock cuts, as larger sizes only cost more.
+       the clock cuts or `_MAX_GROUND` stops, as larger sizes only cost
+       more.
     """
     deadline = time.monotonic() + timeout_s
     _, consts, funcs = _collect_signature(clauses)
@@ -789,8 +782,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    with open(args.problem, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(args.problem, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"% SZS status InputError for {args.problem} : {exc}")
+        return 1
     if args.parse_only:
         try:
             parse_tptp(text)

@@ -490,7 +490,7 @@ class _TurtleParser:
             self.next()
             raw = tok.value
             quote = 3 if tok.kind == "STRING_LONG" else 1
-            lexical = _unescape(raw[quote:-quote], tok.line, tok.col)
+            lexical = _unescape(raw[quote:-quote], tok.line, tok.col + quote)
             nxt = self.peek()
             if nxt.kind == "LANGTAG":
                 self.next()

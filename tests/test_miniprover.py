@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import load_graph, load_shapes
 from corpus import CASES, PREFIXES
 from shacl2fol import cli, miniprover, oracle, sat
-from shacl2fol.clausify import Literal, clausify, term_vars
+from shacl2fol.clausify import EQ, Literal, clausify, term_vars
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
 )
@@ -139,9 +139,8 @@ class TestGround:
         # over twenty constants, q(c3, c4) and q(c7, c8) are the only q
         # atoms that can be true: the guard ~q(X, Y) binds X and Y from
         # them, and the other 398 bindings are never made
-        universe = [Const(f"c{i}") for i in range(20)]
         pool = miniprover._VarPool()
-        relevant = miniprover._Relevant(universe, pool)
+        relevant = miniprover._Relevant([f"c{i}" for i in range(20)], {}, pool)
         seen = []
 
         def encode(lit, env):
@@ -274,6 +273,20 @@ class TestCongruenceLemmas:
         # the model still needs r(a, b) and r(b, a); once they hold, no
         # row is violated
         assert len(calls) == 2
+
+    def test_function_rows_come_from_the_equal_arguments(self):
+        # f(c0), ..., f(c2999) and one true equality, c0 = c1: the one row
+        # the model violates, c0 = c1 -> f(c0) = f(c1), is looked up from
+        # the arguments' equal terms, not found among 4.5 million pairs
+        n = 3000
+        pool = miniprover._VarPool()
+        e = pool.get(("e", 0, 1))
+        app_ids = {("f", (i,)): n + i for i in range(n)}
+        start = time.monotonic()
+        rows = miniprover._equality_lemmas(pool, {e: True}, app_ids,
+                                           lambda pair: pool.get(("e", *pair)))
+        assert rows == [(-e, pool.ids[("e", n, n + 1)])]
+        assert time.monotonic() - start < 1
 
     def test_transitivity_over_more_than_sixteen_constants(self):
         # c0 = c1, c1 = c2 and ~(c0 = c2) among 17 constants: the one
@@ -410,6 +423,17 @@ class TestMain:
         bad.write_text("fof(broken, axiom, p(a).")
         assert miniprover.main([str(bad), "--parse-only"]) == 1
         assert "SZS status SyntaxError" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("parse_only", [[], ["--parse-only"]], ids=["decide", "parse_only"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe", None], ids=["not_utf8", "missing"])
+    def test_unreadable_problem_is_an_input_error(self, content, parse_only, tmp_path, capsys):
+        f = tmp_path / "problem.p"
+        if content is not None:
+            f.write_bytes(content)
+        assert miniprover.main([str(f), *parse_only]) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert out.startswith(f"% SZS status InputError for {f} : ")
 
 
 def counting(monkeypatch, name):
@@ -628,8 +652,73 @@ class TestUniqueNames:
             assert max(len(prop) for prop in solved) <= 40_000
             assert refuted and max(len(prop) for prop in refuted) <= 2_000
 
+    def test_units_read_once_are_not_ground(self, monkeypatch):
+        # 500 constants kept pairwise apart: the model search pins them all
+        # and the refutation folds every unit, so neither grounds one of the
+        # 124,750 units, and the model comes well inside its deadline
+        consts = [Const(f"c{i}") for i in range(500)]
+        clauses = [frozenset({Literal(False, EQ, pair)})
+                   for pair in itertools.combinations(consts, 2)]
+        clauses.append(frozenset({Literal(True, "p", (consts[0],))}))
+        grounded = counting(monkeypatch, "_ground")
+        model = miniprover.find_model(clauses, 500, deadline=time.monotonic() + 2)
+        assert len({key[2] for key, true in model["table"].items() if key[0] == "a" and true}) \
+            == 500
+        assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
+        grounded.clear()
+        assert miniprover.refute(clauses, deadline=time.monotonic() + 2) is None
+        assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
+
+    @pytest.mark.parametrize("n, timeout", [(10, ["--timeout", "10"]),
+                                            (20, ["--timeout", "10"]), (100, [])])
+    def test_planted_violation_is_refuted(self, n, timeout, tmp_path, capsys):
+        # the unnamed person's Skolem witness is in the refutation's
+        # universe, which holds every depth-1 Skolem term
+        shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
+        shapes.write_text(PEOPLE_SHAPES)
+        data.write_text(people(n, unnamed=n // 2))
+        got = cli.main(["validate", str(shapes), str(data),
+                        "--prover", "builtin", *timeout, "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert (got, out["verdict"], out["proverDetail"]) \
+            == (1, "DoesNotConform", "ground refutation (skolem depth 1)")
+
 
 WIDE = tuple(Var(f"X{i}") for i in range(6))
+
+
+class TestSizeLimit:
+    """`_MAX_GROUND` is the one size limit of both procedures, counted on
+    what they build."""
+
+    def test_find_model_counts_instances_not_the_worst_case(self):
+        # ~(X1 = c) | r(X1, X2, X3, X4) at size 30: 30 ** 4 instances in the
+        # worst case, but c is pinned, so only X1 = c's element is ground
+        clause = frozenset({Literal(False, EQ, (WIDE[1], C)), Literal(True, "r", WIDE[1:5])})
+        assert miniprover.find_model([clause], 30, deadline=time.monotonic() + 10) is not None
+
+    def test_refute_gives_up_on_a_universe_past_the_limit(self, monkeypatch):
+        # a binary function over 40 constants: 40 + 40 ** 2 terms
+        monkeypatch.setattr(miniprover, "_MAX_GROUND", 1_000)
+        solved = counting_solve(monkeypatch)
+        facts = [frozenset({Literal(True, "r", (Const(f"c{i}"),))}) for i in range(40)]
+        clause = frozenset({Literal(False, "r", (X,)),
+                            Literal(True, "s", (Func("f", (X, Y)),))})
+        assert miniprover.refute([clause] + facts) is None
+        assert solved == []
+
+    def test_find_model_gives_up_on_rows_past_the_limit(self, monkeypatch):
+        # p(f(X)) at size 20: 20 functionality rows of 1 + 190 clauses each
+        monkeypatch.setattr(miniprover, "_MAX_GROUND", 1_000)
+        solved = counting_solve(monkeypatch)
+        grounded = counting(monkeypatch, "_ground")
+        clause = frozenset({Literal(True, "p", (Func("f", (X,)),))})
+        assert miniprover.find_model([clause], 5) is not None
+        solved.clear()
+        grounded.clear()
+        with pytest.raises(sat.TimeBudgetExceeded):
+            miniprover.find_model([clause], 20)
+        assert (solved, grounded) == ([], [])
 
 
 class TestDeadline:

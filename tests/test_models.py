@@ -304,7 +304,7 @@ def refutation_universe(clauses):
     base = [Const(c) for c in consts] or [Const("herbrand_c0")]
     universe = base + [Func(name, args) for name, arity in funcs.items()
                        for args in itertools.product(base, repeat=arity)]
-    assert len(universe) <= miniprover._MAX_UNIVERSE
+    assert len(universe) <= miniprover._MAX_GROUND
     return universe
 
 

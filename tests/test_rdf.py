@@ -65,6 +65,18 @@ class TestNTriples:
             parse_document(line, Syntax.NTRIPLES)
         assert (err.value.line, err.value.column) == (1, column)
 
+    @pytest.mark.parametrize("line, column, syntaxes", [
+        ('<http://e/a> <http://e/p> "x\\uZZZZ" .', 29, (Syntax.NTRIPLES, Syntax.TURTLE)),
+        ('_:b <http://e/p> "ab\\q"@en .', 21, (Syntax.NTRIPLES, Syntax.TURTLE)),
+        # past the three quotes of a long string, which N-Triples lacks
+        ('<http://e/a> <http://e/p> """x\\uZZZZ""" .', 31, (Syntax.TURTLE,)),
+    ])
+    def test_escape_error_column_is_the_same_in_turtle(self, line, column, syntaxes):
+        for syntax in syntaxes:
+            with pytest.raises(RdfSyntaxError) as err:
+                parse_document(line, syntax)
+            assert (err.value.line, err.value.column) == (1, column)
+
 
 class TestTurtle:
     def test_prefixes_and_a(self):

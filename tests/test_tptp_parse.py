@@ -185,6 +185,14 @@ def test_parser_reads_back_rendered_formulas(bodies, dialect):
 
 
 @pytest.mark.parametrize("dialect", [Dialect.FOF, Dialect.TFF])
+def test_a_symbol_ending_in_a_newline_is_quoted(dialect):
+    # unquoted, `a\n` would read back as `a`
+    body = Atom("p", (Const("a\n"), Const("a")))
+    doc = TptpDocument(dialect, [TptpFormula("f0", "axiom", body)])
+    assert [u.body for u in parse_tptp(render(doc))] == [body]
+
+
+@pytest.mark.parametrize("dialect", [Dialect.FOF, Dialect.TFF])
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 def test_rendered_corpus_problems_round_trip(case, dialect):
     opts = EmitOptions(
