@@ -6,12 +6,22 @@ lists, anonymous blank nodes `[ ... ]`, collections `( ... )`, and the
 numeric/boolean/string literal shorthands.  Named graphs and quoted triples
 are rejected.  Literal equality is syntactic: "01"^^xsd:integer and
 "1"^^xsd:integer are different terms.
+
+A Turtle document is read in one compiled-regex pass, which skips
+whitespace and comments and yields plain `(kind, text, offset)` tuples;
+the line and column of an offset are worked out only when an error is
+raised.  The parser walks the token list by index and keeps the blank
+node property lists, collections and `^^` datatypes it has opened on one
+explicit stack, so nesting depth is bounded by memory, not by Python's
+recursion limit.  Both parsers build each distinct IRI and blank node
+once per document (`_Terms`), and a term computes its hash once, when it
+is built.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
@@ -44,6 +54,8 @@ class RdfTerm:
     lexical: str
     datatype: Optional[str] = None
     lang: Optional[str] = None
+    # terms are dictionary keys in every layer: hash the fields once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is not TermKind.LITERAL:
@@ -51,6 +63,12 @@ class RdfTerm:
                 raise ValueError("only literals carry a datatype or language tag")
         elif self.lang is not None and self.datatype not in (None, RDF_NS + "langString"):
             raise ValueError("a literal has either a language tag or a datatype")
+        object.__setattr__(
+            self, "_hash", hash((self.kind, self.lexical, self.datatype, self.lang))
+        )
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (self.kind.value, self.lexical, self.datatype or "", self.lang or "")
@@ -212,13 +230,31 @@ class Graph:
         return items
 
 
-# --- N-Triples -------------------------------------------------------------
+# --- Escapes and positions -------------------------------------------------
 
 _UCHAR = re.compile(r"\\u([0-9a-fA-F]{4})|\\U([0-9a-fA-F]{8})")
 _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+# an IRI reference: no space, control character or `<>"{}|^`\`, except
+# through a \u or \U escape
+_IRI_BODY = r"(?:[^<>\"{}|^`\\\x00-\x20]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*"
+_NOT_IN_IRI = "".join(map(chr, range(0x21))) + '<>"{}|^`\\'
 
 
-def _unescape(s: str, line: int, col: int) -> str:
+def _error(text: str, message: str, at: int, shift: int = 0) -> RdfSyntaxError:
+    """The syntax error `message` at offset `at` of `text`, moved `shift`
+    columns right on that line."""
+    line = text.count("\n", 0, at) + 1
+    return RdfSyntaxError(message, line, at - text.rfind("\n", 0, at) + shift)
+
+
+def _unescape(s: str, text: str, at: int) -> str:
+    """`s`, which starts at offset `at` of `text`, with its escapes decoded.
+
+    A bad escape is reported on the line that `s` starts on, at the
+    column where `s` starts plus the escape's index in `s`.
+    """
+    if "\\" not in s:
+        return s
     out = []
     i = 0
     while i < len(s):
@@ -228,7 +264,7 @@ def _unescape(s: str, line: int, col: int) -> str:
             i += 1
             continue
         if i + 1 >= len(s):
-            raise RdfSyntaxError("dangling escape", line, col + i)
+            raise _error(text, "dangling escape", at, i)
         nxt = s[i + 1]
         if nxt in _ECHAR:
             out.append(_ECHAR[nxt])
@@ -237,12 +273,26 @@ def _unescape(s: str, line: int, col: int) -> str:
             m = _UCHAR.match(s, i)
             code = int(m.group(1) or m.group(2), 16) if m else -1
             if not (0 <= code <= 0x10FFFF) or 0xD800 <= code <= 0xDFFF:
-                raise RdfSyntaxError(f"bad escape \\{nxt}: no Unicode character", line, col + i)
+                raise _error(text, f"bad escape \\{nxt}: no Unicode character", at, i)
             out.append(chr(code))
             i = m.end()
         else:
-            raise RdfSyntaxError(f"bad escape \\{nxt}", line, col + i)
+            raise _error(text, f"bad escape \\{nxt}", at, i)
     return "".join(out)
+
+
+def _decode_iri(s: str, text: str, at: int) -> str:
+    """The IRI `s`, which starts at offset `at` of `text`, with its \\u and
+    \\U escapes decoded; an escape may not stand for a character that an
+    IRI reference excludes."""
+    def decode(m):
+        ch = _unescape(m.group(), text, at + m.start())
+        if ch in _NOT_IN_IRI:
+            raise _error(text, f"bad escape {m.group()}: {ch!r} is not allowed in an IRI",
+                         at + m.start())
+        return ch
+
+    return _UCHAR.sub(decode, s) if "\\" in s else s
 
 
 def _escape_literal(s: str) -> str:
@@ -252,124 +302,52 @@ def _escape_literal(s: str) -> str:
     )
 
 
-# --- Turtle tokenizer ------------------------------------------------------
-
-_TOKEN_SPEC = [
-    ("COMMENT", r"#[^\n]*"),
-    ("WS", r"[ \t\r]+"),
-    ("NL", r"\n"),
-    ("IRIREF", r"<[^<>\"{}|^`\\\x00-\x20]*>"),
-    ("STRING_LONG", r'"""(?:[^"\\]|\\.|"(?!""))*"""' + r"|'''(?:[^'\\]|\\.|'(?!''))*'''"),
-    ("STRING", r'"(?:[^"\\\n]|\\.)*"' + r"|'(?:[^'\\\n]|\\.)*'"),
-    ("PREFIX_KW", r"@prefix\b|@base\b"),
-    ("SPARQL_KW", r"(?i:PREFIX|BASE)(?=[ \t])"),
-    ("LANGTAG", r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"),
-    ("DOUBLE", r"[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+"),
-    ("DECIMAL", r"[+-]?\d*\.\d+"),
-    ("INTEGER", r"[+-]?\d+"),
-    ("BNODE", r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"),
-    ("DTYPE", r"\^\^"),
-    ("PUNCT", r"[;,.\[\]()]"),
-    ("BRACE", r"[{}]"),
-    ("A_KW", r"a(?=[\s<\[(])"),
-    ("PNAME", r"(?:[A-Za-z_][A-Za-z0-9_.-]*)?:(?:[A-Za-z0-9_%-](?:[A-Za-z0-9_.%-]*[A-Za-z0-9_%-])?)?"),
-    ("WORD", r"[A-Za-z][A-Za-z0-9_-]*"),
-]
-_TOKEN_RE = re.compile("|".join(f"(?P<{n}>{p})" for n, p in _TOKEN_SPEC))
+_TYPE = iri(RDF_TYPE)
+_FIRST = iri(RDF_FIRST)
+_REST = iri(RDF_REST)
+_NIL = iri(RDF_NIL)
 
 
-@dataclass
-class _Token:
-    kind: str
-    value: str
-    line: int
-    col: int
+class _Terms:
+    """The IRIs and blank nodes of one document, each built once.
 
+    `named` maps the text of an IRI reference (`<...>`) or a prefixed name
+    to its term.  A Turtle document may redefine a prefix or its base
+    partway through, so the Turtle parser clears `named` at every
+    directive.  Blank nodes are renamed apart: `b1`, `b2`, ... in the
+    order they are first met.
+    """
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise RdfSyntaxError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        value = m.group()
-        if kind == "NL":
-            line += 1
-            line_start = m.end()
-        elif kind not in ("WS", "COMMENT"):
-            if kind == "BRACE":
-                raise UnsupportedFeature("named graphs / quoted triples are not supported")
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
-        if kind in ("STRING_LONG",):
-            nl = value.count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + value.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("EOF", "", line, pos - line_start + 1))
-    return tokens
-
-
-class _TurtleParser:
-    def __init__(self, text: str, base_iri: Optional[str]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+    def __init__(self, text: str, base: str = ""):
+        self.text = text
+        self.base = base
         self.prefixes: dict[str, str] = {}
-        self.base = base_iri or ""
-        self.triples: list[Triple] = []
-        self.bnode_counter = 0
-        self.labeled_bnodes: dict[str, RdfTerm] = {}
+        self.named: dict[str, RdfTerm] = {}
+        self.blanks: dict[str, RdfTerm] = {}
+        self.count = 0
 
-    # token helpers
+    def fresh(self) -> RdfTerm:
+        self.count += 1
+        return bnode(f"b{self.count}")
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def blank(self, label: str) -> RdfTerm:
+        node = self.blanks.get(label)
+        if node is None:
+            node = self.blanks[label] = self.fresh()
+        return node
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, value: Optional[str] = None) -> _Token:
-        tok = self.next()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            raise RdfSyntaxError(
-                f"expected {value or kind}, found {tok.value!r}", tok.line, tok.col
-            )
-        return tok
-
-    def fresh_bnode(self) -> RdfTerm:
-        self.bnode_counter += 1
-        return bnode(f"b{self.bnode_counter}")
-
-    # grammar
-
-    def parse(self) -> Graph:
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.kind == "PREFIX_KW" or tok.kind == "SPARQL_KW":
-                self.directive()
-            else:
-                self.triples_block()
-        return Graph(self.triples)
-
-    def directive(self):
-        tok = self.next()
-        keyword = tok.value.lstrip("@").lower()
-        if keyword == "prefix":
-            pname = self.expect("PNAME")
-            if not pname.value.endswith(":") or pname.value.count(":") != 1:
-                raise RdfSyntaxError("bad prefix declaration", pname.line, pname.col)
-            iri_tok = self.expect("IRIREF")
-            self.prefixes[pname.value[:-1]] = self.resolve(iri_tok.value[1:-1])
+    def name(self, key: str, at: int) -> RdfTerm:
+        """The IRI named by `key`, an IRI reference or a prefixed name at
+        offset `at`, built and kept in `named`."""
+        if key[0] == "<":
+            value = self.resolve(_decode_iri(key[1:-1], self.text, at + 1))
         else:
-            iri_tok = self.expect("IRIREF")
-            self.base = self.resolve(iri_tok.value[1:-1])
-        if tok.kind == "PREFIX_KW":
-            self.expect("PUNCT", ".")
+            prefix, _, local = key.partition(":")
+            if prefix not in self.prefixes:
+                raise _error(self.text, f"undeclared prefix {prefix!r}", at)
+            value = self.prefixes[prefix] + local
+        term = self.named[key] = iri(value)
+        return term
 
     def resolve(self, ref: str) -> str:
         if re.match(r"^[A-Za-z][A-Za-z0-9+.-]*:", ref):
@@ -383,185 +361,288 @@ class _TurtleParser:
             return base + ref
         return base.rsplit("/", 1)[0] + "/" + ref
 
-    def triples_block(self):
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.value == "[":
-            subj = self.bnode_property_list()
-            if self.peek().kind == "PUNCT" and self.peek().value == ".":
-                self.next()
-                return
-            self.predicate_object_list(subj)
+
+# --- Turtle tokenizer ------------------------------------------------------
+
+# The first alternative that matches wins, so a token must come after
+# every other that can match where it starts: STRING_LONG before STRING,
+# the numbers (longest form first) before PUNCT's ".", BNODE before PNAME,
+# PREFIX_KW before LANGTAG, and A_KW, SPARQL_KW and PNAME before WORD.
+# Within that, the tokens a data graph is mostly made of come first.
+_TOKEN_SPEC = [
+    ("BNODE", r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?"),
+    ("PNAME", r"(?:[A-Za-z_][A-Za-z0-9_.-]*)?:(?:[A-Za-z0-9_%-](?:[A-Za-z0-9_.%-]*[A-Za-z0-9_%-])?)?"),
+    ("A_KW", r"a(?=[\s<\[(])"),
+    ("STRING_LONG", r'"""(?:[^"\\]|\\.|"(?!""))*"""' + r"|'''(?:[^'\\]|\\.|'(?!''))*'''"),
+    ("STRING", r'"(?:[^"\\\n]|\\.)*"' + r"|'(?:[^'\\\n]|\\.)*'"),
+    ("DOUBLE", r"[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+"),
+    ("DECIMAL", r"[+-]?\d*\.\d+"),
+    ("INTEGER", r"[+-]?\d+"),
+    ("PUNCT", r"[;,.\[\]()]"),
+    ("IRIREF", rf"<{_IRI_BODY}>"),
+    ("DTYPE", r"\^\^"),
+    ("PREFIX_KW", r"@prefix\b|@base\b"),
+    ("LANGTAG", r"@[a-zA-Z]+(?:-[a-zA-Z0-9]+)*"),
+    ("SPARQL_KW", r"(?i:PREFIX|BASE)(?=[ \t])"),
+    ("WORD", r"[A-Za-z][A-Za-z0-9_-]*"),
+    ("EOF", r"\Z"),
+    # where no token starts: the rest of the text, which ends the list
+    ("BAD", r"(?s:.+)"),
+]
+# Each match skips whitespace and comments, then captures one token.
+_TOKEN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*(?:" + "|".join(f"(?P<{n}>{p})" for n, p in _TOKEN_SPEC) + ")"
+)
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The `(kind, text, offset)` tokens of `text`, ending in one or two EOF
+    tokens.  Punctuation is told apart by its text alone: no other token
+    is a single `;,.[]()` character."""
+    tokens = [
+        (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
+        for m in _TOKEN_RE.finditer(text)
+    ]
+    kind, rest, at = tokens[-2] if len(tokens) > 1 else tokens[-1]
+    if kind == "BAD":
+        if rest[0] in "{}":
+            raise UnsupportedFeature("named graphs / quoted triples are not supported")
+        raise _error(text, f"unexpected character {rest[0]!r}", at)
+    return tokens
+
+
+# --- Turtle parser ---------------------------------------------------------
+
+# Where the term being read goes.  A statement whose subject is a `[ ... ]`
+# reads it at _SUBJECT_LIST, since it may end the statement by itself.
+_SUBJECT, _SUBJECT_LIST, _PREDICATE, _OBJECT, _ITEM, _DATATYPE = range(6)
+
+
+class _TurtleParser:
+    def __init__(self, text: str, base_iri: Optional[str]):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.terms = _Terms(text, base_iri or "")
+        self.triples: list[Triple] = []
+
+    def error(self, message: str, at: int) -> RdfSyntaxError:
+        return _error(self.text, message, at)
+
+    def expect(self, i: int, value: str) -> int:
+        """The index after tokens[i], which must be the punctuation `value`."""
+        _, text, at = self.tokens[i]
+        if text != value:
+            raise self.error(f"expected {value}, found {text!r}", at)
+        return i + 1
+
+    def parse(self) -> Graph:
+        tokens = self.tokens
+        i = 0
+        while True:
+            kind = tokens[i][0]
+            if kind == "EOF":
+                return Graph(self.triples)
+            if kind == "PREFIX_KW" or kind == "SPARQL_KW":
+                i = self.directive(i)
+            else:
+                i = self.statement(i)
+
+    def directive(self, i: int) -> int:
+        kind, keyword, _ = self.tokens[i]
+        terms = self.terms
+        if keyword.lstrip("@").lower() == "prefix":
+            name_kind, name, at = self.tokens[i + 1]
+            if name_kind != "PNAME":
+                raise self.error(f"expected PNAME, found {name!r}", at)
+            if not name.endswith(":") or name.count(":") != 1:
+                raise self.error("bad prefix declaration", at)
+            i, ref = self.iri_ref(i + 2)
+            terms.prefixes[name[:-1]] = terms.resolve(ref)
         else:
-            subj = self.term(position="subject")
-            if subj.is_literal:
-                raise RdfSyntaxError("literal in subject position", tok.line, tok.col)
-            self.predicate_object_list(subj)
-        self.expect("PUNCT", ".")
+            i, ref = self.iri_ref(i + 1)
+            terms.base = terms.resolve(ref)
+        terms.named.clear()
+        if kind == "PREFIX_KW":
+            i = self.expect(i, ".")
+        return i
 
-    def predicate_object_list(self, subj: RdfTerm):
+    def iri_ref(self, i: int) -> tuple[int, str]:
+        kind, text, at = self.tokens[i]
+        if kind != "IRIREF":
+            raise self.error(f"expected IRIREF, found {text!r}", at)
+        return i + 1, _decode_iri(text[1:-1], self.text, at + 1)
+
+    def statement(self, i: int) -> int:
+        """Read the triples statement at tokens[i]; the index after its `.`.
+
+        The loop reads one term for `where`, either whole or by opening a
+        frame on `stack`, then gives each finished term to `where`, which
+        may finish the frame it is in.  A `[` frame keeps the subject and
+        predicate around it, a `(` frame its items and a `^^` frame its
+        literal's lexical form and the offset of the `^^`.  Every frame
+        also keeps where its term goes and the offset it starts at.
+        """
+        tokens = self.tokens
+        terms = self.terms
+        named = terms.named
+        triples = self.triples
+        stack: list[tuple] = []
+        subj = pred = None
+        where = _SUBJECT_LIST if tokens[i][1] == "[" else _SUBJECT
         while True:
-            pred = self.predicate()
-            self.object_list(subj, pred)
-            if self.peek().kind == "PUNCT" and self.peek().value == ";":
-                self.next()
-                # trailing semicolons before '.' or ']' are legal
-                while self.peek().kind == "PUNCT" and self.peek().value == ";":
-                    self.next()
-                if self.peek().kind == "PUNCT" and self.peek().value in ".]":
-                    return
+            kind, text, at = tokens[i]
+            i += 1
+            if kind == "IRIREF" or kind == "PNAME":
+                value = named.get(text) or terms.name(text, at)
+            elif kind == "BNODE":
+                value = terms.blank(text[2:])
+            elif kind == "A_KW" and where == _PREDICATE:
+                value = _TYPE
+            elif text == "[":
+                if where == _PREDICATE:
+                    raise self.error("blank node in predicate position", at)
+                value = terms.fresh()
+                if tokens[i][1] == "]":
+                    i += 1
+                else:
+                    stack.append(("[", where, at, subj, pred))
+                    subj, where = value, _PREDICATE
+                    continue
+            elif text == "(":
+                stack.append(("(", where, at, []))
+                where = _ITEM
                 continue
-            return
+            elif text == ")" and where == _ITEM:
+                _, where, at, items = stack.pop()
+                value = self.collection(items)
+            elif where == _PREDICATE:
+                raise self.error(f"unexpected token {text!r}", at)
+            elif kind == "STRING" or kind == "STRING_LONG":
+                quote = 3 if kind == "STRING_LONG" else 1
+                lexical = _unescape(text[quote:-quote], self.text, at + quote)
+                next_kind, next_text, next_at = tokens[i]
+                if next_kind == "LANGTAG":
+                    i += 1
+                    value = literal(lexical, lang=next_text[1:])
+                elif next_kind == "DTYPE":
+                    i += 1
+                    stack.append(("^^", where, at, lexical, next_at))
+                    where = _DATATYPE
+                    continue
+                else:
+                    value = literal(lexical)
+            elif kind == "INTEGER":
+                value = literal(text, datatype=XSD_INTEGER)
+            elif kind == "DECIMAL":
+                value = literal(text, datatype=XSD_DECIMAL)
+            elif kind == "DOUBLE":
+                value = literal(text, datatype=XSD_DOUBLE)
+            elif kind == "WORD" and (text == "true" or text == "false"):
+                value = literal(text, datatype=XSD_BOOLEAN)
+            else:
+                raise self.error(f"unexpected token {text!r}", at)
 
-    def predicate(self) -> RdfTerm:
-        tok = self.peek()
-        if tok.kind == "A_KW":
-            self.next()
-            return iri(RDF_TYPE)
-        term = self.term(position="predicate")
-        if not term.is_iri:
-            raise RdfSyntaxError("predicate must be an IRI", tok.line, tok.col)
-        return term
+            while True:  # give `value`, which starts at `at`, to `where`
+                if where == _OBJECT:
+                    triples.append(Triple(subj, pred, value))
+                    text = tokens[i][1]
+                    if text == ",":
+                        i += 1
+                        break
+                    if text == ";":
+                        i += 1
+                        # trailing semicolons before '.' or ']' are legal
+                        while tokens[i][1] == ";":
+                            i += 1
+                        text = tokens[i][1]
+                        if text != "." and text != "]":
+                            where = _PREDICATE
+                            break
+                    # the predicate-object list ends: the statement's, or
+                    # that of the `[` frame on top
+                    if not stack:
+                        return self.expect(i, ".")
+                    i = self.expect(i, "]")
+                    value = subj
+                    _, where, at, subj, pred = stack.pop()
+                elif where == _ITEM:
+                    stack[-1][3].append(value)
+                    break
+                elif where == _DATATYPE:
+                    _, where, at, lexical, dtype_at = stack.pop()
+                    if not value.is_iri:
+                        raise self.error("datatype must be an IRI", dtype_at)
+                    value = literal(lexical, datatype=value.lexical)
+                elif where == _PREDICATE:
+                    if not value.is_iri:
+                        raise self.error("predicate must be an IRI", at)
+                    pred, where = value, _OBJECT
+                    break
+                elif where == _SUBJECT:
+                    if value.is_literal:
+                        raise self.error("literal in subject position", at)
+                    subj, where = value, _PREDICATE
+                    break
+                else:  # _SUBJECT_LIST
+                    if tokens[i][1] == ".":
+                        return i + 1
+                    subj, where = value, _PREDICATE
+                    break
 
-    def object_list(self, subj: RdfTerm, pred: RdfTerm):
-        while True:
-            obj = self.term(position="object")
-            self.triples.append(Triple(subj, pred, obj))
-            if self.peek().kind == "PUNCT" and self.peek().value == ",":
-                self.next()
-                continue
-            return
-
-    def bnode_property_list(self) -> RdfTerm:
-        self.expect("PUNCT", "[")
-        node = self.fresh_bnode()
-        if not (self.peek().kind == "PUNCT" and self.peek().value == "]"):
-            self.predicate_object_list(node)
-        self.expect("PUNCT", "]")
-        return node
-
-    def collection(self) -> RdfTerm:
-        self.expect("PUNCT", "(")
-        items = []
-        while not (self.peek().kind == "PUNCT" and self.peek().value == ")"):
-            items.append(self.term(position="object"))
-        self.next()
-        head: RdfTerm = iri(RDF_NIL)
-        links = []
-        for item in items:
-            links.append((self.fresh_bnode(), item))
-        for node, item in reversed(links):
-            self.triples.append(Triple(node, iri(RDF_FIRST), item))
-            self.triples.append(Triple(node, iri(RDF_REST), head))
+    def collection(self, items: list[RdfTerm]) -> RdfTerm:
+        """The head of the RDF list of `items`, whose links are new blank nodes."""
+        nodes = [self.terms.fresh() for _ in items]
+        head = _NIL
+        for node, item in zip(reversed(nodes), reversed(items)):
+            self.triples.append(Triple(node, _FIRST, item))
+            self.triples.append(Triple(node, _REST, head))
             head = node
         return head
-
-    def term(self, position: str) -> RdfTerm:
-        tok = self.peek()
-        if tok.kind == "IRIREF":
-            self.next()
-            return iri(self.resolve(_unescape(tok.value[1:-1], tok.line, tok.col)))
-        if tok.kind == "PNAME":
-            self.next()
-            prefix, _, local = tok.value.partition(":")
-            if prefix not in self.prefixes:
-                raise RdfSyntaxError(f"undeclared prefix {prefix!r}", tok.line, tok.col)
-            return iri(self.prefixes[prefix] + local.replace("%", "%"))
-        if tok.kind == "BNODE":
-            self.next()
-            label = tok.value[2:]
-            if label not in self.labeled_bnodes:
-                self.labeled_bnodes[label] = self.fresh_bnode()
-            return self.labeled_bnodes[label]
-        if tok.kind == "PUNCT" and tok.value == "[":
-            if position == "predicate":
-                raise RdfSyntaxError("blank node in predicate position", tok.line, tok.col)
-            return self.bnode_property_list()
-        if tok.kind == "PUNCT" and tok.value == "(":
-            return self.collection()
-        if position != "predicate":
-            lit = self.maybe_literal()
-            if lit is not None:
-                return lit
-        raise RdfSyntaxError(f"unexpected token {tok.value!r}", tok.line, tok.col)
-
-    def maybe_literal(self) -> Optional[RdfTerm]:
-        tok = self.peek()
-        if tok.kind in ("STRING", "STRING_LONG"):
-            self.next()
-            raw = tok.value
-            quote = 3 if tok.kind == "STRING_LONG" else 1
-            lexical = _unescape(raw[quote:-quote], tok.line, tok.col + quote)
-            nxt = self.peek()
-            if nxt.kind == "LANGTAG":
-                self.next()
-                return literal(lexical, lang=nxt.value[1:])
-            if nxt.kind == "DTYPE":
-                self.next()
-                dtype = self.term(position="object")
-                if not dtype.is_iri:
-                    raise RdfSyntaxError("datatype must be an IRI", nxt.line, nxt.col)
-                return literal(lexical, datatype=dtype.lexical)
-            return literal(lexical)
-        if tok.kind == "INTEGER":
-            self.next()
-            return literal(tok.value, datatype=XSD_INTEGER)
-        if tok.kind == "DECIMAL":
-            self.next()
-            return literal(tok.value, datatype=XSD_DECIMAL)
-        if tok.kind == "DOUBLE":
-            self.next()
-            return literal(tok.value, datatype=XSD_DOUBLE)
-        if tok.kind == "WORD" and tok.value in ("true", "false"):
-            self.next()
-            return literal(tok.value, datatype=XSD_BOOLEAN)
-        return None
 
 
 # --- N-Triples parser ------------------------------------------------------
 
-_NT_IRI = r"<([^<>\"{}|^`\\\x00-\x20]*)>"
+_NT_IRI = rf"(<{_IRI_BODY}>)"
 _NT_BNODE = r"_:([A-Za-z0-9_][A-Za-z0-9_.-]*)"
-_NT_LITERAL = r'"((?:[^"\\\n]|\\.)*)"(?:(?:\^\^<([^<>\"{}|^`\\\x00-\x20]*)>)|(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)))?'
+_NT_LITERAL = rf'"((?:[^"\\\n]|\\.)*)"(?:(?:\^\^{_NT_IRI})|(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)))?'
 _NT_LINE = re.compile(
     r"^\s*(?:"
     rf"(?:{_NT_IRI}|{_NT_BNODE})"      # subject: groups 1 (iri) / 2 (bnode)
     rf"\s+{_NT_IRI}"                    # predicate: group 3
-    rf"\s+(?:{_NT_IRI}|{_NT_BNODE}|{_NT_LITERAL})"  # object: groups 4-9
+    rf"\s+(?:{_NT_IRI}|{_NT_BNODE}|{_NT_LITERAL})"  # object: groups 4-8
     r"\s*\.\s*)?(?:#.*)?$"
 )
 
 
 def _parse_ntriples(text: str) -> Graph:
     triples = []
-    labeled: dict[str, RdfTerm] = {}
-
-    def node_for(label: str) -> RdfTerm:
-        if label not in labeled:
-            labeled[label] = bnode(f"b{len(labeled) + 1}")
-        return labeled[label]
-
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    terms = _Terms(text)
+    named = terms.named
+    start = 0  # the offset of the line
+    for line in text.split("\n"):
+        at, start = start, start + len(line) + 1
         if not line.strip():
             continue
         m = _NT_LINE.match(line)
         if m is None:
-            raise RdfSyntaxError("malformed N-Triples line", lineno, 1)
+            raise _error(text, "malformed N-Triples line", at)
         if m.group(3) is None:  # comment-only line
             continue
         g = m.groups()
         if g[0] is not None:
-            subj = iri(_unescape(g[0], lineno, m.start(1) + 1))
+            subj = named.get(g[0]) or terms.name(g[0], at + m.start(1))
         else:
-            subj = node_for(g[1])
-        pred = iri(_unescape(g[2], lineno, m.start(3) + 1))
+            subj = terms.blank(g[1])
+        pred = named.get(g[2]) or terms.name(g[2], at + m.start(3))
         if g[3] is not None:
-            obj = iri(_unescape(g[3], lineno, m.start(4) + 1))
+            obj = named.get(g[3]) or terms.name(g[3], at + m.start(4))
         elif g[4] is not None:
-            obj = node_for(g[4])
+            obj = terms.blank(g[4])
         else:
-            lex = _unescape(g[5], lineno, m.start(6) + 1)
+            lex = _unescape(g[5], text, at + m.start(6))
             if g[6] is not None:
-                obj = literal(lex, datatype=g[6])
+                dtype = named.get(g[6]) or terms.name(g[6], at + m.start(7))
+                obj = literal(lex, datatype=dtype.lexical)
             elif g[7] is not None:
                 obj = literal(lex, lang=g[7])
             else:

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from shacl2fol import rdf
 from shacl2fol.errors import RdfSyntaxError, UnsupportedFeature
 from shacl2fol.rdf import (
-    Graph, RDF_NS, Syntax, TermKind, Triple, bnode, iri, literal,
+    Graph, RDF_NS, RdfTerm, Syntax, TermKind, Triple, bnode, iri, literal,
     parse_document, serialize_ntriples,
 )
 
@@ -64,6 +64,33 @@ class TestNTriples:
         with pytest.raises(RdfSyntaxError) as err:
             parse_document(line, Syntax.NTRIPLES)
         assert (err.value.line, err.value.column) == (1, column)
+
+    @pytest.mark.parametrize("syntax", [Syntax.NTRIPLES, Syntax.TURTLE])
+    def test_iri_escapes_are_decoded(self, syntax):
+        g = parse_document(
+            "<http://e/\\u0041> <http://e/p> <http://e/\\U0001F600> .", syntax
+        )
+        t = next(iter(g))
+        assert t.subject == iri("http://e/A")
+        assert t.object == iri("http://e/\U0001F600")
+
+    @pytest.mark.parametrize("syntax", [Syntax.NTRIPLES, Syntax.TURTLE])
+    @pytest.mark.parametrize("escape", ["\\u0020", "\\u003C", "\\u005C", "\\U0000007B"])
+    def test_iri_escape_of_an_excluded_character_is_an_error(self, syntax, escape):
+        with pytest.raises(RdfSyntaxError) as err:
+            parse_document(f"<http://e/a> <http://e/p> <http://e/{escape}b> .", syntax)
+        assert (err.value.line, err.value.column) == (1, 37)
+        assert f"bad escape {escape}" in str(err.value)
+
+    @pytest.mark.parametrize("syntax", [Syntax.NTRIPLES, Syntax.TURTLE])
+    def test_each_iri_and_blank_node_is_built_once(self, syntax):
+        g = parse_document(
+            "<http://e/a> <http://e/p> _:x .\n_:x <http://e/p> <http://e/a> .", syntax
+        )
+        (first, second) = sorted(g, key=lambda t: t.subject.is_blank)
+        assert first.subject is second.object
+        assert first.predicate is second.predicate
+        assert first.object is second.subject
 
     @pytest.mark.parametrize("line, column, syntaxes", [
         ('<http://e/a> <http://e/p> "x\\uZZZZ" .', 29, (Syntax.NTRIPLES, Syntax.TURTLE)),
@@ -151,10 +178,88 @@ class TestTurtle:
         )
         assert next(iter(g)).object == literal("tab\there")
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        # a parser error and a tokenizer error on line 3 or later
+        ("@prefix ex: <http://e/> .\nex:a ex:p ex:b .\nex:c ex:p ex:d ex:e .\n",
+         "expected ., found 'ex:e'", 3, 16),
+        ("@prefix ex: <http://e/> .\nex:a ex:p ex:b .\nex:c ex:p ex:d ;\n  ex:q ? .\n",
+         "unexpected character '?'", 4, 8),
+        # after a long string over three lines
+        ('@prefix ex: <http://e/> .\nex:a ex:p """one\ntwo\nthree""" ; ex:q ) .',
+         "unexpected token ')'", 4, 17),
+        # after comment lines and a trailing comment
+        ("# a comment\n@prefix ex: <http://e/> . # trailing\n# another\n"
+         "ex:a ex:p 'x' 'y' .", "expected ., found \"'y'\"", 4, 15),
+        # at the end of the input, with and without a final newline
+        ("@prefix ex: <http://e/> .\nex:a ex:p ex:b", "expected ., found ''", 2, 15),
+        ("@prefix ex: <http://e/> .\nex:a ex:p\n", "unexpected token ''", 3, 1),
+        ("@prefix ex: <http://e/> .\nex:a ex:p [ ex:q ex:b .\n",
+         "expected ], found '.'", 2, 23),
+    ])
+    def test_error_position(self, text, message, line, column):
+        with pytest.raises(RdfSyntaxError) as err:
+            parse_document(text, Syntax.TURTLE)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+
+    def test_prefix_redefined_partway(self):
+        g = parse_document(
+            "@prefix ex: <http://e/> .\nex:x ex:p ex:y .\n"
+            "@prefix ex: <http://f/> .\nex:x ex:p ex:y .",
+            Syntax.TURTLE,
+        )
+        assert g == Graph([
+            Triple(iri("http://e/x"), iri("http://e/p"), iri("http://e/y")),
+            Triple(iri("http://f/x"), iri("http://f/p"), iri("http://f/y")),
+        ])
+
+    def test_base_changed_between_relative_iris(self):
+        g = parse_document(
+            "@base <http://e/a/> .\n<x> <p> <y> .\n@base <http://e/b/> .\n<x> <p> <y> .",
+            Syntax.TURTLE,
+        )
+        assert g == Graph([
+            Triple(iri("http://e/a/x"), iri("http://e/a/p"), iri("http://e/a/y")),
+            Triple(iri("http://e/b/x"), iri("http://e/b/p"), iri("http://e/b/y")),
+        ])
+
     def test_graph_braces_unsupported(self):
         with pytest.raises(UnsupportedFeature):
             parse_document("{ <http://e/a> <http://e/p> <http://e/b> . }",
                            Syntax.TURTLE)
+
+
+class TestDeepNesting:
+    """Open `[` and `(` are kept on the parser's stack, not Python's."""
+
+    def test_nested_blank_node_property_lists(self):
+        depth = 10_000
+        g = parse_document(
+            "@prefix ex: <http://e/> .\nex:a ex:p "
+            + "[ ex:p " * depth + "ex:b" + " ]" * depth + " .",
+            Syntax.TURTLE,
+        )
+        assert len(g) == depth + 1
+
+    def test_nested_collections(self):
+        depth = 10_000
+        g = parse_document(
+            "@prefix ex: <http://e/> .\nex:a ex:p "
+            + "( " * depth + "ex:b" + " )" * depth + " .",
+            Syntax.TURTLE,
+        )
+        assert len(g) == 2 * depth + 1
+
+    def test_long_collection(self):
+        n = 20_000
+        g = parse_document(
+            "@prefix ex: <http://e/> .\nex:a ex:p ( "
+            + " ".join(f"ex:i{k}" for k in range(n)) + " ) .",
+            Syntax.TURTLE,
+        )
+        assert len(g) == 2 * n + 1
+        head = g.object(iri("http://e/a"), "http://e/p")
+        assert g.walk_list(head) == [iri(f"http://e/i{k}") for k in range(n)]
 
 
 class TestModel:
@@ -165,6 +270,23 @@ class TestModel:
     def test_subject_must_not_be_literal(self):
         with pytest.raises(ValueError):
             Triple(literal("s"), iri("http://e/p"), iri("http://e/b"))
+
+    @pytest.mark.parametrize("built, again", [
+        (iri("http://e/a"), lambda: RdfTerm(TermKind.IRI, "http://e/a")),
+        (literal("v"), lambda: RdfTerm(TermKind.LITERAL, "v", XSD + "string")),
+        (literal("v", lang="en"), lambda: RdfTerm(TermKind.LITERAL, "v", None, "en")),
+        (bnode("b1"), lambda: RdfTerm(TermKind.BLANK, "b1")),
+    ])
+    def test_equal_terms_hash_equal(self, built, again):
+        other = again()
+        assert built == other and hash(built) == hash(other)
+        assert {built: 1}[other] == 1
+
+    def test_repr_shows_only_the_fields(self):
+        assert repr(literal("v", lang="en")) == (
+            "RdfTerm(kind=<TermKind.LITERAL: 'literal'>, lexical='v', "
+            "datatype=None, lang='en')"
+        )
 
     def test_objects_sorted(self):
         g = parse_document(
@@ -202,6 +324,13 @@ class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self, g):
         text = serialize_ntriples(g)
         assert parse_document(text, Syntax.NTRIPLES) == g
+
+    @given(graphs())
+    def test_turtle_reads_the_serialization(self, g):
+        text = serialize_ntriples(g)
+        again = parse_document(text, Syntax.TURTLE)
+        assert again == g
+        assert serialize_ntriples(again) == text
 
     @given(graphs())
     def test_serialization_is_canonical(self, g):
