@@ -176,16 +176,10 @@ def evaluate(sg: ShapeGraph, g: Graph) -> ValidationReport:
     """Check every targeted node of every shape; conforms iff no violations."""
     check_shape_graph(sg)
     ev = _Evaluator(sg, g)
-    violations = []
+    violations: dict[tuple[RdfTerm, RdfTerm], Violation] = {}  # in report order
     for shape in sg.shapes:
         for target in shape.targets:
             for node in sorted(target_nodes(target, g)):
                 if not ev.shape_holds(shape.name, node):
-                    violations.append(Violation(shape.name, node))
-    seen = set()
-    unique = []
-    for v in violations:
-        if (v.shape_name, v.focus_node) not in seen:
-            seen.add((v.shape_name, v.focus_node))
-            unique.append(v)
-    return ValidationReport(conforms=not unique, violations=unique)
+                    violations[shape.name, node] = Violation(shape.name, node)
+    return ValidationReport(conforms=not violations, violations=list(violations.values()))

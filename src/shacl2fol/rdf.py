@@ -240,18 +240,17 @@ _IRI_BODY = r"(?:[^<>\"{}|^`\\\x00-\x20]|\\u[0-9A-Fa-f]{4}|\\U[0-9A-Fa-f]{8})*"
 _NOT_IN_IRI = "".join(map(chr, range(0x21))) + '<>"{}|^`\\'
 
 
-def _error(text: str, message: str, at: int, shift: int = 0) -> RdfSyntaxError:
-    """The syntax error `message` at offset `at` of `text`, moved `shift`
-    columns right on that line."""
+def _error(text: str, message: str, at: int) -> RdfSyntaxError:
+    """The syntax error `message` at offset `at` of `text`."""
     line = text.count("\n", 0, at) + 1
-    return RdfSyntaxError(message, line, at - text.rfind("\n", 0, at) + shift)
+    return RdfSyntaxError(message, line, at - text.rfind("\n", 0, at))
 
 
 def _unescape(s: str, text: str, at: int) -> str:
     """`s`, which starts at offset `at` of `text`, with its escapes decoded.
 
-    A bad escape is reported on the line that `s` starts on, at the
-    column where `s` starts plus the escape's index in `s`.
+    A bad escape is reported at its own line and column, also when `s`
+    spans several lines.
     """
     if "\\" not in s:
         return s
@@ -264,7 +263,7 @@ def _unescape(s: str, text: str, at: int) -> str:
             i += 1
             continue
         if i + 1 >= len(s):
-            raise _error(text, "dangling escape", at, i)
+            raise _error(text, "dangling escape", at + i)
         nxt = s[i + 1]
         if nxt in _ECHAR:
             out.append(_ECHAR[nxt])
@@ -273,11 +272,11 @@ def _unescape(s: str, text: str, at: int) -> str:
             m = _UCHAR.match(s, i)
             code = int(m.group(1) or m.group(2), 16) if m else -1
             if not (0 <= code <= 0x10FFFF) or 0xD800 <= code <= 0xDFFF:
-                raise _error(text, f"bad escape \\{nxt}: no Unicode character", at, i)
+                raise _error(text, f"bad escape \\{nxt}: no Unicode character", at + i)
             out.append(chr(code))
             i = m.end()
         else:
-            raise _error(text, f"bad escape \\{nxt}", at, i)
+            raise _error(text, f"bad escape \\{nxt}", at + i)
     return "".join(out)
 
 

@@ -262,19 +262,25 @@ _UNSUPPORTED_PARAMS = {
 class _Extractor:
     def __init__(self, g: Graph):
         self.g = g
-        self.shapes: dict[RdfTerm, Shape] = {}
-        self.in_progress: set[RdfTerm] = set()
 
     def run(self) -> ShapeGraph:
-        roots = self.find_shape_nodes()
-        for node in sorted(roots):
-            self.shape_for(node)
-        return ShapeGraph(sorted(self.shapes.values(), key=lambda s: str(s.name)))
+        shapes: dict[RdfTerm, Shape] = {}
+        # roots first, in order, then the property shapes an active shape
+        # references; the list grows while it is walked
+        todo = sorted(self.find_shape_nodes(), key=str)
+        for node in todo:
+            if node in shapes or self.is_deactivated(node):
+                continue
+            shape = Shape(node, tuple(self.extract_targets(node)), self.extract_constraints(node))
+            shapes[node] = shape
+            todo.extend(constraint_shape_refs(shape.constraint))
+        return ShapeGraph(sorted(shapes.values(), key=lambda s: str(s.name)))
 
     def find_shape_nodes(self) -> set[RdfTerm]:
+        """The roots of extraction; a reference is never followed here."""
         g = self.g
         nodes: set[RdfTerm] = set()
-        for pred_iri in _TARGET_PREDICATES.keys() | _CONSTRAINT_PARAMS | _UNSUPPORTED_PARAMS:
+        for pred_iri in _CONSTRAINT_PARAMS | _UNSUPPORTED_PARAMS:
             nodes |= g.subjects_of(pred_iri)
         for pred_iri in (_sh("node"), _sh("qualifiedValueShape"), _sh("not")):
             nodes.update(triple.object for triple in g.with_predicate(pred_iri))
@@ -286,28 +292,16 @@ class _Extractor:
             nodes.update(g.subjects(RDF_TYPE, rdf.iri(cls)))
         # property shapes hang off sh:property and are folded into their
         # parent, not promoted to named shapes, unless independently targeted
-        property_objects = {triple.object for triple in g.with_predicate(_sh("property"))}
-        targeted = set().union(*(g.subjects_of(p) for p in _TARGET_PREDICATES))
-        return (nodes - property_objects) | targeted
+        nodes -= {triple.object for triple in g.with_predicate(_sh("property"))}
+        for pred_iri in _TARGET_PREDICATES:
+            nodes |= g.subjects_of(pred_iri)
+        # a deactivated shape may name a literal; an active one is rejected
+        # in require_shape
+        return {node for node in nodes if not node.is_literal}
 
     def is_deactivated(self, node: RdfTerm) -> bool:
         v = self.g.object(node, _sh("deactivated"))
         return v is not None and v.is_literal and v.lexical == "true"
-
-    def shape_for(self, node: RdfTerm) -> Optional[Shape]:
-        if node in self.shapes or node in self.in_progress:
-            return self.shapes.get(node)
-        if self.is_deactivated(node):
-            return None
-        self.in_progress.add(node)
-        try:
-            targets = self.extract_targets(node)
-            constraint = self.extract_constraints(node)
-        finally:
-            self.in_progress.discard(node)
-        shape = Shape(node, tuple(targets), constraint)
-        self.shapes[node] = shape
-        return shape
 
     def extract_targets(self, node: RdfTerm) -> list[TargetDecl]:
         targets = []
@@ -507,7 +501,6 @@ class _Extractor:
     def require_shape(self, node: RdfTerm):
         if node.is_literal:
             raise MalformedShape(f"shape reference to literal {node}")
-        self.shape_for(node)
 
     def parse_path(self, term: RdfTerm) -> PropertyPath:
         if term.is_iri:

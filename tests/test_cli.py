@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import not_chain
 from shacl2fol import cli, miniprover
 from shacl2fol.rdf import iri
 from shacl2fol.shapes import And, HasShape, check_shape_graph
@@ -279,6 +280,25 @@ def test_shared_parsers_keep_no_state_between_requests(files, tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"% SZS status Satisfiable for {plain}\n")
 
 
+class TestDeepShapeChain:
+    # extraction reads each of the 252 shapes once, with no recursion
+    # through the references; the decisions may give up, but none is wrong
+    @pytest.mark.parametrize("command, codes", [
+        (["oracle", "{chain}", "{data}"], {0}),
+        (["emit", "sat", "{chain}", "--out", "{out}"], {0}),
+        (["sat", "{chain}", "--prover", "builtin", "--timeout", "1"], {0, 2}),
+        (["validate", "{chain}", "{data}", "--prover", "builtin", "--timeout", "1"], {0, 2}),
+        (["contains", "{chain}", "{chain}", "--prover", "builtin", "--timeout", "1"], {0, 2}),
+    ], ids=["oracle", "emit-sat", "sat", "validate", "contains"])
+    def test_every_command_answers_a_250_deep_not_chain(self, tmp_path, capsys, command, codes):
+        (tmp_path / "chain.ttl").write_text(not_chain(250))
+        (tmp_path / "data.ttl").write_text(PREFIX + "ex:a ex:p ex:b .")
+        paths = {name: tmp_path / f"{name}.ttl" for name in ("chain", "data")}
+        argv = [a.format(out=tmp_path / "problem.p", **paths) for a in command]
+        assert cli.main(argv) in codes
+        assert "Traceback" not in capsys.readouterr().err
+
+
 RECURSIVE = PREFIX + "ex:S a sh:NodeShape ; sh:targetNode ex:a ; sh:not ex:S ."
 EX_NOPE = "http://example.org/Nope"
 
@@ -314,13 +334,14 @@ class TestRejectedInput:
         (PREFIX + "ex:S sh:targetNode ex:a ; sh:and ex:L .", "data.ttl", OK_DATA),
         (PREFIX + "ex:S sh:targetNode ex:a ; sh:or ex:L .", "data.ttl", OK_DATA),
         (PREFIX + 'ex:S sh:targetNode ex:a ; sh:in "x" .', "data.ttl", OK_DATA),
+        (PREFIX + 'ex:S sh:targetNode ex:a ; sh:node "x" .', "data.ttl", OK_DATA),
         (PREFIX + """ex:S sh:targetNode ex:a ;
             sh:property [ sh:path ex:p ; sh:minCount -2 ] .""", "data.ttl", OK_DATA),
         (PREFIX + """ex:S sh:targetNode ex:a ;
             sh:property [ sh:path ex:p ; sh:maxCount -1 ] .""", "data.ttl", OK_DATA),
     ], ids=["turtle-u-escape", "ntriples-U-escape", "surrogate-escape", "literal-subject",
-            "and-not-a-list", "or-not-a-list", "in-not-a-list", "negative-min-count",
-            "negative-max-count"])
+            "and-not-a-list", "or-not-a-list", "in-not-a-list", "literal-shape-reference",
+            "negative-min-count", "negative-max-count"])
     def test_bad_input_exits_65_with_one_line(self, tmp_path, capsys, shapes, data_file, data):
         (tmp_path / "shapes.ttl").write_text(shapes)
         (tmp_path / data_file).write_text(data)

@@ -195,6 +195,9 @@ class TestTurtle:
         ("@prefix ex: <http://e/> .\nex:a ex:p\n", "unexpected token ''", 3, 1),
         ("@prefix ex: <http://e/> .\nex:a ex:p [ ex:q ex:b .\n",
          "expected ], found '.'", 2, 23),
+        # a bad escape on the second line of a long string, where it stands
+        ('@prefix ex: <http://e/> .\nex:a ex:p """ab\ncd\\q""" .\n',
+         "bad escape \\q", 3, 3),
     ])
     def test_error_position(self, text, message, line, column):
         with pytest.raises(RdfSyntaxError) as err:

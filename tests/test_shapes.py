@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_shapes
+from conftest import load_shapes, not_chain
 from shacl2fol.errors import MalformedShape, RecursiveShapeGraph, UnsupportedComponent
 from shacl2fol.oracle import evaluate
 from shacl2fol.rdf import Graph, iri, literal
@@ -133,11 +133,29 @@ class TestConstraintExtraction:
         assert shape_named(sg, "S").constraint == HasShape(iri(EX + "T"))
         assert shape_named(sg, "T").constraint == NodeKind(NodeKindValue.IRI)
 
+    def test_deep_not_chain_is_extracted_without_recursion(self):
+        sg = load_shapes(not_chain(2000))
+        assert len(sg.shapes) == 2002
+        check_shape_graph(sg)
+        assert isinstance(shape_named(sg, "S").constraint, Not)
+
     def test_deactivated_dropped(self):
         sg = load_shapes(PREFIX + """
         ex:S a sh:NodeShape ; sh:deactivated true ; sh:nodeKind sh:IRI .
         """)
         assert iri(EX + "S") not in {s.name for s in sg.shapes}
+
+    def test_deactivated_literal_reference_dropped(self):
+        sg = load_shapes(PREFIX + 'ex:S sh:deactivated true ; sh:node "x" .')
+        assert sg.shapes == []
+
+    def test_deactivated_reference_to_property_shape_not_followed(self):
+        sg = load_shapes(PREFIX + """
+        ex:S sh:targetNode ex:a ; sh:property ex:P .
+        ex:P sh:path ex:p ; sh:minCount 1 .
+        ex:D sh:deactivated true ; sh:node ex:P .
+        """)
+        assert [s.name for s in sg.shapes] == [iri(EX + "S")]
 
     def test_qualified_counts(self):
         sg = load_shapes(PREFIX + """
