@@ -19,9 +19,10 @@ Two sound, incomplete procedures over the clausal form:
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
 the ground units `¬(a = b)` that `_unit_apart` recognises: the model
-search pins constants kept apart to their own domain elements, and the
-refutation folds the false equalities out of its equality axioms; neither
-grounds a unit it has read.  Both give up on a problem larger than one
+search pins constants kept apart to their own domain elements, which the
+flattening leaves in place as it leaves variables, and the refutation
+folds the false equalities out of its equality axioms; neither grounds a
+unit it has read.  Both give up on a problem larger than one
 limit, `_MAX_GROUND`, counted on what they build.
 
 `decide_clauses` runs the refutation once, then the model search.  If
@@ -40,7 +41,7 @@ import sys
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import sat
 from .clausify import EQ, Clause, Literal, clausify, term_vars
@@ -56,52 +57,38 @@ class ProverResult:
 
 # --- MACE-style flattening --------------------------------------------------
 
-def _flatten_clause(cl: Clause, fresh: "_FreshVars") -> list[Literal]:
-    """Rewrite so every literal is variable-only except one shallow term.
+def _flatten_clause(cl: Clause, fresh: Iterator[str], pinned: dict[str, int]) -> list[Literal]:
+    """Rewrite so every literal is over values but for one shallow term.
 
-    Allowed literal shapes afterwards: P(vars...), var=var, var=const,
-    var=f(vars...), and their negations.
+    A value is a variable or a pinned constant.  Allowed literal shapes
+    afterwards: P(values...), value=value, value=const, value=f(values...),
+    and their negations.  One pass: every other term in a value's place
+    becomes a fresh variable z, defined by a literal ¬(z = t) that is
+    appended and walked in its turn.
     """
     lits = _ordered(cl)
-    changed = True
-    while changed:
-        changed = False
-        for i, lit in enumerate(lits):
-            if lit.pred == EQ:
-                left, right = lit.args
-                if not isinstance(left, Var) and not isinstance(right, Var):
-                    z = Var(fresh.next())
-                    lits[i] = Literal(lit.positive, EQ, (z, right))
-                    lits.append(Literal(False, EQ, (z, left)))
-                    changed = True
-                    break
-                if isinstance(right, Var) and not isinstance(left, Var):
-                    lits[i] = Literal(lit.positive, EQ, (right, left))
-                    changed = True
-                    break
-                # var = f(...) with a non-var argument inside
-                if isinstance(right, Func):
-                    for j, a in enumerate(right.args):
-                        if not isinstance(a, Var):
-                            z = Var(fresh.next())
-                            new_args = right.args[:j] + (z,) + right.args[j + 1:]
-                            lits[i] = Literal(lit.positive, EQ, (left, Func(right.name, new_args)))
-                            lits.append(Literal(False, EQ, (z, a)))
-                            changed = True
-                            break
-                    if changed:
-                        break
-            else:
-                for j, a in enumerate(lit.args):
-                    if not isinstance(a, Var):
-                        z = Var(fresh.next())
-                        new_args = lit.args[:j] + (z,) + lit.args[j + 1:]
-                        lits[i] = Literal(lit.positive, lit.pred, new_args)
-                        lits.append(Literal(False, EQ, (z, a)))
-                        changed = True
-                        break
-                if changed:
-                    break
+
+    def is_value(t: Term) -> bool:
+        return isinstance(t, Var) or isinstance(t, Const) and t.name in pinned
+
+    def value(t: Term) -> Term:
+        if is_value(t):
+            return t
+        z = Var(next(fresh))
+        lits.append(Literal(False, EQ, (z, t)))
+        return z
+
+    for i, lit in enumerate(lits):
+        if lit.pred != EQ:
+            lits[i] = Literal(lit.positive, lit.pred, tuple(map(value, lit.args)))
+            continue
+        left, right = lit.args
+        if is_value(right) and not is_value(left):
+            left, right = right, left
+        left = value(left)
+        if isinstance(right, Func):
+            right = Func(right.name, tuple(map(value, right.args)))
+        lits[i] = Literal(lit.positive, EQ, (left, right))
     return lits
 
 
@@ -138,7 +125,7 @@ class _Guard(NamedTuple):
     order: int
 
 
-def _plan(lits: list[Literal], fixed: dict, guards: tuple[int, ...] = (), first: int = 0):
+def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
     """How to bind a clause's variables: `levels`, and `ready[k]`, the
     literals whose last variable level k binds (level 0 binds nothing).
 
@@ -150,7 +137,7 @@ def _plan(lits: list[Literal], fixed: dict, guards: tuple[int, ...] = (), first:
     without `guards`, that is every variable."""
     arg_vars = [[{v.name for v in term_vars(a)} for a in lit.args] for lit in lits]
     lit_vars = [set().union(*names) for names in arg_vars]
-    bound = set(fixed)
+    bound: set[str] = set()
     levels: list = []
     depth: dict[str, int] = {}
 
@@ -187,14 +174,13 @@ def _plan(lits: list[Literal], fixed: dict, guards: tuple[int, ...] = (), first:
 
 
 def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[float],
-            fixed: Optional[dict] = None, relevant: Optional["_Relevant"] = None):
+            relevant: Optional["_Relevant"] = None):
     """The propositional clauses of the instances of `clauses` over `values`.
 
     `encode(lit, env)` gives the code of one literal under the binding `env`
     of the clause's variables: None drops the instance (the literal is true,
     or it names a term outside the universe), 0 drops the literal (it is
-    false), and any other value is a SAT literal.  The variables that
-    `fixed` binds keep their value and are not enumerated.
+    false), and any other value is a SAT literal.
 
     Without `relevant`, every instance: the variables are bound one at a
     time in sorted order, depth-first on a stack, so the instances come in
@@ -216,16 +202,15 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     In both modes the grounding stops once `prop` holds more than
     `_MAX_GROUND` clauses, and the caller gives up.
     """
-    fixed = fixed or {}
     bindings = 0
     if relevant is None:
         prop: list[tuple[int, ...]] = []
-        jobs = ((lits, *_plan(lits, fixed), None) for lits in clauses)
+        jobs = ((lits, *_plan(lits), None) for lits in clauses)
     else:
         prop, kept = relevant.prop, relevant.kept
-        jobs = relevant.jobs(clauses, fixed)
+        jobs = relevant.jobs(clauses)
     for lits, levels, ready, rounds in jobs:
-        env = dict(fixed)
+        env: dict[str, int] = {}
         codes = [0] * len(lits)
         # levels[k - 1] binds at depth k; depth 0 binds nothing
         stack = [iter((None,))]
@@ -267,15 +252,6 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
                     kept.add(instance)
                     prop.append(instance)
     return prop
-
-
-class _FreshVars:
-    def __init__(self):
-        self.n = 0
-
-    def next(self) -> str:
-        self.n += 1
-        return f"FL{self.n}"
 
 
 def _collect_signature(clauses: list[Clause]):
@@ -353,14 +329,6 @@ def _pin(consts: list[str], apart: set[tuple[str, str]], domain_size: int) -> di
     return pinned
 
 
-def _substitute(t: Term, pins: dict[str, Var]) -> Term:
-    if isinstance(t, Const):
-        return pins.get(t.name, t)
-    if isinstance(t, Func):
-        return Func(t.name, tuple(_substitute(a, pins) for a in t.args))
-    return t
-
-
 def find_model(
     clauses: list[Clause],
     domain_size: int,
@@ -376,39 +344,37 @@ def find_model(
         * (1 + domain_size * (domain_size - 1) // 2)
     if rows > _MAX_GROUND:
         raise sat.TimeBudgetExceeded()
-    # a pinned constant becomes a variable that grounding never enumerates;
-    # the name is no TPTP variable, so it cannot clash with one
-    pins = {c: Var(f"pin:{c}") for c in pinned}
-    fixed = {pins[c].name: e for c, e in pinned.items()}
-    fresh = _FreshVars()
+    fresh = map("FL{}".format, itertools.count(1))
     flat = [
-        _flatten_clause(frozenset(
-            Literal(lit.positive, lit.pred, tuple(_substitute(a, pins) for a in lit.args))
-            for lit in cl), fresh)
+        _flatten_clause(cl, fresh, pinned)
         for cl, pair in zip(clauses, map(_unit_apart, clauses))
-        # a unique-name unit on two pinned constants: the pins make it true
+        # a unique-name unit on two pinned constants is true
         if pair is None or not (pair[0] in pinned and pair[1] in pinned)
     ]
     pool = _VarPool()
 
     def lit_code(lit: Literal, env: dict[str, int]) -> Optional[int]:
-        """Propositional literal; None = literal true, 0 = literal false."""
+        """Propositional literal; None = literal true, 0 = literal false.
+        A value's element is its variable's in `env` or its pin's."""
         sign = 1 if lit.positive else -1
         if lit.pred == EQ:
             left, right = lit.args
-            lv = env[left.name]
+            lv = env[left.name] if isinstance(left, Var) else pinned[left.name]
+            if isinstance(right, Func):
+                args = tuple([env[a.name] if isinstance(a, Var) else pinned[a.name]
+                              for a in right.args])
+                return sign * pool.get(("f", right.name, args, lv))
             if isinstance(right, Var):
-                truth = (lv == env[right.name]) == lit.positive
-                return None if truth else 0
-            if isinstance(right, Const):
+                rv = env[right.name]
+            elif right.name in pinned:
+                rv = pinned[right.name]
+            else:
                 return sign * pool.get(("a", right.name, lv))
-            assert isinstance(right, Func)
-            args = tuple(env[a.name] for a in right.args)
-            return sign * pool.get(("f", right.name, args, lv))
-        args = tuple(env[a.name] for a in lit.args)
+            return None if (lv == rv) == lit.positive else 0
+        args = tuple([env[a.name] if isinstance(a, Var) else pinned[a.name] for a in lit.args])
         return sign * pool.get(("p", lit.pred, args))
 
-    prop = _ground(flat, domain, lit_code, deadline, fixed)
+    prop = _ground(flat, domain, lit_code, deadline)
     if len(prop) + rows > _MAX_GROUND:
         raise sat.TimeBudgetExceeded()
     for term in itertools.chain(
@@ -479,7 +445,7 @@ class _Relevant:
         args = tuple(self.value(a, env) for a in t.args)
         return None if None in args else self.app_ids.get((t.name, args))
 
-    def jobs(self, clauses: list[list[Literal]], fixed: dict):
+    def jobs(self, clauses: list[list[Literal]]):
         """`_ground`'s work, in rounds of semi-naive evaluation.
 
         On the first call, each clause without guards, over the universe.
@@ -493,7 +459,7 @@ class _Relevant:
             for n, lits in enumerate(clauses):
                 guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
                 if not guards:
-                    yield (lits, *_plan(lits, fixed), None)
+                    yield (lits, *_plan(lits), None)
                 for first, g in enumerate(guards):
                     self.triggers.setdefault(lits[g].pred, []).append((n, guards, first))
         while True:
@@ -508,7 +474,7 @@ class _Relevant:
                     for n, guards, first in entries:
                         plan = self.plans.get((n, first))
                         if plan is None:
-                            plan = self.plans[n, first] = _plan(clauses[n], fixed, guards, first)
+                            plan = self.plans[n, first] = _plan(clauses[n], guards, first)
                         yield (clauses[n], *plan, rounds)
             self.done = rounds[1]
 

@@ -265,13 +265,22 @@ class _Extractor:
 
     def run(self) -> ShapeGraph:
         shapes: dict[RdfTerm, Shape] = {}
-        # roots first, in order, then the property shapes an active shape
-        # references; the list grows while it is walked
+        # roots first, in order, then the shapes an active shape references;
+        # the list grows while it is walked
         todo = sorted(self.find_shape_nodes(), key=str)
-        for node in todo:
-            if node in shapes or self.is_deactivated(node):
+        roots = len(todo)
+        for i, node in enumerate(todo):
+            if node in shapes:
                 continue
-            shape = Shape(node, tuple(self.extract_targets(node)), self.extract_constraints(node))
+            if self.is_deactivated(node):
+                # a deactivated shape holds for every node it is referenced by
+                if i >= roots:
+                    shapes[node] = Shape(node, (), TrueC())
+                continue
+            path = self.g.object(node, _sh("path"))
+            constraint = self.extract_constraints(
+                node, None if path is None else self.parse_path(path))
+            shape = Shape(node, tuple(self.extract_targets(node)), constraint)
             shapes[node] = shape
             todo.extend(constraint_shape_refs(shape.constraint))
         return ShapeGraph(sorted(shapes.values(), key=lambda s: str(s.name)))

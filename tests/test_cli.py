@@ -299,6 +299,43 @@ class TestDeepShapeChain:
         assert "Traceback" not in capsys.readouterr().err
 
 
+TARGETED_PROPERTY_SHAPE = PREFIX + "ex:P sh:targetNode ex:a ; sh:path ex:p ; sh:minCount 1 ."
+REFERENCED_PROPERTY_SHAPE = PREFIX + """
+ex:S sh:property ex:P . ex:P sh:path ex:p ; sh:minCount 1 .
+ex:T sh:targetNode ex:a ; sh:node ex:P .
+"""
+DEACTIVATED_REFERENCE = PREFIX + """
+ex:T sh:targetNode ex:a ; sh:node ex:D . ex:D sh:deactivated true ; sh:class ex:C .
+"""
+
+
+class TestShapeReferences:
+    # a property shape that is targeted or referenced keeps its own path;
+    # a reference to a deactivated shape holds for every node
+    @pytest.mark.parametrize("shapes, data, verdict, code", [
+        (TARGETED_PROPERTY_SHAPE, "ex:a ex:q ex:b .", "DoesNotConform", 1),
+        (TARGETED_PROPERTY_SHAPE, "ex:a ex:p ex:b .", "Conforms", 0),
+        (REFERENCED_PROPERTY_SHAPE, "ex:a ex:q ex:b .", "DoesNotConform", 1),
+        (REFERENCED_PROPERTY_SHAPE, "ex:a ex:p ex:b .", "Conforms", 0),
+        (DEACTIVATED_REFERENCE, "ex:a ex:q ex:b .", "Conforms", 0),
+    ], ids=["targeted-violates", "targeted-conforms", "referenced-violates",
+            "referenced-conforms", "deactivated"])
+    @pytest.mark.parametrize("command", [["oracle"], ["validate", *BUILTIN]],
+                             ids=["oracle", "validate"])
+    def test_oracle_and_prover_agree(self, tmp_path, capsys, shapes, data, verdict, code,
+                                     command):
+        (tmp_path / "shapes.ttl").write_text(shapes)
+        (tmp_path / "data.ttl").write_text(PREFIX + data)
+        assert cli.main([*command, str(tmp_path / "shapes.ttl"), str(tmp_path / "data.ttl")]) \
+            == code
+        assert capsys.readouterr().out.split()[0] == verdict
+
+    def test_deactivated_reference_is_satisfiable(self, tmp_path, capsys):
+        (tmp_path / "shapes.ttl").write_text(DEACTIVATED_REFERENCE)
+        assert cli.main(["sat", str(tmp_path / "shapes.ttl"), *BUILTIN]) == 0
+        assert capsys.readouterr().out.startswith("Satisfiable")
+
+
 RECURSIVE = PREFIX + "ex:S a sh:NodeShape ; sh:targetNode ex:a ; sh:not ex:S ."
 EX_NOPE = "http://example.org/Nope"
 

@@ -186,7 +186,6 @@ def ground_problems(draw):
                   st.lists(st.sampled_from(GROUND_UNIVERSE), min_size=1, max_size=2)
                   .map(tuple)),
         st.sampled_from([None, 0, 1, -2, 3])))
-    fixed = draw(st.sampled_from([None, {"Z": B}]))
 
     def encode(lit, env):
         args = tuple(_ground_term(a, env) for a in lit.args)
@@ -194,18 +193,16 @@ def ground_problems(draw):
             return None
         return table.get((lit.pred, lit.positive, args), 7)
 
-    return clauses, encode, fixed
+    return clauses, encode
 
 
-def ground_reference(clauses, values, encode, fixed):
+def ground_reference(clauses, values, encode):
     """Every instance over `itertools.product`, each literal encoded."""
-    fixed = fixed or {}
     prop = []
     for lits in clauses:
         names = sorted({v.name for lit in lits for a in lit.args for v in term_vars(a)})
-        free = [v for v in names if v not in fixed]
-        for inst in itertools.product(values, repeat=len(free)):
-            env = dict(zip(free, inst), **{v: fixed[v] for v in names if v in fixed})
+        for inst in itertools.product(values, repeat=len(names)):
+            env = dict(zip(names, inst))
             codes = [encode(lit, env) for lit in lits]
             if None not in codes:
                 prop.append(tuple(c for c in codes if c))
@@ -216,9 +213,9 @@ class TestGroundPruning:
     @settings(max_examples=200, deadline=None)
     @given(ground_problems())
     def test_same_instances_in_the_same_order_as_the_product(self, problem):
-        clauses, encode, fixed = problem
-        assert miniprover._ground(clauses, GROUND_UNIVERSE, encode, None, fixed) \
-            == ground_reference(clauses, GROUND_UNIVERSE, encode, fixed)
+        clauses, encode = problem
+        assert miniprover._ground(clauses, GROUND_UNIVERSE, encode, None) \
+            == ground_reference(clauses, GROUND_UNIVERSE, encode)
 
     def test_a_true_literal_prunes_the_later_variables(self):
         # p(X) is bound first and true for X = a: no binding of Y or Z
@@ -354,6 +351,32 @@ def counting_solve(monkeypatch):
 
     monkeypatch.setattr(sat, "solve", recording)
     return calls
+
+
+class TestFlatten:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_literal_is_over_values_but_for_one_shallow_term(self, data):
+        # imported here: test_models imports this module
+        from test_models import SIZES, clause_sets
+        clauses = data.draw(clause_sets(functions=True))
+        _, consts, _ = miniprover._collect_signature(clauses)
+        size = data.draw(st.sampled_from(SIZES))
+        pinned = miniprover._pin(consts, miniprover._apart(clauses), size)
+
+        def is_value(t):
+            return isinstance(t, Var) or isinstance(t, Const) and t.name in pinned
+
+        fresh = map("FL{}".format, itertools.count(1))
+        for cl in clauses:
+            for lit in miniprover._flatten_clause(cl, fresh, pinned):
+                if lit.pred != EQ:
+                    assert all(map(is_value, lit.args)), lit
+                    continue
+                left, right = lit.args
+                assert is_value(left), lit
+                assert isinstance(right, (Var, Const)) \
+                    or isinstance(right, Func) and all(map(is_value, right.args)), lit
 
 
 class TestFindModel:

@@ -387,7 +387,7 @@ def full_refute(clauses):
         return sign * pool.get(("e", a, b))
 
     prop = ground_reference([sorted(cl, key=repr) for cl in clauses],
-                            range(len(universe)), encode, None)
+                            range(len(universe)), encode)
     rows = eager_equality_rows(pool, clauses)
     return True if sat.solve(prop + rows) is None else None
 

@@ -157,6 +157,22 @@ class TestConstraintExtraction:
         """)
         assert [s.name for s in sg.shapes] == [iri(EX + "S")]
 
+    def test_referenced_deactivated_shape_holds_everywhere(self):
+        sg = load_shapes(PREFIX + """
+        ex:T sh:targetNode ex:a ; sh:node ex:D .
+        ex:D sh:deactivated true ; sh:targetNode ex:b ; sh:class ex:C .
+        """)
+        check_shape_graph(sg)
+        assert shape_named(sg, "D") == Shape(iri(EX + "D"), (), TrueC())
+
+    def test_referenced_property_shape_keeps_its_path(self):
+        sg = load_shapes(PREFIX + """
+        ex:S sh:property ex:P .
+        ex:P sh:path ex:p ; sh:minCount 1 .
+        ex:T sh:targetNode ex:a ; sh:node ex:P .
+        """)
+        assert shape_named(sg, "P").constraint == MinCount(1, Predicate(EX + "p"), TrueC())
+
     def test_qualified_counts(self):
         sg = load_shapes(PREFIX + """
         ex:S a sh:NodeShape ;
