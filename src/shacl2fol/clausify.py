@@ -3,12 +3,11 @@
 NNF, standardize-apart, skolemization, then CNF with a definitional
 fallback: when naive distribution would blow up, a subformula is renamed
 by a fresh predicate over its free variables (single polarity, which
-preserves satisfiability).  `$distinct` expands into pairwise inequalities.
+preserves satisfiability).  A whole formula `$distinct` is one literal.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,6 +17,7 @@ from .fol import (
 )
 
 EQ = "="  # reserved predicate name for equality literals
+DISTINCT = "$distinct"  # reserved predicate name: its arguments are pairwise unequal
 
 
 @dataclass(frozen=True)
@@ -61,14 +61,6 @@ class _Clausifier:
             return FalseF() if positive else TrueF()
         if isinstance(f, (Atom, Eq)):
             return f if positive else NotN(f)
-        if isinstance(f, Distinct):
-            pairs = [
-                NotN(Eq(a, b)) for a, b in itertools.combinations(f.constants, 2)
-            ]
-            inner: Formula = AndN(tuple(pairs)) if len(pairs) != 1 else pairs[0]
-            if not pairs:
-                inner = TrueF()
-            return self.nnf(inner, positive)
         if isinstance(f, NotN):
             return self.nnf(f.operand, not positive)
         if isinstance(f, AndN):
@@ -199,6 +191,12 @@ class _Clausifier:
         self.extra: list[list[Literal]] = []
         raw: list[list[Literal]] = []
         for f in formulas:
+            if isinstance(f, Distinct):
+                # a repeated constant makes it false; fewer than two, true
+                if len(f.constants) > 1:
+                    unique = len(set(f.constants)) == len(f.constants)
+                    raw.append([Literal(True, DISTINCT, f.constants)] if unique else [])
+                continue
             nnf = self.nnf(f, True)
             sk = self.skolemize(nnf, {}, ())
             raw.extend(self.cnf(sk))

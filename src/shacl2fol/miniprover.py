@@ -18,12 +18,12 @@ Two sound, incomplete procedures over the clausal form:
 
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
-the ground units `¬(a = b)` that `_unit_apart` recognises: the model
-search pins constants kept apart to their own domain elements, which the
-flattening leaves in place as it leaves variables, and the refutation
-folds the false equalities out of its equality axioms; neither grounds a
-unit it has read.  Both give up on a problem larger than one
-limit, `_MAX_GROUND`, counted on what they build.
+the literals `$distinct(c1, …, cn)` and ground units `¬(a = b)`, through
+one test, `_apart`: the model search pins constants kept apart to their
+own domain elements, which the flattening leaves in place as it leaves
+variables, and the refutation folds the false equalities out of its
+equality axioms; neither grounds an axiom it has read.  Both give up on a
+problem larger than one limit, `_MAX_GROUND`, counted on what they build.
 
 `decide_clauses` runs the refutation once, then the model search.  If
 neither procedure concludes within its bounds the status is GaveUp
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from . import sat
-from .clausify import EQ, Clause, Literal, clausify, term_vars
+from .clausify import DISTINCT, EQ, Clause, Literal, clausify, term_vars
 from .fol import Const, Func, NotN, Term, Var
 from .tptp_parse import parse_tptp
 
@@ -255,8 +255,7 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
 
 
 def _collect_signature(clauses: list[Clause]):
-    """Predicate and function arities, and the constants, all sorted by name."""
-    preds: dict[str, int] = {}
+    """The constants, and the function arities, both sorted by name."""
     consts: set[str] = set()
     funcs: dict[str, int] = {}
 
@@ -270,31 +269,36 @@ def _collect_signature(clauses: list[Clause]):
 
     for cl in clauses:
         for lit in cl:
-            if lit.pred != EQ:
-                preds[lit.pred] = len(lit.args)
             for a in lit.args:
                 scan(a)
-    return dict(sorted(preds.items())), sorted(consts), dict(sorted(funcs.items()))
+    return sorted(consts), dict(sorted(funcs.items()))
 
 
-def _unit_apart(cl: Clause) -> Optional[tuple[str, str]]:
-    """The pair of constants, sorted, that `cl` keeps apart if it is a
-    unique-name unit, a ground unit clause `¬(a = b)`; None otherwise."""
+def _kept_apart(cl: Clause) -> Optional[tuple[str, ...]]:
+    """The constants `cl` keeps pairwise apart if it is a unique-name axiom,
+    `$distinct(c1, …, cn)` or a ground `¬(a = b)` with a ≠ b; else None."""
     if len(cl) != 1:
         return None
     (lit,) = cl
-    if lit.positive or lit.pred != EQ:
-        return None
-    a, b = lit.args
-    if not (isinstance(a, Const) and isinstance(b, Const)) or a.name == b.name:
-        return None
-    return (a.name, b.name) if a.name < b.name else (b.name, a.name)
+    if lit.pred == DISTINCT or not lit.positive and lit.pred == EQ \
+            and lit.args[0] != lit.args[1] and all(isinstance(t, Const) for t in lit.args):
+        return tuple(c.name for c in lit.args)
+    return None
 
 
-def _apart(clauses: list[Clause]) -> set[tuple[str, str]]:
-    """The pairs of constants that the unique-name units keep apart: every
-    model gives the two different elements."""
-    return set(filter(None, map(_unit_apart, clauses)))
+def _apart(clauses: list[Clause]):
+    """The test `apart(a, b)`, O(1), of whether the unique-name axioms keep
+    two different constants apart: a constant maps to the constants of its
+    pairs, and to the clause indices of the larger literals that hold it."""
+    partners, groups = {}, {}  # constant -> constants / -> clause indices
+    for n, members in enumerate(map(_kept_apart, clauses)):
+        for c in members or ():
+            if len(members) == 2:
+                partners.setdefault(c, set()).update(members)
+            else:
+                groups.setdefault(c, set()).add(n)
+    return lambda a, b: b in partners.get(a, ()) \
+        or not groups.get(a, set()).isdisjoint(groups.get(b, ()))
 
 
 # --- finite model search ----------------------------------------------------
@@ -312,7 +316,7 @@ class _VarPool:
         return v
 
 
-def _pin(consts: list[str], apart: set[tuple[str, str]], domain_size: int) -> dict[str, int]:
+def _pin(consts: list[str], apart, domain_size: int) -> dict[str, int]:
     """Constants pinned to the elements 0, 1, ...: each constant, in order,
     that is kept apart from every one pinned before it, while elements last.
 
@@ -324,7 +328,7 @@ def _pin(consts: list[str], apart: set[tuple[str, str]], domain_size: int) -> di
     for c in consts:
         if len(pinned) == domain_size:
             break
-        if all(tuple(sorted((c, p))) in apart for p in pinned):
+        if all(apart(c, p) for p in pinned):
             pinned[c] = len(pinned)
     return pinned
 
@@ -335,7 +339,7 @@ def find_model(
     deadline: Optional[float] = None,
 ) -> Optional[dict]:
     """Search for a model over a fixed domain size; None if none exists."""
-    _, consts, funcs = _collect_signature(clauses)
+    consts, funcs = _collect_signature(clauses)
     pinned = _pin(consts, _apart(clauses), domain_size)
     domain = range(domain_size)
     # the totality and functionality rows of the unpinned constants and the
@@ -345,12 +349,13 @@ def find_model(
     if rows > _MAX_GROUND:
         raise sat.TimeBudgetExceeded()
     fresh = map("FL{}".format, itertools.count(1))
-    flat = [
-        _flatten_clause(cl, fresh, pinned)
-        for cl, pair in zip(clauses, map(_unit_apart, clauses))
-        # a unique-name unit on two pinned constants is true
-        if pair is None or not (pair[0] in pinned and pair[1] in pinned)
-    ]
+    flat = []
+    for cl, members in zip(clauses, map(_kept_apart, clauses)):
+        # a unique-name axiom is ground as its units ¬(a = b) on an unpinned constant
+        units = [cl] if members is None else (
+            frozenset({Literal(False, EQ, (Const(a), Const(b)))})
+            for a, b in itertools.combinations(members, 2) if a not in pinned or b not in pinned)
+        flat.extend(_flatten_clause(unit, fresh, pinned) for unit in units)
     pool = _VarPool()
 
     def lit_code(lit: Literal, env: dict[str, int]) -> Optional[int]:
@@ -573,20 +578,20 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
        equality theory over the universe;
     4. the lemma rows are ground equality axioms, so True is sound.
     """
-    _, consts, funcs = _collect_signature(clauses)
+    consts, funcs = _collect_signature(clauses)
     consts = consts or ["herbrand_c0"]
     if len(consts) + sum(len(consts) ** arity for arity in funcs.values()) > _MAX_GROUND:
         return None  # the universe alone passes the limit
     pool = _VarPool()
     relevant = _Relevant(consts, funcs, pool)
-    const_ids = relevant.const_ids
-    # the unique-name units make these equalities false: each gets no SAT
-    # variable, and the rows it would make true are never built
-    apart = {tuple(sorted((const_ids[a], const_ids[b]))) for a, b in _apart(clauses)}
+    # the unique-name axioms make the equalities of the constants they keep
+    # apart false: none gets a SAT variable, nor are its rows built
+    apart = _apart(clauses)
 
     def eq_var(pair: tuple[int, int]) -> Optional[int]:
         """The SAT variable of a sorted pair's equality; None if it is false."""
-        return None if pair in apart else pool.get(("e", *pair))
+        i, j = pair
+        return None if j < len(consts) and apart(consts[i], consts[j]) else pool.get(("e", i, j))
 
     def eq_code(a: int, b: int, positive: bool) -> Optional[int]:
         if a == b:
@@ -608,8 +613,8 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
         return v if lit.positive else -v
 
     ids = range(relevant.size)
-    # `eq_code` makes every unique-name unit true: none is ground
-    ordered = [_ordered(cl) for cl in clauses if _unit_apart(cl) is None]
+    # `eq_code` makes every unique-name axiom true: none is ground
+    ordered = [_ordered(cl) for cl in clauses if _kept_apart(cl) is None]
     # the ground equality theory but symmetry and reflexivity (eq_code
     # folds them in) comes as lemma rows, until the model violates none or
     # the rows refute
@@ -694,7 +699,7 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
        more.
     """
     deadline = time.monotonic() + timeout_s
-    _, consts, funcs = _collect_signature(clauses)
+    consts, funcs = _collect_signature(clauses)
 
     def attempt(procedure, *args):
         slice_end = min(deadline, time.monotonic() + timeout_s * 0.4)

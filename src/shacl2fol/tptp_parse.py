@@ -2,8 +2,8 @@
 
 Accepts `fof(name, role, formula).` and `tff(...)` units, including TFF
 type declarations (which are checked for shape and otherwise ignored) and
-the `$distinct` defined predicate.  Used by the built-in prover and by the
-well-formedness checks of the test suite.
+`$distinct(c1, …, cn)` as the whole body of a non-conjecture unit.  Used
+by the built-in prover and by the well-formedness checks of the test suite.
 
 The text is read in two steps.  One compiled-regex call splits the whole
 text into its token strings, skipping whitespace and `%` comments; the
@@ -131,10 +131,7 @@ def _atom(tokens: list[str], i: int):
     if tok == "$false":
         return FalseF(), i + 1
     if tok == "$distinct":
-        consts, i = _terms(tokens, _expect(tokens, i + 1, "("))
-        if any(isinstance(c, Var) for c in consts):
-            raise TptpParseError("$distinct expects constants")
-        return Distinct(consts), i
+        raise TptpParseError("$distinct is read only as the whole body of a non-conjecture unit")
     if not tok:
         raise TptpParseError("unexpected end of input")
     raise TptpParseError(f"unexpected token {tok!r}")
@@ -255,6 +252,11 @@ def parse_tptp(text: str) -> list[TptpUnit]:
         i = _expect(tokens, i + 1, ",")
         if role == "type":
             i = _skip_type_declaration(tokens, i)
+        elif tokens[i] == "$distinct" and role != "conjecture":
+            consts, i = _terms(tokens, _expect(tokens, i + 1, "("))
+            if any(isinstance(c, Var) for c in consts):
+                raise TptpParseError("$distinct expects constants")
+            units.append(TptpUnit(name, role, Distinct(consts)))
         else:
             body, i = _formula(tokens, i)
             units.append(TptpUnit(name, role, body))

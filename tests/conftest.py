@@ -1,12 +1,16 @@
+import itertools
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the shared corpus module
 
 from shacl2fol import rdf, shapes
+from shacl2fol.clausify import DISTINCT, EQ, Literal
 from shacl2fol.decide import ProverConfig
+from shacl2fol.fol import Const, Func, Var
 
 
 def load_shapes(ttl: str) -> shapes.ShapeGraph:
@@ -27,6 +31,44 @@ def not_chain(n: int) -> str:
 
 def load_graph(ttl: str) -> rdf.Graph:
     return rdf.parse_document(ttl, rdf.Syntax.TURTLE)
+
+
+NAMES = [Const("c0"), Const("c1"), Const("c2")]
+VARIABLES = [Var("X"), Var("Y")]
+PREDICATES = ["p", "q"]
+SIZES = (1, 2, 3)
+
+
+@st.composite
+def clause_sets(draw, functions=False):
+    """Small clause sets over two or three constants kept apart at random:
+    by units `¬(a = b)` and, at times, by one `$distinct` literal over two
+    or three of them.
+
+    With `functions`, terms may also be `f(t)` for a constant or variable
+    `t`, and literals may also be of the binary predicate `r`."""
+    consts = NAMES[:draw(st.integers(2, 3))]
+    apart = draw(st.lists(
+        st.sampled_from(list(itertools.combinations(consts, 2))), unique=True))
+    group = draw(st.lists(st.sampled_from(consts), max_size=3, unique=True))
+    terms = st.sampled_from(consts + VARIABLES)
+    if functions:
+        terms = st.one_of(terms, st.builds(lambda t: Func("f", (t,)), terms))
+    literals = [
+        st.builds(lambda positive, pred, t: Literal(positive, pred, (t,)),
+                  st.booleans(), st.sampled_from(PREDICATES), terms),
+        st.builds(lambda positive, s, t: Literal(positive, EQ, (s, t)),
+                  st.booleans(), terms, terms),
+    ]
+    if functions:
+        literals.append(st.builds(lambda positive, s, t: Literal(positive, "r", (s, t)),
+                                  st.booleans(), terms, terms))
+    literal = st.one_of(*literals)
+    clauses = draw(st.lists(st.frozensets(literal, min_size=1, max_size=3), max_size=5))
+    units = [frozenset({Literal(False, EQ, pair)}) for pair in apart]
+    if len(group) > 1:
+        units.append(frozenset({Literal(True, DISTINCT, tuple(group))}))
+    return units + clauses
 
 
 @pytest.fixture

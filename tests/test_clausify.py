@@ -1,6 +1,6 @@
 import pytest
 
-from shacl2fol.clausify import EQ, Literal, clausify
+from shacl2fol.clausify import DISTINCT, Literal, clausify
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, Forall, Func, Iff, Implies,
     NotN, OrN, TrueF, FalseF, Var,
@@ -55,12 +55,12 @@ class TestBasics:
         f = OrN((Atom("p", (A,)), NotN(Atom("p", (A,)))))
         assert clausify([f]) == []
 
-    def test_distinct_expands_to_pairwise_inequalities(self):
-        got = clausify([Distinct((A, B, C))])
-        assert len(got) == 3
-        for cl in got:
-            (lit,) = cl
-            assert not lit.positive and lit.pred == EQ
+    def test_distinct_is_one_literal(self):
+        # not its n(n-1)/2 inequalities: a repeated constant makes it false,
+        # and fewer than two constants say nothing
+        assert clausify([Distinct((A, B, C))]) == [frozenset({Literal(True, DISTINCT, (A, B, C))})]
+        assert clausify([Distinct((A, B, A))]) == [frozenset()]
+        assert clausify([Distinct((A,))]) == clausify([Distinct(())]) == []
 
 
 class TestSkolemization:

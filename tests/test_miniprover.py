@@ -11,15 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_graph, load_shapes
+from conftest import SIZES, clause_sets, load_graph, load_shapes
 from corpus import CASES, PREFIXES
 from shacl2fol import cli, miniprover, oracle, sat
-from shacl2fol.clausify import EQ, Literal, clausify, term_vars
+from shacl2fol.clausify import DISTINCT, EQ, Literal, clausify, term_vars
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
 )
 from shacl2fol.fol import (
-    Atom, Const, Eq, Exists, Forall, Func, Implies, NotN, OrN, Var,
+    Atom, Const, Distinct, Eq, Exists, Forall, Func, Implies, NotN, OrN, Var,
 )
 from shacl2fol.tptp import render
 from shacl2fol.tptp_parse import parse_tptp
@@ -357,10 +357,8 @@ class TestFlatten:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_every_literal_is_over_values_but_for_one_shallow_term(self, data):
-        # imported here: test_models imports this module
-        from test_models import SIZES, clause_sets
         clauses = data.draw(clause_sets(functions=True))
-        _, consts, _ = miniprover._collect_signature(clauses)
+        consts, _ = miniprover._collect_signature(clauses)
         size = data.draw(st.sampled_from(SIZES))
         pinned = miniprover._pin(consts, miniprover._apart(clauses), size)
 
@@ -598,7 +596,7 @@ def people(n, unnamed=None):
 
 
 class TestUniqueNames:
-    """Constants that the unique-name units keep apart are pinned in the
+    """Constants that the unique-name axioms keep apart are pinned in the
     model search, and their equalities folded out of the refutation."""
 
     def test_refutation_builds_no_variable_for_a_false_equality(self, monkeypatch):
@@ -691,6 +689,36 @@ class TestUniqueNames:
         grounded.clear()
         assert miniprover.refute(clauses, deadline=time.monotonic() + 2) is None
         assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
+
+    def test_a_distinct_unit_is_read_whole(self, monkeypatch):
+        # $distinct(a, b, c) and p(a): one literal, which pins all three
+        # constants at size 3, so neither procedure grounds it
+        clauses = clausify([Distinct((A, B, C)), Atom("p", (A,))])
+        assert frozenset({Literal(True, DISTINCT, (A, B, C))}) in clauses
+        grounded = counting(monkeypatch, "_ground")
+        model = miniprover.find_model(clauses, 3)
+        assert {key[1]: key[2] for key, true in model["table"].items()
+                if key[0] == "a" and true} == {"a": 0, "b": 1, "c": 2}
+        assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
+        grounded.clear()
+        assert miniprover.refute(clauses) is None
+        assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
+        assert miniprover.find_model(clauses, 2) is None
+
+    def test_a_repeated_constant_in_distinct_is_unsatisfiable(self):
+        got = miniprover.decide_tptp_text("tff(u, axiom, $distinct(a, a)).")
+        assert got.status == "Unsatisfiable"
+
+    def test_clauses_grow_linearly_with_the_people(self):
+        # one $distinct literal over every constant, not n(n-1)/2 units:
+        # 8n + 9 clauses, where the pairwise expansion gave 20,909 at 100
+        def clauses(n):
+            doc = build_problem(DecisionTask(
+                TaskKind.VALIDATION, load_shapes(PEOPLE_SHAPES),
+                data_graph=load_graph(people(n, unnamed=n // 2))))
+            return len(clausify([u.body for u in parse_tptp(render(doc))]))
+
+        assert clauses(200) <= 2 * clauses(100) + 10
 
     @pytest.mark.parametrize("n, timeout", [(10, ["--timeout", "10"]),
                                             (20, ["--timeout", "10"]), (100, [])])

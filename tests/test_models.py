@@ -13,12 +13,11 @@ from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
-from hypothesis import strategies as st
 
-from conftest import load_graph, load_shapes
+from conftest import NAMES, SIZES, VARIABLES, clause_sets, load_graph, load_shapes
 from corpus import CASES
 from shacl2fol import miniprover, sat
-from shacl2fol.clausify import EQ, Literal
+from shacl2fol.clausify import DISTINCT, EQ, Literal
 from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, run_task
 from shacl2fol.fol import Const, Func, Var
 from test_miniprover import ground_reference
@@ -73,6 +72,8 @@ def _true(lit: Literal, env, m: Structure) -> bool:
     args = tuple(_value(a, env, m) for a in lit.args)
     if lit.pred == EQ:
         return (args[0] == args[1]) == lit.positive
+    if lit.pred == DISTINCT:
+        return (len(set(args)) == len(args)) == lit.positive
     return ((lit.pred, args) in m.preds) == lit.positive
 
 
@@ -184,42 +185,10 @@ def test_pinned_constants_keep_their_table_entries():
 
 # --- pinning keeps every model ----------------------------------------------
 
-NAMES = [Const("c0"), Const("c1"), Const("c2")]
-VARIABLES = [Var("X"), Var("Y")]
-PREDICATES = ["p", "q"]
-SIZES = (1, 2, 3)
-
-
-@st.composite
-def clause_sets(draw, functions=False):
-    """Small clause sets over two or three constants kept apart at random.
-
-    With `functions`, terms may also be `f(t)` for a constant or variable
-    `t`, and literals may also be of the binary predicate `r`."""
-    consts = NAMES[:draw(st.integers(2, 3))]
-    apart = draw(st.lists(
-        st.sampled_from(list(itertools.combinations(consts, 2))), unique=True))
-    terms = st.sampled_from(consts + VARIABLES)
-    if functions:
-        terms = st.one_of(terms, st.builds(lambda t: Func("f", (t,)), terms))
-    literals = [
-        st.builds(lambda positive, pred, t: Literal(positive, pred, (t,)),
-                  st.booleans(), st.sampled_from(PREDICATES), terms),
-        st.builds(lambda positive, s, t: Literal(positive, EQ, (s, t)),
-                  st.booleans(), terms, terms),
-    ]
-    if functions:
-        literals.append(st.builds(lambda positive, s, t: Literal(positive, "r", (s, t)),
-                                  st.booleans(), terms, terms))
-    literal = st.one_of(*literals)
-    clauses = draw(st.lists(st.frozensets(literal, min_size=1, max_size=3), max_size=5))
-    return [frozenset({Literal(False, EQ, pair)}) for pair in apart] + clauses
-
-
 def _instance_rows(clauses, m: Structure):
     """Each clause instance of `m`'s constants and functions as a row of
-    (predicate atom, sign), equalities evaluated; None if an instance is
-    false whatever the predicates are."""
+    (predicate atom, sign), equalities and `$distinct` evaluated; None if
+    an instance is false whatever the predicates are."""
     rows = []
     for cl in clauses:
         names = sorted(set().union(*(_variables(a) for lit in cl for a in lit.args)))
@@ -227,10 +196,10 @@ def _instance_rows(clauses, m: Structure):
             env = dict(zip(names, values))
             row = []
             for lit in cl:
-                args = tuple(_value(a, env, m) for a in lit.args)
-                if lit.pred != EQ:
-                    row.append(((lit.pred, args), lit.positive))
-                elif (args[0] == args[1]) == lit.positive:
+                if lit.pred not in (EQ, DISTINCT):
+                    row.append(((lit.pred, tuple(_value(a, env, m) for a in lit.args)),
+                                lit.positive))
+                elif _true(lit, env, m):
                     break
             else:
                 if not row:
@@ -300,25 +269,41 @@ def test_pinning_keeps_every_model(clauses):
 def refutation_universe(clauses):
     """The refutation's universe: the constants, then the Skolem terms of
     depth 1."""
-    _, consts, funcs = miniprover._collect_signature(clauses)
-    base = [Const(c) for c in consts] or [Const("herbrand_c0")]
-    universe = base + [Func(name, args) for name, arity in funcs.items()
+    consts, funcs = _symbols(clauses)
+    base = [Const(c) for c in sorted(consts)] or [Const("herbrand_c0")]
+    universe = base + [Func(name, args) for name, arity in sorted(funcs)
                        for args in itertools.product(base, repeat=arity)]
     assert len(universe) <= miniprover._MAX_GROUND
     return universe
 
 
+def apart_pairs(clauses, term_ids):
+    """The sorted index pairs of the constants that the unique-name axioms
+    keep apart: every pair of a `$distinct` literal, and each ground unit
+    `¬(a = b)` of two different constants."""
+    pairs = set()
+    for cl in clauses:
+        if len(cl) != 1:
+            continue
+        (lit,) = cl
+        if lit.pred == DISTINCT or not lit.positive and lit.pred == EQ \
+                and all(isinstance(t, Const) for t in lit.args):
+            pairs.update(tuple(sorted((term_ids[a], term_ids[b])))
+                         for a, b in itertools.combinations(lit.args, 2) if a != b)
+    return pairs
+
+
 def eager_equality_rows(pool, clauses):
     """Every row of the ground equality theory over the refutation's
     universe, of any size: transitivity, function congruence and predicate
-    congruence.  A row with a premise that a unique-name unit makes false
+    congruence.  A row with a premise that a unique-name axiom makes false
     is left out, and such a conclusion is dropped; `pool` numbers the
     atoms."""
-    preds, _, _ = miniprover._collect_signature(clauses)
+    preds = {lit.pred: len(lit.args) for cl in clauses for lit in cl
+             if lit.pred not in (EQ, DISTINCT)}
     universe = refutation_universe(clauses)
     term_ids = {t: i for i, t in enumerate(universe)}
-    apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
-             for a, b in miniprover._apart(clauses)}
+    apart = apart_pairs(clauses, term_ids)
     ids = range(len(universe))
 
     def row(premises, conclusion=None):
@@ -359,8 +344,7 @@ def full_refute(clauses):
     row of the equality theory, and one `sat.solve`."""
     universe = refutation_universe(clauses)
     term_ids = {t: i for i, t in enumerate(universe)}
-    apart = {tuple(sorted((term_ids[Const(a)], term_ids[Const(b)])))
-             for a, b in miniprover._apart(clauses)}
+    apart = apart_pairs(clauses, term_ids)
     pool = miniprover._VarPool()
 
     def index(t, env):
@@ -377,6 +361,8 @@ def full_refute(clauses):
         if None in args:
             return None
         sign = 1 if lit.positive else -1
+        if lit.pred == DISTINCT:
+            return None  # true: `apart` holds each of its pairs
         if lit.pred != EQ:
             return sign * pool.get(("p", lit.pred, args))
         a, b = sorted(args)

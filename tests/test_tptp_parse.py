@@ -67,10 +67,12 @@ class TestTokenizer:
 
 @pytest.mark.parametrize("text", [
     "p & q | r", "p => q => r", "(p", "~", "p))", "f(X) = a", "$distinct(X, a)",
+    "~$distinct(a, b)", "p | $distinct(a, b)",
 ])
 def test_rejected_formulas(text):
     # and/or mix only inside parentheses, => and <=> do not chain, and the
-    # emitted subset has no function terms and no $distinct over variables
+    # emitted subset has no function terms, and $distinct only over
+    # constants and as a whole unit
     with pytest.raises(TptpParseError):
         parse_tptp(f"fof(a, axiom, {text}).")
 
@@ -145,7 +147,6 @@ _ATOMIC = st.one_of(
     st.builds(Atom, _SYMBOLS, st.lists(_TERMS, max_size=3).map(tuple)),
     st.builds(Eq, _TERMS, _TERMS),
     st.builds(lambda l, r: NotN(Eq(l, r)), _TERMS, _TERMS),
-    st.lists(_CONSTS, min_size=1, max_size=3).map(lambda cs: Distinct(tuple(cs))),
     st.just(TrueF()),
     st.just(FalseF()),
 )
@@ -176,8 +177,12 @@ def formulas(draw, depth=40):
     return f
 
 
+# $distinct is read only as a whole unit, as `tptp.emit_una` writes it
+_DISTINCT = st.lists(_CONSTS, min_size=1, max_size=3).map(lambda cs: Distinct(tuple(cs)))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(formulas(), min_size=1, max_size=2),
+@given(st.lists(st.one_of(formulas(), _DISTINCT), min_size=1, max_size=2),
        st.sampled_from([Dialect.FOF, Dialect.TFF]))
 def test_parser_reads_back_rendered_formulas(bodies, dialect):
     doc = TptpDocument(dialect, [TptpFormula(f"f{i}", "axiom", b) for i, b in enumerate(bodies)])
