@@ -3,12 +3,18 @@
 Used by the TPTP emitter and by the built-in prover.  Function-application
 terms only arise inside the prover (from skolemization); the emitter itself
 produces function-free formulas.
+
+`formula_text` writes a formula as TPTP text.  It fills a `SymbolTable`,
+one per document when the caller passes it along: each constant and
+predicate is quoted on its first occurrence and read from the table after
+that, and the table then holds the document's signature (what `tptp.render`
+declares in TFF), so no second walk over the formulas is needed.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 
@@ -158,47 +164,74 @@ def unquote_atom(text: str) -> str:
     return text
 
 
-def term_text(t: Term) -> str:
+@dataclass
+class SymbolTable:
+    """The quoted text of each symbol that renderings sharing the table met.
+
+    `consts` maps every constant (function arguments included) to its
+    text, and `preds` every predicate to its text and the arity it had
+    where a rendering first met it.  A rendering quotes a symbol only on its first
+    occurrence; function symbols, which only the prover builds, are quoted
+    at each one and not recorded.
+    """
+
+    consts: dict[str, str] = field(default_factory=dict)
+    preds: dict[str, tuple[str, int]] = field(default_factory=dict)
+
+
+def term_text(t: Term, consts: dict[str, str]) -> str:
+    if isinstance(t, Const):
+        text = consts.get(t.name)
+        if text is None:
+            text = consts[t.name] = atom_name(t.name)
+        return text
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, Const):
-        return atom_name(t.name)
     if isinstance(t, Func):
-        return f"{atom_name(t.name)}({', '.join(term_text(a) for a in t.args)})"
+        return f"{atom_name(t.name)}({', '.join(term_text(a, consts) for a in t.args)})"
     raise TypeError(f"not a term: {t!r}")
 
 
-def _atomic_text(f: Formula) -> Optional[str]:
+def _atomic_text(f: Formula, symbols: SymbolTable) -> Optional[str]:
     """The text of a formula without subformulas, a negated equality
     included; None for any other formula."""
+    consts = symbols.consts
     if isinstance(f, Atom):
+        pred = symbols.preds.get(f.pred)
+        if pred is None:
+            pred = symbols.preds[f.pred] = (atom_name(f.pred), len(f.args))
         if not f.args:
-            return atom_name(f.pred)
-        return f"{atom_name(f.pred)}({', '.join(term_text(a) for a in f.args)})"
+            return pred[0]
+        return f"{pred[0]}({', '.join([term_text(a, consts) for a in f.args])})"
     if isinstance(f, NotN):
         if isinstance(f.operand, Eq):
-            return f"({term_text(f.operand.left)} != {term_text(f.operand.right)})"
+            eq = f.operand
+            return f"({term_text(eq.left, consts)} != {term_text(eq.right, consts)})"
         return None
     if isinstance(f, Eq):
-        return f"({term_text(f.left)} = {term_text(f.right)})"
+        return f"({term_text(f.left, consts)} = {term_text(f.right, consts)})"
     if isinstance(f, TrueF):
         return "$true"
     if isinstance(f, FalseF):
         return "$false"
     if isinstance(f, Distinct):
-        return f"$distinct({', '.join(term_text(c) for c in f.constants)})"
+        return f"$distinct({', '.join([term_text(c, consts) for c in f.constants])})"
     return None
 
 
-def formula_text(f: Formula) -> str:
+def formula_text(f: Formula, symbols: Optional[SymbolTable] = None) -> str:
     """Fully parenthesized TPTP rendering.
 
     A compound formula is written as its opening, its subformulas joined by
     its separator, and ")".  The walk keeps its own stack of subformulas and
     text still to write, so a deeply nested formula needs no deep Python
-    recursion.
+    recursion.  Each symbol is quoted once per table: pass one `symbols`
+    to every formula of a document to quote each of its symbols once and
+    to read the document's signature off the table afterwards.
     """
-    text = _atomic_text(f)
+    if symbols is None:
+        symbols = SymbolTable()
+    text = _atomic_text(f, symbols)
     if text is not None:
         return text
     parts: list[str] = []
@@ -222,7 +255,7 @@ def formula_text(f: Formula) -> str:
             subformulas, sep = (node.body,), ""
         else:
             raise TypeError(f"not a formula: {node!r}")
-        texts = [_atomic_text(x) for x in subformulas]
+        texts = [_atomic_text(x, symbols) for x in subformulas]
         if None not in texts:
             parts.append(opening + sep.join(texts) + ")")
             continue
@@ -234,51 +267,3 @@ def formula_text(f: Formula) -> str:
                 stack.append(sep)
         stack.append(opening)
     return "".join(parts)
-
-
-# --- Structural helpers ----------------------------------------------------
-
-def walk_atoms(f: Formula):
-    """Yield every Atom / Eq / Distinct node."""
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Atom, Eq, Distinct)):
-            yield node
-        elif isinstance(node, NotN):
-            stack.append(node.operand)
-        elif isinstance(node, (AndN, OrN)):
-            stack.extend(node.operands)
-        elif isinstance(node, (Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Forall, Exists)):
-            stack.append(node.body)
-
-
-def collect_symbols(f: Formula):
-    """(predicates with arity, constants, functions with arity) of a formula."""
-    preds: dict[str, int] = {}
-    consts: set[str] = set()
-    funcs: dict[str, int] = {}
-
-    def scan_term(t: Term):
-        if isinstance(t, Const):
-            consts.add(t.name)
-        elif isinstance(t, Func):
-            funcs[t.name] = len(t.args)
-            for a in t.args:
-                scan_term(a)
-
-    for node in walk_atoms(f):
-        if isinstance(node, Atom):
-            preds[node.pred] = len(node.args)
-            for a in node.args:
-                scan_term(a)
-        elif isinstance(node, Eq):
-            scan_term(node.left)
-            scan_term(node.right)
-        else:
-            for c in node.constants:
-                scan_term(c)
-    return preds, consts, funcs

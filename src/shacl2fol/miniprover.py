@@ -46,7 +46,7 @@ from typing import Iterator, NamedTuple, Optional
 from . import sat
 from .clausify import DISTINCT, EQ, Clause, Literal, clausify, term_vars
 from .fol import Const, Func, NotN, Term, Var
-from .tptp_parse import parse_tptp
+from .tptp_parse import TptpParseError, parse_tptp
 
 
 @dataclass
@@ -759,15 +759,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"% SZS status InputError for {args.problem} : {exc}")
         return 1
-    if args.parse_only:
-        try:
+    try:
+        if args.parse_only:
             parse_tptp(text)
-        except Exception as exc:
-            print(f"% SZS status SyntaxError for {args.problem} : {exc}")
-            return 1
+        else:
+            result = decide_tptp_text(text, timeout_s=args.timeout)
+    except TptpParseError as exc:
+        print(f"% SZS status SyntaxError for {args.problem} : {exc}")
+        return 1
+    if args.parse_only:
         print(f"% SZS status Success for {args.problem}")
         return 0
-    result = decide_tptp_text(text, timeout_s=args.timeout)
     print(f"% SZS status {result.status} for {args.problem}")
     if result.detail:
         print(f"% {result.detail}")

@@ -14,8 +14,8 @@ raised.  The parser walks the token list by index and keeps the blank
 node property lists, collections and `^^` datatypes it has opened on one
 explicit stack, so nesting depth is bounded by memory, not by Python's
 recursion limit.  Both parsers build each distinct IRI and blank node
-once per document (`_Terms`), and a term computes its hash once, when it
-is built.
+once per document (`_Terms`), and a term computes its hash and its sort
+key once, when it is built.
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ class RdfTerm:
     lexical: str
     datatype: Optional[str] = None
     lang: Optional[str] = None
-    # terms are dictionary keys in every layer: hash the fields once
+    # terms are dictionary keys in every layer and sorted by every emitter:
+    # hash the fields and build the sort key once
     _hash: int = field(init=False, repr=False, compare=False)
+    _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind is not TermKind.LITERAL:
@@ -66,17 +68,21 @@ class RdfTerm:
         object.__setattr__(
             self, "_hash", hash((self.kind, self.lexical, self.datatype, self.lang))
         )
+        object.__setattr__(
+            self, "_sort_key",
+            (self.kind.value, self.lexical, self.datatype or "", self.lang or ""),
+        )
 
     def __hash__(self):
         return self._hash
 
     def sort_key(self):
-        return (self.kind.value, self.lexical, self.datatype or "", self.lang or "")
+        return self._sort_key
 
     def __lt__(self, other):
         if not isinstance(other, RdfTerm):
             return NotImplemented
-        return self.sort_key() < other.sort_key()
+        return self._sort_key < other._sort_key
 
     @property
     def is_iri(self):

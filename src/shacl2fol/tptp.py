@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import fol
 from .errors import CardinalityLimitExceeded, InvalidOptions
@@ -134,6 +134,10 @@ def _pair_key(ab: tuple[RdfTerm, RdfTerm]):
     return (ab[0].sort_key(), ab[1].sort_key())
 
 
+def _new_const(t: RdfTerm) -> Const:
+    return Const(term_symbol(t))
+
+
 def _by_source(pairs: set[tuple[RdfTerm, RdfTerm]]) -> dict[RdfTerm, list[RdfTerm]]:
     out: dict[RdfTerm, list[RdfTerm]] = {}
     for a, b in pairs:
@@ -178,7 +182,8 @@ class Emitter:
 
     The emitter records every constant it names (`known_constants`, which
     starts with the data graph's) and every data role it uses (`roles`);
-    the ambient axioms are built from both.
+    the ambient axioms are built from both.  It builds one `Const` per
+    term, which every axiom naming the term shares.
     """
 
     def __init__(self, opts: EmitOptions, data_graph: Optional[Graph] = None):
@@ -188,6 +193,7 @@ class Emitter:
         self.known_constants: set[RdfTerm] = (
             set(data_graph.constants()) if data_graph is not None else set()
         )
+        self._consts: dict[RdfTerm, Const] = {}
         self.roles: set[str] = set()
         self.var_counter = 0
         self.star_roles: dict[PropertyPath, str] = {}
@@ -200,8 +206,11 @@ class Emitter:
         return Var(f"{hint}{self.var_counter}")
 
     def const(self, t: RdfTerm) -> Const:
-        self.known_constants.add(t)
-        return Const(term_symbol(t))
+        c = self._consts.get(t)
+        if c is None:
+            self.known_constants.add(t)
+            c = self._consts[t] = _new_const(t)
+        return c
 
     def role_atom(self, name: str, a: fol.Term, b: fol.Term) -> Atom:
         self.roles.add(name)
@@ -431,7 +440,8 @@ class Emitter:
 
     # --- ambient axioms ---
 
-    def filter_axioms(self) -> list[tuple[str, Formula]]:
+    def filter_axioms(self, constants: list[RdfTerm]) -> list[tuple[str, Formula]]:
+        """Disjoint term kinds, and the kind of each of `constants`, in order."""
         out: list[tuple[str, Formula]] = []
         x = Var("X")
         for i, (a, b) in enumerate(itertools.combinations(FILTER_PREDS, 2), start=1):
@@ -439,7 +449,7 @@ class Emitter:
                 f"filter_disjoint_{i}",
                 Forall(("X",), neg(conj([Atom(a, (x,)), Atom(b, (x,))]))),
             ))
-        for i, t in enumerate(sorted(self.known_constants, key=lambda t: t.sort_key()), start=1):
+        for i, t in enumerate(constants, start=1):
             out.append((
                 f"filter_kind_{i}", Atom(_FILTER_OF_KIND[t.kind.value], (self.const(t),))
             ))
@@ -468,12 +478,13 @@ class Emitter:
         ]
 
 
-def emit_una(constants: list[RdfTerm], opts: EmitOptions) -> list[TptpFormula]:
-    """Unique-name axioms over an ordered list of constants."""
+def emit_una(constants: list[RdfTerm], opts: EmitOptions,
+             const: Callable[[RdfTerm], Const] = _new_const) -> list[TptpFormula]:
+    """Unique-name axioms over `constants`, in the order given; `const`
+    gives the constant of a term."""
     if opts.una_mode is UnaMode.DISTINCT and opts.dialect is not Dialect.TFF:
         raise InvalidOptions("the $distinct encoding requires the TFF dialect")
-    ordered = sorted(constants, key=lambda t: t.sort_key())
-    consts = [Const(term_symbol(t)) for t in ordered]
+    consts = [const(t) for t in constants]
     if len(consts) < 2:
         return []
     if opts.una_mode is UnaMode.PAIRWISE:
@@ -484,8 +495,10 @@ def emit_una(constants: list[RdfTerm], opts: EmitOptions) -> list[TptpFormula]:
     return [TptpFormula("una_distinct", "axiom", Distinct(tuple(consts)))]
 
 
-def emit_graph_axioms(g: Graph, signature: set[str]) -> list[TptpFormula]:
-    """Positive ground facts plus per-relation completeness axioms."""
+def emit_graph_axioms(g: Graph, signature: set[str],
+                      const: Callable[[RdfTerm], Const] = _new_const) -> list[TptpFormula]:
+    """Positive ground facts plus per-relation completeness axioms;
+    `const` gives the constant of a term."""
     out: list[TptpFormula] = []
     role_pairs = {
         role: sorted(graph_role_pairs(g, role), key=_pair_key)
@@ -497,7 +510,7 @@ def emit_graph_axioms(g: Graph, signature: set[str]) -> list[TptpFormula]:
             i += 1
             out.append(TptpFormula(
                 f"graph_pos_{i}", "axiom",
-                Atom(role, (Const(term_symbol(a)), Const(term_symbol(b)))),
+                Atom(role, (const(a), const(b))),
             ))
     x, y = Var("X"), Var("Y")
     for j, (role, pairs) in enumerate(role_pairs.items(), start=1):
@@ -506,10 +519,7 @@ def emit_graph_axioms(g: Graph, signature: set[str]) -> list[TptpFormula]:
             body: Formula = neg(Exists(("X", "Y"), atom))
         else:
             cases = disj([
-                conj([
-                    Eq(x, Const(term_symbol(a))),
-                    Eq(y, Const(term_symbol(b))),
-                ])
+                conj([Eq(x, const(a)), Eq(y, const(b))])
                 for a, b in pairs
             ])
             body = Forall(("X", "Y"), Implies(atom, cases))
@@ -525,36 +535,43 @@ def attach_ambient_axioms(doc: TptpDocument, emitter: Emitter, opts: EmitOptions
     g = emitter.data_graph
     if g is not None:
         data_roles = {role_name(p) for p in g.predicate_names()}
-        doc.extend(emit_graph_axioms(g, emitter.roles | data_roles))
+        doc.extend(emit_graph_axioms(g, emitter.roles | data_roles, emitter.const))
     for name, body in emitter.star_axioms:
         doc.add(name, body)
     for name, body in emitter.order_axioms():
         doc.add(name, body)
-    for name, body in emitter.filter_axioms():
+    constants = sorted(emitter.known_constants, key=RdfTerm.sort_key)
+    for name, body in emitter.filter_axioms(constants):
         doc.add(name, body)
-    doc.extend(emit_una(sorted(emitter.known_constants, key=lambda t: t.sort_key()), opts))
+    doc.extend(emit_una(constants, opts, emitter.const))
     doc.approximate = doc.approximate or emitter.approximate
 
 
 def render(doc: TptpDocument) -> str:
-    """Deterministic TPTP text; TFF mode includes type declarations."""
+    """Deterministic TPTP text; TFF mode includes type declarations.
+
+    The units are written in one walk that quotes each symbol once, into a
+    table of this call; the TFF declarations of its constants and
+    predicates are then read off that table and put in front.
+    """
+    symbols = fol.SymbolTable()
+    kw = "tff" if doc.dialect is Dialect.TFF else "fof"
+    units = [
+        f"{kw}({f.name}, {f.role}, {fol.formula_text(f.body, symbols)})."
+        for f in doc.formulas
+    ]
     lines = [f"% {h}" for h in doc.header]
     if doc.dialect is Dialect.TFF:
-        preds: dict[str, int] = {}
-        consts: set[str] = set()
-        for f in doc.formulas:
-            p, c, _ = fol.collect_symbols(f.body)
-            preds.update(p)
-            consts |= c
+        consts = symbols.consts
         for i, name in enumerate(sorted(consts), start=1):
-            lines.append(f"tff(decl_c_{i}, type, {fol.atom_name(name)}: $i).")
-        for i, (name, arity) in enumerate(sorted(preds.items()), start=1):
+            lines.append(f"tff(decl_c_{i}, type, {consts[name]}: $i).")
+        preds = symbols.preds
+        for i, name in enumerate(sorted(preds), start=1):
+            text, arity = preds[name]
             if arity == 0:
                 sig = "$o"
             else:
                 sig = "(" + " * ".join(["$i"] * arity) + ") > $o"
-            lines.append(f"tff(decl_p_{i}, type, {fol.atom_name(name)}: {sig}).")
-    kw = "tff" if doc.dialect is Dialect.TFF else "fof"
-    for f in doc.formulas:
-        lines.append(f"{kw}({f.name}, {f.role}, {fol.formula_text(f.body)}).")
+            lines.append(f"tff(decl_p_{i}, type, {text}: {sig}).")
+    lines += units
     return "\n".join(lines) + "\n"

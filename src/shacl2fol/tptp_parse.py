@@ -12,6 +12,11 @@ token starts with.  The parser then walks the token list by index and
 keeps the formulas it has opened (parentheses, `~`, quantifiers, and `&`/
 `|` chains or a binary `=>`/`<=>`) on one explicit stack, so the depth of
 a problem is bounded by memory, not by Python's recursion limit.
+
+Each call of `parse_tptp` keeps one symbol table, a dict from a constant
+or predicate token to its `Const`, filled as the tokens are first met: a
+quoted token is unquoted once, and every occurrence of a constant shares
+one `Const`.
 """
 
 from __future__ import annotations
@@ -73,41 +78,51 @@ def _expect(tokens: list[str], i: int, value: str) -> int:
     return i + 1
 
 
-def _term(tokens: list[str], i: int):
+def _symbol(symbols: dict[str, Const], tok: str) -> Const:
+    """The `Const` of the constant or predicate token `tok`, built on its
+    first occurrence."""
+    c = symbols[tok] = Const(unquote_atom(tok) if tok[0] == "'" else tok)
+    return c
+
+
+def _term(tokens: list[str], i: int, symbols: dict[str, Const]):
     """The constant or variable at tokens[i], and the index after it."""
     tok = tokens[i]
-    first = tok[:1]
-    if "A" <= first <= "Z":
-        return Var(tok), i + 1
-    if first == "'" or "a" <= first <= "z" or first == "_":
-        if tokens[i + 1] == "(":
-            raise TptpParseError("function terms are not part of the emitted subset")
-        return Const(unquote_atom(tok) if first == "'" else tok), i + 1
-    if not tok:
-        raise TptpParseError("unexpected end of input")
-    raise TptpParseError(f"bad term {tok!r}")
+    c = symbols.get(tok)
+    if c is None:
+        first = tok[:1]
+        if "A" <= first <= "Z":
+            return Var(tok), i + 1
+        if not (first == "'" or "a" <= first <= "z" or first == "_"):
+            if not tok:
+                raise TptpParseError("unexpected end of input")
+            raise TptpParseError(f"bad term {tok!r}")
+        c = _symbol(symbols, tok)
+    if tokens[i + 1] == "(":
+        raise TptpParseError("function terms are not part of the emitted subset")
+    return c, i + 1
 
 
-def _terms(tokens: list[str], i: int):
+def _terms(tokens: list[str], i: int, symbols: dict[str, Const]):
     """The comma-separated terms from tokens[i] up to a closing ")"."""
     terms = []
     while True:
-        t, i = _term(tokens, i)
+        t, i = _term(tokens, i, symbols)
         terms.append(t)
         if tokens[i] != ",":
             return tuple(terms), _expect(tokens, i, ")")
         i += 1
 
 
-def _equality(left, tokens: list[str], i: int):
+def _equality(left, tokens: list[str], i: int, symbols: dict[str, Const]):
     """`left = t` or `left != t`, with tokens[i] the sign."""
     sign = tokens[i]
-    right, i = _term(tokens, i + 1)
+    right, i = _term(tokens, i + 1, symbols)
     eq = Eq(left, right)
     return (eq if sign == "=" else NotN(eq)), i
 
 
-def _atom(tokens: list[str], i: int):
+def _atom(tokens: list[str], i: int, symbols: dict[str, Const]):
     """The atomic formula at tokens[i], and the index after it."""
     tok = tokens[i]
     first = tok[:1]
@@ -115,17 +130,17 @@ def _atom(tokens: list[str], i: int):
     if "A" <= first <= "Z":
         if nxt != "=" and nxt != "!=":
             raise TptpParseError("a bare variable is not a formula")
-        return _equality(Var(tok), tokens, i + 1)
+        return _equality(Var(tok), tokens, i + 1, symbols)
     if first == "'" or "a" <= first <= "z" or first == "_":
-        name = unquote_atom(tok) if first == "'" else tok
+        c = symbols.get(tok) or _symbol(symbols, tok)
         if nxt == "(":
-            args, i = _terms(tokens, i + 2)
+            args, i = _terms(tokens, i + 2, symbols)
             if tokens[i] == "=" or tokens[i] == "!=":
                 raise TptpParseError("function terms are not part of the emitted subset")
-            return Atom(name, args), i
+            return Atom(c.name, args), i
         if nxt == "=" or nxt == "!=":
-            return _equality(Const(name), tokens, i + 1)
-        return Atom(name, ()), i + 1
+            return _equality(c, tokens, i + 1, symbols)
+        return Atom(c.name, ()), i + 1
     if tok == "$true":
         return TrueF(), i + 1
     if tok == "$false":
@@ -153,7 +168,7 @@ _NOT = "~"
 _CONNECTIVES = frozenset(("&", "|", "=>", "<=>"))
 
 
-def _formula(tokens: list[str], i: int):
+def _formula(tokens: list[str], i: int, symbols: dict[str, Const]):
     """The formula at tokens[i], and the index after it.
 
     Grammar: a formula is a unitary formula, optionally followed by one
@@ -182,7 +197,7 @@ def _formula(tokens: list[str], i: int):
             i = _expect(tokens, _expect(tokens, i, "]"), ":")
             stack.append((Forall if tok == "!" else Exists, tuple(variables)))
             continue
-        f, i = _atom(tokens, i)
+        f, i = _atom(tokens, i, symbols)
         # f is a whole unitary formula: close the frames it completes
         while True:
             top = stack[-1] if stack else None
@@ -235,6 +250,7 @@ def _skip_type_declaration(tokens: list[str], i: int) -> int:
 def parse_tptp(text: str) -> list[TptpUnit]:
     """Parse a TPTP problem into its annotated formulas (type units skipped)."""
     tokens = _tokenize(text)
+    symbols: dict[str, Const] = {}
     units = []
     i = 0
     while tokens[i]:
@@ -253,12 +269,12 @@ def parse_tptp(text: str) -> list[TptpUnit]:
         if role == "type":
             i = _skip_type_declaration(tokens, i)
         elif tokens[i] == "$distinct" and role != "conjecture":
-            consts, i = _terms(tokens, _expect(tokens, i + 1, "("))
+            consts, i = _terms(tokens, _expect(tokens, i + 1, "("), symbols)
             if any(isinstance(c, Var) for c in consts):
                 raise TptpParseError("$distinct expects constants")
             units.append(TptpUnit(name, role, Distinct(consts)))
         else:
-            body, i = _formula(tokens, i)
+            body, i = _formula(tokens, i, symbols)
             units.append(TptpUnit(name, role, body))
         i = _expect(tokens, _expect(tokens, i, ")"), ".")
     return units

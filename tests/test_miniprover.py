@@ -446,6 +446,18 @@ class TestMain:
         assert "SZS status SyntaxError" in capsys.readouterr().out
 
     @pytest.mark.parametrize("parse_only", [[], ["--parse-only"]], ids=["decide", "parse_only"])
+    @pytest.mark.parametrize("text", [
+        "fof(a, axiom, p(a).", "tff(a, conjecture, $distinct(a, b)).",
+    ], ids=["unclosed", "distinct_conjecture"])
+    def test_syntax_error_is_reported(self, text, parse_only, tmp_path, capsys):
+        f = tmp_path / "problem.p"
+        f.write_text(text)
+        assert miniprover.main([str(f), *parse_only]) == 1
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1
+        assert out.startswith(f"% SZS status SyntaxError for {f} : ")
+
+    @pytest.mark.parametrize("parse_only", [[], ["--parse-only"]], ids=["decide", "parse_only"])
     @pytest.mark.parametrize("content", [b"\xff\xfe", None], ids=["not_utf8", "missing"])
     def test_unreadable_problem_is_an_input_error(self, content, parse_only, tmp_path, capsys):
         f = tmp_path / "problem.p"

@@ -1,4 +1,6 @@
+import re
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,11 @@ from hypothesis import strategies as st
 
 from conftest import load_graph, load_shapes
 from corpus import CASES
+from shacl2fol import fol, tptp_parse
 from shacl2fol.decide import DecisionTask, TaskKind, build_problem
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Iff, Implies, NotN,
-    OrN, TrueF, Var,
+    OrN, TrueF, Var, unquote_atom,
 )
 from shacl2fol.rdf import Graph, RDF_TYPE, Triple, iri, literal
 from shacl2fol.tptp import (
@@ -189,6 +192,71 @@ def test_parser_reads_back_rendered_formulas(bodies, dialect):
     assert [u.body for u in parse_tptp(render(doc))] == bodies
 
 
+def _atomic_formulas(f):
+    """The atomic formulas of `f`, by a walk of this test's own."""
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (AndN, OrN)):
+            stack.extend(node.operands)
+        elif isinstance(node, NotN):
+            stack.append(node.operand)
+        elif isinstance(node, (Implies, Iff)):
+            stack += [node.left, node.right]
+        elif isinstance(node, (Forall, Exists)):
+            stack.append(node.body)
+        else:
+            yield node
+
+
+def _constants(f):
+    for node in _atomic_formulas(f):
+        if isinstance(node, Atom):
+            terms = node.args
+        elif isinstance(node, Eq):
+            terms = (node.left, node.right)
+        elif isinstance(node, Distinct):
+            terms = node.constants
+        else:
+            continue
+        yield from (t for t in terms if isinstance(t, Const))
+
+
+def _signature(bodies):
+    """The constant names, and each predicate with the arities it is used with."""
+    consts, preds = set(), {}
+    for body in bodies:
+        consts.update(c.name for c in _constants(body))
+        for node in _atomic_formulas(body):
+            if isinstance(node, Atom):
+                preds.setdefault(node.pred, set()).add(len(node.args))
+    return consts, preds
+
+
+_DECL_C = re.compile(r"tff\(decl_c_(\d+), type, (.*): \$i\)\.")
+_DECL_P = re.compile(r"tff\(decl_p_(\d+), type, (.*): (\$o|\((\$i(?: \* \$i)*)\) > \$o)\)\.")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(formulas(), _DISTINCT), min_size=1, max_size=3))
+def test_type_declarations_name_the_signature(bodies):
+    doc = TptpDocument(Dialect.TFF, [TptpFormula(f"f{i}", "axiom", b) for i, b in enumerate(bodies)])
+    lines = render(doc).splitlines()
+    c_lines = [m for m in map(_DECL_C.fullmatch, lines) if m]
+    p_lines = [m for m in map(_DECL_P.fullmatch, lines) if m]
+    declared_c = [unquote_atom(m[2]) for m in c_lines]
+    declared_p = {unquote_atom(m[2]): 0 if m[4] is None else m[4].count("$i") for m in p_lines}
+    consts, preds = _signature(bodies)
+    # numbered from 1 in the order of their names, before the units
+    assert [int(m[1]) for m in c_lines] == list(range(1, len(c_lines) + 1))
+    assert [int(m[1]) for m in p_lines] == list(range(1, len(p_lines) + 1))
+    assert declared_c == sorted(consts)
+    assert list(declared_p) == sorted(preds)
+    # a predicate used with several arities is declared with one of them
+    assert all(arity in preds[name] for name, arity in declared_p.items())
+    assert lines[len(c_lines) + len(p_lines)].startswith("tff(f0, axiom, ")
+
+
 @pytest.mark.parametrize("dialect", [Dialect.FOF, Dialect.TFF])
 def test_a_symbol_ending_in_a_newline_is_quoted(dialect):
     # unquoted, `a\n` would read back as `a`
@@ -215,9 +283,9 @@ def test_rendered_corpus_problems_round_trip(case, dialect):
     ]
 
 
-def test_front_end_is_linear_on_a_large_graph():
-    # 1500 people, each typed, named and knowing two others: 6000 triples
-    n = 1500
+def _people_task(n: int) -> DecisionTask:
+    """Validation of n people, each typed, named and knowing two others:
+    4n triples."""
     people = [iri(EX + f"p{i}") for i in range(n)]
     knows, person = iri(EX + "knows"), iri(EX + "Person")
     triples = []
@@ -226,16 +294,45 @@ def test_front_end_is_linear_on_a_large_graph():
         triples.append(Triple(p, iri(EX + "name"), literal(f"n{i}")))
         triples.append(Triple(p, knows, people[(i + 1) % n]))
         triples.append(Triple(p, knows, people[(i + 7) % n]))
-    g = Graph(triples)
     shapes = load_shapes(PREFIX + """
     ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
       sh:property [ sh:path ex:name ; sh:minCount 1 ; sh:maxCount 1 ;
                     sh:nodeKind sh:Literal ] ;
       sh:property [ sh:path ex:knows ; sh:nodeKind sh:IRI ] .
     """)
+    return DecisionTask(TaskKind.VALIDATION, shapes, data_graph=Graph(triples))
+
+
+def test_front_end_is_linear_on_a_large_graph():
+    task = _people_task(1500)  # 6000 triples
     started = time.perf_counter()
-    doc = build_problem(DecisionTask(TaskKind.VALIDATION, shapes, data_graph=g))
+    doc = build_problem(task)
     units = parse_tptp(render(doc))
     elapsed = time.perf_counter() - started
     assert len(units) == len(doc.formulas)
-    assert elapsed < 5.0, f"{len(g)} triples took {elapsed:.1f} s"
+    assert elapsed < 5.0, f"{len(task.data_graph)} triples took {elapsed:.1f} s"
+
+
+def test_each_symbol_is_quoted_once_and_read_once(monkeypatch):
+    doc = build_problem(_people_task(200))
+    consts, preds = _signature([f.body for f in doc.formulas])
+
+    quoted = Counter()
+    atom_name = fol.atom_name
+    monkeypatch.setattr(fol, "atom_name", lambda s: quoted.update([s]) or atom_name(s))
+    text = render(doc)
+    # a symbol that is both a constant and a predicate is declared twice
+    assert quoted == Counter([*consts, *preds])
+
+    unquoted = Counter()
+    unquote_atom = tptp_parse.unquote_atom
+    monkeypatch.setattr(tptp_parse, "unquote_atom",
+                        lambda t: unquoted.update([t]) or unquote_atom(t))
+    units = parse_tptp(text)
+    assert unquoted and max(unquoted.values()) == 1
+    assert [u.body for u in units] == [f.body for f in doc.formulas]
+    # every occurrence of a constant is one object
+    objects = {}
+    for u in units:
+        for c in _constants(u.body):
+            assert objects.setdefault(c.name, c) is c
