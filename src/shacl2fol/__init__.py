@@ -23,7 +23,7 @@ from .rdf import (
 )
 from .shapes import Shape, ShapeGraph, detect_recursion, extract_shape_graph
 from .translate import signature_of, translate as translate_shape_graph
-from .tptp import Dialect, EmitOptions, StarMode, UnaMode, render
+from .tptp import Dialect, EmitOptions, StarMode, render
 
 __version__ = "1.0.0"
 
@@ -32,7 +32,7 @@ __all__ = [
     "EmitOptions", "Graph", "InvalidOptions", "MalformedShape",
     "ProverConfig", "ProverNotFound", "ProverProtocolError", "RdfSyntaxError",
     "RdfTerm", "RecursiveShapeGraph", "Shacl2FolError", "Shape", "ShapeGraph",
-    "StarMode", "Syntax", "TaskKind", "TermKind", "Triple", "UnaMode",
+    "StarMode", "Syntax", "TaskKind", "TermKind", "Triple",
     "UnsupportedComponent", "UnsupportedFeature", "ValidationReport",
     "Verdict", "Violation", "bnode", "build_problem", "detect_recursion",
     "evaluate", "extract_shape_graph", "iri", "literal", "parse_document",

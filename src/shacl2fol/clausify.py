@@ -1,15 +1,23 @@
 """Transformation of first-order formulas into clausal form.
 
-NNF, standardize-apart, skolemization, then CNF with a definitional
-fallback: when naive distribution would blow up, a subformula is renamed
-by a fresh predicate over its free variables (single polarity, which
-preserves satisfiability).  A whole formula `$distinct` is one literal.
+One walk over each formula, on an explicit stack, carries each
+subformula's polarity (negation is pushed inward, `=>` and `<=>`
+expanded), its substitution and the universal variables around it.  A
+universal quantifier renames its variables apart, an existential one
+Skolemizes them or binds one by the one-point rule, an atom becomes a
+literal, and a conjunction or disjunction joins its operands' clauses
+once they are done.  When naive distribution would blow up, a disjunct is
+renamed by a fresh predicate over its free variables: the definitional
+CNF of Nonnengart and Weidenbach, "Computing Small Clause Normal Forms"
+(2001), in single polarity, which preserves satisfiability.  A whole
+formula `$distinct` is one literal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func,
@@ -18,6 +26,8 @@ from .fol import (
 
 EQ = "="  # reserved predicate name for equality literals
 DISTINCT = "$distinct"  # reserved predicate name: its arguments are pairwise unequal
+# the clauses a disjunction may distribute to before its disjuncts are renamed
+DISTRIBUTION_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -33,162 +43,100 @@ class Literal:
 Clause = frozenset[Literal]
 
 
+class _Join(NamedTuple):
+    """A stack entry: join the clause lists of the last `count` operands."""
+    conjunction: bool
+    count: int
+
+
 class _Clausifier:
-    def __init__(self, distribution_limit: int = 16):
-        self.var_counter = 0
-        self.skolem_counter = 0
-        self.defpred_counter = 0
-        self.distribution_limit = distribution_limit
+    def __init__(self):
+        # the last number given each kind of fresh name: variables, Skolem
+        # symbols and definition predicates
+        self.counts = {"V": 0, "sk": 0, "df": 0}
+        self.extra: list[list[Literal]] = []  # the definitions' clauses
 
-    def fresh_var(self) -> str:
-        self.var_counter += 1
-        return f"V{self.var_counter}"
+    def fresh(self, kind: str) -> str:
+        self.counts[kind] += 1
+        return f"{kind}{self.counts[kind]}"
 
-    def fresh_skolem(self) -> str:
-        self.skolem_counter += 1
-        return f"sk{self.skolem_counter}"
-
-    def fresh_defpred(self) -> str:
-        self.defpred_counter += 1
-        return f"df{self.defpred_counter}"
-
-    # --- NNF with negation pushed inward, Iff/Implies expanded ---
-
-    def nnf(self, f: Formula, positive: bool) -> Formula:
-        if isinstance(f, TrueF):
-            return TrueF() if positive else FalseF()
-        if isinstance(f, FalseF):
-            return FalseF() if positive else TrueF()
-        if isinstance(f, (Atom, Eq)):
-            return f if positive else NotN(f)
-        if isinstance(f, NotN):
-            return self.nnf(f.operand, not positive)
-        if isinstance(f, AndN):
-            parts = tuple(self.nnf(x, positive) for x in f.operands)
-            return AndN(parts) if positive else OrN(parts)
-        if isinstance(f, OrN):
-            parts = tuple(self.nnf(x, positive) for x in f.operands)
-            return OrN(parts) if positive else AndN(parts)
-        if isinstance(f, Implies):
-            return self.nnf(OrN((NotN(f.left), f.right)), positive)
-        if isinstance(f, Iff):
-            expanded = AndN((
-                OrN((NotN(f.left), f.right)),
-                OrN((NotN(f.right), f.left)),
-            ))
-            return self.nnf(expanded, positive)
-        if isinstance(f, Forall):
-            body = self.nnf(f.body, positive)
-            return Forall(f.variables, body) if positive else Exists(f.variables, body)
-        if isinstance(f, Exists):
-            body = self.nnf(f.body, positive)
-            return Exists(f.variables, body) if positive else Forall(f.variables, body)
-        raise TypeError(f"not a formula: {f!r}")
-
-    # --- standardize apart + skolemize, dropping quantifiers ---
-
-    def skolemize(self, f: Formula, subst: dict[str, Term], universal: tuple[Term, ...]) -> Formula:
-        if isinstance(f, (TrueF, FalseF)):
-            return f
-        if isinstance(f, Atom):
-            return Atom(f.pred, tuple(self.apply(t, subst) for t in f.args))
-        if isinstance(f, Eq):
-            return Eq(self.apply(f.left, subst), self.apply(f.right, subst))
-        if isinstance(f, NotN):
-            return NotN(self.skolemize(f.operand, subst, universal))
-        if isinstance(f, AndN):
-            return AndN(tuple(self.skolemize(x, subst, universal) for x in f.operands))
-        if isinstance(f, OrN):
-            return OrN(tuple(self.skolemize(x, subst, universal) for x in f.operands))
-        if isinstance(f, Forall):
-            new = dict(subst)
-            fresh: list[Term] = []
-            for v in f.variables:
-                nv = Var(self.fresh_var())
-                new[v] = nv
-                fresh.append(nv)
-            return self.skolemize(f.body, new, universal + tuple(fresh))
-        if isinstance(f, Exists):
-            new = dict(subst)
-            for v in f.variables:
-                pinned = _one_point(f.body, v, set(f.variables))
-                if pinned is not None:
-                    # one-point rule: ?[V]: (... & V = t & ...) binds V to t
-                    new[v] = self.apply(pinned, new)
-                elif universal:
-                    new[v] = Func(self.fresh_skolem(), universal)
+    def walk(self, formula: Formula) -> list[list[Literal]]:
+        """The clauses of `formula`.  A stack entry is a subformula with its
+        polarity, substitution and universal variables, or a `_Join`; the
+        operands are visited left to right, so names are allocated in the
+        order of a recursive walk."""
+        done: list[list[list[Literal]]] = []  # the clause lists of the operands done
+        stack: list = [(formula, True, {}, ())]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, _Join):
+                parts = done[len(done) - item.count:]
+                del done[len(done) - item.count:]
+                done.append(_conjoin(parts) if item.conjunction else self.disjoin(parts))
+                continue
+            f, positive, subst, universal = item
+            f, positive = _strip(f, positive)
+            if isinstance(f, (TrueF, FalseF)):
+                done.append([] if isinstance(f, TrueF) == positive else [[]])
+            elif isinstance(f, Atom):
+                args = tuple(_substitute(t, subst) for t in f.args)
+                done.append([[Literal(positive, f.pred, args)]])
+            elif isinstance(f, Eq):
+                args = (_substitute(f.left, subst), _substitute(f.right, subst))
+                done.append([[Literal(positive, EQ, args)]])
+            elif isinstance(f, (AndN, OrN)):
+                stack.append(_Join(isinstance(f, AndN) == positive, len(f.operands)))
+                stack.extend((x, positive, subst, universal) for x in reversed(f.operands))
+            elif isinstance(f, (Forall, Exists)):
+                subst = dict(subst)
+                if isinstance(f, Forall) == positive:
+                    fresh = tuple(Var(self.fresh("V")) for _ in f.variables)
+                    subst.update(zip(f.variables, fresh))
+                    universal += fresh
                 else:
-                    new[v] = Const(f"{self.fresh_skolem()}_c")
-            return self.skolemize(f.body, new, universal)
-        raise TypeError(f"unexpected node after NNF: {f!r}")
+                    conjuncts = _conjuncts(f.body, positive)
+                    for v in f.variables:
+                        pinned = _one_point(conjuncts, v, set(f.variables))
+                        if pinned is not None:
+                            # one-point rule: ?[V]: (... & V = t & ...) binds V to t
+                            subst[v] = _substitute(pinned, subst)
+                        elif universal:
+                            subst[v] = Func(self.fresh("sk"), universal)
+                        else:
+                            subst[v] = Const(self.fresh("sk") + "_c")
+                stack.append((f.body, positive, subst, universal))
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+        return done[0]
 
-    def apply(self, t: Term, subst: dict[str, Term]) -> Term:
-        if isinstance(t, Var):
-            return subst.get(t.name, t)
-        if isinstance(t, Func):
-            return Func(t.name, tuple(self.apply(a, subst) for a in t.args))
-        return t
-
-    # --- CNF with definitional fallback ---
-
-    def cnf(self, f: Formula) -> Optional[list[list[Literal]]]:
-        """Clause list, or None for an unsatisfiable $false constant."""
-        if isinstance(f, TrueF):
+    def disjoin(self, parts: list[list[list[Literal]]]) -> list[list[Literal]]:
+        """Distribute, renaming the disjuncts of more than one clause first
+        if the product would pass `DISTRIBUTION_LIMIT`."""
+        if math.prod(max(len(p), 1) for p in parts) > DISTRIBUTION_LIMIT:
+            parts = [p if len(p) <= 1 else self.define(p) for p in parts]
+        # a $true disjunct makes the disjunction true
+        if any(not p for p in parts):
             return []
-        if isinstance(f, FalseF):
-            return [[]]
-        if isinstance(f, Atom):
-            return [[Literal(True, f.pred, f.args)]]
-        if isinstance(f, Eq):
-            return [[Literal(True, EQ, (f.left, f.right))]]
-        if isinstance(f, NotN):
-            inner = f.operand
-            if isinstance(inner, Atom):
-                return [[Literal(False, inner.pred, inner.args)]]
-            if isinstance(inner, Eq):
-                return [[Literal(False, EQ, (inner.left, inner.right))]]
-            raise TypeError(f"negation not atomic after NNF: {f!r}")
-        if isinstance(f, AndN):
-            out: list[list[Literal]] = []
-            for x in f.operands:
-                out.extend(self.cnf(x))
-            return out
-        if isinstance(f, OrN):
-            parts = [self.cnf(x) for x in f.operands]
-            size = 1
-            for p in parts:
-                size *= max(len(p), 1)
-            if size > self.distribution_limit:
-                parts = [
-                    p if len(p) <= 1 else self.define(p) for p in parts
-                ]
-            out = [[]]
-            for p in parts:
-                if not p:
-                    continue  # a $true disjunct makes the whole clause true
+        # no two clause lists of the walk are the same list, so a lone
+        # clause can grow in place
+        out = parts[0] if parts else [[]]
+        for p in parts[1:]:
+            if len(out) == len(p) == 1:
+                out[0].extend(p[0])
+            else:
                 out = [a + b for a in out for b in p]
-            # any disjunct that was [] (true) makes the disjunction true
-            if any(len(p) == 0 for p in parts):
-                return []
-            return out
-        raise TypeError(f"unexpected node in CNF: {f!r}")
+        return out
 
     def define(self, clauses: list[list[Literal]]) -> list[list[Literal]]:
         """Single-polarity renaming: d(vars) => subformula."""
-        vars_used = sorted({
-            t.name
-            for cl in clauses
-            for lit in cl
-            for arg in lit.args
-            for t in term_vars(arg)
-        })
-        d = Literal(True, self.fresh_defpred(), tuple(Var(v) for v in vars_used))
+        vars_used = sorted({t.name for cl in clauses for lit in cl
+                            for arg in lit.args for t in term_vars(arg)})
+        d = Literal(True, self.fresh("df"), tuple(Var(v) for v in vars_used))
         for cl in clauses:
             self.extra.append([d.negate()] + cl)
         return [[d]]
 
     def clausify(self, formulas: list[Formula]) -> list[Clause]:
-        self.extra: list[list[Literal]] = []
         raw: list[list[Literal]] = []
         for f in formulas:
             if isinstance(f, Distinct):
@@ -197,33 +145,63 @@ class _Clausifier:
                     unique = len(set(f.constants)) == len(f.constants)
                     raw.append([Literal(True, DISTINCT, f.constants)] if unique else [])
                 continue
-            nnf = self.nnf(f, True)
-            sk = self.skolemize(nnf, {}, ())
-            raw.extend(self.cnf(sk))
+            raw.extend(self.walk(f))
         raw.extend(self.extra)
-        out = []
-        for cl in raw:
-            clause = frozenset(cl)
-            if _is_tautology(clause):
-                continue
-            out.append(clause)
-        return out
+        return [clause for clause in map(frozenset, raw) if not _is_tautology(clause)]
 
 
-def _one_point(body: Formula, var: str, bound: set[str]) -> Optional[Term]:
-    """A term t with ... & var = t & ... at the top of the body, if any.
+def _conjoin(parts: list[list[list[Literal]]]) -> list[list[Literal]]:
+    """The clauses of every operand, in order; the lists are the walk's own."""
+    out = parts[0] if parts else []
+    for p in parts[1:]:
+        out.extend(p)
+    return out
+
+
+def _strip(f: Formula, positive: bool) -> tuple[Formula, bool]:
+    """`f` below its negations, with its polarity there, `=>` and `<=>`
+    expanded into a disjunction and a conjunction of disjunctions."""
+    while isinstance(f, NotN):
+        f, positive = f.operand, not positive
+    if isinstance(f, Implies):
+        return OrN((NotN(f.left), f.right)), positive
+    if isinstance(f, Iff):
+        return AndN((OrN((NotN(f.left), f.right)), OrN((NotN(f.right), f.left)))), positive
+    return f, positive
+
+
+def _conjuncts(body: Formula, positive: bool) -> list[tuple[Formula, bool]]:
+    """The top-level conjuncts of `body`'s negation normal form at this
+    polarity, each with its polarity."""
+    body, positive = _strip(body, positive)
+    if isinstance(body, AndN if positive else OrN):
+        return [(x, positive) for x in body.operands]
+    return [(body, positive)]
+
+
+def _one_point(conjuncts: list[tuple[Formula, bool]], var: str,
+               bound: set[str]) -> Optional[Term]:
+    """A term t with ... & var = t & ... among the conjuncts, if any.
 
     The term must not mention any variable of the same quantifier block.
     """
-    conjuncts = body.operands if isinstance(body, AndN) else (body,)
-    for c in conjuncts:
-        if not isinstance(c, Eq):
+    for c, positive in conjuncts:
+        c, positive = _strip(c, positive)
+        if not positive or not isinstance(c, Eq):
             continue
         for this, other in ((c.left, c.right), (c.right, c.left)):
             if isinstance(this, Var) and this.name == var \
                     and not any(v.name in bound for v in term_vars(other)):
                 return other
     return None
+
+
+def _substitute(t: Term, subst: dict[str, Term]) -> Term:
+    if isinstance(t, Var):
+        return subst.get(t.name, t)
+    if isinstance(t, Func):
+        return Func(t.name, tuple(_substitute(a, subst) for a in t.args))
+    return t
 
 
 def term_vars(t: Term):
@@ -243,5 +221,5 @@ def _is_tautology(cl: Clause) -> bool:
     return False
 
 
-def clausify(formulas: list[Formula], distribution_limit: int = 16) -> list[Clause]:
-    return _Clausifier(distribution_limit).clausify(formulas)
+def clausify(formulas: list[Formula]) -> list[Clause]:
+    return _Clausifier().clausify(formulas)

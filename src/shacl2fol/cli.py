@@ -24,7 +24,7 @@ from .errors import (
     InvalidOptions, ProverNotFound, ProverProtocolError, Shacl2FolError,
 )
 from .rdf import iri, parse_file
-from .tptp import Dialect, EmitOptions, StarMode, UnaMode
+from .tptp import Dialect, EmitOptions, StarMode
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -42,9 +42,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _add_common(sp: argparse.ArgumentParser, with_prover: bool = True):
-    sp.add_argument("--una", choices=["pairwise", "distinct"], default=None,
-                    help="unique-name encoding (default: distinct for tff, "
-                    "pairwise for fof)")
     sp.add_argument("--dialect", choices=["fof", "tff"], default="tff")
     sp.add_argument("--star", choices=["approx", "ground"], default="approx",
                     help="zero-or-more path handling (ground: validation only)")
@@ -112,12 +109,7 @@ def _parser() -> _ArgumentParser:
 
 
 def _options(args) -> EmitOptions:
-    dialect = Dialect(args.dialect)
-    if args.una is None:
-        una = UnaMode.PAIRWISE if dialect is Dialect.FOF else UnaMode.DISTINCT
-    else:
-        una = UnaMode(args.una)
-    return EmitOptions(una_mode=una, dialect=dialect, star_mode=StarMode(args.star),
+    return EmitOptions(dialect=Dialect(args.dialect), star_mode=StarMode(args.star),
                        cardinality_limit=args.cardinality_limit)
 
 

@@ -19,7 +19,7 @@ Two sound, incomplete procedures over the clausal form:
 Both instantiate clauses through one routine, `_ground`; each keeps only
 its own encoding of a ground literal.  Both read the unique-name axioms,
 the literals `$distinct(c1, …, cn)` and ground units `¬(a = b)`, through
-one test, `_apart`: the model search pins constants kept apart to their
+one test, `_Apart`: the model search pins constants kept apart to their
 own domain elements, which the flattening leaves in place as it leaves
 variables, and the refutation folds the false equalities out of its
 equality axioms; neither grounds an axiom it has read.  Both give up on a
@@ -202,7 +202,7 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     In both modes the grounding stops once `prop` holds more than
     `_MAX_GROUND` clauses, and the caller gives up.
     """
-    bindings = 0
+    work = 0  # bindings and literals encoded since the last check
     if relevant is None:
         prop: list[tuple[int, ...]] = []
         jobs = ((lits, *_plan(lits), None) for lits in clauses)
@@ -220,8 +220,9 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
             if value is _END:
                 stack.pop()
                 continue
-            bindings += 1
-            if bindings % _CHECK_EVERY == 0:
+            work += 1 + len(ready[k])
+            if work >= _CHECK_EVERY:
+                work = 0
                 if deadline is not None and time.monotonic() > deadline:
                     raise sat.TimeBudgetExceeded()
                 if len(prop) > _MAX_GROUND:
@@ -286,19 +287,24 @@ def _kept_apart(cl: Clause) -> Optional[tuple[str, ...]]:
     return None
 
 
-def _apart(clauses: list[Clause]):
+class _Apart:
     """The test `apart(a, b)`, O(1), of whether the unique-name axioms keep
     two different constants apart: a constant maps to the constants of its
     pairs, and to the clause indices of the larger literals that hold it."""
-    partners, groups = {}, {}  # constant -> constants / -> clause indices
-    for n, members in enumerate(map(_kept_apart, clauses)):
-        for c in members or ():
-            if len(members) == 2:
-                partners.setdefault(c, set()).update(members)
-            else:
-                groups.setdefault(c, set()).add(n)
-    return lambda a, b: b in partners.get(a, ()) \
-        or not groups.get(a, set()).isdisjoint(groups.get(b, ()))
+
+    def __init__(self, clauses: list[Clause]):
+        self.partners: dict[str, set[str]] = {}
+        self.groups: dict[str, set[int]] = {}
+        for n, members in enumerate(map(_kept_apart, clauses)):
+            for c in members or ():
+                if len(members) == 2:
+                    self.partners.setdefault(c, set()).update(members)
+                else:
+                    self.groups.setdefault(c, set()).add(n)
+
+    def __call__(self, a: str, b: str) -> bool:
+        return b in self.partners.get(a, ()) \
+            or not self.groups.get(a, set()).isdisjoint(self.groups.get(b, ()))
 
 
 # --- finite model search ----------------------------------------------------
@@ -316,20 +322,28 @@ class _VarPool:
         return v
 
 
-def _pin(consts: list[str], apart, domain_size: int) -> dict[str, int]:
+def _pin(consts: list[str], apart: _Apart, domain_size: int) -> dict[str, int]:
     """Constants pinned to the elements 0, 1, ...: each constant, in order,
     that is kept apart from every one pinned before it, while elements last.
+    Each `$distinct` literal counts its pinned members: a constant in a
+    literal that holds every pinned constant is apart from them all, with
+    no test against each.
 
     Every model gives the pinned constants pairwise different elements, so
     a permutation of the domain maps them to 0, 1, ...: pinning keeps at
     least one model of each isomorphism class.
     """
     pinned: dict[str, int] = {}
+    counts: dict[int, int] = {}  # clause index -> its literal's members pinned
     for c in consts:
         if len(pinned) == domain_size:
             break
-        if all(apart(c, p) for p in pinned):
+        groups = apart.groups.get(c, ())
+        if any(counts.get(n, 0) == len(pinned) for n in groups) \
+                or all(apart(c, p) for p in pinned):
             pinned[c] = len(pinned)
+            for n in groups:
+                counts[n] = counts.get(n, 0) + 1
     return pinned
 
 
@@ -340,7 +354,7 @@ def find_model(
 ) -> Optional[dict]:
     """Search for a model over a fixed domain size; None if none exists."""
     consts, funcs = _collect_signature(clauses)
-    pinned = _pin(consts, _apart(clauses), domain_size)
+    pinned = _pin(consts, _Apart(clauses), domain_size)
     domain = range(domain_size)
     # the totality and functionality rows of the unpinned constants and the
     # Skolem terms, 1 + d(d-1)/2 clauses each, counted before any is built
@@ -351,6 +365,8 @@ def find_model(
     fresh = map("FL{}".format, itertools.count(1))
     flat = []
     for cl, members in zip(clauses, map(_kept_apart, clauses)):
+        if members is not None and pinned.keys() >= set(members):
+            continue  # its constants are pinned apart
         # a unique-name axiom is ground as its units ¬(a = b) on an unpinned constant
         units = [cl] if members is None else (
             frozenset({Literal(False, EQ, (Const(a), Const(b)))})
@@ -586,7 +602,7 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
     relevant = _Relevant(consts, funcs, pool)
     # the unique-name axioms make the equalities of the constants they keep
     # apart false: none gets a SAT variable, nor are its rows built
-    apart = _apart(clauses)
+    apart = _Apart(clauses)
 
     def eq_var(pair: tuple[int, int]) -> Optional[int]:
         """The SAT variable of a sorted pair's equality; None if it is false."""

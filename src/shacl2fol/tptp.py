@@ -47,11 +47,6 @@ class Dialect(Enum):
     TFF = "tff"
 
 
-class UnaMode(Enum):
-    PAIRWISE = "pairwise"
-    DISTINCT = "distinct"
-
-
 class StarMode(Enum):
     APPROXIMATE = "approx"
     GROUNDED = "ground"
@@ -59,14 +54,11 @@ class StarMode(Enum):
 
 @dataclass(frozen=True)
 class EmitOptions:
-    una_mode: UnaMode = UnaMode.DISTINCT
     dialect: Dialect = Dialect.TFF
     star_mode: StarMode = StarMode.APPROXIMATE
     cardinality_limit: int = 32
 
     def check(self, has_data_graph: bool = False):
-        if self.una_mode is UnaMode.DISTINCT and self.dialect is not Dialect.TFF:
-            raise InvalidOptions("the $distinct encoding requires the TFF dialect")
         if self.star_mode is StarMode.GROUNDED and not has_data_graph:
             raise InvalidOptions("grounded star closure requires a data graph")
         if self.cardinality_limit < 1:
@@ -480,14 +472,13 @@ class Emitter:
 
 def emit_una(constants: list[RdfTerm], opts: EmitOptions,
              const: Callable[[RdfTerm], Const] = _new_const) -> list[TptpFormula]:
-    """Unique-name axioms over `constants`, in the order given; `const`
-    gives the constant of a term."""
-    if opts.una_mode is UnaMode.DISTINCT and opts.dialect is not Dialect.TFF:
-        raise InvalidOptions("the $distinct encoding requires the TFF dialect")
+    """Unique-name axioms over `constants`, in the order given: one
+    `$distinct` in TFF, the pairwise inequalities in FOF, which has no
+    `$distinct`; `const` gives the constant of a term."""
     consts = [const(t) for t in constants]
     if len(consts) < 2:
         return []
-    if opts.una_mode is UnaMode.PAIRWISE:
+    if opts.dialect is Dialect.FOF:
         out = []
         for i, (a, b) in enumerate(itertools.combinations(consts, 2), start=1):
             out.append(TptpFormula(f"una_{i}", "axiom", neg(Eq(a, b))))

@@ -21,7 +21,7 @@ from shacl2fol.fol import formula_text
 from shacl2fol.rdf import RDF_TYPE, iri
 from shacl2fol.shapes import MinCount, Predicate, TargetDecl, TargetKind, TrueC
 from shacl2fol.tptp import (
-    Dialect, Emitter, EmitOptions, StarMode, UnaMode, emit_una, render,
+    Dialect, Emitter, EmitOptions, StarMode, emit_una, render,
 )
 from shacl2fol.tptp_parse import parse_tptp
 
@@ -47,9 +47,9 @@ def criterion(number, title):
     return deco
 
 
-def options_for(case, dialect=Dialect.TFF, una=UnaMode.DISTINCT):
+def options_for(case, dialect=Dialect.TFF):
     star = StarMode.GROUNDED if case.star_ground else StarMode.APPROXIMATE
-    return EmitOptions(una_mode=una, dialect=dialect, star_mode=star)
+    return EmitOptions(dialect=dialect, star_mode=star)
 
 
 def validation_task(case, options):
@@ -144,10 +144,10 @@ def test_criterion_3_validation_agreement():
 def test_criterion_4_encoding_agreement():
     for case in AGREEMENT_CASES:
         tff = run_task(validation_task(
-            case, options_for(case, Dialect.TFF, UnaMode.DISTINCT),
+            case, options_for(case, Dialect.TFF),
         ))
         fof = run_task(validation_task(
-            case, options_for(case, Dialect.FOF, UnaMode.PAIRWISE),
+            case, options_for(case, Dialect.FOF),
         ))
         assert tff.verdict == fof.verdict, case.name
 
@@ -232,15 +232,12 @@ def test_criterion_7_problems_parse():
 
     count = 0
     for case in CASES:
-        for dialect, una in (
-            (Dialect.TFF, UnaMode.DISTINCT),
-            (Dialect.FOF, UnaMode.PAIRWISE),
-        ):
+        for dialect in (Dialect.TFF, Dialect.FOF):
             task = DecisionTask(
                 TaskKind.VALIDATION,
                 load_shapes(case.shapes_ttl),
                 data_graph=load_graph(case.data_ttl),
-                options=options_for(case, dialect, una),
+                options=options_for(case, dialect),
             )
             units = parse_tptp(render(build_problem(task)))
             assert units
@@ -253,9 +250,7 @@ def test_criterion_8_encodings():
     # pairwise inequalities: one per unordered constant pair
     for n in range(1, 7):
         consts = [iri(EX + f"c{i}") for i in range(n)]
-        axioms = emit_una(
-            consts, EmitOptions(una_mode=UnaMode.PAIRWISE, dialect=Dialect.FOF),
-        )
+        axioms = emit_una(consts, EmitOptions(dialect=Dialect.FOF))
         assert len(axioms) == n * (n - 1) // 2
 
     # counting quantifiers expand to formulas with exact threshold meaning

@@ -111,6 +111,34 @@ class TestSkolemization:
                 assert all(isinstance(a, Const) for a in lit.args)
 
 
+class TestDeepNesting:
+    """One walk with its own stack: no recursion per nesting level."""
+
+    N = 10_000
+
+    def test_left_nested_conjunction(self):
+        f = Atom("p0", ())
+        for i in range(1, self.N):
+            f = AndN((f, Atom(f"p{i}", ())))
+        got = clausify([f])
+        assert [next(iter(cl)).pred for cl in got] == [f"p{i}" for i in range(self.N)]
+
+    def test_left_nested_disjunction(self):
+        f = Atom("p0", ())
+        for i in range(1, self.N):
+            f = OrN((f, Atom(f"p{i}", ())))
+        (cl,) = clausify([f])
+        assert len(cl) == self.N
+
+    def test_negation_and_quantifier_chain(self):
+        # ![X]: ~?[X]: ~![X]: ~?[X]: ... ~p(X): every quantifier is universal
+        f = Atom("p", (Var("X"),))
+        for i in range(self.N):
+            f = (Forall if i % 2 else Exists)(("X",), NotN(f))
+        (cl,) = clausify([f])
+        assert cl == frozenset({Literal(True, "p", (Var(f"V{self.N}"),))})
+
+
 class TestDefinitionalCnf:
     def _big_dnf(self, n):
         # (a1 & b1) | (a2 & b2) | ... distributes to 2^n clauses naively
@@ -119,13 +147,13 @@ class TestDefinitionalCnf:
         ))
 
     def test_small_formula_distributes_directly(self):
-        got = clausify([self._big_dnf(2)], distribution_limit=16)
+        got = clausify([self._big_dnf(2)])
         preds = {l.pred for cl in got for l in cl}
         assert not any(p.startswith("df") for p in preds)
         assert len(got) == 4
 
     def test_large_formula_uses_definitions(self):
-        got = clausify([self._big_dnf(8)], distribution_limit=16)
+        got = clausify([self._big_dnf(8)])
         preds = {l.pred for cl in got for l in cl}
         assert any(p.startswith("df") for p in preds)
         # far fewer than the 2^8 = 256 distributed clauses
@@ -135,11 +163,11 @@ class TestDefinitionalCnf:
         from shacl2fol import miniprover
 
         f = self._big_dnf(8)
-        sat_res = miniprover.decide_clauses(clausify([f], distribution_limit=4))
+        sat_res = miniprover.decide_clauses(clausify([f]))
         assert sat_res.status == "Satisfiable"
         unsat = [f] + [
             OrN((NotN(Atom(f"a{i}", ())), NotN(Atom(f"b{i}", ()))))
             for i in range(8)
         ]
-        unsat_res = miniprover.decide_clauses(clausify(unsat, distribution_limit=4))
+        unsat_res = miniprover.decide_clauses(clausify(unsat))
         assert unsat_res.status == "Unsatisfiable"

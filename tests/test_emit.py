@@ -5,7 +5,7 @@ import time
 import pytest
 
 from shacl2fol import cli, fol
-from shacl2fol.errors import CardinalityLimitExceeded, InvalidOptions
+from shacl2fol.errors import CardinalityLimitExceeded
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN, TrueF,
     Var,
@@ -18,7 +18,7 @@ from shacl2fol.shapes import (
 )
 from shacl2fol.tptp import (
     IS_A, Dialect, Emitter, EmitOptions, StarMode, TptpDocument, TptpFormula,
-    UnaMode, emit_graph_axioms, emit_una, render,
+    emit_graph_axioms, emit_una, render,
 )
 from shacl2fol.tptp_parse import parse_tptp
 
@@ -29,8 +29,7 @@ class TestUna:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_pairwise_count_is_n_choose_2(self, n):
         consts = [iri(EX + f"c{i}") for i in range(n)]
-        opts = EmitOptions(una_mode=UnaMode.PAIRWISE, dialect=Dialect.FOF)
-        axioms = emit_una(consts, opts)
+        axioms = emit_una(consts, EmitOptions(dialect=Dialect.FOF))
         assert len(axioms) == n * (n - 1) // 2
 
     def test_distinct_is_single_declaration(self):
@@ -44,10 +43,10 @@ class TestUna:
         assert emit_una([], EmitOptions()) == []
         assert emit_una([iri(EX + "c")], EmitOptions()) == []
 
-    def test_distinct_requires_tff(self):
-        opts = EmitOptions(una_mode=UnaMode.DISTINCT, dialect=Dialect.FOF)
-        with pytest.raises(InvalidOptions):
-            emit_una([iri(EX + "a"), iri(EX + "b")], opts)
+    def test_fof_has_no_distinct(self):
+        # $distinct only exists in the typed dialect: FOF writes the pairs
+        axioms = emit_una([iri(EX + "a"), iri(EX + "b")], EmitOptions(dialect=Dialect.FOF))
+        assert [type(a.body) for a in axioms] == [NotN]
 
 
 def _random_graph(rng) -> Graph:
@@ -284,7 +283,6 @@ class TestRendering:
         doc = TptpDocument(dialect=dialect)
         emitter = Emitter(EmitOptions(
             dialect=dialect,
-            una_mode=UnaMode.DISTINCT if dialect is Dialect.TFF else UnaMode.PAIRWISE,
         ))
         s = Shape(iri(EX + "S"), (),
                   MinCount(2, Predicate(EX + "p"), NodeKind(NodeKindValue.IRI)))

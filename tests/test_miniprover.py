@@ -360,7 +360,7 @@ class TestFlatten:
         clauses = data.draw(clause_sets(functions=True))
         consts, _ = miniprover._collect_signature(clauses)
         size = data.draw(st.sampled_from(SIZES))
-        pinned = miniprover._pin(consts, miniprover._apart(clauses), size)
+        pinned = miniprover._pin(consts, miniprover._Apart(clauses), size)
 
         def is_value(t):
             return isinstance(t, Var) or isinstance(t, Const) and t.name in pinned
@@ -747,6 +747,26 @@ class TestUniqueNames:
             == (1, "DoesNotConform", "ground refutation (skolem depth 1)")
 
 
+    def test_a_wide_distinct_is_pinned_in_linear_time(self, monkeypatch):
+        # 2,000 constants in one $distinct: each is pinned on its literal's
+        # count of pinned members, with no test against each pinned one
+        consts = [Const(f"c{i:04}") for i in range(2000)]
+        clauses = [frozenset({Literal(True, DISTINCT, tuple(consts))}),
+                   frozenset({Literal(True, "p", (consts[0],))})]
+        tests = []
+        apart = miniprover._Apart.__call__
+        monkeypatch.setattr(miniprover._Apart, "__call__",
+                            lambda self, a, b: tests.append((a, b)) or apart(self, a, b))
+        pinned = miniprover._pin([c.name for c in consts], miniprover._Apart(clauses), 2000)
+        assert pinned == {c.name: i for i, c in enumerate(consts)}
+        assert len(tests) <= len(consts)
+        # nor does the model search ground a unit of a literal it pinned
+        clauses = [frozenset({Literal(True, DISTINCT, tuple(consts[:300]))}), clauses[1]]
+        grounded = counting(monkeypatch, "_ground")
+        assert miniprover.find_model(clauses, 300, deadline=time.monotonic() + 5) is not None
+        assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
+
+
 WIDE = tuple(Var(f"X{i}") for i in range(6))
 
 
@@ -792,6 +812,15 @@ class TestDeadline:
         with pytest.raises(sat.TimeBudgetExceeded):
             miniprover.find_model([clause], 8, deadline=time.monotonic() - 1)
         assert time.monotonic() - start < 0.2
+
+    def test_find_model_stops_inside_one_wide_clause(self):
+        # p0(X) | ... | p1999(X) at size 2,000: few bindings, but 4M
+        # literals to encode, so the clock is read per literal encoded
+        clause = frozenset({Literal(True, f"p{i}", (X,)) for i in range(2000)})
+        start = time.monotonic()
+        with pytest.raises(sat.TimeBudgetExceeded):
+            miniprover.find_model([clause], 2000, deadline=time.monotonic() + 0.05)
+        assert time.monotonic() - start < 1
 
     def test_refute_stops_inside_a_large_grounding(self):
         # 20 ** 4 instances of one clause over twenty constants: r(X0) can

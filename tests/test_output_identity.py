@@ -31,7 +31,7 @@ DIGESTS = Path(__file__).parent / "output_digests.json"
 
 ENCODINGS = {
     "tff": [],
-    "fof": ["--dialect", "fof", "--una", "pairwise"],
+    "fof": ["--dialect", "fof"],
 }
 
 SHAPE_GRAPHS = {

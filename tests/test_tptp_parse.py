@@ -16,7 +16,7 @@ from shacl2fol.fol import (
 )
 from shacl2fol.rdf import Graph, RDF_TYPE, Triple, iri, literal
 from shacl2fol.tptp import (
-    Dialect, EmitOptions, StarMode, TptpDocument, TptpFormula, UnaMode, render,
+    Dialect, EmitOptions, StarMode, TptpDocument, TptpFormula, render,
 )
 from shacl2fol.tptp_parse import TptpParseError, TptpUnit, parse_tptp
 
@@ -270,7 +270,6 @@ def test_a_symbol_ending_in_a_newline_is_quoted(dialect):
 def test_rendered_corpus_problems_round_trip(case, dialect):
     opts = EmitOptions(
         dialect=dialect,
-        una_mode=UnaMode.DISTINCT if dialect is Dialect.TFF else UnaMode.PAIRWISE,
         star_mode=StarMode.GROUNDED if case.star_ground else StarMode.APPROXIMATE,
     )
     doc = build_problem(DecisionTask(
