@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func,
@@ -94,9 +94,9 @@ class _Clausifier:
                     subst.update(zip(f.variables, fresh))
                     universal += fresh
                 else:
-                    conjuncts = _conjuncts(f.body, positive)
+                    points = _one_point(_conjuncts(f.body, positive), set(f.variables))
                     for v in f.variables:
-                        pinned = _one_point(conjuncts, v, set(f.variables))
+                        pinned = points.get(v)
                         if pinned is not None:
                             # one-point rule: ?[V]: (... & V = t & ...) binds V to t
                             subst[v] = _substitute(pinned, subst)
@@ -179,21 +179,19 @@ def _conjuncts(body: Formula, positive: bool) -> list[tuple[Formula, bool]]:
     return [(body, positive)]
 
 
-def _one_point(conjuncts: list[tuple[Formula, bool]], var: str,
-               bound: set[str]) -> Optional[Term]:
-    """A term t with ... & var = t & ... among the conjuncts, if any.
-
-    The term must not mention any variable of the same quantifier block.
-    """
+def _one_point(conjuncts: list[tuple[Formula, bool]], bound: set[str]) -> dict[str, Term]:
+    """Each variable of `bound` that a conjunct `var = t` pins, mapped to the
+    first such t.  The term must not mention any variable of `bound`."""
+    points: dict[str, Term] = {}
     for c, positive in conjuncts:
         c, positive = _strip(c, positive)
         if not positive or not isinstance(c, Eq):
             continue
         for this, other in ((c.left, c.right), (c.right, c.left)):
-            if isinstance(this, Var) and this.name == var \
+            if isinstance(this, Var) and this.name in bound and this.name not in points \
                     and not any(v.name in bound for v in term_vars(other)):
-                return other
-    return None
+                points[this.name] = other
+    return points
 
 
 def _substitute(t: Term, subst: dict[str, Term]) -> Term:

@@ -410,9 +410,8 @@ def find_model(
     if model is None:
         return None
     table = {key: model.get(vid, False) for key, vid in pool.ids.items()}
-    for c, e in pinned.items():
-        for d in domain:
-            table[("a", c, d)] = d == e
+    # a pinned constant's one true entry; an absent entry is false
+    table.update((("a", c, e), True) for c, e in pinned.items())
     return {"size": domain_size, "table": table}
 
 

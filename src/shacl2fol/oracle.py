@@ -3,7 +3,9 @@
 This evaluator works straight on the constraint AST and the RDF graph,
 with no logic translation involved, so it can cross-check the verdicts
 the prover pipeline produces.  It only handles non-recursive shape
-graphs, mirroring the scope of the translation.
+graphs, mirroring the scope of the translation.  Shape references are
+evaluated from a work list, and path lists member by member, so neither
+a deep chain of references nor a long path list deepens the Python stack.
 """
 
 from __future__ import annotations
@@ -60,10 +62,11 @@ def _step(path: PropertyPath, g: Graph, nodes: set[RdfTerm], backward: bool) -> 
     if isinstance(path, Inverse):
         return _step(path.path, g, nodes, not backward)
     if isinstance(path, Sequence):
-        first, second = (path.right, path.left) if backward else (path.left, path.right)
-        return _step(second, g, _step(first, g, nodes, backward), backward)
+        for member in reversed(path.members) if backward else path.members:
+            nodes = _step(member, g, nodes, backward)
+        return nodes
     if isinstance(path, Alternative):
-        return _step(path.left, g, nodes, backward) | _step(path.right, g, nodes, backward)
+        return set().union(*(_step(member, g, nodes, backward) for member in path.members))
     if isinstance(path, ZeroOrOne):
         return nodes | _step(path.path, g, nodes, backward)
     if isinstance(path, ZeroOrMore):
@@ -106,15 +109,25 @@ class _Evaluator:
         self.g = g
         self.shapes = {s.name: s for s in sg.shapes}
         self.memo: dict[tuple[RdfTerm, RdfTerm], bool] = {}
+        self.pending: list[tuple[RdfTerm, RdfTerm]] = []
 
-    def holds(self, c: Constraint, node: RdfTerm) -> bool:
+    def holds(self, c: Constraint, node: RdfTerm) -> Optional[bool]:
+        """None when it needs a (shape, node) pair not yet in `memo`; each
+        such pair is then in `pending`."""
         g = self.g
         if isinstance(c, TrueC):
             return True
         if isinstance(c, Not):
-            return not self.holds(c.operand, node)
+            value = self.holds(c.operand, node)
+            return None if value is None else not value
         if isinstance(c, And):
-            return all(self.holds(op, node) for op in c.operands)
+            unknown = False
+            for op in c.operands:
+                value = self.holds(op, node)
+                if value is False:
+                    return False
+                unknown |= value is None
+            return None if unknown else True
         if isinstance(c, EqConst):
             return node == c.term
         if isinstance(c, NodeKind):
@@ -124,16 +137,21 @@ class _Evaluator:
                 return node.is_literal
             return node.is_blank
         if isinstance(c, HasShape):
-            return self.shape_holds(c.shape_name, node)
+            key = (c.shape_name, node)
+            if key not in self.memo:
+                self.pending.append(key)
+            return self.memo.get(key)
         if isinstance(c, MinCount):
             # stop at the n-th hit, so the value lift ¬≥1¬ exits at the first failure
-            hits = 0
+            hits = unknowns = 0
             for v in path_eval(c.path, g, node):
-                if self.holds(c.constraint, v):
+                value = self.holds(c.constraint, v)
+                if value:
                     hits += 1
                     if hits == c.n:
                         return True
-            return False
+                unknowns += value is None
+            return False if hits + unknowns < c.n else None
         if isinstance(c, EqualsProp):
             return path_eval(c.path, g, node) == set(g.objects(node, c.predicate))
         if isinstance(c, DisjointProp):
@@ -156,10 +174,23 @@ class _Evaluator:
         raise TypeError(f"not a constraint: {c!r}")
 
     def shape_holds(self, name: RdfTerm, node: RdfTerm) -> bool:
-        key = (name, node)
-        if key not in self.memo:
-            self.memo[key] = self.holds(self.shapes[name].constraint, node)
-        return self.memo[key]
+        """From a work list: a pair whose value is unknown goes back under
+        its pending pairs.  The shape graph has no reference cycle, so each
+        pair is evaluated at most twice."""
+        stack = [(name, node)]
+        while stack:
+            key = stack[-1]
+            if key in self.memo:
+                stack.pop()
+                continue
+            self.pending = []
+            value = self.holds(self.shapes[key[0]].constraint, key[1])
+            if value is None:
+                stack += self.pending
+            else:
+                self.memo[key] = value
+                stack.pop()
+        return self.memo[name, node]
 
 
 def target_nodes(target: TargetDecl, g: Graph) -> set[RdfTerm]:

@@ -6,7 +6,8 @@ Satisfiability and Containment, ISWC 2020): `TrueC`, `Not`, an n-ary
 `MinCount` (at least n values through a path satisfy a constraint), the
 property pair constraints `EqualsProp`, `DisjointProp` and `OrderProp`,
 and `Closed`.  Paths are `Predicate`, `Inverse`, `Sequence`,
-`Alternative`, `ZeroOrOne` and `ZeroOrMore`.
+`Alternative`, `ZeroOrOne` and `ZeroOrMore`; a sequence or alternative
+holds the members of its RDF list, as `And` holds its operands.
 
 The extractor recognizes the constraint components that map into this
 language: targets, cardinalities, node kind, value-equality (`sh:in`,
@@ -17,7 +18,7 @@ full property-path vocabulary.  It desugars with three rewrites: "some
 value satisfies c" is `MinCount(1, path, c)` and "every value satisfies
 c" is `Not(MinCount(1, path, Not(c)))`; "at most n" is
 `Not(MinCount(n + 1, ...))`; and `sh:oneOrMorePath p` is
-`Sequence(p, ZeroOrMore(p))`.  Anything else that is a known SHACL
+`Sequence((p, ZeroOrMore(p)))`.  Anything else that is a known SHACL
 constraint parameter raises UnsupportedComponent.
 """
 
@@ -52,14 +53,12 @@ class Inverse:
 
 @dataclass(frozen=True)
 class Sequence:
-    left: "PropertyPath"
-    right: "PropertyPath"
+    members: tuple["PropertyPath", ...]  # two or more
 
 
 @dataclass(frozen=True)
 class Alternative:
-    left: "PropertyPath"
-    right: "PropertyPath"
+    members: tuple["PropertyPath", ...]  # two or more
 
 
 @dataclass(frozen=True)
@@ -521,7 +520,7 @@ class _Extractor:
         for local, ctor in (
             ("inversePath", Inverse),
             ("zeroOrMorePath", ZeroOrMore),
-            ("oneOrMorePath", lambda p: Sequence(p, ZeroOrMore(p))),
+            ("oneOrMorePath", lambda p: Sequence((p, ZeroOrMore(p)))),
             ("zeroOrOnePath", ZeroOrOne),
         ):
             inner = self.g.object(term, _sh(local))
@@ -529,21 +528,15 @@ class _Extractor:
                 return ctor(self.parse_path(inner))
         alt = self.g.object(term, _sh("alternativePath"))
         if alt is not None:
-            members = [self.parse_path(m) for m in self.list_members(alt, "sh:alternativePath")]
+            members = tuple(map(self.parse_path, self.list_members(alt, "sh:alternativePath")))
             if len(members) < 2:
                 raise MalformedShape("sh:alternativePath needs at least two members")
-            out = members[-1]
-            for m in reversed(members[:-1]):
-                out = Alternative(m, out)
-            return out
+            return Alternative(members)
         # a blank node heading an rdf list is a sequence path
-        members = [self.parse_path(m) for m in self.list_members(term, "property path")]
+        members = tuple(map(self.parse_path, self.list_members(term, "property path")))
         if len(members) < 2:
             raise MalformedShape("sequence path needs at least two members")
-        out = members[-1]
-        for m in reversed(members[:-1]):
-            out = Sequence(m, out)
-        return out
+        return Sequence(members)
 
 
 def subconstraints(c: Constraint):
@@ -569,7 +562,7 @@ def _path_predicates(p: PropertyPath) -> set[str]:
         if isinstance(p, Predicate):
             out.add(p.iri)
         elif isinstance(p, (Sequence, Alternative)):
-            stack += (p.left, p.right)
+            stack += p.members
         else:
             stack.append(p.path)
     return out

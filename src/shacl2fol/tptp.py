@@ -155,11 +155,10 @@ def role_path(p: PropertyPath) -> PropertyPath:
             return Inverse(role) if inverted else role
         if isinstance(p, Inverse):
             return go(p.path, not inverted)
-        if isinstance(p, Sequence):
-            left, right = go(p.left, inverted), go(p.right, inverted)
-            return Sequence(right, left) if inverted else Sequence(left, right)
-        if isinstance(p, Alternative):
-            return Alternative(go(p.left, inverted), go(p.right, inverted))
+        if isinstance(p, (Sequence, Alternative)):
+            members = tuple(go(m, inverted) for m in p.members)
+            reverse = inverted and isinstance(p, Sequence)
+            return type(p)(members[::-1] if reverse else members)
         if isinstance(p, ZeroOrOne):
             return ZeroOrOne(go(p.path, inverted))
         if isinstance(p, ZeroOrMore):
@@ -337,13 +336,14 @@ class Emitter:
         if isinstance(p, Inverse):
             return self.role_atom(p.path.iri, y, x)
         if isinstance(p, Sequence):
-            z = self.fresh_var("Z")
+            zs = [self.fresh_var("Z") for _ in p.members[1:]]
+            ends = [x, *zs, y]
             return Exists(
-                (z.name,),
-                conj([self.path_formula(p.left, x, z), self.path_formula(p.right, z, y)]),
+                tuple(z.name for z in zs),
+                conj([self.path_formula(m, a, b) for m, a, b in zip(p.members, ends, ends[1:])]),
             )
         if isinstance(p, Alternative):
-            return disj([self.path_formula(p.left, x, y), self.path_formula(p.right, x, y)])
+            return disj([self.path_formula(m, x, y) for m in p.members])
         if isinstance(p, ZeroOrOne):
             return disj([Eq(x, y), self.path_formula(p.path, x, y)])
         if isinstance(p, ZeroOrMore):
@@ -410,11 +410,13 @@ class Emitter:
             self.roles.add(p.path.iri)
             return {(b, a) for (a, b) in graph_role_pairs(g, p.path.iri)}
         if isinstance(p, Sequence):
-            left = self.path_pairs(p.left, universe)
-            right = _by_source(self.path_pairs(p.right, universe))
-            return {(a, c) for (a, b) in left for c in right.get(b, ())}
+            pairs = self.path_pairs(p.members[0], universe)
+            for m in p.members[1:]:
+                right = _by_source(self.path_pairs(m, universe))
+                pairs = {(a, c) for (a, b) in pairs for c in right.get(b, ())}
+            return pairs
         if isinstance(p, Alternative):
-            return self.path_pairs(p.left, universe) | self.path_pairs(p.right, universe)
+            return set().union(*(self.path_pairs(m, universe) for m in p.members))
         if isinstance(p, ZeroOrOne):
             return {(t, t) for t in universe} | self.path_pairs(p.path, universe)
         if isinstance(p, ZeroOrMore):

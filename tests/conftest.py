@@ -29,6 +29,18 @@ def not_chain(n: int) -> str:
     )
 
 
+def path_list(n: int, alternative: bool) -> str:
+    """`ex:S`, targeting `ex:a`, with one value through the path list of
+    `ex:p0` ... `ex:p<n-1>`: a sequence path, or an `sh:alternativePath`."""
+    members = "( " + " ".join(f"ex:p{i}" for i in range(n)) + " )"
+    path = f"[ sh:alternativePath {members} ]" if alternative else members
+    return (
+        "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+        "@prefix ex: <http://example.org/> .\n"
+        f"ex:S sh:targetNode ex:a ; sh:property [ sh:path {path} ; sh:minCount 1 ] .\n"
+    )
+
+
 def load_graph(ttl: str) -> rdf.Graph:
     return rdf.parse_document(ttl, rdf.Syntax.TURTLE)
 

@@ -1,5 +1,6 @@
 import pytest
 
+from shacl2fol import clausify as clausify_module
 from shacl2fol.clausify import DISTINCT, Literal, clausify
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, Forall, Func, Iff, Implies,
@@ -137,6 +138,26 @@ class TestDeepNesting:
             f = (Forall if i % 2 else Exists)(("X",), NotN(f))
         (cl,) = clausify([f])
         assert cl == frozenset({Literal(True, "p", (Var(f"V{self.N}"),))})
+
+    def test_wide_existential_block_is_linear(self, monkeypatch):
+        # ?[Z1, ..., Zn]: (p(Z1, Z2) & ... & p(Zn-1, Zn) & Zn = b): the
+        # one-point rule reads the n conjuncts once, not once per variable
+        n = 5_000
+        zs = [Var(f"Z{i}") for i in range(1, n + 1)]
+        body = [Atom("p", pair) for pair in zip(zs, zs[1:])] + [Eq(zs[-1], B)]
+        calls = 0
+        strip = clausify_module._strip
+
+        def counting(f, positive):
+            nonlocal calls
+            calls += 1
+            return strip(f, positive)
+
+        monkeypatch.setattr(clausify_module, "_strip", counting)
+        got = clausify([Exists(tuple(z.name for z in zs), AndN(tuple(body)))])
+        assert calls <= 4 * n
+        assert len(got) == n - 1
+        assert frozenset({Literal(True, "p", (Const(f"sk{n - 1}_c"), B))}) in got
 
 
 class TestDefinitionalCnf:

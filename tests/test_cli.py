@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import not_chain
+from conftest import not_chain, path_list
 from shacl2fol import cli, miniprover
 from shacl2fol.rdf import iri
 from shacl2fol.shapes import And, HasShape, check_shape_graph
@@ -299,6 +299,35 @@ class TestDeepShapeChain:
         paths = {name: tmp_path / f"{name}.ttl" for name in ("chain", "data")}
         argv = [a.format(out=tmp_path / "problem.p", **paths) for a in command]
         assert cli.main(argv) in codes
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_oracle_answers_a_10000_deep_not_chain(self, tmp_path, capsys):
+        # the evaluator takes shape references from a work list
+        (tmp_path / "chain.ttl").write_text(not_chain(10_000))
+        (tmp_path / "data.ttl").write_text(PREFIX + "ex:a ex:p ex:b .")
+        assert cli.main(["oracle", str(tmp_path / "chain.ttl"), str(tmp_path / "data.ttl")]) == 0
+        assert capsys.readouterr().out.strip() == "Conforms"
+
+
+class TestLongPathList:
+    # a path list is one node whatever its length, and every layer walks
+    # its members in a loop
+    @pytest.mark.parametrize("alternative", [True, False], ids=["alternative", "sequence"])
+    @pytest.mark.parametrize("command", [
+        ["oracle", "{shapes}", "{data}"],
+        ["emit", "validate", "{shapes}", "{data}", "--out", "{out}"],
+        ["sat", "{shapes}", "--prover", "builtin", "--timeout", "1"],
+        ["validate", "{shapes}", "{data}", "--prover", "builtin", "--timeout", "1"],
+        ["contains", "{shapes}", "{shapes}", "--prover", "builtin", "--timeout", "1"],
+    ], ids=["oracle", "emit-validate", "sat", "validate", "contains"])
+    def test_every_command_answers_a_1500_member_list(self, tmp_path, capsys, command, alternative):
+        (tmp_path / "shapes.ttl").write_text(path_list(1500, alternative))
+        (tmp_path / "data.ttl").write_text(PREFIX + "ex:a ex:p0 ex:b .")
+        paths = {name: tmp_path / f"{name}.ttl" for name in ("shapes", "data")}
+        argv = [a.format(out=tmp_path / "problem.p", **paths) for a in command]
+        start = time.monotonic()
+        assert cli.main(argv) in {0, 1, 2}
+        assert time.monotonic() - start < 3
         assert "Traceback" not in capsys.readouterr().err
 
 

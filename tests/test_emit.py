@@ -223,10 +223,13 @@ class TestStarModes:
                 return {(t.subject, t.object) for t in g.triples
                         if t.predicate.lexical == wanted}
             if isinstance(p, Sequence):
-                left, right = reference(p.left, g, universe), reference(p.right, g, universe)
-                return {(a, c) for a, b1 in left for b2, c in right if b1 == b2}
+                pairs = {(t, t) for t in universe}
+                for m in p.members:
+                    step = reference(m, g, universe)
+                    pairs = {(a, c) for a, b1 in pairs for b2, c in step if b1 == b2}
+                return pairs
             if isinstance(p, Alternative):
-                return reference(p.left, g, universe) | reference(p.right, g, universe)
+                return set().union(*(reference(m, g, universe) for m in p.members))
             if isinstance(p, ZeroOrOne):
                 return {(t, t) for t in universe} | reference(p.path, g, universe)
             base = reference(p.path, g, universe)
@@ -239,9 +242,10 @@ class TestStarModes:
 
         p, q = Predicate(EX + "p"), Predicate(EX + "q")
         paths = [
-            Sequence(p, q), Sequence(p, Inverse(p)), ZeroOrMore(p),
-            ZeroOrMore(Sequence(p, q)), ZeroOrMore(Alternative(p, Inverse(q))),
-            Sequence(ZeroOrMore(p), ZeroOrOne(q)), ZeroOrMore(ZeroOrMore(q)),
+            Sequence((p, q)), Sequence((p, Inverse(p))), ZeroOrMore(p),
+            ZeroOrMore(Sequence((p, q))), ZeroOrMore(Alternative((p, Inverse(q)))),
+            Sequence((ZeroOrMore(p), ZeroOrOne(q))), ZeroOrMore(ZeroOrMore(q)),
+            Sequence((p, Inverse(q), p)), Alternative((p, q, ZeroOrOne(p))),
         ]
         rng = random.Random(11)
         for _ in range(60):

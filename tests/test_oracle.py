@@ -35,7 +35,7 @@ class TestPathEval:
 
     def test_sequence_with_inverse(self):
         # r then r-inverse from a reaches every subject pointing at b
-        path = Sequence(Predicate(R), Inverse(Predicate(R)))
+        path = Sequence((Predicate(R), Inverse(Predicate(R))))
         assert path_eval(path, self.G, a) == {a, c}
 
     def test_alternative(self):
@@ -43,7 +43,7 @@ class TestPathEval:
             Triple(a, iri(EX + "p"), b),
             Triple(a, iri(EX + "q"), c),
         }))
-        path = Alternative(Predicate(EX + "p"), Predicate(EX + "q"))
+        path = Alternative((Predicate(EX + "p"), Predicate(EX + "q")))
         assert path_eval(path, g, a) == {b, c}
 
     def test_star_includes_start(self):
@@ -106,15 +106,18 @@ class TestInversePath:
     reached from x along path."""
 
     @pytest.mark.parametrize("inner", [
-        Sequence(P, Q),
-        Sequence(Inverse(P), ZeroOrOne(Q)),
-        Alternative(P, Inverse(Q)),
+        Sequence((P, Q)),
+        Sequence((Inverse(P), ZeroOrOne(Q))),
+        Alternative((P, Inverse(Q))),
         ZeroOrMore(P),
-        ZeroOrMore(Sequence(P, Inverse(Q))),
-        Sequence(Alternative(P, Q), ZeroOrMore(Alternative(P, Q))),
+        ZeroOrMore(Sequence((P, Inverse(Q)))),
+        Sequence((Alternative((P, Q)), ZeroOrMore(Alternative((P, Q))))),
         Inverse(P),
-        Inverse(Sequence(P, ZeroOrMore(Q))),
-    ], ids=["p/q", "^p/q?", "p|^q", "p*", "(p/^q)*", "(p|q)+", "^p", "^(p/q*)"])
+        Inverse(Sequence((P, ZeroOrMore(Q)))),
+        Sequence((P, Inverse(Q), P)),
+        Alternative((P, Q, ZeroOrOne(P))),
+    ], ids=["p/q", "^p/q?", "p|^q", "p*", "(p/^q)*", "(p|q)+", "^p", "^(p/q*)",
+            "p/^q/p", "p|q|p?"])
     @settings(max_examples=40, deadline=None)
     @given(
         edges=st.sets(st.tuples(

@@ -195,17 +195,21 @@ class TestPaths:
         ex:S a sh:NodeShape ;
           sh:property [ sh:path [ sh:inversePath ex:p ] ; sh:minCount 1 ] ;
           sh:property [ sh:path ( ex:p ex:q ) ; sh:minCount 1 ] ;
+          sh:property [ sh:path ( ex:p ex:q ex:r ) ; sh:minCount 1 ] ;
+          sh:property [ sh:path [ sh:alternativePath ( ex:p ex:q ex:r ) ] ; sh:minCount 1 ] ;
           sh:property [ sh:path [ sh:alternativePath ( ex:p ex:q ) ] ; sh:minCount 1 ] ;
           sh:property [ sh:path [ sh:zeroOrOnePath ex:p ] ; sh:minCount 1 ] ;
           sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:minCount 1 ] ;
           sh:property [ sh:path [ sh:oneOrMorePath ex:p ] ; sh:minCount 1 ] .
         """)
         paths = {x.path for x in shape_named(sg, "S").constraint.operands}
-        p, q = Predicate(EX + "p"), Predicate(EX + "q")
-        # one-or-more is parsed into a sequence with a star tail
+        p, q, r = (Predicate(EX + x) for x in "pqr")
+        # a path list is one flat node; one-or-more is parsed into a
+        # sequence with a star tail
         assert paths == {
-            Inverse(p), Sequence(p, q), Alternative(p, q),
-            ZeroOrOne(p), ZeroOrMore(p), Sequence(p, ZeroOrMore(p)),
+            Inverse(p), Sequence((p, q)), Alternative((p, q)),
+            Sequence((p, q, r)), Alternative((p, q, r)),
+            ZeroOrOne(p), ZeroOrMore(p), Sequence((p, ZeroOrMore(p))),
         }
 
     def test_normalize_one_or_more(self):
@@ -216,7 +220,7 @@ class TestPaths:
         """)
         p = Inverse(Predicate(EX + "p"))
         assert shape_named(sg, "S").constraint == MinCount(
-            1, Sequence(p, ZeroOrMore(p)), TrueC()
+            1, Sequence((p, ZeroOrMore(p))), TrueC()
         )
 
 
@@ -234,7 +238,7 @@ class TestSubconstraints:
 
     def test_path_predicates_through_every_constructor(self):
         p, q, r = (Predicate(EX + x) for x in "pqr")
-        path = Sequence(Inverse(p), Alternative(ZeroOrOne(q), ZeroOrMore(r)))
+        path = Sequence((Inverse(p), Alternative((ZeroOrOne(q), ZeroOrMore(r)))))
         assert constraint_predicates(Not(MinCount(1, path, TrueC()))) == {
             EX + "p", EX + "q", EX + "r",
         }

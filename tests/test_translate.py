@@ -126,17 +126,22 @@ class TestPathTranslation:
         p, q = Predicate(EX + "p"), Predicate(EX + "q")
         assert path(p) == f"{P}(X, Y)"
         assert path(Inverse(p)) == f"{P}(Y, X)"
-        assert path(Sequence(p, q)) == f"(?[Z1]: ({P}(X, Z1) & {Q}(Z1, Y)))"
-        assert path(Alternative(p, q)) == f"({P}(X, Y) | {Q}(X, Y))"
+        assert path(Sequence((p, q))) == f"(?[Z1]: ({P}(X, Z1) & {Q}(Z1, Y)))"
+        assert path(Alternative((p, q))) == f"({P}(X, Y) | {Q}(X, Y))"
+        assert path(Sequence((p, q, p))) == f"(?[Z1, Z2]: ({P}(X, Z1) & {Q}(Z1, Z2) & {P}(Z2, Y)))"
+        assert path(Alternative((p, q, p))) == f"({P}(X, Y) | {Q}(X, Y) | {P}(X, Y))"
         assert path(ZeroOrOne(p)) == f"((X = Y) | {P}(X, Y))"
         assert path(ZeroOrMore(p)) == "star_1(X, Y)"
-        assert path(Sequence(p, ZeroOrMore(p))) == f"(?[Z1]: ({P}(X, Z1) & star_1(Z1, Y)))"
+        assert path(Sequence((p, ZeroOrMore(p)))) == f"(?[Z1]: ({P}(X, Z1) & star_1(Z1, Y)))"
         assert path(Predicate(RDF_TYPE)) == "isA(X, Y)"
 
     def test_inverse_distributes_over_sequence(self):
         p, q = Predicate(EX + "p"), Predicate(EX + "q")
-        assert role_path(Inverse(Sequence(p, q))) == Sequence(Inverse(q), Inverse(p))
-        assert path(Inverse(Sequence(p, q))) == f"(?[Z1]: ({Q}(Z1, X) & {P}(Y, Z1)))"
+        assert role_path(Inverse(Sequence((p, q)))) == Sequence((Inverse(q), Inverse(p)))
+        assert path(Inverse(Sequence((p, q)))) == f"(?[Z1]: ({Q}(Z1, X) & {P}(Y, Z1)))"
+        r = Predicate(EX + "r")
+        assert role_path(Inverse(Sequence((p, q, r)))) == \
+            Sequence((Inverse(r), Inverse(q), Inverse(p)))
 
     def test_double_inverse_cancels(self):
         p = Predicate(EX + "p")
