@@ -3,9 +3,10 @@
 This evaluator works straight on the constraint AST and the RDF graph,
 with no logic translation involved, so it can cross-check the verdicts
 the prover pipeline produces.  It only handles non-recursive shape
-graphs, mirroring the scope of the translation.  Shape references are
-evaluated from a work list, and path lists member by member, so neither
-a deep chain of references nor a long path list deepens the Python stack.
+graphs, mirroring the scope of the translation.  Shape references nested
+deeper than `_DEPTH` are evaluated from a work list, and path lists member
+by member, so neither a deep chain of references nor a long path list
+deepens the Python stack.
 """
 
 from __future__ import annotations
@@ -104,30 +105,34 @@ def _order_holds(a: RdfTerm, b: RdfTerm, op: OrderOp) -> Optional[bool]:
 
 # --- constraint evaluation --------------------------------------------------
 
+# References nested deeper than this are left to the work list in
+# `_Evaluator.check`; below it the evaluator recurses, keeping every early exit.
+_DEPTH = 50
+
+
+class _Missing(Exception):
+    """A (shape, node) pair met past `_DEPTH` and not yet in the memo, then
+    the pairs whose evaluation it cut short, innermost first."""
+
+    def __init__(self, key: tuple[RdfTerm, RdfTerm]):
+        self.keys = [key]
+
+
 class _Evaluator:
     def __init__(self, sg: ShapeGraph, g: Graph):
         self.g = g
         self.shapes = {s.name: s for s in sg.shapes}
         self.memo: dict[tuple[RdfTerm, RdfTerm], bool] = {}
-        self.pending: list[tuple[RdfTerm, RdfTerm]] = []
+        self.depth = 0
 
-    def holds(self, c: Constraint, node: RdfTerm) -> Optional[bool]:
-        """None when it needs a (shape, node) pair not yet in `memo`; each
-        such pair is then in `pending`."""
+    def holds(self, c: Constraint, node: RdfTerm) -> bool:
         g = self.g
         if isinstance(c, TrueC):
             return True
         if isinstance(c, Not):
-            value = self.holds(c.operand, node)
-            return None if value is None else not value
+            return not self.holds(c.operand, node)
         if isinstance(c, And):
-            unknown = False
-            for op in c.operands:
-                value = self.holds(op, node)
-                if value is False:
-                    return False
-                unknown |= value is None
-            return None if unknown else True
+            return all(self.holds(op, node) for op in c.operands)
         if isinstance(c, EqConst):
             return node == c.term
         if isinstance(c, NodeKind):
@@ -137,21 +142,16 @@ class _Evaluator:
                 return node.is_literal
             return node.is_blank
         if isinstance(c, HasShape):
-            key = (c.shape_name, node)
-            if key not in self.memo:
-                self.pending.append(key)
-            return self.memo.get(key)
+            return self.shape_holds(c.shape_name, node)
         if isinstance(c, MinCount):
             # stop at the n-th hit, so the value lift ¬≥1¬ exits at the first failure
-            hits = unknowns = 0
+            hits = 0
             for v in path_eval(c.path, g, node):
-                value = self.holds(c.constraint, v)
-                if value:
+                if self.holds(c.constraint, v):
                     hits += 1
                     if hits == c.n:
                         return True
-                unknowns += value is None
-            return False if hits + unknowns < c.n else None
+            return False
         if isinstance(c, EqualsProp):
             return path_eval(c.path, g, node) == set(g.objects(node, c.predicate))
         if isinstance(c, DisjointProp):
@@ -174,22 +174,33 @@ class _Evaluator:
         raise TypeError(f"not a constraint: {c!r}")
 
     def shape_holds(self, name: RdfTerm, node: RdfTerm) -> bool:
-        """From a work list: a pair whose value is unknown goes back under
-        its pending pairs.  The shape graph has no reference cycle, so each
-        pair is evaluated at most twice."""
+        key = (name, node)
+        if key not in self.memo:
+            if self.depth == _DEPTH:
+                raise _Missing(key)
+            self.depth += 1
+            try:
+                self.memo[key] = self.holds(self.shapes[name].constraint, node)
+            except _Missing as missing:
+                missing.keys.append(key)
+                raise
+            finally:
+                self.depth -= 1
+        return self.memo[key]
+
+    def check(self, name: RdfTerm, node: RdfTerm) -> bool:
+        """`shape_holds` from a work list: the pairs a reference past `_DEPTH`
+        cut short go back on it above their own pair, and that reference on
+        top, so each is evaluated again, from depth 0, once the pairs it
+        needs are in the memo.  No chain of references deepens the Python
+        stack."""
         stack = [(name, node)]
         while stack:
-            key = stack[-1]
-            if key in self.memo:
+            try:
+                self.shape_holds(*stack[-1])
                 stack.pop()
-                continue
-            self.pending = []
-            value = self.holds(self.shapes[key[0]].constraint, key[1])
-            if value is None:
-                stack += self.pending
-            else:
-                self.memo[key] = value
-                stack.pop()
+            except _Missing as missing:
+                stack += reversed(missing.keys)
         return self.memo[name, node]
 
 
@@ -211,6 +222,6 @@ def evaluate(sg: ShapeGraph, g: Graph) -> ValidationReport:
     for shape in sg.shapes:
         for target in shape.targets:
             for node in sorted(target_nodes(target, g)):
-                if not ev.shape_holds(shape.name, node):
+                if not ev.check(shape.name, node):
                     violations[shape.name, node] = Violation(shape.name, node)
     return ValidationReport(conforms=not violations, violations=list(violations.values()))

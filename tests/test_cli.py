@@ -302,7 +302,7 @@ class TestDeepShapeChain:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_oracle_answers_a_10000_deep_not_chain(self, tmp_path, capsys):
-        # the evaluator takes shape references from a work list
+        # the evaluator takes shape references past 50 deep from a work list
         (tmp_path / "chain.ttl").write_text(not_chain(10_000))
         (tmp_path / "data.ttl").write_text(PREFIX + "ex:a ex:p ex:b .")
         assert cli.main(["oracle", str(tmp_path / "chain.ttl"), str(tmp_path / "data.ttl")]) == 0

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import load_graph, load_shapes
+from corpus import CASES
+from shacl2fol import oracle
 from shacl2fol.errors import RecursiveShapeGraph
 from shacl2fol.oracle import evaluate, path_eval
 from shacl2fol.rdf import RDF_TYPE, Graph, Triple, iri, literal
@@ -229,6 +231,71 @@ class TestValidation:
         """)
         with pytest.raises(RecursiveShapeGraph):
             evaluate(shapes, load_graph(PREFIX + "ex:a ex:p ex:b ."))
+
+
+def node_chain(n: int, last: str) -> tuple[str, str]:
+    """Shapes `ex:S0` ... `ex:S<n>`, each but the last asking for an
+    `ex:next` value in the next one, and the data list `ex:n0` ... `ex:n<n>`
+    that `ex:S0` targets from its head; `ex:S<n>` is `last`."""
+    shapes = "".join(
+        f"ex:S{i} sh:property [ sh:path ex:next ; sh:minCount 1 ; sh:node ex:S{i + 1} ] .\n"
+        for i in range(n)
+    )
+    data = "".join(f"ex:n{i} ex:next ex:n{i + 1} .\n" for i in range(n))
+    return (PREFIX + shapes + f"ex:S0 sh:targetNode ex:n0 .\nex:S{n} {last} .\n",
+            PREFIX + data)
+
+
+class TestShapeReferences:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """The names of the shapes whose evaluation began, one per pair."""
+        names = []
+        shape_holds = oracle._Evaluator.shape_holds
+
+        def spy(ev, name, node):
+            if (name, node) not in ev.memo:
+                names.append(name)
+            return shape_holds(ev, name, node)
+
+        monkeypatch.setattr(oracle._Evaluator, "shape_holds", spy)
+        return names
+
+    def test_value_lift_stops_at_the_first_failing_value(self, started):
+        shapes = load_shapes(PREFIX + """
+        ex:S sh:targetNode ex:a ; sh:property [ sh:path ex:p ; sh:node ex:T ] .
+        ex:T sh:nodeKind sh:Literal .
+        """)
+        data = load_graph(PREFIX + "".join(f"ex:a ex:p ex:v{i} .\n" for i in range(10)))
+        assert not evaluate(shapes, data).conforms
+        assert started.count(iri(EX + "T")) == 1
+
+    def test_or_stops_at_the_first_member_that_holds(self, started):
+        shapes = load_shapes(PREFIX + """
+        ex:S sh:targetNode ex:a ; sh:or ( ex:T1 ex:T2 ex:T3 ) .
+        ex:T1 sh:nodeKind sh:IRI . ex:T2 sh:nodeKind sh:IRI . ex:T3 sh:nodeKind sh:IRI .
+        """)
+        assert evaluate(shapes, load_graph(PREFIX + "ex:a ex:p ex:b .")).conforms
+        assert len(started) == 2
+
+    @pytest.mark.parametrize("last, conforms", [
+        ("sh:nodeKind sh:IRI", True), ("sh:nodeKind sh:Literal", False),
+    ])
+    def test_chain_past_the_recursion_depth(self, last, conforms):
+        shapes, data = node_chain(3 * oracle._DEPTH, last)
+        report = evaluate(load_shapes(shapes), load_graph(data))
+        assert report.conforms == conforms
+        assert [(v.shape_name, v.focus_node) for v in report.violations] == (
+            [] if conforms else [(iri(EX + "S0"), iri(EX + "n0"))]
+        )
+
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+    def test_work_list_gives_the_recursive_report(self, monkeypatch, case):
+        # at depth 1 every reference goes through the work list
+        shapes, data = load_shapes(case.shapes_ttl), load_graph(case.data_ttl)
+        recursive = evaluate(shapes, data)
+        monkeypatch.setattr(oracle, "_DEPTH", 1)
+        assert evaluate(shapes, data) == recursive
 
 
 class TestOrderConstraints:
