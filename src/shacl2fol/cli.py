@@ -236,6 +236,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OSError, Shacl2FolError) as exc:
         print(f"shacl2fol: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except RecursionError:  # path constructors nested inside each other recurse
+        print("shacl2fol: the input is nested too deeply", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

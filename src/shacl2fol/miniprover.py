@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import heapq
 import itertools
 import operator
 import sys
@@ -125,16 +126,57 @@ class _Guard(NamedTuple):
     order: int
 
 
+def _guard_order(arg_vars: list[list[set[str]]], guards: tuple[int, ...], first: int):
+    """The positions in `guards` in the order `_plan` matches them: `first`,
+    then each time the guard with the most arguments whose variables the
+    guards before it hold, the first in `guards` on a tie.
+
+    A guard's count of such arguments grows through an index from each
+    variable to the (guard, argument) positions holding it, and a heap
+    keyed by (-count, position) gives the next guard, so the order takes
+    time near linear in the guards' arguments."""
+    if len(guards) < 3:  # no choice: `first`, then the other guard, if any
+        return sorted(range(len(guards)), key=lambda k: k != first)
+    unbound = [[len(names) for names in arg_vars[g]] for g in guards]
+    ground = [counts.count(0) for counts in unbound]  # None once in the order
+    holders: dict[str, list[tuple[int, int]]] = {}
+    for k, g in enumerate(guards):
+        for p, names in enumerate(arg_vars[g]):
+            for name in names:
+                holders.setdefault(name, []).append((k, p))
+    heap = [(-n, k) for k, n in enumerate(ground) if k != first]
+    heapq.heapify(heap)
+    order: list[int] = []
+    bound: set[str] = set()
+    k = first
+    while True:
+        order.append(k)
+        ground[k] = None
+        for name in set().union(*arg_vars[guards[k]]) - bound:
+            bound.add(name)
+            for j, p in holders[name]:
+                unbound[j][p] -= 1
+                if not unbound[j][p] and ground[j] is not None:
+                    ground[j] += 1
+                    heapq.heappush(heap, (-ground[j], j))
+        # skip the entries of guards in the order, and counts since raised
+        while heap and -heap[0][0] != ground[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
+            return order
+        k = heapq.heappop(heap)[1]
+
+
 def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
     """How to bind a clause's variables: `levels`, and `ready[k]`, the
     literals whose last variable level k binds (level 0 binds nothing).
 
-    The guards come first: `guards[first]`, matched against the atoms of
-    the last round, then the others, each time the one with the most
-    arguments already ground; a variable that occurs in a guard only inside
-    its compound arguments is bound just before it, over the universe.
-    Then, one at a time in sorted order, the variables no guard binds;
-    without `guards`, that is every variable."""
+    The guards come first, in `_guard_order`: `guards[first]`, matched
+    against the atoms of the last round, then the others, each time the one
+    with the most arguments already ground; a variable that occurs in a
+    guard only inside its compound arguments is bound just before it, over
+    the universe.  Then, one at a time in sorted order, the variables no
+    guard binds; without `guards`, that is every variable."""
     arg_vars = [[{v.name for v in term_vars(a)} for a in lit.args] for lit in lits]
     lit_vars = [set().union(*names) for names in arg_vars]
     bound: set[str] = set()
@@ -145,11 +187,8 @@ def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
         bound.update(names)
         depth.update(dict.fromkeys(names, len(levels)))
 
-    todo = list(guards)
-    while todo:
-        g = guards[first] if not levels else \
-            max(todo, key=lambda i: sum(names <= bound for names in arg_vars[i]))
-        todo.remove(g)
+    for k in _guard_order(arg_vars, guards, first):
+        g = guards[k]
         args = lits[g].args
         for name in sorted(lit_vars[g] - bound - {a.name for a in args if isinstance(a, Var)}):
             levels.append(name)
@@ -160,7 +199,7 @@ def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
             if p not in keyed and isinstance(t, Var) and t.name not in names.values():
                 names[p] = t.name
         checks = tuple((p, t) for p, t in enumerate(args) if p not in keyed and p not in names)
-        order = -1 if g == guards[first] else int(guards.index(g) > first)
+        order = -1 if k == first else int(k > first)
         levels.append(_Guard(g, tuple(names.get(p) for p in range(len(args))), keyed, checks,
                              order))
         bind(names.values())
@@ -199,10 +238,12 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
     call with the same `clauses` resumes from the atoms that the rows added
     to it since make possible.
 
-    In both modes the grounding stops once `prop` holds more than
-    `_MAX_GROUND` clauses, and the caller gives up.
+    In both modes the clock is read every `_CHECK_EVERY` units of work:
+    each job's literals once, for its plan, and each binding and literal
+    encoded.  The grounding stops once `prop` holds more than `_MAX_GROUND`
+    clauses, and the caller gives up.
     """
-    work = 0  # bindings and literals encoded since the last check
+    work = 0  # units of work since the last check
     if relevant is None:
         prop: list[tuple[int, ...]] = []
         jobs = ((lits, *_plan(lits), None) for lits in clauses)
@@ -210,6 +251,7 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
         prop, kept = relevant.prop, relevant.kept
         jobs = relevant.jobs(clauses)
     for lits, levels, ready, rounds in jobs:
+        work += len(lits)  # its plan's share
         env: dict[str, int] = {}
         codes = [0] * len(lits)
         # levels[k - 1] binds at depth k; depth 0 binds nothing
@@ -445,15 +487,14 @@ class _Relevant:
         self.plans: dict[tuple[int, int], tuple] = {}  # (clause, first) -> its plan
         self.read = 0  # how far into `prop` `_learn` has read
         self.done = 0  # how many atoms the rounds so far have matched
-        self.learned: set[int] = set()  # the codes `_learn` has seen
         # relation -> {argument positions: {their values: (arrival, arguments)}}
         self.indexes: dict[str, dict] = {}
         # relation -> the (arrival, arguments) of its atoms, in arrival order;
         # the first to arrive are each term equal to itself
         self.atoms: dict[str, list] = {EQ: [(i, (i, i)) for i in range(self.size)]}
-        # atom -> its arrival number, how many atoms came before it
-        self.arrival: dict[tuple[str, tuple[int, ...]], int] = {
-            (EQ, args): i for i, args in self.atoms[EQ]}
+        # the atoms that have arrived; `atoms` numbers each by how many came before it
+        self.arrival: set[tuple[str, tuple[int, ...]]] = {
+            (EQ, args) for _, args in self.atoms[EQ]}
         self.fresh: set[str] = {EQ}  # the relations with atoms since the last round
 
     def value(self, t: Term, env: dict[str, int]) -> Optional[int]:
@@ -503,18 +544,15 @@ class _Relevant:
         the binding of `level.names`, of those that arrived before the last
         round ends (`rounds`); in the last round itself if `level.order` is
         -1, or before it if 0.  An atom is looked up by the positions
-        already ground, and must agree with the other compound arguments
-        and repeated variables (`level.checks`) once bound."""
+        already ground, all of them for a ground atom, and must agree with
+        the other compound arguments and repeated variables (`level.checks`)
+        once bound."""
         args = lit.args
         key = tuple([env[args[p].name] if isinstance(args[p], Var) else self.value(args[p], env)
                      for p in level.keyed])
         if None in key:
             return ()
         since, until = rounds
-        if len(key) == len(args):  # the atom is ground: is it there?
-            arrival = self.arrival.get((lit.pred, key), until)
-            return (key,) if (since if level.order < 0 else 0) <= arrival \
-                < (until if level.order else since) else ()
         entries = self._lookup(lit.pred, level.keyed, key)
         # the entries come in arrival order
         atoms = map(_SECOND, itertools.islice(
@@ -541,10 +579,9 @@ class _Relevant:
         return table.get(key, ())
 
     def _learn(self, rows) -> None:
-        """Make the atoms of the rows' positive literals possibly true."""
-        fresh = set(itertools.chain.from_iterable(rows)) - self.learned
-        self.learned |= fresh
-        for code in sorted(fresh):
+        """Make the atoms of the rows' positive literals possibly true, in
+        the order of their codes; `_add` skips an atom that has arrived."""
+        for code in sorted(set(itertools.chain.from_iterable(rows))):
             if code > 0:
                 key = self.pool.keys[code - 1]
                 if key[0] == "e":
@@ -558,7 +595,7 @@ class _Relevant:
         if (rel, args) in self.arrival:
             return
         entry = (len(self.arrival), args)
-        self.arrival[rel, args] = entry[0]
+        self.arrival.add((rel, args))
         self.fresh.add(rel)
         self.atoms.setdefault(rel, []).append(entry)
         for keyed, table in self.indexes.get(rel, {}).items():

@@ -111,11 +111,9 @@ _DEPTH = 50
 
 
 class _Missing(Exception):
-    """A (shape, node) pair met past `_DEPTH` and not yet in the memo, then
-    the pairs whose evaluation it cut short, innermost first."""
-
-    def __init__(self, key: tuple[RdfTerm, RdfTerm]):
-        self.keys = [key]
+    """Raised with one argument, a (shape, node) pair met past `_DEPTH` and
+    not yet in the memo.  The pairs whose evaluation it cuts short are not
+    kept: running the outer pair again derives them again."""
 
 
 class _Evaluator:
@@ -181,26 +179,23 @@ class _Evaluator:
             self.depth += 1
             try:
                 self.memo[key] = self.holds(self.shapes[name].constraint, node)
-            except _Missing as missing:
-                missing.keys.append(key)
-                raise
             finally:
                 self.depth -= 1
         return self.memo[key]
 
     def check(self, name: RdfTerm, node: RdfTerm) -> bool:
-        """`shape_holds` from a work list: the pairs a reference past `_DEPTH`
-        cut short go back on it above their own pair, and that reference on
-        top, so each is evaluated again, from depth 0, once the pairs it
-        needs are in the memo.  No chain of references deepens the Python
-        stack."""
+        """`shape_holds` from a work list: the pair a reference past `_DEPTH`
+        misses goes on top of the pair whose evaluation it cut short, which
+        runs again, from depth 0, once the missing pair is in the memo, and
+        derives again the pairs in between.  No chain of references deepens
+        the Python stack."""
         stack = [(name, node)]
         while stack:
             try:
                 self.shape_holds(*stack[-1])
                 stack.pop()
             except _Missing as missing:
-                stack += reversed(missing.keys)
+                stack.append(missing.args[0])
         return self.memo[name, node]
 
 

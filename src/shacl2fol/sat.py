@@ -27,13 +27,18 @@ def solve(
     cls: list[list[int]] = []
     units: list[int] = []
     all_vars: set[int] = set()
-    for n, c in enumerate(clauses):
-        if deadline is not None and n % 4096 == 0 and time.monotonic() > deadline:
-            raise TimeBudgetExceeded()
-        c = list(dict.fromkeys(c))
-        all_vars.update(abs(l) for l in c)
-        if any(-lit in c for lit in c):
+    read = 4096  # literals read since the clock was last read; the first clause reads it
+    for c in clauses:
+        if read >= 4096:
+            read = 0
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeBudgetExceeded()
+        read += len(c)
+        lits = dict.fromkeys(c)  # the clause's literals, once each, in order
+        all_vars.update(abs(l) for l in lits)
+        if any(-lit in lits for lit in lits):
             continue
+        c = list(lits)
         if not c:
             return None
         if len(c) == 1:

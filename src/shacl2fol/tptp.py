@@ -173,18 +173,17 @@ class Emitter:
 
     The emitter records every constant it names (`known_constants`, which
     starts with the data graph's) and every data role it uses (`roles`);
-    the ambient axioms are built from both.  It builds one `Const` per
-    term, which every axiom naming the term shares.
+    the ambient axioms are built from both.  `known_constants` maps each
+    term to its one `Const`, which every axiom naming the term shares.
     """
 
     def __init__(self, opts: EmitOptions, data_graph: Optional[Graph] = None):
         opts.check(has_data_graph=data_graph is not None)
         self.opts = opts
         self.data_graph = data_graph
-        self.known_constants: set[RdfTerm] = (
-            set(data_graph.constants()) if data_graph is not None else set()
-        )
-        self._consts: dict[RdfTerm, Const] = {}
+        self.known_constants: dict[RdfTerm, Const] = {
+            t: _new_const(t) for t in (data_graph.constants() if data_graph is not None else ())
+        }
         self.roles: set[str] = set()
         self.var_counter = 0
         self.star_roles: dict[PropertyPath, str] = {}
@@ -197,10 +196,9 @@ class Emitter:
         return Var(f"{hint}{self.var_counter}")
 
     def const(self, t: RdfTerm) -> Const:
-        c = self._consts.get(t)
+        c = self.known_constants.get(t)
         if c is None:
-            self.known_constants.add(t)
-            c = self._consts[t] = _new_const(t)
+            c = self.known_constants[t] = _new_const(t)
         return c
 
     def role_atom(self, name: str, a: fol.Term, b: fol.Term) -> Atom:

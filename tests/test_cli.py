@@ -331,6 +331,26 @@ class TestLongPathList:
         assert "Traceback" not in capsys.readouterr().err
 
 
+class TestDeeplyNestedPath:
+    # path constructors nested inside each other are still walked by
+    # recursion, one frame per level: 1,500 levels pass Python's limit, and
+    # the input is reported as nested too deeply
+    @pytest.mark.parametrize("command", [
+        ["oracle", "{shapes}", "{data}"],
+        ["emit", "sat", "{shapes}", "--out", "{out}"],
+        ["sat", "{shapes}", "--prover", "builtin", "--timeout", "1"],
+    ], ids=["oracle", "emit-sat", "sat"])
+    def test_1500_nested_inverse_paths_exit_65(self, tmp_path, capsys, command):
+        path = "[ sh:inversePath " * 1500 + "ex:p" + " ]" * 1500
+        (tmp_path / "shapes.ttl").write_text(
+            PREFIX + f"ex:S sh:targetNode ex:a ; sh:property [ sh:path {path} ; sh:minCount 1 ] .")
+        (tmp_path / "data.ttl").write_text(PREFIX + "ex:b ex:p ex:a .")
+        paths = {name: tmp_path / f"{name}.ttl" for name in ("shapes", "data")}
+        argv = [a.format(out=tmp_path / "problem.p", **paths) for a in command]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert capsys.readouterr().err == "shacl2fol: the input is nested too deeply\n"
+
+
 TARGETED_PROPERTY_SHAPE = PREFIX + "ex:P sh:targetNode ex:a ; sh:path ex:p ; sh:minCount 1 ."
 REFERENCED_PROPERTY_SHAPE = PREFIX + """
 ex:S sh:property ex:P . ex:P sh:path ex:p ; sh:minCount 1 .

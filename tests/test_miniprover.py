@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIZES, clause_sets, load_graph, load_shapes
+from conftest import SIZES, clause_sets, load_graph, load_shapes, path_list
 from corpus import CASES, PREFIXES
 from shacl2fol import cli, miniprover, oracle, sat
 from shacl2fol.clausify import DISTINCT, EQ, Literal, clausify, term_vars
@@ -88,6 +88,80 @@ class TestDecideClauses:
             NotN(Atom("q", (A,))),
         ])
         assert got.status == "Unsatisfiable"
+
+
+def plan_reference(lits, guards=(), first=0):
+    """`miniprover._plan` with its guard order written out directly: each
+    next guard is a `max` over the guards left, scored by their arguments
+    already ground, the first in `guards` on a tie.  Quadratic in the
+    guards, so only small clauses go through it."""
+    arg_vars = [[{v.name for v in term_vars(a)} for a in lit.args] for lit in lits]
+    lit_vars = [set().union(*names) for names in arg_vars]
+    bound, levels, depth = set(), [], {}
+
+    def bind(names):
+        bound.update(names)
+        depth.update(dict.fromkeys(names, len(levels)))
+
+    todo = list(guards)
+    while todo:
+        g = guards[first] if not levels else \
+            max(todo, key=lambda i: sum(names <= bound for names in arg_vars[i]))
+        todo.remove(g)
+        args = lits[g].args
+        for name in sorted(lit_vars[g] - bound - {a.name for a in args if isinstance(a, Var)}):
+            levels.append(name)
+            bind((name,))
+        keyed = tuple(p for p, names in enumerate(arg_vars[g]) if names <= bound)
+        names = {}
+        for p, t in enumerate(args):
+            if p not in keyed and isinstance(t, Var) and t.name not in names.values():
+                names[p] = t.name
+        checks = tuple((p, t) for p, t in enumerate(args) if p not in keyed and p not in names)
+        order = -1 if g == guards[first] else int(guards.index(g) > first)
+        levels.append(miniprover._Guard(g, tuple(names.get(p) for p in range(len(args))),
+                                        keyed, checks, order))
+        bind(names.values())
+    for name in sorted(set().union(*lit_vars) - bound):
+        levels.append(name)
+        bind((name,))
+    ready = [[] for _ in range(len(levels) + 1)]
+    for i, names in enumerate(lit_vars):
+        ready[max((depth[n] for n in names if n in depth), default=0)].append(i)
+    return levels, ready
+
+
+class TestPlan:
+    @settings(max_examples=200, deadline=None)
+    @given(clause_sets(functions=True))
+    def test_same_plans_as_the_max_over_the_guards_left(self, clauses):
+        # each clause, and one wide clause of every literal, planned from
+        # each of its guards and without guards
+        for cl in [*clauses, frozenset().union(*clauses)]:
+            lits = miniprover._ordered(cl)
+            guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
+            for first in range(len(guards)):
+                assert miniprover._plan(lits, guards, first) \
+                    == plan_reference(lits, guards, first)
+            assert miniprover._plan(lits) == plan_reference(lits)
+
+    def test_a_chain_of_3000_guards_is_planned_quickly(self):
+        chain = [Literal(False, "r", (Var(f"X{i}"), Var(f"X{i + 1}"))) for i in range(3000)]
+        start = time.monotonic()
+        levels, ready = miniprover._plan(chain, tuple(range(3000)), 1500)
+        assert time.monotonic() - start < 0.5
+        # each next guard has one argument ground; on a tie the first wins
+        assert [level.lit for level in levels] \
+            == [1500, *range(1499, -1, -1), *range(1501, 3000)]
+
+    def test_a_10000_member_sequence_path_keeps_the_timeout(self):
+        # 10,000 guards in one clause: every plan counts against the clock
+        doc = build_problem(DecisionTask(
+            TaskKind.SATISFIABILITY, load_shapes(path_list(10_000, False))))
+        clauses = clausify([u.body for u in parse_tptp(render(doc))])
+        start = time.monotonic()
+        miniprover.decide_clauses(clauses, timeout_s=2)
+        assert time.monotonic() - start < 4
 
 
 class TestGround:

@@ -112,3 +112,14 @@ class TestStructured:
                 clauses.append((-var(p1, h), -var(p2, h)))
         with pytest.raises(TimeBudgetExceeded):
             solve(clauses, deadline=time.monotonic() - 1)
+
+    def test_a_wide_clause_keeps_the_deadline(self):
+        # 20,000 literals, no two complementary: the clause is read in time
+        # linear in its literals, and the search then reads the clock
+        clause = tuple(v if v % 2 else -v for v in range(1, 20_001))
+        start = time.monotonic()
+        try:
+            solve([clause], deadline=start + 0.5)
+        except TimeBudgetExceeded:
+            pass
+        assert time.monotonic() - start < 1.5
