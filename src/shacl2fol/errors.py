@@ -37,7 +37,7 @@ class RecursiveShapeGraph(Shacl2FolError):
 
 
 class InvalidOptions(Shacl2FolError):
-    """Inconsistent emission options (e.g. $distinct with FOF)."""
+    """Inconsistent options, such as a grounded star closure with no data graph."""
 
 
 class CardinalityLimitExceeded(Shacl2FolError):

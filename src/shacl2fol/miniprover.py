@@ -26,9 +26,9 @@ equality axioms; neither grounds an axiom it has read.  Both give up on a
 problem larger than one limit, `_MAX_GROUND`, counted on what they build.
 
 `decide_clauses` runs the refutation once, then the model search.  If
-neither procedure concludes within its bounds the status is GaveUp
-(or Timeout when the wall clock ran out).  The command-line entry point
-prints a standard `% SZS status <Status>` line.
+neither procedure concludes within its bounds the status is Timeout when
+the wall clock cut an attempt, and GaveUp otherwise.  The command-line
+entry point prints a standard `% SZS status <Status>` line.
 """
 
 from __future__ import annotations
@@ -110,6 +110,10 @@ _MAX_GROUND = 400_000
 _LARGER_SIZES = 3
 _END = object()  # an exhausted iterator's `next` default
 _SECOND = operator.itemgetter(1)
+
+
+class _TooLarge(Exception):
+    """`find_model` gives up: its problem passes `_MAX_GROUND`."""
 
 
 class _Guard(NamedTuple):
@@ -394,7 +398,12 @@ def find_model(
     domain_size: int,
     deadline: Optional[float] = None,
 ) -> Optional[dict]:
-    """Search for a model over a fixed domain size; None if none exists."""
+    """Search for a model over a fixed domain size; None if none exists.
+
+    Raises `_TooLarge` when the problem passes `_MAX_GROUND`, and
+    `sat.TimeBudgetExceeded` when the clock passes `deadline`, which is
+    read every `_CHECK_EVERY` literals flattened and then in the grounding
+    and the SAT search."""
     consts, funcs = _collect_signature(clauses)
     pinned = _pin(consts, _Apart(clauses), domain_size)
     domain = range(domain_size)
@@ -403,9 +412,10 @@ def find_model(
     rows = (len(consts) - len(pinned) + sum(domain_size ** a for a in funcs.values())) \
         * (1 + domain_size * (domain_size - 1) // 2)
     if rows > _MAX_GROUND:
-        raise sat.TimeBudgetExceeded()
+        raise _TooLarge()
     fresh = map("FL{}".format, itertools.count(1))
     flat = []
+    work = 0  # literals flattened since the last clock check
     for cl, members in zip(clauses, map(_kept_apart, clauses)):
         if members is not None and pinned.keys() >= set(members):
             continue  # its constants are pinned apart
@@ -413,7 +423,13 @@ def find_model(
         units = [cl] if members is None else (
             frozenset({Literal(False, EQ, (Const(a), Const(b)))})
             for a, b in itertools.combinations(members, 2) if a not in pinned or b not in pinned)
-        flat.extend(_flatten_clause(unit, fresh, pinned) for unit in units)
+        for unit in units:
+            flat.append(_flatten_clause(unit, fresh, pinned))
+            work += len(flat[-1])
+            if work >= _CHECK_EVERY:
+                work = 0
+                if deadline is not None and time.monotonic() > deadline:
+                    raise sat.TimeBudgetExceeded()
     pool = _VarPool()
 
     def lit_code(lit: Literal, env: dict[str, int]) -> Optional[int]:
@@ -439,7 +455,7 @@ def find_model(
 
     prop = _ground(flat, domain, lit_code, deadline)
     if len(prop) + rows > _MAX_GROUND:
-        raise sat.TimeBudgetExceeded()
+        raise _TooLarge()
     for term in itertools.chain(
             (("a", c) for c in consts if c not in pinned),
             (("f", fname, args) for fname, arity in funcs.items()
@@ -736,7 +752,7 @@ def _equality_lemmas(pool: _VarPool, model: dict[int, bool], app_ids: dict,
 
 # --- orchestration ----------------------------------------------------------
 
-_CUT = object()  # an attempt's result when its slice of the clock ran out
+_STOP = object()  # an attempt's result when the clock cut it or it was too large
 
 
 def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResult:
@@ -749,16 +765,24 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
        constant, up to `_LARGER_SIZES` more; it stops at the first size
        the clock cuts or `_MAX_GROUND` stops, as larger sizes only cost
        more.
+
+    When neither concludes, the status is Timeout if the clock cut an
+    attempt, and GaveUp if each stopped at its bounds.
     """
     deadline = time.monotonic() + timeout_s
     consts, funcs = _collect_signature(clauses)
+    cut = False  # whether the clock cut an attempt
 
     def attempt(procedure, *args):
+        nonlocal cut
         slice_end = min(deadline, time.monotonic() + timeout_s * 0.4)
         try:
             return procedure(*args, deadline=slice_end)
         except sat.TimeBudgetExceeded:
-            return _CUT
+            cut = True
+        except _TooLarge:
+            pass
+        return _STOP
 
     if attempt(refute, clauses) is True:
         depth = "skolem depth 1" if funcs else "constants"
@@ -766,13 +790,11 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
     lower = max(1, len(consts))
     for size in range(lower, lower + _LARGER_SIZES + 1):
         got = attempt(find_model, clauses, size)
-        if got is _CUT:
+        if got is _STOP:
             break
         if got is not None:
             return ProverResult("Satisfiable", f"finite model of size {size}")
-    if time.monotonic() > deadline:
-        return ProverResult("Timeout")
-    return ProverResult("GaveUp")
+    return ProverResult("Timeout" if cut else "GaveUp")
 
 
 def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:

@@ -3,16 +3,16 @@
 This evaluator works straight on the constraint AST and the RDF graph,
 with no logic translation involved, so it can cross-check the verdicts
 the prover pipeline produces.  It only handles non-recursive shape
-graphs, mirroring the scope of the translation.  Shape references nested
-deeper than `_DEPTH` are evaluated from a work list, and path lists member
-by member, so neither a deep chain of references nor a long path list
-deepens the Python stack.
+graphs, mirroring the scope of the translation.  Shape references are
+evaluated on the evaluator's own stack, and path lists member by member,
+so neither a deep chain of references nor a long path list deepens the
+Python stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator, Optional
 
 from .rdf import Graph, RDF_TYPE, RdfTerm, XSD_NS
 from .shapes import (
@@ -105,32 +105,29 @@ def _order_holds(a: RdfTerm, b: RdfTerm, op: OrderOp) -> Optional[bool]:
 
 # --- constraint evaluation --------------------------------------------------
 
-# References nested deeper than this are left to the work list in
-# `_Evaluator.check`; below it the evaluator recurses, keeping every early exit.
-_DEPTH = 50
-
-
-class _Missing(Exception):
-    """Raised with one argument, a (shape, node) pair met past `_DEPTH` and
-    not yet in the memo.  The pairs whose evaluation it cuts short are not
-    kept: running the outer pair again derives them again."""
-
-
 class _Evaluator:
+    """`holds` is a generator that reads like a recursive evaluator: at a
+    shape reference whose (shape, node) pair is not in the memo it yields
+    the pair and is sent back the pair's truth value.  `check` runs these
+    generators on one stack, so every early exit stays, each pair is
+    evaluated once, and no chain of references deepens the Python stack."""
+
     def __init__(self, sg: ShapeGraph, g: Graph):
         self.g = g
         self.shapes = {s.name: s for s in sg.shapes}
         self.memo: dict[tuple[RdfTerm, RdfTerm], bool] = {}
-        self.depth = 0
 
-    def holds(self, c: Constraint, node: RdfTerm) -> bool:
+    def holds(self, c: Constraint, node: RdfTerm) -> Generator[tuple, bool, bool]:
         g = self.g
         if isinstance(c, TrueC):
             return True
         if isinstance(c, Not):
-            return not self.holds(c.operand, node)
+            return not (yield from self.holds(c.operand, node))
         if isinstance(c, And):
-            return all(self.holds(op, node) for op in c.operands)
+            for op in c.operands:
+                if not (yield from self.holds(op, node)):
+                    return False
+            return True
         if isinstance(c, EqConst):
             return node == c.term
         if isinstance(c, NodeKind):
@@ -140,12 +137,15 @@ class _Evaluator:
                 return node.is_literal
             return node.is_blank
         if isinstance(c, HasShape):
-            return self.shape_holds(c.shape_name, node)
+            key = (c.shape_name, node)
+            if key in self.memo:
+                return self.memo[key]
+            return (yield key)
         if isinstance(c, MinCount):
             # stop at the n-th hit, so the value lift ¬≥1¬ exits at the first failure
             hits = 0
             for v in path_eval(c.path, g, node):
-                if self.holds(c.constraint, v):
+                if (yield from self.holds(c.constraint, v)):
                     hits += 1
                     if hits == c.n:
                         return True
@@ -171,32 +171,31 @@ class _Evaluator:
             )
         raise TypeError(f"not a constraint: {c!r}")
 
-    def shape_holds(self, name: RdfTerm, node: RdfTerm) -> bool:
-        key = (name, node)
-        if key not in self.memo:
-            if self.depth == _DEPTH:
-                raise _Missing(key)
-            self.depth += 1
-            try:
-                self.memo[key] = self.holds(self.shapes[name].constraint, node)
-            finally:
-                self.depth -= 1
-        return self.memo[key]
+    def start(self, name: RdfTerm, node: RdfTerm) -> Generator[tuple, bool, bool]:
+        """The evaluation of the pair (name, node), for `check` to run."""
+        return self.holds(self.shapes[name].constraint, node)
 
     def check(self, name: RdfTerm, node: RdfTerm) -> bool:
-        """`shape_holds` from a work list: the pair a reference past `_DEPTH`
-        misses goes on top of the pair whose evaluation it cut short, which
-        runs again, from depth 0, once the missing pair is in the memo, and
-        derives again the pairs in between.  No chain of references deepens
-        the Python stack."""
-        stack = [(name, node)]
-        while stack:
+        """Whether `node` has the shape `name`.  The running evaluations
+        are on one stack, each with its pair: a pair the top one yields
+        starts on top of it, and once that returns, its value goes into
+        the memo and is sent to the evaluation below."""
+        if (name, node) in self.memo:
+            return self.memo[name, node]
+        stack = [((name, node), self.start(name, node))]
+        value = None  # what the top evaluation is sent next; None starts it
+        while True:
+            pair, run = stack[-1]
             try:
-                self.shape_holds(*stack[-1])
+                needed = run.send(value)
+            except StopIteration as done:
                 stack.pop()
-            except _Missing as missing:
-                stack.append(missing.args[0])
-        return self.memo[name, node]
+                value = self.memo[pair] = done.value
+                if not stack:
+                    return value
+            else:
+                stack.append((needed, self.start(*needed)))
+                value = None
 
 
 def target_nodes(target: TargetDecl, g: Graph) -> set[RdfTerm]:

@@ -29,6 +29,23 @@ def not_chain(n: int) -> str:
     )
 
 
+def node_chain(n: int, last: str) -> tuple[str, str]:
+    """Shapes `ex:S0` ... `ex:S<n>`, each but the last asking for an
+    `ex:next` value in the next one, and the data list `ex:n0` ... `ex:n<n>`
+    that `ex:S0` targets from its head; `ex:S<n>` is `last`."""
+    shapes = "".join(
+        f"ex:S{i} sh:property [ sh:path ex:next ; sh:minCount 1 ; sh:node ex:S{i + 1} ] .\n"
+        for i in range(n)
+    )
+    data = "".join(f"ex:n{i} ex:next ex:n{i + 1} .\n" for i in range(n))
+    prefixes = (
+        "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+        "@prefix ex: <http://example.org/> .\n"
+    )
+    return (prefixes + shapes + f"ex:S0 sh:targetNode ex:n0 .\nex:S{n} {last} .\n",
+            prefixes + data)
+
+
 def path_list(n: int, alternative: bool) -> str:
     """`ex:S`, targeting `ex:a`, with one value through the path list of
     `ex:p0` ... `ex:p<n-1>`: a sequence path, or an `sh:alternativePath`."""

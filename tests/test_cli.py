@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import not_chain, path_list
+from conftest import node_chain, not_chain, path_list
 from shacl2fol import cli, miniprover
 from shacl2fol.rdf import iri
 from shacl2fol.shapes import And, HasShape, check_shape_graph
@@ -302,11 +302,19 @@ class TestDeepShapeChain:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_oracle_answers_a_10000_deep_not_chain(self, tmp_path, capsys):
-        # the evaluator takes shape references past 50 deep from a work list
+        # the evaluator keeps the shape references it follows on its own stack
         (tmp_path / "chain.ttl").write_text(not_chain(10_000))
         (tmp_path / "data.ttl").write_text(PREFIX + "ex:a ex:p ex:b .")
         assert cli.main(["oracle", str(tmp_path / "chain.ttl"), str(tmp_path / "data.ttl")]) == 0
         assert capsys.readouterr().out.strip() == "Conforms"
+
+    def test_oracle_answers_a_10000_deep_node_chain(self, tmp_path, capsys):
+        shapes, data = node_chain(10_000, "sh:nodeKind sh:IRI")
+        (tmp_path / "chain.ttl").write_text(shapes)
+        (tmp_path / "data.ttl").write_text(data)
+        assert cli.main(["oracle", str(tmp_path / "chain.ttl"), str(tmp_path / "data.ttl")]) == 0
+        out, err = capsys.readouterr()
+        assert out.strip() == "Conforms" and "Traceback" not in err
 
 
 class TestLongPathList:

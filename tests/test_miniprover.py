@@ -33,6 +33,15 @@ def decide(formulas, **kw):
     return miniprover.decide_clauses(clausify(formulas), **kw)
 
 
+@pytest.fixture(scope="module")
+def sequence_10000():
+    """The clauses of the `emit sat` problem of a 10,000-member sequence
+    path: one clause of 10,000 guards among 10,008 small ones."""
+    doc = build_problem(DecisionTask(
+        TaskKind.SATISFIABILITY, load_shapes(path_list(10_000, False))))
+    return clausify([u.body for u in parse_tptp(render(doc))])
+
+
 class TestDecideClauses:
     def test_empty_theory_satisfiable(self):
         assert decide([]).status == "Satisfiable"
@@ -154,14 +163,13 @@ class TestPlan:
         assert [level.lit for level in levels] \
             == [1500, *range(1499, -1, -1), *range(1501, 3000)]
 
-    def test_a_10000_member_sequence_path_keeps_the_timeout(self):
-        # 10,000 guards in one clause: every plan counts against the clock
-        doc = build_problem(DecisionTask(
-            TaskKind.SATISFIABILITY, load_shapes(path_list(10_000, False))))
-        clauses = clausify([u.body for u in parse_tptp(render(doc))])
+    def test_a_10000_member_sequence_path_keeps_the_timeout(self, sequence_10000):
+        # 10,000 guards in one clause: every plan counts against the clock,
+        # which cuts the attempts, so the status is Timeout
         start = time.monotonic()
-        miniprover.decide_clauses(clauses, timeout_s=2)
+        got = miniprover.decide_clauses(sequence_10000, timeout_s=2)
         assert time.monotonic() - start < 4
+        assert got.status == "Timeout"
 
 
 class TestGround:
@@ -873,9 +881,15 @@ class TestSizeLimit:
         assert miniprover.find_model([clause], 5) is not None
         solved.clear()
         grounded.clear()
-        with pytest.raises(sat.TimeBudgetExceeded):
+        with pytest.raises(miniprover._TooLarge):
             miniprover.find_model([clause], 20)
         assert (solved, grounded) == ([], [])
+
+    def test_the_size_limit_gives_up_without_a_timeout(self, monkeypatch):
+        # no procedure may build anything: both stop at their bounds, and
+        # the clock cut nothing
+        monkeypatch.setattr(miniprover, "_MAX_GROUND", 0)
+        assert decide([Atom("p", (A,))]).status == "GaveUp"
 
 
 class TestDeadline:
@@ -895,6 +909,13 @@ class TestDeadline:
         with pytest.raises(sat.TimeBudgetExceeded):
             miniprover.find_model([clause], 2000, deadline=time.monotonic() + 0.05)
         assert time.monotonic() - start < 1
+
+    def test_find_model_reads_the_clock_while_flattening(self, sequence_10000):
+        # flattening the 10,000-member path's clauses takes about 0.4 s
+        start = time.monotonic()
+        with pytest.raises(sat.TimeBudgetExceeded):
+            miniprover.find_model(sequence_10000, 1, deadline=time.monotonic() + 0.05)
+        assert time.monotonic() - start < 0.3
 
     def test_refute_stops_inside_a_large_grounding(self):
         # 20 ** 4 instances of one clause over twenty constants: r(X0) can

@@ -1,16 +1,20 @@
+import sys
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import load_graph, load_shapes
+from conftest import load_graph, load_shapes, node_chain
 from corpus import CASES
 from shacl2fol import oracle
 from shacl2fol.errors import RecursiveShapeGraph
 from shacl2fol.oracle import evaluate, path_eval
 from shacl2fol.rdf import RDF_TYPE, Graph, Triple, iri, literal
 from shacl2fol.shapes import (
-    Alternative, Inverse, Predicate, Sequence, ZeroOrMore, ZeroOrOne,
+    Alternative, And, Closed, DisjointProp, EqConst, EqualsProp, HasShape,
+    Inverse, MinCount, NodeKind, NodeKindValue, Not, OrderProp, Predicate,
+    Sequence, ShapeGraph, TrueC, ZeroOrMore, ZeroOrOne,
 )
 
 PREFIX = """\
@@ -233,32 +237,18 @@ class TestValidation:
             evaluate(shapes, load_graph(PREFIX + "ex:a ex:p ex:b ."))
 
 
-def node_chain(n: int, last: str) -> tuple[str, str]:
-    """Shapes `ex:S0` ... `ex:S<n>`, each but the last asking for an
-    `ex:next` value in the next one, and the data list `ex:n0` ... `ex:n<n>`
-    that `ex:S0` targets from its head; `ex:S<n>` is `last`."""
-    shapes = "".join(
-        f"ex:S{i} sh:property [ sh:path ex:next ; sh:minCount 1 ; sh:node ex:S{i + 1} ] .\n"
-        for i in range(n)
-    )
-    data = "".join(f"ex:n{i} ex:next ex:n{i + 1} .\n" for i in range(n))
-    return (PREFIX + shapes + f"ex:S0 sh:targetNode ex:n0 .\nex:S{n} {last} .\n",
-            PREFIX + data)
-
-
 class TestShapeReferences:
     @pytest.fixture
     def started(self, monkeypatch):
         """The names of the shapes whose evaluation began, one per pair."""
         names = []
-        shape_holds = oracle._Evaluator.shape_holds
+        start = oracle._Evaluator.start
 
         def spy(ev, name, node):
-            if (name, node) not in ev.memo:
-                names.append(name)
-            return shape_holds(ev, name, node)
+            names.append(name)
+            return start(ev, name, node)
 
-        monkeypatch.setattr(oracle._Evaluator, "shape_holds", spy)
+        monkeypatch.setattr(oracle._Evaluator, "start", spy)
         return names
 
     def test_value_lift_stops_at_the_first_failing_value(self, started):
@@ -282,7 +272,10 @@ class TestShapeReferences:
         ("sh:nodeKind sh:IRI", True), ("sh:nodeKind sh:Literal", False),
     ])
     def test_chain_past_the_recursion_depth(self, last, conforms):
-        shapes, data = node_chain(3 * oracle._DEPTH, last)
+        # no Python frame per reference: 3,000 nested references pass the
+        # interpreter's default limit of 1,000 frames
+        assert 3_000 > sys.getrecursionlimit()
+        shapes, data = node_chain(3_000, last)
         report = evaluate(load_shapes(shapes), load_graph(data))
         assert report.conforms == conforms
         assert [(v.shape_name, v.focus_node) for v in report.violations] == (
@@ -290,12 +283,79 @@ class TestShapeReferences:
         )
 
     @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
-    def test_work_list_gives_the_recursive_report(self, monkeypatch, case):
-        # at depth 1 every reference goes through the work list
+    def test_work_list_gives_the_recursive_report(self, case):
         shapes, data = load_shapes(case.shapes_ttl), load_graph(case.data_ttl)
-        recursive = evaluate(shapes, data)
-        monkeypatch.setattr(oracle, "_DEPTH", 1)
-        assert evaluate(shapes, data) == recursive
+        assert evaluate(shapes, data) == recursive_report(shapes, data)
+
+    def test_each_pair_starts_once_in_a_fan_out_of_deep_chains(self, started):
+        # 500 values of ex:root, each the head of its own chain of 60 nested
+        # references: every (shape, node) pair is evaluated once
+        values, depth = 500, 60
+        shapes = "".join(
+            f"ex:S{i} sh:property [ sh:path ex:next ; sh:minCount 1 ; sh:node ex:S{i + 1} ] .\n"
+            for i in range(1, depth)
+        )
+        data = "".join(
+            f"ex:v{j}_{i} ex:next ex:v{j}_{i + 1} .\n" for j in range(values) for i in range(depth)
+        )
+        data += "".join(f"ex:root ex:value ex:v{j}_0 .\n" for j in range(values))
+        report = evaluate(load_shapes(PREFIX + shapes + f"""
+        ex:S0 sh:targetNode ex:root ; sh:property [ sh:path ex:value ; sh:node ex:S1 ] .
+        ex:S{depth} sh:nodeKind sh:IRI .
+        """), load_graph(PREFIX + data))
+        assert report.conforms
+        # ex:S<i> holds on the i-th node of every chain, so each of these
+        # pairs must be evaluated at least once
+        assert Counter(started) == {
+            iri(EX + "S0"): 1, **{iri(EX + f"S{i}"): values for i in range(1, depth + 1)},
+        }
+
+
+def recursive_report(sg: ShapeGraph, g: Graph) -> oracle.ValidationReport:
+    """The oracle's report by plain recursion, one Python frame per
+    reference: the reference for the evaluator's stack."""
+    memo = {}
+    by_name = {s.name: s for s in sg.shapes}
+
+    def holds(c, node):
+        if isinstance(c, TrueC):
+            return True
+        if isinstance(c, Not):
+            return not holds(c.operand, node)
+        if isinstance(c, And):
+            return all(holds(op, node) for op in c.operands)
+        if isinstance(c, EqConst):
+            return node == c.term
+        if isinstance(c, NodeKind):
+            return {NodeKindValue.IRI: node.is_iri, NodeKindValue.LITERAL: node.is_literal,
+                    NodeKindValue.BLANK: node.is_blank}[c.kind]
+        if isinstance(c, HasShape):
+            if (c.shape_name, node) not in memo:
+                memo[c.shape_name, node] = holds(by_name[c.shape_name].constraint, node)
+            return memo[c.shape_name, node]
+        if isinstance(c, MinCount):
+            return sum(holds(c.constraint, v) for v in path_eval(c.path, g, node)) >= c.n
+        if isinstance(c, EqualsProp):
+            return path_eval(c.path, g, node) == set(g.objects(node, c.predicate))
+        if isinstance(c, DisjointProp):
+            return not (path_eval(c.path, g, node) & set(g.objects(node, c.predicate)))
+        if isinstance(c, OrderProp):
+            return all(
+                oracle._order_holds(*((w, v) if c.inverted else (v, w)), c.op) is True
+                for v in path_eval(c.path, g, node) for w in g.objects(node, c.predicate)
+            )
+        if isinstance(c, Closed):
+            return all(t.predicate.lexical == RDF_TYPE
+                       or t.predicate.lexical in c.allowed_predicates for t in g.about(node))
+        raise TypeError(f"not a constraint: {c!r}")
+
+    violations = [
+        oracle.Violation(shape.name, node)
+        for shape in sg.shapes for target in shape.targets
+        for node in sorted(oracle.target_nodes(target, g))
+        if not holds(shape.constraint, node)
+    ]
+    return oracle.ValidationReport(not violations, list(dict.fromkeys(violations)))
 
 
 class TestOrderConstraints:
