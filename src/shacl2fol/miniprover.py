@@ -9,21 +9,21 @@ Two sound, incomplete procedures over the clausal form:
   plus the ground equality axioms, each added as a lemma once a candidate
   model violates it; a propositionally unsatisfiable grounding witnesses
   first-order unsatisfiability, so Unsatisfiable is sound.  The universe
-  is the constants and every depth-1 Skolem term.  Only the relevant
-  instances are built: each clause's negative literals are joined against
-  the atoms that can be true, which grow semi-naively from the facts and
-  from the lemmas' conclusions.  Making every other atom false extends a
-  model of those instances to one of the full grounding, so the answer is
-  the same.
+  is the constants and every depth-1 Skolem term.
 
-Both instantiate clauses through one routine, `_ground`; each keeps only
-its own encoding of a ground literal.  Both read the unique-name axioms,
-the literals `$distinct(c1, …, cn)` and ground units `¬(a = b)`, through
-one test, `_Apart`: the model search pins constants kept apart to their
-own domain elements, which the flattening leaves in place as it leaves
-variables, and the refutation folds the false equalities out of its
-equality axioms; neither grounds an axiom it has read.  Both give up on a
-problem larger than one limit, `_MAX_GROUND`, counted on what they build.
+Both ground only the relevant instances, through one routine, `_ground`,
+each with its own encoding of a ground literal: a clause's guards are
+joined against the atoms that can be true, which grow semi-naively from
+the positive literals kept.  Making every other atom false extends a
+model of those instances to one of the full grounding.
+
+Both read the unique-name axioms, the literals `$distinct(c1, …, cn)` and
+ground units `¬(a = b)`, through one test, `_Apart`: the model search pins
+constants kept apart to their own domain elements, which the flattening
+leaves in place as it leaves variables, and the refutation folds the false
+equalities out of its equality axioms; neither grounds an axiom it has
+read.  Both give up on a problem larger than one limit, `_MAX_GROUND`,
+counted on what they build.
 
 `decide_clauses` runs the refutation once, then the model search.  If
 neither procedure concludes within its bounds the status is Timeout when
@@ -216,45 +216,33 @@ def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
     return levels, ready
 
 
-def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[float],
-            relevant: Optional["_Relevant"] = None):
-    """The propositional clauses of the instances of `clauses` over `values`.
+def _ground(clauses: list[list[Literal]], relevant: "_Relevant", encode,
+            deadline: Optional[float]):
+    """Onto `relevant.prop`, the propositional relevant instances of `clauses`.
 
     `encode(lit, env)` gives the code of one literal under the binding `env`
     of the clause's variables: None drops the instance (the literal is true,
     or it names a term outside the universe), 0 drops the literal (it is
     false), and any other value is a SAT literal.
 
-    Without `relevant`, every instance: the variables are bound one at a
-    time in sorted order, depth-first on a stack, so the instances come in
-    the order of `itertools.product`.  Each literal is encoded as soon as
+    A clause's guards (`_Relevant.guards`) are joined against the atoms
+    that can be true, each instance built in the round its last guard atom
+    arrives; its other variables are bound one at a time in sorted order,
+    depth-first on a stack, over the universe.  A literal is encoded once
     its last variable is bound, and a None drops every instance below that
-    partial binding without enumerating it.
+    partial binding.  Each ground clause is kept once, as a sorted tuple of
+    its literals, and a later call with the same `clauses` resumes from the
+    atoms that the rows added to `prop` since make possible.
 
-    With `relevant` (the refutation), only the instances whose negative
-    literals, the guards, all fall on atoms that can be true: a clause
-    without guards is enumerated as above, and a guarded one is built by
-    joining its guards against `relevant`'s atoms, each instance in the
-    round its last guard atom arrives; only the variables no guard binds
-    are enumerated.  Each ground clause is kept once, as a sorted tuple of
-    its literals, and its positive literals make their atoms possibly true
-    for the next round.  The clauses go onto `relevant.prop`, and a later
-    call with the same `clauses` resumes from the atoms that the rows added
-    to it since make possible.
-
-    In both modes the clock is read every `_CHECK_EVERY` units of work:
-    each job's literals once, for its plan, and each binding and literal
-    encoded.  The grounding stops once `prop` holds more than `_MAX_GROUND`
-    clauses, and the caller gives up.
+    The clock is read every `_CHECK_EVERY` units of work: each job's
+    literals once, for its plan, and each binding and literal encoded.  The
+    grounding stops once `prop` holds more than `_MAX_GROUND` clauses, and
+    the caller gives up.
     """
     work = 0  # units of work since the last check
-    if relevant is None:
-        prop: list[tuple[int, ...]] = []
-        jobs = ((lits, *_plan(lits), None) for lits in clauses)
-    else:
-        prop, kept = relevant.prop, relevant.kept
-        jobs = relevant.jobs(clauses)
-    for lits, levels, ready, rounds in jobs:
+    prop, kept = relevant.prop, relevant.kept
+    universe = range(relevant.size)
+    for lits, levels, ready, rounds in relevant.jobs(clauses):
         work += len(lits)  # its plan's share
         env: dict[str, int] = {}
         codes = [0] * len(lits)
@@ -287,11 +275,8 @@ def _ground(clauses: list[list[Literal]], values, encode, deadline: Optional[flo
             else:
                 if k < len(levels):
                     level = levels[k]
-                    stack.append(iter(values if isinstance(level, str)
+                    stack.append(iter(universe if isinstance(level, str)
                                       else relevant.matches(lits[level.lit], level, env, rounds)))
-                    continue
-                if relevant is None:
-                    prop.append(tuple(filter(None, codes)))
                     continue
                 # a set of literals, as a sorted tuple
                 instance = tuple(sorted(set(filter(None, codes))))
@@ -400,6 +385,11 @@ def find_model(
 ) -> Optional[dict]:
     """Search for a model over a fixed domain size; None if none exists.
 
+    `_ground` builds only the relevant instances.  With every relation atom
+    that cannot be true made false, a model of those and of the totality
+    and functionality rows satisfies each instance left out, which has a
+    guard on such an atom: a model exists iff the full grounding has one.
+
     Raises `_TooLarge` when the problem passes `_MAX_GROUND`, and
     `sat.TimeBudgetExceeded` when the clock passes `deadline`, which is
     read every `_CHECK_EVERY` literals flattened and then in the grounding
@@ -431,29 +421,27 @@ def find_model(
                 if deadline is not None and time.monotonic() > deadline:
                     raise sat.TimeBudgetExceeded()
     pool = _VarPool()
+    relevant = _Relevant(pinned, domain_size, pool)
+    value = relevant.value
 
     def lit_code(lit: Literal, env: dict[str, int]) -> Optional[int]:
         """Propositional literal; None = literal true, 0 = literal false.
-        A value's element is its variable's in `env` or its pin's."""
+        A value's element is its variable's in `env` or its pin's; that of
+        an unpinned constant or a Skolem term is a table entry."""
         sign = 1 if lit.positive else -1
-        if lit.pred == EQ:
-            left, right = lit.args
-            lv = env[left.name] if isinstance(left, Var) else pinned[left.name]
-            if isinstance(right, Func):
-                args = tuple([env[a.name] if isinstance(a, Var) else pinned[a.name]
-                              for a in right.args])
-                return sign * pool.get(("f", right.name, args, lv))
-            if isinstance(right, Var):
-                rv = env[right.name]
-            elif right.name in pinned:
-                rv = pinned[right.name]
-            else:
-                return sign * pool.get(("a", right.name, lv))
-            return None if (lv == rv) == lit.positive else 0
-        args = tuple([env[a.name] if isinstance(a, Var) else pinned[a.name] for a in lit.args])
-        return sign * pool.get(("p", lit.pred, args))
+        if lit.pred != EQ:
+            return sign * pool.get(("p", lit.pred, tuple([value(a, env) for a in lit.args])))
+        left, right = lit.args
+        lv = value(left, env)
+        if isinstance(right, Func):
+            args = tuple([value(a, env) for a in right.args])
+            return sign * pool.get(("f", right.name, args, lv))
+        rv = value(right, env)
+        if rv is None:  # an unpinned constant
+            return sign * pool.get(("a", right.name, lv))
+        return None if (lv == rv) == lit.positive else 0
 
-    prop = _ground(flat, domain, lit_code, deadline)
+    prop = _ground(flat, relevant, lit_code, deadline)
     if len(prop) + rows > _MAX_GROUND:
         raise _TooLarge()
     for term in itertools.chain(
@@ -476,25 +464,23 @@ def find_model(
 # --- ground refutation ------------------------------------------------------
 
 class _Relevant:
-    """The refutation's universe, the ground atoms that can be true, and
+    """A procedure's universe, the ground atoms that can be true, and
     `_ground`'s semi-naive state, which each later call resumes.
 
-    The universe is the constants `consts` and every depth-1 term over
-    them of the functions `funcs`, each a universe index: a constant by
-    name, a Skolem term by its symbol and argument indices.  The atoms that
-    can be true are each term equal to itself, and the atoms of the
-    positive literals in `prop`, in the instances that `_ground` keeps and
-    in the lemma rows that `refute` adds; an equality of two terms is the
-    two atoms `(i, j)` and `(j, i)` of the relation `=`.
+    The universe is `range(size)`; `ids` gives the element a term names,
+    a constant by name and a Skolem term by its symbol and argument
+    elements, and a term it gives none lies outside.  The atoms that can
+    be true are each element equal to itself and the relation atoms (keys
+    "e" and "p") of the positive literals in `prop`, of the instances kept
+    and the lemma rows; an equality is the two atoms `(i, j)` and `(j, i)`
+    of the relation `=`.
     """
 
-    def __init__(self, consts: list[str], funcs: dict[str, int], pool: _VarPool):
+    def __init__(self, ids: dict, size: int, pool: _VarPool):
         self.pool = pool
-        self.const_ids = {c: i for i, c in enumerate(consts)}
-        apps = ((fname, args) for fname, arity in funcs.items()
-                for args in itertools.product(range(len(consts)), repeat=arity))
-        self.app_ids = dict(zip(apps, itertools.count(len(consts))))
-        self.size = len(consts) + len(self.app_ids)  # of the universe
+        self.ids = ids
+        self.funcs = {key[0] for key in ids if isinstance(key, tuple)}  # with elements
+        self.size = size
         self.prop: list[tuple[int, ...]] = []  # the instances kept and the lemma rows
         self.kept: set[tuple[int, ...]] = set()  # the instances kept
         # relation -> the (clause, guards, first) of its guards; None before
@@ -518,9 +504,19 @@ class _Relevant:
         if isinstance(t, Var):
             return env[t.name]
         if isinstance(t, Const):
-            return self.const_ids[t.name]
+            return self.ids.get(t.name)
         args = tuple(self.value(a, env) for a in t.args)
-        return None if None in args else self.app_ids.get((t.name, args))
+        return None if None in args else self.ids.get((t.name, args))
+
+    def guards(self, lits: list[Literal]) -> tuple[int, ...]:
+        """The positions of the guards: the negative literals whose terms
+        are all universe elements once their variables are bound.  In the
+        model search, an equality with an unpinned constant or a Skolem
+        term reads a table entry, which the totality rows can always make
+        true, so it is no guard: it is enumerated, not joined."""
+        return tuple(i for i, lit in enumerate(lits) if not lit.positive and all(
+            isinstance(t, Var) or t.name in (self.funcs if isinstance(t, Func) else self.ids)
+            for t in lit.args))
 
     def jobs(self, clauses: list[list[Literal]]):
         """`_ground`'s work, in rounds of semi-naive evaluation.
@@ -534,7 +530,7 @@ class _Relevant:
         if self.triggers is None:
             self.triggers = {}
             for n, lits in enumerate(clauses):
-                guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
+                guards = self.guards(lits)
                 if not guards:
                     yield (lits, *_plan(lits), None)
                 for first, g in enumerate(guards):
@@ -595,8 +591,9 @@ class _Relevant:
         return table.get(key, ())
 
     def _learn(self, rows) -> None:
-        """Make the atoms of the rows' positive literals possibly true, in
-        the order of their codes; `_add` skips an atom that has arrived."""
+        """Make the relation atoms (keys "e" and "p", not the model search's
+        table entries) of the rows' positive literals possibly true, in the
+        order of their codes; `_add` skips an atom that has arrived."""
         for code in sorted(set(itertools.chain.from_iterable(rows))):
             if code > 0:
                 key = self.pool.keys[code - 1]
@@ -604,7 +601,7 @@ class _Relevant:
                     _, i, j = key
                     self._add(EQ, (i, j))
                     self._add(EQ, (j, i))
-                else:
+                elif key[0] == "p":
                     self._add(key[1], key[2])
 
     def _add(self, rel: str, args: tuple[int, ...]) -> None:
@@ -651,7 +648,11 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
     if len(consts) + sum(len(consts) ** arity for arity in funcs.values()) > _MAX_GROUND:
         return None  # the universe alone passes the limit
     pool = _VarPool()
-    relevant = _Relevant(consts, funcs, pool)
+    apps = ((fname, args) for fname, arity in funcs.items()
+            for args in itertools.product(range(len(consts)), repeat=arity))
+    app_ids = dict(zip(apps, itertools.count(len(consts))))
+    relevant = _Relevant({**dict(zip(consts, itertools.count())), **app_ids},
+                         len(consts) + len(app_ids), pool)
     # the unique-name axioms make the equalities of the constants they keep
     # apart false: none gets a SAT variable, nor are its rows built
     apart = _Apart(clauses)
@@ -680,20 +681,19 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
         v = pool.get(("p", lit.pred, args))
         return v if lit.positive else -v
 
-    ids = range(relevant.size)
     # `eq_code` makes every unique-name axiom true: none is ground
     ordered = [_ordered(cl) for cl in clauses if _kept_apart(cl) is None]
     # the ground equality theory but symmetry and reflexivity (eq_code
     # folds them in) comes as lemma rows, until the model violates none or
     # the rows refute
     while True:
-        prop = _ground(ordered, ids, lit_code, deadline, relevant=relevant)
+        prop = _ground(ordered, relevant, lit_code, deadline)
         if len(prop) > _MAX_GROUND:
             return None
         model = sat.solve(prop, deadline=deadline)
         if model is None:
             return True
-        lemmas = _equality_lemmas(pool, model, relevant.app_ids, eq_var)
+        lemmas = _equality_lemmas(pool, model, app_ids, eq_var)
         if not lemmas:
             return None
         prop.extend(lemmas)

@@ -2,12 +2,14 @@
 
 Clauses are tuples of nonzero integers (negative = negated variable), as
 in DIMACS.  Implements first-UIP clause learning with backjumping,
-activity-based branching, saved phases, and geometric restarts — enough
-to handle the groundings the built-in prover produces.
+activity-based branching from a lazy order heap (as in MiniSat, Eén &
+Sörensson, SAT 2003), saved phases, and geometric restarts — enough to
+handle the groundings the built-in prover produces.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from typing import Iterable, Optional
 
@@ -26,7 +28,7 @@ def solve(
     """
     cls: list[list[int]] = []
     units: list[int] = []
-    all_vars: set[int] = set()
+    activity: dict[int, float] = {}  # every variable's, for branching
     read = 4096  # literals read since the clock was last read; the first clause reads it
     for c in clauses:
         if read >= 4096:
@@ -35,7 +37,7 @@ def solve(
                 raise TimeBudgetExceeded()
         read += len(c)
         lits = dict.fromkeys(c)  # the clause's literals, once each, in order
-        all_vars.update(abs(l) for l in lits)
+        activity.update(dict.fromkeys(map(abs, lits), 0.0))
         if any(-lit in lits for lit in lits):
             continue
         c = list(lits)
@@ -59,11 +61,14 @@ def solve(
     qhead = 0
     phase: dict[int, bool] = {}
 
-    activity: dict[int, float] = {v: 0.0 for v in all_vars}
     for c in cls:
         for lit in c:
             activity[abs(lit)] += 1.0
     var_inc = 1.0
+    # the decision order: (-activity, var) entries, lowest variable first
+    # on a tie; an entry is stale once its variable is assigned or bumped
+    order = [(-a, v) for v, a in activity.items()]
+    heapq.heapify(order)
 
     def value(lit: int) -> Optional[bool]:
         v = assign.get(abs(lit))
@@ -126,6 +131,10 @@ def solve(
             for v in activity:
                 activity[v] *= 1e-100
             var_inc *= 1e-100
+            order[:] = [(-a, v) for v, a in activity.items() if v not in assign]
+            heapq.heapify(order)
+        elif var not in assign:
+            heapq.heappush(order, (-activity[var], var))
 
     def backtrack(to_level: int) -> None:
         nonlocal qhead
@@ -136,6 +145,7 @@ def solve(
                 var = abs(lit)
                 phase[var] = assign[var]
                 del assign[var], level[var], reason[var]
+                heapq.heappush(order, (-activity[var], var))
         qhead = len(trail)
 
     def analyze(confl: int) -> tuple[list[int], int]:
@@ -216,17 +226,13 @@ def solve(
             restart_limit *= 1.5
             backtrack(0)
             continue
-        # each decision scans every variable, so a search without conflicts
-        # checks the clock here
+        # a search without conflicts checks the clock here
         if deadline is not None and time.monotonic() > deadline:
             raise TimeBudgetExceeded()
-        var = None
-        best = -1.0
-        for v in all_vars:
-            if v not in assign and activity[v] > best:
-                best = activity[v]
-                var = v
-        if var is None:
+        while order and (order[0][1] in assign or -order[0][0] != activity[order[0][1]]):
+            heapq.heappop(order)
+        if not order:
             return dict(assign)
+        var = heapq.heappop(order)[1]
         trail_lim.append(len(trail))
         enqueue(var if phase.get(var, False) else -var, None)

@@ -174,31 +174,27 @@ class TestPlan:
 
 class TestGround:
     def test_drops_true_instances_false_literals_and_outside_terms(self):
-        # universe {a, f(a)}; p is fixed (p(a) true, p(f(a)) false), q(t) is
-        # the SAT variable 1 + the index of t, and f(f(a)) lies outside
-        fa = Func("f", (A,))
-        universe = [A, fa]
-
-        def ground(t, env):
-            if isinstance(t, Var):
-                return env[t.name]
-            gt = Func(t.name, tuple(ground(a, env) for a in t.args))
-            return gt if gt in universe else None
+        # universe {a, f(a)}, the elements 0 and 1; p is fixed (p(a) true,
+        # p(f(a)) false), q(t) is a SAT variable, and f(f(a)) lies outside
+        pool = miniprover._VarPool()
+        relevant = miniprover._Relevant({"a": 0, ("f", (0,)): 1}, 2, pool)
 
         def encode(lit, env):
-            arg = ground(lit.args[0], env)
+            arg = relevant.value(lit.args[0], env)
             if arg is None:
                 return None
             if lit.pred == "p":
-                return None if arg == A else 0
-            return 1 + universe.index(arg)
+                return None if arg == 0 else 0
+            return pool.get(("p", "q", (arg,)))
 
         p_or_q = [Literal(True, "p", (X,)), Literal(True, "q", (X,))]
         q_of_f = [Literal(True, "q", (Func("f", (X,)),))]
-        got = miniprover._ground([p_or_q, q_of_f], universe, encode, None)
+        got = miniprover._ground([p_or_q, q_of_f], relevant, encode, None)
         # p_or_q: X=a is true and dropped, X=f(a) keeps only q(f(a));
-        # q_of_f: X=a gives q(f(a)), X=f(a) names f(f(a)) and is dropped
-        assert got == [(2,), (2,)]
+        # q_of_f: X=a gives q(f(a)) again, kept once, and X=f(a) names
+        # f(f(a)) and is dropped
+        assert got == [(1,)]
+        assert pool.keys == [("p", "q", (1,))]
 
     def test_grounding_leaves_no_garbage_per_clause(self):
         # with the cyclic collector off, what one refutation and one model
@@ -222,7 +218,7 @@ class TestGround:
         # atoms that can be true: the guard ~q(X, Y) binds X and Y from
         # them, and the other 398 bindings are never made
         pool = miniprover._VarPool()
-        relevant = miniprover._Relevant([f"c{i}" for i in range(20)], {}, pool)
+        relevant = miniprover._Relevant({f"c{i}": i for i in range(20)}, 20, pool)
         seen = []
 
         def encode(lit, env):
@@ -232,8 +228,7 @@ class TestGround:
 
         facts = [[Literal(True, "q", (Const(f"c{i}"), Const(f"c{i + 1}")))] for i in (3, 7)]
         guarded = [Literal(False, "q", (X, Y)), Literal(True, "p", (Y,))]
-        got = miniprover._ground(facts + [guarded], range(20), encode, None,
-                                 relevant=relevant)
+        got = miniprover._ground(facts + [guarded], relevant, encode, None)
         assert got == [(1,), (2,), (-1, 3), (-2, 4)]
         assert seen[2:] == [("q", {"X": 3, "Y": 4}), ("p", {"X": 3, "Y": 4}),
                             ("q", {"X": 7, "Y": 8}), ("p", {"X": 7, "Y": 8})]
@@ -294,27 +289,45 @@ def ground_reference(clauses, values, encode):
 class TestGroundPruning:
     @settings(max_examples=200, deadline=None)
     @given(ground_problems())
-    def test_same_instances_in_the_same_order_as_the_product(self, problem):
+    def test_without_guards_the_same_instances_as_the_product(self, problem):
+        # with every literal positive no clause has a guard, so the
+        # grounding keeps each instance of the product, once, as a set of
+        # its literals; the pool's seven keys are table entries, which
+        # make no atom possibly true
         clauses, encode = problem
-        assert miniprover._ground(clauses, GROUND_UNIVERSE, encode, None) \
-            == ground_reference(clauses, GROUND_UNIVERSE, encode)
+        clauses = [[Literal(True, lit.pred, lit.args) for lit in lits] for lits in clauses]
+        pool = miniprover._VarPool()
+        for i in range(7):
+            pool.get(("a", f"c{i}", 0))
+        ids = {"a": 0, "b": 1, ("f", (0,)): 2}  # GROUND_UNIVERSE's elements
+        relevant = miniprover._Relevant(ids, len(GROUND_UNIVERSE), pool)
+
+        def encode_elements(lit, env):
+            return encode(lit, {name: GROUND_UNIVERSE[e] for name, e in env.items()})
+
+        got = miniprover._ground(clauses, relevant, encode_elements, None)
+        assert len(got) == len(set(got))
+        assert set(got) == {tuple(sorted(set(codes)))
+                            for codes in ground_reference(clauses, GROUND_UNIVERSE, encode)}
 
     def test_a_true_literal_prunes_the_later_variables(self):
         # p(X) is bound first and true for X = a: no binding of Y or Z
         # below X = a is ever made
         seen = []
+        pool = miniprover._VarPool()
+        relevant = miniprover._Relevant({"a": 0, "b": 1}, 2, pool)
 
         def encode(lit, env):
             seen.append((lit.pred, dict(env)))
-            if lit.pred == "p":
-                return None if env["X"] == A else 1
-            return 2
+            if lit.pred == "p" and env["X"] == 0:
+                return None
+            return pool.get(("p", lit.pred, tuple(env[a.name] for a in lit.args)))
 
         clause = [Literal(True, "p", (X,)), Literal(True, "q", (X, Y, Var("Z")))]
-        got = miniprover._ground([clause], [A, B], encode, None)
-        assert got == [(1, 2)] * 4
-        assert seen[0] == ("p", {"X": A})
-        assert all(env["X"] == B for _, env in seen[1:])
+        got = miniprover._ground([clause], relevant, encode, None)
+        assert got == [(1, 2), (1, 3), (1, 4), (1, 5)]
+        assert seen[0] == ("p", {"X": 0})
+        assert all(env["X"] == 1 for _, env in seen[1:])
         assert len(seen) == 1 + 1 + 4  # p(a), p(b), then q under X = b
 
 
@@ -471,6 +484,16 @@ class TestFindModel:
         clauses = clausify([Atom("p", (A,)), Atom("p", (B,))])
         assert miniprover.find_model(clauses, 1) is not None
 
+    def test_no_instance_on_an_atom_that_cannot_be_true(self, monkeypatch):
+        # no positive literal makes a q atom true, so the guard ~q(X) of
+        # ~q(X) | p(X) matches nothing: at size 3 the solver gets the unit
+        # p(a) alone, not the three instances of the product
+        clauses = clausify([Atom("p", (A,)),
+                            Forall(("X",), Implies(Atom("q", (X,)), Atom("p", (X,))))])
+        calls = counting_solve(monkeypatch)
+        assert miniprover.find_model(clauses, 3) is not None
+        assert calls == [[(1,)]]
+
 
 SAT_PROBLEM = """
 fof(one, axiom, p(a)).
@@ -578,6 +601,16 @@ ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:q ;
 """ % n for n in (1, 2))
 
 
+F4_SHAPES = PREFIXES + """
+ex:A a sh:NodeShape ; sh:targetClass ex:CA ;
+  sh:property [ sh:path ex:p ; sh:minCount 1 ; sh:maxCount 1 ; sh:class ex:CB ] .
+ex:B a sh:NodeShape ; sh:targetClass ex:CB ;
+  sh:property [ sh:path ex:q ; sh:minCount 1 ; sh:maxCount 1 ; sh:class ex:CC ] .
+ex:C a sh:NodeShape ; sh:targetClass ex:CC ;
+  sh:property [ sh:path ex:r ; sh:minCount 1 ; sh:maxCount 2 ; sh:class ex:CA ] .
+"""
+
+
 class TestSchedule:
     @pytest.mark.parametrize("name", ["or_violates", "and_violates", "qualified_min_violates"])
     def test_violation_decided_by_refutation_before_the_model_search_grows(
@@ -658,6 +691,20 @@ ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
         out = json.loads(capsys.readouterr().out)
         assert (got, out["verdict"], out["proverDetail"]) \
             == (1, "DoesNotConform", "ground refutation (skolem depth 1)")
+
+    def test_f4_has_a_model_of_size_6(self, tmp_path, capsys, monkeypatch):
+        # three classes whose shapes chain p, q and r values round a cycle:
+        # the size-6 search grounds only the instances whose guards fall on
+        # atoms that can be true, about 1,250 clauses where the product
+        # gave 33,690, so a 3 s budget leaves a wide margin
+        shapes = tmp_path / "f4.ttl"
+        shapes.write_text(F4_SHAPES)
+        solved = counting_solve(monkeypatch)
+        got = cli.main(["sat", str(shapes), "--prover", "builtin", "--timeout", "3", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert (got, out["verdict"], out["proverDetail"]) \
+            == (0, "Satisfiable", "finite model of size 6")
+        assert len(solved[-1]) < 2_000
 
     def test_containment_decided_well_inside_the_timeout(self):
         start = time.monotonic()
@@ -828,6 +875,18 @@ class TestUniqueNames:
         assert (got, out["verdict"], out["proverDetail"]) \
             == (1, "DoesNotConform", "ground refutation (skolem depth 1)")
 
+    def test_twenty_conforming_people_have_a_model(self, tmp_path, capsys):
+        # 42 constants, all pinned: the size-42 search grounds only the
+        # relevant instances, about 250,000 clauses with the totality rows,
+        # under the size limit, where the product passed it (GaveUp)
+        shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
+        shapes.write_text(PEOPLE_SHAPES)
+        data.write_text(people(20))
+        got = cli.main(["validate", str(shapes), str(data),
+                        "--prover", "builtin", "--timeout", "10", "--json"])
+        out = json.loads(capsys.readouterr().out)
+        assert (got, out["verdict"], out["proverDetail"]) \
+            == (0, "Conforms", "finite model of size 42")
 
     def test_a_wide_distinct_is_pinned_in_linear_time(self, monkeypatch):
         # 2,000 constants in one $distinct: each is pinned on its literal's

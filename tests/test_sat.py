@@ -123,3 +123,15 @@ class TestStructured:
         except TimeBudgetExceeded:
             pass
         assert time.monotonic() - start < 1.5
+
+    def test_decisions_take_the_next_variable_from_a_heap(self):
+        # 10,000 independent pairs, each x_i xor x_(i+1): 10,000 decisions
+        # and no conflict, each decision popped from the order heap rather
+        # than found by a scan of all 20,000 variables
+        clauses = []
+        for i in range(1, 20_001, 2):
+            clauses += [(i, i + 1), (-i, -(i + 1))]
+        start = time.monotonic()
+        model = solve(clauses)
+        assert time.monotonic() - start < 1
+        assert model is not None and check_model(clauses, model)
