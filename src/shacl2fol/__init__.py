@@ -18,7 +18,7 @@ from .errors import (
 )
 from .oracle import ValidationReport, Violation, evaluate, path_eval
 from .rdf import (
-    Graph, RdfTerm, Syntax, TermKind, Triple, bnode, iri, literal,
+    Graph, RdfTerm, TermKind, Triple, bnode, iri, literal,
     parse_document, parse_file, serialize_ntriples,
 )
 from .shapes import Shape, ShapeGraph, detect_recursion, extract_shape_graph
@@ -32,7 +32,7 @@ __all__ = [
     "EmitOptions", "Graph", "InvalidOptions", "MalformedShape",
     "ProverConfig", "ProverNotFound", "ProverProtocolError", "RdfSyntaxError",
     "RdfTerm", "RecursiveShapeGraph", "Shacl2FolError", "Shape", "ShapeGraph",
-    "StarMode", "Syntax", "TaskKind", "TermKind", "Triple",
+    "StarMode", "TaskKind", "TermKind", "Triple",
     "UnsupportedComponent", "UnsupportedFeature", "ValidationReport",
     "Verdict", "Violation", "bnode", "build_problem", "detect_recursion",
     "evaluate", "extract_shape_graph", "iri", "literal", "parse_document",

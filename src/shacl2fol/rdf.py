@@ -1,21 +1,25 @@
-"""RDF data model and parsers for N-Triples and a pragmatic Turtle subset.
+"""RDF data model and one parser, for a pragmatic Turtle subset.
 
 The Turtle subset covers what real SHACL documents use: @prefix/@base (and
 the SPARQL-style PREFIX/BASE forms), the `a` keyword, predicate and object
 lists, anonymous blank nodes `[ ... ]`, collections `( ... )`, and the
 numeric/boolean/string literal shorthands.  Named graphs and quoted triples
 are rejected.  Literal equality is syntactic: "01"^^xsd:integer and
-"1"^^xsd:integer are different terms.
+"1"^^xsd:integer are different terms.  N-Triples is a subset of Turtle
+(RDF 1.1 N-Triples, §1), so an N-Triples document, a `.nt` file too, is
+read by the same parser into the same triples.  Relative IRI references
+are resolved against the document's `@base` as RFC 3986 §5.2 resolves
+them.
 
-A Turtle document is read in one compiled-regex pass, which skips
-whitespace and comments and yields plain `(kind, text, offset)` tuples;
-the line and column of an offset are worked out only when an error is
-raised.  The parser walks the token list by index and keeps the blank
-node property lists, collections and `^^` datatypes it has opened on one
-explicit stack, so nesting depth is bounded by memory, not by Python's
-recursion limit.  Both parsers build each distinct IRI and blank node
-once per document (`_Terms`), and a term computes its hash and its sort
-key once, when it is built.
+A document is read in one compiled-regex pass, which skips whitespace and
+comments and yields plain `(kind, text, offset)` tuples; the line and
+column of an offset are worked out only when an error is raised.  The
+parser walks the token list by index and keeps the blank node property
+lists, collections and `^^` datatypes it has opened on one explicit
+stack, so nesting depth is bounded by memory, not by Python's recursion
+limit.  The parser builds each distinct IRI and blank node once per
+document (`_Terms`), and a term computes its hash and its sort key once,
+when it is built.
 """
 
 from __future__ import annotations
@@ -317,15 +321,15 @@ class _Terms:
     """The IRIs and blank nodes of one document, each built once.
 
     `named` maps the text of an IRI reference (`<...>`) or a prefixed name
-    to its term.  A Turtle document may redefine a prefix or its base
-    partway through, so the Turtle parser clears `named` at every
-    directive.  Blank nodes are renamed apart: `b1`, `b2`, ... in the
-    order they are first met.
+    to its term.  A document may redefine a prefix or its base partway
+    through, so the parser clears `named` at every directive.  Blank
+    nodes are renamed apart: `b1`, `b2`, ... in the order they are first
+    met.
     """
 
-    def __init__(self, text: str, base: str = ""):
+    def __init__(self, text: str):
         self.text = text
-        self.base = base
+        self.base = ""
         self.prefixes: dict[str, str] = {}
         self.named: dict[str, RdfTerm] = {}
         self.blanks: dict[str, RdfTerm] = {}
@@ -355,16 +359,58 @@ class _Terms:
         return term
 
     def resolve(self, ref: str) -> str:
-        if re.match(r"^[A-Za-z][A-Za-z0-9+.-]*:", ref):
+        """The IRI reference `ref` resolved against the base, as RFC 3986
+        §5.2.2 resolves it; an absolute IRI is kept as it is."""
+        if re.match(r"^[A-Za-z][A-Za-z0-9+.-]*:", ref) or not self.base:
             return ref
-        if not self.base:
-            return ref
-        if ref.startswith("#") or not ref:
-            return self.base.split("#")[0] + ref
-        base = self.base
-        if base.endswith(("/", "#")):
-            return base + ref
-        return base.rsplit("/", 1)[0] + "/" + ref
+        # the scheme, authority, path, query and fragment (RFC 3986
+        # appendix B); an absent part is None, an empty one ""
+        split = r"^(?:([^:/?#]+):)?(?://([^/?#]*))?([^?#]*)(?:\?([^#]*))?(?:#(.*))?"
+        scheme, authority, path, query, _ = re.match(split, self.base).groups()
+        _, r_authority, r_path, r_query, fragment = re.match(split, ref).groups()
+        if r_authority is not None:
+            authority, path, query = r_authority, _remove_dot_segments(r_path), r_query
+        elif r_path:
+            if r_path[0] != "/":
+                if authority is not None and not path:
+                    r_path = "/" + r_path
+                else:
+                    r_path = path[:path.rfind("/") + 1] + r_path
+            path, query = _remove_dot_segments(r_path), r_query
+        elif r_query is not None:
+            query = r_query
+        out = f"{scheme}:" if scheme is not None else ""
+        if authority is not None:
+            out += "//" + authority
+        out += path
+        if query is not None:
+            out += "?" + query
+        if fragment is not None:
+            out += "#" + fragment
+        return out
+
+
+def _remove_dot_segments(path: str) -> str:
+    """`path` with its `.` and `..` segments removed (RFC 3986 §5.2.4)."""
+    out: list[str] = []
+    while path:
+        if path.startswith("../"):
+            path = path[3:]
+        elif path.startswith("./") or path.startswith("/./"):
+            path = path[2:]
+        elif path == "/.":
+            path = "/"
+        elif path.startswith("/../") or path == "/..":
+            path = "/" + path[4:]
+            if out:
+                out.pop()
+        elif path == "." or path == "..":
+            path = ""
+        else:
+            end = re.match(r"/?[^/]*", path).end()
+            out.append(path[:end])
+            path = path[end:]
+    return "".join(out)
 
 
 # --- Turtle tokenizer ------------------------------------------------------
@@ -424,10 +470,10 @@ _SUBJECT, _SUBJECT_LIST, _PREDICATE, _OBJECT, _ITEM, _DATATYPE = range(6)
 
 
 class _TurtleParser:
-    def __init__(self, text: str, base_iri: Optional[str]):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.terms = _Terms(text, base_iri or "")
+        self.terms = _Terms(text)
         self.triples: list[Triple] = []
 
     def error(self, message: str, at: int) -> RdfSyntaxError:
@@ -605,74 +651,21 @@ class _TurtleParser:
         return head
 
 
-# --- N-Triples parser ------------------------------------------------------
-
-_NT_IRI = rf"(<{_IRI_BODY}>)"
-_NT_BNODE = r"_:([A-Za-z0-9_][A-Za-z0-9_.-]*)"
-_NT_LITERAL = rf'"((?:[^"\\\n]|\\.)*)"(?:(?:\^\^{_NT_IRI})|(?:@([a-zA-Z]+(?:-[a-zA-Z0-9]+)*)))?'
-_NT_LINE = re.compile(
-    r"^\s*(?:"
-    rf"(?:{_NT_IRI}|{_NT_BNODE})"      # subject: groups 1 (iri) / 2 (bnode)
-    rf"\s+{_NT_IRI}"                    # predicate: group 3
-    rf"\s+(?:{_NT_IRI}|{_NT_BNODE}|{_NT_LITERAL})"  # object: groups 4-8
-    r"\s*\.\s*)?(?:#.*)?$"
-)
+def parse_document(text: str) -> Graph:
+    """Parse a Turtle or N-Triples document into a Graph; blank labels are
+    renamed apart per call."""
+    return _TurtleParser(text).parse()
 
 
-def _parse_ntriples(text: str) -> Graph:
-    triples = []
-    terms = _Terms(text)
-    named = terms.named
-    start = 0  # the offset of the line
-    for line in text.split("\n"):
-        at, start = start, start + len(line) + 1
-        if not line.strip():
-            continue
-        m = _NT_LINE.match(line)
-        if m is None:
-            raise _error(text, "malformed N-Triples line", at)
-        if m.group(3) is None:  # comment-only line
-            continue
-        g = m.groups()
-        if g[0] is not None:
-            subj = named.get(g[0]) or terms.name(g[0], at + m.start(1))
-        else:
-            subj = terms.blank(g[1])
-        pred = named.get(g[2]) or terms.name(g[2], at + m.start(3))
-        if g[3] is not None:
-            obj = named.get(g[3]) or terms.name(g[3], at + m.start(4))
-        elif g[4] is not None:
-            obj = terms.blank(g[4])
-        else:
-            lex = _unescape(g[5], text, at + m.start(6))
-            if g[6] is not None:
-                dtype = named.get(g[6]) or terms.name(g[6], at + m.start(7))
-                obj = literal(lex, datatype=dtype.lexical)
-            elif g[7] is not None:
-                obj = literal(lex, lang=g[7])
-            else:
-                obj = literal(lex)
-        triples.append(Triple(subj, pred, obj))
-    return Graph(triples)
-
-
-class Syntax(Enum):
-    NTRIPLES = "ntriples"
-    TURTLE = "turtle"
-
-
-def parse_document(text: str, syntax: Syntax, base_iri: Optional[str] = None) -> Graph:
-    """Parse a document into a Graph; blank labels are renamed apart per call."""
-    if syntax is Syntax.NTRIPLES:
-        return _parse_ntriples(text)
-    return _TurtleParser(text, base_iri).parse()
-
-
-def parse_file(path, base_iri: Optional[str] = None) -> Graph:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    syntax = Syntax.NTRIPLES if str(path).endswith(".nt") else Syntax.TURTLE
-    return parse_document(text, syntax, base_iri)
+def parse_file(path) -> Graph:
+    """Parse the Turtle or N-Triples file at `path`; a file that is not
+    UTF-8 is an RdfSyntaxError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise RdfSyntaxError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return parse_document(text)
 
 
 def serialize_ntriples(g: Graph) -> str:

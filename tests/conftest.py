@@ -14,7 +14,7 @@ from shacl2fol.fol import Const, Func, Var
 
 
 def load_shapes(ttl: str) -> shapes.ShapeGraph:
-    return shapes.extract_shape_graph(rdf.parse_document(ttl, rdf.Syntax.TURTLE))
+    return shapes.extract_shape_graph(rdf.parse_document(ttl))
 
 
 def not_chain(n: int) -> str:
@@ -59,7 +59,7 @@ def path_list(n: int, alternative: bool) -> str:
 
 
 def load_graph(ttl: str) -> rdf.Graph:
-    return rdf.parse_document(ttl, rdf.Syntax.TURTLE)
+    return rdf.parse_document(ttl)
 
 
 NAMES = [Const("c0"), Const("c1"), Const("c2")]

@@ -449,6 +449,28 @@ class TestRejectedInput:
         assert captured.err.startswith("shacl2fol: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, options", [
+        (["oracle"], []),
+        (["validate"], BUILTIN),
+        (["emit", "validate"], ["--out", "{out}"]),
+    ], ids=["oracle", "validate", "emit-validate"])
+    @pytest.mark.parametrize("which", ["shapes", "ok"])
+    def test_a_file_that_is_not_utf8_exits_65_with_one_line(
+        self, files, capsys, command, options, which
+    ):
+        utf16 = files["dir"] / "utf16.ttl"
+        utf16.write_bytes(b"\xff\xfe" + OK_DATA.encode("utf-16-le"))
+        out = files["dir"] / "problem.p"
+        inputs = [str(utf16) if name == which else files[name] for name in ("shapes", "ok")]
+        argv = command + inputs + [o.format(out=out) for o in options]
+        assert cli.main(argv) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"shacl2fol: {utf16}: not UTF-8: invalid start byte at byte 0"
+        ]
+        assert not out.exists()
+
     def test_strong_sat_naming_an_undefined_shape_is_a_usage_error(self, files, capsys):
         code = cli.main(["sat", files["shapes"], "--strong-sat", EX_NOPE, *BUILTIN])
         assert code == 64

@@ -1,21 +1,36 @@
+from enum import Enum
+
 import pytest
 from hypothesis import given, strategies as st
 
 from shacl2fol import rdf
 from shacl2fol.errors import RdfSyntaxError, UnsupportedFeature
 from shacl2fol.rdf import (
-    Graph, RDF_NS, RdfTerm, Syntax, TermKind, Triple, bnode, iri, literal,
-    parse_document, serialize_ntriples,
+    Graph, RDF_NS, RdfTerm, TermKind, Triple, bnode, iri, literal,
+    parse_document, parse_file, serialize_ntriples,
 )
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 
 
+class Syntax(Enum):
+    """The file suffix a document of each syntax is stored under; the one
+    reader must not care which."""
+    NTRIPLES = ".nt"
+    TURTLE = ".ttl"
+
+
+def read_as(text: str, syntax: Syntax, tmp_path) -> Graph:
+    path = tmp_path / f"doc{syntax.value}"
+    path.write_text(text, encoding="utf-8")
+    return parse_file(path)
+
+
 class TestNTriples:
+    """N-Triples documents, which the one Turtle parser reads."""
+
     def test_basic_triple(self):
-        g = parse_document(
-            "<http://e/a> <http://e/p> <http://e/b> .", Syntax.NTRIPLES
-        )
+        g = parse_document("<http://e/a> <http://e/p> <http://e/b> .")
         assert len(g) == 1
         t = next(iter(g))
         assert t.subject == iri("http://e/a")
@@ -26,8 +41,7 @@ class TestNTriples:
         g = parse_document(
             '<http://e/a> <http://e/p> "plain" .\n'
             '<http://e/a> <http://e/p> "tagged"@en .\n'
-            f'<http://e/a> <http://e/p> "5"^^<{XSD}integer> .',
-            Syntax.NTRIPLES,
+            f'<http://e/a> <http://e/p> "5"^^<{XSD}integer> .'
         )
         objs = {t.object for t in g}
         assert literal("plain") in objs
@@ -35,25 +49,19 @@ class TestNTriples:
         assert literal("5", datatype=XSD + "integer") in objs
 
     def test_blank_nodes_renamed_consistently(self):
-        g = parse_document(
-            "_:x <http://e/p> _:y .\n_:y <http://e/p> _:x .",
-            Syntax.NTRIPLES,
-        )
+        g = parse_document("_:x <http://e/p> _:y .\n_:y <http://e/p> _:x .")
         subjects = {t.subject for t in g}
         objects = {t.object for t in g}
         assert all(s.kind is TermKind.BLANK for s in subjects)
         assert subjects == objects  # the two labels map to the same two nodes
 
     def test_comments_and_blank_lines(self):
-        g = parse_document(
-            "# leading comment\n\n<http://e/a> <http://e/p> <http://e/b> .\n",
-            Syntax.NTRIPLES,
-        )
+        g = parse_document("# leading comment\n\n<http://e/a> <http://e/p> <http://e/b> .\n")
         assert len(g) == 1
 
     def test_syntax_error_carries_line(self):
         with pytest.raises(RdfSyntaxError) as err:
-            parse_document("<http://e/a> <http://e/p> .", Syntax.NTRIPLES)
+            parse_document("<http://e/a> <http://e/p> .")
         assert err.value.line == 1
 
     @pytest.mark.parametrize("line, column", [
@@ -62,13 +70,13 @@ class TestNTriples:
     ])
     def test_escape_error_carries_its_column(self, line, column):
         with pytest.raises(RdfSyntaxError) as err:
-            parse_document(line, Syntax.NTRIPLES)
+            parse_document(line)
         assert (err.value.line, err.value.column) == (1, column)
 
     @pytest.mark.parametrize("syntax", [Syntax.NTRIPLES, Syntax.TURTLE])
-    def test_iri_escapes_are_decoded(self, syntax):
-        g = parse_document(
-            "<http://e/\\u0041> <http://e/p> <http://e/\\U0001F600> .", syntax
+    def test_iri_escapes_are_decoded(self, syntax, tmp_path):
+        g = read_as(
+            "<http://e/\\u0041> <http://e/p> <http://e/\\U0001F600> .", syntax, tmp_path
         )
         t = next(iter(g))
         assert t.subject == iri("http://e/A")
@@ -76,16 +84,16 @@ class TestNTriples:
 
     @pytest.mark.parametrize("syntax", [Syntax.NTRIPLES, Syntax.TURTLE])
     @pytest.mark.parametrize("escape", ["\\u0020", "\\u003C", "\\u005C", "\\U0000007B"])
-    def test_iri_escape_of_an_excluded_character_is_an_error(self, syntax, escape):
+    def test_iri_escape_of_an_excluded_character_is_an_error(self, syntax, escape, tmp_path):
         with pytest.raises(RdfSyntaxError) as err:
-            parse_document(f"<http://e/a> <http://e/p> <http://e/{escape}b> .", syntax)
+            read_as(f"<http://e/a> <http://e/p> <http://e/{escape}b> .", syntax, tmp_path)
         assert (err.value.line, err.value.column) == (1, 37)
         assert f"bad escape {escape}" in str(err.value)
 
     @pytest.mark.parametrize("syntax", [Syntax.NTRIPLES, Syntax.TURTLE])
-    def test_each_iri_and_blank_node_is_built_once(self, syntax):
-        g = parse_document(
-            "<http://e/a> <http://e/p> _:x .\n_:x <http://e/p> <http://e/a> .", syntax
+    def test_each_iri_and_blank_node_is_built_once(self, syntax, tmp_path):
+        g = read_as(
+            "<http://e/a> <http://e/p> _:x .\n_:x <http://e/p> <http://e/a> .", syntax, tmp_path
         )
         (first, second) = sorted(g, key=lambda t: t.subject.is_blank)
         assert first.subject is second.object
@@ -95,55 +103,72 @@ class TestNTriples:
     @pytest.mark.parametrize("line, column, syntaxes", [
         ('<http://e/a> <http://e/p> "x\\uZZZZ" .', 29, (Syntax.NTRIPLES, Syntax.TURTLE)),
         ('_:b <http://e/p> "ab\\q"@en .', 21, (Syntax.NTRIPLES, Syntax.TURTLE)),
-        # past the three quotes of a long string, which N-Triples lacks
-        ('<http://e/a> <http://e/p> """x\\uZZZZ""" .', 31, (Syntax.TURTLE,)),
+        # past the three quotes of a long string, which a `.nt` file is read with too
+        ('<http://e/a> <http://e/p> """x\\uZZZZ""" .', 31, (Syntax.NTRIPLES, Syntax.TURTLE)),
     ])
-    def test_escape_error_column_is_the_same_in_turtle(self, line, column, syntaxes):
+    def test_escape_error_column_is_the_same_in_turtle(self, line, column, syntaxes, tmp_path):
         for syntax in syntaxes:
             with pytest.raises(RdfSyntaxError) as err:
-                parse_document(line, syntax)
+                read_as(line, syntax, tmp_path)
             assert (err.value.line, err.value.column) == (1, column)
+
+    def test_terms_need_no_whitespace_between_them(self):
+        # valid N-Triples: the grammar asks for no whitespace between terms
+        g = parse_document("<http://e/a><http://e/p><http://e/o>.")
+        assert g == Graph([Triple(iri("http://e/a"), iri("http://e/p"), iri("http://e/o"))])
+
+    def test_blank_node_label_may_not_end_in_a_dot(self):
+        # a label may not end in `.`: this is the label `_:a` and a `.`,
+        # which cannot stand where the predicate goes
+        with pytest.raises(RdfSyntaxError) as err:
+            parse_document("_:a. <http://e/p> <http://e/o> .")
+        assert (err.value.line, err.value.column) == (1, 4)
+
+    def test_two_triples_on_one_line_are_read_as_turtle_reads_them(self):
+        g = parse_document(
+            "<http://e/a> <http://e/p> <http://e/b> . <http://e/b> <http://e/p> <http://e/a> ."
+        )
+        assert len(g) == 2
+
+    def test_nt_and_ttl_files_read_to_the_same_graph(self, tmp_path):
+        text = (
+            '<http://e/a> <http://e/p> "x\\u0041"@en .\n'
+            "_:b <http://e/p> <http://e/\\u0041> .\n"
+            f'_:b <http://e/q> "5"^^<{XSD}integer> .\n'
+        )
+        (tmp_path / "g.nt").write_text(text)
+        (tmp_path / "g.ttl").write_text(text)
+        g = parse_file(tmp_path / "g.nt")
+        assert len(g) == 3
+        assert g == parse_file(tmp_path / "g.ttl")
 
 
 class TestTurtle:
     def test_prefixes_and_a(self):
-        g = parse_document(
-            "@prefix ex: <http://e/> .\nex:a a ex:C .", Syntax.TURTLE
-        )
+        g = parse_document("@prefix ex: <http://e/> .\nex:a a ex:C .")
         t = next(iter(g))
         assert t.predicate == iri(RDF_NS + "type")
         assert t.object == iri("http://e/C")
 
     def test_semicolon_and_comma(self):
-        g = parse_document(
-            '@prefix ex: <http://e/> .\nex:a ex:p ex:b, ex:c ; ex:q "v" .',
-            Syntax.TURTLE,
-        )
+        g = parse_document('@prefix ex: <http://e/> .\nex:a ex:p ex:b, ex:c ; ex:q "v" .')
         assert len(g) == 3
 
     def test_numbers_and_booleans(self):
-        g = parse_document(
-            "@prefix ex: <http://e/> .\nex:a ex:n 42 ; ex:d 3.5 ; ex:b true .",
-            Syntax.TURTLE,
-        )
+        g = parse_document("@prefix ex: <http://e/> .\nex:a ex:n 42 ; ex:d 3.5 ; ex:b true .")
         objs = {t.object for t in g}
         assert literal("42", datatype=XSD + "integer") in objs
         assert literal("3.5", datatype=XSD + "decimal") in objs
         assert literal("true", datatype=XSD + "boolean") in objs
 
     def test_bnode_property_list(self):
-        g = parse_document(
-            '@prefix ex: <http://e/> .\nex:a ex:p [ ex:q "v" ] .', Syntax.TURTLE
-        )
+        g = parse_document('@prefix ex: <http://e/> .\nex:a ex:p [ ex:q "v" ] .')
         assert len(g) == 2
         inner = [t for t in g if t.predicate == iri("http://e/q")]
         assert inner and inner[0].subject.kind is TermKind.BLANK
 
     def test_blank_node_label_ends_before_the_final_dot(self):
-        g = parse_document(
-            "<http://e/a> <http://e/p> _:b1.\n_:a.b <http://e/p> _:b1 .",
-            Syntax.TURTLE,
-        )
+        g = parse_document("<http://e/a> <http://e/p> _:b1.\n_:a.b <http://e/p> _:b1 .")
         assert len(g) == 2
         objects = {t.object for t in g}
         subjects = {t.subject for t in g}
@@ -152,30 +177,40 @@ class TestTurtle:
         assert not subjects & objects  # _:a.b is one label, apart from _:b1
 
     def test_collection(self):
-        g = parse_document(
-            "@prefix ex: <http://e/> .\nex:a ex:p ( ex:x ex:y ) .", Syntax.TURTLE
-        )
+        g = parse_document("@prefix ex: <http://e/> .\nex:a ex:p ( ex:x ex:y ) .")
         head = next(t.object for t in g if t.predicate == iri("http://e/p"))
         assert g.walk_list(head) == [iri("http://e/x"), iri("http://e/y")]
 
-    def test_base_resolution(self):
-        g = parse_document(
-            "@base <http://e/root/> .\n<child> <p> <other> .", Syntax.TURTLE
-        )
-        t = next(iter(g))
-        assert t.subject == iri("http://e/root/child")
+    @pytest.mark.parametrize("base, ref, resolved", [
+        ("http://e/root/", "child", "http://e/root/child"),
+        # the normal examples of RFC 3986 §5.4.1
+        *(("http://a/b/c/d;p?q", ref, resolved) for ref, resolved in [
+            ("g:h", "g:h"), ("g", "http://a/b/c/g"), ("./g", "http://a/b/c/g"),
+            ("g/", "http://a/b/c/g/"), ("/g", "http://a/g"), ("//g", "http://g"),
+            ("?y", "http://a/b/c/d;p?y"), ("g?y", "http://a/b/c/g?y"),
+            ("#s", "http://a/b/c/d;p?q#s"), ("g#s", "http://a/b/c/g#s"),
+            ("g?y#s", "http://a/b/c/g?y#s"), (";x", "http://a/b/c/;x"),
+            ("g;x", "http://a/b/c/g;x"), ("g;x?y#s", "http://a/b/c/g;x?y#s"),
+            ("", "http://a/b/c/d;p?q"), (".", "http://a/b/c/"), ("./", "http://a/b/c/"),
+            ("..", "http://a/b/"), ("../", "http://a/b/"), ("../g", "http://a/b/g"),
+            ("../..", "http://a/"), ("../../", "http://a/"), ("../../g", "http://a/g"),
+        ]),
+        ("http://e/a/b", "/x", "http://e/x"),
+        ("http://e/a/b", "../c", "http://e/c"),
+        ("http://e", "x", "http://e/x"),
+        # a base with no authority: the path is merged all the same
+        ("urn:ex:a/b", "c", "urn:ex:a/c"),
+    ])
+    def test_base_resolution(self, base, ref, resolved):
+        g = parse_document(f"@base <{base}> .\n<http://e/s> <http://e/p> <{ref}> .")
+        assert next(iter(g)).object == iri(resolved)
 
     def test_long_string(self):
-        g = parse_document(
-            '@prefix ex: <http://e/> .\nex:a ex:p """line1\nline2""" .',
-            Syntax.TURTLE,
-        )
+        g = parse_document('@prefix ex: <http://e/> .\nex:a ex:p """line1\nline2""" .')
         assert next(iter(g)).object == literal("line1\nline2")
 
     def test_escapes(self):
-        g = parse_document(
-            '@prefix ex: <http://e/> .\nex:a ex:p "tab\\there" .', Syntax.TURTLE
-        )
+        g = parse_document('@prefix ex: <http://e/> .\nex:a ex:p "tab\\there" .')
         assert next(iter(g)).object == literal("tab\there")
 
     @pytest.mark.parametrize("text, message, line, column", [
@@ -201,7 +236,7 @@ class TestTurtle:
     ])
     def test_error_position(self, text, message, line, column):
         with pytest.raises(RdfSyntaxError) as err:
-            parse_document(text, Syntax.TURTLE)
+            parse_document(text)
         assert (err.value.line, err.value.column) == (line, column)
         assert str(err.value) == f"{message} (line {line}, column {column})"
 
@@ -209,7 +244,6 @@ class TestTurtle:
         g = parse_document(
             "@prefix ex: <http://e/> .\nex:x ex:p ex:y .\n"
             "@prefix ex: <http://f/> .\nex:x ex:p ex:y .",
-            Syntax.TURTLE,
         )
         assert g == Graph([
             Triple(iri("http://e/x"), iri("http://e/p"), iri("http://e/y")),
@@ -218,8 +252,7 @@ class TestTurtle:
 
     def test_base_changed_between_relative_iris(self):
         g = parse_document(
-            "@base <http://e/a/> .\n<x> <p> <y> .\n@base <http://e/b/> .\n<x> <p> <y> .",
-            Syntax.TURTLE,
+            "@base <http://e/a/> .\n<x> <p> <y> .\n@base <http://e/b/> .\n<x> <p> <y> ."
         )
         assert g == Graph([
             Triple(iri("http://e/a/x"), iri("http://e/a/p"), iri("http://e/a/y")),
@@ -228,8 +261,7 @@ class TestTurtle:
 
     def test_graph_braces_unsupported(self):
         with pytest.raises(UnsupportedFeature):
-            parse_document("{ <http://e/a> <http://e/p> <http://e/b> . }",
-                           Syntax.TURTLE)
+            parse_document("{ <http://e/a> <http://e/p> <http://e/b> . }")
 
 
 class TestDeepNesting:
@@ -240,7 +272,6 @@ class TestDeepNesting:
         g = parse_document(
             "@prefix ex: <http://e/> .\nex:a ex:p "
             + "[ ex:p " * depth + "ex:b" + " ]" * depth + " .",
-            Syntax.TURTLE,
         )
         assert len(g) == depth + 1
 
@@ -249,7 +280,6 @@ class TestDeepNesting:
         g = parse_document(
             "@prefix ex: <http://e/> .\nex:a ex:p "
             + "( " * depth + "ex:b" + " )" * depth + " .",
-            Syntax.TURTLE,
         )
         assert len(g) == 2 * depth + 1
 
@@ -258,7 +288,6 @@ class TestDeepNesting:
         g = parse_document(
             "@prefix ex: <http://e/> .\nex:a ex:p ( "
             + " ".join(f"ex:i{k}" for k in range(n)) + " ) .",
-            Syntax.TURTLE,
         )
         assert len(g) == 2 * n + 1
         head = g.object(iri("http://e/a"), "http://e/p")
@@ -292,9 +321,7 @@ class TestModel:
         )
 
     def test_objects_sorted(self):
-        g = parse_document(
-            '@prefix ex: <http://e/> .\nex:a ex:p "b", "a" .', Syntax.TURTLE
-        )
+        g = parse_document('@prefix ex: <http://e/> .\nex:a ex:p "b", "a" .')
         assert g.objects(iri("http://e/a"), "http://e/p") == [
             literal("a"), literal("b"),
         ]
@@ -326,19 +353,19 @@ class TestRoundTrip:
     @given(graphs())
     def test_serialize_then_parse_is_identity(self, g):
         text = serialize_ntriples(g)
-        assert parse_document(text, Syntax.NTRIPLES) == g
+        assert parse_document(text) == g
 
     @given(graphs())
     def test_turtle_reads_the_serialization(self, g):
         text = serialize_ntriples(g)
-        again = parse_document(text, Syntax.TURTLE)
+        again = parse_document(text)
         assert again == g
         assert serialize_ntriples(again) == text
 
     @given(graphs())
     def test_serialization_is_canonical(self, g):
         text = serialize_ntriples(g)
-        again = serialize_ntriples(parse_document(text, Syntax.NTRIPLES))
+        again = serialize_ntriples(parse_document(text))
         assert text == again
 
 
