@@ -1,0 +1,624 @@
+"""The one structure a closed problem allows, checked on its parsed units.
+
+A validation problem fixes everything but its shape predicate.  Each data
+role is closed by a unit of the form `∀X̄ p(X̄) → ∨(∧ Xi = ci)`, or
+`¬∃X̄ p(X̄)` when it has no tuple; each constant's kind is a ground fact,
+and the kinds are pairwise disjoint; the unique-name axioms keep the
+constants apart; and each shape is defined by `∀X (hasShape(X, c) ↔ φ)`.
+These are Reiter's completion and unique-name axioms (*Towards a Logical
+Reconstruction of Relational Database Theory*, 1984).
+
+`check` builds the candidate structure of such a problem and evaluates
+every unit in it:
+
+* its domain is the problem's constants, each its own element;
+* a closed predicate holds exactly on its closure's tuples, read into
+  one set, so a closure is answered by a set lookup, not a walk over its
+  disjunction;
+* a predicate with definitions `∀X̄ (P(ā) ↔ φ)`, where ā holds the
+  variables X̄ and constants, holds where its definition does, evaluated
+  on demand and memoised per tuple;
+* any other predicate holds exactly on its ground facts.
+
+A predicate's first closure and its definitions hold by construction;
+every other unit, a second closure included, is evaluated.  A quantifier
+enumerates the values its guard allows, looked up in an index of the
+closed atoms by the positions already bound, or the whole domain when it
+has no guard.  The evaluation keeps its own explicit stack, so neither a
+10,000-deep conjunction nor a 10,000-deep chain of definitions deepens
+the Python stack, and reads the clock every `_CHECK_EVERY` steps.
+
+The answers:
+
+* every unit holds: the candidate is a model, so the problem is
+  satisfiable;
+* a unit fails: the problem is unsatisfiable when every model agrees
+  with the candidate on that unit, which holds when every constant is
+  kept apart, every predicate but the defined ones is closed with each
+  tuple asserted or is a kind fixed at every constant, and every
+  quantifier but a unit's universal prefix is guarded by a closed atom
+  or by an equality with a bound term: such a quantifier ranges only
+  over the constants' elements in any model (the guarded fragment:
+  Andréka, van Benthem & Németi, *Modal Languages and Bounded Fragments
+  of Predicate Logic*, J. Phil. Logic 1998);
+* otherwise, or with no closure, or with definitions that refer to
+  each other in a cycle, there is no answer (`None`).
+
+The module evaluates first-order formulas; it knows nothing of shapes or
+RDF, so the oracle stays an independent cross-check.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+from typing import Iterator, NamedTuple, Optional
+
+from .fol import (
+    AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Iff,
+    Implies, NotN, OrN, TrueF, Var,
+)
+from .sat import TimeBudgetExceeded
+
+_CHECK_EVERY = 4096
+_GUARD_DEPTH = 32  # how deep below a quantifier its guard is looked for
+_END = object()  # an exhausted iterator's `next` default
+
+
+class Answer(NamedTuple):
+    satisfiable: bool
+    detail: str
+
+
+class _Inapplicable(Exception):
+    """The problem has no one candidate structure: no answer."""
+
+
+class _Lookup(NamedTuple):
+    """A guard atom of a closed predicate: the values at `position` of its
+    tuples whose `keyed` positions hold the values of `terms`."""
+    pred: str
+    keyed: tuple[int, ...]
+    terms: tuple
+    position: int
+
+
+class _Definition(NamedTuple):
+    variables: tuple[tuple[int, str], ...]  # (argument position, variable)
+    body: Formula
+    memo: dict  # the truth per tuple of the variables' values
+
+
+def _value(t, env: dict[str, str]) -> str:
+    return env[t.name] if type(t) is Var else t.name
+
+
+def _closure(f: Formula) -> Optional[tuple[str, int, list[tuple[str, ...]]]]:
+    """The predicate, arity and tuples of a closure unit, `∀X̄ p(X̄) →
+    ∨(∧ Xi = ci)` or `¬∃X̄ p(X̄)`, with X̄ distinct; None for any other unit."""
+    if type(f) is NotN and type(f.operand) is Exists:
+        variables, atom, cases = f.operand.variables, f.operand.body, FalseF()
+    elif type(f) is Forall and type(f.body) is Implies:
+        variables, atom, cases = f.variables, f.body.left, f.body.right
+    else:
+        return None
+    if type(atom) is not Atom or len(set(variables)) != len(variables) \
+            or len(atom.args) != len(variables):
+        return None
+    position = {}
+    for i, a in enumerate(atom.args):
+        if type(a) is not Var or a.name not in variables or a.name in position:
+            return None
+        position[a.name] = i
+    disjuncts = () if type(cases) is FalseF else \
+        cases.operands if type(cases) is OrN else (cases,)
+    tuples = []
+    for d in disjuncts:
+        eqs = d.operands if type(d) is AndN else (d,)
+        row: list = [None] * len(variables)
+        for eq in eqs:
+            if type(eq) is not Eq:
+                return None
+            v, c = (eq.left, eq.right) if type(eq.left) is Var else (eq.right, eq.left)
+            if type(v) is not Var or type(c) is not Const or v.name not in position \
+                    or row[position[v.name]] is not None:
+                return None
+            row[position[v.name]] = c.name
+        if None in row:
+            return None
+        tuples.append(tuple(row))
+    return atom.pred, len(variables), tuples
+
+
+def _definition_head(f: Formula):
+    """The atom and body of a definition `∀X̄ (P(ā) ↔ φ)`, where ā holds
+    each of X̄ once and constants; else None."""
+    if type(f) is not Forall or type(f.body) is not Iff or type(f.body.left) is not Atom:
+        return None
+    atom = f.body.left
+    names = [a.name for a in atom.args if type(a) is Var]
+    if sorted(names) != sorted(set(f.variables)) or len(set(names)) != len(names) \
+            or any(type(a) not in (Var, Const) for a in atom.args):
+        return None
+    return atom, f.body.right
+
+
+class ClosedStructure:
+    """The candidate structure of a list of named units.
+
+    Raises `_Inapplicable` when the units have no closure or no one
+    candidate, and `TimeBudgetExceeded` once the clock passes `deadline`.
+    """
+
+    def __init__(self, units: list[tuple[str, Formula]], deadline: Optional[float] = None):
+        self.deadline = deadline
+        self.steps = 0
+        self.tuples: dict[str, list[tuple[str, ...]]] = {}  # each closure's, in order
+        self.closed: dict[str, set[tuple[str, ...]]] = {}  # the same, as sets
+        self.arity: dict[str, int] = {}
+        rest = []
+        for name, f in units:
+            got = _closure(f)
+            if got is None or got[0] in self.closed:
+                rest.append((name, f))  # a second closure is checked as a unit
+                continue
+            pred, arity, tuples = got
+            self.arity[pred] = arity
+            self.tuples[pred] = list(dict.fromkeys(tuples))
+            self.closed[pred] = set(tuples)
+        if not self.closed:
+            raise _Inapplicable()
+        # each defined predicate's argument positions that hold constants,
+        # and its definitions by the constants there
+        self.patterns: dict[str, tuple[int, ...]] = {}
+        self.definitions: dict[str, dict[tuple[str, ...], _Definition]] = {}
+        self.checked: list[tuple[str, Formula]] = []  # the units to evaluate
+        definition_units = []
+        for name, f in rest:
+            head = _definition_head(f)
+            if head is not None and head[0].pred not in self.closed:
+                atom, body = head
+                pattern = tuple(i for i, a in enumerate(atom.args) if type(a) is Const)
+                key = tuple(atom.args[i].name for i in pattern)
+                defs = self.definitions.setdefault(atom.pred, {})
+                if self.patterns.setdefault(atom.pred, pattern) == pattern and key not in defs:
+                    variables = tuple((i, a.name) for i, a in enumerate(atom.args)
+                                      if type(a) is Var)
+                    defs[key] = _Definition(variables, body, {})
+                    definition_units.append((atom.pred, key, f))
+                    continue
+            self.checked.append((name, f))
+        self.elements: dict[str, None] = {}  # the constants, in order of appearance
+        for ts in self.tuples.values():
+            for t in ts:
+                self.elements.update(dict.fromkeys(t))
+        self.facts: dict[str, set[tuple[str, ...]]] = {}
+        self.used: dict[str, set[int]] = {}  # predicate -> the arities of its atoms
+        self.open_reference = False  # an atom of a defined predicate without definition
+        self.unguarded = False  # a quantifier outside a universal prefix without guard
+        self.distinct: list[tuple[str, ...]] = []  # the constants of each $distinct unit
+        self.apart: list[tuple[str, str]] = []  # the pairs of the ground units ¬(a = b)
+        self.disjoint: set[tuple[str, str]] = set()  # kinds no element has both of
+        self.plans: dict[int, tuple] = {}  # id of a quantifier -> one source per variable
+        edges: dict[tuple[str, tuple], list[tuple[str, tuple]]] = {}
+        guards = _Guards(self.closed)
+        for pred, key, f in definition_units:
+            edges[pred, key] = self._scan(f, guards, True)
+        for _, f in self.checked:
+            self._scan(f, guards, False)
+            self._read_axiom(f)
+        if not self.elements:
+            raise _Inapplicable()
+        self._check_acyclic(edges)
+        self.index: dict[tuple, dict] = {}
+
+    # --- reading the units ---
+
+    def _read_axiom(self, f: Formula) -> None:
+        """Record a ground fact, unique-name unit or kind disjointness."""
+        t = type(f)
+        if t is Atom and all(type(a) is Const for a in f.args):
+            self.facts.setdefault(f.pred, set()).add(tuple(a.name for a in f.args))
+        elif t is Distinct:
+            self.distinct.append(tuple(c.name for c in f.constants))
+        elif t is NotN and type(f.operand) is Eq:
+            eq = f.operand
+            if type(eq.left) is Const and type(eq.right) is Const:
+                self.apart.append((eq.left.name, eq.right.name))
+        elif t is Forall and len(f.variables) == 1 and type(f.body) is NotN \
+                and type(f.body.operand) is AndN and len(f.body.operand.operands) == 2:
+            x = Var(f.variables[0])
+            kinds = [a.pred for a in f.body.operand.operands
+                     if type(a) is Atom and a.args == (x,)]
+            if len(kinds) == 2:
+                self.disjoint.update((tuple(kinds), tuple(kinds[::-1])))
+
+    def _scan(self, f: Formula, guards: "_Guards", definition: bool) -> list:
+        """Walk a unit (a definition's body when `definition`): record its
+        constants, predicates and quantifier plans, and return the
+        definitions its atoms refer to.  The universal prefix is the run
+        of `∀` at the root, whose variables need no guard."""
+        refs = []
+        stack = [(f, frozenset(), True)]
+        while stack:
+            g, bound, prefix = stack.pop()
+            self._tick()
+            t = type(g)
+            if t is Atom:
+                self.used.setdefault(g.pred, set()).add(len(g.args))
+                self._terms(g.args, bound)
+                pattern = self.patterns.get(g.pred)
+                if pattern is not None:
+                    if any(i >= len(g.args) or type(g.args[i]) is not Const for i in pattern):
+                        raise _Inapplicable()  # a reference the candidate cannot resolve
+                    key = tuple(g.args[i].name for i in pattern)
+                    if key in self.definitions[g.pred]:
+                        refs.append((g.pred, key))
+                    else:
+                        self.open_reference = True
+            elif t is Eq:
+                self._terms((g.left, g.right), bound)
+            elif t is Distinct:
+                self._terms(g.constants, bound)
+            elif t is NotN:
+                stack.append((g.operand, bound, False))
+            elif t is AndN or t is OrN:
+                stack.extend((h, bound, False) for h in g.operands)
+            elif t is Implies or t is Iff:
+                stack.extend(((g.left, bound, False), (g.right, bound, False)))
+            elif t is Forall or t is Exists:
+                universal = prefix and t is Forall
+                if definition and universal:
+                    head = g.body.left
+                    self.used.setdefault(head.pred, set()).add(len(head.args))
+                    self._terms(head.args, bound | set(g.variables))
+                    stack.append((g.body.right, bound | set(g.variables), False))
+                    continue
+                plan = []
+                inner = set(bound)
+                for v in g.variables:
+                    inner.discard(v)
+                for v in g.variables:
+                    source = guards.source(g.body, v, frozenset(inner), t is Exists)
+                    if source is None and not universal:
+                        self.unguarded = True
+                    plan.append(source)
+                    inner.add(v)
+                self.plans[id(g)] = tuple(plan)
+                stack.append((g.body, frozenset(inner), universal))
+            elif t is not TrueF and t is not FalseF:
+                raise _Inapplicable()
+        return refs
+
+    def _terms(self, terms, bound) -> None:
+        for a in terms:
+            if type(a) is Const:
+                self.elements[a.name] = None
+            elif type(a) is not Var or a.name not in bound:
+                raise _Inapplicable()  # a free variable or a function term
+
+    def _check_acyclic(self, edges: dict) -> None:
+        """Each definition's references, followed from it, reach no
+        definition twice on one path: the candidate is well defined."""
+        done: set = set()
+        for start in edges:
+            if start in done:
+                continue
+            path = {start}
+            stack = [(start, iter(edges[start]))]
+            while stack:
+                node, refs = stack[-1]
+                nxt = next(refs, _END)
+                if nxt is _END:
+                    stack.pop()
+                    path.discard(node)
+                    done.add(node)
+                elif nxt in path:
+                    raise _Inapplicable()
+                elif nxt not in done:
+                    path.add(nxt)
+                    stack.append((nxt, iter(edges[nxt])))
+
+    # --- the soundness conditions of a failure ---
+
+    def exact(self) -> bool:
+        """Whether every model agrees with the candidate on every unit,
+        so that a failing unit refutes the problem."""
+        return not self.unguarded and not self.open_reference \
+            and self._all_apart() and all(map(self._fixed, self.used.items()))
+
+    def _all_apart(self) -> bool:
+        n = len(self.elements)
+        if any(len(set(group)) == n for group in self.distinct):
+            return True  # one $distinct over every constant
+        pairs = {(a, b) if a < b else (b, a) for a, b in self.apart if a != b}
+        for group in self.distinct:
+            pairs.update(itertools.combinations(sorted(set(group)), 2))
+        return len(pairs) == n * (n - 1) // 2
+
+    def _fixed(self, item: tuple[str, set[int]]) -> bool:
+        """Whether every model interprets the predicate as the candidate
+        does on the constants."""
+        pred, arities = item
+        if pred in self.closed:
+            return arities == {self.arity[pred]} \
+                and self.closed[pred] <= self.facts.get(pred, set())
+        if pred in self.definitions:
+            definition = next(iter(self.definitions[pred].values()))
+            return arities == {len(self.patterns[pred]) + len(definition.variables)}
+        if arities != {1}:
+            return False
+        kinds = self.facts.get(pred, set())
+        others = [(k, facts) for k, facts in self.facts.items()
+                  if (pred, k) in self.disjoint]
+        return all((c,) in kinds or any((c,) in facts for _, facts in others)
+                   for c in self.elements)
+
+    # --- evaluation ---
+
+    def _tick(self) -> None:
+        self.steps += 1
+        if self.steps >= _CHECK_EVERY:
+            self.steps = 0
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise TimeBudgetExceeded()
+
+    def failures(self, f: Formula) -> Iterator[dict[str, str]]:
+        """The bindings of the unit's outermost `∀` at which it fails, or
+        one empty binding if a unit without one fails."""
+        if type(f) is Forall:
+            for env in self._bindings(f, {}):
+                if not self._run(f.body, env):
+                    yield dict(env)
+        elif not self._run(f, {}):
+            yield {}
+
+    def _run(self, f: Formula, env: dict[str, str]) -> bool:
+        """The truth of `f` under `env`.  The evaluations of the
+        subformulas in progress are generators on one stack: each yields
+        the subformula it needs and is sent back its truth."""
+        value = self._leaf(f, env)
+        if value is not None:
+            return value
+        stack = [self._eval(f, env)]
+        value = None
+        while True:
+            try:
+                g, genv = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+                continue
+            self._tick()
+            stack.append(self._eval(g, genv))
+            value = None
+
+    def _leaf(self, f: Formula, env: dict[str, str]) -> Optional[bool]:
+        """The truth of a formula read off the candidate at once; None
+        for one that needs its own evaluation."""
+        t = type(f)
+        if t is Atom:
+            args = tuple([env[a.name] if type(a) is Var else a.name for a in f.args])
+            closed = self.closed.get(f.pred)
+            if closed is not None:
+                return args in closed
+            pattern = self.patterns.get(f.pred)
+            if pattern is None:
+                return args in self.facts.get(f.pred, ())
+            definition = self.definitions[f.pred].get(tuple(args[i] for i in pattern))
+            if definition is None:
+                return False
+            return definition.memo.get(tuple(args[i] for i, _ in definition.variables))
+        if t is Eq:
+            return _value(f.left, env) == _value(f.right, env)
+        if t is NotN and type(f.operand) in (Atom, Eq):
+            value = self._leaf(f.operand, env)
+            return None if value is None else not value
+        if t is TrueF:
+            return True
+        if t is FalseF:
+            return False
+        if t is Distinct:
+            return len({c.name for c in f.constants}) == len(f.constants)
+        return None
+
+    def _sub(self, f: Formula, env: dict[str, str]):
+        """The truth of a subformula: at once, or by yielding it."""
+        value = self._leaf(f, env)
+        if value is None:
+            value = yield f, env
+        return value
+
+    def _eval(self, f: Formula, env: dict[str, str]):
+        """The evaluation of a compound formula, or of an atom of a
+        defined predicate not yet in its memo, for `_run` to drive."""
+        t = type(f)
+        if t is AndN or t is OrN:
+            stop = t is OrN  # the value that decides the connective
+            for g in f.operands:
+                if (yield from self._sub(g, env)) is stop:
+                    return stop
+            return not stop
+        if t is NotN:
+            return not (yield from self._sub(f.operand, env))
+        if t is Implies:
+            return not (yield from self._sub(f.left, env)) \
+                or (yield from self._sub(f.right, env))
+        if t is Iff:
+            return (yield from self._sub(f.left, env)) == (yield from self._sub(f.right, env))
+        if t is Forall or t is Exists:
+            stop = t is Exists
+            for binding in self._bindings(f, env):
+                if (yield from self._sub(f.body, binding)) is stop:
+                    return stop
+            return not stop
+        args = [_value(a, env) for a in f.args]
+        definition = self.definitions[f.pred][tuple(args[i] for i in self.patterns[f.pred])]
+        key = tuple(args[i] for i, _ in definition.variables)
+        value = yield from self._sub(definition.body, {v: args[i] for i, v in definition.variables})
+        definition.memo[key] = value
+        return value
+
+    def _bindings(self, f, env: dict[str, str]) -> Iterator[dict[str, str]]:
+        """The bindings of the quantifier's variables that its plan
+        allows, each variable's values looked up once the variables
+        before it are bound.  One dict is yielded each time, changed in
+        place: read it before asking for the next."""
+        names, plan = f.variables, self.plans[id(f)]
+        env = dict(env)
+        last = len(names) - 1
+        iters = [self._values(plan[0], env)]
+        while iters:
+            value = next(iters[-1], _END)
+            if value is _END:
+                iters.pop()
+                continue
+            k = len(iters) - 1
+            env[names[k]] = value
+            self._tick()
+            if k == last:
+                yield env
+            else:
+                iters.append(self._values(plan[k + 1], env))
+
+    def _values(self, source, env: dict[str, str]):
+        if source is None:
+            return iter(self.elements)
+        if len(source) == 1:
+            return iter(self._alternative(source[0], env))
+        return iter(dict.fromkeys(itertools.chain.from_iterable(
+            self._alternative(alt, env) for alt in source)))
+
+    def _alternative(self, alt, env: dict[str, str]):
+        if type(alt) is not _Lookup:
+            return (_value(alt, env),)  # the bound term of an equality
+        index = self.index.get(alt[:2] + (alt.position,))
+        if index is None:
+            index = self.index[alt[:2] + (alt.position,)] = {}
+            for t in self.tuples.get(alt.pred, ()):
+                index.setdefault(tuple(t[i] for i in alt.keyed), {})[t[alt.position]] = None
+        return index.get(tuple(_value(a, env) for a in alt.terms), ())
+
+
+# --- guards -----------------------------------------------------------------
+
+def _cost(source) -> int:
+    """0 for the bound terms of equalities, 1 for keyed lookups, 2 for any
+    source with a lookup by no position."""
+    return max((0 if type(a) is not _Lookup else 1 if a.keyed else 2 for a in source),
+               default=0)
+
+
+def _best(*sources):
+    found = [s for s in sources if s is not None]
+    return min(found, key=_cost) if found else None
+
+
+def _union(*sources):
+    return None if any(s is None for s in sources) else tuple(itertools.chain(*sources))
+
+
+class _Guards:
+    """The guards of quantified variables among the atoms of `closed`.
+
+    The operands of each conjunction and disjunction are indexed once by
+    the variables of those that are atoms or equalities, negated or not,
+    so a conjunction of many atoms, such as a long sequence path, is not
+    searched whole for each of its variables."""
+
+    def __init__(self, closed: dict):
+        self.closed = closed
+        self.operands: dict[int, tuple[dict[str, list], list]] = {}
+
+    def source(self, f: Formula, v: str, bound: frozenset, true: bool,
+               depth: int = 0) -> Optional[tuple]:
+        """The guard of the variable `v` in `f`: alternatives whose values
+        hold every value of `v` at which `f` is `true`, given values for
+        the variables `bound`; each is a lookup among the tuples of a
+        closed atom or the bound term of an equality.  None when there is
+        none."""
+        if depth > _GUARD_DEPTH:
+            return None
+        depth += 1
+        t = type(f)
+        if t is Atom:
+            if not true or f.pred not in self.closed:
+                return None
+            position = next((i for i, a in enumerate(f.args)
+                             if type(a) is Var and a.name == v), None)
+            if position is None:
+                return None
+            keyed = tuple(i for i, a in enumerate(f.args)
+                          if type(a) is Const or a.name in bound and a.name != v)
+            return (_Lookup(f.pred, keyed, tuple(f.args[i] for i in keyed), position),)
+        if t is Eq:
+            if not true:
+                return None
+            for x, y in ((f.left, f.right), (f.right, f.left)):
+                if type(x) is Var and x.name == v and (type(y) is Const or y.name in bound):
+                    return (y,)
+            return None
+        if t is TrueF or t is FalseF:
+            return () if (t is FalseF) == true else None
+        if t is NotN:
+            return self.source(f.operand, v, bound, not true, depth)
+        if t is AndN or t is OrN:
+            if (t is AndN) != true:  # every operand must guard v
+                return _union(*(self.source(g, v, bound, true, depth) for g in f.operands))
+            return _best(*(self.source(g, v, bound, true, depth) for g in self._can_guard(f, v)))
+        if t is Implies:  # ¬left ∨ right
+            left = self.source(f.left, v, bound, not true, depth)
+            right = self.source(f.right, v, bound, true, depth)
+            return _union(left, right) if true else _best(left, right)
+        if t is Iff:  # both true or both false; false: one of each
+            def side(a, b):
+                return _best(self.source(f.left, v, bound, a, depth),
+                             self.source(f.right, v, bound, b, depth))
+            return _union(side(True, true), side(False, not true))
+        if (t is Exists) == true and v not in f.variables:
+            # true (or, for ∀, false) at some value of its variables
+            return self.source(f.body, v, bound - set(f.variables), true, depth)
+        return None
+
+    def _can_guard(self, f, v: str) -> list:
+        """The operands of `f` that may guard `v`: the atoms and equalities
+        of `v`, negated or not, and the other compound operands."""
+        got = self.operands.get(id(f))
+        if got is None:
+            by_var: dict[str, list] = {}
+            compound = []
+            for g in f.operands:
+                leaf = g.operand if type(g) is NotN else g
+                if type(leaf) is Atom:
+                    args = leaf.args
+                elif type(leaf) is Eq:
+                    args = (leaf.left, leaf.right)
+                else:
+                    compound.append(g)
+                    continue
+                for name in dict.fromkeys(a.name for a in args if type(a) is Var):
+                    by_var.setdefault(name, []).append(g)
+            got = self.operands[id(f)] = (by_var, compound)
+        by_var, compound = got
+        return by_var.get(v, []) + compound
+
+
+def check(units: list[tuple[str, Formula]], deadline: Optional[float] = None) -> Optional[Answer]:
+    """Satisfiable when the candidate structure satisfies every unit,
+    unsatisfiable when it fails one on which every model agrees with it,
+    and None otherwise or when the units allow no one candidate.  Raises
+    `TimeBudgetExceeded` once the clock passes `deadline`."""
+    try:
+        structure = ClosedStructure(units, deadline)
+    except _Inapplicable:
+        return None
+    procedure = f"closed structure of {len(structure.elements)} elements"
+    for name, f in structure.checked:
+        for env in structure.failures(f):
+            if not structure.exact():
+                return None
+            at = " at " + ", ".join(f"{v} = {c}" for v, c in env.items()) if env else ""
+            return Answer(False, f"{procedure}; fails {name}{at}")
+    return Answer(True, procedure)

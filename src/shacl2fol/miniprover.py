@@ -1,6 +1,11 @@
 """Built-in desk-scale prover for the emitted TPTP problems.
 
-Two sound, incomplete procedures over the clausal form:
+`decide_tptp_text` first checks the problem's one candidate structure on
+its parsed units (`closed_structure.check`): a validation problem, whose
+closures, kinds, unique names and definitions fix every predicate, is
+decided there, before anything is clausified.  When the check gives no
+answer, `decide_clauses` runs two sound, incomplete procedures over the
+clausal form:
 
 * finite model search: MACE-style flattening, then propositional grounding
   over increasing domain sizes; any model found is a genuine first-order
@@ -44,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from . import sat
+from . import closed_structure, sat
 from .clausify import DISTINCT, EQ, Clause, Literal, clausify, term_vars
 from .fol import Const, Func, NotN, Term, Var
 from .tptp_parse import TptpParseError, parse_tptp
@@ -798,13 +803,24 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
 
 
 def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
+    """Decide a TPTP problem: first on its one candidate structure
+    (`closed_structure.check`), on the parsed units; when that gives no
+    answer, by `decide_clauses` on their clauses, in the time left."""
+    deadline = time.monotonic() + timeout_s
     units = parse_tptp(text)
-    formulas = [u.body for u in units if u.role in ("axiom", "hypothesis", "definition")]
-    conjectures = [u.body for u in units if u.role == "conjecture"]
-    if conjectures:
-        formulas.extend(NotN(c) for c in conjectures)
-    clauses = clausify(formulas)
-    result = decide_clauses(clauses, timeout_s=timeout_s)
+    named = [(u.name, u.body) for u in units if u.role in ("axiom", "hypothesis", "definition")]
+    conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
+    named.extend(conjectures)
+    try:
+        answer = closed_structure.check(named, deadline)
+    except sat.TimeBudgetExceeded:
+        return ProverResult("Timeout")
+    if answer is not None:
+        result = ProverResult("Satisfiable" if answer.satisfiable else "Unsatisfiable",
+                              answer.detail)
+    else:
+        clauses = clausify([f for _, f in named])
+        result = decide_clauses(clauses, timeout_s=max(0.0, deadline - time.monotonic()))
     if conjectures and result.status in ("Satisfiable", "Unsatisfiable"):
         status = "CounterSatisfiable" if result.status == "Satisfiable" else "Theorem"
         return ProverResult(status, result.detail)

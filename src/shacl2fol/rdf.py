@@ -24,6 +24,7 @@ when it is built.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -658,14 +659,20 @@ def parse_document(text: str) -> Graph:
 
 
 def parse_file(path) -> Graph:
-    """Parse the Turtle or N-Triples file at `path`; a file that is not
-    UTF-8 is an RdfSyntaxError."""
+    """Parse the Turtle or N-Triples file at `path`, UTF-8 with or without
+    a byte order mark; a file that is not UTF-8 is an RdfSyntaxError, which
+    names the offending byte's offset in the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise RdfSyntaxError(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from None
-    return parse_document(text)
+        # the offset is counted after the mark, which the codec strips
+        raise RdfSyntaxError(
+            f"{path}: not UTF-8: {exc.reason} at byte {bom + exc.start}") from None
+    # every line end as "\n", as a file read in text mode gives it
+    return parse_document(text.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def serialize_ntriples(g: Graph) -> str:

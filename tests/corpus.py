@@ -449,35 +449,39 @@ HAND_WRITTEN = [
 ]
 
 
+# The pools the randomized cases draw from: a few fixed shapes, and graphs
+# over three nodes, two predicates, rdf:type and one class.
+SHAPE_POOL = [
+    ("rand_min1",
+     "ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:p ;\n"
+     "  sh:property [ sh:path ex:q ; sh:minCount 1 ] ."),
+    ("rand_max1",
+     "ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:p ;\n"
+     "  sh:property [ sh:path ex:p ; sh:maxCount 1 ] ."),
+    ("rand_kind",
+     "ex:S a sh:NodeShape ; sh:targetObjectsOf ex:q ; sh:nodeKind sh:IRI ."),
+    ("rand_class",
+     "ex:S a sh:NodeShape ; sh:targetClass ex:C ;\n"
+     "  sh:property [ sh:path ex:p ; sh:minCount 1 ] ."),
+    ("rand_disjoint",
+     "ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:p ;\n"
+     "  sh:property [ sh:path ex:p ; sh:disjoint ex:q ] ."),
+]
+NODES = ["ex:n0", "ex:n1", "ex:n2"]
+PREDICATES = ["ex:p", "ex:q"]
+
+
 def _random_cases(count: int = 10, seed: int = 20240817) -> list[Case]:
     """Agreement-only cases: random tiny graphs against a few fixed shapes."""
     rng = random.Random(seed)
-    shape_pool = [
-        ("rand_min1",
-         "ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:p ;\n"
-         "  sh:property [ sh:path ex:q ; sh:minCount 1 ] ."),
-        ("rand_max1",
-         "ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:p ;\n"
-         "  sh:property [ sh:path ex:p ; sh:maxCount 1 ] ."),
-        ("rand_kind",
-         "ex:S a sh:NodeShape ; sh:targetObjectsOf ex:q ; sh:nodeKind sh:IRI ."),
-        ("rand_class",
-         "ex:S a sh:NodeShape ; sh:targetClass ex:C ;\n"
-         "  sh:property [ sh:path ex:p ; sh:minCount 1 ] ."),
-        ("rand_disjoint",
-         "ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:p ;\n"
-         "  sh:property [ sh:path ex:p ; sh:disjoint ex:q ] ."),
-    ]
-    nodes = ["ex:n0", "ex:n1", "ex:n2"]
-    preds = ["ex:p", "ex:q"]
     out = []
     for i in range(count):
-        label, shape = shape_pool[i % len(shape_pool)]
+        label, shape = SHAPE_POOL[i % len(SHAPE_POOL)]
         triples = []
         for _ in range(rng.randint(1, 5)):
-            s = rng.choice(nodes)
-            p = rng.choice(preds + ["a"])
-            o = "ex:C" if p == "a" else rng.choice(nodes)
+            s = rng.choice(NODES)
+            p = rng.choice(PREDICATES + ["a"])
+            o = "ex:C" if p == "a" else rng.choice(NODES)
             triples.append(f"{s} {p} {o} .")
         out.append(_case(f"{label}_{i}", shape, "\n".join(sorted(set(triples))), None))
     return out

@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -470,6 +471,13 @@ class TestRejectedInput:
             f"shacl2fol: {utf16}: not UTF-8: invalid start byte at byte 0"
         ]
         assert not out.exists()
+
+    def test_a_shapes_file_with_a_byte_order_mark_gets_its_verdict(self, files, capsys):
+        marked = files["dir"] / "marked.ttl"
+        marked.write_bytes(codecs.BOM_UTF8 + SHAPES.encode("utf-8"))
+        assert cli.main(["validate", str(marked), files["ok"], *BUILTIN]) == 0
+        assert cli.main(["validate", str(marked), files["bad"], *BUILTIN]) == 1
+        assert capsys.readouterr().out.splitlines()[::2] == ["Conforms", "DoesNotConform"]
 
     def test_strong_sat_naming_an_undefined_shape_is_a_usage_error(self, files, capsys):
         code = cli.main(["sat", files["shapes"], "--strong-sat", EX_NOPE, *BUILTIN])

@@ -1,0 +1,304 @@
+"""The closed-structure check: against the oracle, against the procedures
+of `decide_clauses`, and on the conditions under which a failure refutes."""
+
+import itertools
+import random
+import time
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import load_graph, load_shapes
+from corpus import CASES, NODES, PREDICATES, PREFIXES, SHAPE_POOL
+from shacl2fol import closed_structure, miniprover, oracle, sat
+from shacl2fol.clausify import clausify
+from shacl2fol.closed_structure import ClosedStructure
+from shacl2fol.decide import (
+    DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
+)
+from shacl2fol.fol import (
+    AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Iff, Implies, NotN, OrN, Var,
+)
+from shacl2fol.tptp import Dialect, EmitOptions, StarMode, render, term_symbol
+from shacl2fol.tptp_parse import parse_tptp
+from test_miniprover import PEOPLE_SHAPES, people
+
+EXACT = [c for c in CASES if not c.order]
+# an order role, or a zero-or-more path under the approximate closure
+APPROXIMATE = [c for c in CASES if c.order or c.star_ground]
+
+
+def emitted(shapes_ttl, data_ttl, star=StarMode.APPROXIMATE, dialect=Dialect.TFF):
+    """The shape graph, the data graph and the parsed units of the
+    emitted validation problem."""
+    sg, g = load_shapes(shapes_ttl), load_graph(data_ttl)
+    doc = build_problem(DecisionTask(TaskKind.VALIDATION, sg, data_graph=g,
+                                     options=EmitOptions(dialect=dialect, star_mode=star)))
+    return sg, g, parse_tptp(render(doc))
+
+
+def case_problem(case, dialect=Dialect.TFF):
+    star = StarMode.GROUNDED if case.star_ground else StarMode.APPROXIMATE
+    return emitted(case.shapes_ttl, case.data_ttl, star, dialect)
+
+
+def named(units):
+    return [(u.name, u.body) for u in units]
+
+
+def failing_targets(units) -> set[tuple[str, str]]:
+    """The (shape, focus node) of each failing binding of a target unit."""
+    structure = ClosedStructure(named(units))
+    out = set()
+    for name, f in structure.checked:
+        if not name.startswith("target"):
+            continue
+        body = f.body if type(f) is Forall else f
+        atom = body.right if type(body) is Implies else body
+        node, shape = atom.args
+        for env in structure.failures(f):
+            out.add((shape.name, env[node.name] if type(node) is Var else node.name))
+    return out
+
+
+@pytest.mark.parametrize("dialect", list(Dialect), ids=lambda d: d.value)
+@pytest.mark.parametrize("case", EXACT, ids=lambda c: c.name)
+def test_the_check_gives_the_oracle_verdict(case, dialect):
+    sg, g, units = case_problem(case, dialect)
+    answer = closed_structure.check(named(units))
+    assert answer is not None
+    assert answer.satisfiable == oracle.evaluate(sg, g).conforms
+
+
+@pytest.mark.parametrize("case", EXACT, ids=lambda c: c.name)
+def test_failing_targets_are_the_oracle_violations(case):
+    sg, g, units = case_problem(case)
+    report = oracle.evaluate(sg, g)
+    assert failing_targets(units) == {
+        (term_symbol(v.shape_name), term_symbol(v.focus_node)) for v in report.violations}
+
+
+@pytest.mark.parametrize("case", APPROXIMATE, ids=lambda c: c.name)
+def test_an_approximate_star_or_an_order_never_refutes(case):
+    # the star and order roles are not closed: the candidate, which makes
+    # them false, fails a unit, and that failure proves nothing
+    _, _, units = emitted(case.shapes_ttl, case.data_ttl)
+    structure = ClosedStructure(named(units))
+    assert any(next(structure.failures(f), None) is not None for _, f in structure.checked)
+    assert not structure.exact()
+    assert closed_structure.check(named(units)) is None
+
+
+# the shapes of the random pool and of the hand-written cases that the
+# check decides without a grounded star closure
+SHAPES = [PREFIXES + shape for _, shape in SHAPE_POOL] + [
+    c.shapes_ttl for c in EXACT if not c.star_ground]
+SUBJECTS = NODES + ["ex:a", "ex:b"]
+OBJECTS = SUBJECTS + ['"x"', '"y"']
+
+
+@st.composite
+def validation_problems(draw):
+    """A shape graph of the corpus, and up to five triples over its nodes,
+    predicates and two literals; rdf:type (`a`) always has `ex:C`."""
+    triples = draw(st.lists(st.tuples(
+        st.sampled_from(SUBJECTS), st.sampled_from(PREDICATES + ["ex:name", "a"]),
+        st.sampled_from(OBJECTS)), min_size=1, max_size=5, unique=True))
+    data = "".join(f"{s} {p} {'ex:C' if p == 'a' else o} .\n" for s, p, o in triples)
+    return draw(st.sampled_from(SHAPES)), PREFIXES + data
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(validation_problems())
+def test_the_check_agrees_with_the_procedures(problem):
+    sg, g, units = emitted(*problem)
+    answer = closed_structure.check(named(units))
+    assert answer is not None
+    assert answer.satisfiable == oracle.evaluate(sg, g).conforms
+    got = miniprover.decide_clauses(clausify([u.body for u in units]), timeout_s=2)
+    if got.status in ("Satisfiable", "Unsatisfiable"):
+        assert answer.satisfiable == (got.status == "Satisfiable")
+
+
+CONSTANTS = [Const(name) for name in ("a", "b", "c", "t1", "t2")]
+X, Y = Var("X"), Var("Y")
+
+
+def random_sentence(rng, bound, depth):
+    """A sentence over the closed r and e, the kinds isI and isL, the
+    defined s, the open q and equality; a quantifier is guarded by an r
+    or e atom, or at times not at all."""
+    def term():
+        return Var(rng.choice(bound)) if bound and rng.random() < 0.7 \
+            else rng.choice(CONSTANTS[:3])
+
+    k = rng.random()
+    if depth <= 0 or k < 0.3:
+        pred = rng.choice(["r", "e", "q", "isI", "isL", "s", "="])
+        if pred == "=":
+            return Eq(term(), term())
+        if pred == "s":
+            return Atom("s", (term(), rng.choice(CONSTANTS[3:])))
+        return Atom(pred, (term(), term()) if pred == "r" else (term(),))
+    if k < 0.45:
+        return NotN(random_sentence(rng, bound, depth - 1))
+    if k < 0.8:
+        left, right = (random_sentence(rng, bound, depth - 1) for _ in range(2))
+        return rng.choice([lambda: AndN((left, right)), lambda: OrN((left, right)),
+                           lambda: Implies(left, right), lambda: Iff(left, right)])()
+    v = rng.choice(["X", "Y", "Z"])
+    body = random_sentence(rng, bound + [v], depth - 1)
+    exists = rng.random() < 0.5
+    if rng.random() < 0.6:
+        guard = Atom("r", (Var(v), term())) if rng.random() < 0.5 else Atom("e", (Var(v),))
+        body = AndN((guard, body)) if exists else Implies(guard, body)
+    return (Exists if exists else Forall)((v,), body)
+
+
+def random_closed_problem(rng):
+    """Closures of r over a, b, c (most tuples asserted) and of e, a kind
+    per constant, unique names most of the time, definitions of s at t1
+    and t2 most of the time, and up to three random sentences."""
+    pairs = [p for p in itertools.product(CONSTANTS[:3], repeat=2) if rng.random() < 0.3]
+    es = [c for c in CONSTANTS[:3] if rng.random() < 0.5]
+    units = [("r_closed", Forall(("X", "Y"), Implies(Atom("r", (X, Y)), OrN(tuple(
+        AndN((Eq(X, a), Eq(Y, b))) for a, b in pairs)) if pairs else FalseF()))),
+        ("e_closed", Forall(("X",), Implies(Atom("e", (X,)), OrN(tuple(
+            Eq(X, c) for c in es)) if es else FalseF()))),
+        ("kinds", Forall(("X",), NotN(AndN((Atom("isI", (X,)), Atom("isL", (X,)))))))]
+    units += [("r", Atom("r", pair)) for pair in pairs if rng.random() < 0.9]
+    units += [("e", Atom("e", (c,))) for c in es]
+    units += [("kind", Atom(rng.choice(["isI", "isL"]), (c,))) for c in CONSTANTS]
+    if rng.random() < 0.8:
+        units.append(("una", Distinct(tuple(CONSTANTS))))
+    units += [("s_def", Forall(("X",), Iff(Atom("s", (X, t)), random_sentence(rng, ["X"], 2))))
+              for t in CONSTANTS[3:] if rng.random() < 0.8]
+    return units + [(f"u{i}", random_sentence(rng, [], 3)) for i in range(rng.randint(1, 3))]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32))
+def test_the_check_agrees_with_the_procedures_on_any_closed_problem(seed):
+    # the check reads closures, kinds, unique names and definitions by
+    # form, so it is run on problems the emitter never writes: where it
+    # answers, the procedures must not conclude otherwise
+    units = random_closed_problem(random.Random(seed))
+    answer = closed_structure.check(units)
+    if answer is None:
+        return
+    got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=1)
+    if got.status in ("Satisfiable", "Unsatisfiable"):
+        assert answer.satisfiable == (got.status == "Satisfiable")
+
+
+def test_a_missing_unique_name_unit_keeps_a_failure_from_refuting():
+    # FOF keeps constants apart one pair per unit: without one of them, two
+    # constants may share an element in some model
+    case = next(c for c in CASES if c.name == "or_violates")
+    _, _, units = case_problem(case, Dialect.FOF)
+    assert closed_structure.check(named(units)).satisfiable is False
+    fewer = [u for u in units if u.name != "una_1"]
+    assert closed_structure.check(named(fewer)) is None
+
+
+# closures, facts and unique names by form, under names the emitter never
+# writes: `r` relates a and b both ways, and `loop` asks for an r-loop
+CLOSED_R = """
+fof(r_is_closed, axiom, ![A, B]: (r(A, B) => ((A = a & B = b) | (A = b & B = a)))).
+fof(ab, axiom, r(a, b)).
+fof(ba, axiom, r(b, a)).
+fof(symmetric, axiom, ![X, Y]: (r(X, Y) => r(Y, X))).
+"""
+APART = "fof(apart, axiom, a != b).\n"
+LOOP = "fof(loop, axiom, ?[X]: r(X, X)).\n"
+
+
+@pytest.mark.parametrize("text, status, detail", [
+    (CLOSED_R + APART, "Satisfiable", "closed structure of 2 elements"),
+    (CLOSED_R + APART + LOOP, "Unsatisfiable", "closed structure of 2 elements; fails loop"),
+    # a second, narrower closure of r is checked as a unit, and fails
+    (CLOSED_R + APART + "fof(narrower, axiom, ![A, B]: (r(A, B) => (A = a & B = b))).\n",
+     "Unsatisfiable", "closed structure of 2 elements; fails narrower at A = b, B = a"),
+    # with a = b allowed, a model has the loop; the search starts at three
+    # elements, one per constant, the Skolem constant of `loop` included
+    (CLOSED_R + LOOP, "Satisfiable", "finite model of size 3"),
+], ids=["holds", "fails", "fails_a_second_closure", "fails_without_unique_names"])
+def test_any_tptp_problem_of_the_closed_form(text, status, detail, tmp_path, capsys):
+    problem = tmp_path / "problem.p"
+    problem.write_text(text)
+    assert miniprover.main([str(problem)]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [f"% {detail}"]
+    assert miniprover.decide_tptp_text(text).status == status
+
+
+def test_an_unasserted_closure_tuple_keeps_a_failure_from_refuting():
+    # r(a, b) is allowed by the closure but not asserted: the candidate
+    # makes it true and fails ~r(a, b), which the model with r empty keeps
+    text = ("fof(c, axiom, ![X, Y]: (r(X, Y) => (X = a & Y = b))).\n"
+            "fof(apart, axiom, a != b).\nfof(no, axiom, ~r(a, b)).\n")
+    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert miniprover.decide_tptp_text(text).status == "Satisfiable"
+
+
+def test_an_unguarded_quantifier_keeps_a_failure_from_refuting():
+    # ?[X]: ~e(X) has no guard: it fails on the one constant, which is an
+    # e, but a model with one more element satisfies it
+    text = ("fof(c, axiom, ![X]: (e(X) => X = a)).\nfof(f, axiom, e(a)).\n"
+            "fof(other, axiom, ?[X]: ~e(X)).\n")
+    structure = ClosedStructure(named(parse_tptp(text)))
+    failing = [name for name, f in structure.checked
+               if next(structure.failures(f), None) is not None]
+    assert failing == ["other"]
+    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert miniprover.decide_tptp_text(text).status == "Satisfiable"
+
+
+def test_an_undefined_reference_keeps_a_failure_from_refuting():
+    # s is defined at t but not at u: the candidate makes s(a, u) false,
+    # which no axiom fixes
+    text = ("fof(c, axiom, ![X]: (e(X) => X = a)).\nfof(f, axiom, e(a)).\n"
+            "fof(d, axiom, ![X]: (s(X, t) <=> e(X))).\nfof(g, axiom, s(a, u)).\n"
+            "tff(apart, axiom, $distinct(a, t, u)).\n")
+    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert miniprover.decide_tptp_text(text).status == "Satisfiable"
+
+
+def test_definitions_in_a_cycle_have_no_one_candidate():
+    # s(a, t) is defined by its own negation: no structure satisfies it,
+    # and the check gives way to the refutation
+    text = ("fof(c, axiom, ![X]: (e(X) => X = a)).\nfof(f, axiom, e(a)).\n"
+            "fof(d, axiom, ![X]: (s(X, t) <=> ~s(X, t))).\n")
+    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert miniprover.decide_tptp_text(text).status == "Unsatisfiable"
+
+
+def test_the_clock_cuts_the_check(monkeypatch):
+    # a passed deadline stops the check at its first clock reading, and
+    # no procedure runs after it
+    text = render(build_problem(DecisionTask(
+        TaskKind.VALIDATION, load_shapes(PEOPLE_SHAPES), data_graph=load_graph(people(1000)))))
+    with pytest.raises(sat.TimeBudgetExceeded):
+        closed_structure.check(named(parse_tptp(text)), deadline=time.monotonic() - 1)
+    calls = []
+    monkeypatch.setattr(miniprover, "decide_clauses", lambda *a, **k: calls.append(a))
+    assert miniprover.decide_tptp_text(text, timeout_s=0).status == "Timeout"
+    assert calls == []
+
+
+NODE_CHAIN = PREFIXES + "ex:S0 sh:targetNode ex:a .\n" + "".join(
+    f"ex:S{i} sh:node ex:S{i + 1} .\n" for i in range(10_000)) + "ex:S10000 sh:nodeKind sh:IRI ."
+WIDE_AND = PREFIXES + "ex:S sh:targetNode ex:a ; sh:and ( " + " ".join(
+    "[ sh:property [ sh:path ex:p ; sh:minCount 1 ] ]" for _ in range(10_000)) + " ) ."
+
+
+@pytest.mark.parametrize("shapes", [NODE_CHAIN, WIDE_AND], ids=["node_chain", "wide_and"])
+def test_ten_thousand_deep_problems_conform(shapes):
+    # 10,000 definitions each referring to the next, and a conjunction
+    # nested 10,000 deep: both are evaluated on the check's own stack
+    got = run_task(DecisionTask(
+        TaskKind.VALIDATION, load_shapes(shapes),
+        data_graph=load_graph(PREFIXES + "ex:a ex:p ex:b ."),
+        prover=ProverConfig("builtin", timeout_s=30)))
+    assert (got.verdict.value, got.prover_detail) \
+        == ("Conforms", "closed structure of 10003 elements")

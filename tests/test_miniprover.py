@@ -595,6 +595,15 @@ def validate(case):
     ))
 
 
+def emitted_clauses(shapes_ttl, data_ttl):
+    """The clauses of the emitted validation problem.  `decide_clauses` on
+    them runs the refutation and the model search, which the validate path
+    reaches only when the closed-structure check gives no answer."""
+    doc = build_problem(DecisionTask(
+        TaskKind.VALIDATION, load_shapes(shapes_ttl), data_graph=load_graph(data_ttl)))
+    return clausify([u.body for u in parse_tptp(render(doc))])
+
+
 MAX_ONE, MAX_TWO = (PREFIXES + """
 ex:S a sh:NodeShape ; sh:targetSubjectsOf ex:q ;
   sh:property [ sh:path ex:p ; sh:maxCount %d ] .
@@ -617,11 +626,23 @@ class TestSchedule:
             self, name, monkeypatch):
         models = counting(monkeypatch, "find_model")
         case = next(c for c in CASES if c.name == name)
-        got = validate(case)
-        assert got.szs_status == "Unsatisfiable"
-        assert got.prover_detail == "ground refutation (skolem depth 1)"
+        got = miniprover.decide_clauses(emitted_clauses(case.shapes_ttl, case.data_ttl))
+        assert got.status == "Unsatisfiable"
+        assert got.detail == "ground refutation (skolem depth 1)"
         # the refutation runs first, so no model search runs at all
         assert models == []
+
+    @pytest.mark.parametrize("name, size", [("or_violates", 5), ("and_violates", 5),
+                                            ("qualified_min_violates", 4)])
+    def test_violation_decided_on_the_closed_structure(self, name, size, monkeypatch):
+        # the check answers before the problem is clausified: neither the
+        # refutation nor the model search runs
+        refutations = counting(monkeypatch, "refute")
+        models = counting(monkeypatch, "find_model")
+        got = validate(next(c for c in CASES if c.name == name))
+        assert got.szs_status == "Unsatisfiable"
+        assert got.prover_detail == f"closed structure of {size} elements; fails target"
+        assert (refutations, models) == ([], [])
 
     def test_function_free_clauses_run_one_refutation(self, monkeypatch):
         # satisfiable only in a one-element domain, which the search starting
@@ -672,25 +693,29 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
         assert sum(len(prop) for prop in solved) <= 1_000
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_max_count_two_violation_decided_at_skolem_depth_1(self, n, tmp_path, capsys):
+    def test_max_count_two_violation_decided_at_skolem_depth_1(self, n):
         # one person with three names: the maxCount clause has four
         # variables, and the depth-1 universe is full at 24 terms, but the
         # refutation builds only the instances whose guards fall on atoms
         # that can be true, a few per name, so the one refutation over the
         # constants and the Skolem terms decides the violation
+        got = miniprover.decide_clauses(emitted_clauses(*max_two_people(n)), timeout_s=10)
+        assert (got.status, got.detail) == ("Unsatisfiable", "ground refutation (skolem depth 1)")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_max_count_two_violation_decided_on_the_closed_structure(self, n, tmp_path,
+                                                                     capsys):
+        # the person with three names is the first failing target, among
+        # 2n + 4 constants
         shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
-        shapes.write_text(PREFIXES + """
-ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
-  sh:property [ sh:path ex:name ; sh:maxCount 2 ] .
-""")
-        data.write_text(PREFIXES + 'ex:p0 a ex:Person ; ex:name "n0", "n1", "n2" .\n'
-                        + "".join(f'ex:p{i} a ex:Person ; ex:name "m{i}" .\n'
-                                  for i in range(1, n)))
+        for path, text in zip((shapes, data), max_two_people(n)):
+            path.write_text(text)
         got = cli.main(["validate", str(shapes), str(data),
                         "--prover", "builtin", "--timeout", "10", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert (got, out["verdict"], out["proverDetail"]) \
-            == (1, "DoesNotConform", "ground refutation (skolem depth 1)")
+            == (1, "DoesNotConform", f"closed structure of {2 * n + 4} elements; "
+                "fails target at X = http://example.org/p0")
 
     def test_f4_has_a_model_of_size_6(self, tmp_path, capsys, monkeypatch):
         # three classes whose shapes chain p, q and r values round a cycle:
@@ -715,6 +740,16 @@ ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
         ))
         assert got.verdict.value == "Contained"
         assert time.monotonic() - start < 3
+
+
+def max_two_people(n):
+    """`sh:maxCount 2` names per person, and n people, the first with three
+    names: the shapes and the data."""
+    return (PREFIXES + """
+ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
+  sh:property [ sh:path ex:name ; sh:maxCount 2 ] .
+""", PREFIXES + 'ex:p0 a ex:Person ; ex:name "n0", "n1", "n2" .\n'
+        + "".join(f'ex:p{i} a ex:Person ; ex:name "m{i}" .\n' for i in range(1, n)))
 
 
 def containment(a_ttl, b_ttl):
@@ -788,6 +823,12 @@ class TestUniqueNames:
         shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
         shapes.write_text(PEOPLE_SHAPES)
         data.write_text(people(5, unnamed))
+        got = cli.main(["validate", str(shapes), str(data),
+                        "--prover", "builtin", "--timeout", "10", "--json"])
+        assert (got, json.loads(capsys.readouterr().out)["verdict"]) == (code, verdict)
+        # the procedures of `decide_clauses`, which the closed-structure
+        # check leaves out of the validate path
+        clauses = emitted_clauses(PEOPLE_SHAPES, people(5, unnamed))
         solved = counting_solve(monkeypatch)
         refuted = []
         refute = miniprover.refute
@@ -801,10 +842,9 @@ class TestUniqueNames:
 
         monkeypatch.setattr(miniprover, "refute", recording)
         start = time.monotonic()
-        got = cli.main(["validate", str(shapes), str(data),
-                        "--prover", "builtin", "--timeout", "10", "--json"])
+        status = miniprover.decide_clauses(clauses, timeout_s=10).status
         elapsed = time.monotonic() - start
-        assert (got, json.loads(capsys.readouterr().out)["verdict"]) == (code, verdict)
+        assert status == ("Satisfiable" if code == 0 else "Unsatisfiable")
         if unnamed is None:
             assert elapsed < 2
         else:
@@ -863,30 +903,43 @@ class TestUniqueNames:
 
     @pytest.mark.parametrize("n, timeout", [(10, ["--timeout", "10"]),
                                             (20, ["--timeout", "10"]), (100, [])])
-    def test_planted_violation_is_refuted(self, n, timeout, tmp_path, capsys):
+    def test_planted_violation_is_refuted(self, n, timeout):
         # the unnamed person's Skolem witness is in the refutation's
-        # universe, which holds every depth-1 Skolem term
+        # universe, which holds every depth-1 Skolem term; the timeouts
+        # are those of the command line, whose default is 60 s
+        got = miniprover.decide_clauses(emitted_clauses(PEOPLE_SHAPES, people(n, unnamed=n // 2)),
+                                        timeout_s=float(timeout[1]) if timeout else 60.0)
+        assert (got.status, got.detail) == ("Unsatisfiable", "ground refutation (skolem depth 1)")
+
+    @pytest.mark.parametrize("n", [10, 20, 100, 1000])
+    def test_planted_violation_fails_on_the_closed_structure(self, n, tmp_path, capsys):
+        # 2n constants, the unnamed person the first failing target
         shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
         shapes.write_text(PEOPLE_SHAPES)
         data.write_text(people(n, unnamed=n // 2))
-        got = cli.main(["validate", str(shapes), str(data),
-                        "--prover", "builtin", *timeout, "--json"])
+        got = cli.main(["validate", str(shapes), str(data), "--prover", "builtin", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert (got, out["verdict"], out["proverDetail"]) \
-            == (1, "DoesNotConform", "ground refutation (skolem depth 1)")
+            == (1, "DoesNotConform", f"closed structure of {2 * n + 1} elements; "
+                f"fails target at X = http://example.org/p{n // 2}")
 
-    def test_twenty_conforming_people_have_a_model(self, tmp_path, capsys):
+    def test_twenty_conforming_people_have_a_model(self):
         # 42 constants, all pinned: the size-42 search grounds only the
         # relevant instances, about 250,000 clauses with the totality rows,
         # under the size limit, where the product passed it (GaveUp)
+        got = miniprover.decide_clauses(emitted_clauses(PEOPLE_SHAPES, people(20)), timeout_s=10)
+        assert (got.status, got.detail) == ("Satisfiable", "finite model of size 42")
+
+    @pytest.mark.parametrize("n", [20, 40, 100, 1000])
+    def test_conforming_people_are_the_closed_structure(self, n, tmp_path, capsys):
+        # 2n + 2 constants: the people, their names, the class and the shape
         shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
         shapes.write_text(PEOPLE_SHAPES)
-        data.write_text(people(20))
-        got = cli.main(["validate", str(shapes), str(data),
-                        "--prover", "builtin", "--timeout", "10", "--json"])
+        data.write_text(people(n))
+        got = cli.main(["validate", str(shapes), str(data), "--prover", "builtin", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert (got, out["verdict"], out["proverDetail"]) \
-            == (0, "Conforms", "finite model of size 42")
+            == (0, "Conforms", f"closed structure of {2 * n + 2} elements")
 
     def test_a_wide_distinct_is_pinned_in_linear_time(self, monkeypatch):
         # 2,000 constants in one $distinct: each is pinned on its literal's
@@ -1031,8 +1084,8 @@ ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
 RECORD_SOLVE = """
 import json
 from corpus import CASES
-from shacl2fol import sat
-from test_miniprover import validate
+from shacl2fol import miniprover, sat
+from test_miniprover import emitted_clauses
 
 calls = []
 solve = sat.solve
@@ -1042,7 +1095,8 @@ def recording(clauses, deadline=None):
     return solve(calls[-1], deadline=deadline)
 
 sat.solve = recording
-validate(next(c for c in CASES if c.name == "or_violates"))
+case = next(c for c in CASES if c.name == "or_violates")
+miniprover.decide_clauses(emitted_clauses(case.shapes_ttl, case.data_ttl))
 print(json.dumps(calls))
 """
 

@@ -17,9 +17,11 @@ from hypothesis import HealthCheck, example, given, settings
 from conftest import NAMES, SIZES, VARIABLES, clause_sets, load_graph, load_shapes
 from corpus import CASES
 from shacl2fol import miniprover, sat
-from shacl2fol.clausify import DISTINCT, EQ, Literal
-from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, run_task
+from shacl2fol.clausify import DISTINCT, EQ, Literal, clausify
+from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, build_problem
 from shacl2fol.fol import Const, Func, Var
+from shacl2fol.tptp import render
+from shacl2fol.tptp_parse import parse_tptp
 from test_miniprover import ground_reference
 from test_acceptance import (
     SHAPES_EMPTY, SHAPES_ONE_TARGET, SHAPES_TWO_TARGETS, UNTARGETED_CONTRADICTION,
@@ -129,7 +131,10 @@ def _returned_models(monkeypatch, task: DecisionTask):
         return got
 
     monkeypatch.setattr(miniprover, "find_model", recording)
-    run_task(task)
+    # the task's clauses go to the procedures themselves: the validate path
+    # decides a validation problem on its closed structure first
+    clauses = clausify([u.body for u in parse_tptp(render(build_problem(task)))])
+    miniprover.decide_clauses(clauses, timeout_s=task.prover.timeout_s)
     return models
 
 
