@@ -5,25 +5,13 @@ them into a decidable first-order fragment, emits TPTP problems, and
 decides satisfiability, containment, and validation with a theorem
 prover (E, Vampire, or the bundled built-in prover).  An independent
 oracle validator cross-checks validation verdicts.
+
+`import shacl2fol` loads no submodule: each public name is imported from
+its submodule on first use (PEP 562), so a command loads only the layers
+it runs.
 """
 
-from .decide import (
-    DecisionResult, DecisionTask, ProverConfig, TaskKind, Verdict,
-    build_problem, run_prover, run_task, write_problem,
-)
-from .errors import (
-    CardinalityLimitExceeded, InvalidOptions, MalformedShape, ProverNotFound,
-    ProverProtocolError, RdfSyntaxError, RecursiveShapeGraph, Shacl2FolError,
-    UnsupportedComponent, UnsupportedFeature,
-)
-from .oracle import ValidationReport, Violation, evaluate, path_eval
-from .rdf import (
-    Graph, RdfTerm, TermKind, Triple, bnode, iri, literal,
-    parse_document, parse_file, serialize_ntriples,
-)
-from .shapes import Shape, ShapeGraph, detect_recursion, extract_shape_graph
-from .translate import signature_of, translate as translate_shape_graph
-from .tptp import Dialect, EmitOptions, StarMode, render
+import importlib
 
 __version__ = "1.0.0"
 
@@ -40,3 +28,38 @@ __all__ = [
     "serialize_ntriples", "signature_of", "translate_shape_graph",
     "write_problem", "__version__",
 ]
+
+# public name -> (submodule, its name there)
+_ORIGINS = {
+    name: (module, name)
+    for module, names in {
+        "decide": "DecisionResult DecisionTask ProverConfig TaskKind Verdict "
+                  "build_problem run_prover run_task write_problem",
+        "errors": "CardinalityLimitExceeded InvalidOptions MalformedShape "
+                  "ProverNotFound ProverProtocolError RdfSyntaxError "
+                  "RecursiveShapeGraph Shacl2FolError UnsupportedComponent "
+                  "UnsupportedFeature",
+        "oracle": "ValidationReport Violation evaluate path_eval",
+        "rdf": "Graph RdfTerm TermKind Triple bnode iri literal parse_document "
+               "parse_file serialize_ntriples",
+        "shapes": "Shape ShapeGraph detect_recursion extract_shape_graph",
+        "translate": "signature_of",
+        "tptp": "Dialect EmitOptions StarMode render",
+    }.items()
+    for name in names.split()
+}
+_ORIGINS["translate_shape_graph"] = ("translate", "translate")
+
+
+def __getattr__(name: str):
+    try:
+        module, attr = _ORIGINS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), attr)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -16,15 +16,19 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import decide, oracle, shapes
-from .decide import DecisionTask, ProverConfig, TaskKind, Verdict, POSITIVE_VERDICTS
+from . import shapes
 from .errors import (
     InvalidOptions, ProverNotFound, ProverProtocolError, Shacl2FolError,
 )
 from .rdf import iri, parse_file
-from .tptp import Dialect, EmitOptions, StarMode
+
+if TYPE_CHECKING:
+    from . import decide, tptp
+
+# Each handler imports the layers it runs, so `oracle` loads no
+# translation and no prover, and the decision commands no oracle.
 
 EXIT_POSITIVE = 0
 EXIT_NEGATIVE = 1
@@ -108,9 +112,12 @@ def _parser() -> _ArgumentParser:
     return build_parser()
 
 
-def _options(args) -> EmitOptions:
-    return EmitOptions(dialect=Dialect(args.dialect), star_mode=StarMode(args.star),
-                       cardinality_limit=args.cardinality_limit)
+def _options(args) -> tptp.EmitOptions:
+    from . import tptp
+
+    return tptp.EmitOptions(dialect=tptp.Dialect(args.dialect),
+                            star_mode=tptp.StarMode(args.star),
+                            cardinality_limit=args.cardinality_limit)
 
 
 def _strong_sat(args) -> Optional[list]:
@@ -126,37 +133,43 @@ def _load_shapes(path: str) -> shapes.ShapeGraph:
     return shapes.extract_shape_graph(parse_file(path))
 
 
-def _build_task(kind: TaskKind, args, prover: ProverConfig) -> DecisionTask:
-    if kind is TaskKind.SATISFIABILITY:
-        return DecisionTask(
+def _build_task(command: str, args, prover: decide.ProverConfig) -> decide.DecisionTask:
+    from . import decide
+
+    kind = decide.TaskKind(_COMMAND_KINDS[command])
+    if kind is decide.TaskKind.SATISFIABILITY:
+        return decide.DecisionTask(
             kind, _load_shapes(args.shapes), options=_options(args),
             strong_sat_shapes=_strong_sat(args), prover=prover,
             problem_path=args.out,
         )
-    if kind is TaskKind.CONTAINMENT:
-        return DecisionTask(
+    if kind is decide.TaskKind.CONTAINMENT:
+        return decide.DecisionTask(
             kind, _load_shapes(args.shapes_a),
             shape_graph_b=_load_shapes(args.shapes_b),
             options=_options(args), prover=prover, problem_path=args.out,
         )
-    return DecisionTask(
+    return decide.DecisionTask(
         kind, _load_shapes(args.shapes), data_graph=parse_file(args.data),
         options=_options(args), prover=prover, problem_path=args.out,
     )
 
 
+# each decision command's `decide.TaskKind` value
 _COMMAND_KINDS = {
-    "sat": TaskKind.SATISFIABILITY,
-    "contains": TaskKind.CONTAINMENT,
-    "validate": TaskKind.VALIDATION,
+    "sat": "satisfiability",
+    "contains": "containment",
+    "validate": "validation",
 }
 
 
 def _run_decision(args) -> int:
-    prover = ProverConfig(
+    from . import decide
+
+    prover = decide.ProverConfig(
         kind=args.prover, executable=args.prover_path, timeout_s=args.timeout,
     )
-    task = _build_task(_COMMAND_KINDS[args.command], args, prover)
+    task = _build_task(args.command, args, prover)
     result = decide.run_task(task)
     if args.json:
         print(json.dumps(result.as_dict(), indent=2))
@@ -167,27 +180,27 @@ def _run_decision(args) -> int:
               f"time: {result.prover_time_ms} ms")
         if result.problem_file:
             print(f"  problem: {result.problem_file}")
-    if result.verdict is Verdict.UNKNOWN:
+    if result.verdict is decide.Verdict.UNKNOWN:
         return EXIT_UNKNOWN
-    return EXIT_POSITIVE if result.verdict in POSITIVE_VERDICTS else EXIT_NEGATIVE
+    return EXIT_POSITIVE if result.verdict in decide.POSITIVE_VERDICTS else EXIT_NEGATIVE
 
 
 def _run_emit(args) -> int:
-    kind = _COMMAND_KINDS[args.task]
-    expected = {TaskKind.SATISFIABILITY: 1, TaskKind.CONTAINMENT: 2,
-                TaskKind.VALIDATION: 2}[kind]
+    from . import decide
+
+    expected = 1 if args.task == "sat" else 2
     if len(args.files) != expected:
         raise InvalidOptions(
             f"emit {args.task} expects {expected} file(s), got {len(args.files)}"
         )
     ns = argparse.Namespace(**vars(args))
-    if kind is TaskKind.SATISFIABILITY:
+    if args.task == "sat":
         ns.shapes = args.files[0]
-    elif kind is TaskKind.CONTAINMENT:
+    elif args.task == "contains":
         ns.shapes_a, ns.shapes_b = args.files
     else:
         ns.shapes, ns.data = args.files
-    task = _build_task(kind, ns, ProverConfig())
+    task = _build_task(args.task, ns, decide.ProverConfig())
     doc = decide.build_problem(task)
     path = decide.write_problem(decide.render(doc), args.out)
     if args.json:
@@ -198,6 +211,8 @@ def _run_emit(args) -> int:
 
 
 def _run_oracle(args) -> int:
+    from . import oracle
+
     sg = _load_shapes(args.shapes)
     g = parse_file(args.data)
     report = oracle.evaluate(sg, g)

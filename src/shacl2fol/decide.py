@@ -10,6 +10,7 @@ for bit.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 import shutil
@@ -21,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from . import miniprover, translate as tr
+from . import translate as tr
 from .errors import InvalidOptions, ProverNotFound, ProverProtocolError
 from .fol import conj, neg
 from .rdf import Graph, RdfTerm
@@ -74,6 +75,11 @@ class ProverConfig:
     timeout_s: float = 60.0
 
     def __post_init__(self):
+        # E and Vampire take whole seconds; the built-in prover's clock
+        # would cut every attempt of a NaN timeout at once
+        if not math.isfinite(self.timeout_s):
+            raise InvalidOptions(f"the timeout must be a finite number of seconds, "
+                                 f"not {self.timeout_s}")
         # `auto` and `builtin` run no executable of the caller's choosing
         if self.executable is not None and self.kind not in ("e", "vampire", "custom"):
             raise InvalidOptions(f"a prover path needs the prover e or vampire, "
@@ -256,6 +262,8 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
         problem_file = write_problem(text, problem_path)
     start = time.monotonic()
     if config.kind == "builtin":
+        from . import miniprover
+
         result = miniprover.decide_tptp_text(text, timeout_s=config.timeout_s)
         elapsed = int((time.monotonic() - start) * 1000)
         raw = f"% SZS status {result.status} for {problem_file or 'problem'}\n"

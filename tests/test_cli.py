@@ -254,6 +254,20 @@ class TestConfigPlumbing:
         assert cli.main(["sat", str(untargeted), "--strong-sat", *BUILTIN]) == 1
 
 
+@pytest.mark.parametrize("timeout", ["nan", "inf", "1e400"])
+def test_a_timeout_that_is_not_finite_is_a_usage_error(files, capsys, timeout):
+    # an external prover's limit is a whole number of seconds, and the
+    # built-in prover's clock would cut every attempt at once
+    for prover in (["--prover", "e", "--prover-path", "/bin/false"],
+                   ["--prover", "vampire", "--prover-path", "/bin/false"],
+                   ["--prover", "builtin"], []):
+        code = cli.main(["validate", files["shapes"], files["ok"], *prover, "--timeout", timeout])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 64
+        assert err == [f"shacl2fol: the timeout must be a finite number of seconds, "
+                       f"not {float(timeout)}"]
+
+
 def test_shared_parsers_keep_no_state_between_requests(files, tmp_path, capsys):
     # cli.main and miniprover.main each build their parser once per
     # process; every request must answer as in a fresh process
@@ -485,22 +499,40 @@ class TestRejectedInput:
         assert EX_NOPE in capsys.readouterr().err
 
 
-NO_NETWORKX = """
-import sys
-from shacl2fol import cli
-shapes, data = sys.argv[1:]
-assert cli.main(["oracle", shapes, data]) == 0
-assert cli.main(["validate", shapes, data, "--prover", "builtin", "--timeout", "10"]) == 0
-print("networkx" in sys.modules)
+LOADED_MODULES = """
+import importlib, json, sys
+entry, argv = sys.argv[1], json.loads(sys.argv[2])
+code = importlib.import_module(entry).main(argv)
+print(json.dumps({"code": code, "networkx": "networkx" in sys.modules,
+                  "modules": sorted(m for m in sys.modules if m.startswith("shacl2fol"))}))
 """
 
+_FRONT = {"cli", "errors", "rdf", "shapes"}
+_EMIT = _FRONT | {"decide", "translate", "tptp", "fol"}
+_PROVER = {"miniprover", "closed_structure", "tptp_parse", "clausify", "sat", "fol"}
 
-def test_no_request_imports_networkx(files):
+
+@pytest.mark.parametrize("entry, argv, loaded", [
+    ("shacl2fol.cli", ["oracle", "{shapes}", "{ok}"], _FRONT | {"oracle"}),
+    ("shacl2fol.cli", ["emit", "validate", "{shapes}", "{ok}", "--out", "{dir}/emitted.p"],
+     _EMIT),
+    ("shacl2fol.miniprover", ["{dir}/problem.p", "--parse-only"], _PROVER),
+    ("shacl2fol.cli", ["validate", "{shapes}", "{ok}", *BUILTIN], _EMIT | _PROVER),
+], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin"])
+def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded):
+    """A fresh interpreter serving one request imports exactly the
+    package's modules that the request runs, and no networkx."""
+    assert cli.main(["emit", "validate", files["shapes"], files["ok"],
+                     "--out", str(files["dir"] / "problem.p")]) == 0
+    argv = [a.format(**files) for a in argv]
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_NETWORKX, files["shapes"], files["ok"]],
+        [sys.executable, "-c", LOADED_MODULES, entry, json.dumps(argv)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["modules"] == sorted({"shacl2fol"} | {f"shacl2fol.{m}" for m in loaded})
+    assert result["networkx"] is False

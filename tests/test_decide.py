@@ -1,3 +1,4 @@
+import math
 import os
 import stat
 import tempfile
@@ -157,6 +158,12 @@ class TestResolve:
     def test_executable_only_for_an_external_prover(self, kind):
         with pytest.raises(InvalidOptions):
             ProverConfig(kind, "/opt/vampire")
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf, -math.inf])
+    def test_a_timeout_that_is_not_finite_is_invalid(self, timeout):
+        for kind in ("auto", "e", "vampire", "builtin", "custom"):
+            with pytest.raises(InvalidOptions, match="finite"):
+                ProverConfig(kind, timeout_s=timeout)
 
     def test_explicit_kind_untouched(self):
         cfg = ProverConfig("builtin", timeout_s=3)
