@@ -2,7 +2,10 @@
 
 Subcommands: `sat`, `contains`, `validate` (decision problems), `emit`
 (write the TPTP problem without running a prover), and `oracle` (direct
-validation without any logic translation).
+validation without any logic translation).  `emit sat SHAPES
+[--strong-sat]`, `emit contains SHAPES_A SHAPES_B` and `emit validate
+SHAPES DATA` take the emission options of their command and no prover
+options.
 
 Exit codes: 0 for a positive verdict (Satisfiable / Contained /
 Conforms), 1 for the negative counterpart, 2 when the prover could not
@@ -45,7 +48,31 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sp: argparse.ArgumentParser, with_prover: bool = True):
+# the decision tasks: command, `decide.TaskKind` value, help, and the
+# files it reads as (name, help), the first a shape graph
+_TASKS = (
+    ("sat", "satisfiability", "is the shape graph satisfiable?",
+     [("shapes", "shape graph (Turtle or N-Triples)")]),
+    ("contains", "containment", "does conformance to A imply conformance to B?",
+     [("shapes_a", None), ("shapes_b", None)]),
+    ("validate", "validation", "does the data graph conform?",
+     [("shapes", None), ("data", None)]),
+)
+
+
+def _add_task(sub, command: str, kind: str, summary: str, files, with_prover: bool = True):
+    """The sub-command of one `_TASKS` row; `emit`'s have no prover options."""
+    sp = sub.add_parser(command, help=summary)
+    sp.set_defaults(kind=kind)
+    (first, first_help), *rest = files
+    sp.add_argument("shapes", metavar=first, help=first_help)
+    for name, file_help in rest:
+        sp.add_argument(name, help=file_help)
+    if kind == "satisfiability":
+        sp.add_argument("--strong-sat", nargs="?", const="", default=None,
+                        metavar="IRI[,IRI...]",
+                        help="require the selected shapes (all, when no list is "
+                        "given) to have at least one instance")
     sp.add_argument("--dialect", choices=["fof", "tff"], default="tff")
     sp.add_argument("--star", choices=["approx", "ground"], default="approx",
                     help="zero-or-more path handling (ground: validation only)")
@@ -62,13 +89,6 @@ def _add_common(sp: argparse.ArgumentParser, with_prover: bool = True):
         sp.add_argument("--timeout", type=float, default=60.0, metavar="SECONDS")
 
 
-def _strong_sat_arg(sp: argparse.ArgumentParser):
-    sp.add_argument("--strong-sat", nargs="?", const="", default=None,
-                    metavar="IRI[,IRI...]",
-                    help="require the selected shapes (all, when no list is "
-                    "given) to have at least one instance")
-
-
 def build_parser() -> _ArgumentParser:
     ap = _ArgumentParser(
         prog="shacl2fol",
@@ -76,27 +96,13 @@ def build_parser() -> _ArgumentParser:
         "SHACL shape graphs through a first-order logic translation.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("sat", help="is the shape graph satisfiable?")
-    sp.add_argument("shapes", help="shape graph (Turtle or N-Triples)")
-    _strong_sat_arg(sp)
-    _add_common(sp)
-
-    sp = sub.add_parser("contains", help="does conformance to A imply conformance to B?")
-    sp.add_argument("shapes_a")
-    sp.add_argument("shapes_b")
-    _add_common(sp)
-
-    sp = sub.add_parser("validate", help="does the data graph conform?")
-    sp.add_argument("shapes")
-    sp.add_argument("data")
-    _add_common(sp)
+    for task in _TASKS:
+        _add_task(sub, *task)
 
     sp = sub.add_parser("emit", help="write the TPTP problem and stop")
-    sp.add_argument("task", choices=["sat", "contains", "validate"])
-    sp.add_argument("files", nargs="+", metavar="FILE")
-    _strong_sat_arg(sp)
-    _add_common(sp, with_prover=False)
+    emit_sub = sp.add_subparsers(dest="task", required=True)
+    for task in _TASKS:
+        _add_task(emit_sub, *task, with_prover=False)
 
     sp = sub.add_parser("oracle", help="validate directly, without translation")
     sp.add_argument("shapes")
@@ -133,34 +139,18 @@ def _load_shapes(path: str) -> shapes.ShapeGraph:
     return shapes.extract_shape_graph(parse_file(path))
 
 
-def _build_task(command: str, args, prover: decide.ProverConfig) -> decide.DecisionTask:
+def _build_task(args, prover: decide.ProverConfig) -> decide.DecisionTask:
     from . import decide
 
-    kind = decide.TaskKind(_COMMAND_KINDS[command])
-    if kind is decide.TaskKind.SATISFIABILITY:
-        return decide.DecisionTask(
-            kind, _load_shapes(args.shapes), options=_options(args),
-            strong_sat_shapes=_strong_sat(args), prover=prover,
-            problem_path=args.out,
-        )
-    if kind is decide.TaskKind.CONTAINMENT:
-        return decide.DecisionTask(
-            kind, _load_shapes(args.shapes_a),
-            shape_graph_b=_load_shapes(args.shapes_b),
-            options=_options(args), prover=prover, problem_path=args.out,
-        )
+    shapes_b = getattr(args, "shapes_b", None)
+    data = getattr(args, "data", None)
     return decide.DecisionTask(
-        kind, _load_shapes(args.shapes), data_graph=parse_file(args.data),
-        options=_options(args), prover=prover, problem_path=args.out,
+        decide.TaskKind(args.kind), _load_shapes(args.shapes),
+        shape_graph_b=None if shapes_b is None else _load_shapes(shapes_b),
+        data_graph=None if data is None else parse_file(data),
+        options=_options(args), strong_sat_shapes=_strong_sat(args),
+        prover=prover, problem_path=args.out,
     )
-
-
-# each decision command's `decide.TaskKind` value
-_COMMAND_KINDS = {
-    "sat": "satisfiability",
-    "contains": "containment",
-    "validate": "validation",
-}
 
 
 def _run_decision(args) -> int:
@@ -169,7 +159,7 @@ def _run_decision(args) -> int:
     prover = decide.ProverConfig(
         kind=args.prover, executable=args.prover_path, timeout_s=args.timeout,
     )
-    task = _build_task(args.command, args, prover)
+    task = _build_task(args, prover)
     result = decide.run_task(task)
     if args.json:
         print(json.dumps(result.as_dict(), indent=2))
@@ -188,19 +178,7 @@ def _run_decision(args) -> int:
 def _run_emit(args) -> int:
     from . import decide
 
-    expected = 1 if args.task == "sat" else 2
-    if len(args.files) != expected:
-        raise InvalidOptions(
-            f"emit {args.task} expects {expected} file(s), got {len(args.files)}"
-        )
-    ns = argparse.Namespace(**vars(args))
-    if args.task == "sat":
-        ns.shapes = args.files[0]
-    elif args.task == "contains":
-        ns.shapes_a, ns.shapes_b = args.files
-    else:
-        ns.shapes, ns.data = args.files
-    task = _build_task(args.task, ns, decide.ProverConfig())
+    task = _build_task(args, decide.ProverConfig())
     doc = decide.build_problem(task)
     path = decide.write_problem(decide.render(doc), args.out)
     if args.json:

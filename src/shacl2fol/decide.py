@@ -116,14 +116,11 @@ class DecisionTask:
     problem_path: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind is TaskKind.CONTAINMENT and self.shape_graph_b is None:
-            raise InvalidOptions("containment requires a second shape graph")
-        if self.kind is not TaskKind.CONTAINMENT and self.shape_graph_b is not None:
-            raise InvalidOptions("only containment takes a second shape graph")
-        if self.kind is TaskKind.VALIDATION and self.data_graph is None:
-            raise InvalidOptions("validation requires a data graph")
-        if self.kind is not TaskKind.VALIDATION and self.data_graph is not None:
-            raise InvalidOptions("only validation takes a data graph")
+        if (self.kind is TaskKind.CONTAINMENT) != (self.shape_graph_b is not None):
+            raise InvalidOptions("containment, and only containment, takes a "
+                                 "second shape graph")
+        if (self.kind is TaskKind.VALIDATION) != (self.data_graph is not None):
+            raise InvalidOptions("validation, and only validation, takes a data graph")
 
 
 @dataclass
@@ -151,57 +148,37 @@ class DecisionResult:
 # --- problem assembly -------------------------------------------------------
 
 def build_problem(task: DecisionTask) -> TptpDocument:
-    if task.kind is TaskKind.SATISFIABILITY:
-        return _build_satisfiability(task)
-    if task.kind is TaskKind.CONTAINMENT:
-        return _build_containment(task)
-    return _build_validation(task)
-
-
-def _build_satisfiability(task: DecisionTask) -> TptpDocument:
+    """The task's theory, then the ambient axioms for all it names."""
     doc = TptpDocument(dialect=task.options.dialect,
-                       header=["task: satisfiability"])
-    emitter = Emitter(task.options)
-    doc.extend(tr.translate(task.shape_graph_a, emitter=emitter))
-    if task.strong_sat_shapes is not None:
-        # an empty selection selects every shape
-        selected = task.strong_sat_shapes or task.shape_graph_a.shape_names()
-        try:
-            doc.extend(tr.strong_satisfiability_targets(
-                task.shape_graph_a, selected, emitter,
-            ))
-        except ValueError as exc:
-            raise InvalidOptions(f"--strong-sat: {exc}") from exc
-    attach_ambient_axioms(doc, emitter, task.options)
-    return doc
-
-
-def _build_containment(task: DecisionTask) -> TptpDocument:
-    sig_a = tr.signature_of(task.shape_graph_a)
-    sig_b = tr.signature_of(task.shape_graph_b)
-    doc = TptpDocument(dialect=task.options.dialect, header=["task: containment"])
-    emitter = Emitter(task.options)
-    theory_a = tr.translate(task.shape_graph_a, sig_b, emitter, SHAPE_PRED)
-    theory_b = tr.translate(task.shape_graph_b, sig_a, emitter, SHAPE_PRED_B)
-    for s in theory_a:
-        doc.add(s.name + "_a", s.body)
-    b_targets = []
-    for s in theory_b:
-        if s.name == "shape_def":
-            doc.add("shape_def_b", s.body)
-        else:
-            b_targets.append(s.body)
-    # a witness graph conforms to A but violates B's target obligations
-    doc.add("neg_targets_b", neg(conj(b_targets)))
-    attach_ambient_axioms(doc, emitter, task.options)
-    return doc
-
-
-def _build_validation(task: DecisionTask) -> TptpDocument:
-    g = task.data_graph
-    doc = TptpDocument(dialect=task.options.dialect, header=["task: validation"])
-    emitter = Emitter(task.options, data_graph=g)
-    doc.extend(tr.translate(task.shape_graph_a, g.predicate_names(), emitter))
+                       header=[f"task: {task.kind.value}"])
+    emitter = Emitter(task.options, data_graph=task.data_graph)
+    sg = task.shape_graph_a
+    if task.kind is TaskKind.SATISFIABILITY:
+        doc.extend(tr.translate(sg, emitter=emitter))
+        if task.strong_sat_shapes is not None:
+            # an empty selection selects every shape
+            selected = task.strong_sat_shapes or sg.shape_names()
+            try:
+                doc.extend(tr.strong_satisfiability_targets(sg, selected, emitter))
+            except ValueError as exc:
+                raise InvalidOptions(f"--strong-sat: {exc}") from exc
+    elif task.kind is TaskKind.CONTAINMENT:
+        sg_b = task.shape_graph_b
+        sig_a, sig_b = tr.signature_of(sg), tr.signature_of(sg_b)
+        theory_a = tr.translate(sg, sig_b, emitter, SHAPE_PRED)
+        theory_b = tr.translate(sg_b, sig_a, emitter, SHAPE_PRED_B)
+        for s in theory_a:
+            doc.add(s.name + "_a", s.body)
+        b_targets = []
+        for s in theory_b:
+            if s.name == "shape_def":
+                doc.add("shape_def_b", s.body)
+            else:
+                b_targets.append(s.body)
+        # a witness graph conforms to A but violates B's target obligations
+        doc.add("neg_targets_b", neg(conj(b_targets)))
+    else:
+        doc.extend(tr.translate(sg, task.data_graph.predicate_names(), emitter))
     attach_ambient_axioms(doc, emitter, task.options)
     return doc
 
@@ -272,9 +249,11 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
         path = problem_file or write_problem(text, os.path.join(tmp, "problem.p"))
         argv = prover_command(config, path)
         try:
+            # the wait polls in milliseconds, at most 2**31 - 1 of them;
+            # a longer limit is left to the prover, which has it in argv
             proc = subprocess.run(
                 argv, capture_output=True, text=True,
-                timeout=config.timeout_s + 5,
+                timeout=min(config.timeout_s + 5, 2_147_483),
             )
         except FileNotFoundError as exc:
             raise ProverNotFound(str(exc)) from exc

@@ -91,7 +91,21 @@ class TestExitCodes:
         assert cli.main(["sat", str(bad), *BUILTIN]) == 65
 
     def test_emit_wrong_file_count(self, files, capsys):
-        assert cli.main(["emit", "validate", files["shapes"]]) == 64
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["emit", "validate", files["shapes"]])
+        assert exc.value.code == 64
+
+    @pytest.mark.parametrize("task, second", [("contains", "shapes"), ("validate", "ok")])
+    def test_emit_takes_strong_sat_only_for_sat(self, files, capsys, task, second):
+        out = files["dir"] / "never.p"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["emit", task, files["shapes"], files[second], "--strong-sat",
+                      "--out", str(out)])
+        assert exc.value.code == 64
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: shacl2fol ")
+        assert error.endswith("unrecognized arguments: --strong-sat")
+        assert not out.exists()
 
 
 class TestProverDiscovery:
@@ -254,6 +268,53 @@ class TestConfigPlumbing:
         assert cli.main(["sat", str(untargeted), "--strong-sat", *BUILTIN]) == 1
 
 
+STAR_SHAPES = SHAPES + """
+ex:T a sh:NodeShape ; sh:targetNode ex:a ;
+  sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:nodeKind sh:IRI ] .
+"""
+
+
+@pytest.mark.parametrize("task, inputs, options", [
+    ("sat", ["star"], []),
+    ("sat", ["contradiction"], ["--strong-sat"]),
+    ("contains", ["star", "shapes"], []),
+    ("validate", ["star", "ok"], []),
+    ("validate", ["star", "bad"], ["--dialect", "fof"]),
+    ("validate", ["star", "ok"], ["--star", "ground"]),
+], ids=["sat", "sat-strong", "contains", "validate-tff", "validate-fof", "validate-ground"])
+def test_out_writes_what_emit_writes(files, capsys, task, inputs, options):
+    star = files["dir"] / "star.ttl"
+    star.write_text(STAR_SHAPES)
+    paths = [str(star) if name == "star" else files[name] for name in inputs]
+    emitted, decided = files["dir"] / "emitted.p", files["dir"] / "decided.p"
+    assert cli.main(["emit", task, *paths, *options, "--out", str(emitted)]) == 0
+    assert cli.main([task, *paths, *options, *BUILTIN, "--out", str(decided)]) in (0, 1)
+    assert decided.read_bytes() == emitted.read_bytes()
+
+
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+
+
+@pytest.mark.parametrize("timeout", ["1e7", "1e300"])
+def test_an_external_prover_takes_any_finite_timeout(files, timeout):
+    # the wait for the prover polls at most 2**31 - 1 ms at a time; a
+    # longer limit is the prover's own, passed in its argv
+    stub = files["dir"] / "prover"
+    stub.write_text('#!/bin/sh\necho "% SZS status Satisfiable"\n')
+    stub.chmod(0o755)
+    proc = subprocess.run(
+        [sys.executable, "-m", "shacl2fol.cli", "validate", files["shapes"], files["ok"],
+         "--prover", "e", "--prover-path", str(stub), "--timeout", timeout],
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "Conforms"
+
+
 @pytest.mark.parametrize("timeout", ["nan", "inf", "1e400"])
 def test_a_timeout_that_is_not_finite_is_a_usage_error(files, capsys, timeout):
     # an external prover's limit is a whole number of seconds, and the
@@ -282,11 +343,9 @@ def test_shared_parsers_keep_no_state_between_requests(files, tmp_path, capsys):
     strong, plain, fresh = (tmp_path / f"{n}.p" for n in ("strong", "plain", "fresh"))
     assert cli.main(["sat", str(untargeted), "--strong-sat", "--out", str(strong), *BUILTIN]) == 1
     assert cli.main(["sat", str(untargeted), "--out", str(plain), *BUILTIN]) == 0
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "shacl2fol.cli", "sat", str(untargeted), "--out", str(fresh),
-         *BUILTIN], env=env, capture_output=True, text=True, timeout=60,
+         *BUILTIN], env=_fresh_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert plain.read_text() == fresh.read_text() != strong.read_text()
@@ -525,11 +584,9 @@ def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded):
     assert cli.main(["emit", "validate", files["shapes"], files["ok"],
                      "--out", str(files["dir"] / "problem.p")]) == 0
     argv = [a.format(**files) for a in argv]
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, entry, json.dumps(argv)],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
