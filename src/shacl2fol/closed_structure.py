@@ -1,4 +1,4 @@
-"""The one structure a closed problem allows, checked on its parsed units.
+"""The one structure a closed problem allows, checked on its units.
 
 A validation problem fixes everything but its shape predicate.  Each data
 role is closed by a unit of the form `∀X̄ p(X̄) → ∨(∧ Xi = ci)`, or
@@ -199,7 +199,10 @@ class ClosedStructure:
         self.distinct: list[tuple[str, ...]] = []  # the constants of each $distinct unit
         self.apart: list[tuple[str, str]] = []  # the pairs of the ground units ¬(a = b)
         self.disjoint: set[tuple[str, str]] = set()  # kinds no element has both of
-        self.plans: dict[int, tuple] = {}  # id of a quantifier -> one source per variable
+        # id of a quantifier -> one source per variable; a plan depends on
+        # the node alone (each variable free in it is bound wherever it
+        # occurs), so a node shared between positions has one plan
+        self.plans: dict[int, tuple] = {}
         edges: dict[tuple[str, tuple], list[tuple[str, tuple]]] = {}
         guards = _Guards(self.closed)
         for pred, key, f in definition_units:

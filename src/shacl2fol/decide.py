@@ -2,10 +2,11 @@
 
 Each task builds one axiom-only TPTP problem; the verdict is read off the
 prover's SZS status line.  External provers (E, Vampire) are driven as
-child processes with a wall-clock timeout; the built-in prover runs in
-process on the same rendered text.  `emit` (or `--out`) writes that text,
-so a manual prover run on the file reproduces the integrated result bit
-for bit.
+child processes with a wall-clock timeout on the rendered text.  The
+built-in prover runs in process on the document's units themselves, which
+are the units that parsing the rendered text gives back, so `emit` (or
+`--out`) writes a file on which a manual prover run reproduces the
+integrated result.  The text is rendered only when a file is wanted.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import tempfile
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
 from typing import NamedTuple, Optional
 
 from . import translate as tr
@@ -186,13 +187,23 @@ def build_problem(task: DecisionTask) -> TptpDocument:
 # --- prover execution -------------------------------------------------------
 
 def write_problem(text: str, path: Optional[str] = None) -> str:
-    """Write rendered TPTP text to `path`, or to a fresh temp file; returns the path."""
+    """Write rendered TPTP text to `path`, or to a fresh temp file; returns the path.
+
+    An existing file is overwritten in place and then cut to the text's
+    length, not truncated to zero first: on ext4 (`auto_da_alloc`) a
+    non-empty file truncated to zero is flushed to disk when it is closed.
+    """
+    data = text.encode("utf-8")
     if path is None:
         fd, path = tempfile.mkstemp(suffix=".p", prefix="shacl2fol_")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
     return path
 
 
@@ -225,23 +236,25 @@ class ProverRun(NamedTuple):
 
 def run_prover(doc: TptpDocument, config: ProverConfig,
                problem_path: Optional[str] = None) -> ProverRun:
-    """Run the prover of `config` on the rendered problem; `config` is
-    resolved already (`ProverConfig.resolve`), so its kind is not `auto`.
+    """Run the prover of `config` on the problem; `config` is resolved
+    already (`ProverConfig.resolve`), so its kind is not `auto`.
 
-    The problem file is kept at `problem_path` when one is given.
+    The rendered problem is kept at `problem_path` when one is given.
     Otherwise nothing is left behind and `problem_file` is "": the built-in
-    prover decides the text in memory, and an external prover reads it from
-    a temporary directory that is removed after the run.
+    prover decides the document's units in memory without rendering them,
+    and an external prover reads the text from a temporary directory that
+    is removed after the run.
     """
-    text = render(doc)
+    builtin = config.kind == "builtin"
+    text = "" if builtin and problem_path is None else render(doc)
     problem_file = ""
     if problem_path is not None:
         problem_file = write_problem(text, problem_path)
     start = time.monotonic()
-    if config.kind == "builtin":
+    if builtin:
         from . import miniprover
 
-        result = miniprover.decide_tptp_text(text, timeout_s=config.timeout_s)
+        result = miniprover.decide_units(doc.formulas, timeout_s=config.timeout_s)
         elapsed = int((time.monotonic() - start) * 1000)
         raw = f"% SZS status {result.status} for {problem_file or 'problem'}\n"
         return ProverRun(result.status, raw, problem_file, elapsed, result.detail)

@@ -110,6 +110,16 @@ Formula = Union[
 ]
 
 
+@dataclass(frozen=True)
+class TptpFormula:
+    """One annotated formula of a TPTP problem: what the emitter adds to a
+    document and what the parser reads back."""
+
+    name: str
+    role: str  # axiom | conjecture | hypothesis | definition
+    body: Formula
+
+
 def conj(operands) -> Formula:
     ops = [f for f in operands if not isinstance(f, TrueF)]
     if any(isinstance(f, FalseF) for f in ops):

@@ -1,11 +1,13 @@
 """Built-in desk-scale prover for the emitted TPTP problems.
 
-`decide_tptp_text` first checks the problem's one candidate structure on
-its parsed units (`closed_structure.check`): a validation problem, whose
-closures, kinds, unique names and definitions fix every predicate, is
-decided there, before anything is clausified.  When the check gives no
-answer, `decide_clauses` runs two sound, incomplete procedures over the
-clausal form:
+`decide_units` takes a problem's units as the emitter builds them (the
+integrated prover) and `decide_tptp_text` takes its text, parsed first
+(the command line).  The units' one candidate structure is checked first
+(`closed_structure.check`): a validation problem, whose closures, kinds,
+unique names and definitions fix every predicate, is decided there,
+before anything is clausified.  When the check gives no answer,
+`decide_clauses` runs two sound, incomplete procedures over the clausal
+form:
 
 * finite model search: MACE-style flattening, then propositional grounding
   over increasing domain sizes; any model found is a genuine first-order
@@ -51,7 +53,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from . import closed_structure, sat
 from .clausify import DISTINCT, EQ, Clause, Literal, clausify, term_vars
-from .fol import Const, Func, NotN, Term, Var
+from .fol import Const, Func, NotN, Term, TptpFormula, Var
 from .tptp_parse import TptpParseError, parse_tptp
 
 
@@ -802,12 +804,11 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
     return ProverResult("Timeout" if cut else "GaveUp")
 
 
-def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
-    """Decide a TPTP problem: first on its one candidate structure
-    (`closed_structure.check`), on the parsed units; when that gives no
-    answer, by `decide_clauses` on their clauses, in the time left."""
+def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverResult:
+    """Decide a problem given as its units: first on its one candidate
+    structure (`closed_structure.check`); when that gives no answer, by
+    `decide_clauses` on their clauses, in the time left."""
     deadline = time.monotonic() + timeout_s
-    units = parse_tptp(text)
     named = [(u.name, u.body) for u in units if u.role in ("axiom", "hypothesis", "definition")]
     conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
     named.extend(conjectures)
@@ -825,6 +826,14 @@ def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
         status = "CounterSatisfiable" if result.status == "Satisfiable" else "Theorem"
         return ProverResult(status, result.detail)
     return result
+
+
+def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
+    """Decide a TPTP problem: `decide_units` on its parsed units, in the
+    time the parse leaves."""
+    start = time.monotonic()
+    units = parse_tptp(text)
+    return decide_units(units, timeout_s - (time.monotonic() - start))
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,8 +23,8 @@ from typing import Callable, Iterable, Optional
 from . import fol
 from .errors import CardinalityLimitExceeded, InvalidOptions
 from .fol import (
-    Atom, Const, Distinct, Eq, Exists, Forall, Formula, Iff, Implies, TrueF,
-    Var, conj, disj, neg,
+    Atom, Const, Distinct, Eq, Exists, Forall, Formula, Iff, Implies,
+    TptpFormula, TrueF, Var, conj, disj, neg,
 )
 from .rdf import Graph, RDF_TYPE, RdfTerm, TermKind
 from .shapes import (
@@ -63,13 +63,6 @@ class EmitOptions:
             raise InvalidOptions("grounded star closure requires a data graph")
         if self.cardinality_limit < 1:
             raise InvalidOptions("cardinality limit must be positive")
-
-
-@dataclass(frozen=True)
-class TptpFormula:
-    name: str
-    role: str  # axiom | conjecture
-    body: Formula
 
 
 @dataclass

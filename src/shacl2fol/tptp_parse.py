@@ -2,8 +2,11 @@
 
 Accepts `fof(name, role, formula).` and `tff(...)` units, including TFF
 type declarations (which are checked for shape and otherwise ignored) and
-`$distinct(c1, …, cn)` as the whole body of a non-conjecture unit.  Used
-by the built-in prover and by the well-formedness checks of the test suite.
+`$distinct(c1, …, cn)` as the whole body of a non-conjecture unit, and
+returns them as `fol.TptpFormula`, the units the emitter builds.  Used by
+`shacl2fol-miniprover FILE` and by the well-formedness checks of the test
+suite; the integrated prover decides the emitted units without reading
+their text back.
 
 The text is read in two steps.  One compiled-regex call splits the whole
 text into its token strings, skipping whitespace and `%` comments; the
@@ -22,11 +25,10 @@ one `Const`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .fol import (
-    AndN, Atom, Const, Distinct, Eq, Exists, Forall, Formula, FalseF, Iff,
-    Implies, NotN, OrN, TrueF, Var, unquote_atom,
+    AndN, Atom, Const, Distinct, Eq, Exists, Forall, FalseF, Iff, Implies,
+    NotN, OrN, TptpFormula, TrueF, Var, unquote_atom,
 )
 
 
@@ -59,13 +61,6 @@ def _tokenize(text: str) -> list[str]:
         snippet = rest.partition("\n")[0][:30]
         raise TptpParseError(f"bad TPTP input at line {line}, column {column}: {snippet!r}")
     return tokens
-
-
-@dataclass
-class TptpUnit:
-    name: str
-    role: str
-    body: Formula
 
 
 def _expect(tokens: list[str], i: int, value: str) -> int:
@@ -247,7 +242,7 @@ def _skip_type_declaration(tokens: list[str], i: int) -> int:
         i += 1
 
 
-def parse_tptp(text: str) -> list[TptpUnit]:
+def parse_tptp(text: str) -> list[TptpFormula]:
     """Parse a TPTP problem into its annotated formulas (type units skipped)."""
     tokens = _tokenize(text)
     symbols: dict[str, Const] = {}
@@ -272,9 +267,9 @@ def parse_tptp(text: str) -> list[TptpUnit]:
             consts, i = _terms(tokens, _expect(tokens, i + 1, "("), symbols)
             if any(isinstance(c, Var) for c in consts):
                 raise TptpParseError("$distinct expects constants")
-            units.append(TptpUnit(name, role, Distinct(consts)))
+            units.append(TptpFormula(name, role, Distinct(consts)))
         else:
             body, i = _formula(tokens, i, symbols)
-            units.append(TptpUnit(name, role, body))
+            units.append(TptpFormula(name, role, body))
         i = _expect(tokens, _expect(tokens, i, ")"), ".")
     return units

@@ -251,6 +251,25 @@ class TestProblemFile:
         with open(out, encoding="utf-8") as fh:
             parse_tptp(fh.read())
 
+    def test_out_over_a_longer_file_leaves_exactly_the_new_problem(self, files, capsys):
+        out = files["dir"] / "kept.p"
+        out.write_text("% an older, longer problem\n" * 1000)
+        assert cli.main(["validate", files["shapes"], files["ok"], "--out", str(out), *BUILTIN]) == 0
+        written = out.read_text()
+        assert cli.main(["emit", "validate", files["shapes"], files["ok"],
+                         "--out", str(files["dir"] / "emitted.p")]) == 0
+        assert written == (files["dir"] / "emitted.p").read_text()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", "{shapes}", "{ok}", *BUILTIN], 0),
+        (["validate", "{shapes}", "{bad}", *BUILTIN], 1),
+        (["emit", "validate", "{shapes}", "{ok}"], 0),
+    ], ids=["validate-conforms", "validate-violates", "emit"])
+    def test_out_to_dev_null(self, files, capsys, argv, code):
+        argv = [a.format(**files) for a in argv]
+        assert cli.main([*argv, "--out", os.devnull]) == code
+        assert capsys.readouterr().err == ""
+
 
 class TestConfigPlumbing:
     def test_equivalent_encodings_agree(self, files):

@@ -8,13 +8,14 @@ import pytest
 from conftest import load_graph, load_shapes
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, Verdict, _verdict, build_problem,
-    prover_command, run_prover, run_task,
+    prover_command, run_prover, run_task, write_problem,
 )
 from shacl2fol.errors import (
     InvalidOptions, ProverNotFound, ProverProtocolError,
 )
 from shacl2fol.fol import formula_text
 from shacl2fol.tptp import EmitOptions, StarMode, render
+from shacl2fol.tptp_parse import parse_tptp
 
 PREFIX = """\
 @prefix sh: <http://www.w3.org/ns/shacl#> .
@@ -217,7 +218,9 @@ class TestRunProver:
         assert run.szs_status == "Unsatisfiable"
         assert run.detail.startswith("ground refutation")
 
-    def test_builtin_decides_the_written_text_rendered_once(self, tmp_path, monkeypatch):
+    def _recording(self, monkeypatch):
+        """Record each `decide.render` result and the units the built-in
+        prover is handed."""
         from shacl2fol import decide, miniprover
 
         rendered, decided = [], []
@@ -226,16 +229,60 @@ class TestRunProver:
             rendered.append(render(doc))
             return rendered[-1]
 
-        def recording_decide(text, timeout_s):
-            decided.append(text)
+        def recording_decide(units, timeout_s):
+            decided.append(list(units))
             return miniprover.ProverResult("Unsatisfiable")
 
         monkeypatch.setattr(decide, "render", counting_render)
-        monkeypatch.setattr(miniprover, "decide_tptp_text", recording_decide)
+        monkeypatch.setattr(miniprover, "decide_units", recording_decide)
+        return rendered, decided
+
+    def test_builtin_with_out_renders_once_and_the_file_parses_to_the_decided_units(
+            self, tmp_path, monkeypatch):
+        rendered, decided = self._recording(monkeypatch)
+        doc = self._doc()
         path = str(tmp_path / "problem.p")
-        run_prover(self._doc(), ProverConfig("builtin", timeout_s=10), path)
+        run = run_prover(doc, ProverConfig("builtin", timeout_s=10), path)
+        assert run.szs_status == "Unsatisfiable" and run.problem_file == path
         with open(path, encoding="utf-8") as fh:
-            assert [fh.read()] == rendered == decided
+            assert [fh.read()] == rendered
+        assert decided == [doc.formulas] == [parse_tptp(rendered[0])]
+
+    def test_builtin_without_out_never_renders(self, monkeypatch):
+        rendered, decided = self._recording(monkeypatch)
+        doc = self._doc()
+        run = run_prover(doc, ProverConfig("builtin", timeout_s=10))
+        assert run.szs_status == "Unsatisfiable" and run.problem_file == ""
+        assert rendered == [] and decided == [doc.formulas]
+
+
+class TestWriteProblem:
+    def test_shorter_text_over_a_longer_file_leaves_exactly_the_text(self, tmp_path):
+        path = tmp_path / "problem.p"
+        path.write_text("fof(old, axiom, $true).\n" * 100, encoding="utf-8")
+        text = "% ünïcode in a comment\nfof(new, axiom, $true).\n"
+        assert write_problem(text, str(path)) == str(path)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_longer_text_over_a_shorter_file(self, tmp_path):
+        path = tmp_path / "problem.p"
+        path.write_text("% short\n", encoding="utf-8")
+        text = "fof(new, axiom, $true).\n" * 100
+        write_problem(text, str(path))
+        assert path.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_file_gets_the_mode_open_gives_it(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            write_problem("fof(a, axiom, $true).\n", str(tmp_path / "written.p"))
+            with open(tmp_path / "opened.p", "w") as fh:
+                fh.write("fof(a, axiom, $true).\n")
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE(os.stat(tmp_path / name).st_mode)
+                 for name in ("written.p", "opened.p")]
+        assert modes[0] == modes[1] == 0o666 & ~umask
 
 
 class TestEndToEnd:

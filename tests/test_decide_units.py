@@ -1,0 +1,145 @@
+"""The built-in prover decides the emitted units as it decides their text.
+
+`decide.run_prover` hands the built-in prover the document's units and
+renders them only for a file.  That is the same problem because parsing
+the rendered text gives back the same units, and because deciding the
+units does not depend on how their nodes are shared.
+"""
+
+import time
+
+import pytest
+
+from conftest import load_graph, load_shapes
+from corpus import CASES
+from shacl2fol import miniprover
+from shacl2fol.decide import DecisionTask, TaskKind, build_problem
+from shacl2fol.fol import (
+    AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN,
+    TptpFormula, Var, disj,
+)
+from shacl2fol.tptp import Dialect, EmitOptions, StarMode, TptpDocument, render
+from shacl2fol.tptp_parse import parse_tptp
+from test_acceptance import (
+    CONTRADICTION, SHAPES_EMPTY, SHAPES_ONE_TARGET, SHAPES_TWO_TARGETS,
+    UNTARGETED_CONTRADICTION,
+)
+
+TIMEOUT = 10
+
+
+def _validations(case):
+    for dialect in Dialect:
+        for star in StarMode:
+            yield f"{dialect.value}-{star.value}", DecisionTask(
+                TaskKind.VALIDATION, load_shapes(case.shapes_ttl),
+                data_graph=load_graph(case.data_ttl),
+                options=EmitOptions(dialect=dialect, star_mode=star),
+            )
+
+
+def _sat(ttl, strong=None):
+    return DecisionTask(TaskKind.SATISFIABILITY, load_shapes(ttl), strong_sat_shapes=strong)
+
+
+def _contains(a_ttl, b_ttl):
+    return DecisionTask(TaskKind.CONTAINMENT, load_shapes(a_ttl),
+                        shape_graph_b=load_shapes(b_ttl))
+
+
+# the satisfiability and containment problems of acceptance criteria 5 and 6
+ACCEPTANCE = {
+    "sat_empty": lambda: _sat(SHAPES_EMPTY),
+    "sat_contradiction": lambda: _sat(CONTRADICTION),
+    "sat_untargeted_contradiction": lambda: _sat(UNTARGETED_CONTRADICTION),
+    "strong_sat_untargeted_contradiction": lambda: _sat(UNTARGETED_CONTRADICTION, []),
+    "two_targets_in_itself": lambda: _contains(SHAPES_TWO_TARGETS, SHAPES_TWO_TARGETS),
+    "one_target_in_itself": lambda: _contains(SHAPES_ONE_TARGET, SHAPES_ONE_TARGET),
+    "empty_in_itself": lambda: _contains(SHAPES_EMPTY, SHAPES_EMPTY),
+    "two_targets_in_one_target": lambda: _contains(SHAPES_TWO_TARGETS, SHAPES_ONE_TARGET),
+    "empty_in_one_target": lambda: _contains(SHAPES_EMPTY, SHAPES_ONE_TARGET),
+}
+
+
+def _decided_alike(doc):
+    """The rendered text parses to the document's units, and the units
+    are decided as the text is."""
+    text = render(doc)
+    assert parse_tptp(text) == doc.formulas
+    units = miniprover.decide_units(doc.formulas, timeout_s=TIMEOUT)
+    read = miniprover.decide_tptp_text(text, timeout_s=TIMEOUT)
+    assert (units.status, units.detail) == (read.status, read.detail)
+    return units
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
+def test_validation_units_read_back_and_decide_as_their_text(case):
+    for mode, task in _validations(case):
+        got = _decided_alike(build_problem(task))
+        assert got.status in ("Satisfiable", "Unsatisfiable"), (mode, got)
+
+
+@pytest.mark.parametrize("name", sorted(ACCEPTANCE))
+def test_acceptance_units_read_back_and_decide_as_their_text(name):
+    got = _decided_alike(build_problem(ACCEPTANCE[name]()))
+    assert got.status in ("Satisfiable", "Unsatisfiable"), got
+
+
+# --- one node in several positions -------------------------------------------
+
+X, Y = Var("X"), Var("Y")
+A, B = Const("a"), Const("b")
+
+
+def _p(t):
+    return Atom("p", (t,))
+
+
+def _q(t):
+    return Atom("q", (t,))
+
+
+@pytest.mark.parametrize("p_holds_at_b, status, failure", [
+    (True, "Satisfiable", ""),
+    (False, "Unsatisfiable", "; fails shared_prefix at X = b"),
+], ids=["holds", "fails"])
+def test_a_node_shared_between_units_is_decided_as_its_text(p_holds_at_b, status, failure):
+    """The closed-structure check keys its quantifier plans and operand
+    indexes by node identity.  A parsed problem never shares a node
+    between positions, but a built document may: here one `Forall`
+    object is a unit of its own, an operand of a second unit, and nested
+    under an `∃` in a third."""
+    shared = Forall(("X",), Implies(_q(X), _p(X)))
+    p_tuples = (A, B) if p_holds_at_b else (A,)
+    units = [
+        TptpFormula("closure_p", "axiom",
+                    Forall(("X",), Implies(_p(X), disj([Eq(X, c) for c in p_tuples])))),
+        TptpFormula("closure_q", "axiom",
+                    Forall(("X",), Implies(_q(X), OrN((Eq(X, A), Eq(X, B)))))),
+        *(TptpFormula(f"p_{c.name}", "axiom", _p(c)) for c in p_tuples),
+        TptpFormula("q_a", "axiom", _q(A)),
+        TptpFormula("q_b", "axiom", _q(B)),
+        TptpFormula("una", "axiom", Distinct((A, B))),
+        TptpFormula("shared_prefix", "axiom", shared),
+        TptpFormula("shared_operand", "axiom", AndN((_q(A), shared))),
+        TptpFormula("shared_nested", "axiom",
+                    NotN(Exists(("Y",), AndN((_q(Y), NotN(shared)))))),
+    ]
+    doc = TptpDocument(Dialect.TFF, units)
+    got = _decided_alike(doc)
+    assert (got.status, got.detail) == (status, "closed structure of 2 elements" + failure)
+
+
+def test_the_clock_of_a_text_starts_before_its_parse(monkeypatch):
+    """`decide_tptp_text` gives `decide_units` only the time its parse
+    leaves: a parse that outlasts the timeout leaves none."""
+    text = render(build_problem(ACCEPTANCE["sat_empty"]()))
+    assert miniprover.decide_tptp_text(text, timeout_s=TIMEOUT).status == "Satisfiable"
+    parse = miniprover.parse_tptp
+
+    def slow_parse(text):
+        time.sleep(0.4)
+        return parse(text)
+
+    monkeypatch.setattr(miniprover, "parse_tptp", slow_parse)
+    assert miniprover.decide_tptp_text(text, timeout_s=0.3).status == "Timeout"

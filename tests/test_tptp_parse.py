@@ -18,7 +18,7 @@ from shacl2fol.rdf import Graph, RDF_TYPE, Triple, iri, literal
 from shacl2fol.tptp import (
     Dialect, EmitOptions, StarMode, TptpDocument, TptpFormula, render,
 )
-from shacl2fol.tptp_parse import TptpParseError, TptpUnit, parse_tptp
+from shacl2fol.tptp_parse import TptpParseError, parse_tptp
 
 EX = "http://example.org/"
 PREFIX = """\
@@ -60,7 +60,7 @@ class TestTokenizer:
 
     def test_trailing_comment_without_newline(self):
         assert parse_tptp("fof(a, axiom, p). % the end") == [
-            TptpUnit("a", "axiom", Atom("p", ()))
+            TptpFormula("a", "axiom", Atom("p", ()))
         ]
 
     def test_percent_inside_a_quoted_atom_is_not_a_comment(self):
