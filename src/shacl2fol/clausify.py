@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func,
     Iff, Implies, NotN, OrN, Term, TrueF, Var,
 )
+from .sat import Clock
 
 EQ = "="  # reserved predicate name for equality literals
 DISTINCT = "$distinct"  # reserved predicate name: its arguments are pairwise unequal
@@ -50,7 +51,8 @@ class _Join(NamedTuple):
 
 
 class _Clausifier:
-    def __init__(self):
+    def __init__(self, clock: Clock):
+        self.clock = clock  # its work: the entries walked and the literals tested
         # the last number given each kind of fresh name: variables, Skolem
         # symbols and definition predicates
         self.counts = {"V": 0, "sk": 0, "df": 0}
@@ -69,6 +71,7 @@ class _Clausifier:
         stack: list = [(formula, True, {}, ())]
         while stack:
             item = stack.pop()
+            self.clock.tick()
             if isinstance(item, _Join):
                 parts = done[len(done) - item.count:]
                 del done[len(done) - item.count:]
@@ -147,7 +150,7 @@ class _Clausifier:
                 continue
             raw.extend(self.walk(f))
         raw.extend(self.extra)
-        return [clause for clause in map(frozenset, raw) if not _is_tautology(clause)]
+        return [clause for clause in map(frozenset, raw) if not _is_tautology(clause, self.clock)]
 
 
 def _conjoin(parts: list[list[list[Literal]]]) -> list[list[Literal]]:
@@ -210,7 +213,8 @@ def term_vars(t: Term):
             yield from term_vars(a)
 
 
-def _is_tautology(cl: Clause) -> bool:
+def _is_tautology(cl: Clause, clock: Clock) -> bool:
+    clock.tick(len(cl))
     for lit in cl:
         if lit.negate() in cl:
             return True
@@ -219,5 +223,6 @@ def _is_tautology(cl: Clause) -> bool:
     return False
 
 
-def clausify(formulas: list[Formula]) -> list[Clause]:
-    return _Clausifier().clausify(formulas)
+def clausify(formulas: list[Formula], deadline: Optional[float] = None) -> list[Clause]:
+    """Raises `sat.TimeBudgetExceeded` once the clock passes `deadline`."""
+    return _Clausifier(Clock(deadline)).clausify(formulas)

@@ -26,7 +26,7 @@ enumerates the values its guard allows, looked up in an index of the
 closed atoms by the positions already bound, or the whole domain when it
 has no guard.  The evaluation keeps its own explicit stack, so neither a
 10,000-deep conjunction nor a 10,000-deep chain of definitions deepens
-the Python stack, and reads the clock every `_CHECK_EVERY` steps.
+the Python stack, and reports each step to the clock, `sat.Clock`.
 
 The answers:
 
@@ -51,16 +51,14 @@ RDF, so the oracle stays an independent cross-check.
 from __future__ import annotations
 
 import itertools
-import time
 from typing import Iterator, NamedTuple, Optional
 
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Iff,
     Implies, NotN, OrN, TrueF, Var,
 )
-from .sat import TimeBudgetExceeded
+from .sat import Clock
 
-_CHECK_EVERY = 4096
 _GUARD_DEPTH = 32  # how deep below a quantifier its guard is looked for
 _END = object()  # an exhausted iterator's `next` default
 
@@ -147,12 +145,11 @@ class ClosedStructure:
     """The candidate structure of a list of named units.
 
     Raises `_Inapplicable` when the units have no closure or no one
-    candidate, and `TimeBudgetExceeded` once the clock passes `deadline`.
+    candidate, and `sat.TimeBudgetExceeded` once the clock passes `deadline`.
     """
 
     def __init__(self, units: list[tuple[str, Formula]], deadline: Optional[float] = None):
-        self.deadline = deadline
-        self.steps = 0
+        self.clock = Clock(deadline)
         self.tuples: dict[str, list[tuple[str, ...]]] = {}  # each closure's, in order
         self.closed: dict[str, set[tuple[str, ...]]] = {}  # the same, as sets
         self.arity: dict[str, int] = {}
@@ -245,7 +242,7 @@ class ClosedStructure:
         stack = [(f, frozenset(), True)]
         while stack:
             g, bound, prefix = stack.pop()
-            self._tick()
+            self.clock.tick()
             t = type(g)
             if t is Atom:
                 self.used.setdefault(g.pred, set()).add(len(g.args))
@@ -359,13 +356,6 @@ class ClosedStructure:
 
     # --- evaluation ---
 
-    def _tick(self) -> None:
-        self.steps += 1
-        if self.steps >= _CHECK_EVERY:
-            self.steps = 0
-            if self.deadline is not None and time.monotonic() > self.deadline:
-                raise TimeBudgetExceeded()
-
     def failures(self, f: Formula) -> Iterator[dict[str, str]]:
         """The bindings of the unit's outermost `∀` at which it fails, or
         one empty binding if a unit without one fails."""
@@ -394,7 +384,7 @@ class ClosedStructure:
                     return done.value
                 value = done.value
                 continue
-            self._tick()
+            self.clock.tick()
             stack.append(self._eval(g, genv))
             value = None
 
@@ -480,7 +470,7 @@ class ClosedStructure:
                 continue
             k = len(iters) - 1
             env[names[k]] = value
-            self._tick()
+            self.clock.tick()
             if k == last:
                 yield env
             else:
@@ -612,7 +602,7 @@ def check(units: list[tuple[str, Formula]], deadline: Optional[float] = None) ->
     """Satisfiable when the candidate structure satisfies every unit,
     unsatisfiable when it fails one on which every model agrees with it,
     and None otherwise or when the units allow no one candidate.  Raises
-    `TimeBudgetExceeded` once the clock passes `deadline`."""
+    `sat.TimeBudgetExceeded` once the clock passes `deadline`."""
     try:
         structure = ClosedStructure(units, deadline)
     except _Inapplicable:

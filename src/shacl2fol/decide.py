@@ -180,7 +180,7 @@ def build_problem(task: DecisionTask) -> TptpDocument:
         doc.add("neg_targets_b", neg(conj(b_targets)))
     else:
         doc.extend(tr.translate(sg, task.data_graph.predicate_names(), emitter))
-    attach_ambient_axioms(doc, emitter, task.options)
+    attach_ambient_axioms(doc, emitter)
     return doc
 
 

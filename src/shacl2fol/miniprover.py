@@ -32,9 +32,10 @@ equalities out of its equality axioms; neither grounds an axiom it has
 read.  Both give up on a problem larger than one limit, `_MAX_GROUND`,
 counted on what they build.
 
-`decide_clauses` runs the refutation once, then the model search.  If
-neither procedure concludes within its bounds the status is Timeout when
-the wall clock cut an attempt, and GaveUp otherwise.  The command-line
+`decide_clauses` runs the refutation once, then the model search.  Every
+pass, `clausify` to the SAT search, reports its work to one `sat.Clock`.
+If neither procedure concludes within its bounds the status is Timeout
+when the clock cut an attempt, and GaveUp otherwise.  The command-line
 entry point prints a standard `% SZS status <Status>` line.
 """
 
@@ -106,8 +107,6 @@ def _ordered(cl: Clause) -> list[Literal]:
     follow it too."""
     return sorted(cl, key=lambda lit: (lit.pred, lit.positive, repr(lit.args)))
 
-
-_CHECK_EVERY = 4096
 
 # The one size limit of both procedures, counted on what they build: the
 # propositional clauses of `find_model`, its totality and functionality rows
@@ -223,8 +222,7 @@ def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
     return levels, ready
 
 
-def _ground(clauses: list[list[Literal]], relevant: "_Relevant", encode,
-            deadline: Optional[float]):
+def _ground(clauses: list[list[Literal]], relevant: "_Relevant", encode, clock: sat.Clock):
     """Onto `relevant.prop`, the propositional relevant instances of `clauses`.
 
     `encode(lit, env)` gives the code of one literal under the binding `env`
@@ -241,16 +239,16 @@ def _ground(clauses: list[list[Literal]], relevant: "_Relevant", encode,
     its literals, and a later call with the same `clauses` resumes from the
     atoms that the rows added to `prop` since make possible.
 
-    The clock is read every `_CHECK_EVERY` units of work: each job's
-    literals once, for its plan, and each binding and literal encoded.  The
-    grounding stops once `prop` holds more than `_MAX_GROUND` clauses, and
+    Each job's literals, once for its plan, and each binding and literal
+    encoded are work on `clock`.  Each time it reads the clock, the
+    grounding stops if `prop` holds more than `_MAX_GROUND` clauses, and
     the caller gives up.
     """
-    work = 0  # units of work since the last check
     prop, kept = relevant.prop, relevant.kept
     universe = range(relevant.size)
     for lits, levels, ready, rounds in relevant.jobs(clauses):
-        work += len(lits)  # its plan's share
+        if clock.tick(len(lits)) and len(prop) > _MAX_GROUND:  # its plan's share
+            return prop
         env: dict[str, int] = {}
         codes = [0] * len(lits)
         # levels[k - 1] binds at depth k; depth 0 binds nothing
@@ -261,13 +259,8 @@ def _ground(clauses: list[list[Literal]], relevant: "_Relevant", encode,
             if value is _END:
                 stack.pop()
                 continue
-            work += 1 + len(ready[k])
-            if work >= _CHECK_EVERY:
-                work = 0
-                if deadline is not None and time.monotonic() > deadline:
-                    raise sat.TimeBudgetExceeded()
-                if len(prop) > _MAX_GROUND:
-                    return prop  # too large: the caller gives up
+            if clock.tick(1 + len(ready[k])) and len(prop) > _MAX_GROUND:
+                return prop  # too large: the caller gives up
             if k:
                 level = levels[k - 1]
                 if isinstance(level, str):
@@ -293,8 +286,8 @@ def _ground(clauses: list[list[Literal]], relevant: "_Relevant", encode,
     return prop
 
 
-def _collect_signature(clauses: list[Clause]):
-    """The constants, and the function arities, both sorted by name."""
+def _collect_signature(clauses: list[Clause], clock: sat.Clock):
+    """The constants and the function arities, sorted by name; a literal is a unit of work."""
     consts: set[str] = set()
     funcs: dict[str, int] = {}
 
@@ -308,6 +301,7 @@ def _collect_signature(clauses: list[Clause]):
 
     for cl in clauses:
         for lit in cl:
+            clock.tick()
             for a in lit.args:
                 scan(a)
     return sorted(consts), dict(sorted(funcs.items()))
@@ -398,10 +392,11 @@ def find_model(
     guard on such an atom: a model exists iff the full grounding has one.
 
     Raises `_TooLarge` when the problem passes `_MAX_GROUND`, and
-    `sat.TimeBudgetExceeded` when the clock passes `deadline`, which is
-    read every `_CHECK_EVERY` literals flattened and then in the grounding
-    and the SAT search."""
-    consts, funcs = _collect_signature(clauses)
+    `sat.TimeBudgetExceeded` when the clock passes `deadline`: the
+    signature's scan, the flattening, the grounding and the SAT search each
+    report their work to it."""
+    clock = sat.Clock(deadline)
+    consts, funcs = _collect_signature(clauses, clock)
     pinned = _pin(consts, _Apart(clauses), domain_size)
     domain = range(domain_size)
     # the totality and functionality rows of the unpinned constants and the
@@ -412,7 +407,6 @@ def find_model(
         raise _TooLarge()
     fresh = map("FL{}".format, itertools.count(1))
     flat = []
-    work = 0  # literals flattened since the last clock check
     for cl, members in zip(clauses, map(_kept_apart, clauses)):
         if members is not None and pinned.keys() >= set(members):
             continue  # its constants are pinned apart
@@ -422,11 +416,7 @@ def find_model(
             for a, b in itertools.combinations(members, 2) if a not in pinned or b not in pinned)
         for unit in units:
             flat.append(_flatten_clause(unit, fresh, pinned))
-            work += len(flat[-1])
-            if work >= _CHECK_EVERY:
-                work = 0
-                if deadline is not None and time.monotonic() > deadline:
-                    raise sat.TimeBudgetExceeded()
+            clock.tick(len(flat[-1]))
     pool = _VarPool()
     relevant = _Relevant(pinned, domain_size, pool)
     value = relevant.value
@@ -448,7 +438,7 @@ def find_model(
             return sign * pool.get(("a", right.name, lv))
         return None if (lv == rv) == lit.positive else 0
 
-    prop = _ground(flat, relevant, lit_code, deadline)
+    prop = _ground(flat, relevant, lit_code, clock)
     if len(prop) + rows > _MAX_GROUND:
         raise _TooLarge()
     for term in itertools.chain(
@@ -650,7 +640,8 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
        equality theory over the universe;
     4. the lemma rows are ground equality axioms, so True is sound.
     """
-    consts, funcs = _collect_signature(clauses)
+    clock = sat.Clock(deadline)
+    consts, funcs = _collect_signature(clauses, clock)
     consts = consts or ["herbrand_c0"]
     if len(consts) + sum(len(consts) ** arity for arity in funcs.values()) > _MAX_GROUND:
         return None  # the universe alone passes the limit
@@ -688,13 +679,16 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
         v = pool.get(("p", lit.pred, args))
         return v if lit.positive else -v
 
-    # `eq_code` makes every unique-name axiom true: none is ground
-    ordered = [_ordered(cl) for cl in clauses if _kept_apart(cl) is None]
+    ordered = []
+    for cl in clauses:
+        if _kept_apart(cl) is None:  # `eq_code` makes a unique-name axiom true
+            ordered.append(_ordered(cl))
+        clock.tick(len(cl))
     # the ground equality theory but symmetry and reflexivity (eq_code
     # folds them in) comes as lemma rows, until the model violates none or
     # the rows refute
     while True:
-        prop = _ground(ordered, relevant, lit_code, deadline)
+        prop = _ground(ordered, relevant, lit_code, clock)
         if len(prop) > _MAX_GROUND:
             return None
         model = sat.solve(prop, deadline=deadline)
@@ -773,11 +767,14 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
        the clock cuts or `_MAX_GROUND` stops, as larger sizes only cost
        more.
 
-    When neither concludes, the status is Timeout if the clock cut an
-    attempt, and GaveUp if each stopped at its bounds.
+    When neither concludes, the status is Timeout if the clock cut the
+    signature's scan or an attempt, and GaveUp if each stopped at its bounds.
     """
     deadline = time.monotonic() + timeout_s
-    consts, funcs = _collect_signature(clauses)
+    try:
+        consts, funcs = _collect_signature(clauses, sat.Clock(deadline))
+    except sat.TimeBudgetExceeded:
+        return ProverResult("Timeout")
     cut = False  # whether the clock cut an attempt
 
     def attempt(procedure, *args):
@@ -807,20 +804,20 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
 def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverResult:
     """Decide a problem given as its units: first on its one candidate
     structure (`closed_structure.check`); when that gives no answer, by
-    `decide_clauses` on their clauses, in the time left."""
+    `decide_clauses` on their clauses, in the time `clausify` leaves."""
     deadline = time.monotonic() + timeout_s
     named = [(u.name, u.body) for u in units if u.role in ("axiom", "hypothesis", "definition")]
     conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
     named.extend(conjectures)
     try:
         answer = closed_structure.check(named, deadline)
+        clauses = [] if answer is not None else clausify([f for _, f in named], deadline)
     except sat.TimeBudgetExceeded:
         return ProverResult("Timeout")
     if answer is not None:
         result = ProverResult("Satisfiable" if answer.satisfiable else "Unsatisfiable",
                               answer.detail)
     else:
-        clauses = clausify([f for _, f in named])
         result = decide_clauses(clauses, timeout_s=max(0.0, deadline - time.monotonic()))
     if conjectures and result.status in ("Satisfiable", "Unsatisfiable"):
         status = "CounterSatisfiable" if result.status == "Satisfiable" else "Theorem"

@@ -4,7 +4,8 @@ Clauses are tuples of nonzero integers (negative = negated variable), as
 in DIMACS.  Implements first-UIP clause learning with backjumping,
 activity-based branching from a lazy order heap (as in MiniSat, Eén &
 Sörensson, SAT 2003), saved phases, and geometric restarts — enough to
-handle the groundings the built-in prover produces.
+handle the groundings the built-in prover produces.  `Clock` is that
+prover's one wall clock, to which every pass reports its work.
 """
 
 from __future__ import annotations
@@ -18,6 +19,27 @@ class TimeBudgetExceeded(Exception):
     pass
 
 
+class Clock:
+    """`tick` counts a pass's work, reads the clock once every 4,096 units
+    and says whether it did; `check` reads it at once, against `deadline`."""
+
+    def __init__(self, deadline: Optional[float] = None):
+        self.deadline = deadline
+        self.work = 0  # units since the last read
+
+    def tick(self, work: int = 1) -> bool:
+        self.work += work
+        if self.work < 4096:
+            return False
+        self.work = 0
+        self.check()
+        return True
+
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeBudgetExceeded()
+
+
 def solve(
     clauses: Iterable[tuple[int, ...]],
     deadline: Optional[float] = None,
@@ -29,13 +51,10 @@ def solve(
     cls: list[list[int]] = []
     units: list[int] = []
     activity: dict[int, float] = {}  # every variable's, for branching
-    read = 4096  # literals read since the clock was last read; the first clause reads it
+    clock = Clock(deadline)
+    clock.check()  # once before the input, then per 4,096 literals read
     for c in clauses:
-        if read >= 4096:
-            read = 0
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeBudgetExceeded()
-        read += len(c)
+        clock.tick(len(c))
         lits = dict.fromkeys(c)  # the clause's literals, once each, in order
         activity.update(dict.fromkeys(map(abs, lits), 0.0))
         if any(-lit in lits for lit in lits):
@@ -203,9 +222,8 @@ def solve(
         if confl is not None:
             conflicts += 1
             since_restart += 1
-            if deadline is not None and conflicts % 64 == 0 \
-                    and time.monotonic() > deadline:
-                raise TimeBudgetExceeded()
+            if conflicts % 64 == 0:
+                clock.check()
             if not trail_lim:
                 return None
             learnt, jump = analyze(confl)
@@ -226,9 +244,7 @@ def solve(
             restart_limit *= 1.5
             backtrack(0)
             continue
-        # a search without conflicts checks the clock here
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded()
+        clock.check()  # a search without conflicts reads the clock here
         while order and (order[0][1] in assign or -order[0][0] != activity[order[0][1]]):
             heapq.heappop(order)
         if not order:

@@ -511,7 +511,7 @@ def emit_graph_axioms(g: Graph, signature: set[str],
     return out
 
 
-def attach_ambient_axioms(doc: TptpDocument, emitter: Emitter, opts: EmitOptions):
+def attach_ambient_axioms(doc: TptpDocument, emitter: Emitter):
     """Data-graph, star, order, filter and UNA axioms for everything the
     emitter saw; the data graph's relations are closed over the roles the
     emitter used and those of the graph."""
@@ -527,7 +527,7 @@ def attach_ambient_axioms(doc: TptpDocument, emitter: Emitter, opts: EmitOptions
     constants = sorted(emitter.known_constants, key=RdfTerm.sort_key)
     for name, body in emitter.filter_axioms(constants):
         doc.add(name, body)
-    doc.extend(emit_una(constants, opts, emitter.const))
+    doc.extend(emit_una(constants, emitter.opts, emitter.const))
     doc.approximate = doc.approximate or emitter.approximate
 
 

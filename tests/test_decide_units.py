@@ -10,9 +10,9 @@ import time
 
 import pytest
 
-from conftest import load_graph, load_shapes
+from conftest import load_graph, load_shapes, path_list
 from corpus import CASES
-from shacl2fol import miniprover
+from shacl2fol import miniprover, sat
 from shacl2fol.decide import DecisionTask, TaskKind, build_problem
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN,
@@ -143,3 +143,38 @@ def test_the_clock_of_a_text_starts_before_its_parse(monkeypatch):
 
     monkeypatch.setattr(miniprover, "parse_tptp", slow_parse)
     assert miniprover.decide_tptp_text(text, timeout_s=0.3).status == "Timeout"
+
+
+@pytest.fixture(scope="module")
+def sequence_40000():
+    """The units of the `sat` problem of a 40,000-member sequence path,
+    whose clausal form has one clause of 40,000 literals."""
+    return build_problem(_sat(path_list(40_000, False))).formulas
+
+
+def test_a_short_budget_ends_near_its_deadline(sequence_40000):
+    """Each pass before the SAT search reports its work to the one clock,
+    so a 0.1 s budget answers Timeout within a second."""
+    start = time.monotonic()
+    got = miniprover.decide_units(sequence_40000, timeout_s=0.1)
+    assert time.monotonic() - start < 1
+    assert got.status == "Timeout"
+
+
+def test_a_budget_spent_in_clausify_answers_timeout(monkeypatch, sequence_40000):
+    """A deadline that passes while the units are clausified answers
+    Timeout: the exception stops there, and no procedure runs."""
+    cut = []
+    clausify = miniprover.clausify
+
+    def watched(formulas, deadline=None):
+        try:
+            return clausify(formulas, deadline)
+        except sat.TimeBudgetExceeded:
+            cut.append(deadline)
+            raise
+
+    monkeypatch.setattr(miniprover, "clausify", watched)
+    monkeypatch.setattr(miniprover, "decide_clauses", None)  # not to be called
+    assert miniprover.decide_units(sequence_40000, timeout_s=0).status == "Timeout"
+    assert len(cut) == 1

@@ -292,7 +292,7 @@ class TestRendering:
                   MinCount(2, Predicate(EX + "p"), NodeKind(NodeKindValue.IRI)))
         doc.add("shape_def", emitter.shape_formula(s))
         from shacl2fol.tptp import attach_ambient_axioms
-        attach_ambient_axioms(doc, emitter, emitter.opts)
+        attach_ambient_axioms(doc, emitter)
         return doc
 
     @pytest.mark.parametrize("dialect", [Dialect.FOF, Dialect.TFF])

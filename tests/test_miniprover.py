@@ -189,7 +189,7 @@ class TestGround:
 
         p_or_q = [Literal(True, "p", (X,)), Literal(True, "q", (X,))]
         q_of_f = [Literal(True, "q", (Func("f", (X,)),))]
-        got = miniprover._ground([p_or_q, q_of_f], relevant, encode, None)
+        got = miniprover._ground([p_or_q, q_of_f], relevant, encode, sat.Clock())
         # p_or_q: X=a is true and dropped, X=f(a) keeps only q(f(a));
         # q_of_f: X=a gives q(f(a)) again, kept once, and X=f(a) names
         # f(f(a)) and is dropped
@@ -228,7 +228,7 @@ class TestGround:
 
         facts = [[Literal(True, "q", (Const(f"c{i}"), Const(f"c{i + 1}")))] for i in (3, 7)]
         guarded = [Literal(False, "q", (X, Y)), Literal(True, "p", (Y,))]
-        got = miniprover._ground(facts + [guarded], relevant, encode, None)
+        got = miniprover._ground(facts + [guarded], relevant, encode, sat.Clock())
         assert got == [(1,), (2,), (-1, 3), (-2, 4)]
         assert seen[2:] == [("q", {"X": 3, "Y": 4}), ("p", {"X": 3, "Y": 4}),
                             ("q", {"X": 7, "Y": 8}), ("p", {"X": 7, "Y": 8})]
@@ -305,7 +305,7 @@ class TestGroundPruning:
         def encode_elements(lit, env):
             return encode(lit, {name: GROUND_UNIVERSE[e] for name, e in env.items()})
 
-        got = miniprover._ground(clauses, relevant, encode_elements, None)
+        got = miniprover._ground(clauses, relevant, encode_elements, sat.Clock())
         assert len(got) == len(set(got))
         assert set(got) == {tuple(sorted(set(codes)))
                             for codes in ground_reference(clauses, GROUND_UNIVERSE, encode)}
@@ -324,7 +324,7 @@ class TestGroundPruning:
             return pool.get(("p", lit.pred, tuple(env[a.name] for a in lit.args)))
 
         clause = [Literal(True, "p", (X,)), Literal(True, "q", (X, Y, Var("Z")))]
-        got = miniprover._ground([clause], relevant, encode, None)
+        got = miniprover._ground([clause], relevant, encode, sat.Clock())
         assert got == [(1, 2), (1, 3), (1, 4), (1, 5)]
         assert seen[0] == ("p", {"X": 0})
         assert all(env["X"] == 1 for _, env in seen[1:])
@@ -453,7 +453,7 @@ class TestFlatten:
     @given(st.data())
     def test_every_literal_is_over_values_but_for_one_shallow_term(self, data):
         clauses = data.draw(clause_sets(functions=True))
-        consts, _ = miniprover._collect_signature(clauses)
+        consts, _ = miniprover._collect_signature(clauses, sat.Clock())
         size = data.draw(st.sampled_from(SIZES))
         pinned = miniprover._pin(consts, miniprover._Apart(clauses), size)
 
