@@ -16,13 +16,13 @@ formula `$distinct` is one literal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func,
     Iff, Implies, NotN, OrN, Term, TrueF, Var,
 )
+from .record import Record
 from .sat import Clock
 
 EQ = "="  # reserved predicate name for equality literals
@@ -31,11 +31,17 @@ DISTINCT = "$distinct"  # reserved predicate name: its arguments are pairwise un
 DISTRIBUTION_LIMIT = 16
 
 
-@dataclass(frozen=True)
-class Literal:
-    positive: bool
-    pred: str
-    args: tuple[Term, ...]
+class Literal(Record):
+    __slots__ = ("positive", "pred", "args")
+
+    def __init__(self, positive: bool, pred: str, args: tuple[Term, ...]):
+        self.positive = positive
+        self.pred = pred
+        self.args = args
+
+    # the prover hashes a literal into each clause it builds
+    def __hash__(self):
+        return hash((self.positive, self.pred, self.args))
 
     def negate(self) -> "Literal":
         return Literal(not self.positive, self.pred, self.args)

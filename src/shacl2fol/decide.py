@@ -16,10 +16,8 @@ import os
 import re
 import shutil
 import stat
-import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Optional
 
@@ -27,6 +25,7 @@ from . import translate as tr
 from .errors import InvalidOptions, ProverNotFound, ProverProtocolError
 from .fol import conj, neg
 from .rdf import Graph, RdfTerm
+from .record import Record
 from .shapes import ShapeGraph
 from .tptp import (
     Emitter, EmitOptions, SHAPE_PRED, TptpDocument, attach_ambient_axioms,
@@ -69,22 +68,24 @@ class Verdict(Enum):
 POSITIVE_VERDICTS = {Verdict.SATISFIABLE, Verdict.CONTAINED, Verdict.CONFORMS}
 
 
-@dataclass
-class ProverConfig:
-    kind: str = "auto"  # auto | e | vampire | builtin | custom (runs `executable`)
-    executable: Optional[str] = None
-    timeout_s: float = 60.0
+class ProverConfig(Record):
+    __slots__ = ("kind", "executable", "timeout_s")
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, kind: str = "auto", executable: Optional[str] = None,
+                 timeout_s: float = 60.0):
         # E and Vampire take whole seconds; the built-in prover's clock
         # would cut every attempt of a NaN timeout at once
-        if not math.isfinite(self.timeout_s):
+        if not math.isfinite(timeout_s):
             raise InvalidOptions(f"the timeout must be a finite number of seconds, "
-                                 f"not {self.timeout_s}")
+                                 f"not {timeout_s}")
         # `auto` and `builtin` run no executable of the caller's choosing
-        if self.executable is not None and self.kind not in ("e", "vampire", "custom"):
+        if executable is not None and kind not in ("e", "vampire", "custom"):
             raise InvalidOptions(f"a prover path needs the prover e or vampire, "
-                                 f"not {self.kind}")
+                                 f"not {kind}")
+        self.kind = kind  # auto | e | vampire | builtin | custom (runs `executable`)
+        self.executable = executable
+        self.timeout_s = timeout_s
 
     def resolve(self) -> "ProverConfig":
         """The first installed of E, Vampire and the built-in prover for
@@ -105,34 +106,48 @@ def _find_executable(kind: str) -> Optional[str]:
     return os.environ.get(env) or next(filter(None, map(shutil.which, names)), None)
 
 
-@dataclass
-class DecisionTask:
-    kind: TaskKind
-    shape_graph_a: ShapeGraph
-    shape_graph_b: Optional[ShapeGraph] = None
-    data_graph: Optional[Graph] = None
-    options: EmitOptions = field(default_factory=EmitOptions)
-    strong_sat_shapes: Optional[list[RdfTerm]] = None  # None = off, [] = all
-    prover: ProverConfig = field(default_factory=ProverConfig)
-    problem_path: Optional[str] = None
+class DecisionTask(Record):
+    __slots__ = ("kind", "shape_graph_a", "shape_graph_b", "data_graph", "options",
+                 "strong_sat_shapes", "prover", "problem_path")
+    __hash__ = None
 
-    def __post_init__(self):
-        if (self.kind is TaskKind.CONTAINMENT) != (self.shape_graph_b is not None):
+    def __init__(self, kind: TaskKind, shape_graph_a: ShapeGraph,
+                 shape_graph_b: Optional[ShapeGraph] = None,
+                 data_graph: Optional[Graph] = None,
+                 options: Optional[EmitOptions] = None,
+                 strong_sat_shapes: Optional[list[RdfTerm]] = None,
+                 prover: Optional[ProverConfig] = None,
+                 problem_path: Optional[str] = None):
+        if (kind is TaskKind.CONTAINMENT) != (shape_graph_b is not None):
             raise InvalidOptions("containment, and only containment, takes a "
                                  "second shape graph")
-        if (self.kind is TaskKind.VALIDATION) != (self.data_graph is not None):
+        if (kind is TaskKind.VALIDATION) != (data_graph is not None):
             raise InvalidOptions("validation, and only validation, takes a data graph")
+        self.kind = kind
+        self.shape_graph_a = shape_graph_a
+        self.shape_graph_b = shape_graph_b
+        self.data_graph = data_graph
+        self.options = EmitOptions() if options is None else options
+        self.strong_sat_shapes = strong_sat_shapes  # None = off, [] = all
+        self.prover = ProverConfig() if prover is None else prover
+        self.problem_path = problem_path
 
 
-@dataclass
-class DecisionResult:
-    verdict: Verdict
-    approximate: bool
-    szs_status: str
-    problem_file: str
-    prover_time_ms: int
-    prover_kind: str = ""
-    prover_detail: str = ""
+class DecisionResult(Record):
+    __slots__ = ("verdict", "approximate", "szs_status", "problem_file", "prover_time_ms",
+                 "prover_kind", "prover_detail")
+    __hash__ = None
+
+    def __init__(self, verdict: Verdict, approximate: bool, szs_status: str,
+                 problem_file: str, prover_time_ms: int, prover_kind: str = "",
+                 prover_detail: str = ""):
+        self.verdict = verdict
+        self.approximate = approximate
+        self.szs_status = szs_status
+        self.problem_file = problem_file
+        self.prover_time_ms = prover_time_ms
+        self.prover_kind = prover_kind
+        self.prover_detail = prover_detail
 
     def as_dict(self) -> dict:
         return {
@@ -258,6 +273,8 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
         elapsed = int((time.monotonic() - start) * 1000)
         raw = f"% SZS status {result.status} for {problem_file or 'problem'}\n"
         return ProverRun(result.status, raw, problem_file, elapsed, result.detail)
+    import subprocess
+
     with tempfile.TemporaryDirectory(prefix="shacl2fol_") as tmp:
         path = problem_file or write_problem(text, os.path.join(tmp, "problem.p"))
         argv = prover_command(config, path)

@@ -14,95 +14,135 @@ declares in TFF), so no second walk over the formulas is needed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Union
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+# Var and Const write out their hash and repr, as `clausify.Literal` its
+# hash: the prover hashes terms with each literal it builds and prints them
+# to order each clause.
+class Var(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __repr__(self):
+        return f"Var(name={self.name!r})"
 
 
-@dataclass(frozen=True)
-class Func:
-    name: str
-    args: tuple["Term", ...]
+class Const(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __hash__(self):
+        return hash((self.name,))
+
+    def __repr__(self):
+        return f"Const(name={self.name!r})"
+
+
+class Func(Record):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: tuple["Term", ...]):
+        self.name = name
+        self.args = args
 
 
 Term = Union[Var, Const, Func]
 
 
-@dataclass(frozen=True)
-class TrueF:
-    pass
+class TrueF(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FalseF:
-    pass
+class FalseF(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple[Term, ...]
+class Atom(Record):
+    __slots__ = ("pred", "args")
+
+    def __init__(self, pred: str, args: tuple[Term, ...]):
+        self.pred = pred
+        self.args = args
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Term
-    right: Term
+class Eq(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Distinct:
+class Distinct(Record):
     """TFF $distinct over a tuple of constants."""
 
-    constants: tuple[Const, ...]
+    __slots__ = ("constants",)
+
+    def __init__(self, constants: tuple[Const, ...]):
+        self.constants = constants
 
 
-@dataclass(frozen=True)
-class NotN:
-    operand: "Formula"
+class NotN(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Formula"):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class AndN:
-    operands: tuple["Formula", ...]
+class AndN(Record):
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple["Formula", ...]):
+        self.operands = operands
 
 
-@dataclass(frozen=True)
-class OrN:
-    operands: tuple["Formula", ...]
+class OrN(Record):
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple["Formula", ...]):
+        self.operands = operands
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Implies(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
+class Iff(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Formula", right: "Formula"):
+        self.left = left
+        self.right = right
 
 
-@dataclass(frozen=True)
-class Forall:
-    variables: tuple[str, ...]
-    body: "Formula"
+class Forall(Record):
+    __slots__ = ("variables", "body")
+
+    def __init__(self, variables: tuple[str, ...], body: "Formula"):
+        self.variables = variables
+        self.body = body
 
 
-@dataclass(frozen=True)
-class Exists:
-    variables: tuple[str, ...]
-    body: "Formula"
+class Exists(Record):
+    __slots__ = ("variables", "body")
+
+    def __init__(self, variables: tuple[str, ...], body: "Formula"):
+        self.variables = variables
+        self.body = body
 
 
 Formula = Union[
@@ -110,14 +150,16 @@ Formula = Union[
 ]
 
 
-@dataclass(frozen=True)
-class TptpFormula:
+class TptpFormula(Record):
     """One annotated formula of a TPTP problem: what the emitter adds to a
     document and what the parser reads back."""
 
-    name: str
-    role: str  # axiom | conjecture | hypothesis | definition
-    body: Formula
+    __slots__ = ("name", "role", "body")
+
+    def __init__(self, name: str, role: str, body: Formula):
+        self.name = name
+        self.role = role  # axiom | conjecture | hypothesis | definition
+        self.body = body
 
 
 def conj(operands) -> Formula:
@@ -174,8 +216,7 @@ def unquote_atom(text: str) -> str:
     return text
 
 
-@dataclass
-class SymbolTable:
+class SymbolTable(Record):
     """The quoted text of each symbol that renderings sharing the table met.
 
     `consts` maps every constant (function arguments included) to its
@@ -185,8 +226,13 @@ class SymbolTable:
     at each one and not recorded.
     """
 
-    consts: dict[str, str] = field(default_factory=dict)
-    preds: dict[str, tuple[str, int]] = field(default_factory=dict)
+    __slots__ = ("consts", "preds")
+    __hash__ = None
+
+    def __init__(self, consts: Optional[dict[str, str]] = None,
+                 preds: Optional[dict[str, tuple[str, int]]] = None):
+        self.consts = {} if consts is None else consts
+        self.preds = {} if preds is None else preds
 
 
 def term_text(t: Term, consts: dict[str, str]) -> str:

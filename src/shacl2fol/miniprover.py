@@ -49,19 +49,21 @@ import operator
 import sys
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from . import closed_structure, sat
 from .clausify import DISTINCT, EQ, Clause, Literal, clausify, term_vars
 from .fol import Const, Func, NotN, Term, TptpFormula, Var
-from .tptp_parse import TptpParseError, parse_tptp
+from .record import Record
 
 
-@dataclass
-class ProverResult:
-    status: str  # Satisfiable | Unsatisfiable | GaveUp | Timeout
-    detail: str = ""
+class ProverResult(Record):
+    __slots__ = ("status", "detail")
+    __hash__ = None
+
+    def __init__(self, status: str, detail: str = ""):
+        self.status = status  # Satisfiable | Unsatisfiable | GaveUp | Timeout
+        self.detail = detail
 
 
 # --- MACE-style flattening --------------------------------------------------
@@ -828,8 +830,10 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
 def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
     """Decide a TPTP problem: `decide_units` on its parsed units, in the
     time the parse leaves."""
+    from . import tptp_parse
+
     start = time.monotonic()
-    units = parse_tptp(text)
+    units = tptp_parse.parse_tptp(text)
     return decide_units(units, timeout_s - (time.monotonic() - start))
 
 
@@ -848,6 +852,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    from . import tptp_parse
+
     args = _parser().parse_args(argv)
     try:
         with open(args.problem, encoding="utf-8") as fh:
@@ -857,10 +863,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     try:
         if args.parse_only:
-            parse_tptp(text)
+            tptp_parse.parse_tptp(text)
         else:
             result = decide_tptp_text(text, timeout_s=args.timeout)
-    except TptpParseError as exc:
+    except tptp_parse.TptpParseError as exc:
         print(f"% SZS status SyntaxError for {args.problem} : {exc}")
         return 1
     if args.parse_only:

@@ -11,10 +11,10 @@ Python stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from .rdf import Graph, RDF_TYPE, RdfTerm, XSD_NS
+from .record import Record
 from .shapes import (
     Alternative, And, Closed, Constraint, DisjointProp, EqConst, EqualsProp,
     HasShape, Inverse, MinCount, NodeKind, NodeKindValue, Not, OrderOp,
@@ -28,16 +28,21 @@ _NUMERIC_DATATYPES = {
 }
 
 
-@dataclass(frozen=True)
-class Violation:
-    shape_name: RdfTerm
-    focus_node: RdfTerm
+class Violation(Record):
+    __slots__ = ("shape_name", "focus_node")
+
+    def __init__(self, shape_name: RdfTerm, focus_node: RdfTerm):
+        self.shape_name = shape_name
+        self.focus_node = focus_node
 
 
-@dataclass
-class ValidationReport:
-    conforms: bool
-    violations: list[Violation] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("conforms", "violations")
+    __hash__ = None
+
+    def __init__(self, conforms: bool, violations: Optional[list[Violation]] = None):
+        self.conforms = conforms
+        self.violations = [] if violations is None else violations
 
 
 # --- property paths ---------------------------------------------------------

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import codecs
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from functools import total_ordering
 from typing import Iterable, Iterator, Optional
 
 from .errors import RdfSyntaxError, UnsupportedFeature
+from .record import Record
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -53,30 +54,24 @@ class TermKind(Enum):
     BLANK = "blank"
 
 
-@dataclass(frozen=True)
-class RdfTerm:
-    kind: TermKind
-    lexical: str
-    datatype: Optional[str] = None
-    lang: Optional[str] = None
+class RdfTerm(Record):
     # terms are dictionary keys in every layer and sorted by every emitter:
     # hash the fields and build the sort key once
-    _hash: int = field(init=False, repr=False, compare=False)
-    _sort_key: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "lexical", "datatype", "lang", "_hash", "_sort_key")
 
-    def __post_init__(self):
-        if self.kind is not TermKind.LITERAL:
-            if self.datatype is not None or self.lang is not None:
+    def __init__(self, kind: TermKind, lexical: str, datatype: Optional[str] = None,
+                 lang: Optional[str] = None):
+        if kind is not TermKind.LITERAL:
+            if datatype is not None or lang is not None:
                 raise ValueError("only literals carry a datatype or language tag")
-        elif self.lang is not None and self.datatype not in (None, RDF_NS + "langString"):
+        elif lang is not None and datatype not in (None, RDF_NS + "langString"):
             raise ValueError("a literal has either a language tag or a datatype")
-        object.__setattr__(
-            self, "_hash", hash((self.kind, self.lexical, self.datatype, self.lang))
-        )
-        object.__setattr__(
-            self, "_sort_key",
-            (self.kind.value, self.lexical, self.datatype or "", self.lang or ""),
-        )
+        self.kind = kind
+        self.lexical = lexical
+        self.datatype = datatype
+        self.lang = lang
+        self._hash = hash((kind, lexical, datatype, lang))
+        self._sort_key = (kind.value, lexical, datatype or "", lang or "")
 
     def __hash__(self):
         return self._hash
@@ -128,17 +123,25 @@ def literal(lexical: str, datatype: Optional[str] = None, lang: Optional[str] = 
     return RdfTerm(TermKind.LITERAL, lexical, datatype or XSD_STRING, None)
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
-    subject: RdfTerm
-    predicate: RdfTerm
-    object: RdfTerm
+@total_ordering
+class Triple(Record):
+    """An RDF triple; triples sort by subject, then predicate, then object."""
 
-    def __post_init__(self):
-        if not self.predicate.is_iri:
+    __slots__ = ("subject", "predicate", "object")
+
+    def __init__(self, subject: RdfTerm, predicate: RdfTerm, object: RdfTerm):
+        if not predicate.is_iri:
             raise ValueError("triple predicate must be an IRI")
-        if self.subject.is_literal:
+        if subject.is_literal:
             raise ValueError("triple subject must not be a literal")
+        self.subject = subject
+        self.predicate = predicate
+        self.object = object
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) < other._values(other)
+        return NotImplemented
 
 
 class Graph:

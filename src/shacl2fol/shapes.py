@@ -24,13 +24,13 @@ constraint parameter raises UnsupportedComponent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
 
 from . import rdf
 from .errors import MalformedShape, RecursiveShapeGraph, UnsupportedComponent
 from .rdf import Graph, RdfTerm, SH_NS, RDF_TYPE
+from .record import Record
 
 SH = SH_NS
 
@@ -41,34 +41,46 @@ def _sh(local: str) -> str:
 
 # --- Property paths --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Predicate:
-    iri: str
+class Predicate(Record):
+    __slots__ = ("iri",)
+
+    def __init__(self, iri: str):
+        self.iri = iri
 
 
-@dataclass(frozen=True)
-class Inverse:
-    path: "PropertyPath"
+class Inverse(Record):
+    __slots__ = ("path",)
+
+    def __init__(self, path: "PropertyPath"):
+        self.path = path
 
 
-@dataclass(frozen=True)
-class Sequence:
-    members: tuple["PropertyPath", ...]  # two or more
+class Sequence(Record):
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple["PropertyPath", ...]):
+        self.members = members  # two or more
 
 
-@dataclass(frozen=True)
-class Alternative:
-    members: tuple["PropertyPath", ...]  # two or more
+class Alternative(Record):
+    __slots__ = ("members",)
+
+    def __init__(self, members: tuple["PropertyPath", ...]):
+        self.members = members  # two or more
 
 
-@dataclass(frozen=True)
-class ZeroOrOne:
-    path: "PropertyPath"
+class ZeroOrOne(Record):
+    __slots__ = ("path",)
+
+    def __init__(self, path: "PropertyPath"):
+        self.path = path
 
 
-@dataclass(frozen=True)
-class ZeroOrMore:
-    path: "PropertyPath"
+class ZeroOrMore(Record):
+    __slots__ = ("path",)
+
+    def __init__(self, path: "PropertyPath"):
+        self.path = path
 
 
 PropertyPath = Union[Predicate, Inverse, Sequence, Alternative, ZeroOrOne, ZeroOrMore]
@@ -87,70 +99,88 @@ class OrderOp(Enum):
     LEQ = "<="
 
 
-@dataclass(frozen=True)
-class TrueC:
-    pass
+class TrueC(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Not:
-    operand: "Constraint"
+class Not(Record):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Constraint"):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
-class And:
-    operands: tuple["Constraint", ...]
+class And(Record):
+    __slots__ = ("operands",)
+
+    def __init__(self, operands: tuple["Constraint", ...]):
+        self.operands = operands
 
 
-@dataclass(frozen=True)
-class EqConst:
-    term: RdfTerm
+class EqConst(Record):
+    __slots__ = ("term",)
+
+    def __init__(self, term: RdfTerm):
+        self.term = term
 
 
-@dataclass(frozen=True)
-class NodeKind:
-    kind: NodeKindValue
+class NodeKind(Record):
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: NodeKindValue):
+        self.kind = kind
 
 
-@dataclass(frozen=True)
-class HasShape:
-    shape_name: RdfTerm
+class HasShape(Record):
+    __slots__ = ("shape_name",)
+
+    def __init__(self, shape_name: RdfTerm):
+        self.shape_name = shape_name
 
 
-@dataclass(frozen=True)
-class MinCount:
-    n: int
-    path: PropertyPath
-    constraint: "Constraint"
+class MinCount(Record):
+    __slots__ = ("n", "path", "constraint")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, path: PropertyPath, constraint: "Constraint"):
+        if n < 1:
             raise ValueError("MinCount requires n >= 1")
+        self.n = n
+        self.path = path
+        self.constraint = constraint
 
 
-@dataclass(frozen=True)
-class EqualsProp:
-    path: PropertyPath
-    predicate: str
+class EqualsProp(Record):
+    __slots__ = ("path", "predicate")
+
+    def __init__(self, path: PropertyPath, predicate: str):
+        self.path = path
+        self.predicate = predicate
 
 
-@dataclass(frozen=True)
-class DisjointProp:
-    path: PropertyPath
-    predicate: str
+class DisjointProp(Record):
+    __slots__ = ("path", "predicate")
+
+    def __init__(self, path: PropertyPath, predicate: str):
+        self.path = path
+        self.predicate = predicate
 
 
-@dataclass(frozen=True)
-class OrderProp:
-    path: PropertyPath
-    predicate: str
-    op: OrderOp
-    inverted: bool = False
+class OrderProp(Record):
+    __slots__ = ("path", "predicate", "op", "inverted")
+
+    def __init__(self, path: PropertyPath, predicate: str, op: OrderOp,
+                 inverted: bool = False):
+        self.path = path
+        self.predicate = predicate
+        self.op = op
+        self.inverted = inverted
 
 
-@dataclass(frozen=True)
-class Closed:
-    allowed_predicates: frozenset[str]
+class Closed(Record):
+    __slots__ = ("allowed_predicates",)
+
+    def __init__(self, allowed_predicates: frozenset[str]):
+        self.allowed_predicates = allowed_predicates
 
 
 Constraint = Union[
@@ -186,32 +216,35 @@ class TargetKind(Enum):
     OBJECTS_OF = "objectsOf"
 
 
-@dataclass(frozen=True)
-class TargetDecl:
-    kind: TargetKind
-    argument: RdfTerm
+class TargetDecl(Record):
+    __slots__ = ("kind", "argument")
 
-    def __post_init__(self):
-        if self.kind in (TargetKind.SUBJECTS_OF, TargetKind.OBJECTS_OF) and not self.argument.is_iri:
+    def __init__(self, kind: TargetKind, argument: RdfTerm):
+        if kind in (TargetKind.SUBJECTS_OF, TargetKind.OBJECTS_OF) and not argument.is_iri:
             raise ValueError("subjects-of/objects-of target argument must be an IRI")
-        if self.kind is TargetKind.CLASS and self.argument.is_literal:
+        if kind is TargetKind.CLASS and argument.is_literal:
             raise ValueError("class target argument must be an IRI or blank node")
+        self.kind = kind
+        self.argument = argument
 
 
-@dataclass(frozen=True)
-class Shape:
-    name: RdfTerm
-    targets: tuple[TargetDecl, ...]
-    constraint: Constraint
+class Shape(Record):
+    __slots__ = ("name", "targets", "constraint")
 
-    def __post_init__(self):
-        if self.name.is_literal:
+    def __init__(self, name: RdfTerm, targets: tuple[TargetDecl, ...], constraint: Constraint):
+        if name.is_literal:
             raise ValueError("shape name must be an IRI or blank node")
+        self.name = name
+        self.targets = targets
+        self.constraint = constraint
 
 
-@dataclass
-class ShapeGraph:
-    shapes: list[Shape] = field(default_factory=list)
+class ShapeGraph(Record):
+    __slots__ = ("shapes",)
+    __hash__ = None
+
+    def __init__(self, shapes: Optional[list[Shape]] = None):
+        self.shapes = [] if shapes is None else shapes
 
     def shape_names(self) -> list[RdfTerm]:
         return [s.name for s in self.shapes]

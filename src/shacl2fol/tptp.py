@@ -16,7 +16,6 @@ name assumption).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Optional
 
@@ -27,6 +26,7 @@ from .fol import (
     TptpFormula, TrueF, Var, conj, disj, neg,
 )
 from .rdf import Graph, RDF_TYPE, RdfTerm, TermKind
+from .record import Record
 from .shapes import (
     Alternative, And, Closed, Constraint, DisjointProp, EqConst, EqualsProp,
     HasShape, Inverse, MinCount, NodeKind, Not, OrderOp, OrderProp,
@@ -52,11 +52,14 @@ class StarMode(Enum):
     GROUNDED = "ground"
 
 
-@dataclass(frozen=True)
-class EmitOptions:
-    dialect: Dialect = Dialect.TFF
-    star_mode: StarMode = StarMode.APPROXIMATE
-    cardinality_limit: int = 32
+class EmitOptions(Record):
+    __slots__ = ("dialect", "star_mode", "cardinality_limit")
+
+    def __init__(self, dialect: Dialect = Dialect.TFF,
+                 star_mode: StarMode = StarMode.APPROXIMATE, cardinality_limit: int = 32):
+        self.dialect = dialect
+        self.star_mode = star_mode
+        self.cardinality_limit = cardinality_limit
 
     def check(self, has_data_graph: bool = False):
         if self.star_mode is StarMode.GROUNDED and not has_data_graph:
@@ -65,18 +68,18 @@ class EmitOptions:
             raise InvalidOptions("cardinality limit must be positive")
 
 
-@dataclass
-class TptpDocument:
-    dialect: Dialect
-    formulas: list[TptpFormula] = field(default_factory=list)
-    header: list[str] = field(default_factory=list)
-    approximate: bool = False
-    # every unit name in `formulas`, and for each name passed to `add` the
-    # suffix it last got (1 for the bare name): all lower suffixes are taken
-    _used: set[str] = field(init=False, repr=False, compare=False)
-    _suffix: dict[str, int] = field(init=False, repr=False, compare=False)
+class TptpDocument(Record):
+    __slots__ = ("dialect", "formulas", "header", "approximate", "_used", "_suffix")
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, dialect: Dialect, formulas: Optional[list[TptpFormula]] = None,
+                 header: Optional[list[str]] = None, approximate: bool = False):
+        self.dialect = dialect
+        self.formulas = [] if formulas is None else formulas
+        self.header = [] if header is None else header
+        self.approximate = approximate
+        # every unit name in `formulas`, and for each name passed to `add` the
+        # suffix it last got (1 for the bare name): all lower suffixes are taken
         self._used = {f.name for f in self.formulas}
         self._suffix = {}
 

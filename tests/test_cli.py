@@ -585,16 +585,17 @@ print(json.dumps({"code": code, "networkx": "networkx" in sys.modules,
                   "modules": sorted(m for m in sys.modules if m.startswith("shacl2fol"))}))
 """
 
-_FRONT = {"cli", "errors", "rdf", "shapes"}
+_FRONT = {"cli", "errors", "rdf", "record", "shapes"}
 _EMIT = _FRONT | {"decide", "translate", "tptp", "fol"}
-_PROVER = {"miniprover", "closed_structure", "tptp_parse", "clausify", "sat", "fol"}
+# the TPTP parser only for a problem read as text
+_PROVER = {"miniprover", "closed_structure", "clausify", "sat", "fol", "record"}
 
 
 @pytest.mark.parametrize("entry, argv, loaded", [
     ("shacl2fol.cli", ["oracle", "{shapes}", "{ok}"], _FRONT | {"oracle"}),
     ("shacl2fol.cli", ["emit", "validate", "{shapes}", "{ok}", "--out", "{dir}/emitted.p"],
      _EMIT),
-    ("shacl2fol.miniprover", ["{dir}/problem.p", "--parse-only"], _PROVER),
+    ("shacl2fol.miniprover", ["{dir}/problem.p", "--parse-only"], _PROVER | {"tptp_parse"}),
     ("shacl2fol.cli", ["validate", "{shapes}", "{ok}", *BUILTIN], _EMIT | _PROVER),
 ], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin"])
 def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded):

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import load_graph, load_shapes, path_list
 from corpus import CASES
-from shacl2fol import miniprover, sat
+from shacl2fol import miniprover, sat, tptp_parse
 from shacl2fol.decide import DecisionTask, TaskKind, build_problem
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN,
@@ -135,13 +135,13 @@ def test_the_clock_of_a_text_starts_before_its_parse(monkeypatch):
     leaves: a parse that outlasts the timeout leaves none."""
     text = render(build_problem(ACCEPTANCE["sat_empty"]()))
     assert miniprover.decide_tptp_text(text, timeout_s=TIMEOUT).status == "Satisfiable"
-    parse = miniprover.parse_tptp
+    parse = tptp_parse.parse_tptp
 
     def slow_parse(text):
         time.sleep(0.4)
         return parse(text)
 
-    monkeypatch.setattr(miniprover, "parse_tptp", slow_parse)
+    monkeypatch.setattr(tptp_parse, "parse_tptp", slow_parse)
     assert miniprover.decide_tptp_text(text, timeout_s=0.3).status == "Timeout"
 
 

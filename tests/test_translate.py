@@ -1,10 +1,9 @@
-import dataclasses
-
 import pytest
 
 from conftest import load_shapes
 from shacl2fol.fol import Atom, Var, formula_text
 from shacl2fol.rdf import RDF_TYPE, iri, literal
+from shacl2fol.record import Record
 from shacl2fol import shapes, translate as tr
 from shacl2fol.shapes import (
     Alternative, And, Closed, DisjointProp, EqConst, EqualsProp, Inverse, MinCount,
@@ -163,10 +162,10 @@ def _shape_refs(formula) -> set[str]:
     if isinstance(formula, Atom):
         return {formula.args[1].name} if formula.pred == "hasShape" else set()
     out = set()
-    for f in dataclasses.fields(formula):
-        value = getattr(formula, f.name)
+    for name in formula.__slots__:
+        value = getattr(formula, name)
         for part in value if isinstance(value, tuple) else (value,):
-            if dataclasses.is_dataclass(part):
+            if isinstance(part, Record):
                 out |= _shape_refs(part)
     return out
 
