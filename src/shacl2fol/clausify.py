@@ -39,10 +39,6 @@ class Literal(Record):
         self.pred = pred
         self.args = args
 
-    # the prover hashes a literal into each clause it builds
-    def __hash__(self):
-        return hash((self.positive, self.pred, self.args))
-
     def negate(self) -> "Literal":
         return Literal(not self.positive, self.pred, self.args)
 

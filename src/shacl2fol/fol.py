@@ -19,20 +19,11 @@ from typing import Optional, Union
 from .record import Record
 
 
-# Var and Const write out their hash and repr, as `clausify.Literal` its
-# hash: the prover hashes terms with each literal it builds and prints them
-# to order each clause.
 class Var(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         self.name = name
-
-    def __hash__(self):
-        return hash((self.name,))
-
-    def __repr__(self):
-        return f"Var(name={self.name!r})"
 
 
 class Const(Record):
@@ -40,12 +31,6 @@ class Const(Record):
 
     def __init__(self, name: str):
         self.name = name
-
-    def __hash__(self):
-        return hash((self.name,))
-
-    def __repr__(self):
-        return f"Const(name={self.name!r})"
 
 
 class Func(Record):

@@ -83,63 +83,3 @@ def test_version_and_import_load_no_submodule():
     assert before == []
     # a name loads its submodule and what that imports, nothing else
     assert "shacl2fol.decide" in after and "shacl2fol.miniprover" not in after
-
-
-# the modules a bare interpreter has loaded, so that a site hook that
-# imports one of the modules checked below cannot fail these tests
-BARE = "import json, sys; print(json.dumps(sorted(sys.modules)))"
-
-ADDED = """
-import json, sys
-bare = set(json.loads(sys.argv[1]))
-from shacl2fol import cli
-code = cli.main(json.loads(sys.argv[2]))
-print(json.dumps({"code": code, "added": sorted(set(sys.modules) - bare)}))
-"""
-
-
-def _added_modules(argv: list[str]) -> tuple[list[str], int, list[str]]:
-    """The output lines, exit code and newly loaded modules of `cli.main(argv)`
-    in a fresh interpreter."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-
-    def run(*args):
-        proc = subprocess.run([sys.executable, "-c", *args], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()
-
-    bare = run(BARE)[-1]
-    *out, last = run(ADDED, bare, json.dumps(argv))
-    result = json.loads(last)
-    return out, result["code"], result["added"]
-
-
-@pytest.fixture
-def corpus_case(tmp_path):
-    from corpus import CASES
-
-    case = next(c for c in CASES if c.name == "target_node_conforms")
-    shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
-    shapes.write_text(case.shapes_ttl)
-    data.write_text(case.data_ttl)
-    return str(shapes), str(data)
-
-
-def test_validate_with_the_builtin_prover_starts_lean(corpus_case):
-    """The built-in prover decides the emitted units in memory: no record
-    class library, no process launcher and no TPTP parser are loaded."""
-    out, code, added = _added_modules(
-        ["validate", *corpus_case, "--prover", "builtin", "--json"])
-    assert code == 0
-    assert json.loads("\n".join(out))["proverDetail"].startswith("closed structure")
-    assert "shacl2fol.miniprover" in added
-    for module in ("dataclasses", "subprocess", "shacl2fol.tptp_parse"):
-        assert module not in added
-
-
-def test_the_oracle_loads_no_dataclasses(corpus_case):
-    out, code, added = _added_modules(["oracle", *corpus_case])
-    assert (out, code) == (["Conforms"], 0)
-    assert "shacl2fol.oracle" in added and "dataclasses" not in added
