@@ -23,7 +23,7 @@ from .fol import (
     Iff, Implies, NotN, OrN, Term, TrueF, Var,
 )
 from .record import Record
-from .sat import Clock
+from .errors import Clock
 
 EQ = "="  # reserved predicate name for equality literals
 DISTINCT = "$distinct"  # reserved predicate name: its arguments are pairwise unequal

@@ -26,7 +26,7 @@ enumerates the values its guard allows, looked up in an index of the
 closed atoms by the positions already bound, or the whole domain when it
 has no guard.  The evaluation keeps its own explicit stack, so neither a
 10,000-deep conjunction nor a 10,000-deep chain of definitions deepens
-the Python stack, and reports each step to the clock, `sat.Clock`.
+the Python stack, and reports each step to the clock, `errors.Clock`.
 
 The answers:
 
@@ -46,18 +46,25 @@ The answers:
 
 The module evaluates first-order formulas; it knows nothing of shapes or
 RDF, so the oracle stays an independent cross-check.
+
+`decide_units` is the built-in prover's one entry point: it runs `check`
+and, only when that gives no answer, loads the clausal procedures
+(`miniprover`, `clausify`, `sat`) and runs them in the time left.  So a
+validation the check decides loads none of them.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from typing import Iterator, NamedTuple, Optional
 
+from .errors import Clock, TimeBudgetExceeded
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Iff,
-    Implies, NotN, OrN, TrueF, Var,
+    Implies, NotN, OrN, TptpFormula, TrueF, Var,
 )
-from .sat import Clock
+from .record import Record
 
 _GUARD_DEPTH = 32  # how deep below a quantifier its guard is looked for
 _END = object()  # an exhausted iterator's `next` default
@@ -145,7 +152,7 @@ class ClosedStructure:
     """The candidate structure of a list of named units.
 
     Raises `_Inapplicable` when the units have no closure or no one
-    candidate, and `sat.TimeBudgetExceeded` once the clock passes `deadline`.
+    candidate, and `TimeBudgetExceeded` once the clock passes `deadline`.
     """
 
     def __init__(self, units: list[tuple[str, Formula]], deadline: Optional[float] = None):
@@ -602,7 +609,7 @@ def check(units: list[tuple[str, Formula]], deadline: Optional[float] = None) ->
     """Satisfiable when the candidate structure satisfies every unit,
     unsatisfiable when it fails one on which every model agrees with it,
     and None otherwise or when the units allow no one candidate.  Raises
-    `sat.TimeBudgetExceeded` once the clock passes `deadline`."""
+    `TimeBudgetExceeded` once the clock passes `deadline`."""
     try:
         structure = ClosedStructure(units, deadline)
     except _Inapplicable:
@@ -615,3 +622,42 @@ def check(units: list[tuple[str, Formula]], deadline: Optional[float] = None) ->
             at = " at " + ", ".join(f"{v} = {c}" for v, c in env.items()) if env else ""
             return Answer(False, f"{procedure}; fails {name}{at}")
     return Answer(True, procedure)
+
+
+class ProverResult(Record):
+    __slots__ = ("status", "detail")
+    __hash__ = None
+
+    def __init__(self, status: str, detail: str = ""):
+        self.status = status  # Satisfiable | Unsatisfiable | GaveUp | Timeout
+        self.detail = detail
+
+
+def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverResult:
+    """Decide a problem given as its units: first on its one candidate
+    structure (`check`); when that gives no answer, by
+    `miniprover.decide_clauses` on their clauses, in the time `clausify`
+    leaves.  The clausal procedures are imported only then."""
+    deadline = time.monotonic() + timeout_s
+    named = [(u.name, u.body) for u in units if u.role in ("axiom", "hypothesis", "definition")]
+    conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
+    named.extend(conjectures)
+    try:
+        answer = check(named, deadline)
+        if answer is None:
+            from . import miniprover
+
+            # called through `miniprover`, where perfbench/tracing.py wraps them
+            clauses = miniprover.clausify([f for _, f in named], deadline)
+    except TimeBudgetExceeded:
+        return ProverResult("Timeout")
+    if answer is not None:
+        result = ProverResult("Satisfiable" if answer.satisfiable else "Unsatisfiable",
+                              answer.detail)
+    else:
+        result = miniprover.decide_clauses(
+            clauses, timeout_s=max(0.0, deadline - time.monotonic()))
+    if conjectures and result.status in ("Satisfiable", "Unsatisfiable"):
+        status = "CounterSatisfiable" if result.status == "Satisfiable" else "Theorem"
+        return ProverResult(status, result.detail)
+    return result

@@ -267,9 +267,9 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
         problem_file = write_problem(text, problem_path)
     start = time.monotonic()
     if builtin:
-        from . import miniprover
+        from . import closed_structure
 
-        result = miniprover.decide_units(doc.formulas, timeout_s=config.timeout_s)
+        result = closed_structure.decide_units(doc.formulas, timeout_s=config.timeout_s)
         elapsed = int((time.monotonic() - start) * 1000)
         raw = f"% SZS status {result.status} for {problem_file or 'problem'}\n"
         return ProverRun(result.status, raw, problem_file, elapsed, result.detail)

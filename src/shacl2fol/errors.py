@@ -1,4 +1,12 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the built-in prover's
+clock, which raises `TimeBudgetExceeded`.
+
+The clock lives here, in a module every command loads, so that a problem
+the closed-structure check decides never loads the SAT solver; `sat`
+re-exports both names.
+"""
+
+import time
 
 
 class Shacl2FolError(Exception):
@@ -55,3 +63,30 @@ class ProverNotFound(Shacl2FolError):
 
 class ProverProtocolError(Shacl2FolError):
     """Prover output did not contain a parseable SZS status line."""
+
+
+class TimeBudgetExceeded(Exception):
+    """The built-in prover's clock passed its deadline; not a toolkit
+    error, since the schedule answers it as `Timeout`."""
+
+
+class Clock:
+    """The built-in prover's one wall clock.  `tick` counts a pass's work,
+    reads the clock once every 4,096 units and says whether it did;
+    `check` reads it at once, against `deadline`."""
+
+    def __init__(self, deadline=None):
+        self.deadline = deadline
+        self.work = 0  # units since the last read
+
+    def tick(self, work: int = 1) -> bool:
+        self.work += work
+        if self.work < 4096:
+            return False
+        self.work = 0
+        self.check()
+        return True
+
+    def check(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise TimeBudgetExceeded()

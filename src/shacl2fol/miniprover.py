@@ -1,13 +1,14 @@
-"""Built-in desk-scale prover for the emitted TPTP problems.
+"""Built-in desk-scale prover for the emitted TPTP problems: the clausal
+procedures.
 
-`decide_units` takes a problem's units as the emitter builds them (the
-integrated prover) and `decide_tptp_text` takes its text, parsed first
-(the command line).  The units' one candidate structure is checked first
-(`closed_structure.check`): a validation problem, whose closures, kinds,
-unique names and definitions fix every predicate, is decided there,
-before anything is clausified.  When the check gives no answer,
-`decide_clauses` runs two sound, incomplete procedures over the clausal
-form:
+`closed_structure.decide_units` decides a problem's units as the emitter
+builds them (the integrated prover), and `decide_tptp_text` its text,
+parsed first (the command line).  The units' one candidate structure is
+checked first (`closed_structure.check`): a validation problem, whose
+closures, kinds, unique names and definitions fix every predicate, is
+decided there, before anything is clausified, and this module is not
+loaded.  When the check gives no answer, `decide_clauses` runs two sound,
+incomplete procedures over the clausal form:
 
 * finite model search: MACE-style flattening, then propositional grounding
   over increasing domain sizes; any model found is a genuine first-order
@@ -33,7 +34,8 @@ read.  Both give up on a problem larger than one limit, `_MAX_GROUND`,
 counted on what they build.
 
 `decide_clauses` runs the refutation once, then the model search.  Every
-pass, `clausify` to the SAT search, reports its work to one `sat.Clock`.
+pass, the parse of a text and `clausify` to the SAT search, reports its
+work to one clock, `sat.Clock`.
 If neither procedure concludes within its bounds the status is Timeout
 when the clock cut an attempt, and GaveUp otherwise.  The command-line
 entry point prints a standard `% SZS status <Status>` line.
@@ -45,6 +47,7 @@ import argparse
 import functools
 import heapq
 import itertools
+import math
 import operator
 import sys
 import time
@@ -52,18 +55,10 @@ from bisect import bisect_left
 from typing import Iterator, NamedTuple, Optional
 
 from . import closed_structure, sat
+# `closed_structure.decide_units` calls `clausify` through this module
 from .clausify import DISTINCT, EQ, Clause, Literal, clausify, term_vars
-from .fol import Const, Func, NotN, Term, TptpFormula, Var
-from .record import Record
-
-
-class ProverResult(Record):
-    __slots__ = ("status", "detail")
-    __hash__ = None
-
-    def __init__(self, status: str, detail: str = ""):
-        self.status = status  # Satisfiable | Unsatisfiable | GaveUp | Timeout
-        self.detail = detail
+from .closed_structure import ProverResult
+from .fol import Const, Func, Term, Var
 
 
 # --- MACE-style flattening --------------------------------------------------
@@ -803,38 +798,30 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
     return ProverResult("Timeout" if cut else "GaveUp")
 
 
-def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverResult:
-    """Decide a problem given as its units: first on its one candidate
-    structure (`closed_structure.check`); when that gives no answer, by
-    `decide_clauses` on their clauses, in the time `clausify` leaves."""
-    deadline = time.monotonic() + timeout_s
-    named = [(u.name, u.body) for u in units if u.role in ("axiom", "hypothesis", "definition")]
-    conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
-    named.extend(conjectures)
-    try:
-        answer = closed_structure.check(named, deadline)
-        clauses = [] if answer is not None else clausify([f for _, f in named], deadline)
-    except sat.TimeBudgetExceeded:
-        return ProverResult("Timeout")
-    if answer is not None:
-        result = ProverResult("Satisfiable" if answer.satisfiable else "Unsatisfiable",
-                              answer.detail)
-    else:
-        result = decide_clauses(clauses, timeout_s=max(0.0, deadline - time.monotonic()))
-    if conjectures and result.status in ("Satisfiable", "Unsatisfiable"):
-        status = "CounterSatisfiable" if result.status == "Satisfiable" else "Theorem"
-        return ProverResult(status, result.detail)
-    return result
-
-
 def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
-    """Decide a TPTP problem: `decide_units` on its parsed units, in the
-    time the parse leaves."""
+    """Decide a TPTP problem given as text: its units, parsed on the
+    deadline's clock, by `closed_structure.decide_units` in the time the
+    parse leaves.  A parse that the clock cuts answers Timeout."""
     from . import tptp_parse
 
-    start = time.monotonic()
-    units = tptp_parse.parse_tptp(text)
-    return decide_units(units, timeout_s - (time.monotonic() - start))
+    deadline = time.monotonic() + timeout_s
+    try:
+        units = tptp_parse.parse_tptp(text, sat.Clock(deadline))
+    except sat.TimeBudgetExceeded:
+        return ProverResult("Timeout")
+    return closed_structure.decide_units(units, deadline - time.monotonic())
+
+
+def _seconds(text: str) -> float:
+    """A `--timeout` value: a finite number.  At NaN the check and
+    `clausify` would run without a limit and the procedures with no time."""
+    try:
+        seconds = float(text)
+    except ValueError:
+        seconds = math.nan
+    if not math.isfinite(seconds):
+        raise argparse.ArgumentTypeError(f"not a finite number of seconds: {text!r}")
+    return seconds
 
 
 @functools.lru_cache(maxsize=None)
@@ -846,7 +833,8 @@ def _parser() -> argparse.ArgumentParser:
         "on small problems, GaveUp otherwise.",
     )
     ap.add_argument("problem", help="TPTP problem file")
-    ap.add_argument("--timeout", type=float, default=10.0, help="seconds of wall clock")
+    ap.add_argument("--timeout", type=_seconds, default=10.0,
+                    help="seconds of wall clock, a finite number")
     ap.add_argument("--parse-only", action="store_true", help="only check TPTP syntax")
     return ap
 

@@ -4,40 +4,17 @@ Clauses are tuples of nonzero integers (negative = negated variable), as
 in DIMACS.  Implements first-UIP clause learning with backjumping,
 activity-based branching from a lazy order heap (as in MiniSat, Eén &
 Sörensson, SAT 2003), saved phases, and geometric restarts — enough to
-handle the groundings the built-in prover produces.  `Clock` is that
-prover's one wall clock, to which every pass reports its work.
+handle the groundings the built-in prover produces.  `Clock`, that
+prover's one wall clock, and `TimeBudgetExceeded` are defined in `errors`
+and re-exported here.
 """
 
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Iterable, Optional
 
-
-class TimeBudgetExceeded(Exception):
-    pass
-
-
-class Clock:
-    """`tick` counts a pass's work, reads the clock once every 4,096 units
-    and says whether it did; `check` reads it at once, against `deadline`."""
-
-    def __init__(self, deadline: Optional[float] = None):
-        self.deadline = deadline
-        self.work = 0  # units since the last read
-
-    def tick(self, work: int = 1) -> bool:
-        self.work += work
-        if self.work < 4096:
-            return False
-        self.work = 0
-        self.check()
-        return True
-
-    def check(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeBudgetExceeded()
+from .errors import Clock, TimeBudgetExceeded
 
 
 def solve(

@@ -16,6 +16,12 @@ keeps the formulas it has opened (parentheses, `~`, quantifiers, and `&`/
 `|` chains or a binary `=>`/`<=>`) on one explicit stack, so the depth of
 a problem is bounded by memory, not by Python's recursion limit.
 
+Given a clock (`sat.Clock`), the walk reports its tokens to it: each
+unit's, and inside a formula those up to each atom, so neither many units
+nor one wide formula outruns the deadline; a read past it raises
+`sat.TimeBudgetExceeded`.  The one regex call that tokenizes the text
+runs uncut.
+
 Each call of `parse_tptp` keeps one symbol table, a dict from a constant
 or predicate token to its `Const`, filled as the tokens are first met: a
 quoted token is unquoted once, and every occurrence of a constant shares
@@ -163,8 +169,9 @@ _NOT = "~"
 _CONNECTIVES = frozenset(("&", "|", "=>", "<=>"))
 
 
-def _formula(tokens: list[str], i: int, symbols: dict[str, Const]):
-    """The formula at tokens[i], and the index after it.
+def _formula(tokens: list[str], i: int, symbols: dict[str, Const], clock=None):
+    """The formula at tokens[i], and the index after it; its tokens are
+    reported to `clock`, if given.
 
     Grammar: a formula is a unitary formula, optionally followed by one
     `=>` or `<=>` and a unitary formula, or by one or more `&` (or `|`)
@@ -172,6 +179,7 @@ def _formula(tokens: list[str], i: int, symbols: dict[str, Const]):
     a unitary formula, a parenthesized formula, or an atom.
     """
     stack: list = []
+    ticked = i  # the tokens before it are reported to the clock
     while True:
         tok = tokens[i]
         if tok == "(":
@@ -193,6 +201,9 @@ def _formula(tokens: list[str], i: int, symbols: dict[str, Const]):
             stack.append((Forall if tok == "!" else Exists, tuple(variables)))
             continue
         f, i = _atom(tokens, i, symbols)
+        if clock is not None:
+            clock.tick(i - ticked)
+            ticked = i
         # f is a whole unitary formula: close the frames it completes
         while True:
             top = stack[-1] if stack else None
@@ -221,6 +232,8 @@ def _formula(tokens: list[str], i: int, symbols: dict[str, Const]):
                 break  # on to the second operand
             # f is a whole formula
             if not stack:
+                if clock is not None:
+                    clock.tick(i - ticked)
                 return f, i
             i = _expect(tokens, i, ")")
             stack.pop()  # _OPEN
@@ -242,13 +255,17 @@ def _skip_type_declaration(tokens: list[str], i: int) -> int:
         i += 1
 
 
-def parse_tptp(text: str) -> list[TptpFormula]:
-    """Parse a TPTP problem into its annotated formulas (type units skipped)."""
+def parse_tptp(text: str, clock=None) -> list[TptpFormula]:
+    """Parse a TPTP problem into its annotated formulas (type units skipped).
+
+    With a `sat.Clock`, the walk over the tokens reports them to it and
+    raises `sat.TimeBudgetExceeded` at a read past its deadline."""
     tokens = _tokenize(text)
     symbols: dict[str, Const] = {}
     units = []
     i = 0
     while tokens[i]:
+        start = i  # the unit's first token not yet reported to the clock
         kw = tokens[i]
         if kw != "fof" and kw != "tff":
             raise TptpParseError(f"expected fof/tff unit, found {kw!r}")
@@ -269,7 +286,12 @@ def parse_tptp(text: str) -> list[TptpFormula]:
                 raise TptpParseError("$distinct expects constants")
             units.append(TptpFormula(name, role, Distinct(consts)))
         else:
-            body, i = _formula(tokens, i, symbols)
+            if clock is not None:
+                clock.tick(i - start)
+            body, i = _formula(tokens, i, symbols, clock)
+            start = i  # `_formula` reported the body's tokens
             units.append(TptpFormula(name, role, body))
         i = _expect(tokens, _expect(tokens, i, ")"), ".")
+        if clock is not None:
+            clock.tick(i - start)
     return units

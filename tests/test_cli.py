@@ -593,29 +593,48 @@ print(json.dumps({"code": code,
 _FRONT = {"cli", "errors", "rdf", "record", "shapes"}
 _EMIT = _FRONT | {"decide", "translate", "tptp", "fol"}
 # the TPTP parser only for a problem read as text
-_PROVER = {"miniprover", "closed_structure", "clausify", "sat", "fol", "record"}
+_PROVER = {"miniprover", "closed_structure", "clausify", "sat", "errors", "fol", "record"}
+
+# a zero-or-more path, approximated: no closed structure, so the clausal
+# procedures decide
+STAR_MIN_SHAPES = PREFIX + """
+ex:S a sh:NodeShape ; sh:targetClass ex:C ;
+  sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:minCount 1 ] .
+"""
 
 
-@pytest.mark.parametrize("entry, argv, loaded", [
-    ("shacl2fol.cli", ["oracle", "{shapes}", "{ok}"], _FRONT | {"oracle"}),
+@pytest.mark.parametrize("entry, argv, loaded, detail", [
+    ("shacl2fol.cli", ["oracle", "{shapes}", "{ok}"], _FRONT | {"oracle"}, None),
     ("shacl2fol.cli", ["emit", "validate", "{shapes}", "{ok}", "--out", "{dir}/emitted.p"],
-     _EMIT),
-    ("shacl2fol.miniprover", ["{dir}/problem.p", "--parse-only"], _PROVER | {"tptp_parse"}),
-    ("shacl2fol.cli", ["validate", "{shapes}", "{ok}", *BUILTIN], _EMIT | _PROVER),
-], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin"])
-def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded):
+     _EMIT, None),
+    ("shacl2fol.miniprover", ["{dir}/problem.p", "--parse-only"], _PROVER | {"tptp_parse"},
+     None),
+    ("shacl2fol.cli", ["validate", "{shapes}", "{ok}", "--json", *BUILTIN],
+     _EMIT | {"closed_structure"}, "closed structure of 4 elements"),
+    ("shacl2fol.cli", ["validate", "{dir}/star.ttl", "{ok}", "--star", "approx", "--json",
+                       *BUILTIN], _EMIT | _PROVER, "finite model of size 4"),
+    ("shacl2fol.cli", ["sat", "{shapes}", "--json", *BUILTIN], _EMIT | _PROVER,
+     "finite model of size 2"),
+], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin",
+        "validate-star-approx", "sat-builtin"])
+def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, detail):
     """A fresh interpreter serving one request imports exactly the
     package's modules that the request runs, and no networkx, record class
-    library or process launcher."""
+    library or process launcher.  The built-in prover loads its clausal
+    procedures only when the closed structure does not decide."""
     assert cli.main(["emit", "validate", files["shapes"], files["ok"],
                      "--out", str(files["dir"] / "problem.p")]) == 0
+    (files["dir"] / "star.ttl").write_text(STAR_MIN_SHAPES)
     argv = [a.format(**files) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, entry, json.dumps(argv)],
         env=_fresh_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    *printed, last = proc.stdout.splitlines()
+    result = json.loads(last)
     assert result["code"] == 0
+    if detail is not None:
+        assert json.loads("\n".join(printed))["proverDetail"] == detail
     assert result["modules"] == sorted({"shacl2fol"} | {f"shacl2fol.{m}" for m in loaded})
     assert result["foreign"] == []

@@ -221,7 +221,7 @@ class TestRunProver:
     def _recording(self, monkeypatch):
         """Record each `decide.render` result and the units the built-in
         prover is handed."""
-        from shacl2fol import decide, miniprover
+        from shacl2fol import closed_structure, decide
 
         rendered, decided = [], []
 
@@ -231,10 +231,10 @@ class TestRunProver:
 
         def recording_decide(units, timeout_s):
             decided.append(list(units))
-            return miniprover.ProverResult("Unsatisfiable")
+            return closed_structure.ProverResult("Unsatisfiable")
 
         monkeypatch.setattr(decide, "render", counting_render)
-        monkeypatch.setattr(miniprover, "decide_units", recording_decide)
+        monkeypatch.setattr(closed_structure, "decide_units", recording_decide)
         return rendered, decided
 
     def test_builtin_with_out_renders_once_and_the_file_parses_to_the_decided_units(

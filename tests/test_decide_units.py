@@ -12,7 +12,7 @@ import pytest
 
 from conftest import load_graph, load_shapes, path_list
 from corpus import CASES
-from shacl2fol import miniprover, sat, tptp_parse
+from shacl2fol import closed_structure, miniprover, sat, tptp_parse
 from shacl2fol.decide import DecisionTask, TaskKind, build_problem
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN,
@@ -66,7 +66,7 @@ def _decided_alike(doc):
     are decided as the text is."""
     text = render(doc)
     assert parse_tptp(text) == doc.formulas
-    units = miniprover.decide_units(doc.formulas, timeout_s=TIMEOUT)
+    units = closed_structure.decide_units(doc.formulas, timeout_s=TIMEOUT)
     read = miniprover.decide_tptp_text(text, timeout_s=TIMEOUT)
     assert (units.status, units.detail) == (read.status, read.detail)
     return units
@@ -137,12 +137,20 @@ def test_the_clock_of_a_text_starts_before_its_parse(monkeypatch):
     assert miniprover.decide_tptp_text(text, timeout_s=TIMEOUT).status == "Satisfiable"
     parse = tptp_parse.parse_tptp
 
-    def slow_parse(text):
+    def slow_parse(text, clock=None):
         time.sleep(0.4)
-        return parse(text)
+        return parse(text, clock)
 
     monkeypatch.setattr(tptp_parse, "parse_tptp", slow_parse)
     assert miniprover.decide_tptp_text(text, timeout_s=0.3).status == "Timeout"
+
+
+def test_a_parse_the_clock_cuts_answers_timeout(monkeypatch):
+    """The parse of a text reports to the deadline's clock: past it, the
+    answer is Timeout and no unit is decided."""
+    text = "fof(wide, axiom, " + " & ".join(f"p(c{i})" for i in range(1200)) + ")."
+    monkeypatch.setattr(closed_structure, "decide_units", None)  # not to be called
+    assert miniprover.decide_tptp_text(text, timeout_s=-1).status == "Timeout"
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +164,7 @@ def test_a_short_budget_ends_near_its_deadline(sequence_40000):
     """Each pass before the SAT search reports its work to the one clock,
     so a 0.1 s budget answers Timeout within a second."""
     start = time.monotonic()
-    got = miniprover.decide_units(sequence_40000, timeout_s=0.1)
+    got = closed_structure.decide_units(sequence_40000, timeout_s=0.1)
     assert time.monotonic() - start < 1
     assert got.status == "Timeout"
 
@@ -176,5 +184,5 @@ def test_a_budget_spent_in_clausify_answers_timeout(monkeypatch, sequence_40000)
 
     monkeypatch.setattr(miniprover, "clausify", watched)
     monkeypatch.setattr(miniprover, "decide_clauses", None)  # not to be called
-    assert miniprover.decide_units(sequence_40000, timeout_s=0).status == "Timeout"
+    assert closed_structure.decide_units(sequence_40000, timeout_s=0).status == "Timeout"
     assert len(cut) == 1

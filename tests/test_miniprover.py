@@ -573,6 +573,21 @@ class TestMain:
         assert out.count("\n") == 1
         assert out.startswith(f"% SZS status InputError for {f} : ")
 
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "-inf", "abc"])
+    def test_a_timeout_that_is_not_a_finite_number_is_a_usage_error(
+            self, timeout, tmp_path, capsys):
+        # at NaN the check and clausify would run without a limit and the
+        # procedures with no time, so a decided problem would answer Timeout
+        f = tmp_path / "problem.p"
+        f.write_text(UNSAT_PROBLEM)
+        with pytest.raises(SystemExit) as exc:
+            miniprover.main([str(f), f"--timeout={timeout}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: shacl2fol-miniprover")
+        assert f"--timeout: not a finite number of seconds: {timeout!r}" in captured.err
+
 
 def counting(monkeypatch, name):
     """Replace miniprover.<name> by a wrapper that counts its calls."""

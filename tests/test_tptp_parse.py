@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import load_graph, load_shapes
 from corpus import CASES
-from shacl2fol import fol, tptp_parse
+from shacl2fol import fol, sat, tptp_parse
 from shacl2fol.decide import DecisionTask, TaskKind, build_problem
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Iff, Implies, NotN,
@@ -335,3 +335,17 @@ def test_each_symbol_is_quoted_once_and_read_once(monkeypatch):
     for u in units:
         for c in _constants(u.body):
             assert objects.setdefault(c.name, c) is c
+
+
+# each more than 4,096 tokens: one wide formula, and many small units
+_WIDE = "fof(wide, axiom, " + " & ".join(f"p(c{i})" for i in range(1200)) + ")."
+_MANY = "".join(f"fof(u{i}, axiom, p(c{i}))." for i in range(600))
+
+
+@pytest.mark.parametrize("text", [_WIDE, _MANY], ids=["one_wide_unit", "many_units"])
+def test_the_walk_reports_its_tokens_to_a_clock(text):
+    assert len(tptp_parse._tokenize(text)) > 4096
+    with pytest.raises(sat.TimeBudgetExceeded):
+        parse_tptp(text, sat.Clock(time.monotonic() - 1))
+    units = parse_tptp(text)
+    assert parse_tptp(text, sat.Clock(time.monotonic() + 60)) == units
