@@ -20,7 +20,7 @@ __all__ = [
     "EmitOptions", "Graph", "InvalidOptions", "MalformedShape",
     "ProverConfig", "ProverNotFound", "ProverProtocolError", "RdfSyntaxError",
     "RdfTerm", "RecursiveShapeGraph", "Shacl2FolError", "Shape", "ShapeGraph",
-    "StarMode", "TaskKind", "TermKind", "Triple",
+    "TaskKind", "TermKind", "Triple",
     "UnsupportedComponent", "UnsupportedFeature", "ValidationReport",
     "Verdict", "Violation", "bnode", "build_problem", "detect_recursion",
     "evaluate", "extract_shape_graph", "iri", "literal", "parse_document",
@@ -44,7 +44,7 @@ _ORIGINS = {
                "parse_file serialize_ntriples",
         "shapes": "Shape ShapeGraph detect_recursion extract_shape_graph",
         "translate": "signature_of",
-        "tptp": "Dialect EmitOptions StarMode render",
+        "tptp": "Dialect EmitOptions render",
     }.items()
     for name in names.split()
 }

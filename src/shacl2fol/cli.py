@@ -74,8 +74,8 @@ def _add_task(sub, command: str, kind: str, summary: str, files, with_prover: bo
                         help="require the selected shapes (all, when no list is "
                         "given) to have at least one instance")
     sp.add_argument("--dialect", choices=["fof", "tff"], default="tff")
-    sp.add_argument("--star", choices=["approx", "ground"], default="approx",
-                    help="zero-or-more path handling (ground: validation only)")
+    # read and ignored: validation grounds stars exactly, the rest approximate
+    sp.add_argument("--star", choices=["approx", "ground"], help=argparse.SUPPRESS)
     sp.add_argument("--cardinality-limit", type=int, default=32, metavar="N",
                     help="largest count expanded into explicit witnesses")
     sp.add_argument("--out", metavar="FILE", help="where to write the TPTP problem")
@@ -122,7 +122,6 @@ def _options(args) -> tptp.EmitOptions:
     from . import tptp
 
     return tptp.EmitOptions(dialect=tptp.Dialect(args.dialect),
-                            star_mode=tptp.StarMode(args.star),
                             cardinality_limit=args.cardinality_limit)
 
 
@@ -182,7 +181,7 @@ def _run_emit(args) -> int:
     doc = decide.build_problem(task)
     path = decide.write_problem(decide.render(doc), args.out)
     if args.json:
-        print(json.dumps({"problemFile": path, "approximate": doc.approximate}))
+        print(json.dumps({"problemFile": path, "approximate": bool(doc.approximations)}))
     else:
         print(path)
     return EXIT_POSITIVE

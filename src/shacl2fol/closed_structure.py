@@ -17,14 +17,16 @@ every unit in it:
   disjunction;
 * a predicate with definitions `∀X̄ (P(ā) ↔ φ)`, where ā holds the
   variables X̄ and constants, holds where its definition does, evaluated
-  on demand and memoised per tuple;
+  on demand and memoised per tuple; an atom of P with a bound variable
+  where ā holds a constant is resolved as it is evaluated;
 * any other predicate holds exactly on its ground facts.
 
 A predicate's first closure and its definitions hold by construction;
 every other unit, a second closure included, is evaluated.  A quantifier
 enumerates the values its guard allows, looked up in an index of the
 closed atoms by the positions already bound, or the whole domain when it
-has no guard.  The evaluation keeps its own explicit stack, so neither a
+has no guard.  A connective reads the operands it can look up at once
+first.  The evaluation keeps its own explicit stack, so neither a
 10,000-deep conjunction nor a 10,000-deep chain of definitions deepens
 the Python stack, and reports each step to the clock, `errors.Clock`.
 
@@ -35,12 +37,13 @@ The answers:
 * a unit fails: the problem is unsatisfiable when every model agrees
   with the candidate on that unit, which holds when every constant is
   kept apart, every predicate but the defined ones is closed with each
-  tuple asserted or is a kind fixed at every constant, and every
-  quantifier but a unit's universal prefix is guarded by a closed atom
-  or by an equality with a bound term: such a quantifier ranges only
-  over the constants' elements in any model (the guarded fragment:
-  Andréka, van Benthem & Németi, *Modal Languages and Bounded Fragments
-  of Predicate Logic*, J. Phil. Logic 1998);
+  tuple asserted or is a kind fixed at every constant, every atom of a
+  defined predicate has a definition, and every quantifier but a unit's
+  universal prefix is guarded by a closed atom or by an equality with a
+  bound term: such a quantifier ranges only over the constants' elements
+  in any model (the guarded fragment: Andréka, van Benthem & Németi,
+  *Modal Languages and Bounded Fragments of Predicate Logic*, J. Phil.
+  Logic 1998);
 * otherwise, or with no closure, or with definitions that refer to
   each other in a cycle, there is no answer (`None`).
 
@@ -62,7 +65,7 @@ from typing import Iterator, NamedTuple, Optional
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Iff,
-    Implies, NotN, OrN, TptpFormula, TrueF, Var,
+    Implies, NotN, OrN, TptpFormula, TrueF, Var, components,
 )
 from .record import Record
 
@@ -256,10 +259,13 @@ class ClosedStructure:
                 self._terms(g.args, bound)
                 pattern = self.patterns.get(g.pred)
                 if pattern is not None:
-                    if any(i >= len(g.args) or type(g.args[i]) is not Const for i in pattern):
+                    if any(i >= len(g.args) for i in pattern):
                         raise _Inapplicable()  # a reference the candidate cannot resolve
                     key = tuple(g.args[i].name for i in pattern)
-                    if key in self.definitions[g.pred]:
+                    if any(type(g.args[i]) is Var for i in pattern):
+                        # resolved when evaluated: it may refer to any definition
+                        refs.extend((g.pred, k) for k in self.definitions[g.pred])
+                    elif key in self.definitions[g.pred]:
                         refs.append((g.pred, key))
                     else:
                         self.open_reference = True
@@ -305,26 +311,12 @@ class ClosedStructure:
                 raise _Inapplicable()  # a free variable or a function term
 
     def _check_acyclic(self, edges: dict) -> None:
-        """Each definition's references, followed from it, reach no
-        definition twice on one path: the candidate is well defined."""
-        done: set = set()
-        for start in edges:
-            if start in done:
-                continue
-            path = {start}
-            stack = [(start, iter(edges[start]))]
-            while stack:
-                node, refs = stack[-1]
-                nxt = next(refs, _END)
-                if nxt is _END:
-                    stack.pop()
-                    path.discard(node)
-                    done.add(node)
-                elif nxt in path:
-                    raise _Inapplicable()
-                elif nxt not in done:
-                    path.add(nxt)
-                    stack.append((nxt, iter(edges[nxt])))
+        """No definition reaches itself through its references, an atom
+        resolved as it is evaluated referring to every definition of its
+        predicate: the candidate is well defined."""
+        for component in components(edges, edges.__getitem__):
+            if len(component) > 1 or component[0] in edges[component[0]]:
+                raise _Inapplicable()
 
     # --- the soundness conditions of a failure ---
 
@@ -409,6 +401,7 @@ class ClosedStructure:
                 return args in self.facts.get(f.pred, ())
             definition = self.definitions[f.pred].get(tuple(args[i] for i in pattern))
             if definition is None:
+                self.open_reference = True
                 return False
             return definition.memo.get(tuple(args[i] for i, _ in definition.variables))
         if t is Eq:
@@ -437,8 +430,11 @@ class ClosedStructure:
         t = type(f)
         if t is AndN or t is OrN:
             stop = t is OrN  # the value that decides the connective
-            for g in f.operands:
-                if (yield from self._sub(g, env)) is stop:
+            values = [self._leaf(g, env) for g in f.operands]  # read off at once
+            if stop in values:
+                return stop
+            for g, value in zip(f.operands, values):
+                if value is None and (yield from self._sub(g, env)) is stop:
                     return stop
             return not stop
         if t is NotN:

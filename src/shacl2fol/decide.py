@@ -322,9 +322,12 @@ def run_task(task: DecisionTask) -> DecisionResult:
     doc = build_problem(task)
     config = task.prover.resolve()
     run = run_prover(doc, config, task.problem_path)
+    verdict = _verdict(task.kind, run.szs_status)
+    # the star axioms admit the real closure, so a refutation holds
+    exact = {"star"} if verdict in (Verdict.UNSATISFIABLE, Verdict.CONTAINED) else set()
     return DecisionResult(
-        verdict=_verdict(task.kind, run.szs_status),
-        approximate=doc.approximate,
+        verdict=verdict,
+        approximate=bool(doc.approximations - exact),
         szs_status=run.szs_status,
         problem_file=run.problem_file,
         prover_time_ms=run.elapsed_ms,

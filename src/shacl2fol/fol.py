@@ -14,7 +14,7 @@ declares in TFF), so no second walk over the formulas is needed.
 from __future__ import annotations
 
 import re
-from typing import Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .record import Record
 
@@ -177,6 +177,39 @@ def neg(f: Formula) -> Formula:
     if isinstance(f, NotN):
         return f.operand
     return NotN(f)
+
+
+def components(nodes: Iterable, successors: Callable[..., Iterable]) -> list[list]:
+    """The strongly connected components of a directed graph, each after
+    every component it reaches (Tarjan, *Depth-First Search and Linear
+    Graph Algorithms*, SIAM J. Comput. 1972), on an explicit stack."""
+    low: dict = {}  # the least index a node reaches; infinite once placed
+    stack: list = []
+    out: list[list] = []
+    for root in nodes:
+        if root in low:
+            continue
+        work = [(root, len(low), len(stack), iter(successors(root)))]
+        low[root] = len(low)
+        stack.append(root)
+        while work:
+            v, index, bottom, it = work[-1]
+            for w in it:
+                if w not in low:
+                    work.append((w, len(low), len(stack), iter(successors(w))))
+                    low[w] = len(low)
+                    stack.append(w)
+                    break
+                low[v] = min(low[v], low[w])
+            else:
+                work.pop()
+                if low[v] == index:
+                    out.append(stack[bottom:])
+                    del stack[bottom:]
+                    low.update(dict.fromkeys(out[-1], float("inf")))
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+    return out
 
 
 # --- Rendering to TPTP syntax ----------------------------------------------

@@ -867,4 +867,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 if __name__ == "__main__":
+    # run by `python -m`: `decide_units` imports this module, not a copy
+    sys.modules.setdefault(__spec__.name, sys.modules[__name__])
     sys.exit(main())

@@ -5,12 +5,12 @@ serialization into TPTP problems.
 into `fol` formulas.  Counting constraints expand into explicit
 existentials with pairwise inequalities, and `sh:closed` into one "no
 successor" clause per banned role of the signature.  Inverse paths are
-pushed down onto the predicates before lowering.  Zero-or-more paths are
-encoded either with over-approximating closure axioms (sound for
-refutation only, results are flagged approximate) or, when a concrete data
-graph is at hand, as an exact grounded closure.  Problems are rendered in
-untyped FOF or in TFF (needed for the `$distinct` encoding of the unique
-name assumption).
+pushed down onto the predicates before lowering.  A zero-or-more path
+gets over-approximating closure axioms without a data graph (`sat`,
+`contains`), and with one (validation) an exact grounding in text linear
+in the graph (`Emitter.ground_stars`).  Problems are rendered in untyped
+FOF or in TFF (needed for the `$distinct` encoding of the unique name
+assumption).
 """
 
 from __future__ import annotations
@@ -47,37 +47,26 @@ class Dialect(Enum):
     TFF = "tff"
 
 
-class StarMode(Enum):
-    APPROXIMATE = "approx"
-    GROUNDED = "ground"
-
-
 class EmitOptions(Record):
-    __slots__ = ("dialect", "star_mode", "cardinality_limit")
+    __slots__ = ("dialect", "cardinality_limit")
 
-    def __init__(self, dialect: Dialect = Dialect.TFF,
-                 star_mode: StarMode = StarMode.APPROXIMATE, cardinality_limit: int = 32):
-        self.dialect = dialect
-        self.star_mode = star_mode
-        self.cardinality_limit = cardinality_limit
-
-    def check(self, has_data_graph: bool = False):
-        if self.star_mode is StarMode.GROUNDED and not has_data_graph:
-            raise InvalidOptions("grounded star closure requires a data graph")
-        if self.cardinality_limit < 1:
+    def __init__(self, dialect: Dialect = Dialect.TFF, cardinality_limit: int = 32):
+        if cardinality_limit < 1:
             raise InvalidOptions("cardinality limit must be positive")
+        self.dialect = dialect
+        self.cardinality_limit = cardinality_limit
 
 
 class TptpDocument(Record):
-    __slots__ = ("dialect", "formulas", "header", "approximate", "_used", "_suffix")
+    __slots__ = ("dialect", "formulas", "header", "approximations", "_used", "_suffix")
     __hash__ = None
 
     def __init__(self, dialect: Dialect, formulas: Optional[list[TptpFormula]] = None,
-                 header: Optional[list[str]] = None, approximate: bool = False):
+                 header: Optional[list[str]] = None):
         self.dialect = dialect
         self.formulas = [] if formulas is None else formulas
         self.header = [] if header is None else header
-        self.approximate = approximate
+        self.approximations: set[str] = set()  # "star" and "order": see the README
         # every unit name in `formulas`, and for each name passed to `add` the
         # suffix it last got (1 for the bare name): all lower suffixes are taken
         self._used = {f.name for f in self.formulas}
@@ -174,7 +163,6 @@ class Emitter:
     """
 
     def __init__(self, opts: EmitOptions, data_graph: Optional[Graph] = None):
-        opts.check(has_data_graph=data_graph is not None)
         self.opts = opts
         self.data_graph = data_graph
         self.known_constants: dict[RdfTerm, Const] = {
@@ -184,8 +172,7 @@ class Emitter:
         self.var_counter = 0
         self.star_roles: dict[PropertyPath, str] = {}
         self.star_axioms: list[tuple[str, Formula]] = []
-        self.uses_order = False
-        self.approximate = False
+        self.approximations: set[str] = set()
 
     def fresh_var(self, hint: str = "Y") -> Var:
         self.var_counter += 1
@@ -284,8 +271,7 @@ class Emitter:
                     self.role_atom(role_name(c.predicate), x, y)),
             )
         if isinstance(c, OrderProp):
-            self.uses_order = True
-            self.approximate = True
+            self.approximations.add("order")
             y, z = self.fresh_var(), self.fresh_var("Z")
             order_pred = LT if c.op is OrderOp.LT else LEQ
             order_atom = Atom(order_pred, (z, y) if c.inverted else (y, z))
@@ -341,18 +327,25 @@ class Emitter:
         if isinstance(p, ZeroOrOne):
             return disj([Eq(x, y), self.path_formula(p.path, x, y)])
         if isinstance(p, ZeroOrMore):
-            return Atom(self.star_role(p), (x, y))
+            name = self.star_role(p)
+            if self.data_graph is None:
+                return Atom(name, (x, y))
+            r, s = self.fresh_var("R"), self.fresh_var("S")
+            return Exists((r.name, s.name), conj([
+                Atom(f"{name}_rep", (x, r)), Atom(f"{name}_rep", (y, s)),
+                Atom(f"{name}_reach", (r, s)),
+            ]))
         raise TypeError(f"not a role path: {p!r}")
 
     def star_role(self, p: ZeroOrMore) -> str:
-        """The role of a zero-or-more path.  Approximate mode adds its closure
-        axioms now; grounded mode grounds it in `ground_stars`."""
+        """The role of a zero-or-more path.  Without a data graph its
+        closure axioms are added now; with one, `ground_stars` grounds it."""
         if p in self.star_roles:
             return self.star_roles[p]
         name = f"star_{len(self.star_roles) + 1}"
         self.star_roles[p] = name
-        if self.opts.star_mode is StarMode.APPROXIMATE:
-            self.approximate = True
+        if self.data_graph is None:
+            self.approximations.add("star")
             x, y, z = Var("X"), Var("Y"), Var("Z")
             self.star_axioms.append((
                 f"{name}_refl", Forall(("X",), Atom(name, (x, x)))
@@ -370,29 +363,34 @@ class Emitter:
         return name
 
     def ground_stars(self):
-        """Facts and completeness axiom of each star role in grounded mode.
-
-        This runs once every sentence is lowered, so the closure's universe
-        holds every constant of the theory and of the data graph.
-        """
-        if self.opts.star_mode is not StarMode.GROUNDED:
+        """With a data graph, the exact closure of each star role: the
+        closed `star_N_rep` takes each constant to the first constant of
+        its strongly connected component of the base path's pairs, and
+        `star_N_reach` has one definition per component over the acyclic
+        condensation.  This runs once every sentence is lowered, so the
+        constants are those of the theory and of the data graph."""
+        if self.data_graph is None:
             return
-        universe = set(self.known_constants)
+        universe = sorted(self.known_constants, key=RdfTerm.sort_key)
+        order = {t: i for i, t in enumerate(universe)}.__getitem__
+        y = Var("Y")
         for p, name in self.star_roles.items():
-            pairs = sorted(self.path_pairs(p, universe), key=_pair_key)
-            for i, (a, b) in enumerate(pairs, start=1):
+            after = _by_source(self.path_pairs(p.path, set(universe)))
+            components = sorted((sorted(c, key=order) for c in fol.components(
+                universe, lambda t: after.get(t, ()))), key=lambda c: order(c[0]))
+            rep = {t: c[0] for c in components for t in c}
+            facts, closure = closed_relation(
+                f"{name}_rep", [(t, rep[t]) for t in universe], self.const)
+            self.star_axioms += [(f"{name}_rep_{i}", f) for i, f in enumerate(facts, start=1)]
+            self.star_axioms.append((f"{name}_rep_closed", closure))
+            reach = f"{name}_reach"
+            for k, component in enumerate(components, start=1):
+                r = self.const(component[0])
+                leads = {rep[u] for t in component for u in after.get(t, ())} - {component[0]}
+                body = disj([Eq(y, r)] + [Atom(reach, (self.const(d), y))
+                                          for d in sorted(leads, key=order)])
                 self.star_axioms.append((
-                    f"{name}_fact_{i}", Atom(name, (self.const(a), self.const(b)))
-                ))
-            x, y = Var("X"), Var("Y")
-            cases = disj([
-                conj([Eq(x, self.const(a)), Eq(y, self.const(b))])
-                for a, b in pairs
-            ])
-            self.star_axioms.append((
-                f"{name}_complete",
-                Forall(("X", "Y"), Implies(Atom(name, (x, y)), cases)),
-            ))
+                    f"{reach}_{k}", Forall(("Y",), Iff(Atom(reach, (r, y)), body))))
 
     def path_pairs(self, p: PropertyPath, universe: set[RdfTerm]) -> set[tuple[RdfTerm, RdfTerm]]:
         """The pairs of `universe` related by the role path `p` in the data graph."""
@@ -444,7 +442,7 @@ class Emitter:
         return out
 
     def order_axioms(self) -> list[tuple[str, Formula]]:
-        if not self.uses_order:
+        if "order" not in self.approximations:
             return []
         x, y, z = Var("X"), Var("Y"), Var("Z")
         return [
@@ -482,36 +480,28 @@ def emit_una(constants: list[RdfTerm], opts: EmitOptions,
     return [TptpFormula("una_distinct", "axiom", Distinct(tuple(consts)))]
 
 
+def closed_relation(pred: str, pairs: list[tuple[RdfTerm, RdfTerm]],
+                    const: Callable[[RdfTerm], Const]) -> tuple[list[Formula], Formula]:
+    """The facts of a binary predicate on `pairs`, in order, and the unit
+    that closes it over them; `const` gives the constant of a term."""
+    facts = [Atom(pred, (const(a), const(b))) for a, b in pairs]
+    x, y = Var("X"), Var("Y")
+    atom = Atom(pred, (x, y))
+    if not pairs:
+        return facts, neg(Exists(("X", "Y"), atom))
+    cases = disj([conj([Eq(x, const(a)), Eq(y, const(b))]) for a, b in pairs])
+    return facts, Forall(("X", "Y"), Implies(atom, cases))
+
+
 def emit_graph_axioms(g: Graph, signature: set[str],
                       const: Callable[[RdfTerm], Const] = _new_const) -> list[TptpFormula]:
     """Positive ground facts plus per-relation completeness axioms;
     `const` gives the constant of a term."""
-    out: list[TptpFormula] = []
-    role_pairs = {
-        role: sorted(graph_role_pairs(g, role), key=_pair_key)
-        for role in sorted(signature)
-    }
-    i = 0
-    for role, pairs in role_pairs.items():
-        for a, b in pairs:
-            i += 1
-            out.append(TptpFormula(
-                f"graph_pos_{i}", "axiom",
-                Atom(role, (const(a), const(b))),
-            ))
-    x, y = Var("X"), Var("Y")
-    for j, (role, pairs) in enumerate(role_pairs.items(), start=1):
-        atom = Atom(role, (x, y))
-        if not pairs:
-            body: Formula = neg(Exists(("X", "Y"), atom))
-        else:
-            cases = disj([
-                conj([Eq(x, const(a)), Eq(y, const(b))])
-                for a, b in pairs
-            ])
-            body = Forall(("X", "Y"), Implies(atom, cases))
-        out.append(TptpFormula(f"graph_neg_{j}", "axiom", body))
-    return out
+    closed = [closed_relation(role, sorted(graph_role_pairs(g, role), key=_pair_key), const)
+              for role in sorted(signature)]
+    facts = itertools.chain.from_iterable(facts for facts, _ in closed)
+    return [TptpFormula(f"graph_pos_{i}", "axiom", f) for i, f in enumerate(facts, start=1)] \
+        + [TptpFormula(f"graph_neg_{j}", "axiom", f) for j, (_, f) in enumerate(closed, start=1)]
 
 
 def attach_ambient_axioms(doc: TptpDocument, emitter: Emitter):
@@ -531,7 +521,7 @@ def attach_ambient_axioms(doc: TptpDocument, emitter: Emitter):
     for name, body in emitter.filter_axioms(constants):
         doc.add(name, body)
     doc.extend(emit_una(constants, emitter.opts, emitter.const))
-    doc.approximate = doc.approximate or emitter.approximate
+    doc.approximations |= emitter.approximations
 
 
 def render(doc: TptpDocument) -> str:

@@ -58,6 +58,34 @@ def path_list(n: int, alternative: bool) -> str:
     )
 
 
+_PREFIXES = (
+    "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+    "@prefix ex: <http://example.org/> .\n"
+)
+
+
+def star_chain(n: int, violating: bool = False) -> tuple[str, str]:
+    """`ex:S`, targeting `ex:n0`, whose values through `ex:p*` are IRIs,
+    and the chain `ex:n0 ex:p ex:n1 ...` of n triples; a violating chain
+    ends in one more triple, to a literal."""
+    data = "".join(f"ex:n{i} ex:p ex:n{i + 1} .\n" for i in range(n))
+    return (_PREFIXES + "ex:S sh:targetNode ex:n0 ; sh:property [\n"
+            "  sh:path [ sh:zeroOrMorePath ex:p ] ; sh:nodeKind sh:IRI ] .\n",
+            _PREFIXES + data + (f'ex:n{n} ex:p "end" .\n' if violating else ""))
+
+
+def people_star(n: int, violating: bool = False) -> tuple[str, str]:
+    """`ex:S`, whose `ex:Person`s know only IRIs through `ex:knows*`, and
+    n people, each typed, named and knowing two others (4n triples), so
+    that `ex:knows` is one strongly connected component; in a violating
+    graph one person knows a literal too."""
+    data = "".join(f'ex:p{i} a ex:Person ; ex:name "n{i}" ; '
+                   f"ex:knows ex:p{(i + 1) % n}, ex:p{(i + 7) % n} .\n" for i in range(n))
+    return (_PREFIXES + "ex:S sh:targetClass ex:Person ; sh:property [\n"
+            "  sh:path [ sh:zeroOrMorePath ex:knows ] ; sh:nodeKind sh:IRI ] .\n",
+            _PREFIXES + data + (f'ex:p{n // 2} ex:knows "stranger" .\n' if violating else ""))
+
+
 def load_graph(ttl: str) -> rdf.Graph:
     return rdf.parse_document(ttl)
 

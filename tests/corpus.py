@@ -5,9 +5,8 @@ from the constraint semantics.  Randomized cases carry no expectation and
 are used purely for agreement checks between the prover pipeline and the
 direct evaluator.  Cases flagged `order=True` use sh:lessThan, whose
 order relation the logic side leaves uninterpreted; they are excluded
-from agreement runs.  Cases flagged `star_ground=True` contain
-zero-or-more (or one-or-more) paths and must be run with the grounded
-star closure to stay exact.
+from agreement runs.  Cases flagged `star=True` contain zero-or-more (or
+one-or-more) paths, which validation grounds exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ class Case:
     shapes_ttl: str
     data_ttl: str
     conforms: Optional[bool]  # None for agreement-only randomized cases
-    star_ground: bool = False
+    star: bool = False
     order: bool = False
 
 
@@ -412,7 +411,7 @@ HAND_WRITTEN = [
         "  sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:hasValue ex:c ] .",
         "ex:a ex:p ex:b . ex:b ex:p ex:c .",
         True,
-        star_ground=True,
+        star=True,
     ),
     _case(
         "star_has_value_violates",
@@ -420,7 +419,7 @@ HAND_WRITTEN = [
         "  sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:hasValue ex:c ] .",
         "ex:a ex:p ex:b . ex:c ex:p ex:b .",
         False,
-        star_ground=True,
+        star=True,
     ),
     _case(
         "star_reflexive_conforms",
@@ -428,7 +427,7 @@ HAND_WRITTEN = [
         "  sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:hasValue ex:a ] .",
         "ex:b ex:p ex:c .",
         True,  # zero steps reach the focus node itself
-        star_ground=True,
+        star=True,
     ),
     _case(
         "one_or_more_conforms",
@@ -436,7 +435,7 @@ HAND_WRITTEN = [
         "  sh:property [ sh:path [ sh:oneOrMorePath ex:p ] ; sh:minCount 1 ] .",
         "ex:a ex:p ex:b .",
         True,
-        star_ground=True,
+        star=True,
     ),
     _case(
         "one_or_more_violates",
@@ -444,7 +443,7 @@ HAND_WRITTEN = [
         "  sh:property [ sh:path [ sh:oneOrMorePath ex:p ] ; sh:minCount 1 ] .",
         "ex:b ex:p ex:a .",
         False,
-        star_ground=True,
+        star=True,
     ),
 ]
 

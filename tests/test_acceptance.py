@@ -21,7 +21,7 @@ from shacl2fol.fol import formula_text
 from shacl2fol.rdf import RDF_TYPE, iri
 from shacl2fol.shapes import MinCount, Predicate, TargetDecl, TargetKind, TrueC
 from shacl2fol.tptp import (
-    Dialect, Emitter, EmitOptions, StarMode, emit_una, render,
+    Dialect, Emitter, EmitOptions, emit_una, render,
 )
 from shacl2fol.tptp_parse import parse_tptp
 
@@ -45,11 +45,6 @@ def criterion(number, title):
             conftest.ACCEPTANCE_RESULTS.append((number, title, "pass"))
         return wrapper
     return deco
-
-
-def options_for(case, dialect=Dialect.TFF):
-    star = StarMode.GROUNDED if case.star_ground else StarMode.APPROXIMATE
-    return EmitOptions(dialect=dialect, star_mode=star)
 
 
 def validation_task(case, options):
@@ -132,7 +127,7 @@ def test_criterion_3_validation_agreement():
         if case.conforms is not None:
             assert report.conforms == case.conforms, case.name
         start = time.monotonic()
-        result = run_task(validation_task(case, options_for(case)))
+        result = run_task(validation_task(case, EmitOptions()))
         assert time.monotonic() - start <= 10, case.name
         want = Verdict.CONFORMS if report.conforms else Verdict.DOES_NOT_CONFORM
         if result.verdict != want:
@@ -144,10 +139,10 @@ def test_criterion_3_validation_agreement():
 def test_criterion_4_encoding_agreement():
     for case in AGREEMENT_CASES:
         tff = run_task(validation_task(
-            case, options_for(case, Dialect.TFF),
+            case, EmitOptions(dialect=Dialect.TFF),
         ))
         fof = run_task(validation_task(
-            case, options_for(case, Dialect.FOF),
+            case, EmitOptions(dialect=Dialect.FOF),
         ))
         assert tff.verdict == fof.verdict, case.name
 
@@ -237,7 +232,7 @@ def test_criterion_7_problems_parse():
                 TaskKind.VALIDATION,
                 load_shapes(case.shapes_ttl),
                 data_graph=load_graph(case.data_ttl),
-                options=options_for(case, dialect),
+                options=EmitOptions(dialect=dialect),
             )
             units = parse_tptp(render(build_problem(task)))
             assert units

@@ -311,6 +311,26 @@ def test_out_writes_what_emit_writes(files, capsys, task, inputs, options):
     assert decided.read_bytes() == emitted.read_bytes()
 
 
+@pytest.mark.parametrize("task, inputs", [
+    ("sat", ["star"]), ("contains", ["star", "shapes"]), ("validate", ["star", "ok"]),
+])
+def test_star_is_read_and_ignored(files, capsys, task, inputs):
+    # validation grounds zero-or-more paths exactly and the other tasks
+    # approximate them, whatever --star says; --help leaves it out
+    star = files["dir"] / "star.ttl"
+    star.write_text(STAR_SHAPES)
+    paths = [str(star) if name == "star" else files[name] for name in inputs]
+    texts = set()
+    for options in ([], ["--star", "approx"], ["--star", "ground"]):
+        out = files["dir"] / "emitted.p"
+        assert cli.main(["emit", task, *paths, *options, "--out", str(out)]) == 0
+        texts.add(out.read_bytes())
+    assert len(texts) == 1
+    with pytest.raises(SystemExit):
+        cli.main([task, "--help"])
+    assert "--star" not in capsys.readouterr().out
+
+
 def _fresh_env() -> dict:
     """The environment of a fresh interpreter that imports this checkout."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -595,8 +615,8 @@ _EMIT = _FRONT | {"decide", "translate", "tptp", "fol"}
 # the TPTP parser only for a problem read as text
 _PROVER = {"miniprover", "closed_structure", "clausify", "sat", "errors", "fol", "record"}
 
-# a zero-or-more path, approximated: no closed structure, so the clausal
-# procedures decide
+# a zero-or-more path, which validation grounds exactly whatever --star
+# says: the closed structure decides
 STAR_MIN_SHAPES = PREFIX + """
 ex:S a sh:NodeShape ; sh:targetClass ex:C ;
   sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:minCount 1 ] .
@@ -612,7 +632,7 @@ ex:S a sh:NodeShape ; sh:targetClass ex:C ;
     ("shacl2fol.cli", ["validate", "{shapes}", "{ok}", "--json", *BUILTIN],
      _EMIT | {"closed_structure"}, "closed structure of 4 elements"),
     ("shacl2fol.cli", ["validate", "{dir}/star.ttl", "{ok}", "--star", "approx", "--json",
-                       *BUILTIN], _EMIT | _PROVER, "finite model of size 4"),
+                       *BUILTIN], _EMIT | {"closed_structure"}, "closed structure of 4 elements"),
     ("shacl2fol.cli", ["sat", "{shapes}", "--json", *BUILTIN], _EMIT | _PROVER,
      "finite model of size 2"),
 ], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin",

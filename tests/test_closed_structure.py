@@ -1,17 +1,22 @@
 """The closed-structure check: against the oracle, against the procedures
 of `decide_clauses`, and on the conditions under which a failure refutes."""
 
+import contextlib
+import io
 import itertools
+import json
 import random
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import load_graph, load_shapes
+from conftest import load_graph, load_shapes, people_star
 from corpus import CASES, NODES, PREDICATES, PREFIXES, SHAPE_POOL
-from shacl2fol import closed_structure, miniprover, oracle, sat
+from shacl2fol import cli, closed_structure, miniprover, oracle, sat
 from shacl2fol.clausify import clausify
 from shacl2fol.closed_structure import ClosedStructure
 from shacl2fol.decide import (
@@ -20,27 +25,26 @@ from shacl2fol.decide import (
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Iff, Implies, NotN, OrN, Var,
 )
-from shacl2fol.tptp import Dialect, EmitOptions, StarMode, render, term_symbol
+from shacl2fol.tptp import Dialect, EmitOptions, render, term_symbol
 from shacl2fol.tptp_parse import parse_tptp
 from test_miniprover import PEOPLE_SHAPES, people
 
 EXACT = [c for c in CASES if not c.order]
-# an order role, or a zero-or-more path under the approximate closure
-APPROXIMATE = [c for c in CASES if c.order or c.star_ground]
+APPROXIMATE = [c for c in CASES if c.order]  # an order role
+STARS = [c for c in CASES if c.star]  # a zero-or-more path
 
 
-def emitted(shapes_ttl, data_ttl, star=StarMode.APPROXIMATE, dialect=Dialect.TFF):
+def emitted(shapes_ttl, data_ttl, dialect=Dialect.TFF):
     """The shape graph, the data graph and the parsed units of the
     emitted validation problem."""
     sg, g = load_shapes(shapes_ttl), load_graph(data_ttl)
     doc = build_problem(DecisionTask(TaskKind.VALIDATION, sg, data_graph=g,
-                                     options=EmitOptions(dialect=dialect, star_mode=star)))
+                                     options=EmitOptions(dialect=dialect)))
     return sg, g, parse_tptp(render(doc))
 
 
 def case_problem(case, dialect=Dialect.TFF):
-    star = StarMode.GROUNDED if case.star_ground else StarMode.APPROXIMATE
-    return emitted(case.shapes_ttl, case.data_ttl, star, dialect)
+    return emitted(case.shapes_ttl, case.data_ttl, dialect)
 
 
 def named(units):
@@ -81,8 +85,8 @@ def test_failing_targets_are_the_oracle_violations(case):
 
 @pytest.mark.parametrize("case", APPROXIMATE, ids=lambda c: c.name)
 def test_an_approximate_star_or_an_order_never_refutes(case):
-    # the star and order roles are not closed: the candidate, which makes
-    # them false, fails a unit, and that failure proves nothing
+    # the order roles are not closed: the candidate, which makes them
+    # false, fails a unit, and that failure proves nothing
     _, _, units = emitted(case.shapes_ttl, case.data_ttl)
     structure = ClosedStructure(named(units))
     assert any(next(structure.failures(f), None) is not None for _, f in structure.checked)
@@ -90,10 +94,91 @@ def test_an_approximate_star_or_an_order_never_refutes(case):
     assert closed_structure.check(named(units)) is None
 
 
+@pytest.mark.parametrize("case", STARS, ids=lambda c: c.name)
+def test_a_validation_star_is_decided_exactly(case):
+    # each constant's component is closed and reachability between the
+    # components is defined without a cycle, so a failure refutes
+    sg, g, units = case_problem(case)
+    structure = ClosedStructure(named(units))
+    assert structure.exact()
+    assert not any(u.name.endswith(("_refl", "_step")) for u in units)
+    answer = closed_structure.check(named(units))
+    assert answer.satisfiable == oracle.evaluate(sg, g).conforms == case.conforms
+
+
+@pytest.mark.parametrize("violating", [False, True], ids=["conforms", "violates"])
+@pytest.mark.parametrize("n", [40, 200])
+def test_a_people_star_graph_gets_the_oracle_verdict(tmp_path, capsys, n, violating):
+    # ex:knows is one component of all n people
+    shapes_ttl, data_ttl = people_star(n, violating)
+    shapes, data = tmp_path / "s.ttl", tmp_path / "d.ttl"
+    shapes.write_text(shapes_ttl)
+    data.write_text(data_ttl)
+    code = cli.main(["validate", str(shapes), str(data), "--prover", "builtin", "--json"])
+    got = json.loads(capsys.readouterr().out)
+    conforms = oracle.evaluate(load_shapes(shapes_ttl), load_graph(data_ttl)).conforms
+    assert conforms is not violating
+    assert (code, got["verdict"]) == ((0, "Conforms") if conforms else (1, "DoesNotConform"))
+    assert got["approximate"] is False
+    assert got["proverDetail"].startswith("closed structure of ")
+
+
+STAR_PATHS = [
+    "[ sh:zeroOrMorePath ex:p ]",  # p*
+    "[ sh:inversePath [ sh:zeroOrMorePath ex:p ] ]",  # ^(p*)
+    "[ sh:zeroOrMorePath [ sh:inversePath ex:p ] ]",  # (^p)*
+    "[ sh:oneOrMorePath ex:p ]",  # p+
+    "[ sh:zeroOrMorePath ( [ sh:zeroOrMorePath ex:p ] ex:q ) ]",  # (p*/q)*
+]
+STAR_CONSTRAINTS = ["sh:minCount 2", "sh:nodeKind sh:IRI", "sh:nodeKind sh:Literal",
+                    "sh:hasValue ex:n0", "sh:class ex:C", "sh:node ex:T"]
+STAR_INNER = ["sh:hasValue ex:n1", "sh:class ex:C", "sh:minCount 3"]
+STAR_NODES = ["ex:n0", "ex:n1", "ex:n2", "ex:n3", "ex:n4"]
+
+
+def star_problem(rng):
+    """A shape whose property has a zero-or-more path, or whose `sh:node`
+    shape has one, and a data graph over five nodes and two literals:
+    each node has each p-, q- and type edge with some probability, so
+    cycles, self-loops, chains, branches and isolated nodes all come up."""
+    path, constraint, inner = map(rng.choice, (STAR_PATHS, STAR_CONSTRAINTS, STAR_INNER))
+    shapes = (f"ex:S a sh:NodeShape ; sh:targetNode ex:n0, ex:n3 ; sh:targetClass ex:C ;\n"
+              f"  sh:property [ sh:path {path} ; {constraint} ] .\n"
+              f"ex:T a sh:NodeShape ; sh:property [ sh:path ex:p ; sh:maxCount 1 ] ;\n"
+              f"  sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; {inner} ] .\n")
+    density = rng.choice([0.1, 0.2, 0.35])
+    data = "".join(f"{s} {p} {o} .\n" for s in STAR_NODES for p in ("ex:p", "ex:q")
+                   for o in STAR_NODES + ['"x"', '"y"'] if rng.random() < density)
+    data += "".join(f"{s} a ex:C .\n" for s in STAR_NODES if rng.random() < 0.3)
+    return PREFIXES + shapes, PREFIXES + data
+
+
+@seed(20241)
+@settings(max_examples=150, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32))
+def test_validation_of_a_star_agrees_with_the_oracle(rng_seed):
+    shapes_ttl, data_ttl = star_problem(random.Random(rng_seed))
+    conforms = oracle.evaluate(load_shapes(shapes_ttl), load_graph(data_ttl)).conforms
+    with tempfile.TemporaryDirectory() as tmp:
+        shapes, data = Path(tmp, "s.ttl"), Path(tmp, "d.ttl")
+        shapes.write_text(shapes_ttl)
+        data.write_text(data_ttl)
+        for dialect in Dialect:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["validate", str(shapes), str(data), "--prover", "builtin",
+                                 "--dialect", dialect.value, "--json"])
+            got = json.loads(out.getvalue())
+            assert (code, got["verdict"]) == \
+                ((0, "Conforms") if conforms else (1, "DoesNotConform")), dialect
+            assert got["approximate"] is False
+            assert got["proverDetail"].startswith("closed structure of ")
+
+
 # the shapes of the random pool and of the hand-written cases that the
-# check decides without a grounded star closure
-SHAPES = [PREFIXES + shape for _, shape in SHAPE_POOL] + [
-    c.shapes_ttl for c in EXACT if not c.star_ground]
+# check decides
+SHAPES = [PREFIXES + shape for _, shape in SHAPE_POOL] + [c.shapes_ttl for c in EXACT]
 SUBJECTS = NODES + ["ex:a", "ex:b"]
 OBJECTS = SUBJECTS + ['"x"', '"y"']
 
@@ -271,6 +356,36 @@ def test_definitions_in_a_cycle_have_no_one_candidate():
             "fof(d, axiom, ![X]: (s(X, t) <=> ~s(X, t))).\n")
     assert closed_structure.check(named(parse_tptp(text))) is None
     assert miniprover.decide_tptp_text(text).status == "Unsatisfiable"
+
+
+# r takes a to t and b to u; s is defined at t and at u, where it holds of
+# a alone; `g` asks s(K, X) of every r-pair (X, K), so refers to s by the
+# bound K, which the check resolves as it evaluates
+BY_VARIABLE = """
+fof(c, axiom, ![X, Y]: (r(X, Y) => ((X = a & Y = t) | (X = b & Y = u)))).
+fof(at, axiom, r(a, t)).
+fof(bu, axiom, r(b, u)).
+fof(st, axiom, ![X]: (s(t, X) <=> X = a)).
+fof(su, axiom, ![X]: (s(u, X) <=> X = a)).
+fof(g, axiom, ![X, K]: (r(X, K) => s(K, X))).
+tff(apart, axiom, $distinct(a, b, t, u)).
+"""
+
+
+def test_a_reference_by_a_bound_variable_is_resolved_when_evaluated():
+    units = named(parse_tptp(BY_VARIABLE))
+    assert closed_structure.check(units) == (
+        False, "closed structure of 4 elements; fails g at X = b, K = u")
+    assert miniprover.decide_tptp_text(BY_VARIABLE).status == "Unsatisfiable"
+    # without a definition at u, nothing fixes s(u, b)
+    fewer = [u for u in units if u[0] != "su"]
+    assert closed_structure.check(fewer) is None
+
+
+def test_a_reference_by_a_bound_variable_may_close_a_cycle():
+    # st refers to s at whatever r gives, t itself included
+    text = BY_VARIABLE.replace("(s(t, X) <=> X = a)", "(s(t, X) <=> ?[K]: (r(X, K) & ~s(K, X)))")
+    assert closed_structure.check(named(parse_tptp(text))) is None
 
 
 def test_the_clock_cuts_the_check(monkeypatch):

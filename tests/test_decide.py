@@ -14,7 +14,7 @@ from shacl2fol.errors import (
     InvalidOptions, ProverNotFound, ProverProtocolError,
 )
 from shacl2fol.fol import formula_text
-from shacl2fol.tptp import EmitOptions, StarMode, render
+from shacl2fol.tptp import render
 from shacl2fol.tptp_parse import parse_tptp
 
 PREFIX = """\
@@ -69,10 +69,9 @@ class TestValidationProblem:
 
     DATA = PREFIX + "ex:a ex:p ex:b ."
 
-    def closed_roles(self, shapes_ttl, star=StarMode.APPROXIMATE):
+    def closed_roles(self, shapes_ttl):
         doc = build_problem(DecisionTask(
-            TaskKind.VALIDATION, load_shapes(shapes_ttl),
-            data_graph=load_graph(self.DATA), options=EmitOptions(star_mode=star),
+            TaskKind.VALIDATION, load_shapes(shapes_ttl), data_graph=load_graph(self.DATA),
         ))
         return {formula_text(f.body) for f in doc.formulas if f.name.startswith("graph_neg")}
 
@@ -81,7 +80,7 @@ class TestValidationProblem:
         roles = self.closed_roles(PREFIX + """
 ex:S a sh:NodeShape ; sh:targetNode ex:a ;
   sh:property [ sh:path [ sh:zeroOrMorePath ex:r ] ; sh:minCount 1 ] .
-""", StarMode.GROUNDED)
+""")
         assert f"~((?[X, Y]: '{EX}r'(X, Y)))" in roles
         assert len(roles) == 2  # ex:p and ex:r
 
@@ -308,6 +307,31 @@ class TestEndToEnd:
             prover=builtin_prover,
         )
         assert run_task(strong).verdict == Verdict.UNSATISFIABLE
+
+    @pytest.mark.parametrize("parts, contradiction, approximate", [
+        (["star"], False, True),
+        (["star"], True, False),  # every model of the exact closure is one here
+        (["order"], False, True),
+        (["order"], True, True),  # order_leq makes every value its own peer
+        (["star", "order"], False, True),
+        (["star", "order"], True, True),
+    ], ids=["star-sat", "star-unsat", "order-sat", "order-unsat", "both-sat", "both-unsat"])
+    def test_approximate_only_where_the_verdict_can_be_wrong(
+            self, builtin_prover, parts, contradiction, approximate):
+        part = {
+            "star": "sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:minCount 1 ]",
+            "order": "sh:property [ sh:path ex:small ; sh:lessThan ex:big ]",
+        }
+        body = " ;\n  ".join([part[p] for p in parts] + contradiction * [
+            "sh:and ( [ sh:nodeKind sh:IRI ] [ sh:nodeKind sh:Literal ] )"])
+        task = DecisionTask(TaskKind.SATISFIABILITY, load_shapes(
+            PREFIX + f"ex:S a sh:NodeShape ; sh:targetNode ex:a ;\n  {body} .\n"),
+            prover=builtin_prover)
+        doc = build_problem(task)
+        assert doc.approximations == set(parts)
+        got = run_task(task)
+        assert got.verdict is (Verdict.UNSATISFIABLE if contradiction else Verdict.SATISFIABLE)
+        assert got.approximate is approximate
 
     def test_result_dict_schema(self, builtin_prover, tmp_path):
         task = DecisionTask(

@@ -18,7 +18,7 @@ from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, Forall, Implies, NotN, OrN,
     TptpFormula, Var, disj,
 )
-from shacl2fol.tptp import Dialect, EmitOptions, StarMode, TptpDocument, render
+from shacl2fol.tptp import Dialect, EmitOptions, TptpDocument, render
 from shacl2fol.tptp_parse import parse_tptp
 from test_acceptance import (
     CONTRADICTION, SHAPES_EMPTY, SHAPES_ONE_TARGET, SHAPES_TWO_TARGETS,
@@ -30,12 +30,10 @@ TIMEOUT = 10
 
 def _validations(case):
     for dialect in Dialect:
-        for star in StarMode:
-            yield f"{dialect.value}-{star.value}", DecisionTask(
-                TaskKind.VALIDATION, load_shapes(case.shapes_ttl),
-                data_graph=load_graph(case.data_ttl),
-                options=EmitOptions(dialect=dialect, star_mode=star),
-            )
+        yield dialect.value, DecisionTask(
+            TaskKind.VALIDATION, load_shapes(case.shapes_ttl),
+            data_graph=load_graph(case.data_ttl), options=EmitOptions(dialect=dialect),
+        )
 
 
 def _sat(ttl, strong=None):

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from conftest import people_star, star_chain
 from shacl2fol import cli, fol
 from shacl2fol.errors import CardinalityLimitExceeded
 from shacl2fol.fol import (
@@ -17,7 +18,7 @@ from shacl2fol.shapes import (
     ZeroOrOne,
 )
 from shacl2fol.tptp import (
-    IS_A, Dialect, Emitter, EmitOptions, StarMode, TptpDocument, TptpFormula,
+    IS_A, Dialect, Emitter, EmitOptions, TptpDocument, TptpFormula,
     emit_graph_axioms, emit_una, render,
 )
 from shacl2fol.tptp_parse import parse_tptp
@@ -196,18 +197,19 @@ class TestCardinality:
 
 class TestStarModes:
     def test_approximate_mode_flags_document(self):
-        emitter = Emitter(EmitOptions(star_mode=StarMode.APPROXIMATE))
+        # without a data graph the closure axioms over-approximate
+        emitter = Emitter(EmitOptions())
         emitter.path_formula(ZeroOrMore(Predicate(EX + "p")), Var("X"), Var("Y"))
-        assert emitter.approximate
+        assert emitter.approximations == {"star"}
 
     def test_grounded_mode_stays_exact(self):
         g = Graph(frozenset({
             Triple(iri(EX + "a"), iri(EX + "p"), iri(EX + "b")),
             Triple(iri(EX + "b"), iri(EX + "p"), iri(EX + "c")),
         }))
-        emitter = Emitter(EmitOptions(star_mode=StarMode.GROUNDED), data_graph=g)
+        emitter = Emitter(EmitOptions(), data_graph=g)
         emitter.path_formula(ZeroOrMore(Predicate(EX + "p")), Var("X"), Var("Y"))
-        assert not emitter.approximate
+        assert not emitter.approximations
         closure = emitter.path_pairs(ZeroOrMore(Predicate(EX + "p")), g.constants())
         a, b, c = iri(EX + "a"), iri(EX + "b"), iri(EX + "c")
         assert (a, c) in closure  # two steps
@@ -250,29 +252,34 @@ class TestStarModes:
         rng = random.Random(11)
         for _ in range(60):
             g = _random_graph(rng)
-            emitter = Emitter(EmitOptions(star_mode=StarMode.GROUNDED), data_graph=g)
+            emitter = Emitter(EmitOptions(), data_graph=g)
             for path in paths:
                 universe = g.constants()
                 assert emitter.path_pairs(path, universe) == reference(path, g, universe)
 
     def test_grounded_star_on_a_long_chain(self, tmp_path):
-        prefix = ("@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
-                  "@prefix ex: <http://example.org/> .\n")
-        shapes, data = tmp_path / "s.ttl", tmp_path / "d.ttl"
-        shapes.write_text(prefix + (
-            "ex:S a sh:NodeShape ; sh:targetNode ex:n0 ; sh:property [\n"
-            "  sh:path [ sh:zeroOrMorePath ex:p ] ; sh:minCount 1 ] .\n"))
-        data.write_text(prefix + "".join(
-            f"ex:n{i} ex:p ex:n{i + 1} .\n" for i in range(200)))
-        out = tmp_path / "o.p"
+        """The grounded closure's text is linear in the data graph: the
+        bytes per triple stay within 1.5x over chains of 1,000 to 10,000
+        nodes, each its own component, and over people from 40 to 2,000,
+        who are one component."""
+        def bytes_per_triple(shapes_ttl, data_ttl, triples):
+            shapes, data = tmp_path / "s.ttl", tmp_path / "d.ttl"
+            shapes.write_text(shapes_ttl)
+            data.write_text(data_ttl)
+            out = tmp_path / "o.p"
+            assert cli.main(["emit", "validate", str(shapes), str(data), "--out", str(out)]) == 0
+            text = out.read_text()
+            assert "star_1_rep_closed" in text and "star_1_fact" not in text
+            return len(text.encode()) / triples
+
         started = time.perf_counter()
-        code = cli.main(["emit", "validate", str(shapes), str(data),
-                         "--star", "ground", "--out", str(out)])
+        longest = bytes_per_triple(*star_chain(10_000), 10_000)
         elapsed = time.perf_counter() - started
-        assert code == 0
-        # every pair (n_i, n_j) with i <= j of the 201-node chain, and (S, S)
-        assert out.read_text().count("star_1_fact_") == 201 * 202 // 2 + 1
-        assert elapsed < 5.0, f"200 triples took {elapsed:.1f} s"
+        assert elapsed < 10.0, f"10,000 triples took {elapsed:.1f} s"
+        chains = [bytes_per_triple(*star_chain(n), n) for n in (1_000, 2_000)] + [longest]
+        people = [bytes_per_triple(*people_star(n), 4 * n) for n in (40, 200, 1_000, 2_000)]
+        for ladder in (chains, people):
+            assert max(ladder) <= 1.5 * min(ladder), ladder
 
     def test_star_roles_deduplicated(self):
         emitter = Emitter(EmitOptions())

@@ -550,6 +550,29 @@ class TestMain:
         assert miniprover.main([str(bad), "--parse-only"]) == 1
         assert "SZS status SyntaxError" in capsys.readouterr().out
 
+    def test_run_as_a_module_it_is_imported_once(self, tmp_path):
+        # the closed structure leaves minCount 2 in minCount 1 to the
+        # clausal procedures, which `decide_units` imports: as the module
+        # already running, not as a second copy
+        for n in (1, 2):
+            (tmp_path / f"min{n}.ttl").write_text(PREFIXES + (
+                "ex:S a sh:NodeShape ; sh:targetClass ex:C ;\n"
+                f"  sh:property [ sh:path ex:p ; sh:minCount {n} ] .\n"))
+        problem = tmp_path / "problem.p"
+        assert cli.main(["emit", "contains", str(tmp_path / "min2.ttl"),
+                         str(tmp_path / "min1.ttl"), "--out", str(problem)]) == 0
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "shacl2fol.miniprover", str(problem)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "% SZS status Unsatisfiable" in proc.stdout
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "shacl2fol.clausify" in imported
+        assert "shacl2fol.miniprover" not in imported
+
     @pytest.mark.parametrize("parse_only", [[], ["--parse-only"]], ids=["decide", "parse_only"])
     @pytest.mark.parametrize("text", [
         "fof(a, axiom, p(a).", "tff(a, conjecture, $distinct(a, b)).",

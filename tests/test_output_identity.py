@@ -84,10 +84,9 @@ PATH_DATA = PREFIXES + (
 def _problems():
     """(id, files, extra arguments) for every problem in the digest file."""
     for case in CASES:
-        ground = ["--star", "ground"] if case.star_ground else []
         for enc, flags in ENCODINGS.items():
             yield (f"validate/{case.name}/{enc}",
-                   ("validate", case.shapes_ttl, case.data_ttl), flags + ground)
+                   ("validate", case.shapes_ttl, case.data_ttl), flags)
     for name, ttl in SHAPE_GRAPHS.items():
         yield f"sat/{name}", ("sat", ttl), []
         yield f"sat-strong/{name}", ("sat", ttl), ["--strong-sat"]

@@ -30,7 +30,7 @@ ORIGINS = {
         "Shape", "ShapeGraph", "detect_recursion", "extract_shape_graph"]},
     "signature_of": ("translate", "signature_of"),
     "translate_shape_graph": ("translate", "translate"),
-    **{name: ("tptp", name) for name in ["Dialect", "EmitOptions", "StarMode", "render"]},
+    **{name: ("tptp", name) for name in ["Dialect", "EmitOptions", "render"]},
 }
 
 

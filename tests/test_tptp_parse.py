@@ -16,7 +16,7 @@ from shacl2fol.fol import (
 )
 from shacl2fol.rdf import Graph, RDF_TYPE, Triple, iri, literal
 from shacl2fol.tptp import (
-    Dialect, EmitOptions, StarMode, TptpDocument, TptpFormula, render,
+    Dialect, EmitOptions, TptpDocument, TptpFormula, render,
 )
 from shacl2fol.tptp_parse import TptpParseError, parse_tptp
 
@@ -268,10 +268,7 @@ def test_a_symbol_ending_in_a_newline_is_quoted(dialect):
 @pytest.mark.parametrize("dialect", [Dialect.FOF, Dialect.TFF])
 @pytest.mark.parametrize("case", CASES, ids=lambda c: c.name)
 def test_rendered_corpus_problems_round_trip(case, dialect):
-    opts = EmitOptions(
-        dialect=dialect,
-        star_mode=StarMode.GROUNDED if case.star_ground else StarMode.APPROXIMATE,
-    )
+    opts = EmitOptions(dialect=dialect)
     doc = build_problem(DecisionTask(
         TaskKind.VALIDATION, load_shapes(case.shapes_ttl),
         data_graph=load_graph(case.data_ttl), options=opts,
