@@ -44,8 +44,19 @@ The answers:
   in any model (the guarded fragment: Andréka, van Benthem & Németi,
   *Modal Languages and Bounded Fragments of Predicate Logic*, J. Phil.
   Logic 1998);
-* otherwise, or with no closure, or with definitions that refer to
-  each other in a cycle, there is no answer (`None`).
+* otherwise, or with definitions that refer to each other in a cycle,
+  there is no answer (`None`).
+
+A problem with no closure, such as a `sat` or `contains` problem, is
+checked on the structure of its own facts, its closed-world reading
+(for a static problem of Pareti et al., *SHACL Satisfiability and
+Containment*, ISWC 2020, the empty data graph): the domain is its
+constants, or one fresh element when it has none, and each predicate
+without a definition holds exactly on its ground facts, which also
+guard the quantifiers.  Every model may add facts, so those guards do
+not count toward the exactness above: any quantifier outside a unit's
+universal prefix makes a failure inexact, and so does a failure at the
+fresh element.  The clock is read before such a check starts.
 
 The module evaluates first-order formulas; it knows nothing of shapes or
 RDF, so the oracle stays an independent cross-check.
@@ -53,14 +64,14 @@ RDF, so the oracle stays an independent cross-check.
 `decide_units` is the built-in prover's one entry point: it runs `check`
 and, only when that gives no answer, loads the clausal procedures
 (`miniprover`, `clausify`, `sat`) and runs them in the time left.  So a
-validation the check decides loads none of them.
+problem the check decides loads none of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from typing import Iterator, NamedTuple, Optional
+from typing import AbstractSet, Callable, Iterator, NamedTuple, Optional
 
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
@@ -71,6 +82,7 @@ from .record import Record
 
 _GUARD_DEPTH = 32  # how deep below a quantifier its guard is looked for
 _END = object()  # an exhausted iterator's `next` default
+_FRESH = "_fresh"  # the one element of a structure without constants
 
 
 class Answer(NamedTuple):
@@ -152,15 +164,18 @@ def _definition_head(f: Formula):
 
 
 class ClosedStructure:
-    """The candidate structure of a list of named units.
+    """The candidate structure of a list of named units: the closed
+    structure, or with no closure the structure of the units' facts
+    (`facts_only`).
 
-    Raises `_Inapplicable` when the units have no closure or no one
-    candidate, and `TimeBudgetExceeded` once the clock passes `deadline`.
+    Raises `_Inapplicable` when the units have no one candidate, and
+    `TimeBudgetExceeded` once the clock passes `deadline`.
     """
 
     def __init__(self, units: list[tuple[str, Formula]], deadline: Optional[float] = None):
         self.clock = Clock(deadline)
-        self.tuples: dict[str, list[tuple[str, ...]]] = {}  # each closure's, in order
+        # each closure's tuples in order; with no closure, each fact's
+        self.tuples: dict[str, list[tuple[str, ...]]] = {}
         self.closed: dict[str, set[tuple[str, ...]]] = {}  # the same, as sets
         self.arity: dict[str, int] = {}
         rest = []
@@ -173,8 +188,10 @@ class ClosedStructure:
             self.arity[pred] = arity
             self.tuples[pred] = list(dict.fromkeys(tuples))
             self.closed[pred] = set(tuples)
-        if not self.closed:
-            raise _Inapplicable()
+        # with no closure, the structure of the problem's own facts
+        self.facts_only = not self.closed
+        if self.facts_only:
+            self.clock.check()  # a budget spent before the check answers Timeout
         # each defined predicate's argument positions that hold constants,
         # and its definitions by the constants there
         self.patterns: dict[str, tuple[int, ...]] = {}
@@ -199,10 +216,12 @@ class ClosedStructure:
         for ts in self.tuples.values():
             for t in ts:
                 self.elements.update(dict.fromkeys(t))
-        self.facts: dict[str, set[tuple[str, ...]]] = {}
+        self.facts: dict[str, dict[tuple[str, ...], None]] = {}  # in order
         self.used: dict[str, set[int]] = {}  # predicate -> the arities of its atoms
         self.open_reference = False  # an atom of a defined predicate without definition
-        self.unguarded = False  # a quantifier outside a universal prefix without guard
+        # a quantifier outside a universal prefix without a guard that
+        # holds in every model: one without guard, or any with no closure
+        self.unguarded = False
         self.distinct: list[tuple[str, ...]] = []  # the constants of each $distinct unit
         self.apart: list[tuple[str, str]] = []  # the pairs of the ground units ¬(a = b)
         self.disjoint: set[tuple[str, str]] = set()  # kinds no element has both of
@@ -211,14 +230,25 @@ class ClosedStructure:
         # occurs), so a node shared between positions has one plan
         self.plans: dict[int, tuple] = {}
         edges: dict[tuple[str, tuple], list[tuple[str, tuple]]] = {}
-        guards = _Guards(self.closed)
+        for _, f in self.checked:
+            self._read_axiom(f)
+        if self.facts_only:
+            # each predicate without a definition holds on its facts alone
+            self.tuples = {pred: list(facts) for pred, facts in self.facts.items()
+                           if pred not in self.patterns}
+            guards = _Guards(lambda pred: pred not in self.patterns)
+        else:
+            guards = _Guards(self.closed.__contains__)
         for pred, key, f in definition_units:
             edges[pred, key] = self._scan(f, guards, True)
         for _, f in self.checked:
             self._scan(f, guards, False)
-            self._read_axiom(f)
+        self.fresh: Optional[str] = None  # the element no constant names
         if not self.elements:
-            raise _Inapplicable()
+            if not self.facts_only:
+                raise _Inapplicable()
+            self.fresh = _FRESH
+            self.elements[_FRESH] = None
         self._check_acyclic(edges)
         self.index: dict[tuple, dict] = {}
 
@@ -228,7 +258,7 @@ class ClosedStructure:
         """Record a ground fact, unique-name unit or kind disjointness."""
         t = type(f)
         if t is Atom and all(type(a) is Const for a in f.args):
-            self.facts.setdefault(f.pred, set()).add(tuple(a.name for a in f.args))
+            self.facts.setdefault(f.pred, {})[tuple(a.name for a in f.args)] = None
         elif t is Distinct:
             self.distinct.append(tuple(c.name for c in f.constants))
         elif t is NotN and type(f.operand) is Eq:
@@ -292,8 +322,9 @@ class ClosedStructure:
                 for v in g.variables:
                     inner.discard(v)
                 for v in g.variables:
-                    source = guards.source(g.body, v, frozenset(inner), t is Exists)
-                    if source is None and not universal:
+                    self.clock.tick()
+                    source = guards.source(g.body, v, inner, t is Exists)
+                    if not universal and (source is None or self.facts_only):
                         self.unguarded = True
                     plan.append(source)
                     inner.add(v)
@@ -341,13 +372,13 @@ class ClosedStructure:
         pred, arities = item
         if pred in self.closed:
             return arities == {self.arity[pred]} \
-                and self.closed[pred] <= self.facts.get(pred, set())
+                and self.closed[pred] <= self.facts.get(pred, {}).keys()
         if pred in self.definitions:
             definition = next(iter(self.definitions[pred].values()))
             return arities == {len(self.patterns[pred]) + len(definition.variables)}
         if arities != {1}:
             return False
-        kinds = self.facts.get(pred, set())
+        kinds = self.facts.get(pred, {})
         others = [(k, facts) for k, facts in self.facts.items()
                   if (pred, k) in self.disjoint]
         return all((c,) in kinds or any((c,) in facts for _, facts in others)
@@ -503,13 +534,24 @@ class ClosedStructure:
 def _cost(source) -> int:
     """0 for the bound terms of equalities, 1 for keyed lookups, 2 for any
     source with a lookup by no position."""
-    return max((0 if type(a) is not _Lookup else 1 if a.keyed else 2 for a in source),
-               default=0)
+    cost = 0
+    for a in source:
+        if type(a) is _Lookup:
+            if not a.keyed:
+                return 2
+            cost = 1
+    return cost
 
 
 def _best(*sources):
-    found = [s for s in sources if s is not None]
-    return min(found, key=_cost) if found else None
+    """The first of the cheapest sources; None when there is none."""
+    best, least = None, 3
+    for s in sources:
+        if s is not None:
+            cost = _cost(s)
+            if cost < least:
+                best, least = s, cost
+    return best
 
 
 def _union(*sources):
@@ -517,18 +559,19 @@ def _union(*sources):
 
 
 class _Guards:
-    """The guards of quantified variables among the atoms of `closed`.
+    """The guards of quantified variables among the atoms of the
+    predicates `closed` accepts.
 
     The operands of each conjunction and disjunction are indexed once by
     the variables of those that are atoms or equalities, negated or not,
     so a conjunction of many atoms, such as a long sequence path, is not
     searched whole for each of its variables."""
 
-    def __init__(self, closed: dict):
+    def __init__(self, closed: Callable[[str], bool]):
         self.closed = closed
         self.operands: dict[int, tuple[dict[str, list], list]] = {}
 
-    def source(self, f: Formula, v: str, bound: frozenset, true: bool,
+    def source(self, f: Formula, v: str, bound: AbstractSet[str], true: bool,
                depth: int = 0) -> Optional[tuple]:
         """The guard of the variable `v` in `f`: alternatives whose values
         hold every value of `v` at which `f` is `true`, given values for
@@ -540,15 +583,18 @@ class _Guards:
         depth += 1
         t = type(f)
         if t is Atom:
-            if not true or f.pred not in self.closed:
+            if not true or not self.closed(f.pred):
                 return None
-            position = next((i for i, a in enumerate(f.args)
-                             if type(a) is Var and a.name == v), None)
+            position, keyed = None, []
+            for i, a in enumerate(f.args):
+                if type(a) is Var and a.name == v:
+                    if position is None:
+                        position = i
+                elif type(a) is Const or a.name in bound:
+                    keyed.append(i)
             if position is None:
                 return None
-            keyed = tuple(i for i, a in enumerate(f.args)
-                          if type(a) is Const or a.name in bound and a.name != v)
-            return (_Lookup(f.pred, keyed, tuple(f.args[i] for i in keyed), position),)
+            return (_Lookup(f.pred, tuple(keyed), tuple(f.args[i] for i in keyed), position),)
         if t is Eq:
             if not true:
                 return None
@@ -602,18 +648,20 @@ class _Guards:
 
 
 def check(units: list[tuple[str, Formula]], deadline: Optional[float] = None) -> Optional[Answer]:
-    """Satisfiable when the candidate structure satisfies every unit,
-    unsatisfiable when it fails one on which every model agrees with it,
-    and None otherwise or when the units allow no one candidate.  Raises
-    `TimeBudgetExceeded` once the clock passes `deadline`."""
+    """Satisfiable when the candidate structure (closed, or facts-only)
+    satisfies every unit, unsatisfiable when it fails one on which every
+    model agrees with it, and None otherwise or when the units allow no
+    one candidate.  Raises `TimeBudgetExceeded` once the clock passes
+    `deadline`."""
     try:
         structure = ClosedStructure(units, deadline)
     except _Inapplicable:
         return None
-    procedure = f"closed structure of {len(structure.elements)} elements"
+    kind = "facts-only" if structure.facts_only else "closed"
+    procedure = f"{kind} structure of {len(structure.elements)} elements"
     for name, f in structure.checked:
         for env in structure.failures(f):
-            if not structure.exact():
+            if not structure.exact() or structure.fresh in env.values():
                 return None
             at = " at " + ", ".join(f"{v} = {c}" for v, c in env.items()) if env else ""
             return Answer(False, f"{procedure}; fails {name}{at}")

@@ -7,8 +7,10 @@ parsed first (the command line).  The units' one candidate structure is
 checked first (`closed_structure.check`): a validation problem, whose
 closures, kinds, unique names and definitions fix every predicate, is
 decided there, before anything is clausified, and this module is not
-loaded.  When the check gives no answer, `decide_clauses` runs two sound,
-incomplete procedures over the clausal form:
+loaded; so is a `sat` or `contains` problem whose answer the structure
+of its own facts gives.  When the check gives no answer,
+`decide_clauses` runs two sound, incomplete procedures over the clausal
+form:
 
 * finite model search: MACE-style flattening, then propositional grounding
   over increasing domain sizes; any model found is a genuine first-order

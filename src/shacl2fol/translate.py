@@ -13,11 +13,10 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import shapes
-from .rdf import RdfTerm, iri
-from .shapes import ShapeGraph, TargetDecl, TargetKind
+from .fol import Atom, Exists, Var
+from .rdf import RdfTerm
+from .shapes import ShapeGraph, TargetKind
 from .tptp import SHAPE_PRED, Emitter, EmitOptions, TptpFormula
-
-DUMMY_PREFIX = "urn:shacl2fol:dummy:"
 
 
 def signature_of(sg: ShapeGraph) -> set[str]:
@@ -64,24 +63,13 @@ def translate(
 def strong_satisfiability_targets(
     sg: ShapeGraph, shape_names: Iterable[RdfTerm], emitter: Emitter,
 ) -> list[TptpFormula]:
-    """Target a fresh dummy constant at each selected shape.
-
-    The dummies differ from every constant `emitter` has named, so call
-    this after the theory is lowered.
-    """
+    """One axiom `∃X hasShape(X, s)` per selected shape s: each has an
+    instance, of whatever kind its constraint allows."""
     selected = list(shape_names)
     defined = set(sg.shape_names())
     for name in selected:
         if name not in defined:
             raise ValueError(f"cannot strong-target undefined shape {name}")
-    existing = {t.lexical for t in emitter.known_constants}
-    out = []
-    k = 1
-    for name in selected:
-        while DUMMY_PREFIX + str(k) in existing:
-            k += 1
-        dummy = iri(DUMMY_PREFIX + str(k))
-        existing.add(dummy.lexical)
-        target = TargetDecl(TargetKind.NODE, dummy)
-        out.append(TptpFormula("target", "axiom", emitter.target_formula(target, name)))
-    return out
+    return [TptpFormula("strong_sat", "axiom",
+                        Exists(("X",), Atom(SHAPE_PRED, (Var("X"), emitter.const(name)))))
+            for name in selected]

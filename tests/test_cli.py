@@ -622,6 +622,11 @@ ex:S a sh:NodeShape ; sh:targetClass ex:C ;
   sh:property [ sh:path [ sh:zeroOrMorePath ex:p ] ; sh:minCount 1 ] .
 """
 
+MIN1_SHAPES = PREFIX + """
+ex:S a sh:NodeShape ; sh:targetNode ex:a ;
+  sh:property [ sh:path ex:p ; sh:minCount 1 ] .
+"""
+
 
 @pytest.mark.parametrize("entry, argv, loaded, detail", [
     ("shacl2fol.cli", ["oracle", "{shapes}", "{ok}"], _FRONT | {"oracle"}, None),
@@ -633,18 +638,24 @@ ex:S a sh:NodeShape ; sh:targetClass ex:C ;
      _EMIT | {"closed_structure"}, "closed structure of 4 elements"),
     ("shacl2fol.cli", ["validate", "{dir}/star.ttl", "{ok}", "--star", "approx", "--json",
                        *BUILTIN], _EMIT | {"closed_structure"}, "closed structure of 4 elements"),
-    ("shacl2fol.cli", ["sat", "{shapes}", "--json", *BUILTIN], _EMIT | _PROVER,
+    ("shacl2fol.cli", ["sat", "{dir}/empty.ttl", "--json", *BUILTIN],
+     _EMIT | {"closed_structure"}, "facts-only structure of 1 elements"),
+    ("shacl2fol.cli", ["sat", "{dir}/min1.ttl", "--json", *BUILTIN], _EMIT | _PROVER,
      "finite model of size 2"),
 ], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin",
-        "validate-star-approx", "sat-builtin"])
+        "validate-star-approx", "sat-builtin", "sat-builtin-clausal"])
 def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, detail):
     """A fresh interpreter serving one request imports exactly the
     package's modules that the request runs, and no networkx, record class
     library or process launcher.  The built-in prover loads its clausal
-    procedures only when the closed structure does not decide."""
+    procedures only when the closed structure, or with no closure the
+    structure of the problem's facts, does not decide: `ex:a` of
+    `min1.ttl` has no `ex:p` value there, yet may have one in a model."""
     assert cli.main(["emit", "validate", files["shapes"], files["ok"],
                      "--out", str(files["dir"] / "problem.p")]) == 0
     (files["dir"] / "star.ttl").write_text(STAR_MIN_SHAPES)
+    (files["dir"] / "empty.ttl").write_text(PREFIX)
+    (files["dir"] / "min1.ttl").write_text(MIN1_SHAPES)
     argv = [a.format(**files) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, entry, json.dumps(argv)],

@@ -6,6 +6,8 @@ import io
 import itertools
 import json
 import random
+import re
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -28,6 +30,9 @@ from shacl2fol.fol import (
 from shacl2fol.tptp import Dialect, EmitOptions, render, term_symbol
 from shacl2fol.tptp_parse import parse_tptp
 from test_miniprover import PEOPLE_SHAPES, people
+
+sys.path.append(str(Path(__file__).parent.parent / "perfbench"))
+from static_cases import problems as static_problems  # noqa: E402
 
 EXACT = [c for c in CASES if not c.order]
 APPROXIMATE = [c for c in CASES if c.order]  # an order role
@@ -210,33 +215,40 @@ CONSTANTS = [Const(name) for name in ("a", "b", "c", "t1", "t2")]
 X, Y = Var("X"), Var("Y")
 
 
-def random_sentence(rng, bound, depth):
-    """A sentence over the closed r and e, the kinds isI and isL, the
-    defined s, the open q and equality; a quantifier is guarded by an r
-    or e atom, or at times not at all."""
+PREDS = ("r", "e", "q", "isI", "isL", "s", "=")
+KIND_PREDS = ("isI", "isL", "s", "=")  # no open predicate, so a failure may refute
+
+
+def random_sentence(rng, bound, depth, preds=PREDS):
+    """A sentence over `preds`: the closed r and e, the kinds isI and isL,
+    the defined s, the open q and equality; a quantifier is guarded by an
+    r or e atom (isI or isL without them), or at times not at all."""
     def term():
         return Var(rng.choice(bound)) if bound and rng.random() < 0.7 \
             else rng.choice(CONSTANTS[:3])
 
     k = rng.random()
     if depth <= 0 or k < 0.3:
-        pred = rng.choice(["r", "e", "q", "isI", "isL", "s", "="])
+        pred = rng.choice(preds)
         if pred == "=":
             return Eq(term(), term())
         if pred == "s":
             return Atom("s", (term(), rng.choice(CONSTANTS[3:])))
         return Atom(pred, (term(), term()) if pred == "r" else (term(),))
     if k < 0.45:
-        return NotN(random_sentence(rng, bound, depth - 1))
+        return NotN(random_sentence(rng, bound, depth - 1, preds))
     if k < 0.8:
-        left, right = (random_sentence(rng, bound, depth - 1) for _ in range(2))
+        left, right = (random_sentence(rng, bound, depth - 1, preds) for _ in range(2))
         return rng.choice([lambda: AndN((left, right)), lambda: OrN((left, right)),
                            lambda: Implies(left, right), lambda: Iff(left, right)])()
     v = rng.choice(["X", "Y", "Z"])
-    body = random_sentence(rng, bound + [v], depth - 1)
+    body = random_sentence(rng, bound + [v], depth - 1, preds)
     exists = rng.random() < 0.5
     if rng.random() < 0.6:
-        guard = Atom("r", (Var(v), term())) if rng.random() < 0.5 else Atom("e", (Var(v),))
+        if rng.random() < 0.5:
+            guard = Atom("r", (Var(v), term())) if "r" in preds else Atom("isI", (Var(v),))
+        else:
+            guard = Atom("e", (Var(v),)) if "e" in preds else Atom("isL", (Var(v),))
         body = AndN((guard, body)) if exists else Implies(guard, body)
     return (Exists if exists else Forall)((v,), body)
 
@@ -417,3 +429,129 @@ def test_ten_thousand_deep_problems_conform(shapes):
         prover=ProverConfig("builtin", timeout_s=30)))
     assert (got.verdict.value, got.prover_detail) \
         == ("Conforms", "closed structure of 10003 elements")
+
+
+# --- problems with no closure: the structure of their own facts ---------------
+
+
+def _static_problem(command, texts, strong=False):
+    """The shape graphs and the units of a `sat` or `contains` problem."""
+    graphs = [load_shapes(t) for t in texts]
+    if command == "sat":
+        task = DecisionTask(TaskKind.SATISFIABILITY, graphs[0],
+                            strong_sat_shapes=[] if strong else None)
+    else:
+        task = DecisionTask(TaskKind.CONTAINMENT, graphs[0], shape_graph_b=graphs[1])
+    return graphs, named(build_problem(task).formulas)
+
+
+def _static_problems():
+    seen = set()
+    for problem_seed in (1, 2, 3):
+        for p in static_problems(problem_seed):
+            key = (p.command, p.shapes, p.strong_sat)
+            if key not in seen:
+                seen.add(key)
+                yield key
+    pool = [PREFIXES + shape for _, shape in SHAPE_POOL]
+    for a in pool:
+        yield "sat", (a,), False
+    for a, b in itertools.product(pool + [PREFIXES], repeat=2):
+        yield "contains", (a, b), False
+
+
+def test_the_facts_only_structure_agrees_with_the_oracle_and_the_procedures():
+    """A Satisfiable or NotContained on the structure of the problem's
+    facts is the empty data graph, which the oracle confirms: it conforms
+    to the shape graph, or to A and not to B.  An Unsatisfiable or
+    Contained from the check is what the clausal procedures conclude."""
+    empty = load_graph(PREFIXES)
+    decided = {True: 0, False: 0}
+    for command, texts, strong in _static_problems():
+        graphs, units = _static_problem(command, texts, strong)
+        answer = closed_structure.check(units)
+        if answer is None:
+            continue
+        decided[answer.satisfiable] += 1
+        if answer.satisfiable:
+            assert answer.detail.startswith("facts-only structure"), texts
+            conforms = [oracle.evaluate(sg, empty).conforms for sg in graphs]
+            assert conforms == ([True] if command == "sat" else [True, False]), texts
+        else:
+            got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=5)
+            assert got.status == "Unsatisfiable", texts
+    assert decided[True] >= 10 and decided[False] >= 2, decided
+    # the oracle stays an independent cross-check
+    source = Path(closed_structure.__file__).read_text()
+    assert not re.search(r"^\s*(from|import)\b.*\boracle\b", source, re.M)
+
+
+def random_open_problem(rng):
+    """`random_closed_problem` with no closure: facts of r and e, a kind
+    per constant, unique names most of the time, definitions of s most of
+    the time, and up to three random sentences.  Half the problems have
+    no r, e or q, so that a failure may refute."""
+    preds = PREDS if rng.random() < 0.5 else KIND_PREDS
+    units = [("kinds", Forall(("X",), NotN(AndN((Atom("isI", (X,)), Atom("isL", (X,)))))))]
+    if "r" in preds:
+        units += [("r", Atom("r", pair)) for pair in itertools.product(CONSTANTS[:3], repeat=2)
+                  if rng.random() < 0.3]
+        units += [("e", Atom("e", (c,))) for c in CONSTANTS[:3] if rng.random() < 0.5]
+    units += [("kind", Atom(rng.choice(["isI", "isL"]), (c,))) for c in CONSTANTS]
+    if rng.random() < 0.8:
+        units.append(("una", Distinct(tuple(CONSTANTS))))
+    units += [("s_def", Forall(("X",), Iff(Atom("s", (X, t)),
+                                            random_sentence(rng, ["X"], 2, preds))))
+              for t in CONSTANTS[3:] if rng.random() < 0.8]
+    return units + [(f"u{i}", random_sentence(rng, [], 3, preds))
+                    for i in range(rng.randint(1, 3))]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2 ** 32))
+def test_the_facts_only_structure_agrees_with_the_procedures(seed):
+    # with no closure every predicate but the defined ones holds on its
+    # facts alone: where the check answers, the procedures must not
+    # conclude otherwise
+    units = random_open_problem(random.Random(seed))
+    answer = closed_structure.check(units)
+    if answer is None:
+        return
+    got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=1)
+    if got.status in ("Satisfiable", "Unsatisfiable"):
+        assert answer.satisfiable == (got.status == "Satisfiable"), answer
+
+
+KINDS = ("fof(kind_a, axiom, isI(a)).\nfof(kind_b, axiom, isI(b)).\n"
+         "fof(kinds, axiom, ![X]: ~(isI(X) & isL(X))).\nfof(apart, axiom, a != b).\n")
+FACTS = "fof(r_ab, axiom, r(a, b)).\n" + KINDS
+
+
+@pytest.mark.parametrize("text, detail", [
+    # r holds on its one fact, and the guard of Y is that fact
+    (FACTS + "fof(u, axiom, ![X]: (isI(X) => (X = b | ?[Y]: r(X, Y)))).\n",
+     "facts-only structure of 2 elements"),
+    # a unit on kinds fixed at every constant fails in every model
+    (KINDS + "fof(u, axiom, ~isI(a)).\n", "facts-only structure of 2 elements; fails u"),
+    (KINDS + "fof(u, axiom, ![X]: (isI(X) => (X = a | isL(X)))).\n",
+     "facts-only structure of 2 elements; fails u at X = b"),
+    # no constant: one fresh element
+    ("fof(u, axiom, ![X]: ~(isI(X) & isL(X))).\n", "facts-only structure of 1 elements"),
+], ids=["holds", "fails_ground", "fails_at_a_constant", "fresh"])
+def test_a_problem_with_no_closure_is_decided_on_its_facts(text, detail):
+    answer = closed_structure.check(named(parse_tptp(text)))
+    assert answer.detail == detail
+
+
+@pytest.mark.parametrize("unit", [
+    # r(b, c) is no fact, but a model may have it
+    "fof(u, axiom, ![X]: (isI(X) => ?[Y]: r(X, Y))).",
+    # the guard of Y is r's facts, which a model may extend by a literal
+    "fof(u, axiom, ?[Y]: (r(a, Y) & isL(Y))).",
+    # so is the guard in a definition's body
+    "fof(d, axiom, ![X]: (s(X) <=> ?[Y]: r(X, Y))).\nfof(u, axiom, s(b)).",
+], ids=["open_role", "facts_guard", "definition"])
+def test_a_failure_on_the_facts_alone_refutes_nothing(unit):
+    text = FACTS + unit + "\n"
+    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Satisfiable"

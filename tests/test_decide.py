@@ -215,7 +215,7 @@ class TestRunProver:
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == render(doc)
         assert run.szs_status == "Unsatisfiable"
-        assert run.detail.startswith("ground refutation")
+        assert run.detail == "facts-only structure of 3 elements; fails target_2"
 
     def _recording(self, monkeypatch):
         """Record each `decide.render` result and the units the built-in
@@ -344,4 +344,4 @@ class TestEndToEnd:
             "proverTimeMs", "prover", "proverDetail",
         }
         assert d["verdict"] == "Satisfiable" and d["approximate"] is False
-        assert d["proverDetail"].startswith("finite model of size ")
+        assert d["proverDetail"] == "facts-only structure of 1 elements"

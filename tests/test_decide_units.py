@@ -167,9 +167,26 @@ def test_a_short_budget_ends_near_its_deadline(sequence_40000):
     assert got.status == "Timeout"
 
 
+def test_a_40000_member_validation_is_decided_within_its_budget():
+    """The check plans a quantifier's variables against the one growing
+    set of those bound, and reports each to the clock: the sequence
+    path's 40,000 variables are planned in linear time, and `ex:a`,
+    with an `ex:p0` value but no `ex:p1` one, fails its target."""
+    units = build_problem(DecisionTask(
+        TaskKind.VALIDATION, load_shapes(path_list(40_000, False)),
+        data_graph=load_graph("@prefix ex: <http://example.org/> .\nex:a ex:p0 ex:b .\n"),
+    )).formulas
+    start = time.monotonic()
+    got = closed_structure.decide_units(units, timeout_s=1)
+    assert time.monotonic() - start < 2
+    assert (got.status, got.detail) == ("Unsatisfiable", "closed structure of 3 elements; fails target")
+
+
 def test_a_budget_spent_in_clausify_answers_timeout(monkeypatch, sequence_40000):
     """A deadline that passes while the units are clausified answers
-    Timeout: the exception stops there, and no procedure runs."""
+    Timeout: the exception stops there, and no procedure runs.  The
+    check is stubbed to give no answer, so that clausify is the pass
+    the clock cuts."""
     cut = []
     clausify = miniprover.clausify
 
@@ -180,6 +197,7 @@ def test_a_budget_spent_in_clausify_answers_timeout(monkeypatch, sequence_40000)
             cut.append(deadline)
             raise
 
+    monkeypatch.setattr(closed_structure, "check", lambda units, deadline=None: None)
     monkeypatch.setattr(miniprover, "clausify", watched)
     monkeypatch.setattr(miniprover, "decide_clauses", None)  # not to be called
     assert closed_structure.decide_units(sequence_40000, timeout_s=0).status == "Timeout"

@@ -760,14 +760,20 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
         # the size-6 search grounds only the instances whose guards fall on
         # atoms that can be true, about 1,250 clauses where the product
         # gave 33,690, so a 3 s budget leaves a wide margin
+        doc = build_problem(DecisionTask(TaskKind.SATISFIABILITY, load_shapes(F4_SHAPES)))
+        solved = counting_solve(monkeypatch)
+        got = miniprover.decide_clauses(clausify([u.body for u in doc.formulas]),
+                                        timeout_s=3)
+        assert (got.status, got.detail) == ("Satisfiable", "finite model of size 6")
+        assert len(solved[-1]) < 2_000
+        # the command answers on the structure of the problem's facts: no
+        # class has an instance, so every target holds
         shapes = tmp_path / "f4.ttl"
         shapes.write_text(F4_SHAPES)
-        solved = counting_solve(monkeypatch)
         got = cli.main(["sat", str(shapes), "--prover", "builtin", "--timeout", "3", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert (got, out["verdict"], out["proverDetail"]) \
-            == (0, "Satisfiable", "finite model of size 6")
-        assert len(solved[-1]) < 2_000
+            == (0, "Satisfiable", "facts-only structure of 6 elements")
 
     def test_containment_decided_well_inside_the_timeout(self):
         start = time.monotonic()

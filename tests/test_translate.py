@@ -5,6 +5,7 @@ from shacl2fol.fol import Atom, Var, formula_text
 from shacl2fol.rdf import RDF_TYPE, iri, literal
 from shacl2fol.record import Record
 from shacl2fol import shapes, translate as tr
+from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, Verdict, run_task
 from shacl2fol.shapes import (
     Alternative, And, Closed, DisjointProp, EqConst, EqualsProp, Inverse, MinCount,
     NodeKind, NodeKindValue, Not, OrderOp, OrderProp, Predicate, Sequence,
@@ -197,22 +198,28 @@ class TestFullTranslation:
     def test_signature_of(self):
         assert tr.signature_of(load_shapes(self.SHAPES)) == {EX + "p"}
 
-    def test_strong_sat_adds_fresh_dummy_targets(self):
+    def test_strong_sat_demands_an_instance_of_each_selected_shape(self):
         sg = load_shapes(self.SHAPES)
         emitter = Emitter(EmitOptions())
         tr.translate(sg, emitter=emitter)
+        named = dict(emitter.known_constants)
         (t,) = tr.strong_satisfiability_targets(sg, [S], emitter)
-        assert t.name == "target"
-        assert formula_text(t.body) == (
-            f"hasShape('{tr.DUMMY_PREFIX}1', 'http://example.org/S')"
-        )
+        assert t.name == "strong_sat"
+        assert formula_text(t.body) == "(?[X]: hasShape(X, 'http://example.org/S'))"
+        assert emitter.known_constants == named  # the instance is no new constant
 
-    def test_strong_sat_dummies_avoid_theory_constants(self):
-        sg = load_shapes(self.SHAPES.replace("ex:C", f"<{tr.DUMMY_PREFIX}1>"))
-        emitter = Emitter(EmitOptions())
-        tr.translate(sg, emitter=emitter)
-        (t,) = tr.strong_satisfiability_targets(sg, [S], emitter)
-        assert t.body.args[0].name == f"{tr.DUMMY_PREFIX}2"
+    @pytest.mark.parametrize("constraint", [
+        "sh:nodeKind sh:BlankNode", "sh:nodeKind sh:Literal",
+        "sh:hasValue ex:a", "sh:in ( ex:a )",
+    ])
+    def test_strong_sat_of_a_shape_no_iri_but_its_own_may_conform_to(self, constraint):
+        """An instance may be a blank node, a literal or a named constant:
+        a fresh IRI kept apart from every constant could conform to none
+        of these shapes."""
+        sg = load_shapes(self.SHAPES.split("ex:S a")[0] + f"ex:S a sh:NodeShape ; {constraint} .")
+        task = DecisionTask(TaskKind.SATISFIABILITY, sg, strong_sat_shapes=[],
+                            prover=ProverConfig("builtin", timeout_s=10))
+        assert run_task(task).verdict == Verdict.SATISFIABLE
 
     def test_strong_sat_rejects_unknown_shape(self):
         sg = load_shapes(self.SHAPES)
