@@ -1,4 +1,4 @@
-"""The one structure a closed problem allows, checked on its units.
+"""The one candidate structure of a problem, checked on its units.
 
 A validation problem fixes everything but its shape predicate.  Each data
 role is closed by a unit of the form `∀X̄ p(X̄) → ∨(∧ Xi = ci)`, or
@@ -6,57 +6,51 @@ role is closed by a unit of the form `∀X̄ p(X̄) → ∨(∧ Xi = ci)`, or
 and the kinds are pairwise disjoint; the unique-name axioms keep the
 constants apart; and each shape is defined by `∀X (hasShape(X, c) ↔ φ)`.
 These are Reiter's completion and unique-name axioms (*Towards a Logical
-Reconstruction of Relational Database Theory*, 1984).
+Reconstruction of Relational Database Theory*, 1984).  A `sat` or
+`contains` problem has no closure: its closed-world reading is the
+structure of its own facts, for a static problem of Pareti et al.
+(*SHACL Satisfiability and Containment*, ISWC 2020) the empty data graph.
 
-`check` builds the candidate structure of such a problem and evaluates
-every unit in it:
+`check` builds the candidate structure of a problem and evaluates every
+unit in it, by one rule:
 
-* its domain is the problem's constants, each its own element;
-* a closed predicate holds exactly on its closure's tuples, read into
-  one set, so a closure is answered by a set lookup, not a walk over its
-  disjunction;
+* its domain is the problem's constants, each its own element, or one
+  fresh element when the problem names no constant;
 * a predicate with definitions `∀X̄ (P(ā) ↔ φ)`, where ā holds the
   variables X̄ and constants, holds where its definition does, evaluated
   on demand and memoised per tuple; an atom of P with a bound variable
   where ā holds a constant is resolved as it is evaluated;
-* any other predicate holds exactly on its ground facts.
+* any other predicate holds exactly on its tuples: its closure's when it
+  has one (it is closed), read into one set, so a closure is answered by
+  a set lookup, not a walk over its disjunction; its ground facts
+  otherwise.
 
 A predicate's first closure and its definitions hold by construction;
 every other unit, a second closure included, is evaluated.  A quantifier
-enumerates the values its guard allows, looked up in an index of the
-closed atoms by the positions already bound, or the whole domain when it
-has no guard.  A connective reads the operands it can look up at once
-first.  The evaluation keeps its own explicit stack, so neither a
-10,000-deep conjunction nor a 10,000-deep chain of definitions deepens
-the Python stack, and reports each step to the clock, `errors.Clock`.
+enumerates the values its guard allows, from an index of a predicate's
+tuples by the positions already bound (a closed guard first), or the
+whole domain.  A connective reads the operands it can look up at once
+first.  The evaluation keeps its own stack, so neither a 10,000-deep
+conjunction nor a 10,000-deep chain of definitions deepens the Python
+stack, and reports each step to the clock, `errors.Clock`.
 
 The answers:
 
 * every unit holds: the candidate is a model, so the problem is
   satisfiable;
-* a unit fails: the problem is unsatisfiable when every model agrees
-  with the candidate on that unit, which holds when every constant is
-  kept apart, every predicate but the defined ones is closed with each
-  tuple asserted or is a kind fixed at every constant, every atom of a
-  defined predicate has a definition, and every quantifier but a unit's
-  universal prefix is guarded by a closed atom or by an equality with a
-  bound term: such a quantifier ranges only over the constants' elements
-  in any model (the guarded fragment: Andréka, van Benthem & Németi,
-  *Modal Languages and Bounded Fragments of Predicate Logic*, J. Phil.
-  Logic 1998);
+* a unit fails, not at the fresh element: the problem is unsatisfiable
+  when every model agrees with the candidate on that unit, which holds
+  when every constant is kept apart, every predicate but the defined
+  ones is closed with each tuple asserted or is a kind fixed at every
+  element, every atom of a defined predicate has a definition, and every
+  quantifier but a unit's universal prefix takes its values from a
+  closed predicate (facts alone guard nothing: a model may add facts) or
+  from an equality with a bound term: such a quantifier ranges only over
+  the constants' elements in any model (the guarded fragment: Andréka,
+  van Benthem & Németi, *Modal Languages and Bounded Fragments of
+  Predicate Logic*, J. Phil. Logic 1998);
 * otherwise, or with definitions that refer to each other in a cycle,
-  there is no answer (`None`).
-
-A problem with no closure, such as a `sat` or `contains` problem, is
-checked on the structure of its own facts, its closed-world reading
-(for a static problem of Pareti et al., *SHACL Satisfiability and
-Containment*, ISWC 2020, the empty data graph): the domain is its
-constants, or one fresh element when it has none, and each predicate
-without a definition holds exactly on its ground facts, which also
-guard the quantifiers.  Every model may add facts, so those guards do
-not count toward the exactness above: any quantifier outside a unit's
-universal prefix makes a failure inexact, and so does a failure at the
-fresh element.  The clock is read before such a check starts.
+  or with a predicate at two arities, there is no answer (`None`).
 
 The module evaluates first-order formulas; it knows nothing of shapes or
 RDF, so the oracle stays an independent cross-check.
@@ -69,9 +63,10 @@ problem the check decides loads none of them.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import time
-from typing import AbstractSet, Callable, Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterator, NamedTuple, Optional
 
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
@@ -85,22 +80,18 @@ _END = object()  # an exhausted iterator's `next` default
 _FRESH = "_fresh"  # the one element of a structure without constants
 
 
-class Answer(NamedTuple):
-    satisfiable: bool
-    detail: str
-
-
 class _Inapplicable(Exception):
     """The problem has no one candidate structure: no answer."""
 
 
 class _Lookup(NamedTuple):
-    """A guard atom of a closed predicate: the values at `position` of its
-    tuples whose `keyed` positions hold the values of `terms`."""
+    """A guard atom: the values at `position` of its predicate's tuples
+    whose `keyed` positions hold the values of the atom's `args` there."""
     pred: str
     keyed: tuple[int, ...]
-    terms: tuple
     position: int
+    args: tuple
+    closed: bool  # the tuples are a closure's, so every model's
 
 
 class _Definition(NamedTuple):
@@ -117,20 +108,19 @@ def _closure(f: Formula) -> Optional[tuple[str, int, list[tuple[str, ...]]]]:
     """The predicate, arity and tuples of a closure unit, `∀X̄ p(X̄) →
     ∨(∧ Xi = ci)` or `¬∃X̄ p(X̄)`, with X̄ distinct; None for any other unit."""
     if type(f) is NotN and type(f.operand) is Exists:
-        variables, atom, cases = f.operand.variables, f.operand.body, FalseF()
+        variables, atom, cases = f.operand.variables, f.operand.body, None
     elif type(f) is Forall and type(f.body) is Implies:
         variables, atom, cases = f.variables, f.body.left, f.body.right
     else:
         return None
-    if type(atom) is not Atom or len(set(variables)) != len(variables) \
-            or len(atom.args) != len(variables):
+    if type(atom) is not Atom:
         return None
-    position = {}
-    for i, a in enumerate(atom.args):
-        if type(a) is not Var or a.name not in variables or a.name in position:
-            return None
-        position[a.name] = i
-    disjuncts = () if type(cases) is FalseF else \
+    # each argument a variable of X̄, and each variable of X̄ one argument
+    position = {a.name: i for i, a in enumerate(atom.args) if type(a) is Var}
+    if len(position) != len(atom.args) or len(variables) != len(position) \
+            or position.keys() != set(variables):
+        return None
+    disjuncts = () if cases is None or type(cases) is FalseF else \
         cases.operands if type(cases) is OrN else (cases,)
     tuples = []
     for d in disjuncts:
@@ -164,9 +154,9 @@ def _definition_head(f: Formula):
 
 
 class ClosedStructure:
-    """The candidate structure of a list of named units: the closed
-    structure, or with no closure the structure of the units' facts
-    (`facts_only`).
+    """The candidate structure of a list of named units, by the one rule:
+    each predicate without a definition holds on its `tuples`, its
+    closure's when it is `closed`, else its ground facts.
 
     Raises `_Inapplicable` when the units have no one candidate, and
     `TimeBudgetExceeded` once the clock passes `deadline`.
@@ -174,10 +164,11 @@ class ClosedStructure:
 
     def __init__(self, units: list[tuple[str, Formula]], deadline: Optional[float] = None):
         self.clock = Clock(deadline)
-        # each closure's tuples in order; with no closure, each fact's
-        self.tuples: dict[str, list[tuple[str, ...]]] = {}
-        self.closed: dict[str, set[tuple[str, ...]]] = {}  # the same, as sets
-        self.arity: dict[str, int] = {}
+        self.clock.check()  # a budget spent before the check answers Timeout
+        # each predicate's tuples, in order
+        self.tuples: dict[str, dict[tuple[str, ...], None]] = {}
+        self.closed: set[str] = set()
+        self.arity: dict[str, int] = {}  # each predicate's one arity
         rest = []
         for name, f in units:
             got = _closure(f)
@@ -186,12 +177,8 @@ class ClosedStructure:
                 continue
             pred, arity, tuples = got
             self.arity[pred] = arity
-            self.tuples[pred] = list(dict.fromkeys(tuples))
-            self.closed[pred] = set(tuples)
-        # with no closure, the structure of the problem's own facts
-        self.facts_only = not self.closed
-        if self.facts_only:
-            self.clock.check()  # a budget spent before the check answers Timeout
+            self.tuples[pred] = dict.fromkeys(tuples)
+            self.closed.add(pred)
         # each defined predicate's argument positions that hold constants,
         # and its definitions by the constants there
         self.patterns: dict[str, tuple[int, ...]] = {}
@@ -206,6 +193,8 @@ class ClosedStructure:
                 key = tuple(atom.args[i].name for i in pattern)
                 defs = self.definitions.setdefault(atom.pred, {})
                 if self.patterns.setdefault(atom.pred, pattern) == pattern and key not in defs:
+                    if self.arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
+                        raise _Inapplicable()  # a predicate at two arities
                     variables = tuple((i, a.name) for i, a in enumerate(atom.args)
                                       if type(a) is Var)
                     defs[key] = _Definition(variables, body, {})
@@ -217,10 +206,10 @@ class ClosedStructure:
             for t in ts:
                 self.elements.update(dict.fromkeys(t))
         self.facts: dict[str, dict[tuple[str, ...], None]] = {}  # in order
-        self.used: dict[str, set[int]] = {}  # predicate -> the arities of its atoms
+        self.used: set[str] = set()  # the predicates of the atoms
         self.open_reference = False  # an atom of a defined predicate without definition
-        # a quantifier outside a universal prefix without a guard that
-        # holds in every model: one without guard, or any with no closure
+        # a quantifier outside a universal prefix that does not take its
+        # values from a closed predicate or a bound equality
         self.unguarded = False
         self.distinct: list[tuple[str, ...]] = []  # the constants of each $distinct unit
         self.apart: list[tuple[str, str]] = []  # the pairs of the ground units ¬(a = b)
@@ -232,22 +221,15 @@ class ClosedStructure:
         edges: dict[tuple[str, tuple], list[tuple[str, tuple]]] = {}
         for _, f in self.checked:
             self._read_axiom(f)
-        if self.facts_only:
-            # each predicate without a definition holds on its facts alone
-            self.tuples = {pred: list(facts) for pred, facts in self.facts.items()
-                           if pred not in self.patterns}
-            guards = _Guards(lambda pred: pred not in self.patterns)
-        else:
-            guards = _Guards(self.closed.__contains__)
+        for pred, facts in self.facts.items():
+            if pred not in self.closed and pred not in self.patterns:
+                self.tuples[pred] = facts
+        guards = _Guards(self.closed, self.patterns.keys())
         for pred, key, f in definition_units:
             edges[pred, key] = self._scan(f, guards, True)
         for _, f in self.checked:
             self._scan(f, guards, False)
-        self.fresh: Optional[str] = None  # the element no constant names
         if not self.elements:
-            if not self.facts_only:
-                raise _Inapplicable()
-            self.fresh = _FRESH
             self.elements[_FRESH] = None
         self._check_acyclic(edges)
         self.index: dict[tuple, dict] = {}
@@ -285,12 +267,12 @@ class ClosedStructure:
             self.clock.tick()
             t = type(g)
             if t is Atom:
-                self.used.setdefault(g.pred, set()).add(len(g.args))
+                if self.arity.setdefault(g.pred, len(g.args)) != len(g.args):
+                    raise _Inapplicable()  # a predicate at two arities
+                self.used.add(g.pred)
                 self._terms(g.args, bound)
                 pattern = self.patterns.get(g.pred)
                 if pattern is not None:
-                    if any(i >= len(g.args) for i in pattern):
-                        raise _Inapplicable()  # a reference the candidate cannot resolve
                     key = tuple(g.args[i].name for i in pattern)
                     if any(type(g.args[i]) is Var for i in pattern):
                         # resolved when evaluated: it may refer to any definition
@@ -306,14 +288,14 @@ class ClosedStructure:
             elif t is NotN:
                 stack.append((g.operand, bound, False))
             elif t is AndN or t is OrN:
-                stack.extend((h, bound, False) for h in g.operands)
+                stack.extend([(h, bound, False) for h in g.operands])
             elif t is Implies or t is Iff:
                 stack.extend(((g.left, bound, False), (g.right, bound, False)))
             elif t is Forall or t is Exists:
                 universal = prefix and t is Forall
                 if definition and universal:
                     head = g.body.left
-                    self.used.setdefault(head.pred, set()).add(len(head.args))
+                    self.used.add(head.pred)
                     self._terms(head.args, bound | set(g.variables))
                     stack.append((g.body.right, bound | set(g.variables), False))
                     continue
@@ -324,7 +306,7 @@ class ClosedStructure:
                 for v in g.variables:
                     self.clock.tick()
                     source = guards.source(g.body, v, inner, t is Exists)
-                    if not universal and (source is None or self.facts_only):
+                    if not universal and (source is None or _cost(source) >= _UNCLOSED):
                         self.unguarded = True
                     plan.append(source)
                     inner.add(v)
@@ -355,7 +337,7 @@ class ClosedStructure:
         """Whether every model agrees with the candidate on every unit,
         so that a failing unit refutes the problem."""
         return not self.unguarded and not self.open_reference \
-            and self._all_apart() and all(map(self._fixed, self.used.items()))
+            and self._all_apart() and all(map(self._fixed, self.used))
 
     def _all_apart(self) -> bool:
         n = len(self.elements)
@@ -366,17 +348,14 @@ class ClosedStructure:
             pairs.update(itertools.combinations(sorted(set(group)), 2))
         return len(pairs) == n * (n - 1) // 2
 
-    def _fixed(self, item: tuple[str, set[int]]) -> bool:
+    def _fixed(self, pred: str) -> bool:
         """Whether every model interprets the predicate as the candidate
         does on the constants."""
-        pred, arities = item
         if pred in self.closed:
-            return arities == {self.arity[pred]} \
-                and self.closed[pred] <= self.facts.get(pred, {}).keys()
+            return self.tuples[pred].keys() <= self.facts.get(pred, {}).keys()
         if pred in self.definitions:
-            definition = next(iter(self.definitions[pred].values()))
-            return arities == {len(self.patterns[pred]) + len(definition.variables)}
-        if arities != {1}:
+            return True
+        if self.arity[pred] != 1:
             return False
         kinds = self.facts.get(pred, {})
         others = [(k, facts) for k, facts in self.facts.items()
@@ -424,12 +403,12 @@ class ClosedStructure:
         t = type(f)
         if t is Atom:
             args = tuple([env[a.name] if type(a) is Var else a.name for a in f.args])
-            closed = self.closed.get(f.pred)
-            if closed is not None:
-                return args in closed
+            tuples = self.tuples.get(f.pred)
+            if tuples is not None:
+                return args in tuples
             pattern = self.patterns.get(f.pred)
             if pattern is None:
-                return args in self.facts.get(f.pred, ())
+                return False  # no tuple and no definition
             definition = self.definitions[f.pred].get(tuple(args[i] for i in pattern))
             if definition is None:
                 self.open_reference = True
@@ -521,31 +500,36 @@ class ClosedStructure:
     def _alternative(self, alt, env: dict[str, str]):
         if type(alt) is not _Lookup:
             return (_value(alt, env),)  # the bound term of an equality
-        index = self.index.get(alt[:2] + (alt.position,))
+        pred, keyed, position, args, _ = alt
+        index = self.index.get(alt[:3])
         if index is None:
-            index = self.index[alt[:2] + (alt.position,)] = {}
-            for t in self.tuples.get(alt.pred, ()):
-                index.setdefault(tuple(t[i] for i in alt.keyed), {})[t[alt.position]] = None
-        return index.get(tuple(_value(a, env) for a in alt.terms), ())
+            index = self.index[alt[:3]] = {}
+            for t in self.tuples.get(pred, ()):
+                index.setdefault(tuple([t[i] for i in keyed]), {})[t[position]] = None
+        return index.get(tuple([_value(args[i], env) for i in keyed]), ())
 
 
 # --- guards -----------------------------------------------------------------
 
+_UNCLOSED = 3  # the cost a lookup among facts adds, above every closed source
+
+
 def _cost(source) -> int:
     """0 for the bound terms of equalities, 1 for keyed lookups, 2 for any
-    source with a lookup by no position."""
-    cost = 0
+    source with a lookup by no position; `_UNCLOSED` more for any source
+    with a lookup of an unclosed predicate, so a closed guard always wins."""
+    cost = extra = 0
     for a in source:
         if type(a) is _Lookup:
-            if not a.keyed:
-                return 2
-            cost = 1
-    return cost
+            cost = max(cost, 1 if a.keyed else 2)
+            if not a.closed:
+                extra = _UNCLOSED
+    return cost + extra
 
 
-def _best(*sources):
+def _best(sources):
     """The first of the cheapest sources; None when there is none."""
-    best, least = None, 3
+    best, least = None, _UNCLOSED + 3
     for s in sources:
         if s is not None:
             cost = _cost(s)
@@ -560,79 +544,86 @@ def _union(*sources):
 
 class _Guards:
     """The guards of quantified variables among the atoms of the
-    predicates `closed` accepts.
+    predicates without definition, closed or not.
 
     The operands of each conjunction and disjunction are indexed once by
     the variables of those that are atoms or equalities, negated or not,
     so a conjunction of many atoms, such as a long sequence path, is not
     searched whole for each of its variables."""
 
-    def __init__(self, closed: Callable[[str], bool]):
+    def __init__(self, closed: AbstractSet[str], defined: AbstractSet[str]):
         self.closed = closed
-        self.operands: dict[int, tuple[dict[str, list], list]] = {}
+        self.defined = defined
+        self.operands: dict[int, tuple[tuple[dict[str, list], dict[str, list]], list]] = {}
 
     def source(self, f: Formula, v: str, bound: AbstractSet[str], true: bool,
                depth: int = 0) -> Optional[tuple]:
         """The guard of the variable `v` in `f`: alternatives whose values
         hold every value of `v` at which `f` is `true`, given values for
-        the variables `bound`; each is a lookup among the tuples of a
-        closed atom or the bound term of an equality.  None when there is
-        none."""
+        the variables `bound`; each is a lookup among the tuples of an
+        atom or the bound term of an equality.  None when there is none."""
         if depth > _GUARD_DEPTH:
             return None
         depth += 1
         t = type(f)
-        if t is Atom:
-            if not true or not self.closed(f.pred):
-                return None
-            position, keyed = None, []
-            for i, a in enumerate(f.args):
-                if type(a) is Var and a.name == v:
-                    if position is None:
-                        position = i
-                elif type(a) is Const or a.name in bound:
-                    keyed.append(i)
-            if position is None:
-                return None
-            return (_Lookup(f.pred, tuple(keyed), tuple(f.args[i] for i in keyed), position),)
-        if t is Eq:
-            if not true:
-                return None
-            for x, y in ((f.left, f.right), (f.right, f.left)):
-                if type(x) is Var and x.name == v and (type(y) is Const or y.name in bound):
-                    return (y,)
-            return None
+        if t is Atom or t is Eq:
+            return self._leaf_source(f, v, bound) if true else None
         if t is TrueF or t is FalseF:
             return () if (t is FalseF) == true else None
         if t is NotN:
             return self.source(f.operand, v, bound, not true, depth)
         if t is AndN or t is OrN:
             if (t is AndN) != true:  # every operand must guard v
-                return _union(*(self.source(g, v, bound, true, depth) for g in f.operands))
-            return _best(*(self.source(g, v, bound, true, depth) for g in self._can_guard(f, v)))
+                return _union(*[self.source(g, v, bound, true, depth) for g in f.operands])
+            leaves, compound = self._can_guard(f)
+            return _best([self._leaf_source(leaf, v, bound) for leaf in leaves[true].get(v, ())]
+                         + [self.source(g, v, bound, true, depth) for g in compound])
         if t is Implies:  # ¬left ∨ right
             left = self.source(f.left, v, bound, not true, depth)
             right = self.source(f.right, v, bound, true, depth)
-            return _union(left, right) if true else _best(left, right)
+            return _union(left, right) if true else _best((left, right))
         if t is Iff:  # both true or both false; false: one of each
             def side(a, b):
-                return _best(self.source(f.left, v, bound, a, depth),
-                             self.source(f.right, v, bound, b, depth))
+                return _best((self.source(f.left, v, bound, a, depth),
+                              self.source(f.right, v, bound, b, depth)))
             return _union(side(True, true), side(False, not true))
         if (t is Exists) == true and v not in f.variables:
             # true (or, for ∀, false) at some value of its variables
             return self.source(f.body, v, bound - set(f.variables), true, depth)
         return None
 
-    def _can_guard(self, f, v: str) -> list:
-        """The operands of `f` that may guard `v`: the atoms and equalities
-        of `v`, negated or not, and the other compound operands."""
+    def _leaf_source(self, f, v: str, bound: AbstractSet[str]) -> Optional[tuple]:
+        """The guard of `v` in an atom or equality that holds."""
+        if type(f) is Eq:
+            for x, y in ((f.left, f.right), (f.right, f.left)):
+                if type(x) is Var and x.name == v and (type(y) is Const or y.name in bound):
+                    return (y,)
+            return None
+        if f.pred in self.defined:
+            return None
+        position, keyed = None, []
+        for i, a in enumerate(f.args):
+            if type(a) is Var and a.name == v:
+                if position is None:
+                    position = i
+            elif type(a) is Const or a.name in bound:
+                keyed.append(i)
+        if position is None:
+            return None
+        return (_Lookup(f.pred, tuple(keyed), position, f.args, f.pred in self.closed),)
+
+    def _can_guard(self, f) -> tuple[tuple[dict[str, list], dict[str, list]], list]:
+        """The operands of `f` that may guard a variable: by variable, the
+        atoms and equalities of it that hold where the operand is false
+        (negated ones) and where it is true (the others); and the compound
+        operands, which may guard any."""
         got = self.operands.get(id(f))
         if got is None:
-            by_var: dict[str, list] = {}
+            leaves: tuple[dict[str, list], dict[str, list]] = ({}, {})
             compound = []
             for g in f.operands:
-                leaf = g.operand if type(g) is NotN else g
+                by_var = leaves[type(g) is not NotN]
+                leaf = g if type(g) is not NotN else g.operand
                 if type(leaf) is Atom:
                     args = leaf.args
                 elif type(leaf) is Eq:
@@ -640,32 +631,39 @@ class _Guards:
                 else:
                     compound.append(g)
                     continue
-                for name in dict.fromkeys(a.name for a in args if type(a) is Var):
-                    by_var.setdefault(name, []).append(g)
-            got = self.operands[id(f)] = (by_var, compound)
-        by_var, compound = got
-        return by_var.get(v, []) + compound
+                for name in dict.fromkeys([a.name for a in args if type(a) is Var]):
+                    by_var.setdefault(name, []).append(leaf)
+            got = self.operands[id(f)] = (leaves, compound)
+        return got
 
 
-def check(units: list[tuple[str, Formula]], deadline: Optional[float] = None) -> Optional[Answer]:
-    """Satisfiable when the candidate structure (closed, or facts-only)
-    satisfies every unit, unsatisfiable when it fails one on which every
-    model agrees with it, and None otherwise or when the units allow no
-    one candidate.  Raises `TimeBudgetExceeded` once the clock passes
-    `deadline`."""
+def check(units: list[tuple[str, Formula]],
+          deadline: Optional[float] = None) -> Optional[ProverResult]:
+    """Satisfiable when the candidate structure satisfies every unit,
+    Unsatisfiable when it fails one on which every model agrees with it,
+    and None otherwise or when the units allow no one candidate.  Raises
+    `TimeBudgetExceeded` once the clock passes `deadline`."""
+    # the check makes no reference cycles, so the cycle collector is paused
+    # while it runs: the full passes that a large problem's plans set off
+    # would each walk the whole heap, the problem's units included
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         structure = ClosedStructure(units, deadline)
+        kind = "closed" if structure.closed else "facts-only"
+        procedure = f"{kind} structure of {len(structure.elements)} elements"
+        for name, f in structure.checked:
+            for env in structure.failures(f):
+                if not structure.exact() or _FRESH in env.values():
+                    return None
+                at = " at " + ", ".join(f"{v} = {c}" for v, c in env.items()) if env else ""
+                return ProverResult("Unsatisfiable", f"{procedure}; fails {name}{at}")
+        return ProverResult("Satisfiable", procedure)
     except _Inapplicable:
         return None
-    kind = "facts-only" if structure.facts_only else "closed"
-    procedure = f"{kind} structure of {len(structure.elements)} elements"
-    for name, f in structure.checked:
-        for env in structure.failures(f):
-            if not structure.exact() or structure.fresh in env.values():
-                return None
-            at = " at " + ", ".join(f"{v} = {c}" for v, c in env.items()) if env else ""
-            return Answer(False, f"{procedure}; fails {name}{at}")
-    return Answer(True, procedure)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 class ProverResult(Record):
@@ -687,18 +685,15 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
     conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
     named.extend(conjectures)
     try:
-        answer = check(named, deadline)
-        if answer is None:
+        result = check(named, deadline)
+        if result is None:
             from . import miniprover
 
             # called through `miniprover`, where perfbench/tracing.py wraps them
             clauses = miniprover.clausify([f for _, f in named], deadline)
     except TimeBudgetExceeded:
         return ProverResult("Timeout")
-    if answer is not None:
-        result = ProverResult("Satisfiable" if answer.satisfiable else "Unsatisfiable",
-                              answer.detail)
-    else:
+    if result is None:
         result = miniprover.decide_clauses(
             clauses, timeout_s=max(0.0, deadline - time.monotonic()))
     if conjectures and result.status in ("Satisfiable", "Unsatisfiable"):

@@ -243,7 +243,6 @@ def prover_command(config: ProverConfig, problem_file: str) -> list[str]:
 
 class ProverRun(NamedTuple):
     szs_status: str
-    output: str
     problem_file: str
     elapsed_ms: int
     detail: str = ""  # the built-in prover's deciding procedure
@@ -271,8 +270,7 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
 
         result = closed_structure.decide_units(doc.formulas, timeout_s=config.timeout_s)
         elapsed = int((time.monotonic() - start) * 1000)
-        raw = f"% SZS status {result.status} for {problem_file or 'problem'}\n"
-        return ProverRun(result.status, raw, problem_file, elapsed, result.detail)
+        return ProverRun(result.status, problem_file, elapsed, result.detail)
     import subprocess
 
     with tempfile.TemporaryDirectory(prefix="shacl2fol_") as tmp:
@@ -289,7 +287,7 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
             raise ProverNotFound(str(exc)) from exc
         except subprocess.TimeoutExpired:
             elapsed = int((time.monotonic() - start) * 1000)
-            return ProverRun("Timeout", "", problem_file, elapsed)
+            return ProverRun("Timeout", problem_file, elapsed)
     elapsed = int((time.monotonic() - start) * 1000)
     output = proc.stdout + "\n" + proc.stderr
     m = _SZS_RE.search(output)
@@ -297,7 +295,7 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
         raise ProverProtocolError(
             f"no SZS status line in prover output (exit {proc.returncode})"
         )
-    return ProverRun(m.group(1), output, problem_file, elapsed)
+    return ProverRun(m.group(1), problem_file, elapsed)
 
 
 # --- verdict mapping --------------------------------------------------------

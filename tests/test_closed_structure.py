@@ -20,7 +20,7 @@ from conftest import load_graph, load_shapes, people_star
 from corpus import CASES, NODES, PREDICATES, PREFIXES, SHAPE_POOL
 from shacl2fol import cli, closed_structure, miniprover, oracle, sat
 from shacl2fol.clausify import clausify
-from shacl2fol.closed_structure import ClosedStructure
+from shacl2fol.closed_structure import ClosedStructure, ProverResult
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
 )
@@ -77,7 +77,7 @@ def test_the_check_gives_the_oracle_verdict(case, dialect):
     sg, g, units = case_problem(case, dialect)
     answer = closed_structure.check(named(units))
     assert answer is not None
-    assert answer.satisfiable == oracle.evaluate(sg, g).conforms
+    assert (answer.status == "Satisfiable") == oracle.evaluate(sg, g).conforms
 
 
 @pytest.mark.parametrize("case", EXACT, ids=lambda c: c.name)
@@ -108,7 +108,7 @@ def test_a_validation_star_is_decided_exactly(case):
     assert structure.exact()
     assert not any(u.name.endswith(("_refl", "_step")) for u in units)
     answer = closed_structure.check(named(units))
-    assert answer.satisfiable == oracle.evaluate(sg, g).conforms == case.conforms
+    assert (answer.status == "Satisfiable") == oracle.evaluate(sg, g).conforms == case.conforms
 
 
 @pytest.mark.parametrize("violating", [False, True], ids=["conforms", "violates"])
@@ -205,10 +205,10 @@ def test_the_check_agrees_with_the_procedures(problem):
     sg, g, units = emitted(*problem)
     answer = closed_structure.check(named(units))
     assert answer is not None
-    assert answer.satisfiable == oracle.evaluate(sg, g).conforms
+    assert (answer.status == "Satisfiable") == oracle.evaluate(sg, g).conforms
     got = miniprover.decide_clauses(clausify([u.body for u in units]), timeout_s=2)
     if got.status in ("Satisfiable", "Unsatisfiable"):
-        assert answer.satisfiable == (got.status == "Satisfiable")
+        assert answer.status == got.status
 
 
 CONSTANTS = [Const(name) for name in ("a", "b", "c", "t1", "t2")]
@@ -286,7 +286,7 @@ def test_the_check_agrees_with_the_procedures_on_any_closed_problem(seed):
         return
     got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=1)
     if got.status in ("Satisfiable", "Unsatisfiable"):
-        assert answer.satisfiable == (got.status == "Satisfiable")
+        assert answer.status == got.status
 
 
 def test_a_missing_unique_name_unit_keeps_a_failure_from_refuting():
@@ -294,7 +294,7 @@ def test_a_missing_unique_name_unit_keeps_a_failure_from_refuting():
     # constants may share an element in some model
     case = next(c for c in CASES if c.name == "or_violates")
     _, _, units = case_problem(case, Dialect.FOF)
-    assert closed_structure.check(named(units)).satisfiable is False
+    assert closed_structure.check(named(units)).status == "Unsatisfiable"
     fewer = [u for u in units if u.name != "una_1"]
     assert closed_structure.check(named(fewer)) is None
 
@@ -386,8 +386,8 @@ tff(apart, axiom, $distinct(a, b, t, u)).
 
 def test_a_reference_by_a_bound_variable_is_resolved_when_evaluated():
     units = named(parse_tptp(BY_VARIABLE))
-    assert closed_structure.check(units) == (
-        False, "closed structure of 4 elements; fails g at X = b, K = u")
+    assert closed_structure.check(units) == ProverResult(
+        "Unsatisfiable", "closed structure of 4 elements; fails g at X = b, K = u")
     assert miniprover.decide_tptp_text(BY_VARIABLE).status == "Unsatisfiable"
     # without a definition at u, nothing fixes s(u, b)
     fewer = [u for u in units if u[0] != "su"]
@@ -431,7 +431,7 @@ def test_ten_thousand_deep_problems_conform(shapes):
         == ("Conforms", "closed structure of 10003 elements")
 
 
-# --- problems with no closure: the structure of their own facts ---------------
+# --- problems with no closure: the same rule on their own facts --------------
 
 
 def _static_problem(command, texts, strong=False):
@@ -472,8 +472,9 @@ def test_the_facts_only_structure_agrees_with_the_oracle_and_the_procedures():
         answer = closed_structure.check(units)
         if answer is None:
             continue
-        decided[answer.satisfiable] += 1
-        if answer.satisfiable:
+        satisfiable = answer.status == "Satisfiable"
+        decided[satisfiable] += 1
+        if satisfiable:
             assert answer.detail.startswith("facts-only structure"), texts
             conforms = [oracle.evaluate(sg, empty).conforms for sg in graphs]
             assert conforms == ([True] if command == "sat" else [True, False]), texts
@@ -519,7 +520,7 @@ def test_the_facts_only_structure_agrees_with_the_procedures(seed):
         return
     got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=1)
     if got.status in ("Satisfiable", "Unsatisfiable"):
-        assert answer.satisfiable == (got.status == "Satisfiable"), answer
+        assert answer.status == got.status, answer
 
 
 KINDS = ("fof(kind_a, axiom, isI(a)).\nfof(kind_b, axiom, isI(b)).\n"
@@ -555,3 +556,68 @@ def test_a_failure_on_the_facts_alone_refutes_nothing(unit):
     text = FACTS + unit + "\n"
     assert closed_structure.check(named(parse_tptp(text))) is None
     assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Satisfiable"
+
+
+# --- one rule for closed and unclosed predicates ------------------------------
+
+
+def test_a_closed_problem_with_no_constant_is_checked_on_one_fresh_element():
+    text = "fof(c, axiom, ~?[X,Y]: p(X,Y)).\nfof(u, axiom, ![X]: ~p(X,X)).\n"
+    assert closed_structure.check(named(parse_tptp(text))) \
+        == ProverResult("Satisfiable", "closed structure of 1 elements")
+
+
+# e is closed to a and b; the kind isI, fixed at both, is unclosed: a
+# model may add an isI element that is neither a nor b
+CLOSED_E = ("fof(c, axiom, ![X]: (e(X) => (X = a | X = b))).\n"
+            "fof(ea, axiom, e(a)).\nfof(eb, axiom, e(b)).\n" + KINDS)
+
+
+def test_an_unclosed_guard_keeps_a_failure_from_refuting():
+    # isI's facts are the only guard of Y: the check fails u on them, and
+    # a model with a third isI element satisfies it
+    text = CLOSED_E + "fof(u, axiom, ?[Y]: (isI(Y) & Y != a & Y != b)).\n"
+    structure = ClosedStructure(named(parse_tptp(text)))
+    assert structure.closed == {"e"} and structure.unguarded
+    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Satisfiable"
+
+
+def test_a_closed_guard_beside_an_unclosed_one_refutes():
+    # isI(Y) and e(Y) cost the same but for the closure, and isI comes
+    # first: the closed e must win for the failure to refute
+    text = CLOSED_E + "fof(u, axiom, ?[Y]: (isI(Y) & e(Y) & Y != a & Y != b)).\n"
+    assert closed_structure.check(named(parse_tptp(text))) \
+        == ProverResult("Unsatisfiable", "closed structure of 2 elements; fails u")
+    assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Unsatisfiable"
+
+
+# the clausal procedures read p/2 and p/3, or q/1 and q/2, as two
+# predicates; the candidate structure has one arity per predicate
+TWO_ARITIES = [
+    "fof(c, axiom, ![X,Y]: (p(X,Y) => (X=a & Y=b))). fof(f, axiom, p(a,b)). "
+    "fof(u, axiom, ?[X,Y,Z]: p(X,Y,Z)).",
+    "fof(f, axiom, q(a)). fof(u, axiom, ?[X,Y]: q(X,Y)).",
+    "fof(f, axiom, q(a)). fof(g, axiom, q(a,b)). fof(u, axiom, ![X]: (q(X) => ?[Y]: q(X,Y))).",
+]
+
+
+@pytest.mark.parametrize("text", TWO_ARITIES, ids=["closure", "fact", "facts"])
+def test_a_predicate_at_two_arities_is_left_to_the_procedures(text, tmp_path, capsys):
+    units = parse_tptp(text)
+    assert closed_structure.check(named(units)) is None
+    assert closed_structure.decide_units(units, timeout_s=5).status == "Satisfiable"
+    assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Satisfiable"
+    problem = tmp_path / "problem.p"
+    problem.write_text(text)
+    assert miniprover.main([str(problem), "--timeout", "5"]) == 0
+    assert capsys.readouterr().out.startswith("% SZS status Satisfiable")
+
+
+@pytest.mark.parametrize("text", [
+    "fof(d, axiom, ![X,Y]: (s(X,Y) <=> X=Y)). fof(u, axiom, s(a)).",
+    "fof(d, axiom, ![X]: (s(c,X) <=> X=a)). fof(e, axiom, ![X,Y]: (s(d,X,Y) <=> X=Y)). "
+    "fof(u, axiom, s(d,a)).",
+], ids=["atom", "definitions"])
+def test_a_defined_predicate_at_two_arities_has_no_one_candidate(text):
+    assert closed_structure.check(named(parse_tptp(text))) is None
