@@ -115,6 +115,7 @@ _MAX_GROUND = 400_000
 _LARGER_SIZES = 3
 _END = object()  # an exhausted iterator's `next` default
 _SECOND = operator.itemgetter(1)
+_EQ_REL = (EQ, 2)  # the relation `=` of `_Relevant`
 
 
 class _TooLarge(Exception):
@@ -469,7 +470,8 @@ class _Relevant:
     be true are each element equal to itself and the relation atoms (keys
     "e" and "p") of the positive literals in `prop`, of the instances kept
     and the lemma rows; an equality is the two atoms `(i, j)` and `(j, i)`
-    of the relation `=`.
+    of the relation `=`.  A relation is a predicate name and an arity:
+    `p(a)` and `p(a, b)` are atoms of two relations.
     """
 
     def __init__(self, ids: dict, size: int, pool: _VarPool):
@@ -481,19 +483,20 @@ class _Relevant:
         self.kept: set[tuple[int, ...]] = set()  # the instances kept
         # relation -> the (clause, guards, first) of its guards; None before
         # the first `jobs`
-        self.triggers: Optional[dict[str, list]] = None
+        self.triggers: Optional[dict[tuple[str, int], list]] = None
         self.plans: dict[tuple[int, int], tuple] = {}  # (clause, first) -> its plan
         self.read = 0  # how far into `prop` `_learn` has read
         self.done = 0  # how many atoms the rounds so far have matched
         # relation -> {argument positions: {their values: (arrival, arguments)}}
-        self.indexes: dict[str, dict] = {}
+        self.indexes: dict[tuple[str, int], dict] = {}
         # relation -> the (arrival, arguments) of its atoms, in arrival order;
         # the first to arrive are each term equal to itself
-        self.atoms: dict[str, list] = {EQ: [(i, (i, i)) for i in range(self.size)]}
+        self.atoms: dict[tuple[str, int], list] = {
+            _EQ_REL: [(i, (i, i)) for i in range(self.size)]}
         # the atoms that have arrived; `atoms` numbers each by how many came before it
-        self.arrival: set[tuple[str, tuple[int, ...]]] = {
-            (EQ, args) for _, args in self.atoms[EQ]}
-        self.fresh: set[str] = {EQ}  # the relations with atoms since the last round
+        self.arrival: set[tuple[tuple[str, int], tuple[int, ...]]] = {
+            (_EQ_REL, args) for _, args in self.atoms[_EQ_REL]}
+        self.fresh = {_EQ_REL}  # the relations with atoms since the last round
 
     def value(self, t: Term, env: dict[str, int]) -> Optional[int]:
         """The universe index of `t` under `env`; None outside the universe."""
@@ -530,7 +533,8 @@ class _Relevant:
                 if not guards:
                     yield (lits, *_plan(lits), None)
                 for first, g in enumerate(guards):
-                    self.triggers.setdefault(lits[g].pred, []).append((n, guards, first))
+                    self.triggers.setdefault((lits[g].pred, len(lits[g].args)), []) \
+                        .append((n, guards, first))
         while True:
             self._learn(self.prop[self.read:])
             self.read = len(self.prop)
@@ -561,7 +565,7 @@ class _Relevant:
         if None in key:
             return ()
         since, until = rounds
-        entries = self._lookup(lit.pred, level.keyed, key)
+        entries = self._lookup((lit.pred, len(args)), level.keyed, key)
         # the entries come in arrival order
         atoms = map(_SECOND, itertools.islice(
             entries, bisect_left(entries, (since,)) if level.order < 0 else 0,
@@ -575,7 +579,7 @@ class _Relevant:
         local.update(zip(level.names, atom))
         return all(self.value(t, local) == atom[p] for p, t in level.checks)
 
-    def _lookup(self, rel: str, keyed: tuple[int, ...], key: tuple[int, ...]):
+    def _lookup(self, rel: tuple[str, int], keyed: tuple[int, ...], key: tuple[int, ...]):
         if not keyed:
             return self.atoms.get(rel, ())
         tables = self.indexes.setdefault(rel, {})
@@ -595,12 +599,12 @@ class _Relevant:
                 key = self.pool.keys[code - 1]
                 if key[0] == "e":
                     _, i, j = key
-                    self._add(EQ, (i, j))
-                    self._add(EQ, (j, i))
+                    self._add(_EQ_REL, (i, j))
+                    self._add(_EQ_REL, (j, i))
                 elif key[0] == "p":
-                    self._add(key[1], key[2])
+                    self._add((key[1], len(key[2])), key[2])
 
-    def _add(self, rel: str, args: tuple[int, ...]) -> None:
+    def _add(self, rel: tuple[str, int], args: tuple[int, ...]) -> None:
         if (rel, args) in self.arrival:
             return
         entry = (len(self.arrival), args)

@@ -20,11 +20,23 @@ stack, so nesting depth is bounded by memory, not by Python's recursion
 limit.  The parser builds each distinct IRI and blank node once per
 document (`_Terms`), and a term computes its hash and its sort key once,
 when it is built.
+
+A data graph is mostly statements of one line, `ex:s ex:p ex:o .`, and
+the regex tries one coarse token before the fine ones: TRIPLE, such a
+statement whole (an IRI, prefixed name or blank node, then a predicate,
+then one more of those or a plain string, then the `.`), at the start of
+a line.  The parser reads it in one step, from the parts its match
+captured.  The regex makes a TRIPLE only where the fine tokens would be
+exactly its four; met anywhere but at the start of a statement, it is
+split back into them in place.  So every document gives the triples, or
+the error with its line and column, that its fine tokens give.
 """
 
 from __future__ import annotations
 
 import codecs
+import functools
+import itertools
 import re
 from enum import Enum
 from functools import total_ordering
@@ -444,18 +456,47 @@ _TOKEN_SPEC = [
     # where no token starts: the rest of the text, which ends the list
     ("BAD", r"(?s:.+)"),
 ]
-# Each match skips whitespace and comments, then captures one token.
-_TOKEN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*(?:" + "|".join(f"(?P<{n}>{p})" for n, p in _TOKEN_SPEC) + ")"
-)
+_SPEC = dict(_TOKEN_SPEC)
+# The one coarse token, TRIPLE: a whole statement of one line, `subject
+# predicate object .`, the four fine tokens it stands for read in one
+# step.  Each part is one whole fine token: a term ends where the blank
+# after it or the `.` starts, and the `.`, followed by a blank, a comment or
+# the end, is no number's start.  It starts only at the start of a line,
+# so that it is not tried in vain before every token of a document written
+# over several lines.
+_NODE = rf"{_SPEC['BNODE']}|(?!_:){_SPEC['PNAME']}|{_SPEC['IRIREF']}"
+_TRIPLE = (rf"(?<![^\n])(?P<s>{_NODE})[ \t]+(?P<p>a|(?!_:){_SPEC['PNAME']}|{_SPEC['IRIREF']})"
+           rf"[ \t]+(?P<o>{_NODE}|{_SPEC['STRING']})[ \t]*\.(?=[ \t\r\n#]|\Z)")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _token_re(spec) -> re.Pattern:
+    """The tokenizer of `spec`: each match skips whitespace and comments,
+    then captures one token."""
+    return re.compile(
+        r"(?:[ \t\r\n]+|#[^\n]*)*(?:" + "|".join(f"(?P<{n}>{p})" for n, p in spec) + ")")
+
+
+_TOKEN_RE = _token_re([("TRIPLE", _TRIPLE), *_TOKEN_SPEC])
+
+
+@functools.cache
+def _fine_token_re() -> re.Pattern:
+    """The tokenizer of the fine tokens alone, which the parser splits a
+    TRIPLE token with; compiled at its first use."""
+    return _token_re(_TOKEN_SPEC)
+
+
+def _tokenize(text: str) -> list[tuple]:
     """The `(kind, text, offset)` tokens of `text`, ending in one or two EOF
     tokens.  Punctuation is told apart by its text alone: no other token
-    is a single `;,.[]()` character."""
+    is a single `;,.[]()` character.  A TRIPLE token (its group closes
+    after those of its parts, so the match's `lastgroup` names it) carries
+    its parts, `(subject, predicate, object, offset of the predicate,
+    offset of the object)`, in place of its text."""
     tokens = [
         (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
+        if m.lastgroup != "TRIPLE" else
+        ("TRIPLE", (*m.group("s", "p", "o"), m.start("p"), m.start("o")), m.start("s"))
         for m in _TOKEN_RE.finditer(text)
     ]
     kind, rest, at = tokens[-2] if len(tokens) > 1 else tokens[-1]
@@ -483,10 +524,23 @@ class _TurtleParser:
     def error(self, message: str, at: int) -> RdfSyntaxError:
         return _error(self.text, message, at)
 
+    def split(self, i: int) -> bool:
+        """Whether tokens[i] is a TRIPLE token; if so, it is replaced in
+        place by the four fine tokens it stands for."""
+        kind, _, at = self.tokens[i]
+        if kind != "TRIPLE":
+            return False
+        self.tokens[i:i + 1] = [
+            (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
+            for m in itertools.islice(_fine_token_re().finditer(self.text, at), 4)]
+        return True
+
     def expect(self, i: int, value: str) -> int:
         """The index after tokens[i], which must be the punctuation `value`."""
         _, text, at = self.tokens[i]
         if text != value:
+            if self.split(i):
+                return self.expect(i, value)
             raise self.error(f"expected {value}, found {text!r}", at)
         return i + 1
 
@@ -494,13 +548,32 @@ class _TurtleParser:
         tokens = self.tokens
         i = 0
         while True:
-            kind = tokens[i][0]
-            if kind == "EOF":
+            kind, text, at = tokens[i]
+            if kind == "TRIPLE":
+                self.triple(text, at)
+                i += 1
+            elif kind == "EOF":
                 return Graph(self.triples)
-            if kind == "PREFIX_KW" or kind == "SPARQL_KW":
+            elif kind == "PREFIX_KW" or kind == "SPARQL_KW":
                 i = self.directive(i)
             else:
                 i = self.statement(i)
+
+    def triple(self, parts: tuple, at: int) -> None:
+        """Read the statement of a TRIPLE token, its `parts` and its offset
+        `at`, as `statement` reads its fine tokens."""
+        s, p, o, p_at, o_at = parts
+        terms = self.terms
+        named = terms.named
+        subj = terms.blank(s[2:]) if s[:2] == "_:" else named.get(s) or terms.name(s, at)
+        pred = _TYPE if p == "a" else named.get(p) or terms.name(p, p_at)
+        if o[0] == '"' or o[0] == "'":
+            obj = literal(_unescape(o[1:-1], self.text, o_at + 1))
+        elif o[:2] == "_:":
+            obj = terms.blank(o[2:])
+        else:
+            obj = named.get(o) or terms.name(o, o_at)
+        self.triples.append(Triple(subj, pred, obj))
 
     def directive(self, i: int) -> int:
         kind, keyword, _ = self.tokens[i]
@@ -508,6 +581,8 @@ class _TurtleParser:
         if keyword.lstrip("@").lower() == "prefix":
             name_kind, name, at = self.tokens[i + 1]
             if name_kind != "PNAME":
+                if self.split(i + 1):
+                    return self.directive(i)
                 raise self.error(f"expected PNAME, found {name!r}", at)
             if not name.endswith(":") or name.count(":") != 1:
                 raise self.error("bad prefix declaration", at)
@@ -524,6 +599,8 @@ class _TurtleParser:
     def iri_ref(self, i: int) -> tuple[int, str]:
         kind, text, at = self.tokens[i]
         if kind != "IRIREF":
+            if self.split(i):
+                return self.iri_ref(i)
             raise self.error(f"expected IRIREF, found {text!r}", at)
         return i + 1, _decode_iri(text[1:-1], self.text, at + 1)
 
@@ -570,6 +647,10 @@ class _TurtleParser:
             elif text == ")" and where == _ITEM:
                 _, where, at, items = stack.pop()
                 value = self.collection(items)
+            elif kind == "TRIPLE":  # out of its place: read its fine tokens
+                i -= 1
+                self.split(i)
+                continue
             elif where == _PREDICATE:
                 raise self.error(f"unexpected token {text!r}", at)
             elif kind == "STRING" or kind == "STRING_LONG":

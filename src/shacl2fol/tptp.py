@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 from . import fol
 from .errors import CardinalityLimitExceeded, InvalidOptions
 from .fol import (
-    Atom, Const, Distinct, Eq, Exists, Forall, Formula, Iff, Implies,
+    AndN, Atom, Const, Distinct, Eq, Exists, Forall, Formula, Iff, Implies,
     TptpFormula, TrueF, Var, conj, disj, neg,
 )
 from .rdf import Graph, RDF_TYPE, RdfTerm, TermKind
@@ -489,7 +489,7 @@ def closed_relation(pred: str, pairs: list[tuple[RdfTerm, RdfTerm]],
     atom = Atom(pred, (x, y))
     if not pairs:
         return facts, neg(Exists(("X", "Y"), atom))
-    cases = disj([conj([Eq(x, const(a)), Eq(y, const(b))]) for a, b in pairs])
+    cases = disj([AndN((Eq(x, const(a)), Eq(y, const(b)))) for a, b in pairs])
     return facts, Forall(("X", "Y"), Implies(atom, cases))
 
 

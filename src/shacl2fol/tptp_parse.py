@@ -16,11 +16,23 @@ keeps the formulas it has opened (parentheses, `~`, quantifiers, and `&`/
 `|` chains or a binary `=>`/`<=>`) on one explicit stack, so the depth of
 a problem is bounded by memory, not by Python's recursion limit.
 
+Most of an emitted problem is units of one fixed layout, and the token
+regex tries three coarse tokens before the fine ones (a word, a quoted
+atom, a defined word or a punctuation mark): a unit whose body is a
+ground atom of one or two arguments, `tff(graph_pos_1, axiom,
+'p'('a', 'b')).`; a type declaration, `tff(decl_c_1, type, 'a': $i).`;
+and a closure case, `((X = 'a') & (Y = 'b'))`.  The walker reads a
+coarse token in one step, with one match of its pattern for its parts,
+where it stands for a unit or a unitary formula.  The regex makes a
+coarse token only where the fine tokens would be exactly its own; met
+anywhere else, it is split back into them in place.  So every input
+gives the units, or the error, that its fine tokens give.
+
 Given a clock (`sat.Clock`), the walk reports its tokens to it: each
 unit's, and inside a formula those up to each atom, so neither many units
 nor one wide formula outruns the deadline; a read past it raises
-`sat.TimeBudgetExceeded`.  The one regex call that tokenizes the text
-runs uncut.
+`sat.TimeBudgetExceeded`.  A coarse token counts as the fine tokens it
+stands for.  The one regex call that tokenizes the text runs uncut.
 
 Each call of `parse_tptp` keeps one symbol table, a dict from a constant
 or predicate token to its `Const`, filled as the tokens are first met: a
@@ -30,6 +42,7 @@ one `Const`.
 
 from __future__ import annotations
 
+import functools
 import re
 
 from .fol import (
@@ -42,25 +55,64 @@ class TptpParseError(ValueError):
     pass
 
 
-_TOKENS = (
-    r"'[^'\\]*(?:\\.[^'\\]*)*'"  # quoted atom
-    r"|\$[a-z][A-Za-z0-9_]*"  # defined word
-    r"|[a-zA-Z_][A-Za-z0-9_]*"  # word
-    r"|<=>|=>|!=|[=!?~&|():,.\[\]*>]"
-)
-# Each match skips whitespace and comments, then captures a token, "" at
-# the end of the text, or, where no token starts, the whole rest of the
-# text.  That rest ends the list, and is the one string in it that is not
-# a token.
-_TOKEN = re.compile(rf"(?:\s+|%[^\n]*)*({_TOKENS}|\Z|(?s:.+))")
-_ONE_TOKEN = re.compile(_TOKENS)
+_QUOTED = r"'[^'\\]*(?:\\.[^'\\]*)*'"  # quoted atom
+_DEFINED = r"\$[a-z][A-Za-z0-9_]*"  # defined word
+_WORD = r"[a-zA-Z_][A-Za-z0-9_]*"
+_FINE_TOKENS = rf"{_QUOTED}|{_DEFINED}|{_WORD}|<=>|=>|!=|[=!?~&|():,.\[\]*>]"
+
+# The coarse tokens: runs of fine tokens, with only whitespace between
+# them, that the emitter writes over and over.  Each part is one whole
+# fine token: every word and quoted atom in them is followed by
+# punctuation, and no punctuation by a part that a longer token starts
+# with.  A coarse token ends in `)` or `.`, which no fine token of two or
+# more characters does.  The walker reads a token's parts with one match
+# of its pattern.
+_SYMBOL = rf"(?:{_QUOTED}|[a-z_][A-Za-z0-9_]*)"  # a constant or a predicate
+_VARIABLE = r"[A-Z][A-Za-z0-9_]*"
+# A unit: a type declaration of a constant or a predicate, which the
+# walker skips, or one whose body is a ground atom of one or two arguments.
+_TYPE = rf"(?:{_DEFINED}|\(\s*{_DEFINED}(?:\s*\*\s*{_DEFINED})*\s*\)\s*>\s*{_DEFINED})"
+_UNIT = (rf"(?:fof|tff)\s*\(\s*(?P<name>{_WORD})\s*,\s*"
+         rf"(?:type\s*,\s*{_SYMBOL}\s*:\s*{_TYPE}|(?P<role>{_WORD})\s*,\s*"
+         rf"(?P<pred>{_SYMBOL})\s*\(\s*(?P<a>{_SYMBOL})\s*(?:,\s*(?P<b>{_SYMBOL})\s*)?\))"
+         r"\s*\)\s*\.")
+# a case of a closure: a unitary formula `((X = a) & (Y = b))`
+_CASE = (rf"\(\s*\(\s*(?P<x>{_VARIABLE})\s*=\s*(?P<a>{_SYMBOL})\s*\)\s*&\s*"
+         rf"\(\s*(?P<y>{_VARIABLE})\s*=\s*(?P<b>{_SYMBOL})\s*\)\s*\)")
+_UNIT_PARTS = re.compile(_UNIT)
+_CASE_PARTS = re.compile(_CASE)
+# the fine tokens of a case, which the walker reports to the clock for it
+_CASE_WORK = 13
+_TOKENS = "|".join([*(re.sub(r"\(\?P<\w+>", "(?:", p) for p in (_UNIT, _CASE)),
+                    _FINE_TOKENS])
+
+
+def _token_re(tokens: str) -> re.Pattern:
+    """The tokenizer of the alternatives `tokens`.  Each match skips
+    whitespace and comments, then captures a token, "" at the end of the
+    text, or, where no token starts, the whole rest of the text.  That rest
+    ends the list, and is the one string in it that is not a token."""
+    return re.compile(rf"(?:\s+|%[^\n]*)*({tokens}|\Z|(?s:.+))")
+
+
+_TOKEN = _token_re(_TOKENS)
+_FINE_TOKEN_START = re.compile(_FINE_TOKENS)
+
+
+@functools.cache
+def _fine_token() -> re.Pattern:
+    """The tokenizer of the fine tokens alone, which `_split` reads a coarse
+    token with; compiled at its first use."""
+    return _token_re(_FINE_TOKENS)
 
 
 def _tokenize(text: str) -> list[str]:
     """The token strings of `text`, followed by one or two "" (the end)."""
     tokens = _TOKEN.findall(text)
     rest = tokens[-2] if len(tokens) > 1 else ""  # the last before the end
-    if rest and _ONE_TOKEN.fullmatch(rest) is None:
+    # a token, fine or coarse, starts with a fine token; the rest where no
+    # token starts does not
+    if rest and _FINE_TOKEN_START.match(rest) is None:
         at = len(text) - len(rest)
         line = text.count("\n", 0, at) + 1
         column = at - text.rfind("\n", 0, at)
@@ -69,10 +121,22 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+def _split(tokens: list[str], i: int) -> bool:
+    """Whether tokens[i] is a coarse token; if so, it is replaced in place
+    by its fine tokens."""
+    tok = tokens[i]
+    if len(tok) < 2 or tok[-1] not in ").":
+        return False
+    tokens[i:i + 1] = _fine_token().findall(tok)[:-1]
+    return True
+
+
 def _expect(tokens: list[str], i: int, value: str) -> int:
     """The index after tokens[i], which must be `value`."""
     tok = tokens[i]
     if tok != value:
+        if _split(tokens, i):
+            return _expect(tokens, i, value)
         if not tok:
             raise TptpParseError("unexpected end of input")
         raise TptpParseError(f"expected {value!r}, found {tok!r}")
@@ -94,12 +158,14 @@ def _term(tokens: list[str], i: int, symbols: dict[str, Const]):
         first = tok[:1]
         if "A" <= first <= "Z":
             return Var(tok), i + 1
+        if _split(tokens, i):
+            return _term(tokens, i, symbols)
         if not (first == "'" or "a" <= first <= "z" or first == "_"):
             if not tok:
                 raise TptpParseError("unexpected end of input")
             raise TptpParseError(f"bad term {tok!r}")
         c = _symbol(symbols, tok)
-    if tokens[i + 1] == "(":
+    if tokens[i + 1][:1] == "(":  # a "(", or a coarse token that starts with one
         raise TptpParseError("function terms are not part of the emitted subset")
     return c, i + 1
 
@@ -141,6 +207,8 @@ def _atom(tokens: list[str], i: int, symbols: dict[str, Const]):
             return Atom(c.name, args), i
         if nxt == "=" or nxt == "!=":
             return _equality(c, tokens, i + 1, symbols)
+        if _split(tokens, i + 1):
+            return _atom(tokens, i, symbols)
         return Atom(c.name, ()), i + 1
     if tok == "$true":
         return TrueF(), i + 1
@@ -158,6 +226,8 @@ def _variable(tokens: list[str], i: int) -> str:
     if not tok:
         raise TptpParseError("unexpected end of input")
     if not "A" <= tok[0] <= "Z":
+        if _split(tokens, i):
+            return _variable(tokens, i)
         raise TptpParseError(f"bad variable name {tok!r}")
     return tok
 
@@ -176,7 +246,8 @@ def _formula(tokens: list[str], i: int, symbols: dict[str, Const], clock=None):
     Grammar: a formula is a unitary formula, optionally followed by one
     `=>` or `<=>` and a unitary formula, or by one or more `&` (or `|`)
     and unitary formulas; a unitary formula is `~` or a quantifier before
-    a unitary formula, a parenthesized formula, or an atom.
+    a unitary formula, a parenthesized formula, or an atom.  A closure
+    case token is a whole parenthesized formula.
     """
     stack: list = []
     ticked = i  # the tokens before it are reported to the clock
@@ -200,7 +271,17 @@ def _formula(tokens: list[str], i: int, symbols: dict[str, Const], clock=None):
             i = _expect(tokens, _expect(tokens, i, "]"), ":")
             stack.append((Forall if tok == "!" else Exists, tuple(variables)))
             continue
-        f, i = _atom(tokens, i, symbols)
+        if len(tok) > 1 and tok[-1] in ").":  # a coarse token
+            if tok[-1] == ".":  # a unit, out of its place
+                _split(tokens, i)
+                continue
+            x, a, y, b = _CASE_PARTS.match(tok).groups()
+            f = AndN((Eq(Var(x), symbols.get(a) or _symbol(symbols, a)),
+                      Eq(Var(y), symbols.get(b) or _symbol(symbols, b))))
+            i += 1
+            ticked -= _CASE_WORK - 1  # the case's fine tokens but one
+        else:
+            f, i = _atom(tokens, i, symbols)
         if clock is not None:
             clock.tick(i - ticked)
             ticked = i
@@ -252,6 +333,8 @@ def _skip_type_declaration(tokens: list[str], i: int) -> int:
             if depth == 0:
                 return i
             depth -= 1
+        elif _split(tokens, i):
+            continue
         i += 1
 
 
@@ -267,13 +350,30 @@ def parse_tptp(text: str, clock=None) -> list[TptpFormula]:
     while tokens[i]:
         start = i  # the unit's first token not yet reported to the clock
         kw = tokens[i]
+        if len(kw) > 1 and kw[-1] == ".":  # a whole unit
+            name, role, pred, a, b = _UNIT_PARTS.match(kw).groups()
+            if role is not None and role != "type":
+                p = symbols.get(pred) or _symbol(symbols, pred)
+                c = symbols.get(a) or _symbol(symbols, a)
+                args = (c,) if b is None else (c, symbols.get(b) or _symbol(symbols, b))
+                units.append(TptpFormula(name, role, Atom(p.name, args)))
+            if clock is not None:
+                # a ground atom: ten fine tokens, and two per argument
+                clock.tick(len(_fine_token().findall(kw)) - 1 if role is None
+                           else 12 if b is None else 14)
+            i += 1
+            continue
         if kw != "fof" and kw != "tff":
+            if _split(tokens, i):
+                continue
             raise TptpParseError(f"expected fof/tff unit, found {kw!r}")
         i = _expect(tokens, i + 1, "(")
+        _split(tokens, i)
         name = tokens[i]
         if not name:
             raise TptpParseError("unexpected end of input")
         i = _expect(tokens, i + 1, ",")
+        _split(tokens, i)
         role = tokens[i]
         if not role:
             raise TptpParseError("unexpected end of input")

@@ -599,10 +599,12 @@ TWO_ARITIES = [
     "fof(u, axiom, ?[X,Y,Z]: p(X,Y,Z)).",
     "fof(f, axiom, q(a)). fof(u, axiom, ?[X,Y]: q(X,Y)).",
     "fof(f, axiom, q(a)). fof(g, axiom, q(a,b)). fof(u, axiom, ![X]: (q(X) => ?[Y]: q(X,Y))).",
+    # the relevant-instance join of the procedures keys s/1 apart from s/2
+    "fof(d, axiom, ![X,Y]: (s(X,Y) <=> X=Y)). fof(u, axiom, s(a)).",
 ]
 
 
-@pytest.mark.parametrize("text", TWO_ARITIES, ids=["closure", "fact", "facts"])
+@pytest.mark.parametrize("text", TWO_ARITIES, ids=["closure", "fact", "facts", "definition"])
 def test_a_predicate_at_two_arities_is_left_to_the_procedures(text, tmp_path, capsys):
     units = parse_tptp(text)
     assert closed_structure.check(named(units)) is None

@@ -1,8 +1,9 @@
 import codecs
 from enum import Enum
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shacl2fol import rdf
 from shacl2fol.errors import RdfSyntaxError, UnsupportedFeature
@@ -437,3 +438,100 @@ class TestIndexedAccessors:
         by_predicate = [t for p in g.predicate_names() for t in g.with_predicate(p)]
         for listed in (by_subject, by_object, by_predicate):
             assert sorted(listed) == sorted(g)
+
+
+# --- the one-line statement token ---------------------------------------------
+
+def _read(text: str):
+    """The triples of `text`, or the error the parse raises."""
+    try:
+        return sorted(map(repr, parse_document(text)))
+    except Exception as exc:  # the same error, whatever it is
+        return type(exc).__name__, str(exc)
+
+
+def _read_fine(text: str):
+    """`_read` with the fine tokens alone: the tokenizer the parser splits
+    a statement token with stands in for the full one."""
+    with mock.patch.object(rdf, "_TOKEN_RE", rdf._fine_token_re()):
+        return _read(text)
+
+
+_NODES = ["ex:a", "ex:a.b", "ex:", ":x", "_x:y", "zz:c", "_:b1", "_:b.1", "_:-x",
+          "<http://e/x>", "<rel>", "<http://e/\\u0041>", "a"]
+_OBJECTS = _NODES + ['"s"', '"s\\n"', '"bad\\q"', "'single'", '"""long"""', '""', '"x"@en',
+                     '"1"^^ex:t', "5", "true", ".5e1", "ex:c.d"]
+_STATEMENT = st.tuples(
+    st.sampled_from(_NODES), st.sampled_from(["ex:p", "a", "<http://e/p>", "_:p", "ex:p.q"]),
+    st.sampled_from(_OBJECTS),
+    st.sampled_from([" .", " .", ".", " . # c", "\t.", " ;", " ,", ".5", "", " .ex:x", ". .",
+                     " ]", " )"]),
+    st.sampled_from([" ", " ", "\t", "  ", "\f"]),
+).map(lambda t: f"{t[0]}{t[4]}{t[1]} {t[2]}{t[3]}")
+_OTHER = st.sampled_from([
+    "@prefix ex: <http://e/> .", "PREFIX ex: <http://e/>", "BASE <http://b/>",
+    "@base <http://b/> .", "@prefix", "  ex:q ex:r ;", "ex:q ex:r ;", "[ ex:p ex:o ] .",
+    "( ex:a ex:b ) ex:p ex:o .", "ex:s ex:p [", "ex:s ex:p (", "] .", ") .", "{", "# c",
+])
+
+
+@st.composite
+def _turtle_texts(draw):
+    lines = draw(st.lists(st.one_of(_STATEMENT, _STATEMENT, _OTHER), min_size=1, max_size=6))
+    gaps = draw(st.lists(st.sampled_from(["\n", "\n", "\n", " ", "\r\n", "\n  "]),
+                         min_size=len(lines), max_size=len(lines)))
+    head = "@prefix ex: <http://e/> .\n" if draw(st.booleans()) else ""
+    return head + "".join(line + gap for line, gap in zip(lines, gaps))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_turtle_texts())
+def test_a_statement_token_reads_as_the_fine_tokens_it_stands_for(text):
+    # the same triples, blank nodes named alike, or the same error
+    assert _read(text) == _read_fine(text)
+
+
+_EX = "@prefix ex: <http://e/> .\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_EX + "ex:s ex:p ex:o ;\nex:a ex:b ex:c .\n", "expected ., found 'ex:c' (line 3, column 11)"),
+    (_EX + "ex:s ex:p ex:o ,\nex:a ex:b ex:c .\n", "expected ., found 'ex:b' (line 3, column 6)"),
+    (_EX + "ex:s ex:p\nex:a ex:b ex:c .\n", "expected ., found 'ex:b' (line 3, column 6)"),
+    (_EX + "ex:s ex:p ex:o\nex:a ex:b ex:c .\n", "expected ., found 'ex:a' (line 3, column 1)"),
+    (_EX + "ex:s ex:p (\nex:a ex:b ex:c .\n) .\n", "unexpected token '.' (line 3, column 16)"),
+    (_EX + "ex:s ex:p [\nex:a ex:b ex:c .\n] .\n", "expected ], found 'ex:c' (line 3, column 11)"),
+    ("@prefix\nex: <http://x/> <http://y> .\n",
+     "expected ., found '<http://y>' (line 2, column 17)"),
+    (_EX + "@base\nex:a <http://p> <http://o> .\n",
+     "expected IRIREF, found 'ex:a' (line 3, column 1)"),
+    (_EX + "ex:a ex:b ex:c .5\n", "expected ., found '.5' (line 2, column 16)"),
+    (_EX + 'ex:a ex:b "x\\q" .\n', "bad escape \\q (line 2, column 13)"),
+    (_EX + "ex:a ex:b zz:c .\n", "undeclared prefix 'zz' (line 2, column 11)"),
+    (_EX + "ex:a _:p ex:c .\n", "predicate must be an IRI (line 2, column 6)"),
+    (_EX + "_:-x ex:p ex:o .\n", "undeclared prefix '_' (line 2, column 1)"),
+    (_EX + "ex:a ex:p _:-x .\n", "undeclared prefix '_' (line 2, column 11)"),
+    (_EX + "_x:y ex:p ex:o .\n", "undeclared prefix '_x' (line 2, column 1)"),
+], ids=["after-semicolon", "after-comma", "as-object", "after-object", "in-collection",
+        "in-blank-node", "as-prefix-name", "as-base", "decimal-after-object", "bad-escape",
+        "undeclared-prefix", "blank-predicate", "name-as-blank-subject", "name-as-blank-object",
+        "underscore-prefix"])
+def test_a_statement_token_out_of_its_place_gives_the_fine_error(text, message):
+    with pytest.raises(RdfSyntaxError) as exc:
+        parse_document(text)
+    assert str(exc.value) == message
+    assert _read_fine(text) == ("RdfSyntaxError", message)
+
+
+def test_a_dotted_name_before_a_semicolon_stays_in_its_statement():
+    g = parse_document(_EX + "ex:a ex:b ex:c.d; ex:e ex:f .\n")
+    assert {(t.predicate.lexical, t.object.lexical) for t in g} == {
+        ("http://e/b", "http://e/c.d"), ("http://e/e", "http://e/f")}
+
+
+def test_each_one_line_statement_is_one_token():
+    lines = [f'ex:p{i} ex:knows ex:p{i + 1} .\nex:p{i} a ex:Person .\nex:p{i} ex:name "n{i}" .\n'
+             for i in range(50)]
+    kinds = [kind for kind, _, _ in rdf._tokenize(_EX + "".join(lines))]
+    assert kinds[:4] == ["PREFIX_KW", "PNAME", "IRIREF", "PUNCT"]
+    assert kinds[4:154] == ["TRIPLE"] * 150 and set(kinds[154:]) == {"EOF"}

@@ -1,6 +1,7 @@
 import re
 import time
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -334,15 +335,160 @@ def test_each_symbol_is_quoted_once_and_read_once(monkeypatch):
             assert objects.setdefault(c.name, c) is c
 
 
-# each more than 4,096 tokens: one wide formula, and many small units
+# each more than 4,096 fine tokens: one wide formula, and many small units
+# (each unit one coarse token)
 _WIDE = "fof(wide, axiom, " + " & ".join(f"p(c{i})" for i in range(1200)) + ")."
 _MANY = "".join(f"fof(u{i}, axiom, p(c{i}))." for i in range(600))
 
 
+class _CountingClock(sat.Clock):
+    """A clock without a deadline that sums the work reported to it."""
+
+    def __init__(self):
+        super().__init__(None)
+        self.total = 0
+
+    def tick(self, work: int = 1) -> bool:
+        self.total += work
+        return super().tick(work)
+
+
 @pytest.mark.parametrize("text", [_WIDE, _MANY], ids=["one_wide_unit", "many_units"])
 def test_the_walk_reports_its_tokens_to_a_clock(text):
-    assert len(tptp_parse._tokenize(text)) > 4096
+    counted = _CountingClock()
+    parse_tptp(text, counted)
+    assert counted.total > 4096
     with pytest.raises(sat.TimeBudgetExceeded):
         parse_tptp(text, sat.Clock(time.monotonic() - 1))
     units = parse_tptp(text)
     assert parse_tptp(text, sat.Clock(time.monotonic() + 60)) == units
+
+
+# --- coarse tokens ------------------------------------------------------------
+
+def _read(text: str):
+    """The units of `text` and the work the walk reports to a clock, or the
+    error the parse raises."""
+    counted = _CountingClock()
+    try:
+        return parse_tptp(text, counted), counted.total
+    except Exception as exc:  # the same error, whatever it is
+        return type(exc).__name__, str(exc)
+
+
+def _read_fine(text: str):
+    """`_read` with the fine tokens alone: the tokenizer the walker splits
+    a coarse token with stands in for the full one."""
+    with mock.patch.object(tptp_parse, "_TOKEN", tptp_parse._fine_token()):
+        return _read(text)
+
+
+_SYM = st.sampled_from(["a", "b_1", "_u", "fof", "type", "'x y'", "'it\\'s'", "'p,(q).'",
+                        "'50% off'"])
+_VAR = st.sampled_from(["X", "Y", "Z1"])
+_CASE = st.tuples(_VAR, _SYM, _VAR, _SYM).map(
+    lambda t: ["(", "(", t[0], "=", t[1], ")", "&", "(", t[2], "=", t[3], ")", ")"])
+# a closure as the emitter writes it
+_CLOSURE = st.lists(_CASE, min_size=1, max_size=3).map(
+    lambda cases: ["!", "[", "X", ",", "Y", "]", ":", "(", "p", "(", "X", ",", "Y", ")", "=>",
+                   "(", *[p for case in cases for p in ("|", *case)][1:], ")", ")"])
+
+
+def _formula_pieces():
+    """The fine tokens of a formula, closure cases among them."""
+    atoms = st.one_of(
+        st.tuples(_SYM, _SYM, _SYM).map(lambda t: [t[0], "(", t[1], ",", t[2], ")"]),
+        st.tuples(_SYM, _SYM).map(lambda t: [t[0], "(", t[1], ")"]),
+        _SYM.map(lambda s: [s]),
+        st.tuples(_VAR, st.sampled_from(["=", "!="]), _SYM).map(list),
+        _CASE,
+    )
+    return st.recursive(atoms, lambda inner: st.one_of(
+        inner.map(lambda f: ["(", *f, ")"]),
+        inner.map(lambda f: ["~", *f]),
+        st.tuples(inner, st.sampled_from(["&", "|", "=>"]), inner).map(
+            lambda t: ["(", *t[0], t[1], *t[2], ")"]),
+        st.tuples(st.sampled_from(["!", "?"]), _VAR, inner).map(
+            lambda t: [t[0], "[", t[1], "]", ":", *t[2]]),
+    ), max_leaves=5)
+
+
+_TYPES = st.sampled_from([["$i"], ["$o"], ["(", "$i", ")", ">", "$o"],
+                          ["(", "$i", "*", "$i", ")", ">", "$o"]])
+# the bodies of the units the emitter writes most, a ground atom and a type
+# declaration, and any formula
+_ARGS = st.lists(st.one_of(_SYM, _VAR, st.just("$true")), min_size=1, max_size=3)
+_BODY = st.one_of(
+    st.tuples(_SYM, _ARGS).map(
+        lambda t: [t[0], "(", *[p for a in t[1] for p in (",", a)][1:], ")"]),
+    st.tuples(_SYM, _TYPES).map(lambda t: [t[0], ":", *t[1]]),
+    _CLOSURE,
+    _formula_pieces(),
+)
+_UNIT = st.tuples(
+    st.sampled_from(["fof", "tff"]),
+    st.sampled_from(["a", "graph_pos_1", "decl_c_2", "'q'", "1"]),
+    st.sampled_from(["axiom", "type", "type", "conjecture"]),
+    _BODY,
+).map(lambda t: [t[0], "(", t[1], ",", t[2], ",", *t[3], ")", "."])
+# pieces that break a text, or move a coarse token out of its place
+_STRAY = st.sampled_from(["(", ")", ",", ".", ":", "((X = a) & (Y = b))", "fof(u, axiom, p(a)).",
+                          "tff(d, type, c: $i).", "$distinct", "1", "#", "% c\n", "'"])
+
+
+@st.composite
+def _tptp_texts(draw):
+    pieces = [p for unit in draw(st.lists(_UNIT, min_size=1, max_size=3)) for p in unit]
+    for _ in range(draw(st.integers(0, 2))):  # broken: a piece dropped or one put in
+        k = draw(st.integers(0, len(pieces)))
+        if draw(st.booleans()):
+            pieces[k:k + 1] = []
+        else:
+            pieces.insert(k, draw(_STRAY))
+    blanks = [" ", " ", "", "\n", "\t", *([" % c\n"] if draw(st.booleans()) else [])]
+    gaps = draw(st.lists(st.sampled_from(blanks), min_size=len(pieces), max_size=len(pieces)))
+    return "".join(g + p for g, p in zip(gaps, pieces))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_tptp_texts())
+def test_coarse_tokens_read_as_the_fine_tokens_they_stand_for(text):
+    # the same units and work on the clock, or the same error
+    assert _read(text) == _read_fine(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("fof(a, axiom, p(((X = a) & (Y = b)))).", "bad term '('"),
+    ("fof(a, axiom, p((X = a) & (Y = b))).", "bad term '('"),
+    ("fof(a, axiom, p(b((X = c) & (Y = d)))).",
+     "function terms are not part of the emitted subset"),
+    ("fof(a, axiom, fof(b, axiom, p(c)).", "function terms are not part of the emitted subset"),
+    ("fof(((X = a) & (Y = b)), axiom, p).", "expected ',', found '('"),
+    ("fof(a, ((X = a) & (Y = b)), p).", "expected ',', found '('"),
+    ("((X = a) & (Y = b))", "expected fof/tff unit, found '('"),
+    ("fof(a, axiom, ![((X = a) & (Y = b))]: p).", "bad variable name '('"),
+    ("fof(a, axiom, ![X]((X = a) & (Y = b))).", "expected ':', found '('"),
+    ("tff(t, type, fof(a, axiom, p(b)).", "unterminated type declaration"),
+    ("tff(1, axiom, p(a)).", "bad TPTP input at line 1, column 5: '1, axiom, p(a)).'"),
+    ("fof(a, axiom, p fof(b, axiom, q(c)).", "expected ')', found 'fof'"),
+    ("fof(a, axiom, p) fof(b, axiom, q(c)).", "expected '.', found 'fof'"),
+], ids=["case-as-argument", "case-after-predicate", "case-after-argument", "unit-in-formula",
+        "case-as-name", "case-as-role", "case-as-unit", "case-as-variable",
+        "case-after-quantifier", "unit-in-declaration", "number-as-name", "unit-after-atom",
+        "unit-after-unit-body"])
+def test_a_coarse_token_out_of_its_place_gives_the_fine_error(text, message):
+    with pytest.raises(TptpParseError) as exc:
+        parse_tptp(text)
+    assert str(exc.value) == message
+    assert _read_fine(text) == ("TptpParseError", message)
+
+
+def test_each_fact_declaration_and_closure_case_is_one_token():
+    text = render(build_problem(_people_task(50)))
+    tokens = tptp_parse._tokenize(text)
+    whole = {tok[4:tok.index(",")] for tok in tokens if len(tok) > 1 and tok[-1] == "."}
+    names = re.findall(r"^tff\(((?:graph_pos|filter_kind|decl)_\w+),", text, re.M)
+    assert len(names) > 200 and set(names) <= whole
+    cases = [tok for tok in tokens if len(tok) > 1 and tok[-1] == ")"]
+    assert len(cases) == text.count("((X = ") > 100
+    assert _read(text) == _read_fine(text)
