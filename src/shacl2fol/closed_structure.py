@@ -55,22 +55,40 @@ The answers:
 The module evaluates first-order formulas; it knows nothing of shapes or
 RDF, so the oracle stays an independent cross-check.
 
-`decide_units` is the built-in prover's one entry point: it runs `check`
-and, only when that gives no answer, loads the clausal procedures
-(`miniprover`, `clausify`, `sat`) and runs them in the time left.  So a
-problem the check decides loads none of them.
+`decide_units` is the built-in prover's one entry point.  It first merges
+definitions that say the same thing (`_merge`): two definitions whose
+predicates share an arity and a pattern merge when their bodies are
+equal up to the names of bound variables, compared in dependency order
+with the atoms of definitions already merged mapped to the ones they
+were merged into.  The later one is dropped and its atoms are rewritten
+to the earlier one, `hasShapeB(·, s)` to `hasShape(·, s)`.  Recursion is
+rejected, so equal bodies define equal relations in every model, and
+the merged units are equisatisfiable with the original ones.  Then a
+merged unit that is `$false`, or that is `¬ψ` with every conjunct of ψ
+a merged unit up to bound-variable names, refutes the problem at once
+(`_denial`): so `contains A A` and B with dropped targets are decided
+before any candidate or clause is built.  Otherwise it runs `check` on
+the merged units and, only when that gives no answer, loads the clausal
+procedures (`miniprover`, `clausify`, `sat`) and runs them in the time
+left.  So a problem decided before them loads none of them.  The
+emitted text is unchanged: the merge is the prover's own preprocessing.
+A problem with one defined predicate, such as `sat` or a validation
+without a zero-or-more path, merges nothing and costs a type check per
+unit.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
+import operator
 import time
+from collections import Counter
 from typing import AbstractSet, Iterator, NamedTuple, Optional
 
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
-    AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Iff,
+    AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func, Iff,
     Implies, NotN, OrN, TptpFormula, TrueF, Var, components,
 )
 from .record import Record
@@ -675,17 +693,303 @@ class ProverResult(Record):
         self.detail = detail
 
 
+# --- definitions that say the same thing, and units that deny others --------
+
+def _parts(f: Formula) -> tuple:
+    """The immediate subformulas of a formula."""
+    t = type(f)
+    if t is AndN or t is OrN:
+        return f.operands
+    if t is NotN:
+        return (f.operand,)
+    if t is Implies or t is Iff:
+        return (f.left, f.right)
+    if t is Forall or t is Exists:
+        return (f.body,)
+    return ()
+
+
+def _atoms(f: Formula, clock: Clock) -> Iterator[Atom]:
+    """The atoms of a formula, on an explicit stack."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        clock.tick()
+        if type(g) is Atom:
+            yield g
+        else:
+            stack.extend(_parts(g))
+
+
+def _canonical(f: Formula, clock: Clock, numbers: Optional[dict] = None,
+               rename=None) -> tuple:
+    """The tokens of `f` in prefix order, each kind of node with its number
+    of operands, so that two formulas have the same tokens exactly when
+    they are equal up to the names of their bound variables: a variable
+    is written as the number of its binding, in binding order, or as its
+    entry in `numbers` when bound outside `f`.  `rename` maps each atom
+    first."""
+    out: list = []
+    scope = dict(numbers or ())
+    bindings = 0
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        clock.tick()
+        t = type(g)
+        if t is tuple:  # a quantifier's scope ends: the shadowed numbers return
+            for name, number in g:
+                if number is None:
+                    del scope[name]
+                else:
+                    scope[name] = number
+            continue
+        if t is Var:
+            out.append(scope.get(g.name, g))  # a free variable stands for itself
+            continue
+        out.append(t)
+        if t is Const:
+            out.append(g.name)
+        elif t is Func or t is Atom:
+            if t is Atom and rename is not None:
+                g = rename(g)
+            out.append(g.name if t is Func else g.pred)
+            out.append(len(g.args))
+            stack.extend(reversed(g.args))
+        elif t is Eq:
+            stack.extend((g.right, g.left))
+        elif t is Distinct:
+            out.append(len(g.constants))
+            stack.extend(reversed(g.constants))
+        elif t is Forall or t is Exists:
+            out.append(len(g.variables))
+            stack.append(tuple((v, scope.get(v)) for v in g.variables))
+            for v in g.variables:
+                scope[v] = bindings
+                bindings += 1
+            stack.append(g.body)
+        else:
+            parts = _parts(g)
+            out.append(len(parts))
+            stack.extend(reversed(parts))
+    return tuple(out)
+
+
+def _rewritten(f: Formula, rename, clock: Clock) -> Formula:
+    """`f` with each atom replaced by its image under `rename`; a
+    subformula with no changed atom is kept, the same object."""
+    done: dict[int, Formula] = {}  # id of a subformula -> its image
+    stack = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        clock.tick()
+        parts = _parts(g)
+        if not parts:
+            done[id(g)] = rename(g) if type(g) is Atom else g
+        elif not ready:
+            stack.append((g, True))
+            stack.extend((h, False) for h in parts if id(h) not in done)
+        else:
+            new = [done[id(h)] for h in parts]
+            t = type(g)
+            if all(map(operator.is_, new, parts)):
+                done[id(g)] = g
+            elif t is AndN or t is OrN:
+                done[id(g)] = t(tuple(new))
+            elif t is Forall or t is Exists:
+                done[id(g)] = t(g.variables, new[0])
+            else:
+                done[id(g)] = t(*new)  # NotN, Implies, Iff
+    return done[id(f)]
+
+
+def _merge(named: list[tuple[str, Formula]], clock: Clock):
+    """The units with each definition `∀X̄ (Q(b̄) ↔ ψ)` whose body says what
+    an earlier one's, `∀X̄ (P(ā) ↔ φ)`, does merged into it: its unit is
+    dropped and every atom of Q with b̄'s constants at their positions
+    becomes one of P with ā's.  Returns the units and "N of M definitions
+    merged", or "" when none is.
+
+    The definitions are read as `check` reads them, the first per
+    predicate and constants.  Two are merged when their predicates have
+    the same arity and pattern (the positions of ā's constants) and their
+    bodies are equal up to the names of bound variables, once each body's
+    head variables are numbered by position and the atoms of definitions
+    already merged are mapped to the ones they were merged into; bodies
+    are compared in dependency order, so each body after those it refers
+    to.  A predicate with an atom that holds a variable at a pattern
+    position, or that has two arities or patterns, is left as it is, and
+    definitions that refer to each other in a cycle leave every unit as
+    it is.  Merging runs only when two predicates left to merge share an
+    arity and a pattern, as `contains` has in `hasShape` and `hasShapeB`;
+    a problem with one defined predicate, such as `sat` or a validation
+    without a zero-or-more path, is passed on at the cost of a type check
+    per unit.
+
+    Every model of the original units satisfies the new ones: by
+    induction on the dependency order, Q(·, b̄) and P(·, ā) are the same
+    relation in it.  A model of the new units is one of the original ones
+    once Q(·, b̄) is read as P(·, ā), which no atom left in the new units
+    tells apart.  So the two are equisatisfiable (predicate elimination:
+    Khasidashvili & Korovin, *Predicate Elimination for Preprocessing in
+    First-Order Theorem Proving*, SAT 2016)."""
+    if len({f.body.left.pred for _, f in named if type(f) is Forall and type(f.body) is Iff
+            and type(f.body.left) is Atom}) < 2:
+        return named, ""  # at most one predicate is defined
+    shapes: dict[str, tuple] = {}  # a defined predicate's arity and pattern
+    definitions: dict[tuple, tuple[int, Atom, Formula]] = {}  # (pred, constants) -> unit
+    apart: set[str] = set()  # the predicates left as they are
+    for i, (_, f) in enumerate(named):
+        head = _definition_head(f)
+        if head is None:
+            continue
+        atom, body = head
+        pattern = tuple(j for j, a in enumerate(atom.args) if type(a) is Const)
+        shape = (len(atom.args), pattern)
+        if shapes.setdefault(atom.pred, shape) != shape:
+            apart.add(atom.pred)
+        else:
+            definitions.setdefault((atom.pred, tuple(atom.args[j].name for j in pattern)),
+                                   (i, atom, body))
+    if len(set(shapes.values())) == len(shapes):
+        return named, ""
+    keys: dict[str, list[tuple]] = {}  # each predicate's definitions
+    for key in definitions:
+        keys.setdefault(key[0], []).append(key)
+
+    def refers(f: Formula) -> list[tuple]:
+        """The definitions the atoms of `f` refer to.  An atom that holds a
+        variable at a pattern position, or has another arity, leaves its
+        predicate as it is, and refers to each of its definitions."""
+        out = []
+        for atom in _atoms(f, clock):
+            shape = shapes.get(atom.pred)
+            if shape is None:
+                continue
+            if len(atom.args) != shape[0] or any(type(atom.args[j]) is not Const
+                                                 for j in shape[1]):
+                apart.add(atom.pred)
+                out.extend(keys.get(atom.pred, ()))
+            else:
+                ref = (atom.pred, tuple(atom.args[j].name for j in shape[1]))
+                if ref in definitions:
+                    out.append(ref)
+        return out
+
+    refs = {key: refers(body) for key, (_, _, body) in definitions.items()}
+    order = components(definitions, refs.__getitem__)
+    if any(len(c) > 1 or c[0] in refs[c[0]] for c in order):
+        return named, ""
+
+    def rename(atom: Atom) -> Atom:
+        if atom.pred not in merging:
+            return atom
+        pattern = shapes[atom.pred][1]
+        target = into.get((atom.pred, tuple(atom.args[j].name for j in pattern)))
+        if target is None:
+            return atom
+        args = list(atom.args)
+        head = definitions[target][1]
+        for j in pattern:
+            args[j] = head.args[j]
+        return Atom(target[0], tuple(args))
+
+    # The bodies are compared with the predicates that the definitions
+    # leave as they are, then, if any merge, once more with those the
+    # other units leave: with fewer predicates to merge, no more
+    # definitions merge, so a first pass that merges none is the last.
+    defining = {i for i, _, _ in definitions.values()}
+    for final in (False, True):
+        group = Counter(shape for pred, shape in shapes.items() if pred not in apart)
+        merging = {pred for pred, shape in shapes.items()
+                   if pred not in apart and group[shape] > 1}
+        into: dict[tuple, tuple] = {}  # a merged definition -> the one it is merged into
+        first: dict[tuple, tuple] = {}  # (arity, pattern, canonical body) -> definition
+        for (key,) in order:
+            if key[0] in merging:
+                _, atom, body = definitions[key]
+                numbers = {a.name: -1 - j for j, a in enumerate(atom.args) if type(a) is Var}
+                canonical = (shapes[key[0]], _canonical(body, clock, numbers, rename))
+                target = first.setdefault(canonical, key)
+                if target is not key:
+                    into[key] = target
+        if not into:
+            return named, ""
+        if final:
+            break
+        before = len(apart)
+        for i, (_, f) in enumerate(named):
+            if i not in defining:
+                refers(f)
+        if len(apart) == before:
+            break
+    dropped = {definitions[key][0] for key in into}
+    return [(name, _rewritten(f, rename, clock)) for i, (name, f) in enumerate(named)
+            if i not in dropped], f"{len(into)} of {len(definitions)} definitions merged"
+
+
+def _denial(named: list[tuple[str, Formula]], clock: Clock) -> Optional[str]:
+    """How the units contradict each other at once, or None: one is
+    `$false`, or one is `¬ψ` and each conjunct of ψ (ψ itself when it is
+    no conjunction) is a unit, up to the names of bound variables.  A
+    unit whose conjuncts are of no kind that a unit is costs a type check."""
+    present = set()  # the kinds of the units
+    for name, f in named:
+        if type(f) is FalseF:
+            return f"{name} is $false"
+        present.add(type(f))
+    if NotN not in present:
+        return None
+    denials = []
+    for name, f in named:
+        if type(f) is NotN:
+            g = f.operand
+            if type(g) is not AndN:
+                if type(g) in present:
+                    denials.append((name, (g,)))
+                continue
+            for c in g.operands:
+                if type(c) not in present:
+                    break
+            else:
+                denials.append((name, g.operands))
+    if not denials:
+        return None
+    wanted = {type(c) for _, conjuncts in denials for c in conjuncts}
+    asserted = {_canonical(f, clock) for _, f in named if type(f) in wanted}
+    for name, conjuncts in denials:
+        if all(_canonical(c, clock) in asserted for c in conjuncts):
+            return f"{name} denies asserted units"
+    return None
+
+
 def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverResult:
-    """Decide a problem given as its units: first on its one candidate
-    structure (`check`); when that gives no answer, by
-    `miniprover.decide_clauses` on their clauses, in the time `clausify`
-    leaves.  The clausal procedures are imported only then."""
+    """Decide a problem given as its units.  Definitions that say the same
+    thing are merged (`_merge`); a merged unit that is `$false` or denies
+    asserted units refutes the problem (`_denial`); otherwise the merged
+    units are decided on their one candidate structure (`check`), and when
+    that gives no answer, by `miniprover.decide_clauses` on their clauses,
+    in the time `clausify` leaves.  The clausal procedures are imported
+    only then.  The detail counts the merged definitions, if any."""
     deadline = time.monotonic() + timeout_s
-    named = [(u.name, u.body) for u in units if u.role in ("axiom", "hypothesis", "definition")]
-    conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
-    named.extend(conjectures)
+    # the units are read, merged and checked with the collector paused, as
+    # `check` pauses it: none of it makes a reference cycle
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        result = check(named, deadline)
+        try:
+            named = [(u.name, u.body) for u in units
+                     if u.role in ("axiom", "hypothesis", "definition")]
+            conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
+            named.extend(conjectures)
+            clock = Clock(deadline)
+            named, merged = _merge(named, clock)
+            denial = _denial(named, clock)
+            result = check(named, deadline) if denial is None \
+                else ProverResult("Unsatisfiable", denial)
+        finally:
+            if collecting:
+                gc.enable()
         if result is None:
             from . import miniprover
 
@@ -696,7 +1000,7 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
     if result is None:
         result = miniprover.decide_clauses(
             clauses, timeout_s=max(0.0, deadline - time.monotonic()))
-    if conjectures and result.status in ("Satisfiable", "Unsatisfiable"):
-        status = "CounterSatisfiable" if result.status == "Satisfiable" else "Theorem"
-        return ProverResult(status, result.detail)
-    return result
+    status, detail = result.status, "; ".join(filter(None, (merged, result.detail)))
+    if conjectures and status in ("Satisfiable", "Unsatisfiable"):
+        status = "CounterSatisfiable" if status == "Satisfiable" else "Theorem"
+    return ProverResult(status, detail)

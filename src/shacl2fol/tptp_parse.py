@@ -8,10 +8,10 @@ returns them as `fol.TptpFormula`, the units the emitter builds.  Used by
 suite; the integrated prover decides the emitted units without reading
 their text back.
 
-The text is read in two steps.  One compiled-regex call splits the whole
-text into its token strings, skipping whitespace and `%` comments; the
-input is rejected, with its line and column, at the first character no
-token starts with.  The parser then walks the token list by index and
+The text is read in two steps.  One compiled regex splits the text into
+its token strings, skipping whitespace and `%` comments, slice by slice;
+the input is rejected, with its line and column, at the first character
+no token starts with.  The parser then walks the token list by index and
 keeps the formulas it has opened (parentheses, `~`, quantifiers, and `&`/
 `|` chains or a binary `=>`/`<=>`) on one explicit stack, so the depth of
 a problem is bounded by memory, not by Python's recursion limit.
@@ -32,7 +32,11 @@ Given a clock (`sat.Clock`), the walk reports its tokens to it: each
 unit's, and inside a formula those up to each atom, so neither many units
 nor one wide formula outruns the deadline; a read past it raises
 `sat.TimeBudgetExceeded`.  A coarse token counts as the fine tokens it
-stands for.  The one regex call that tokenizes the text runs uncut.
+stands for.  The tokenizer reads the clock after each slice of about 64
+KiB, which ends after a line end, or in a longer line after a space,
+where no token but a quoted atom can run across (a slice that ends
+inside one ends before it instead), so the tokens of a large text do not
+outrun the deadline either.
 
 Each call of `parse_tptp` keeps one symbol table, a dict from a constant
 or predicate token to its `Const`, filled as the tokens are first met: a
@@ -106,9 +110,50 @@ def _fine_token() -> re.Pattern:
     return _token_re(_FINE_TOKENS)
 
 
-def _tokenize(text: str) -> list[str]:
-    """The token strings of `text`, followed by one or two "" (the end)."""
-    tokens = _TOKEN.findall(text)
+_SLICE = 1 << 16  # the characters of text tokenized between reads of the clock
+
+
+def _cut(text: str, pos: int) -> int:
+    """The end of the slice of `text` that starts at `pos`, about `_SLICE`
+    characters on, where no token but a quoted atom runs across: after its
+    last line end, or, in a longer line, after the first space past it if
+    the slice has no `%`, which could open a comment that runs across;
+    else after the line.  Or the end of the text."""
+    end = pos + _SLICE
+    if end >= len(text):
+        return len(text)
+    line = text.rfind("\n", pos, end)
+    if line < 0:
+        space = text.find(" ", end)
+        if space >= 0 and text.find("%", pos, space) < 0:
+            return space + 1
+        line = text.find("\n", end)
+    return len(text) if line < 0 else line + 1
+
+
+def _tokenize(text: str, clock=None) -> list[str]:
+    """The token strings of `text`, followed by one or two "" (the end).
+
+    The text is tokenized in slices (`_cut`), and the clock, if given, is
+    read after each.  A slice that ends where no token starts, in a quoted
+    atom that runs on or at a character no token starts with, ends there
+    instead: the next slice starts at that character, and reads to the end
+    of the text when it would end there again.  A coarse token that runs
+    across a cut is read as its fine tokens, which the walker reads alike."""
+    tokens: list[str] = []
+    pos, end = 0, _cut(text, 0)
+    while end < len(text):
+        part = _TOKEN.findall(text, pos, end)
+        while part and not part[-1]:  # the slice's end, not the text's
+            part.pop()
+        at = end
+        if part and _FINE_TOKEN_START.match(part[-1]) is None:
+            at -= len(part.pop())
+        tokens += part
+        pos, end = at, len(text) if at == pos else _cut(text, at)
+        if clock is not None:
+            clock.check()
+    tokens += _TOKEN.findall(text, pos)
     rest = tokens[-2] if len(tokens) > 1 else ""  # the last before the end
     # a token, fine or coarse, starts with a fine token; the rest where no
     # token starts does not
@@ -343,7 +388,7 @@ def parse_tptp(text: str, clock=None) -> list[TptpFormula]:
 
     With a `sat.Clock`, the walk over the tokens reports them to it and
     raises `sat.TimeBudgetExceeded` at a read past its deadline."""
-    tokens = _tokenize(text)
+    tokens = _tokenize(text, clock)
     symbols: dict[str, Const] = {}
     units = []
     i = 0

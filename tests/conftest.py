@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 from pathlib import Path
 
@@ -84,6 +85,28 @@ def people_star(n: int, violating: bool = False) -> tuple[str, str]:
     return (_PREFIXES + "ex:S sh:targetClass ex:Person ; sh:property [\n"
             "  sh:path [ sh:zeroOrMorePath ex:knows ] ; sh:nodeKind sh:IRI ] .\n",
             _PREFIXES + data + (f'ex:p{n // 2} ex:knows "stranger" .\n' if violating else ""))
+
+
+def shape_family(n: int, seed: int = 3) -> str:
+    """Node shapes `ex:S0` ... `ex:S<n-1>`, one a line, each targeting the
+    class `ex:C<i>` with three property shapes over three distinct paths of
+    `ex:p0` ... `ex:p9`, drawn from `random.Random(seed)`.  Each property
+    shape has an `sh:minCount` of 1 or 2, and at times an `sh:nodeKind
+    sh:IRI`, an `sh:class ex:D<k>` or an `sh:node` reference to an earlier
+    node shape.  Every shape is satisfiable, and a path's `sh:minCount` is
+    the only one on it in its node shape, so raising it to 3 strengthens
+    the shape and lowering it weakens it."""
+    rng = random.Random(seed)
+    lines = []
+    for i in range(n):
+        properties = []
+        for p in rng.sample(range(10), 3):
+            extra = rng.choice(["", " ; sh:nodeKind sh:IRI", f" ; sh:class ex:D{rng.randrange(5)}"]
+                               + ([f" ; sh:node ex:S{rng.randrange(i)}"] if i else []))
+            properties.append(f"[ sh:path ex:p{p} ; sh:minCount {rng.randint(1, 2)}{extra} ]")
+        lines.append(f"ex:S{i} a sh:NodeShape ; sh:targetClass ex:C{i} ;"
+                     f" sh:property {' , '.join(properties)} .\n")
+    return _PREFIXES + "".join(lines)
 
 
 def load_graph(ttl: str) -> rdf.Graph:

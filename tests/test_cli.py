@@ -642,15 +642,20 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
      _EMIT | {"closed_structure"}, "facts-only structure of 1 elements"),
     ("shacl2fol.cli", ["sat", "{dir}/min1.ttl", "--json", *BUILTIN], _EMIT | _PROVER,
      "finite model of size 2"),
+    ("shacl2fol.cli", ["contains", "{dir}/min1.ttl", "{dir}/min1.ttl", "--json", *BUILTIN],
+     _EMIT | {"closed_structure"},
+     "1 of 2 definitions merged; neg_targets_b denies asserted units"),
 ], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin",
-        "validate-star-approx", "sat-builtin", "sat-builtin-clausal"])
+        "validate-star-approx", "sat-builtin", "sat-builtin-clausal", "contains-itself"])
 def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, detail):
     """A fresh interpreter serving one request imports exactly the
     package's modules that the request runs, and no networkx, record class
     library or process launcher.  The built-in prover loads its clausal
     procedures only when the closed structure, or with no closure the
     structure of the problem's facts, does not decide: `ex:a` of
-    `min1.ttl` has no `ex:p` value there, yet may have one in a model."""
+    `min1.ttl` has no `ex:p` value there, yet may have one in a model.
+    Nor when a unit denies asserted units, as `min1.ttl` contained in
+    itself does once B's definition is merged into A's."""
     assert cli.main(["emit", "validate", files["shapes"], files["ok"],
                      "--out", str(files["dir"] / "problem.p")]) == 0
     (files["dir"] / "star.ttl").write_text(STAR_MIN_SHAPES)

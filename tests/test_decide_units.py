@@ -167,6 +167,22 @@ def test_a_short_budget_ends_near_its_deadline(sequence_40000):
     assert got.status == "Timeout"
 
 
+def test_a_budget_under_the_tokenization_ends_near_its_deadline(sequence_40000):
+    """The tokenizer reads the clock between slices of the text: a budget
+    of a tenth of the time that the 4.9 MB text takes to tokenize whole
+    answers Timeout within half of that time."""
+    text = render(TptpDocument(Dialect.TFF, sequence_40000))
+    whole = []
+    for _ in range(2):
+        start = time.monotonic()
+        tptp_parse._TOKEN.findall(text)
+        whole.append(time.monotonic() - start)
+    start = time.monotonic()
+    got = miniprover.decide_tptp_text(text, timeout_s=min(whole) / 10)
+    assert time.monotonic() - start < min(whole) / 2
+    assert got.status == "Timeout"
+
+
 def test_a_40000_member_validation_is_decided_within_its_budget():
     """The check plans a quantifier's variables against the one growing
     set of those bound, and reports each to the clock: the sequence

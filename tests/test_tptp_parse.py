@@ -457,6 +457,68 @@ def test_coarse_tokens_read_as_the_fine_tokens_they_stand_for(text):
     assert _read(text) == _read_fine(text)
 
 
+def _fine_tokens(tokens: list[str]) -> list[str]:
+    """The tokens with each coarse token split into its fine ones."""
+    fine = tptp_parse._fine_token()
+    return [f for tok in tokens
+            for f in (fine.findall(tok)[:-1] if len(tok) > 1 and tok[-1] in ")." else [tok])]
+
+
+# quoted atoms across lines and with spaces, and comments with spaces and
+# quotes, where a cut may fall
+_CUT_PIECES = st.sampled_from(["'a\nb'", "'x y z'", "% a 'b c\n", "%\n", "'50% off'", "' '"])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tptp_texts(), st.lists(st.tuples(st.integers(0, 60), _CUT_PIECES), max_size=3),
+       st.integers(1, 12))
+def test_slices_read_as_the_whole_text(text, inserts, size):
+    # cut every few characters, the text gives the fine tokens, the
+    # units, the work on the clock and the error that it gives uncut
+    for at, piece in inserts:
+        text = text[:at] + piece + text[at:]
+    whole = _read(text)
+    whole_tokens = _exception_or(lambda: _fine_tokens(tptp_parse._tokenize(text)))
+    with mock.patch.object(tptp_parse, "_SLICE", size):
+        assert _read(text) == whole
+        assert _exception_or(lambda: _fine_tokens(tptp_parse._tokenize(text))) == whole_tokens
+
+
+def _exception_or(f):
+    try:
+        return f()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_a_slice_ends_at_a_line_end():
+    # so no unit of a line of its own is split between two slices
+    text = "".join(f"tff(decl_c_{i}, type, 'c{i}': $i).\n" for i in range(5000))
+    assert len(text) > 2 * tptp_parse._SLICE
+    assert tptp_parse._tokenize(text) == tptp_parse._TOKEN.findall(text)
+
+
+def test_the_tokenizer_reads_the_clock_between_slices():
+    # a passed deadline stops the tokens of a large text after one slice
+    text = _MANY * 12
+    assert len(text) > 2 * tptp_parse._SLICE
+    spans = []
+    token = tptp_parse._TOKEN
+
+    class Watched:
+        def findall(self, text, *span):
+            spans.append(span)
+            return token.findall(text, *span)
+
+    with mock.patch.object(tptp_parse, "_TOKEN", Watched()):
+        with pytest.raises(sat.TimeBudgetExceeded):
+            parse_tptp(text, sat.Clock(time.monotonic() - 1))
+        assert len(spans) == 1 and spans[0][1] - spans[0][0] < 2 * tptp_parse._SLICE
+        spans.clear()
+        units = parse_tptp(text, sat.Clock(time.monotonic() + 60))
+    assert len(spans) > 2 and units == parse_tptp(text)
+
+
 @pytest.mark.parametrize("text, message", [
     ("fof(a, axiom, p(((X = a) & (Y = b)))).", "bad term '('"),
     ("fof(a, axiom, p((X = a) & (Y = b))).", "bad term '('"),
