@@ -61,9 +61,12 @@ predicates share an arity and a pattern merge when their bodies are
 equal up to the names of bound variables, compared in dependency order
 with the atoms of definitions already merged mapped to the ones they
 were merged into.  The later one is dropped and its atoms are rewritten
-to the earlier one, `hasShapeB(·, s)` to `hasShape(·, s)`.  Recursion is
-rejected, so equal bodies define equal relations in every model, and
-the merged units are equisatisfiable with the original ones.  Then a
+to the earlier one, `hasShapeB(·, s)` to `hasShape(·, s)`.  A predicate
+is merged only when a `$distinct` unit or units `¬(c = d)` keep the
+constants at its pattern positions apart, as the unique-name axioms of
+every emitted problem do.  Recursion is rejected, so equal bodies define
+equal relations in every model, and, with those constants apart, the
+merged units are equisatisfiable with the original ones.  Then a
 merged unit that is `$false`, or that is `¬ψ` with every conjunct of ψ
 a merged unit up to bound-variable names, refutes the problem at once
 (`_denial`): so `contains A A` and B with dropped targets are decided
@@ -158,6 +161,27 @@ def _closure(f: Formula) -> Optional[tuple[str, int, list[tuple[str, ...]]]]:
     return atom.pred, len(variables), tuples
 
 
+def _apart(f: Formula) -> tuple[str, ...]:
+    """The constants that a `$distinct` unit or a unit `¬(s = t)` keeps
+    apart: the unit's, or the equality's constants."""
+    if type(f) is Distinct:
+        return tuple(c.name for c in f.constants)
+    return tuple(t.name for t in (f.operand.left, f.operand.right) if type(t) is Const)
+
+
+def _kept_apart(names: AbstractSet[str], groups: list[tuple[str, ...]]) -> bool:
+    """Whether every two of the constants `names` are kept apart, in
+    every model, by the groups of constants that units keep apart."""
+    n = len(names)
+    inside = [{c for c in group if c in names} for group in groups]
+    if n < 2 or any(len(group) == n for group in inside):
+        return True  # one $distinct over them all
+    pairs = set()
+    for group in inside:
+        pairs.update(itertools.combinations(sorted(group), 2))
+    return len(pairs) == n * (n - 1) // 2
+
+
 def _definition_head(f: Formula):
     """The atom and body of a definition `∀X̄ (P(ā) ↔ φ)`, where ā holds
     each of X̄ once and constants; else None."""
@@ -229,8 +253,8 @@ class ClosedStructure:
         # a quantifier outside a universal prefix that does not take its
         # values from a closed predicate or a bound equality
         self.unguarded = False
-        self.distinct: list[tuple[str, ...]] = []  # the constants of each $distinct unit
-        self.apart: list[tuple[str, str]] = []  # the pairs of the ground units ¬(a = b)
+        # the constants that each $distinct unit or ground ¬(a = b) keeps apart
+        self.apart: list[tuple[str, ...]] = []
         self.disjoint: set[tuple[str, str]] = set()  # kinds no element has both of
         # id of a quantifier -> one source per variable; a plan depends on
         # the node alone (each variable free in it is bound wherever it
@@ -259,12 +283,8 @@ class ClosedStructure:
         t = type(f)
         if t is Atom and all(type(a) is Const for a in f.args):
             self.facts.setdefault(f.pred, {})[tuple(a.name for a in f.args)] = None
-        elif t is Distinct:
-            self.distinct.append(tuple(c.name for c in f.constants))
-        elif t is NotN and type(f.operand) is Eq:
-            eq = f.operand
-            if type(eq.left) is Const and type(eq.right) is Const:
-                self.apart.append((eq.left.name, eq.right.name))
+        elif t is Distinct or t is NotN and type(f.operand) is Eq:
+            self.apart.append(_apart(f))
         elif t is Forall and len(f.variables) == 1 and type(f.body) is NotN \
                 and type(f.body.operand) is AndN and len(f.body.operand.operands) == 2:
             x = Var(f.variables[0])
@@ -355,16 +375,8 @@ class ClosedStructure:
         """Whether every model agrees with the candidate on every unit,
         so that a failing unit refutes the problem."""
         return not self.unguarded and not self.open_reference \
-            and self._all_apart() and all(map(self._fixed, self.used))
-
-    def _all_apart(self) -> bool:
-        n = len(self.elements)
-        if any(len(set(group)) == n for group in self.distinct):
-            return True  # one $distinct over every constant
-        pairs = {(a, b) if a < b else (b, a) for a, b in self.apart if a != b}
-        for group in self.distinct:
-            pairs.update(itertools.combinations(sorted(set(group)), 2))
-        return len(pairs) == n * (n - 1) // 2
+            and _kept_apart(self.elements.keys(), self.apart) \
+            and all(map(self._fixed, self.used))
 
     def _fixed(self, pred: str) -> bool:
         """Whether every model interprets the predicate as the candidate
@@ -817,22 +829,29 @@ def _merge(named: list[tuple[str, Formula]], clock: Clock):
     head variables are numbered by position and the atoms of definitions
     already merged are mapped to the ones they were merged into; bodies
     are compared in dependency order, so each body after those it refers
-    to.  A predicate with an atom that holds a variable at a pattern
-    position, or that has two arities or patterns, is left as it is, and
+    to.  A predicate is left as it is when it has two arities or
+    patterns, when one of its atoms holds a variable at a pattern
+    position, or when two of the constants at its pattern positions are
+    not kept apart by a `$distinct` unit or a unit `¬(c = d)`; and
     definitions that refer to each other in a cycle leave every unit as
-    it is.  Merging runs only when two predicates left to merge share an
-    arity and a pattern, as `contains` has in `hasShape` and `hasShapeB`;
-    a problem with one defined predicate, such as `sat` or a validation
+    it is.  Merging runs only when two defined predicates share an arity
+    and a pattern, as `contains` has in `hasShape` and `hasShapeB`; a
+    problem with one defined predicate, such as `sat` or a validation
     without a zero-or-more path, is passed on at the cost of a type check
     per unit.
 
     Every model of the original units satisfies the new ones: by
     induction on the dependency order, Q(·, b̄) and P(·, ā) are the same
     relation in it.  A model of the new units is one of the original ones
-    once Q(·, b̄) is read as P(·, ā), which no atom left in the new units
-    tells apart.  So the two are equisatisfiable (predicate elimination:
-    Khasidashvili & Korovin, *Predicate Elimination for Preprocessing in
-    First-Order Theorem Proving*, SAT 2016)."""
+    once Q(·, b̄) is read as P(·, ā): no atom left in the new units tells
+    the two apart, as each holds constants at Q's pattern positions that
+    name other elements than b̄'s.  So the two are equisatisfiable
+    (predicate elimination: Khasidashvili & Korovin, *Predicate
+    Elimination for Preprocessing in First-Order Theorem Proving*, SAT
+    2016).  Without the constants kept apart the merge could be unsound:
+    with `b = c`, the definitions `q(X, b) ↔ r(X)` and `q(X, c) ↔ ¬r(X)`
+    contradict each other, and merging the first into `p(X, a) ↔ r(X)`
+    would leave a satisfiable rest."""
     if len({f.body.left.pred for _, f in named if type(f) is Forall and type(f.body) is Iff
             and type(f.body.left) is Atom}) < 2:
         return named, ""  # at most one predicate is defined
@@ -854,8 +873,10 @@ def _merge(named: list[tuple[str, Formula]], clock: Clock):
     if len(set(shapes.values())) == len(shapes):
         return named, ""
     keys: dict[str, list[tuple]] = {}  # each predicate's definitions
+    keyed: dict[str, set[str]] = {pred: set() for pred in shapes}  # constants at its pattern
     for key in definitions:
         keys.setdefault(key[0], []).append(key)
+        keyed[key[0]].update(key[1])
 
     def refers(f: Formula) -> list[tuple]:
         """The definitions the atoms of `f` refer to.  An atom that holds a
@@ -872,14 +893,28 @@ def _merge(named: list[tuple[str, Formula]], clock: Clock):
                 out.extend(keys.get(atom.pred, ()))
             else:
                 ref = (atom.pred, tuple(atom.args[j].name for j in shape[1]))
+                keyed[atom.pred].update(ref[1])
                 if ref in definitions:
                     out.append(ref)
         return out
 
-    refs = {key: refers(body) for key, (_, _, body) in definitions.items()}
+    defining = {i: key for key, (i, _, _) in definitions.items()}
+    refs: dict[tuple, list[tuple]] = {}
+    groups = []  # the constants each $distinct or ¬(c = d) unit keeps apart
+    for i, (_, f) in enumerate(named):
+        key = defining.get(i)
+        if key is not None:
+            refs[key] = refers(definitions[key][2])
+            continue
+        refers(f)
+        if type(f) is Distinct or type(f) is NotN and type(f.operand) is Eq:
+            groups.append(_apart(f))
     order = components(definitions, refs.__getitem__)
     if any(len(c) > 1 or c[0] in refs[c[0]] for c in order):
         return named, ""
+    left = [pred for pred in shapes if pred not in apart and _kept_apart(keyed[pred], groups)]
+    group = Counter(shapes[pred] for pred in left)
+    merging = {pred for pred in left if group[shapes[pred]] > 1}
 
     def rename(atom: Atom) -> Atom:
         if atom.pred not in merging:
@@ -894,35 +929,18 @@ def _merge(named: list[tuple[str, Formula]], clock: Clock):
             args[j] = head.args[j]
         return Atom(target[0], tuple(args))
 
-    # The bodies are compared with the predicates that the definitions
-    # leave as they are, then, if any merge, once more with those the
-    # other units leave: with fewer predicates to merge, no more
-    # definitions merge, so a first pass that merges none is the last.
-    defining = {i for i, _, _ in definitions.values()}
-    for final in (False, True):
-        group = Counter(shape for pred, shape in shapes.items() if pred not in apart)
-        merging = {pred for pred, shape in shapes.items()
-                   if pred not in apart and group[shape] > 1}
-        into: dict[tuple, tuple] = {}  # a merged definition -> the one it is merged into
-        first: dict[tuple, tuple] = {}  # (arity, pattern, canonical body) -> definition
-        for (key,) in order:
-            if key[0] in merging:
-                _, atom, body = definitions[key]
-                numbers = {a.name: -1 - j for j, a in enumerate(atom.args) if type(a) is Var}
-                canonical = (shapes[key[0]], _canonical(body, clock, numbers, rename))
-                target = first.setdefault(canonical, key)
-                if target is not key:
-                    into[key] = target
-        if not into:
-            return named, ""
-        if final:
-            break
-        before = len(apart)
-        for i, (_, f) in enumerate(named):
-            if i not in defining:
-                refers(f)
-        if len(apart) == before:
-            break
+    into: dict[tuple, tuple] = {}  # a merged definition -> the one it is merged into
+    first: dict[tuple, tuple] = {}  # (arity, pattern, canonical body) -> definition
+    for (key,) in order:
+        if key[0] in merging:
+            _, atom, body = definitions[key]
+            numbers = {a.name: -1 - j for j, a in enumerate(atom.args) if type(a) is Var}
+            canonical = (shapes[key[0]], _canonical(body, clock, numbers, rename))
+            target = first.setdefault(canonical, key)
+            if target is not key:
+                into[key] = target
+    if not into:
+        return named, ""
     dropped = {definitions[key][0] for key in into}
     return [(name, _rewritten(f, rename, clock)) for i, (name, f) in enumerate(named)
             if i not in dropped], f"{len(into)} of {len(definitions)} definitions merged"

@@ -33,10 +33,11 @@ unit's, and inside a formula those up to each atom, so neither many units
 nor one wide formula outruns the deadline; a read past it raises
 `sat.TimeBudgetExceeded`.  A coarse token counts as the fine tokens it
 stands for.  The tokenizer reads the clock after each slice of about 64
-KiB, which ends after a line end, or in a longer line after a space,
-where no token but a quoted atom can run across (a slice that ends
-inside one ends before it instead), so the tokens of a large text do not
-outrun the deadline either.
+KiB, which ends after a line end, or in a longer line after a space
+outside any comment, where no token but a quoted atom can run across (a
+slice that ends inside one ends before it instead), so the tokens of a
+large text do not outrun the deadline either.  A `%` in a quoted atom,
+as in a percent-encoded IRI, opens no comment and does not stop the cut.
 
 Each call of `parse_tptp` keeps one symbol table, a dict from a constant
 or predicate token to its `Const`, filled as the tokens are first met: a
@@ -111,21 +112,24 @@ def _fine_token() -> re.Pattern:
 
 
 _SLICE = 1 << 16  # the characters of text tokenized between reads of the clock
+# a `%` outside quoted atoms, which opens a comment
+_COMMENT = re.compile(rf"[^'%]*(?:{_QUOTED}[^'%]*)*%")
 
 
 def _cut(text: str, pos: int) -> int:
     """The end of the slice of `text` that starts at `pos`, about `_SLICE`
     characters on, where no token but a quoted atom runs across: after its
     last line end, or, in a longer line, after the first space past it if
-    the slice has no `%`, which could open a comment that runs across;
-    else after the line.  Or the end of the text."""
+    the slice has no `%` outside quoted atoms, which would open a comment
+    that runs across; else after the line.  Or the end of the text."""
     end = pos + _SLICE
     if end >= len(text):
         return len(text)
     line = text.rfind("\n", pos, end)
     if line < 0:
         space = text.find(" ", end)
-        if space >= 0 and text.find("%", pos, space) < 0:
+        if space >= 0 and (text.find("%", pos, space) < 0
+                           or _COMMENT.match(text, pos, space) is None):
             return space + 1
         line = text.find("\n", end)
     return len(text) if line < 0 else line + 1

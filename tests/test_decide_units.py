@@ -167,20 +167,22 @@ def test_a_short_budget_ends_near_its_deadline(sequence_40000):
     assert got.status == "Timeout"
 
 
-def test_a_budget_under_the_tokenization_ends_near_its_deadline(sequence_40000):
+def test_a_budget_under_the_tokenization_ends_near_its_deadline(sequence_40000, monkeypatch):
     """The tokenizer reads the clock between slices of the text: a budget
-    of a tenth of the time that the 4.9 MB text takes to tokenize whole
-    answers Timeout within half of that time."""
+    spent before the 4.9 MB text is read answers Timeout after one slice
+    of it."""
     text = render(TptpDocument(Dialect.TFF, sequence_40000))
-    whole = []
-    for _ in range(2):
-        start = time.monotonic()
-        tptp_parse._TOKEN.findall(text)
-        whole.append(time.monotonic() - start)
-    start = time.monotonic()
-    got = miniprover.decide_tptp_text(text, timeout_s=min(whole) / 10)
-    assert time.monotonic() - start < min(whole) / 2
-    assert got.status == "Timeout"
+    spans = []
+    token = tptp_parse._TOKEN
+
+    class Watched:
+        def findall(self, text, *span):
+            spans.append(span)
+            return token.findall(text, *span)
+
+    monkeypatch.setattr(tptp_parse, "_TOKEN", Watched())
+    assert miniprover.decide_tptp_text(text, timeout_s=0).status == "Timeout"
+    assert len(spans) == 1 and spans[0][1] - spans[0][0] < 2 * tptp_parse._SLICE < len(text) / 10
 
 
 def test_a_40000_member_validation_is_decided_within_its_budget():

@@ -126,6 +126,41 @@ def test_a_predicate_with_a_variable_at_its_key_is_never_merged(use):
                                            timeout_s=10).status == "Unsatisfiable"
 
 
+COINCIDING = """
+fof(d_p, axiom, ![X]: (p(X, a) <=> r(X))).
+fof(d_q, axiom, ![X]: (q(X, b) <=> r(X))).
+fof(d_q2, axiom, ![X]: (q(X, c) <=> ~r(X))).
+"""
+
+
+@pytest.mark.parametrize("text, status", [
+    (COINCIDING + "fof(u, axiom, b = c).", "Unsatisfiable"),
+    (COINCIDING + "fof(u, axiom, p(a, a)).", "Satisfiable"),
+    # a key that only an atom holds
+    (COINCIDING.replace("fof(d_q2, axiom, ![X]: (q(X, c) <=> ~r(X))).",
+                        "fof(r_k, axiom, r(k)).\nfof(n, axiom, ~q(k, c)).")
+     + "fof(u, axiom, b = c).", "Unsatisfiable"),
+], ids=["equal", "unknown", "atom_key"])
+def test_keys_that_may_name_one_element_are_never_merged(text, status):
+    # with b = c, q(·, b) and q(·, c) are one relation, r and its negation:
+    # merging q(·, b) into p(·, a) and dropping its definition would leave
+    # a satisfiable rest
+    units = named(parse_tptp(text))
+    assert _merge(units, Clock()) == (units, "")
+    got = miniprover.decide_tptp_text(text, timeout_s=10)
+    assert got.status == status and "merged" not in got.detail
+
+
+@pytest.mark.parametrize("apart", ["fof(u, axiom, ~(b = c)).", "tff(u, axiom, $distinct(c, b))."],
+                         ids=["unequal", "distinct"])
+def test_keys_kept_apart_merge(apart):
+    text = COINCIDING + apart + "\n"
+    merged_units, merged = _merge(named(parse_tptp(text)), Clock())
+    assert merged == "1 of 3 definitions merged"
+    assert [name for name, _ in merged_units] == ["d_p", "d_q2", "u"]
+    assert miniprover.decide_tptp_text(text, timeout_s=10).status == "Satisfiable"
+
+
 def test_constants_at_every_key_merge():
     text = DEFINITIONS + "fof(u, axiom, ~r(c, b)).\n"
     units = named(parse_tptp(text))

@@ -498,9 +498,16 @@ def test_a_slice_ends_at_a_line_end():
     assert tptp_parse._tokenize(text) == tptp_parse._TOKEN.findall(text)
 
 
-def test_the_tokenizer_reads_the_clock_between_slices():
+# one wide unit on one line, whose quoted atoms hold `%`, which opens no
+# comment there
+_PERCENT_LINE = "fof(u, axiom, " + " & ".join(
+    f"p('http://ex.org/a%20b{i}')" for i in range(8000)) + ")."
+
+
+@pytest.mark.parametrize("text", [_MANY * 12, _PERCENT_LINE],
+                         ids=["many_units", "quoted_percent"])
+def test_the_tokenizer_reads_the_clock_between_slices(text):
     # a passed deadline stops the tokens of a large text after one slice
-    text = _MANY * 12
     assert len(text) > 2 * tptp_parse._SLICE
     spans = []
     token = tptp_parse._TOKEN
