@@ -130,8 +130,11 @@ def _strong_sat(args) -> Optional[list]:
     if raw is None:
         return None
     if raw == "":
-        return []
-    return [iri(s.strip()) for s in raw.split(",") if s.strip()]
+        return []  # the bare flag selects every shape
+    selected = [iri(s.strip()) for s in raw.split(",") if s.strip()]
+    if not selected:
+        raise InvalidOptions(f"--strong-sat: {raw!r} names no shape")
+    return selected
 
 
 def _load_shapes(path: str) -> shapes.ShapeGraph:

@@ -29,10 +29,12 @@ A predicate's first closure and its definitions hold by construction;
 every other unit, a second closure included, is evaluated.  A quantifier
 enumerates the values its guard allows, from an index of a predicate's
 tuples by the positions already bound (a closed guard first), or the
-whole domain.  A connective reads the operands it can look up at once
-first.  The evaluation keeps its own stack, so neither a 10,000-deep
-conjunction nor a 10,000-deep chain of definitions deepens the Python
-stack, and reports each step to the clock, `errors.Clock`.
+whole domain; it is planned when evaluation first reaches it, and the
+rest only when a failure's exactness is asked.  A connective reads the
+operands it can look up at once first.  The evaluation keeps its own
+stack, so neither a 10,000-deep conjunction nor a 10,000-deep chain of
+definitions deepens the Python stack, and reports each step to the
+clock, `errors.Clock`.
 
 The answers:
 
@@ -55,29 +57,28 @@ The answers:
 The module evaluates first-order formulas; it knows nothing of shapes or
 RDF, so the oracle stays an independent cross-check.
 
-`decide_units` is the built-in prover's one entry point.  It first merges
-definitions that say the same thing (`_merge`): two definitions whose
-predicates share an arity and a pattern merge when their bodies are
-equal up to the names of bound variables, compared in dependency order
-with the atoms of definitions already merged mapped to the ones they
-were merged into.  The later one is dropped and its atoms are rewritten
-to the earlier one, `hasShapeB(·, s)` to `hasShape(·, s)`.  A predicate
-is merged only when a `$distinct` unit or units `¬(c = d)` keep the
-constants at its pattern positions apart, as the unique-name axioms of
-every emitted problem do.  Recursion is rejected, so equal bodies define
-equal relations in every model, and, with those constants apart, the
-merged units are equisatisfiable with the original ones.  Then a
-merged unit that is `$false`, or that is `¬ψ` with every conjunct of ψ
-a merged unit up to bound-variable names, refutes the problem at once
-(`_denial`): so `contains A A` and B with dropped targets are decided
-before any candidate or clause is built.  Otherwise it runs `check` on
-the merged units and, only when that gives no answer, loads the clausal
-procedures (`miniprover`, `clausify`, `sat`) and runs them in the time
-left.  So a problem decided before them loads none of them.  The
-emitted text is unchanged: the merge is the prover's own preprocessing.
-A problem with one defined predicate, such as `sat` or a validation
-without a zero-or-more path, merges nothing and costs a type check per
-unit.
+`decide_units` is the built-in prover's one entry point.  It reads the
+units once, into their candidate structure, which then merges the
+definitions that say the same thing on the tables it has built
+(`ClosedStructure.merge`): two definitions whose predicates share an
+arity and a pattern merge when their bodies are equal up to the names
+of bound variables, compared in dependency order with the atoms of
+definitions already merged renamed to the ones they were merged into,
+`hasShapeB(·, s)` to `hasShape(·, s)`.  The later one's unit is dropped
+and its entry becomes the earlier one's.  A predicate is merged only
+when a `$distinct` unit or units `¬(c = d)` keep the constants at its
+pattern positions apart, as the unique-name axioms of every emitted
+problem do.  Then a merged unit that is `$false`, or that is `¬ψ` with
+every conjunct of ψ a merged unit up to bound-variable names, refutes
+the problem at once (`_denial`): so `contains A A` and B with dropped
+targets are decided before any quantifier is planned or any clause
+built.  Otherwise the structure is evaluated and, only when that gives
+no answer, the units are rewritten by the merge and the clausal
+procedures (`miniprover`, `clausify`, `sat`) are loaded and run in the
+time left.  So a problem decided before them loads none of them.  Units
+with no one candidate structure merge nothing and go to them at once.
+The emitted text is unchanged: the merge is the prover's own
+preprocessing.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ class _Definition(NamedTuple):
     variables: tuple[tuple[int, str], ...]  # (argument position, variable)
     body: Formula
     memo: dict  # the truth per tuple of the variables' values
+    unit: Formula  # the definition `∀X̄ (P(ā) ↔ body)` itself
 
 
 def _value(t, env: dict[str, str]) -> str:
@@ -201,11 +203,11 @@ class ClosedStructure:
     closure's when it is `closed`, else its ground facts.
 
     Raises `_Inapplicable` when the units have no one candidate, and
-    `TimeBudgetExceeded` once the clock passes `deadline`.
+    `TimeBudgetExceeded` once `clock` passes its deadline.
     """
 
-    def __init__(self, units: list[tuple[str, Formula]], deadline: Optional[float] = None):
-        self.clock = Clock(deadline)
+    def __init__(self, units: list[tuple[str, Formula]], clock: Optional[Clock] = None):
+        self.clock = clock or Clock()
         self.clock.check()  # a budget spent before the check answers Timeout
         # each predicate's tuples, in order
         self.tuples: dict[str, dict[tuple[str, ...], None]] = {}
@@ -226,7 +228,12 @@ class ClosedStructure:
         self.patterns: dict[str, tuple[int, ...]] = {}
         self.definitions: dict[str, dict[tuple[str, ...], _Definition]] = {}
         self.checked: list[tuple[str, Formula]] = []  # the units to evaluate
-        definition_units = []
+        # the predicates no merge may touch: with a second pattern, or with
+        # an atom that holds a variable at a pattern position
+        self.unmerged: set[str] = set()
+        # the constants at a defined predicate's pattern positions in its
+        # atoms without a definition
+        self.undefined: dict[str, set[str]] = {}
         for name, f in rest:
             head = _definition_head(f)
             if head is not None and head[0].pred not in self.closed:
@@ -234,13 +241,14 @@ class ClosedStructure:
                 pattern = tuple(i for i, a in enumerate(atom.args) if type(a) is Const)
                 key = tuple(atom.args[i].name for i in pattern)
                 defs = self.definitions.setdefault(atom.pred, {})
-                if self.patterns.setdefault(atom.pred, pattern) == pattern and key not in defs:
+                if self.patterns.setdefault(atom.pred, pattern) != pattern:
+                    self.unmerged.add(atom.pred)
+                elif key not in defs:
                     if self.arity.setdefault(atom.pred, len(atom.args)) != len(atom.args):
                         raise _Inapplicable()  # a predicate at two arities
                     variables = tuple((i, a.name) for i, a in enumerate(atom.args)
                                       if type(a) is Var)
-                    defs[key] = _Definition(variables, body, {})
-                    definition_units.append((atom.pred, key, f))
+                    defs[key] = _Definition(variables, body, {}, f)
                     continue
             self.checked.append((name, f))
         self.elements: dict[str, None] = {}  # the constants, in order of appearance
@@ -250,9 +258,10 @@ class ClosedStructure:
         self.facts: dict[str, dict[tuple[str, ...], None]] = {}  # in order
         self.used: set[str] = set()  # the predicates of the atoms
         self.open_reference = False  # an atom of a defined predicate without definition
-        # a quantifier outside a universal prefix that does not take its
-        # values from a closed predicate or a bound equality
-        self.unguarded = False
+        # the quantifiers outside a universal prefix, each with the
+        # variables bound outside it: each must take its values from a
+        # closed predicate or a bound equality for a failure to refute
+        self.quantifiers: list[tuple[Formula, frozenset]] = []
         # the constants that each $distinct unit or ground ¬(a = b) keeps apart
         self.apart: list[tuple[str, ...]] = []
         self.disjoint: set[tuple[str, str]] = set()  # kinds no element has both of
@@ -266,15 +275,18 @@ class ClosedStructure:
         for pred, facts in self.facts.items():
             if pred not in self.closed and pred not in self.patterns:
                 self.tuples[pred] = facts
-        guards = _Guards(self.closed, self.patterns.keys())
-        for pred, key, f in definition_units:
-            edges[pred, key] = self._scan(f, guards, True)
+        self.guards = _Guards(self.closed, self.patterns.keys())
+        for pred, defs in self.definitions.items():
+            for key, definition in defs.items():
+                edges[pred, key] = self._scan(definition.unit, True)
         for _, f in self.checked:
-            self._scan(f, guards, False)
+            self._scan(f, False)
         if not self.elements:
             self.elements[_FRESH] = None
         self._check_acyclic(edges)
         self.index: dict[tuple, dict] = {}
+        self.merging: set[str] = set()  # the predicates whose definitions merge
+        self.into: dict[tuple, tuple] = {}  # a merged definition -> its target
 
     # --- reading the units ---
 
@@ -293,11 +305,11 @@ class ClosedStructure:
             if len(kinds) == 2:
                 self.disjoint.update((tuple(kinds), tuple(kinds[::-1])))
 
-    def _scan(self, f: Formula, guards: "_Guards", definition: bool) -> list:
+    def _scan(self, f: Formula, definition: bool) -> list:
         """Walk a unit (a definition's body when `definition`): record its
-        constants, predicates and quantifier plans, and return the
-        definitions its atoms refer to.  The universal prefix is the run
-        of `∀` at the root, whose variables need no guard."""
+        constants, predicates and the quantifiers that need a guard, and
+        return the definitions its atoms refer to.  The universal prefix
+        is the run of `∀` at the root, whose variables need no guard."""
         refs = []
         stack = [(f, frozenset(), True)]
         while stack:
@@ -314,11 +326,13 @@ class ClosedStructure:
                     key = tuple(g.args[i].name for i in pattern)
                     if any(type(g.args[i]) is Var for i in pattern):
                         # resolved when evaluated: it may refer to any definition
+                        self.unmerged.add(g.pred)
                         refs.extend((g.pred, k) for k in self.definitions[g.pred])
                     elif key in self.definitions[g.pred]:
                         refs.append((g.pred, key))
                     else:
                         self.open_reference = True
+                        self.undefined.setdefault(g.pred, set()).update(key)
             elif t is Eq:
                 self._terms((g.left, g.right), bound)
             elif t is Distinct:
@@ -331,25 +345,16 @@ class ClosedStructure:
                 stack.extend(((g.left, bound, False), (g.right, bound, False)))
             elif t is Forall or t is Exists:
                 universal = prefix and t is Forall
+                inner = bound.union(g.variables)
                 if definition and universal:
                     head = g.body.left
                     self.used.add(head.pred)
-                    self._terms(head.args, bound | set(g.variables))
-                    stack.append((g.body.right, bound | set(g.variables), False))
+                    self._terms(head.args, inner)
+                    stack.append((g.body.right, inner, False))
                     continue
-                plan = []
-                inner = set(bound)
-                for v in g.variables:
-                    inner.discard(v)
-                for v in g.variables:
-                    self.clock.tick()
-                    source = guards.source(g.body, v, inner, t is Exists)
-                    if not universal and (source is None or _cost(source) >= _UNCLOSED):
-                        self.unguarded = True
-                    plan.append(source)
-                    inner.add(v)
-                self.plans[id(g)] = tuple(plan)
-                stack.append((g.body, frozenset(inner), universal))
+                if not universal:
+                    self.quantifiers.append((g, bound))
+                stack.append((g.body, inner, universal))
             elif t is not TrueF and t is not FalseF:
                 raise _Inapplicable()
         return refs
@@ -364,19 +369,110 @@ class ClosedStructure:
     def _check_acyclic(self, edges: dict) -> None:
         """No definition reaches itself through its references, an atom
         resolved as it is evaluated referring to every definition of its
-        predicate: the candidate is well defined."""
-        for component in components(edges, edges.__getitem__):
+        predicate: the candidate is well defined.  The definitions are
+        kept in `order`, each after those it refers to."""
+        self.order = components(edges, edges.__getitem__)
+        for component in self.order:
             if len(component) > 1 or component[0] in edges[component[0]]:
                 raise _Inapplicable()
+
+    # --- definitions that say the same thing ---
+
+    def merge(self, units: list[tuple[str, Formula]]) -> tuple[list, str]:
+        """Merge each definition `∀X̄ (Q(b̄) ↔ ψ)` whose body says what an
+        earlier one's, `∀X̄ (P(ā) ↔ φ)`, does into it: its entry becomes
+        the earlier one's, so both read one memo, and `rename` turns every
+        atom of Q with b̄'s constants at their positions into one of P with
+        ā's.  Returns `units` without the merged definitions, and "N of M
+        definitions merged", or `units` and "" when none is.
+
+        Two definitions are merged when their predicates have the same
+        arity and pattern (the positions of ā's constants) and their bodies
+        are equal up to the names of bound variables, once each body's head
+        variables are numbered by position and the atoms of definitions
+        already merged are renamed; bodies are compared in dependency
+        order, so each after those it refers to.  A predicate is left as it
+        is when it has two patterns, when one of its atoms holds a variable
+        at a pattern position, or when two of the constants at its pattern
+        positions are not kept apart by a `$distinct` unit or a unit
+        `¬(c = d)`.  Only predicates that share an arity and a pattern, as
+        `hasShape` and `hasShapeB` do in `contains`, are compared.
+
+        Every model of the original units satisfies the merged ones: by
+        induction on the dependency order, Q(·, b̄) and P(·, ā) are the same
+        relation in it.  A model of the merged units is one of the original
+        ones once Q(·, b̄) is read as P(·, ā): no atom left in the merged
+        units tells the two apart, as each holds constants at Q's pattern
+        positions that name other elements than b̄'s.  So the two are
+        equisatisfiable (predicate elimination: Khasidashvili & Korovin,
+        *Predicate Elimination for Preprocessing in First-Order Theorem
+        Proving*, SAT 2016).  Without the constants kept apart the merge
+        could be unsound: with `b = c`, the definitions `q(X, b) ↔ r(X)` and
+        `q(X, c) ↔ ¬r(X)` contradict each other, and merging the first into
+        `p(X, a) ↔ r(X)` would leave a satisfiable rest.  The candidate
+        itself is unchanged, as the merged entries hold where their own
+        definitions do."""
+        shapes = {pred: (self.arity[pred], pattern) for pred, pattern in self.patterns.items()
+                  if pred not in self.unmerged}
+        if len(set(shapes.values())) == len(shapes):
+            return units, ""  # no two predicates share an arity and a pattern
+        shared = Counter(shapes.values())
+        left = [pred for pred, shape in shapes.items() if shared[shape] > 1 and _kept_apart(
+            set(itertools.chain(*self.definitions[pred], self.undefined.get(pred, ()))),
+            self.apart)]
+        shared = Counter(shapes[pred] for pred in left)
+        self.merging = {pred for pred in left if shared[shapes[pred]] > 1}
+        if not self.merging:
+            return units, ""
+        first: dict[tuple, tuple] = {}  # (arity, pattern, canonical body) -> definition
+        dropped = set()  # the ids of the merged definitions' units
+        for (key,) in self.order:
+            pred, constants = key
+            if pred in self.merging:
+                definition = self.definitions[pred][constants]
+                numbers = {v: -1 - i for i, v in definition.variables}
+                canonical = (shapes[pred],
+                             _canonical(definition.body, self.clock, numbers, self.rename))
+                target = first.setdefault(canonical, key)
+                if target is not key:
+                    self.into[key] = target
+                    dropped.add(id(definition.unit))
+                    self.definitions[pred][constants] = self.definitions[target[0]][target[1]]
+        if not self.into:
+            return units, ""
+        return [(name, f) for name, f in units if id(f) not in dropped], \
+            f"{len(self.into)} of {sum(map(len, self.definitions.values()))} definitions merged"
+
+    def rename(self, atom: Atom) -> Atom:
+        """The atom of the definition that the atom's definition was merged
+        into, or the atom itself."""
+        if atom.pred not in self.merging:
+            return atom
+        pattern = self.patterns[atom.pred]
+        target = self.into.get((atom.pred, tuple(atom.args[i].name for i in pattern)))
+        if target is None:
+            return atom
+        head = self.definitions[target[0]][target[1]].unit.body.left
+        args = list(atom.args)
+        for i in pattern:
+            args[i] = head.args[i]
+        return Atom(target[0], tuple(args))
 
     # --- the soundness conditions of a failure ---
 
     def exact(self) -> bool:
         """Whether every model agrees with the candidate on every unit,
         so that a failing unit refutes the problem."""
-        return not self.unguarded and not self.open_reference \
+        return not self.open_reference \
             and _kept_apart(self.elements.keys(), self.apart) \
-            and all(map(self._fixed, self.used))
+            and all(map(self._fixed, self.used)) and not self.unguarded()
+
+    def unguarded(self) -> bool:
+        """Whether a quantifier outside a unit's universal prefix takes its
+        values neither from a closed predicate nor from an equality with a
+        bound term; those evaluation has not reached are planned here."""
+        return any(source is None or _cost(source) >= _UNCLOSED
+                   for g, bound in self.quantifiers for source in self._plan(g, bound))
 
     def _fixed(self, pred: str) -> bool:
         """Whether every model interprets the predicate as the candidate
@@ -394,6 +490,20 @@ class ClosedStructure:
                    for c in self.elements)
 
     # --- evaluation ---
+
+    def evaluate(self) -> Optional[ProverResult]:
+        """Satisfiable when the candidate satisfies every unit,
+        Unsatisfiable when it fails one on which every model agrees with
+        it, and None otherwise."""
+        kind = "closed" if self.closed else "facts-only"
+        procedure = f"{kind} structure of {len(self.elements)} elements"
+        for name, f in self.checked:
+            for env in self.failures(f):
+                if not self.exact() or _FRESH in env.values():
+                    return None
+                at = " at " + ", ".join(f"{v} = {c}" for v, c in env.items()) if env else ""
+                return ProverResult("Unsatisfiable", f"{procedure}; fails {name}{at}")
+        return ProverResult("Satisfiable", procedure)
 
     def failures(self, f: Formula) -> Iterator[dict[str, str]]:
         """The bindings of the unit's outermost `∀` at which it fails, or
@@ -502,7 +612,7 @@ class ClosedStructure:
         allows, each variable's values looked up once the variables
         before it are bound.  One dict is yielded each time, changed in
         place: read it before asking for the next."""
-        names, plan = f.variables, self.plans[id(f)]
+        names, plan = f.variables, self.plans.get(id(f)) or self._plan(f, env.keys())
         env = dict(env)
         last = len(names) - 1
         iters = [self._values(plan[0], env)]
@@ -518,6 +628,21 @@ class ClosedStructure:
                 yield env
             else:
                 iters.append(self._values(plan[k + 1], env))
+
+    def _plan(self, f, bound: AbstractSet[str]) -> tuple:
+        """The quantifier's plan, made the first time it is asked: each
+        variable's guard, given the variables `bound` outside it and the
+        quantifier's variables before it."""
+        plan = self.plans.get(id(f))
+        if plan is None:
+            inner = set(bound).difference(f.variables)
+            plan = []
+            for v in f.variables:
+                self.clock.tick()
+                plan.append(self.guards.source(f.body, v, inner, type(f) is Exists))
+                inner.add(v)
+            plan = self.plans[id(f)] = tuple(plan)
+        return plan
 
     def _values(self, source, env: dict[str, str]):
         if source is None:
@@ -673,27 +798,10 @@ def check(units: list[tuple[str, Formula]],
     Unsatisfiable when it fails one on which every model agrees with it,
     and None otherwise or when the units allow no one candidate.  Raises
     `TimeBudgetExceeded` once the clock passes `deadline`."""
-    # the check makes no reference cycles, so the cycle collector is paused
-    # while it runs: the full passes that a large problem's plans set off
-    # would each walk the whole heap, the problem's units included
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        structure = ClosedStructure(units, deadline)
-        kind = "closed" if structure.closed else "facts-only"
-        procedure = f"{kind} structure of {len(structure.elements)} elements"
-        for name, f in structure.checked:
-            for env in structure.failures(f):
-                if not structure.exact() or _FRESH in env.values():
-                    return None
-                at = " at " + ", ".join(f"{v} = {c}" for v, c in env.items()) if env else ""
-                return ProverResult("Unsatisfiable", f"{procedure}; fails {name}{at}")
-        return ProverResult("Satisfiable", procedure)
+        return ClosedStructure(units, Clock(deadline)).evaluate()
     except _Inapplicable:
         return None
-    finally:
-        if collecting:
-            gc.enable()
 
 
 class ProverResult(Record):
@@ -719,18 +827,6 @@ def _parts(f: Formula) -> tuple:
     if t is Forall or t is Exists:
         return (f.body,)
     return ()
-
-
-def _atoms(f: Formula, clock: Clock) -> Iterator[Atom]:
-    """The atoms of a formula, on an explicit stack."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        clock.tick()
-        if type(g) is Atom:
-            yield g
-        else:
-            stack.extend(_parts(g))
 
 
 def _canonical(f: Formula, clock: Clock, numbers: Optional[dict] = None,
@@ -815,142 +911,12 @@ def _rewritten(f: Formula, rename, clock: Clock) -> Formula:
     return done[id(f)]
 
 
-def _merge(named: list[tuple[str, Formula]], clock: Clock):
-    """The units with each definition `∀X̄ (Q(b̄) ↔ ψ)` whose body says what
-    an earlier one's, `∀X̄ (P(ā) ↔ φ)`, does merged into it: its unit is
-    dropped and every atom of Q with b̄'s constants at their positions
-    becomes one of P with ā's.  Returns the units and "N of M definitions
-    merged", or "" when none is.
-
-    The definitions are read as `check` reads them, the first per
-    predicate and constants.  Two are merged when their predicates have
-    the same arity and pattern (the positions of ā's constants) and their
-    bodies are equal up to the names of bound variables, once each body's
-    head variables are numbered by position and the atoms of definitions
-    already merged are mapped to the ones they were merged into; bodies
-    are compared in dependency order, so each body after those it refers
-    to.  A predicate is left as it is when it has two arities or
-    patterns, when one of its atoms holds a variable at a pattern
-    position, or when two of the constants at its pattern positions are
-    not kept apart by a `$distinct` unit or a unit `¬(c = d)`; and
-    definitions that refer to each other in a cycle leave every unit as
-    it is.  Merging runs only when two defined predicates share an arity
-    and a pattern, as `contains` has in `hasShape` and `hasShapeB`; a
-    problem with one defined predicate, such as `sat` or a validation
-    without a zero-or-more path, is passed on at the cost of a type check
-    per unit.
-
-    Every model of the original units satisfies the new ones: by
-    induction on the dependency order, Q(·, b̄) and P(·, ā) are the same
-    relation in it.  A model of the new units is one of the original ones
-    once Q(·, b̄) is read as P(·, ā): no atom left in the new units tells
-    the two apart, as each holds constants at Q's pattern positions that
-    name other elements than b̄'s.  So the two are equisatisfiable
-    (predicate elimination: Khasidashvili & Korovin, *Predicate
-    Elimination for Preprocessing in First-Order Theorem Proving*, SAT
-    2016).  Without the constants kept apart the merge could be unsound:
-    with `b = c`, the definitions `q(X, b) ↔ r(X)` and `q(X, c) ↔ ¬r(X)`
-    contradict each other, and merging the first into `p(X, a) ↔ r(X)`
-    would leave a satisfiable rest."""
-    if len({f.body.left.pred for _, f in named if type(f) is Forall and type(f.body) is Iff
-            and type(f.body.left) is Atom}) < 2:
-        return named, ""  # at most one predicate is defined
-    shapes: dict[str, tuple] = {}  # a defined predicate's arity and pattern
-    definitions: dict[tuple, tuple[int, Atom, Formula]] = {}  # (pred, constants) -> unit
-    apart: set[str] = set()  # the predicates left as they are
-    for i, (_, f) in enumerate(named):
-        head = _definition_head(f)
-        if head is None:
-            continue
-        atom, body = head
-        pattern = tuple(j for j, a in enumerate(atom.args) if type(a) is Const)
-        shape = (len(atom.args), pattern)
-        if shapes.setdefault(atom.pred, shape) != shape:
-            apart.add(atom.pred)
-        else:
-            definitions.setdefault((atom.pred, tuple(atom.args[j].name for j in pattern)),
-                                   (i, atom, body))
-    if len(set(shapes.values())) == len(shapes):
-        return named, ""
-    keys: dict[str, list[tuple]] = {}  # each predicate's definitions
-    keyed: dict[str, set[str]] = {pred: set() for pred in shapes}  # constants at its pattern
-    for key in definitions:
-        keys.setdefault(key[0], []).append(key)
-        keyed[key[0]].update(key[1])
-
-    def refers(f: Formula) -> list[tuple]:
-        """The definitions the atoms of `f` refer to.  An atom that holds a
-        variable at a pattern position, or has another arity, leaves its
-        predicate as it is, and refers to each of its definitions."""
-        out = []
-        for atom in _atoms(f, clock):
-            shape = shapes.get(atom.pred)
-            if shape is None:
-                continue
-            if len(atom.args) != shape[0] or any(type(atom.args[j]) is not Const
-                                                 for j in shape[1]):
-                apart.add(atom.pred)
-                out.extend(keys.get(atom.pred, ()))
-            else:
-                ref = (atom.pred, tuple(atom.args[j].name for j in shape[1]))
-                keyed[atom.pred].update(ref[1])
-                if ref in definitions:
-                    out.append(ref)
-        return out
-
-    defining = {i: key for key, (i, _, _) in definitions.items()}
-    refs: dict[tuple, list[tuple]] = {}
-    groups = []  # the constants each $distinct or ¬(c = d) unit keeps apart
-    for i, (_, f) in enumerate(named):
-        key = defining.get(i)
-        if key is not None:
-            refs[key] = refers(definitions[key][2])
-            continue
-        refers(f)
-        if type(f) is Distinct or type(f) is NotN and type(f.operand) is Eq:
-            groups.append(_apart(f))
-    order = components(definitions, refs.__getitem__)
-    if any(len(c) > 1 or c[0] in refs[c[0]] for c in order):
-        return named, ""
-    left = [pred for pred in shapes if pred not in apart and _kept_apart(keyed[pred], groups)]
-    group = Counter(shapes[pred] for pred in left)
-    merging = {pred for pred in left if group[shapes[pred]] > 1}
-
-    def rename(atom: Atom) -> Atom:
-        if atom.pred not in merging:
-            return atom
-        pattern = shapes[atom.pred][1]
-        target = into.get((atom.pred, tuple(atom.args[j].name for j in pattern)))
-        if target is None:
-            return atom
-        args = list(atom.args)
-        head = definitions[target][1]
-        for j in pattern:
-            args[j] = head.args[j]
-        return Atom(target[0], tuple(args))
-
-    into: dict[tuple, tuple] = {}  # a merged definition -> the one it is merged into
-    first: dict[tuple, tuple] = {}  # (arity, pattern, canonical body) -> definition
-    for (key,) in order:
-        if key[0] in merging:
-            _, atom, body = definitions[key]
-            numbers = {a.name: -1 - j for j, a in enumerate(atom.args) if type(a) is Var}
-            canonical = (shapes[key[0]], _canonical(body, clock, numbers, rename))
-            target = first.setdefault(canonical, key)
-            if target is not key:
-                into[key] = target
-    if not into:
-        return named, ""
-    dropped = {definitions[key][0] for key in into}
-    return [(name, _rewritten(f, rename, clock)) for i, (name, f) in enumerate(named)
-            if i not in dropped], f"{len(into)} of {len(definitions)} definitions merged"
-
-
-def _denial(named: list[tuple[str, Formula]], clock: Clock) -> Optional[str]:
+def _denial(named: list[tuple[str, Formula]], clock: Clock, rename=None) -> Optional[str]:
     """How the units contradict each other at once, or None: one is
     `$false`, or one is `¬ψ` and each conjunct of ψ (ψ itself when it is
-    no conjunction) is a unit, up to the names of bound variables.  A
-    unit whose conjuncts are of no kind that a unit is costs a type check."""
+    no conjunction) is a unit, up to the names of bound variables and,
+    with `rename`, once each atom is renamed by it.  A unit whose
+    conjuncts are of no kind that a unit is costs a type check."""
     present = set()  # the kinds of the units
     for name, f in named:
         if type(f) is FalseF:
@@ -974,24 +940,28 @@ def _denial(named: list[tuple[str, Formula]], clock: Clock) -> Optional[str]:
     if not denials:
         return None
     wanted = {type(c) for _, conjuncts in denials for c in conjuncts}
-    asserted = {_canonical(f, clock) for _, f in named if type(f) in wanted}
+    asserted = {_canonical(f, clock, rename=rename) for _, f in named if type(f) in wanted}
     for name, conjuncts in denials:
-        if all(_canonical(c, clock) in asserted for c in conjuncts):
+        if all(_canonical(c, clock, rename=rename) in asserted for c in conjuncts):
             return f"{name} denies asserted units"
     return None
 
 
 def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverResult:
-    """Decide a problem given as its units.  Definitions that say the same
-    thing are merged (`_merge`); a merged unit that is `$false` or denies
-    asserted units refutes the problem (`_denial`); otherwise the merged
-    units are decided on their one candidate structure (`check`), and when
-    that gives no answer, by `miniprover.decide_clauses` on their clauses,
-    in the time `clausify` leaves.  The clausal procedures are imported
-    only then.  The detail counts the merged definitions, if any."""
-    deadline = time.monotonic() + timeout_s
-    # the units are read, merged and checked with the collector paused, as
-    # `check` pauses it: none of it makes a reference cycle
+    """Decide a problem given as its units.  They are read once, into
+    their candidate structure, which merges the definitions that say the
+    same thing (`ClosedStructure.merge`); a merged unit that is `$false`
+    or denies asserted units refutes the problem (`_denial`); otherwise
+    the structure is evaluated, and when that gives no answer, or the
+    units have no one candidate, the merged units are decided by
+    `miniprover.decide_clauses` on their clauses, in the time `clausify`
+    leaves.  The clausal procedures are imported only then.  The detail
+    counts the merged definitions, if any."""
+    clock = Clock(time.monotonic() + timeout_s)
+    # the units are read, merged and evaluated with the cycle collector
+    # paused: none of it makes a reference cycle, and the full passes that
+    # a large problem's plans set off would each walk the whole heap, the
+    # problem's units included
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -1000,24 +970,36 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
                      if u.role in ("axiom", "hypothesis", "definition")]
             conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
             named.extend(conjectures)
-            clock = Clock(deadline)
-            named, merged = _merge(named, clock)
-            denial = _denial(named, clock)
-            result = check(named, deadline) if denial is None \
-                else ProverResult("Unsatisfiable", denial)
+            try:
+                structure = ClosedStructure(named, clock)
+            except _Inapplicable:
+                structure, merged = None, ""
+            else:
+                named, merged = structure.merge(named)
+            rename = structure.rename if merged else None
+            denial = _denial(named, clock, rename)
+            if denial is not None:
+                result = ProverResult("Unsatisfiable", denial)
+            else:
+                result = None if structure is None else structure.evaluate()
         finally:
             if collecting:
                 gc.enable()
         if result is None:
             from . import miniprover
 
+            if rename is not None:
+                named = [(name, _rewritten(f, rename, clock)) for name, f in named]
+            # freed before the clausal procedures, whose collections would
+            # otherwise walk it
+            structure = rename = None
             # called through `miniprover`, where perfbench/tracing.py wraps them
-            clauses = miniprover.clausify([f for _, f in named], deadline)
+            clauses = miniprover.clausify([f for _, f in named], clock.deadline)
     except TimeBudgetExceeded:
         return ProverResult("Timeout")
     if result is None:
         result = miniprover.decide_clauses(
-            clauses, timeout_s=max(0.0, deadline - time.monotonic()))
+            clauses, timeout_s=max(0.0, clock.deadline - time.monotonic()))
     status, detail = result.status, "; ".join(filter(None, (merged, result.detail)))
     if conjectures and status in ("Satisfiable", "Unsatisfiable"):
         status = "CounterSatisfiable" if status == "Satisfiable" else "Theorem"

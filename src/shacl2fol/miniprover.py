@@ -3,12 +3,12 @@ procedures.
 
 `closed_structure.decide_units` decides a problem's units as the emitter
 builds them (the integrated prover), and `decide_tptp_text` its text,
-parsed first (the command line).  The units' one candidate structure is
-checked first (`closed_structure.check`): a validation problem, whose
-closures, kinds, unique names and definitions fix every predicate, is
-decided there, before anything is clausified, and this module is not
-loaded; so is a `sat` or `contains` problem whose answer the structure
-of its own facts gives.  When the check gives no answer,
+parsed first (the command line).  The units' one candidate structure
+(`closed_structure.ClosedStructure`) is checked first: a validation
+problem, whose closures, kinds, unique names and definitions fix every
+predicate, is decided there, before anything is clausified, and this
+module is not loaded; so is a `sat` or `contains` problem whose answer
+the structure of its own facts gives.  When the check gives no answer,
 `decide_clauses` runs two sound, incomplete procedures over the clausal
 form:
 

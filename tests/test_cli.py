@@ -596,6 +596,19 @@ class TestRejectedInput:
         assert code == 64
         assert EX_NOPE in capsys.readouterr().err
 
+    @pytest.mark.parametrize("listed", [",", " , ,"])
+    def test_strong_sat_naming_no_shape_is_a_usage_error(self, tmp_path, capsys, listed):
+        # a list of no IRI is not the bare flag, which selects every shape
+        # and finds `sh:in ()` unsatisfiable
+        empty_in = tmp_path / "empty_in.ttl"
+        empty_in.write_text(PREFIX + "ex:S sh:in () .\n")
+        assert cli.main(["sat", str(empty_in), "--strong-sat", *BUILTIN]) == 1
+        capsys.readouterr()
+        assert cli.main(["sat", str(empty_in), f"--strong-sat={listed}", *BUILTIN]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"shacl2fol: --strong-sat: {listed!r} names no shape"]
+
 
 # what a bare interpreter has loaded before the request is left out, so a
 # site hook that imports one of the checked modules cannot fail the test

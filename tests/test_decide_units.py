@@ -203,8 +203,8 @@ def test_a_40000_member_validation_is_decided_within_its_budget():
 def test_a_budget_spent_in_clausify_answers_timeout(monkeypatch, sequence_40000):
     """A deadline that passes while the units are clausified answers
     Timeout: the exception stops there, and no procedure runs.  The
-    check is stubbed to give no answer, so that clausify is the pass
-    the clock cuts."""
+    candidate structure is stubbed to be inapplicable, so that nothing is
+    read, merged or evaluated before clausify, the pass the clock cuts."""
     cut = []
     clausify = miniprover.clausify
 
@@ -215,7 +215,10 @@ def test_a_budget_spent_in_clausify_answers_timeout(monkeypatch, sequence_40000)
             cut.append(deadline)
             raise
 
-    monkeypatch.setattr(closed_structure, "check", lambda units, deadline=None: None)
+    def inapplicable(units, clock=None):
+        raise closed_structure._Inapplicable()
+
+    monkeypatch.setattr(closed_structure, "ClosedStructure", inapplicable)
     monkeypatch.setattr(miniprover, "clausify", watched)
     monkeypatch.setattr(miniprover, "decide_clauses", None)  # not to be called
     assert closed_structure.decide_units(sequence_40000, timeout_s=0).status == "Timeout"

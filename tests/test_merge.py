@@ -7,13 +7,14 @@ the clausal procedures, and is answered as the unmerged problem is."""
 
 import re
 import time
+from collections import Counter
 
 import pytest
 
 from conftest import load_graph, load_shapes, not_chain, shape_family
 from corpus import CASES
 from shacl2fol import closed_structure, miniprover
-from shacl2fol.closed_structure import _merge
+from shacl2fol.closed_structure import ClosedStructure
 from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, build_problem, run_task
 from shacl2fol.errors import Clock
 from shacl2fol.fol import AndN, Atom, Const, Exists, Forall, Func, Iff, Var
@@ -22,6 +23,17 @@ from test_closed_structure import NODE_CHAIN, WIDE_AND, named
 
 EX = "http://example.org/"
 DENIES = "neg_targets_b denies asserted units"
+
+
+def _merge(units):
+    """The units without the merged definitions, and the detail of the
+    merge, as `decide_units` reads them: units with no one candidate
+    structure merge nothing."""
+    try:
+        structure = ClosedStructure(units)
+    except closed_structure._Inapplicable:
+        return units, ""
+    return structure.merge(units)
 
 
 def _task(a: str, b: str, timeout: float = 10) -> DecisionTask:
@@ -98,13 +110,66 @@ def _referencing(text: str, i: int) -> set[int]:
 def test_one_edit_merges_every_shape_but_it_and_those_that_reference_it(n, i):
     family = shape_family(n)
     units = named(build_problem(_task(family, _raised(family, i))).formulas)
-    merged_units, merged = _merge(units, Clock())
+    merged_units, merged = _merge(units)
     left = {f.body.left.args[1].name for _, f in merged_units
             if type(f) is Forall and type(f.body) is Iff and f.body.left.pred == "hasShapeB"}
     unmerged = {f"{EX}S{k}" for k in _referencing(family, i)}
     assert 1 < len(unmerged) < n or i == n - 1
     assert left == unmerged
     assert merged == f"{n - len(unmerged)} of {2 * n} definitions merged"
+
+
+@pytest.mark.parametrize("edited", [False, True], ids=["self", "one_edit"])
+def test_each_unit_is_read_once(edited, monkeypatch):
+    # the structure reads each unit's definition head once, and the merge
+    # works on the tables that reading built
+    family = shape_family(30)
+    units = build_problem(_task(family, _raised(family, 29) if edited else family)).formulas
+    reads = Counter()
+    head = closed_structure._definition_head
+
+    def counted(f):
+        reads[id(f)] += 1
+        return head(f)
+
+    monkeypatch.setattr(closed_structure, "_definition_head", counted)
+    got = closed_structure.decide_units(units, timeout_s=0.3)
+    assert got.detail.startswith("29 of 60 definitions merged" if edited else "30 of 60")
+    assert reads and max(reads.values()) == 1
+
+
+def _atoms(f):
+    """The atoms of a formula."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Atom:
+            yield g
+        else:
+            stack.extend(closed_structure._parts(g))
+
+
+def test_the_clauses_hold_no_merged_atom(monkeypatch):
+    # the clausal procedures get the merged units: B's shapes but the
+    # edited one and those that reach it by sh:node are gone, definitions
+    # and atoms both
+    family = shape_family(4)
+    units = build_problem(_task(family, _raised(family, 1))).formulas
+    clausify, received = miniprover.clausify, []
+
+    def watched(formulas, deadline=None):
+        received.extend(formulas)
+        return clausify(formulas, deadline)
+
+    monkeypatch.setattr(miniprover, "clausify", watched)
+    got = closed_structure.decide_units(units, timeout_s=0.3)
+    assert got.detail.startswith("1 of 8 definitions merged")
+    shapes_b = {atom.args[1].name for f in received for atom in _atoms(f)
+                if atom.pred == "hasShapeB"}
+    defined_b = {f.body.left.args[1].name for f in received
+                 if type(f) is Forall and type(f.body) is Iff and f.body.left.pred == "hasShapeB"}
+    assert shapes_b == defined_b == {f"{EX}S{k}" for k in _referencing(family, 1)} \
+        == {f"{EX}S{k}" for k in (1, 2, 3)}
 
 
 DEFINITIONS = """
@@ -120,7 +185,7 @@ def test_a_predicate_with_a_variable_at_its_key_is_never_merged(use):
     # merging r(·, b) into p(·, a) would leave `r(c, Y)` free at b, and the
     # problem is unsatisfiable, as r(c, b) holds
     units = named(parse_tptp(DEFINITIONS + f"fof(u, axiom, {use}).\n"))
-    assert _merge(units, Clock()) == (units, "")
+    assert _merge(units) == (units, "")
     if "Y" in use:
         assert miniprover.decide_tptp_text(DEFINITIONS + f"fof(u, axiom, {use}).\n",
                                            timeout_s=10).status == "Unsatisfiable"
@@ -146,7 +211,7 @@ def test_keys_that_may_name_one_element_are_never_merged(text, status):
     # merging q(·, b) into p(·, a) and dropping its definition would leave
     # a satisfiable rest
     units = named(parse_tptp(text))
-    assert _merge(units, Clock()) == (units, "")
+    assert _merge(units) == (units, "")
     got = miniprover.decide_tptp_text(text, timeout_s=10)
     assert got.status == status and "merged" not in got.detail
 
@@ -155,7 +220,7 @@ def test_keys_that_may_name_one_element_are_never_merged(text, status):
                          ids=["unequal", "distinct"])
 def test_keys_kept_apart_merge(apart):
     text = COINCIDING + apart + "\n"
-    merged_units, merged = _merge(named(parse_tptp(text)), Clock())
+    merged_units, merged = _merge(named(parse_tptp(text)))
     assert merged == "1 of 3 definitions merged"
     assert [name for name, _ in merged_units] == ["d_p", "d_q2", "u"]
     assert miniprover.decide_tptp_text(text, timeout_s=10).status == "Satisfiable"
@@ -164,7 +229,7 @@ def test_keys_kept_apart_merge(apart):
 def test_constants_at_every_key_merge():
     text = DEFINITIONS + "fof(u, axiom, ~r(c, b)).\n"
     units = named(parse_tptp(text))
-    merged_units, merged = _merge(units, Clock())
+    merged_units, merged = _merge(units)
     assert merged == "1 of 2 definitions merged"
     assert [name for name, _ in merged_units] == ["d_p", "q_c", "u"]
     got = miniprover.decide_tptp_text(text, timeout_s=10)
@@ -199,7 +264,7 @@ def test_definitions_in_a_cycle_merge_nothing():
     text = ("fof(d_p, axiom, ![X]: (p(X, a) <=> r(X, b))).\n"
             "fof(d_r, axiom, ![X]: (r(X, b) <=> p(X, a))).\n")
     units = named(parse_tptp(text))
-    assert _merge(units, Clock()) == (units, "")
+    assert _merge(units) == (units, "")
 
 
 X, Y, Z, W = Var("X"), Var("Y"), Var("Z"), Var("W")
