@@ -58,34 +58,24 @@ The module evaluates first-order formulas; it knows nothing of shapes or
 RDF, so the oracle stays an independent cross-check.
 
 `decide_units` is the built-in prover's one entry point.  It reads the
-units once, into their candidate structure, which then merges the
-definitions that say the same thing on the tables it has built
-(`ClosedStructure.merge`): two definitions whose predicates share an
-arity and a pattern merge when their bodies are equal up to the names
-of bound variables, compared in dependency order with the atoms of
-definitions already merged renamed to the ones they were merged into,
-`hasShapeB(·, s)` to `hasShape(·, s)`.  The later one's unit is dropped
-and its entry becomes the earlier one's.  A predicate is merged only
-when a `$distinct` unit or units `¬(c = d)` keep the constants at its
-pattern positions apart, as the unique-name axioms of every emitted
-problem do.  Then a merged unit that is `$false`, or that is `¬ψ` with
-every conjunct of ψ a merged unit up to bound-variable names, refutes
-the problem at once (`_denial`): so `contains A A` and B with dropped
-targets are decided before any quantifier is planned or any clause
-built.  Otherwise the structure is evaluated and, only when that gives
-no answer, the units are rewritten by the merge and the clausal
-procedures (`miniprover`, `clausify`, `sat`) are loaded and run in the
-time left.  So a problem decided before them loads none of them.  Units
-with no one candidate structure merge nothing and go to them at once.
-The emitted text is unchanged: the merge is the prover's own
-preprocessing.
+units once into their candidate structure, which merges the definitions
+that say the same thing (`ClosedStructure.merge`); when the merge leaves
+two apart at one key, `entailment`, loaded only then, records which
+entail which.  A unit that is `$false`, or `¬ψ` with each conjunct of ψ,
+or a strengthening of it through those entailments, a unit up to
+bound-variable names, refutes the problem at once (`_denial`): so
+`contains A A`, B with dropped targets and B weakening A are decided
+before any quantifier is planned.  Otherwise the structure is evaluated,
+and only when that gives no answer are the clausal procedures
+(`miniprover`, `clausify`, `sat`) loaded and run on the merged units, or
+at once on units with no one candidate structure.  The emitted text is
+unchanged: these steps are the prover's own preprocessing.
 """
 
 from __future__ import annotations
 
 import gc
 import itertools
-import operator
 import time
 from collections import Counter
 from typing import AbstractSet, Iterator, NamedTuple, Optional
@@ -386,17 +376,15 @@ class ClosedStructure:
         ā's.  Returns `units` without the merged definitions, and "N of M
         definitions merged", or `units` and "" when none is.
 
-        Two definitions are merged when their predicates have the same
-        arity and pattern (the positions of ā's constants) and their bodies
-        are equal up to the names of bound variables, once each body's head
-        variables are numbered by position and the atoms of definitions
-        already merged are renamed; bodies are compared in dependency
-        order, so each after those it refers to.  A predicate is left as it
-        is when it has two patterns, when one of its atoms holds a variable
-        at a pattern position, or when two of the constants at its pattern
-        positions are not kept apart by a `$distinct` unit or a unit
-        `¬(c = d)`.  Only predicates that share an arity and a pattern, as
-        `hasShape` and `hasShapeB` do in `contains`, are compared.
+        Two definitions merge when their predicates share an arity and a
+        pattern (the positions of ā's constants), as `hasShape` and
+        `hasShapeB` do in `contains`, and their bodies are equal up to the
+        names of bound variables, the head variables numbered by position
+        and the atoms of definitions already merged renamed, compared in
+        dependency order.  A predicate with two patterns, with an atom that
+        holds a variable at a pattern position, or with two constants at
+        its pattern positions that no `$distinct` unit or unit `¬(c = d)`
+        keeps apart, is left as it is.
 
         Every model of the original units satisfies the merged ones: by
         induction on the dependency order, Q(·, b̄) and P(·, ā) are the same
@@ -414,10 +402,9 @@ class ClosedStructure:
         definitions do."""
         shapes = {pred: (self.arity[pred], pattern) for pred, pattern in self.patterns.items()
                   if pred not in self.unmerged}
-        if len(set(shapes.values())) == len(shapes):
-            return units, ""  # no two predicates share an arity and a pattern
         shared = Counter(shapes.values())
-        left = [pred for pred, shape in shapes.items() if shared[shape] > 1 and _kept_apart(
+        self.shared = [pred for pred, shape in shapes.items() if shared[shape] > 1]
+        left = [pred for pred in self.shared if _kept_apart(
             set(itertools.chain(*self.definitions[pred], self.undefined.get(pred, ()))),
             self.apart)]
         shared = Counter(shapes[pred] for pred in left)
@@ -442,6 +429,13 @@ class ClosedStructure:
             return units, ""
         return [(name, f) for name, f in units if id(f) not in dropped], \
             f"{len(self.into)} of {sum(map(len, self.definitions.values()))} definitions merged"
+
+    def left_apart(self) -> bool:
+        """Whether the merge left apart two definitions at one key of
+        predicates that share an arity and a pattern."""
+        first: dict[tuple, _Definition] = {}
+        return any(first.setdefault((self.arity[p], self.patterns[p], key), d) is not d
+                   for p in self.shared for key, d in self.definitions[p].items())
 
     def rename(self, atom: Atom) -> Atom:
         """The atom of the definition that the atom's definition was merged
@@ -883,40 +877,13 @@ def _canonical(f: Formula, clock: Clock, numbers: Optional[dict] = None,
     return tuple(out)
 
 
-def _rewritten(f: Formula, rename, clock: Clock) -> Formula:
-    """`f` with each atom replaced by its image under `rename`; a
-    subformula with no changed atom is kept, the same object."""
-    done: dict[int, Formula] = {}  # id of a subformula -> its image
-    stack = [(f, False)]
-    while stack:
-        g, ready = stack.pop()
-        clock.tick()
-        parts = _parts(g)
-        if not parts:
-            done[id(g)] = rename(g) if type(g) is Atom else g
-        elif not ready:
-            stack.append((g, True))
-            stack.extend((h, False) for h in parts if id(h) not in done)
-        else:
-            new = [done[id(h)] for h in parts]
-            t = type(g)
-            if all(map(operator.is_, new, parts)):
-                done[id(g)] = g
-            elif t is AndN or t is OrN:
-                done[id(g)] = t(tuple(new))
-            elif t is Forall or t is Exists:
-                done[id(g)] = t(g.variables, new[0])
-            else:
-                done[id(g)] = t(*new)  # NotN, Implies, Iff
-    return done[id(f)]
-
-
-def _denial(named: list[tuple[str, Formula]], clock: Clock, rename=None) -> Optional[str]:
+def _denial(named: list[tuple[str, Formula]], clock: Clock, rename=None,
+            strengthened=None) -> Optional[str]:
     """How the units contradict each other at once, or None: one is
     `$false`, or one is `¬ψ` and each conjunct of ψ (ψ itself when it is
-    no conjunction) is a unit, up to the names of bound variables and,
-    with `rename`, once each atom is renamed by it.  A unit whose
-    conjuncts are of no kind that a unit is costs a type check."""
+    no conjunction) is a unit, up to bound-variable names, once each atom
+    is renamed by `rename` or by one of the renamings `strengthened` gives
+    it.  A unit whose conjuncts are of no kind a unit is costs a type check."""
     present = set()  # the kinds of the units
     for name, f in named:
         if type(f) is FalseF:
@@ -942,26 +909,24 @@ def _denial(named: list[tuple[str, Formula]], clock: Clock, rename=None) -> Opti
     wanted = {type(c) for _, conjuncts in denials for c in conjuncts}
     asserted = {_canonical(f, clock, rename=rename) for _, f in named if type(f) in wanted}
     for name, conjuncts in denials:
-        if all(_canonical(c, clock, rename=rename) in asserted for c in conjuncts):
+        if all(any(_canonical(c, clock, rename=r) in asserted
+                   for r in (rename, *(strengthened(c) if strengthened else ())))
+               for c in conjuncts):
             return f"{name} denies asserted units"
     return None
 
 
 def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverResult:
-    """Decide a problem given as its units.  They are read once, into
-    their candidate structure, which merges the definitions that say the
-    same thing (`ClosedStructure.merge`); a merged unit that is `$false`
-    or denies asserted units refutes the problem (`_denial`); otherwise
-    the structure is evaluated, and when that gives no answer, or the
-    units have no one candidate, the merged units are decided by
-    `miniprover.decide_clauses` on their clauses, in the time `clausify`
-    leaves.  The clausal procedures are imported only then.  The detail
-    counts the merged definitions, if any."""
+    """Decide a problem given as its units: read once into their candidate
+    structure, merged (`ClosedStructure.merge`), their entailments found
+    when the merge leaves definitions apart (`entailment.entailed`), then
+    refuted by a denial (`_denial`), decided by the structure, or, failing
+    those, clausified and decided by `miniprover.decide_clauses` in the
+    time left.  The detail counts the merges and the entailments."""
     clock = Clock(time.monotonic() + timeout_s)
     # the units are read, merged and evaluated with the cycle collector
-    # paused: none of it makes a reference cycle, and the full passes that
-    # a large problem's plans set off would each walk the whole heap, the
-    # problem's units included
+    # paused: none of it makes a reference cycle, and the full passes a
+    # large problem's plans set off would walk the whole heap, units included
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -977,9 +942,15 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
             else:
                 named, merged = structure.merge(named)
             rename = structure.rename if merged else None
-            denial = _denial(named, clock, rename)
+            found = None
+            if structure is not None and structure.left_apart():
+                from . import entailment
+
+                found = entailment.entailed(structure, clock)
+            denial = _denial(named, clock, rename, found and found.strengthened)
             if denial is not None:
-                result = ProverResult("Unsatisfiable", denial)
+                entailed = found and found.detail()
+                result = ProverResult("Unsatisfiable", "; ".join(filter(None, (entailed, denial))))
             else:
                 result = None if structure is None else structure.evaluate()
         finally:
@@ -989,10 +960,10 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
             from . import miniprover
 
             if rename is not None:
-                named = [(name, _rewritten(f, rename, clock)) for name, f in named]
+                named = [(name, miniprover.rewritten(f, rename, clock)) for name, f in named]
             # freed before the clausal procedures, whose collections would
             # otherwise walk it
-            structure = rename = None
+            structure = rename = found = None
             # called through `miniprover`, where perfbench/tracing.py wraps them
             clauses = miniprover.clausify([f for _, f in named], clock.deadline)
     except TimeBudgetExceeded:

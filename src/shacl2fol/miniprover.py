@@ -59,13 +59,45 @@ from typing import Iterator, NamedTuple, Optional
 from . import closed_structure, sat
 # `closed_structure.decide_units` calls `clausify` through this module
 from .clausify import DISTINCT, EQ, Clause, Literal, clausify, term_vars
-from .closed_structure import ProverResult
-from .fol import Const, Func, Term, Var
+from .closed_structure import ProverResult, _parts
+from .fol import AndN, Atom, Const, Exists, Forall, Formula, Func, OrN, Term, Var
+
+
+# --- the merged units -------------------------------------------------------
+
+def rewritten(f: Formula, rename, clock: sat.Clock) -> Formula:
+    """`f` with each atom replaced by its image under `rename`, the
+    merge's renaming of a unit before it is clausified; a subformula with
+    no changed atom is kept, the same object."""
+    done: dict[int, Formula] = {}  # id of a subformula -> its image
+    stack = [(f, False)]
+    while stack:
+        g, ready = stack.pop()
+        clock.tick()
+        parts = _parts(g)
+        if not parts:
+            done[id(g)] = rename(g) if type(g) is Atom else g
+        elif not ready:
+            stack.append((g, True))
+            stack.extend((h, False) for h in parts if id(h) not in done)
+        else:
+            new = [done[id(h)] for h in parts]
+            t = type(g)
+            if all(map(operator.is_, new, parts)):
+                done[id(g)] = g
+            elif t is AndN or t is OrN:
+                done[id(g)] = t(tuple(new))
+            elif t is Forall or t is Exists:
+                done[id(g)] = t(g.variables, new[0])
+            else:
+                done[id(g)] = t(*new)  # NotN, Implies, Iff
+    return done[id(f)]
 
 
 # --- MACE-style flattening --------------------------------------------------
 
-def _flatten_clause(cl: Clause, fresh: Iterator[str], pinned: dict[str, int]) -> list[Literal]:
+def _flatten_clause(cl: Clause, fresh: Iterator[str], pinned: dict[str, int],
+                    clock: Optional[sat.Clock] = None) -> list[Literal]:
     """Rewrite so every literal is over values but for one shallow term.
 
     A value is a variable or a pinned constant.  Allowed literal shapes
@@ -74,7 +106,7 @@ def _flatten_clause(cl: Clause, fresh: Iterator[str], pinned: dict[str, int]) ->
     becomes a fresh variable z, defined by a literal ¬(z = t) that is
     appended and walked in its turn.
     """
-    lits = _ordered(cl)
+    lits = _ordered(cl, clock)
 
     def is_value(t: Term) -> bool:
         return isinstance(t, Var) or isinstance(t, Const) and t.name in pinned
@@ -100,11 +132,32 @@ def _flatten_clause(cl: Clause, fresh: Iterator[str], pinned: dict[str, int]) ->
     return lits
 
 
-def _ordered(cl: Clause) -> list[Literal]:
-    """The clause's literals in a fixed order: a frozenset's iteration order
-    follows the string hash seed, and the grounding and the SAT search would
-    follow it too."""
-    return sorted(cl, key=lambda lit: (lit.pred, lit.positive, repr(lit.args)))
+def _term_key(t: Term) -> str:
+    """`repr(t)`, written without `Record.__repr__`'s walk over fields."""
+    if type(t) is Func:
+        return f"Func(name={t.name!r}, args={_args_key(t.args)})"
+    return f"{type(t).__name__}(name={t.name!r})"
+
+
+def _args_key(args: tuple) -> str:
+    """`repr(args)` of a tuple of terms."""
+    if len(args) == 1:
+        return f"({_term_key(args[0])},)"
+    return f"({', '.join(map(_term_key, args))})"
+
+
+def _ordered(cl: Clause, clock: Optional[sat.Clock] = None) -> list[Literal]:
+    """The clause's literals in a fixed order, by predicate, sign and the
+    `repr` of their arguments: a frozenset's iteration order follows the
+    string hash seed, and the grounding and the SAT search would follow it
+    too.  Each literal's key is work on `clock`."""
+    keyed = []
+    for lit in cl:
+        if clock is not None:
+            clock.tick()
+        keyed.append(((lit.pred, lit.positive, _args_key(lit.args)), lit))
+    keyed.sort(key=_FIRST)
+    return [lit for _, lit in keyed]
 
 
 # The one size limit of both procedures, counted on what they build: the
@@ -114,6 +167,7 @@ _MAX_GROUND = 400_000
 # Model sizes searched above the smallest (one element per constant).
 _LARGER_SIZES = 3
 _END = object()  # an exhausted iterator's `next` default
+_FIRST = operator.itemgetter(0)
 _SECOND = operator.itemgetter(1)
 _EQ_REL = (EQ, 2)  # the relation `=` of `_Relevant`
 
@@ -177,7 +231,8 @@ def _guard_order(arg_vars: list[list[set[str]]], guards: tuple[int, ...], first:
         k = heapq.heappop(heap)[1]
 
 
-def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
+def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0,
+          clock: Optional[sat.Clock] = None):
     """How to bind a clause's variables: `levels`, and `ready[k]`, the
     literals whose last variable level k binds (level 0 binds nothing).
 
@@ -186,8 +241,13 @@ def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
     with the most arguments already ground; a variable that occurs in a
     guard only inside its compound arguments is bound just before it, over
     the universe.  Then, one at a time in sorted order, the variables no
-    guard binds; without `guards`, that is every variable."""
-    arg_vars = [[{v.name for v in term_vars(a)} for a in lit.args] for lit in lits]
+    guard binds; without `guards`, that is every variable.  Each literal
+    and each guard placed is work on `clock`."""
+    arg_vars = []
+    for lit in lits:
+        if clock is not None:
+            clock.tick()
+        arg_vars.append([{v.name for v in term_vars(a)} for a in lit.args])
     lit_vars = [set().union(*names) for names in arg_vars]
     bound: set[str] = set()
     levels: list = []
@@ -198,6 +258,8 @@ def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0):
         depth.update(dict.fromkeys(names, len(levels)))
 
     for k in _guard_order(arg_vars, guards, first):
+        if clock is not None:
+            clock.tick()
         g = guards[k]
         args = lits[g].args
         for name in sorted(lit_vars[g] - bound - {a.name for a in args if isinstance(a, Var)}):
@@ -246,7 +308,7 @@ def _ground(clauses: list[list[Literal]], relevant: "_Relevant", encode, clock: 
     """
     prop, kept = relevant.prop, relevant.kept
     universe = range(relevant.size)
-    for lits, levels, ready, rounds in relevant.jobs(clauses):
+    for lits, levels, ready, rounds in relevant.jobs(clauses, clock):
         if clock.tick(len(lits)) and len(prop) > _MAX_GROUND:  # its plan's share
             return prop
         env: dict[str, int] = {}
@@ -415,7 +477,7 @@ def find_model(
             frozenset({Literal(False, EQ, (Const(a), Const(b)))})
             for a, b in itertools.combinations(members, 2) if a not in pinned or b not in pinned)
         for unit in units:
-            flat.append(_flatten_clause(unit, fresh, pinned))
+            flat.append(_flatten_clause(unit, fresh, pinned, clock))
             clock.tick(len(flat[-1]))
     pool = _VarPool()
     relevant = _Relevant(pinned, domain_size, pool)
@@ -517,7 +579,7 @@ class _Relevant:
             isinstance(t, Var) or t.name in (self.funcs if isinstance(t, Func) else self.ids)
             for t in lit.args))
 
-    def jobs(self, clauses: list[list[Literal]]):
+    def jobs(self, clauses: list[list[Literal]], clock: sat.Clock):
         """`_ground`'s work, in rounds of semi-naive evaluation.
 
         On the first call, each clause without guards, over the universe.
@@ -531,7 +593,7 @@ class _Relevant:
             for n, lits in enumerate(clauses):
                 guards = self.guards(lits)
                 if not guards:
-                    yield (lits, *_plan(lits), None)
+                    yield (lits, *_plan(lits, clock=clock), None)
                 for first, g in enumerate(guards):
                     self.triggers.setdefault((lits[g].pred, len(lits[g].args)), []) \
                         .append((n, guards, first))
@@ -547,7 +609,7 @@ class _Relevant:
                     for n, guards, first in entries:
                         plan = self.plans.get((n, first))
                         if plan is None:
-                            plan = self.plans[n, first] = _plan(clauses[n], guards, first)
+                            plan = self.plans[n, first] = _plan(clauses[n], guards, first, clock)
                         yield (clauses[n], *plan, rounds)
             self.done = rounds[1]
 
@@ -685,7 +747,7 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
     ordered = []
     for cl in clauses:
         if _kept_apart(cl) is None:  # `eq_code` makes a unique-name axiom true
-            ordered.append(_ordered(cl))
+            ordered.append(_ordered(cl, clock))
         clock.tick(len(cl))
     # the ground equality theory but symmetry and reflexivity (eq_code
     # folds them in) comes as lemma rows, until the model violates none or

@@ -639,6 +639,7 @@ MIN1_SHAPES = PREFIX + """
 ex:S a sh:NodeShape ; sh:targetNode ex:a ;
   sh:property [ sh:path ex:p ; sh:minCount 1 ] .
 """
+MIN2_SHAPES = MIN1_SHAPES.replace("sh:minCount 1", "sh:minCount 2")
 
 
 @pytest.mark.parametrize("entry, argv, loaded, detail", [
@@ -658,8 +659,11 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
     ("shacl2fol.cli", ["contains", "{dir}/min1.ttl", "{dir}/min1.ttl", "--json", *BUILTIN],
      _EMIT | {"closed_structure"},
      "1 of 2 definitions merged; neg_targets_b denies asserted units"),
+    ("shacl2fol.cli", ["contains", "{dir}/min2.ttl", "{dir}/min1.ttl", "--json", *BUILTIN],
+     _EMIT | {"closed_structure", "entailment"}, "1 entailed; neg_targets_b denies asserted units"),
 ], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin",
-        "validate-star-approx", "sat-builtin", "sat-builtin-clausal", "contains-itself"])
+        "validate-star-approx", "sat-builtin", "sat-builtin-clausal", "contains-itself",
+        "contains-weakened"])
 def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, detail):
     """A fresh interpreter serving one request imports exactly the
     package's modules that the request runs, and no networkx, record class
@@ -668,12 +672,15 @@ def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, deta
     structure of the problem's facts, does not decide: `ex:a` of
     `min1.ttl` has no `ex:p` value there, yet may have one in a model.
     Nor when a unit denies asserted units, as `min1.ttl` contained in
-    itself does once B's definition is merged into A's."""
+    itself does once B's definition is merged into A's, and `min2.ttl`
+    contained in `min1.ttl` does once A's definition entails B's: only
+    then is `entailment` loaded."""
     assert cli.main(["emit", "validate", files["shapes"], files["ok"],
                      "--out", str(files["dir"] / "problem.p")]) == 0
     (files["dir"] / "star.ttl").write_text(STAR_MIN_SHAPES)
     (files["dir"] / "empty.ttl").write_text(PREFIX)
     (files["dir"] / "min1.ttl").write_text(MIN1_SHAPES)
+    (files["dir"] / "min2.ttl").write_text(MIN2_SHAPES)
     argv = [a.format(**files) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, entry, json.dumps(argv)],

@@ -1,10 +1,13 @@
-"""Definitions that say the same thing are merged, and a unit that denies
-asserted units refutes, before the check and the clauses.
+"""Definitions that say the same thing are merged, definitions that entail
+others are found, and a unit that denies asserted units refutes, before
+the check and the clauses.
 
-Containment of a shape graph in itself, or in one that drops targets,
-is decided there; every other problem goes on, merged, to the check and
-the clausal procedures, and is answered as the unmerged problem is."""
+Containment of a shape graph in itself, in one that drops targets, or in
+one that weakens a shape is decided there; every other problem goes on,
+merged, to the check and the clausal procedures, and is answered as the
+unmerged problem is."""
 
+import itertools
 import re
 import time
 from collections import Counter
@@ -13,7 +16,7 @@ import pytest
 
 from conftest import load_graph, load_shapes, not_chain, shape_family
 from corpus import CASES
-from shacl2fol import closed_structure, miniprover
+from shacl2fol import closed_structure, entailment, miniprover
 from shacl2fol.closed_structure import ClosedStructure
 from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, build_problem, run_task
 from shacl2fol.errors import Clock
@@ -23,6 +26,7 @@ from test_closed_structure import NODE_CHAIN, WIDE_AND, named
 
 EX = "http://example.org/"
 DENIES = "neg_targets_b denies asserted units"
+PREFIXES = "@prefix sh: <http://www.w3.org/ns/shacl#> .\n@prefix ex: <http://example.org/> .\n"
 
 
 def _merge(units):
@@ -94,6 +98,91 @@ def test_one_edit_never_gives_the_wrong_direction(n, i):
                         (family, _lowered(family, i), "NotContained")]:
         got = run_task(_task(a, b, timeout=0.3))
         assert got.verdict.value != wrong, (a, b, got.prover_detail)
+
+
+@pytest.mark.parametrize("n, i", [(2, 1), (4, 3), (30, 0), (30, 29), (100, 50)])
+def test_a_weakened_shape_is_contained_through_entailment(n, i):
+    # raising a minCount in A, or lowering it in B, weakens B: A's edited
+    # definition, and those that reach it by sh:node, entail B's
+    family = shape_family(n)
+    for a, b in [(_raised(family, i), family), (family, _lowered(family, i))]:
+        start = time.monotonic()
+        got = run_task(_task(a, b))
+        assert time.monotonic() - start < 10
+        assert got.verdict.value == "Contained"
+        assert re.fullmatch(rf"\d+ of {2 * n} definitions merged; [1-9]\d* entailed; {DENIES}",
+                            got.prover_detail), got.prover_detail
+
+
+COUNT = PREFIXES + "ex:S a sh:NodeShape ; sh:targetNode ex:a ;\n" \
+    "  sh:property [ sh:path ex:p ; sh:{} {} ] .\n"
+
+
+@pytest.mark.parametrize("component, holds", [
+    ("minCount", lambda a, b: a >= b), ("maxCount", lambda a, b: a <= b)])
+@pytest.mark.parametrize("a, b", list(itertools.product((1, 2, 3), repeat=2)))
+def test_a_count_in_a_against_a_count_in_b(component, holds, a, b):
+    # Contained exactly where the count in A implies the count in B
+    got = run_task(_task(COUNT.format(component, a), COUNT.format(component, b), timeout=2))
+    if holds(a, b):
+        assert got.verdict.value == "Contained"
+        assert got.prover_detail.endswith(DENIES)
+    else:
+        assert got.verdict.value != "Contained"
+
+
+NOT = PREFIXES + """ex:T a sh:NodeShape ; sh:targetNode ex:a ; sh:not ex:S .
+ex:S a sh:NodeShape ; sh:property [ sh:path ex:p ; sh:{} {} ] .
+"""
+
+
+@pytest.mark.parametrize("a, b", [
+    (NOT.format("minCount", 2), NOT.format("minCount", 1)),
+    (NOT.format("maxCount", 1), NOT.format("maxCount", 2)),
+    (COUNT.format("maxCount", 2), COUNT.format("maxCount", 1)),
+], ids=["min_under_not", "max_under_not", "max_the_wrong_way"])
+def test_an_entailment_at_a_negative_position_never_gives_contained(a, b):
+    # A's ex:S entails B's, so B's `sh:not ex:S` is the stronger shape; and
+    # a maxCount raised in A weakens A
+    assert run_task(_task(a, b, timeout=2)).verdict.value != "Contained"
+
+
+def test_a_ten_thousand_deep_chain_weakened_at_its_end_is_contained():
+    # 10,001 definitions, each entailed through the next, walked in
+    # dependency order on no Python stack of that depth
+    weakened = NODE_CHAIN.replace("ex:S10000 sh:nodeKind sh:IRI .",
+                                  "ex:S10000 sh:nodeKind sh:BlankNodeOrIRI .")
+    assert weakened != NODE_CHAIN
+    got = run_task(_task(NODE_CHAIN, weakened, timeout=30))
+    assert (got.verdict.value, got.prover_detail) == ("Contained", f"10001 entailed; {DENIES}")
+
+
+def test_entailment_is_recorded_in_its_one_direction():
+    units = named(build_problem(_task(COUNT.format("maxCount", 1),
+                                      COUNT.format("maxCount", 2))).formulas)
+    structure = ClosedStructure(units)
+    assert structure.merge(units) == (units, "") and structure.left_apart()
+    found = entailment.entailed(structure, Clock())
+    assert found.stronger == {("hasShapeB", (f"{EX}S",)): ["hasShape"]}
+
+
+WEAKER = """
+fof(d_p, axiom, ![X]: (p(X, a) <=> (q(X) & r(X)))).
+fof(d_w, axiom, ![X]: (w(X, a) <=> q(X))).
+"""
+
+
+@pytest.mark.parametrize("asserted, denied, status", [
+    ("![X]: (p(X, a) => s(X))", "![X]: (w(X, a) => s(X))", "Satisfiable"),
+    ("![X]: (s(X) => p(X, a))", "![X]: (s(X) => w(X, a))", "Unsatisfiable"),
+], ids=["negative", "positive"])
+def test_a_denied_unit_is_strengthened_at_positive_positions_only(asserted, denied, status):
+    # p(·, a) entails w(·, a): read as p, w strengthens ∀X (s(X) → w(X, a))
+    # but weakens ∀X (w(X, a) → s(X)), which no unit then entails
+    text = WEAKER + f"fof(u, axiom, {asserted}).\nfof(n, axiom, ~({denied})).\n"
+    got = miniprover.decide_tptp_text(text, timeout_s=10)
+    assert got.status == status
+    assert (got.detail == "1 entailed; n denies asserted units") == (status == "Unsatisfiable")
 
 
 def _referencing(text: str, i: int) -> set[int]:
@@ -308,7 +397,8 @@ def test_merged_and_unmerged_problems_answer_alike():
     for n, i in ONE_EDIT[:2]:
         family = shape_family(n)
         tasks += [_task(a, b) for a, b in [(family, _raised(family, i)),
-                                           (_raised(family, i), family), (family, family)]]
+                                           (_raised(family, i), family), (family, family),
+                                           (family, _lowered(family, i))]]
     for case in CASES:
         shapes = load_shapes(case.shapes_ttl)
         tasks.append(DecisionTask(TaskKind.VALIDATION, shapes,

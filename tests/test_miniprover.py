@@ -154,6 +154,32 @@ class TestPlan:
                     == plan_reference(lits, guards, first)
             assert miniprover._plan(lits) == plan_reference(lits)
 
+    def test_ordering_and_planning_stop_at_a_spent_deadline(self, sequence_10000, monkeypatch):
+        # each literal of the 10,000-guard clause is one tick of the clock
+        # as it is keyed and as it is planned, so a spent budget stops both
+        # at the clock's first read, after fewer than 4,096 literals
+        wide = max(sequence_10000, key=len)
+        lits = miniprover._ordered(wide)
+        guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
+        assert len(guards) > 4096 and all(len(lit.args) <= 2 for lit in lits)
+        calls = {"_args_key": 0, "term_vars": 0}
+        for name in calls:
+            def counted(*args, f=getattr(miniprover, name), name=name):
+                calls[name] += 1
+                return f(*args)
+            monkeypatch.setattr(miniprover, name, counted)
+        with pytest.raises(sat.TimeBudgetExceeded):
+            miniprover._ordered(wide, sat.Clock(time.monotonic() - 1))
+        assert 0 < calls["_args_key"] < 4096
+        with pytest.raises(sat.TimeBudgetExceeded):
+            miniprover._plan(lits, guards, 0, sat.Clock(time.monotonic() - 1))
+        assert 0 < calls["term_vars"] < 2 * 4096
+
+    def test_the_order_keys_are_the_arguments_reprs(self):
+        args = (Var("X"), Const("it's"), Func("f", (Const('"q"'), Func("g", ()))), Var("\\"))
+        for k in range(len(args) + 1):
+            assert miniprover._args_key(args[:k]) == repr(args[:k])
+
     def test_a_chain_of_3000_guards_is_planned_quickly(self):
         chain = [Literal(False, "r", (Var(f"X{i}"), Var(f"X{i + 1}"))) for i in range(3000)]
         start = time.monotonic()
