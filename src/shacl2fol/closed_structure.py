@@ -65,11 +65,12 @@ entail which.  A unit that is `$false`, or `¬ψ` with each conjunct of ψ,
 or a strengthening of it through those entailments, a unit up to
 bound-variable names, refutes the problem at once (`_denial`): so
 `contains A A`, B with dropped targets and B weakening A are decided
-before any quantifier is planned.  Otherwise the structure is evaluated,
-and only when that gives no answer are the clausal procedures
-(`miniprover`, `clausify`, `sat`) loaded and run on the merged units, or
-at once on units with no one candidate structure.  The emitted text is
-unchanged: these steps are the prover's own preprocessing.
+before any quantifier is planned.  Otherwise the structure is evaluated;
+when that gives no answer, a unit that asserts a definition whose body
+contradicts itself refutes (`emptiness.refuted`), and only then are the
+clausal procedures (`miniprover`, `clausify`, `sat`) loaded and run on the
+merged units, or at once on units with no one candidate structure.  The
+emitted text is unchanged: these steps are the prover's own preprocessing.
 """
 
 from __future__ import annotations
@@ -920,9 +921,10 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
     """Decide a problem given as its units: read once into their candidate
     structure, merged (`ClosedStructure.merge`), their entailments found
     when the merge leaves definitions apart (`entailment.entailed`), then
-    refuted by a denial (`_denial`), decided by the structure, or, failing
-    those, clausified and decided by `miniprover.decide_clauses` in the
-    time left.  The detail counts the merges and the entailments."""
+    refuted by a denial (`_denial`), decided by the structure, refuted by
+    its empty definitions (`emptiness.refuted`), or, failing those,
+    clausified and decided by `miniprover.decide_clauses` in the time left.
+    The detail counts the merges, the entailments and the empty ones."""
     clock = Clock(time.monotonic() + timeout_s)
     # the units are read, merged and evaluated with the cycle collector
     # paused: none of it makes a reference cycle, and the full passes a
@@ -953,6 +955,10 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
                 result = ProverResult("Unsatisfiable", "; ".join(filter(None, (entailed, denial))))
             else:
                 result = None if structure is None else structure.evaluate()
+                if result is None and structure is not None and structure.definitions:
+                    from . import emptiness
+
+                    result = emptiness.refuted(structure, named, clock, found)
         finally:
             if collecting:
                 gc.enable()

@@ -23,7 +23,9 @@ follows from the bodies' structure:
   test in the reverse direction (a `maxCount`), and a recorded entailment
   of atoms is used only at a positive position of the test it serves;
 * a conjunction, a disjunction and their operands by the usual rules;
-  any other pair only when its tokens are equal.
+  any other pair only when its tokens are equal;
+* an atom that `self.false` holds, one of a definition `emptiness` found
+  empty, is `$false` and its negation `$true`.
 
 This is structural subsumption (Borgida & Patel-Schneider, *A Semantics
 and Complete Algorithm for Subsumption in the CLASSIC Description Logic*,
@@ -42,22 +44,12 @@ from __future__ import annotations
 import itertools
 
 from .closed_structure import _canonical, _parts
-from .fol import AndN, Atom, Const, Eq, Exists, FalseF, Formula, Iff, Implies, NotN, OrN, TrueF
+from .fol import (
+    AndN, Atom, Const, Eq, Exists, FalseF, Formula, Iff, Implies, NotN, OrN, TrueF, conjuncts,
+)
 
 _DEPTH = 64  # how deep the test walks two formulas before it asks for equal tokens
 _STEPS = 4096  # the tests and search steps one pair of definitions may spend
-
-
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The operands of nested conjunctions, `$true` left out."""
-    out, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if type(g) is AndN:
-            stack.extend(reversed(g.operands))
-        elif type(g) is not TrueF:
-            out.append(g)
-    return out
 
 
 def _positive(f: Formula) -> Formula:
@@ -73,10 +65,10 @@ def _operands(f: Formula):
     t = type(f)
     if t is NotN and type(f.operand) in (AndN, OrN):
         g = f.operand
-        return [NotN(h) for h in (_conjuncts(g) if type(g) is AndN else g.operands)], \
+        return [NotN(h) for h in (conjuncts(g) if type(g) is AndN else g.operands)], \
             type(g) is OrN
     if t is AndN:
-        return _conjuncts(f), True
+        return conjuncts(f), True
     if t is OrN:
         return f.operands, False
     return None, False
@@ -103,6 +95,9 @@ class _Entailment:
         self.clock = clock
         # (Q, ā) -> the predicates P with P(·, ā) ⊨ Q(·, ā)
         self.stronger: dict[tuple[str, tuple], list[str]] = {}
+        # whether a formula is false in every model of the units: `emptiness`
+        # sets it to an atom of a definition it found empty
+        self.false = lambda f: False
 
     def detail(self) -> str:
         """The detail "N entailed", or "" when none is recorded."""
@@ -127,11 +122,11 @@ class _Entailment:
         self.ids = itertools.count(-2 - max((i for i, _ in p.variables), default=-1), -1)
         lids = {v: -1 - i for i, v in p.variables}
         rids = {v: -1 - i for i, v in q.variables}
-        cs = _conjuncts(p.body)
+        cs = conjuncts(p.body)
         tokens = {_canonical(c, self.clock, lids, self.rename) for c in cs}
         return all(_canonical(d, self.clock, rids, self.rename) in tokens
                    or any(self._entails(c, d, lids, rids, 0) for c in cs)
-                   for d in _conjuncts(q.body))
+                   for d in conjuncts(q.body))
 
     def _entails(self, c: Formula, d: Formula, lids: dict, rids: dict, depth: int) -> bool:
         """Whether c entails d, their free variables read as `lids` and
@@ -142,7 +137,7 @@ class _Entailment:
             return False
         c, d = _positive(c), _positive(d)
         tc, td = type(c), type(d)
-        if td is TrueF or tc is FalseF:
+        if td is TrueF or tc is FalseF or self.false(c) or td is NotN and self.false(d.operand):
             return True
         if depth > _DEPTH:
             return _canonical(c, self.clock, lids, self.rename) \
@@ -208,14 +203,18 @@ class _Entailment:
             unknowns.add(u)
         by_kind: dict[tuple, list] = {}
         cs, compound = [], []
-        for g in _conjuncts(c.body):
+        for g in conjuncts(c.body):
+            if self.false(g):
+                return True
             literal = _literal(g)
             if literal is None:
                 cs.append(g)
             else:
                 by_kind.setdefault(_kind(literal), []).append(literal)
         literals = []
-        for g in _conjuncts(d.body):
+        for g in conjuncts(d.body):
+            if type(g) is NotN and self.false(g.operand):
+                continue  # $true
             literal = _literal(g)
             (compound if literal is None else literals).append(literal or g)
         literals = self._search_order(literals, rids, unknowns)

@@ -158,6 +158,18 @@ def conj(operands) -> Formula:
     return AndN(tuple(ops))
 
 
+def conjuncts(f: Formula) -> list[Formula]:
+    """The operands of nested conjunctions, `$true` left out."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is AndN:
+            stack.extend(reversed(g.operands))
+        elif type(g) is not TrueF:
+            out.append(g)
+    return out
+
+
 def disj(operands) -> Formula:
     ops = [f for f in operands if not isinstance(f, FalseF)]
     if any(isinstance(f, TrueF) for f in ops):

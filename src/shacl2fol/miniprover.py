@@ -384,12 +384,16 @@ def _kept_apart(cl: Clause) -> Optional[tuple[str, ...]]:
 class _Apart:
     """The test `apart(a, b)`, O(1), of whether the unique-name axioms keep
     two different constants apart: a constant maps to the constants of its
-    pairs, and to the clause indices of the larger literals that hold it."""
+    pairs, and to the clause indices of the larger literals that hold it.
+    Each clause read is work on `clock`."""
 
-    def __init__(self, clauses: list[Clause]):
+    def __init__(self, clauses: list[Clause], clock: Optional[sat.Clock] = None):
         self.partners: dict[str, set[str]] = {}
         self.groups: dict[str, set[int]] = {}
-        for n, members in enumerate(map(_kept_apart, clauses)):
+        for n, cl in enumerate(clauses):
+            if clock is not None:
+                clock.tick()
+            members = _kept_apart(cl)
             for c in members or ():
                 if len(members) == 2:
                     self.partners.setdefault(c, set()).update(members)
@@ -459,7 +463,7 @@ def find_model(
     report their work to it."""
     clock = sat.Clock(deadline)
     consts, funcs = _collect_signature(clauses, clock)
-    pinned = _pin(consts, _Apart(clauses), domain_size)
+    pinned = _pin(consts, _Apart(clauses, clock), domain_size)
     domain = range(domain_size)
     # the totality and functionality rows of the unpinned constants and the
     # Skolem terms, 1 + d(d-1)/2 clauses each, counted before any is built
@@ -718,7 +722,7 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
                          len(consts) + len(app_ids), pool)
     # the unique-name axioms make the equalities of the constants they keep
     # apart false: none gets a SAT variable, nor are its rows built
-    apart = _Apart(clauses)
+    apart = _Apart(clauses, clock)
 
     def eq_var(pair: tuple[int, int]) -> Optional[int]:
         """The SAT variable of a sorted pair's equality; None if it is false."""

@@ -640,6 +640,11 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
   sh:property [ sh:path ex:p ; sh:minCount 1 ] .
 """
 MIN2_SHAPES = MIN1_SHAPES.replace("sh:minCount 1", "sh:minCount 2")
+# static-analysis's strong_clash_kind: no node is both a blank node and a literal
+KIND_CLASH_SHAPES = PREFIX + """
+ex:S a sh:NodeShape ;
+  sh:and ( [ sh:nodeKind sh:BlankNode ] [ sh:nodeKind sh:Literal ] ) .
+"""
 
 
 @pytest.mark.parametrize("entry, argv, loaded, detail", [
@@ -654,16 +659,22 @@ MIN2_SHAPES = MIN1_SHAPES.replace("sh:minCount 1", "sh:minCount 2")
                        *BUILTIN], _EMIT | {"closed_structure"}, "closed structure of 4 elements"),
     ("shacl2fol.cli", ["sat", "{dir}/empty.ttl", "--json", *BUILTIN],
      _EMIT | {"closed_structure"}, "facts-only structure of 1 elements"),
-    ("shacl2fol.cli", ["sat", "{dir}/min1.ttl", "--json", *BUILTIN], _EMIT | _PROVER,
-     "finite model of size 2"),
+    ("shacl2fol.cli", ["sat", "{dir}/min1.ttl", "--json", *BUILTIN],
+     _EMIT | _PROVER | {"emptiness"}, "finite model of size 2"),
+    ("shacl2fol.cli", ["sat", "{dir}/clash.ttl", "--strong-sat", "--json", *BUILTIN],
+     _EMIT | {"closed_structure", "emptiness"},
+     "1 empty; strong_sat asserts an empty definition"),
+    ("shacl2fol.cli", ["sat", "{dir}/min_max.ttl", "--json", *BUILTIN],
+     _EMIT | {"closed_structure", "emptiness", "entailment"},
+     "1 empty; target asserts an empty definition"),
     ("shacl2fol.cli", ["contains", "{dir}/min1.ttl", "{dir}/min1.ttl", "--json", *BUILTIN],
      _EMIT | {"closed_structure"},
      "1 of 2 definitions merged; neg_targets_b denies asserted units"),
     ("shacl2fol.cli", ["contains", "{dir}/min2.ttl", "{dir}/min1.ttl", "--json", *BUILTIN],
      _EMIT | {"closed_structure", "entailment"}, "1 entailed; neg_targets_b denies asserted units"),
 ], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin",
-        "validate-star-approx", "sat-builtin", "sat-builtin-clausal", "contains-itself",
-        "contains-weakened"])
+        "validate-star-approx", "sat-builtin", "sat-builtin-clausal", "sat-contradiction",
+        "sat-count-contradiction", "contains-itself", "contains-weakened"])
 def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, detail):
     """A fresh interpreter serving one request imports exactly the
     package's modules that the request runs, and no networkx, record class
@@ -674,13 +685,21 @@ def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, deta
     Nor when a unit denies asserted units, as `min1.ttl` contained in
     itself does once B's definition is merged into A's, and `min2.ttl`
     contained in `min1.ttl` does once A's definition entails B's: only
-    then is `entailment` loaded."""
+    then is `entailment` loaded.  Nor when a unit asserts a shape whose
+    constraints clash, as `clash.ttl`'s untargeted shape does under
+    `--strong-sat`, and `min_max.ttl`'s targeted one: `emptiness` finds
+    them when the structure of a problem with definitions does not
+    decide, and loads `entailment` only to test a pair c, ¬d, as
+    `minCount 2 ; maxCount 1` is.  Validation loads neither."""
     assert cli.main(["emit", "validate", files["shapes"], files["ok"],
                      "--out", str(files["dir"] / "problem.p")]) == 0
     (files["dir"] / "star.ttl").write_text(STAR_MIN_SHAPES)
     (files["dir"] / "empty.ttl").write_text(PREFIX)
     (files["dir"] / "min1.ttl").write_text(MIN1_SHAPES)
     (files["dir"] / "min2.ttl").write_text(MIN2_SHAPES)
+    (files["dir"] / "clash.ttl").write_text(KIND_CLASH_SHAPES)
+    (files["dir"] / "min_max.ttl").write_text(MIN1_SHAPES.replace("sh:minCount 1",
+                                                                 "sh:minCount 2 ; sh:maxCount 1"))
     argv = [a.format(**files) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, entry, json.dumps(argv)],
@@ -689,8 +708,11 @@ def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, deta
     assert proc.returncode == 0, proc.stderr
     *printed, last = proc.stdout.splitlines()
     result = json.loads(last)
-    assert result["code"] == 0
+    verdict = None
     if detail is not None:
-        assert json.loads("\n".join(printed))["proverDetail"] == detail
+        printed = json.loads("\n".join(printed))
+        assert printed["proverDetail"] == detail
+        verdict = printed["verdict"]
+    assert result["code"] == (1 if verdict == "Unsatisfiable" else 0)  # 1: a negative verdict
     assert result["modules"] == sorted({"shacl2fol"} | {f"shacl2fol.{m}" for m in loaded})
     assert result["foreign"] == []

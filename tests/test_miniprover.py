@@ -175,6 +175,24 @@ class TestPlan:
             miniprover._plan(lits, guards, 0, sat.Clock(time.monotonic() - 1))
         assert 0 < calls["term_vars"] < 2 * 4096
 
+    def test_the_unique_name_tables_stop_at_a_spent_deadline(self, sequence_10000, monkeypatch):
+        # each of the 10,009 clauses is one tick of the clock as it is read
+        # for the constants it keeps apart, so a spent budget stops the
+        # tables at the clock's first read, after fewer than 4,096 clauses
+        assert len(sequence_10000) > 2 * 4096
+        calls = 0
+        kept_apart = miniprover._kept_apart
+
+        def counted(cl):
+            nonlocal calls
+            calls += 1
+            return kept_apart(cl)
+
+        monkeypatch.setattr(miniprover, "_kept_apart", counted)
+        with pytest.raises(sat.TimeBudgetExceeded):
+            miniprover._Apart(sequence_10000, sat.Clock(time.monotonic() - 1))
+        assert 0 < calls < 4096
+
     def test_the_order_keys_are_the_arguments_reprs(self):
         args = (Var("X"), Const("it's"), Func("f", (Const('"q"'), Func("g", ()))), Var("\\"))
         for k in range(len(args) + 1):
