@@ -5,7 +5,8 @@ Subcommands: `sat`, `contains`, `validate` (decision problems), `emit`
 validation without any logic translation).  `emit sat SHAPES
 [--strong-sat]`, `emit contains SHAPES_A SHAPES_B` and `emit validate
 SHAPES DATA` take the emission options of their command and no prover
-options.
+options.  A bare `--strong-sat` selects every shape, before the file or
+after it; `--strong-sat=IRI[,IRI...]` selects the listed ones.
 
 Exit codes: 0 for a positive verdict (Satisfiable / Contained /
 Conforms), 1 for the negative counterpart, 2 when the prover could not
@@ -71,8 +72,9 @@ def _add_task(sub, command: str, kind: str, summary: str, files, with_prover: bo
     if kind == "satisfiability":
         sp.add_argument("--strong-sat", nargs="?", const="", default=None,
                         metavar="IRI[,IRI...]",
-                        help="require the selected shapes (all, when no list is "
-                        "given) to have at least one instance")
+                        help="require shapes to have at least one instance: every "
+                        "shape with the bare flag, before or after the file; the "
+                        "listed ones with --strong-sat=IRI[,IRI...]")
     sp.add_argument("--dialect", choices=["fof", "tff"], default="tff")
     # read and ignored: validation grounds stars exactly, the rest approximate
     sp.add_argument("--star", choices=["approx", "ground"], help=argparse.SUPPRESS)
@@ -116,6 +118,18 @@ def _parser() -> _ArgumentParser:
     """`build_parser()`, once per process: parse_args keeps no state
     between calls, so one parser serves every request."""
     return build_parser()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The command line `argv`, a bare `--strong-sat` read as
+    `--strong-sat=`, every shape, so that it takes no file after it as its
+    list; read as it is when that leaves a token over."""
+    bare = ["--strong-sat=" if a == "--strong-sat" else a for a in argv]
+    if bare != argv:
+        args, over = _parser().parse_known_args(bare)
+        if not over:
+            return args
+    return _parser().parse_args(argv)
 
 
 def _options(args) -> tptp.EmitOptions:
@@ -212,7 +226,7 @@ def _run_oracle(args) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         if args.command == "emit":
             return _run_emit(args)

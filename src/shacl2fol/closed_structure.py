@@ -11,8 +11,8 @@ Reconstruction of Relational Database Theory*, 1984).  A `sat` or
 structure of its own facts, for a static problem of Pareti et al.
 (*SHACL Satisfiability and Containment*, ISWC 2020) the empty data graph.
 
-`check` builds the candidate structure of a problem and evaluates every
-unit in it, by one rule:
+`ClosedStructure` builds the candidate structure of a problem, and its
+`evaluate` evaluates every unit in it, by one rule:
 
 * its domain is the problem's constants, each its own element, or one
   fresh element when the problem names no constant;
@@ -112,6 +112,11 @@ class _Definition(NamedTuple):
     body: Formula
     memo: dict  # the truth per tuple of the variables' values
     unit: Formula  # the definition `∀X̄ (P(ā) ↔ body)` itself
+
+    def numbered(self) -> tuple[dict[str, int], Iterator[int]]:
+        """Head variables numbered -1 - position, and a counter below them."""
+        return {v: -1 - i for i, v in self.variables}, \
+            itertools.count(-2 - max((i for i, _ in self.variables), default=-1), -1)
 
 
 def _value(t, env: dict[str, str]) -> str:
@@ -278,6 +283,7 @@ class ClosedStructure:
         self.index: dict[tuple, dict] = {}
         self.merging: set[str] = set()  # the predicates whose definitions merge
         self.into: dict[tuple, tuple] = {}  # a merged definition -> its target
+        self.pairs: list[tuple[str, str, tuple]] = []  # (P, Q, ā) `merge` left apart
 
     # --- reading the units ---
 
@@ -314,16 +320,17 @@ class ClosedStructure:
                 self._terms(g.args, bound)
                 pattern = self.patterns.get(g.pred)
                 if pattern is not None:
-                    key = tuple(g.args[i].name for i in pattern)
-                    if any(type(g.args[i]) is Var for i in pattern):
+                    node = self.node(g)
+                    if node is not None:
+                        refs.append(node)
+                    elif any(type(g.args[i]) is Var for i in pattern):
                         # resolved when evaluated: it may refer to any definition
                         self.unmerged.add(g.pred)
                         refs.extend((g.pred, k) for k in self.definitions[g.pred])
-                    elif key in self.definitions[g.pred]:
-                        refs.append((g.pred, key))
                     else:
                         self.open_reference = True
-                        self.undefined.setdefault(g.pred, set()).update(key)
+                        self.undefined.setdefault(g.pred, set()).update(
+                            g.args[i].name for i in pattern)
             elif t is Eq:
                 self._terms((g.left, g.right), bound)
             elif t is Distinct:
@@ -375,7 +382,8 @@ class ClosedStructure:
         the earlier one's, so both read one memo, and `rename` turns every
         atom of Q with b̄'s constants at their positions into one of P with
         ā's.  Returns `units` without the merged definitions, and "N of M
-        definitions merged", or `units` and "" when none is.
+        definitions merged", or `units` and "" when none is.  `pairs` gets two
+        left apart at one key, of predicates sharing an arity and a pattern.
 
         Two definitions merge when their predicates share an arity and a
         pattern (the positions of ā's constants), as `hasShape` and
@@ -404,52 +412,55 @@ class ClosedStructure:
         shapes = {pred: (self.arity[pred], pattern) for pred, pattern in self.patterns.items()
                   if pred not in self.unmerged}
         shared = Counter(shapes.values())
-        self.shared = [pred for pred, shape in shapes.items() if shared[shape] > 1]
-        left = [pred for pred in self.shared if _kept_apart(
+        shapes = {pred: shape for pred, shape in shapes.items() if shared[shape] > 1}
+        left = [pred for pred in shapes if _kept_apart(
             set(itertools.chain(*self.definitions[pred], self.undefined.get(pred, ()))),
             self.apart)]
         shared = Counter(shapes[pred] for pred in left)
         self.merging = {pred for pred in left if shared[shapes[pred]] > 1}
-        if not self.merging:
-            return units, ""
         first: dict[tuple, tuple] = {}  # (arity, pattern, canonical body) -> definition
+        at: dict[tuple, list[str]] = {}  # (arity, pattern, ā) -> the predicates left there
         dropped = set()  # the ids of the merged definitions' units
-        for (key,) in self.order:
-            pred, constants = key
+        for (node,) in self.order:
+            pred, key = node
+            if pred not in shapes:
+                continue
             if pred in self.merging:
-                definition = self.definitions[pred][constants]
-                numbers = {v: -1 - i for i, v in definition.variables}
-                canonical = (shapes[pred],
-                             _canonical(definition.body, self.clock, numbers, self.rename))
-                target = first.setdefault(canonical, key)
-                if target is not key:
-                    self.into[key] = target
+                definition = self.definitions[pred][key]
+                canonical = (shapes[pred], _canonical(
+                    definition.body, self.clock, definition.numbered()[0], self.rename))
+                target = first.setdefault(canonical, node)
+                if target is not node:
+                    self.into[node] = target
                     dropped.add(id(definition.unit))
-                    self.definitions[pred][constants] = self.definitions[target[0]][target[1]]
+                    self.definitions[pred][key] = self.definitions[target[0]][target[1]]
+                    continue
+            others = at.setdefault((shapes[pred], key), [])
+            self.pairs.extend((other, pred, key) for other in others)
+            others.append(pred)
         if not self.into:
             return units, ""
         return [(name, f) for name, f in units if id(f) not in dropped], \
             f"{len(self.into)} of {sum(map(len, self.definitions.values()))} definitions merged"
 
-    def left_apart(self) -> bool:
-        """Whether the merge left apart two definitions at one key of
-        predicates that share an arity and a pattern."""
-        first: dict[tuple, _Definition] = {}
-        return any(first.setdefault((self.arity[p], self.patterns[p], key), d) is not d
-                   for p in self.shared for key, d in self.definitions[p].items())
+    def node(self, atom: Atom) -> Optional[tuple[str, tuple]]:
+        """The definition (P, ā) that an atom of P is one of, by the constants
+        at P's pattern positions; None for an atom of no definition."""
+        pattern = self.patterns.get(atom.pred)
+        if pattern is None or any(type(atom.args[i]) is not Const for i in pattern):
+            return None
+        key = tuple([atom.args[i].name for i in pattern])
+        return (atom.pred, key) if key in self.definitions[atom.pred] else None
 
     def rename(self, atom: Atom) -> Atom:
         """The atom of the definition that the atom's definition was merged
         into, or the atom itself."""
-        if atom.pred not in self.merging:
-            return atom
-        pattern = self.patterns[atom.pred]
-        target = self.into.get((atom.pred, tuple(atom.args[i].name for i in pattern)))
+        target = self.into.get(self.node(atom)) if atom.pred in self.merging else None
         if target is None:
             return atom
         head = self.definitions[target[0]][target[1]].unit.body.left
         args = list(atom.args)
-        for i in pattern:
+        for i in self.patterns[atom.pred]:
             args[i] = head.args[i]
         return Atom(target[0], tuple(args))
 
@@ -787,18 +798,6 @@ class _Guards:
         return got
 
 
-def check(units: list[tuple[str, Formula]],
-          deadline: Optional[float] = None) -> Optional[ProverResult]:
-    """Satisfiable when the candidate structure satisfies every unit,
-    Unsatisfiable when it fails one on which every model agrees with it,
-    and None otherwise or when the units allow no one candidate.  Raises
-    `TimeBudgetExceeded` once the clock passes `deadline`."""
-    try:
-        return ClosedStructure(units, Clock(deadline)).evaluate()
-    except _Inapplicable:
-        return None
-
-
 class ProverResult(Record):
     __slots__ = ("status", "detail")
     __hash__ = None
@@ -945,20 +944,21 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
                 named, merged = structure.merge(named)
             rename = structure.rename if merged else None
             found = None
-            if structure is not None and structure.left_apart():
+            if structure is not None and structure.pairs:
                 from . import entailment
 
                 found = entailment.entailed(structure, clock)
-            denial = _denial(named, clock, rename, found and found.strengthened)
-            if denial is not None:
-                entailed = found and found.detail()
-                result = ProverResult("Unsatisfiable", "; ".join(filter(None, (entailed, denial))))
-            else:
-                result = None if structure is None else structure.evaluate()
-                if result is None and structure is not None and structure.definitions:
+            refutation = _denial(named, clock, rename, found and found.strengthened)
+            result = None
+            if refutation is None and structure is not None:
+                result = structure.evaluate()
+                if result is None and structure.definitions:
                     from . import emptiness
 
-                    result = emptiness.refuted(structure, named, clock, found)
+                    refutation = emptiness.refuted(structure, named, clock, found)
+            if refutation is not None:
+                result = ProverResult("Unsatisfiable", "; ".join(
+                    filter(None, (found and found.detail(), refutation))))
         finally:
             if collecting:
                 gc.enable()

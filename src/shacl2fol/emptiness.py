@@ -7,18 +7,22 @@ refers to, and records one empty, `P(x̄, ā) ⊨ ⊥`, when the conjuncts of φ
 or of an `∃Ȳ(…)` among them, hold:
 
 * `$false`, or an atom of a definition recorded empty;
-* a pair c, ¬d with c ⊨ d by the structural test of `entailment`, loaded
+* a pair c, ¬d with c ⊨ d by `entailment.entails`, `entailment` loaded
   only for such a pair, a defined atom read as its definition's body at
-  its key and an empty one as `$false`;
+  its key and an empty one as `$false`; the tests of one definition
+  share one budget of that test's steps;
 * two kind atoms k₁(t), k₂(t) that a unit `∀X ¬(k₁(X) ∧ k₂(X))` keeps
   apart, a defined atom asserting the kinds its definition asserts on its
   head variables.
 
-Each definition keeps that summary, empty or its kinds, not a copy of
-what it refers to, so a chain of 10,000 definitions is walked in linear
-time.  A unit that asserts an atom of an empty definition, as a conjunct
-or inside an `∃` at a conjunctive position, refutes the problem; one
-under `¬`, `∨` or `→` asserts nothing.
+An atom's definition is `ClosedStructure.node` of it renamed by the
+merge, and a body's head variables are numbered by `numbered`, as the
+merge and the entailment test read them.  Each definition keeps its
+summary, empty or its kinds, not a copy of what it refers to, so a chain
+of 10,000 definitions is walked in linear time.  A unit that asserts an
+atom of an empty definition, as a conjunct or inside an `∃` at a
+conjunctive position, refutes the problem; one under `¬`, `∨` or `→`
+asserts nothing.
 
 Each rule gives φ ⊨ ⊥ from the units, a kind disjointness being a unit
 itself, and recursion is rejected, so by induction on the dependency
@@ -30,40 +34,28 @@ constants need be kept apart.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
-from .closed_structure import ProverResult
 from .fol import AndN, Atom, Const, Exists, FalseF, Formula, NotN, conjuncts
-
-_STEPS = 4096  # the entailment tests and search steps one definition may spend
 
 
 class _Emptiness:
     """The definitions of a structure recorded empty."""
 
-    def __init__(self, structure, clock, test=None):
+    def __init__(self, structure, clock, found=None):
         self.structure = structure
         self.rename = structure.rename
         self.clock = clock
         self.kinds = {k for pair in structure.disjoint for k in pair}
-        self.test = test  # the entailment test, made for the first pair c, ¬d
+        self.found = found  # the entailments recorded between definitions, if any
+        self.test = None  # the entailment test, made for the first pair c, ¬d
         self.empty: set[tuple[str, tuple]] = set()  # the (P, ā) with P(·, ā) ⊨ ⊥
         # (P, ā) -> (position, the kinds P(·, ā) asserts on its head variable there)
         self.summary: dict[tuple[str, tuple], tuple] = {}
 
-    def node(self, atom: Atom):
-        """The definition (P, ā) that an atom, renamed by the merge, is one
-        of; None for an atom of no definition."""
-        pattern = self.structure.patterns.get(atom.pred)
-        if pattern is None or any(type(atom.args[i]) is not Const for i in pattern):
-            return None
-        key = tuple(atom.args[i].name for i in pattern)
-        return (atom.pred, key) if key in self.structure.definitions[atom.pred] else None
-
     def false(self, f: Formula) -> bool:
         """Whether `f` is an atom of a definition recorded empty."""
-        return type(f) is Atom and self.node(self.rename(f)) in self.empty
+        return type(f) is Atom and self.structure.node(self.rename(f)) in self.empty
 
     def walk(self) -> None:
         """Record the definitions whose bodies contradict themselves, in
@@ -73,10 +65,9 @@ class _Emptiness:
             if node in self.structure.into:
                 continue
             definition = definitions[node[0]][node[1]]
-            self.steps = 0
-            last = max((i for i, _ in definition.variables), default=-1)
-            self.ids = itertools.count(-2 - last, -1)  # the head variables' are -1 - position
-            scope = {v: -1 - i for i, v in definition.variables}
+            # the counter of the variables bound below the head's, and of
+            # the steps of the definition's entailment tests
+            scope, self.ids = definition.numbered()
             kinds: dict[int, set[str]] = {}
             if self._contradicts(definition.body, scope, kinds):
                 self.empty.add(node)
@@ -123,7 +114,7 @@ class _Emptiness:
         kind kept apart from one already in `kinds` on its variable; the
         kinds it asserts are added."""
         a = self.rename(atom)
-        node = self.node(a)
+        node = self.structure.node(a)
         if node in self.empty:
             return True
         if node is not None:
@@ -144,7 +135,8 @@ class _Emptiness:
 
     def _clash(self, cs: list, scope: dict) -> bool:
         """Whether a conjunct c entails the operand d of another, ¬d, each
-        defined atom read as its definition's body; within the steps left."""
+        defined atom read as its definition's body; within the budget of
+        the definition's tests."""
         read = None
         for j, d in enumerate(cs):
             if type(d) is not NotN:
@@ -154,19 +146,12 @@ class _Emptiness:
                 if self.test is None:
                     from . import entailment
 
-                    self.test = entailment._Entailment(self.structure, self.clock)
-                self.test.false, self.test.ids = self.false, self.ids
+                    self.test = entailment._Entailment(
+                        self.structure, self.clock, self.false, self.found and self.found.stronger)
             d, rids = self._read(d.operand, scope)
-            for k, (c, lids) in enumerate(read):
-                if self.steps > _STEPS:
-                    return False
-                if k == j:
-                    continue
-                self.test.steps = self.steps
-                entailed = self.test._entails(c, d, lids, rids, 0)
-                self.steps = self.test.steps
-                if entailed:
-                    return True
+            if any(self.test.entails(c, d, lids, rids, self.ids)
+                   for k, (c, lids) in enumerate(read) if k != j):
+                return True
         return False
 
     def _read(self, f: Formula, scope: dict):
@@ -175,7 +160,7 @@ class _Emptiness:
         argument at its position."""
         if type(f) is Atom:
             a = self.rename(f)
-            node = self.node(a)
+            node = self.structure.node(a)
             if node is not None:
                 definition = self.structure.definitions[node[0]][node[1]]
                 return definition.body, {
@@ -184,10 +169,11 @@ class _Emptiness:
         return f, scope
 
 
-def refuted(structure, named: list, clock, found=None) -> Optional[ProverResult]:
-    """Unsatisfiable when one of the `named` units asserts an atom of a
-    definition of `structure` whose body contradicts itself, found through
-    the entailments `found` records when there are any; None otherwise."""
+def refuted(structure, named: list, clock, found=None) -> Optional[str]:
+    """How one of the `named` units asserts an atom of a definition of
+    `structure` whose body contradicts itself, found through the
+    entailments `found` records when there are any: "N empty; u asserts an
+    empty definition"; None when none does."""
     emptiness = _Emptiness(structure, clock, found)
     emptiness.walk()
     if not emptiness.empty:
@@ -202,7 +188,5 @@ def refuted(structure, named: list, clock, found=None) -> Optional[ProverResult]
             elif type(g) is Exists:
                 stack.append(g.body)
             elif emptiness.false(g):
-                return ProverResult("Unsatisfiable", "; ".join(filter(None, (
-                    found and found.detail(), f"{len(emptiness.empty)} empty",
-                    f"{name} asserts an empty definition"))))
+                return f"{len(emptiness.empty)} empty; {name} asserts an empty definition"
     return None

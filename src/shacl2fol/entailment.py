@@ -1,10 +1,10 @@
 """Definitions that entail others, proved on the structure of their bodies.
 
-`closed_structure.decide_units` loads this module only when, after the
-merge, two predicates that share an arity and a pattern still have
-definitions `∀X̄ (P(ā) ↔ φ)` and `∀X̄ (Q(ā) ↔ ψ)` apart at one key ā, as
+`closed_structure.decide_units` loads this module only when the merge
+leaves definitions `∀X̄ (P(ā) ↔ φ)` and `∀X̄ (Q(ā) ↔ ψ)` apart at one key
+ā, of predicates that share an arity and a pattern (`pairs`), as
 `hasShape(·, s)` and `hasShapeB(·, s)` are when B weakens A's shape s.
-`entailed` walks such pairs in dependency order, each after the
+`entailed` walks those pairs in dependency order, each after the
 definitions it refers to, and records `P(·, ā) ⊨ Q(·, ā)` when φ ⊨ ψ
 follows from the bodies' structure:
 
@@ -17,15 +17,18 @@ follows from the bodies' structure:
   terms in scope sends each dⱼ onto a cᵢ that entails it, `¬(a = b)`
   read both ways round: a homomorphism of conjunctive queries (Chandra &
   Merlin, *Optimal Implementation of Conjunctive Queries in Relational
-  Data Bases*, STOC 1977), found by a backtracking search that ticks the
-  clock and gives up after `_STEPS` steps;
+  Data Bases*, STOC 1977), found by a backtracking search on the clock;
 * `¬f` entails `¬g` when g entails f, so `¬∃` entails `¬∃` by the same
   test in the reverse direction (a `maxCount`), and a recorded entailment
   of atoms is used only at a positive position of the test it serves;
 * a conjunction, a disjunction and their operands by the usual rules;
   any other pair only when its tokens are equal;
-* an atom that `self.false` holds, one of a definition `emptiness` found
-  empty, is `$false` and its negation `$true`.
+* an atom that the test `false` holds, one of a definition `emptiness`
+  found empty, is `$false` and its negation `$true`.
+
+`entails` is the one test: the tests given one counter of bound-variable
+numbers, those of one pair of definitions here or of one definition in
+`emptiness`, share `_STEPS` steps, and are False once they are spent.
 
 This is structural subsumption (Borgida & Patel-Schneider, *A Semantics
 and Complete Algorithm for Subsumption in the CLASSIC Description Logic*,
@@ -41,15 +44,13 @@ asserted unit is itself entailed by that unit.
 
 from __future__ import annotations
 
-import itertools
-
 from .closed_structure import _canonical, _parts
 from .fol import (
     AndN, Atom, Const, Eq, Exists, FalseF, Formula, Iff, Implies, NotN, OrN, TrueF, conjuncts,
 )
 
 _DEPTH = 64  # how deep the test walks two formulas before it asks for equal tokens
-_STEPS = 4096  # the tests and search steps one pair of definitions may spend
+_STEPS = 4096  # the steps of the tests of one pair, or of one definition in `emptiness`
 
 
 def _positive(f: Formula) -> Formula:
@@ -89,48 +90,46 @@ def _kind(literal) -> tuple:
 class _Entailment:
     """The entailments recorded between the definitions of a structure."""
 
-    def __init__(self, structure, clock):
-        self.rename = structure.rename
-        self.patterns = structure.patterns
+    def __init__(self, structure, clock, false=None, stronger=None):
+        self.node, self.rename = structure.node, structure.rename
         self.clock = clock
         # (Q, ā) -> the predicates P with P(·, ā) ⊨ Q(·, ā)
-        self.stronger: dict[tuple[str, tuple], list[str]] = {}
-        # whether a formula is false in every model of the units: `emptiness`
-        # sets it to an atom of a definition it found empty
-        self.false = lambda f: False
+        self.stronger: dict[tuple[str, tuple], list[str]] = {} if stronger is None else stronger
+        # whether a formula is false in every model of the units
+        self.false = false or (lambda f: False)
+        self.ids = None  # the counter of the budget being spent
 
     def detail(self) -> str:
         """The detail "N entailed", or "" when none is recorded."""
         count = sum(map(len, self.stronger.values()))
         return f"{count} entailed" if count else ""
 
-    def _key(self, atom: Atom):
-        pattern = self.patterns.get(atom.pred)
-        return None if pattern is None else (atom.pred, tuple(atom.args[i].name for i in pattern))
-
     def _implies(self, a: Atom, b: Atom) -> bool:
         """Whether atom a entails b on equal arguments: once renamed,
         they share a predicate, or a's definition entails b's."""
-        return a.pred == b.pred or a.pred in self.stronger.get(self._key(b), ())
+        return a.pred == b.pred or a.pred in self.stronger.get(self.node(b), ())
 
     def definition(self, p, q) -> bool:
         """Whether the body of definition p entails that of q, within
         `_STEPS` steps."""
-        self.steps = 0
-        # head variables are -1 - their position, as in the merge; bound
-        # ones below them, and `_canonical` numbers its own bindings from 0
-        self.ids = itertools.count(-2 - max((i for i, _ in p.variables), default=-1), -1)
-        lids = {v: -1 - i for i, v in p.variables}
-        rids = {v: -1 - i for i, v in q.variables}
+        (lids, ids), (rids, _) = p.numbered(), q.numbered()
         cs = conjuncts(p.body)
         tokens = {_canonical(c, self.clock, lids, self.rename) for c in cs}
         return all(_canonical(d, self.clock, rids, self.rename) in tokens
-                   or any(self._entails(c, d, lids, rids, 0) for c in cs)
+                   or any(self.entails(c, d, lids, rids, ids) for c in cs)
                    for d in conjuncts(q.body))
+
+    def entails(self, c: Formula, d: Formula, lids: dict, rids: dict, ids) -> bool:
+        """Whether c entails d, their free variables read as `lids` and
+        `rids` number them, those the test binds numbered by the counter
+        `ids`; the tests given one counter share `_STEPS` steps."""
+        if ids is not self.ids:
+            self.ids, self.steps = ids, 0
+        return self._entails(c, d, lids, rids, 0)
 
     def _entails(self, c: Formula, d: Formula, lids: dict, rids: dict, depth: int) -> bool:
         """Whether c entails d, their free variables read as `lids` and
-        `rids` give them; False once the pair's steps are spent."""
+        `rids` give them; False once the budget's steps are spent."""
         self.clock.tick()
         self.steps += 1
         if self.steps > _STEPS:
@@ -292,8 +291,8 @@ class _Entailment:
         for pred in dict.fromkeys(p for key in keys for p in self.stronger.get(key, ())):
             def replace(atom: Atom, pred=pred) -> Atom:
                 a = self.rename(atom)
-                return Atom(pred, a.args) \
-                    if self._key(a) in keys and pred in self.stronger[self._key(a)] else a
+                key = self.node(a)
+                return Atom(pred, a.args) if key in keys and pred in self.stronger[key] else a
             out.append(replace)
         return out
 
@@ -307,7 +306,7 @@ class _Entailment:
             self.clock.tick()
             t = type(g)
             if t is Atom:
-                key = self._key(self.rename(g))
+                key = self.node(self.rename(g))
                 signs[key] = min(signs.get(key, sign), sign)
             elif t is NotN:
                 stack.append((g.operand, -sign))
@@ -321,19 +320,11 @@ class _Entailment:
 
 
 def entailed(structure, clock) -> _Entailment:
-    """The entailments between the definitions the merge left apart at one
-    key, of predicates outside `structure.unmerged` that share an arity
-    and a pattern, walked in the dependency order of `structure.order`."""
-    found = _Entailment(structure, clock)
-    definitions, seen = structure.definitions, {}
-    for (node,) in structure.order:
-        pred, key = node
-        if pred in structure.unmerged or node in structure.into:
-            continue
-        others = seen.setdefault((structure.arity[pred], structure.patterns[pred], key), [])
-        for other in others:
-            for p, q in ((other, pred), (pred, other)):
-                if found.definition(definitions[p][key], definitions[q][key]):
-                    found.stronger.setdefault((q, key), []).append(p)
-        others.append(pred)
+    """The entailments, both ways round, between the two definitions of
+    each of `structure.pairs`, in the dependency order they are kept in."""
+    found, definitions = _Entailment(structure, clock), structure.definitions
+    for a, b, key in structure.pairs:
+        for p, q in ((a, b), (b, a)):
+            if found.definition(definitions[p][key], definitions[q][key]):
+                found.stronger.setdefault((q, key), []).append(p)
     return found

@@ -286,6 +286,39 @@ class TestConfigPlumbing:
         assert cli.main(["sat", str(untargeted), *BUILTIN]) == 0
         assert cli.main(["sat", str(untargeted), "--strong-sat", *BUILTIN]) == 1
 
+    @pytest.mark.parametrize("argv, code", [
+        (["{f}", "--strong-sat"], 1),
+        (["--strong-sat", "{f}"], 1),
+        (["--strong-sat", "{f}", "--strong-sat"], 1),
+        (["--strong-sat=", "{f}"], 1),
+        ([f"--strong-sat={EX}T", "{f}"], 0),
+        (["{f}", f"--strong-sat={EX}T"], 0),
+        (["{f}", f"--strong-sat={EX}T,{EX}S"], 1),
+        (["{f}", "--strong-sat", f"{EX}T"], 0),
+        (["--strong-sat", f"{EX}S", "{f}"], 1),
+    ], ids=["after", "before", "twice", "empty_list", "list_before", "list_after",
+            "list_of_two", "list_by_space_after", "list_by_space_before"])
+    def test_strong_sat_before_or_after_the_file(self, tmp_path, capsys, argv, code):
+        # a bare --strong-sat, every shape, takes no file after it as its list
+        untargeted = tmp_path / "untargeted.ttl"
+        untargeted.write_text(PREFIX + "ex:S a sh:NodeShape ; sh:and ( [ sh:nodeKind sh:IRI ]"
+                              " [ sh:nodeKind sh:Literal ] ) .\nex:T a sh:NodeShape .\n")
+        argv = [a.format(f=untargeted) for a in argv]
+        decided, emitted = tmp_path / "decided.p", tmp_path / "emitted.p"
+        assert cli.main(["sat", *argv, *BUILTIN, "--out", str(decided)]) == code
+        assert capsys.readouterr().out.startswith("Unsatisfiable" if code else "Satisfiable")
+        # emit sat reads the same forms: it writes what sat --out writes
+        assert cli.main(["emit", "sat", *argv, "--out", str(emitted)]) == 0
+        assert emitted.read_text() == decided.read_text()
+        assert "tff(strong_sat, axiom" in decided.read_text()
+
+    def test_the_help_names_the_strong_sat_forms(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["sat", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "every shape with the bare flag, before or after the file" in text
+        assert "the listed ones with --strong-sat=IRI[,IRI...]" in text
+
 
 STAR_SHAPES = SHAPES + """
 ex:T a sh:NodeShape ; sh:targetNode ex:a ;

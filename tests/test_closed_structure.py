@@ -24,6 +24,7 @@ from shacl2fol.closed_structure import ClosedStructure, ProverResult
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
 )
+from shacl2fol.errors import Clock
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Iff, Implies, NotN, OrN, Var,
 )
@@ -56,6 +57,15 @@ def named(units):
     return [(u.name, u.body) for u in units]
 
 
+def check(units, deadline=None):
+    """The answer of the units' candidate structure, None when the units
+    have no one candidate; the clock passes at `deadline`."""
+    try:
+        return ClosedStructure(units, Clock(deadline)).evaluate()
+    except closed_structure._Inapplicable:
+        return None
+
+
 def failing_targets(units) -> set[tuple[str, str]]:
     """The (shape, focus node) of each failing binding of a target unit."""
     structure = ClosedStructure(named(units))
@@ -75,7 +85,7 @@ def failing_targets(units) -> set[tuple[str, str]]:
 @pytest.mark.parametrize("case", EXACT, ids=lambda c: c.name)
 def test_the_check_gives_the_oracle_verdict(case, dialect):
     sg, g, units = case_problem(case, dialect)
-    answer = closed_structure.check(named(units))
+    answer = check(named(units))
     assert answer is not None
     assert (answer.status == "Satisfiable") == oracle.evaluate(sg, g).conforms
 
@@ -96,7 +106,7 @@ def test_an_approximate_star_or_an_order_never_refutes(case):
     structure = ClosedStructure(named(units))
     assert any(next(structure.failures(f), None) is not None for _, f in structure.checked)
     assert not structure.exact()
-    assert closed_structure.check(named(units)) is None
+    assert check(named(units)) is None
 
 
 @pytest.mark.parametrize("case", STARS, ids=lambda c: c.name)
@@ -107,7 +117,7 @@ def test_a_validation_star_is_decided_exactly(case):
     structure = ClosedStructure(named(units))
     assert structure.exact()
     assert not any(u.name.endswith(("_refl", "_step")) for u in units)
-    answer = closed_structure.check(named(units))
+    answer = check(named(units))
     assert (answer.status == "Satisfiable") == oracle.evaluate(sg, g).conforms == case.conforms
 
 
@@ -203,7 +213,7 @@ def validation_problems(draw):
 @given(validation_problems())
 def test_the_check_agrees_with_the_procedures(problem):
     sg, g, units = emitted(*problem)
-    answer = closed_structure.check(named(units))
+    answer = check(named(units))
     assert answer is not None
     assert (answer.status == "Satisfiable") == oracle.evaluate(sg, g).conforms
     got = miniprover.decide_clauses(clausify([u.body for u in units]), timeout_s=2)
@@ -281,7 +291,7 @@ def test_the_check_agrees_with_the_procedures_on_any_closed_problem(seed):
     # form, so it is run on problems the emitter never writes: where it
     # answers, the procedures must not conclude otherwise
     units = random_closed_problem(random.Random(seed))
-    answer = closed_structure.check(units)
+    answer = check(units)
     if answer is None:
         return
     got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=1)
@@ -294,9 +304,9 @@ def test_a_missing_unique_name_unit_keeps_a_failure_from_refuting():
     # constants may share an element in some model
     case = next(c for c in CASES if c.name == "or_violates")
     _, _, units = case_problem(case, Dialect.FOF)
-    assert closed_structure.check(named(units)).status == "Unsatisfiable"
+    assert check(named(units)).status == "Unsatisfiable"
     fewer = [u for u in units if u.name != "una_1"]
-    assert closed_structure.check(named(fewer)) is None
+    assert check(named(fewer)) is None
 
 
 # closures, facts and unique names by form, under names the emitter never
@@ -334,7 +344,7 @@ def test_an_unasserted_closure_tuple_keeps_a_failure_from_refuting():
     # makes it true and fails ~r(a, b), which the model with r empty keeps
     text = ("fof(c, axiom, ![X, Y]: (r(X, Y) => (X = a & Y = b))).\n"
             "fof(apart, axiom, a != b).\nfof(no, axiom, ~r(a, b)).\n")
-    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert check(named(parse_tptp(text))) is None
     assert miniprover.decide_tptp_text(text).status == "Satisfiable"
 
 
@@ -347,7 +357,7 @@ def test_an_unguarded_quantifier_keeps_a_failure_from_refuting():
     failing = [name for name, f in structure.checked
                if next(structure.failures(f), None) is not None]
     assert failing == ["other"]
-    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert check(named(parse_tptp(text))) is None
     assert miniprover.decide_tptp_text(text).status == "Satisfiable"
 
 
@@ -357,7 +367,7 @@ def test_an_undefined_reference_keeps_a_failure_from_refuting():
     text = ("fof(c, axiom, ![X]: (e(X) => X = a)).\nfof(f, axiom, e(a)).\n"
             "fof(d, axiom, ![X]: (s(X, t) <=> e(X))).\nfof(g, axiom, s(a, u)).\n"
             "tff(apart, axiom, $distinct(a, t, u)).\n")
-    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert check(named(parse_tptp(text))) is None
     assert miniprover.decide_tptp_text(text).status == "Satisfiable"
 
 
@@ -366,7 +376,7 @@ def test_definitions_in_a_cycle_have_no_one_candidate():
     # and the check gives way to the refutation
     text = ("fof(c, axiom, ![X]: (e(X) => X = a)).\nfof(f, axiom, e(a)).\n"
             "fof(d, axiom, ![X]: (s(X, t) <=> ~s(X, t))).\n")
-    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert check(named(parse_tptp(text))) is None
     assert miniprover.decide_tptp_text(text).status == "Unsatisfiable"
 
 
@@ -386,18 +396,18 @@ tff(apart, axiom, $distinct(a, b, t, u)).
 
 def test_a_reference_by_a_bound_variable_is_resolved_when_evaluated():
     units = named(parse_tptp(BY_VARIABLE))
-    assert closed_structure.check(units) == ProverResult(
+    assert check(units) == ProverResult(
         "Unsatisfiable", "closed structure of 4 elements; fails g at X = b, K = u")
     assert miniprover.decide_tptp_text(BY_VARIABLE).status == "Unsatisfiable"
     # without a definition at u, nothing fixes s(u, b)
     fewer = [u for u in units if u[0] != "su"]
-    assert closed_structure.check(fewer) is None
+    assert check(fewer) is None
 
 
 def test_a_reference_by_a_bound_variable_may_close_a_cycle():
     # st refers to s at whatever r gives, t itself included
     text = BY_VARIABLE.replace("(s(t, X) <=> X = a)", "(s(t, X) <=> ?[K]: (r(X, K) & ~s(K, X)))")
-    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert check(named(parse_tptp(text))) is None
 
 
 def test_the_clock_cuts_the_check(monkeypatch):
@@ -406,7 +416,7 @@ def test_the_clock_cuts_the_check(monkeypatch):
     text = render(build_problem(DecisionTask(
         TaskKind.VALIDATION, load_shapes(PEOPLE_SHAPES), data_graph=load_graph(people(1000)))))
     with pytest.raises(sat.TimeBudgetExceeded):
-        closed_structure.check(named(parse_tptp(text)), deadline=time.monotonic() - 1)
+        check(named(parse_tptp(text)), deadline=time.monotonic() - 1)
     calls = []
     monkeypatch.setattr(miniprover, "decide_clauses", lambda *a, **k: calls.append(a))
     assert miniprover.decide_tptp_text(text, timeout_s=0).status == "Timeout"
@@ -469,7 +479,7 @@ def test_the_facts_only_structure_agrees_with_the_oracle_and_the_procedures():
     decided = {True: 0, False: 0}
     for command, texts, strong in _static_problems():
         graphs, units = _static_problem(command, texts, strong)
-        answer = closed_structure.check(units)
+        answer = check(units)
         if answer is None:
             continue
         satisfiable = answer.status == "Satisfiable"
@@ -515,7 +525,7 @@ def test_the_facts_only_structure_agrees_with_the_procedures(seed):
     # facts alone: where the check answers, the procedures must not
     # conclude otherwise
     units = random_open_problem(random.Random(seed))
-    answer = closed_structure.check(units)
+    answer = check(units)
     if answer is None:
         return
     got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=1)
@@ -540,7 +550,7 @@ FACTS = "fof(r_ab, axiom, r(a, b)).\n" + KINDS
     ("fof(u, axiom, ![X]: ~(isI(X) & isL(X))).\n", "facts-only structure of 1 elements"),
 ], ids=["holds", "fails_ground", "fails_at_a_constant", "fresh"])
 def test_a_problem_with_no_closure_is_decided_on_its_facts(text, detail):
-    answer = closed_structure.check(named(parse_tptp(text)))
+    answer = check(named(parse_tptp(text)))
     assert answer.detail == detail
 
 
@@ -554,7 +564,7 @@ def test_a_problem_with_no_closure_is_decided_on_its_facts(text, detail):
 ], ids=["open_role", "facts_guard", "definition"])
 def test_a_failure_on_the_facts_alone_refutes_nothing(unit):
     text = FACTS + unit + "\n"
-    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert check(named(parse_tptp(text))) is None
     assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Satisfiable"
 
 
@@ -563,7 +573,7 @@ def test_a_failure_on_the_facts_alone_refutes_nothing(unit):
 
 def test_a_closed_problem_with_no_constant_is_checked_on_one_fresh_element():
     text = "fof(c, axiom, ~?[X,Y]: p(X,Y)).\nfof(u, axiom, ![X]: ~p(X,X)).\n"
-    assert closed_structure.check(named(parse_tptp(text))) \
+    assert check(named(parse_tptp(text))) \
         == ProverResult("Satisfiable", "closed structure of 1 elements")
 
 
@@ -579,7 +589,7 @@ def test_an_unclosed_guard_keeps_a_failure_from_refuting():
     text = CLOSED_E + "fof(u, axiom, ?[Y]: (isI(Y) & Y != a & Y != b)).\n"
     structure = ClosedStructure(named(parse_tptp(text)))
     assert structure.closed == {"e"} and not structure.exact() and structure.unguarded()
-    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert check(named(parse_tptp(text))) is None
     assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Satisfiable"
 
 
@@ -587,7 +597,7 @@ def test_a_closed_guard_beside_an_unclosed_one_refutes():
     # isI(Y) and e(Y) cost the same but for the closure, and isI comes
     # first: the closed e must win for the failure to refute
     text = CLOSED_E + "fof(u, axiom, ?[Y]: (isI(Y) & e(Y) & Y != a & Y != b)).\n"
-    assert closed_structure.check(named(parse_tptp(text))) \
+    assert check(named(parse_tptp(text))) \
         == ProverResult("Unsatisfiable", "closed structure of 2 elements; fails u")
     assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Unsatisfiable"
 
@@ -607,7 +617,7 @@ TWO_ARITIES = [
 @pytest.mark.parametrize("text", TWO_ARITIES, ids=["closure", "fact", "facts", "definition"])
 def test_a_predicate_at_two_arities_is_left_to_the_procedures(text, tmp_path, capsys):
     units = parse_tptp(text)
-    assert closed_structure.check(named(units)) is None
+    assert check(named(units)) is None
     assert closed_structure.decide_units(units, timeout_s=5).status == "Satisfiable"
     assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Satisfiable"
     problem = tmp_path / "problem.p"
@@ -622,4 +632,4 @@ def test_a_predicate_at_two_arities_is_left_to_the_procedures(text, tmp_path, ca
     "fof(u, axiom, s(d,a)).",
 ], ids=["atom", "definitions"])
 def test_a_defined_predicate_at_two_arities_has_no_one_candidate(text):
-    assert closed_structure.check(named(parse_tptp(text))) is None
+    assert check(named(parse_tptp(text))) is None

@@ -12,12 +12,13 @@ import pytest
 
 from conftest import load_shapes, shape_family
 from corpus import SHAPE_POOL
-from shacl2fol import closed_structure, emptiness, miniprover
+from shacl2fol import closed_structure, emptiness, entailment, miniprover
 from shacl2fol.closed_structure import ClosedStructure
 from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, build_problem, run_task
 from shacl2fol.errors import Clock
+from shacl2fol.tptp_parse import parse_tptp
 from test_closed_structure import NODE_CHAIN, named, static_problems
-from test_merge import _raw
+from test_merge import _raw, searched
 
 EX = "http://example.org/"
 PREFIXES = "@prefix sh: <http://www.w3.org/ns/shacl#> .\n@prefix ex: <http://example.org/> .\n"
@@ -156,6 +157,79 @@ def test_an_empty_atom_under_a_negation_a_disjunction_or_a_premise_asserts_nothi
     assert got.status == "Satisfiable", got.detail
 
 
+def test_clash_tests_past_the_budget_record_no_empty_definition(monkeypatch):
+    # c entails the last d, so the body contradicts itself, but c is first
+    # tested against three d that it does not entail, each search well
+    # within `_STEPS`: the four share the definition's one budget, which
+    # runs out before the last map is found, so e is not recorded empty and
+    # the problem is left to the clausal procedures
+    failing = " & ".join([f"~{searched('Z', 1, 4, n=4, t='u')}"] * 3)
+    text = (f"fof(d, axiom, ![X]: (e(X, a) <=> ({searched('Y', 4, 1, n=4)} & {failing}"
+            f" & ~{searched('W', 1, 4, n=4)}))).\nfof(u, axiom, e(b, a)).\n")
+
+    def walked() -> emptiness._Emptiness:
+        units = named(parse_tptp(text))
+        structure = ClosedStructure(units)
+        structure.merge(units)
+        found = emptiness._Emptiness(structure, Clock())
+        found.walk()
+        return found
+
+    found = walked()
+    assert found.empty == set() and found.test.steps > entailment._STEPS
+    got = miniprover.decide_tptp_text(text, timeout_s=0.5)
+    assert got.status != "Satisfiable" and "empty" not in got.detail, got.detail
+    monkeypatch.setattr(entailment, "_STEPS", 10**6)
+    assert walked().empty == {("e", ("a",))}
+    got = miniprover.decide_tptp_text(text, timeout_s=10)
+    assert (got.status, got.detail) == ("Unsatisfiable", "1 empty; u asserts an empty definition")
+
+
+THREE_STEPS_A = PREFIXES + f"""
+ex:S a sh:NodeShape ; sh:targetNode ex:a ; {CLASH} .
+ex:T a sh:NodeShape ; sh:targetNode ex:b ; sh:property [ sh:path ex:q ; sh:minCount 2 ] .
+"""
+THREE_STEPS_B = PREFIXES + f"""
+ex:S a sh:NodeShape ; sh:targetNode ex:a ; {CLASH} .
+ex:T a sh:NodeShape ; sh:targetNode ex:b, ex:c ; sh:property [ sh:path ex:q ; sh:minCount 1 ] .
+"""
+
+
+def test_merge_entailment_and_emptiness_answer_one_problem(no_clauses, monkeypatch):
+    # B repeats A's ex:S, which merges; B's ex:T weakens A's, which entails
+    # it, though B's target on ex:c leaves no denial; and ex:S contradicts
+    # itself, so A's target on ex:a refutes, the entailments handed on
+    handed = []
+    refuted = emptiness.refuted
+
+    def watched(structure, named, clock, found=None):
+        handed.append(found.stronger)
+        return refuted(structure, named, clock, found)
+
+    monkeypatch.setattr(emptiness, "refuted", watched)
+    got = run_task(DecisionTask(TaskKind.CONTAINMENT, load_shapes(THREE_STEPS_A),
+                                shape_graph_b=load_shapes(THREE_STEPS_B),
+                                prover=ProverConfig("builtin", timeout_s=10)))
+    assert (got.verdict.value, got.prover_detail) == ("Contained", "1 of 4 definitions merged; "
+                                                      "1 entailed; 1 empty; target_a asserts "
+                                                      "an empty definition")
+    assert handed == [{("hasShapeB", (f"{EX}T",)): ["hasShape"]}]
+
+
+def test_emptiness_reads_the_entailments_recorded_before_it(no_clauses):
+    # p(·, a) entails w(·, a), so inside the ∃ blocks of e's body, where
+    # no atom is read as its definition's body, c entails d only through
+    # the recorded entailment
+    text = """fof(d_p, axiom, ![X]: (p(X, a) <=> (q(X) & r(X)))).
+fof(d_w, axiom, ![X]: (w(X, a) <=> q(X))).
+fof(d_e, axiom, ![X]: (e(X) <=> (?[Y]: (s(X, Y) & p(Y, a)) & ~?[Y]: (s(X, Y) & w(Y, a))))).
+fof(u, axiom, e(c)).
+"""
+    got = miniprover.decide_tptp_text(text, timeout_s=5)
+    assert (got.status, got.detail) \
+        == ("Unsatisfiable", "1 entailed; 1 empty; u asserts an empty definition")
+
+
 def test_an_asserted_empty_atom_inside_an_existential_refutes():
     text = ("fof(d, axiom, ![X]: (p(X, a) <=> (q(X) & ~q(X)))).\n"
             "fof(u, axiom, ?[Y]: (r(Y) & p(Y, a))).\n")
@@ -180,7 +254,7 @@ def test_the_step_answers_as_the_raw_clauses_do():
         raw = _raw(units)
         if step is not None:
             refuted += 1
-            assert step.status == "Unsatisfiable"
+            assert step.endswith(" asserts an empty definition"), step
             if raw in decided:
                 both += 1
                 assert raw == "Unsatisfiable", task

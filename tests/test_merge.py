@@ -161,9 +161,40 @@ def test_entailment_is_recorded_in_its_one_direction():
     units = named(build_problem(_task(COUNT.format("maxCount", 1),
                                       COUNT.format("maxCount", 2))).formulas)
     structure = ClosedStructure(units)
-    assert structure.merge(units) == (units, "") and structure.left_apart()
+    assert structure.merge(units) == (units, "")
+    assert structure.pairs == [("hasShape", "hasShapeB", (f"{EX}S",))]
     found = entailment.entailed(structure, Clock())
     assert found.stronger == {("hasShapeB", (f"{EX}S",)): ["hasShape"]}
+
+
+def searched(v: str, first: int, last: int, n: int = 5, t: str = "t") -> str:
+    """`∃V₁…Vₙ (r(X, V₁) ∧ … ∧ r(X, Vₙ) ∧ s(V_first) ∧ t(V_last))`.  Two of
+    these with `first` and `last` swapped entail each other, but the
+    search maps the variables in order, so it tries every image of the
+    others for each wrong image of the first: about nⁿ steps before the map."""
+    vs = ", ".join(f"{v}{i}" for i in range(1, n + 1))
+    rs = " & ".join(f"r(X, {v}{i})" for i in range(1, n + 1))
+    return f"?[{vs}]: ({rs} & s({v}{first}) & {t}({v}{last}))"
+
+
+def test_a_search_past_the_budget_records_no_entailment(monkeypatch):
+    # p(·, a) and w(·, a) entail each other, so n denies an asserted unit
+    # through either; within `_STEPS` the search finds neither map, and the
+    # clausal procedures refute the problem instead
+    text = (f"fof(d_p, axiom, ![X]: (p(X, a) <=> {searched('Y', 5, 1)})).\n"
+            f"fof(d_w, axiom, ![X]: (w(X, a) <=> {searched('Z', 1, 5)})).\n"
+            "fof(u, axiom, p(b, a)).\nfof(n, axiom, ~w(b, a)).\n")
+    units = named(parse_tptp(text))
+    structure = ClosedStructure(units)
+    assert structure.merge(units) == (units, "") and structure.pairs == [("p", "w", ("a",))]
+    assert entailment.entailed(structure, Clock()).stronger == {}
+    got = miniprover.decide_tptp_text(text, timeout_s=10)
+    assert (got.status, got.detail) == ("Unsatisfiable", "ground refutation (skolem depth 1)")
+    monkeypatch.setattr(entailment, "_STEPS", 10**6)
+    assert entailment.entailed(structure, Clock()).stronger \
+        == {("w", ("a",)): ["p"], ("p", ("a",)): ["w"]}
+    got = miniprover.decide_tptp_text(text, timeout_s=10)
+    assert (got.status, got.detail) == ("Unsatisfiable", "2 entailed; n denies asserted units")
 
 
 WEAKER = """
