@@ -5,8 +5,11 @@ Subcommands: `sat`, `contains`, `validate` (decision problems), `emit`
 validation without any logic translation).  `emit sat SHAPES
 [--strong-sat]`, `emit contains SHAPES_A SHAPES_B` and `emit validate
 SHAPES DATA` take the emission options of their command and no prover
-options.  A bare `--strong-sat` selects every shape, before the file or
-after it; `--strong-sat=IRI[,IRI...]` selects the listed ones.
+options.  A bare `--strong-sat`, or an abbreviation of it such as
+`--strong`, selects every shape, before the file or after it;
+`--strong-sat=IRI[,IRI...]` selects the listed ones.  `sat` and
+`contains` write the candidate graph that decided, once the oracle
+confirms it, to `--witness FILE` as N-Triples.
 
 Exit codes: 0 for a positive verdict (Satisfiable / Contained /
 Conforms), 1 for the negative counterpart, 2 when the prover could not
@@ -82,6 +85,10 @@ def _add_task(sub, command: str, kind: str, summary: str, files, with_prover: bo
                     help="largest count expanded into explicit witnesses")
     sp.add_argument("--out", metavar="FILE", help="where to write the TPTP problem")
     sp.add_argument("--json", action="store_true", help="machine-readable result")
+    if with_prover and kind != "validation":
+        sp.add_argument("--witness", metavar="FILE",
+                        help="write the candidate graph that decided, once the "
+                        "oracle confirms it, as N-Triples; no file when none did")
     if with_prover:
         sp.add_argument("--prover", choices=["auto", "e", "vampire", "builtin"],
                         default="auto")
@@ -120,11 +127,17 @@ def _parser() -> _ArgumentParser:
     return build_parser()
 
 
+def _bare_strong_sat(a: str) -> bool:
+    """Whether `a` is `--strong-sat`, or an abbreviation argparse would
+    read as it: a prefix of it that is no prefix of `--star`."""
+    return len(a) > len("--st") and "--strong-sat".startswith(a)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The command line `argv`, a bare `--strong-sat` read as
-    `--strong-sat=`, every shape, so that it takes no file after it as its
-    list; read as it is when that leaves a token over."""
-    bare = ["--strong-sat=" if a == "--strong-sat" else a for a in argv]
+    """The command line `argv`, a bare `--strong-sat`, or an abbreviation
+    of it, read as `--strong-sat=`, every shape, so that it takes no file
+    after it as its list; read as it is when that leaves a token over."""
+    bare = ["--strong-sat=" if _bare_strong_sat(a) else a for a in argv]
     if bare != argv:
         args, over = _parser().parse_known_args(bare)
         if not over:
@@ -177,10 +190,16 @@ def _run_decision(args) -> int:
     )
     task = _build_task(args, prover)
     result = decide.run_task(task)
+    path = getattr(args, "witness", None)
+    if path is not None and result.confirmed:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(result.witness)
     if args.json:
         print(json.dumps(result.as_dict(), indent=2))
     else:
         note = " (approximate)" if result.approximate else ""
+        if result.witness is not None and not result.confirmed:
+            note += " (unconfirmed)"
         print(f"{result.verdict.value}{note}")
         print(f"  szs: {result.szs_status}  prover: {result.prover_kind}  "
               f"time: {result.prover_time_ms} ms")

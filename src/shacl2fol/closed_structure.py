@@ -67,10 +67,15 @@ bound-variable names, refutes the problem at once (`_denial`): so
 `contains A A`, B with dropped targets and B weakening A are decided
 before any quantifier is planned.  Otherwise the structure is evaluated;
 when that gives no answer, a unit that asserts a definition whose body
-contradicts itself refutes (`emptiness.refuted`), and only then are the
-clausal procedures (`miniprover`, `clausify`, `sat`) loaded and run on the
-merged units, or at once on units with no one candidate structure.  The
-emitted text is unchanged: these steps are the prover's own preprocessing.
+contradicts itself refutes (`emptiness.refuted`).  Then each of the
+caller's candidates, the problem's units with more (for a static
+problem, a candidate RDF graph's closures, kinds and unique names), is
+read into its own structure, and the first on which every unit holds
+is a model of the problem too (`_candidate`); one that fails a unit
+proves nothing.  Only then are the clausal procedures (`miniprover`,
+`clausify`, `sat`) loaded and run on the merged units, or at once on
+units with no one candidate structure.  The emitted text is unchanged:
+these steps are the prover's own preprocessing.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ import gc
 import itertools
 import time
 from collections import Counter
-from typing import AbstractSet, Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
@@ -799,12 +804,13 @@ class _Guards:
 
 
 class ProverResult(Record):
-    __slots__ = ("status", "detail")
+    __slots__ = ("status", "detail", "candidate")
     __hash__ = None
 
-    def __init__(self, status: str, detail: str = ""):
+    def __init__(self, status: str, detail: str = "", candidate: Optional[int] = None):
         self.status = status  # Satisfiable | Unsatisfiable | GaveUp | Timeout
         self.detail = detail
+        self.candidate = candidate  # the index of the candidate that is a model
 
 
 # --- definitions that say the same thing, and units that deny others --------
@@ -916,14 +922,44 @@ def _denial(named: list[tuple[str, Formula]], clock: Clock, rename=None,
     return None
 
 
-def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverResult:
+def _named(units: list[TptpFormula]) -> tuple[list, list]:
+    """The units as (name, formula) pairs, each conjecture negated, and
+    the conjectures among them."""
+    named = [(u.name, u.body) for u in units
+             if u.role in ("axiom", "hypothesis", "definition")]
+    conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
+    return named + conjectures, conjectures
+
+
+def _candidate(candidates: Iterable[tuple[str, list[TptpFormula]]],
+               clock: Clock) -> Optional[ProverResult]:
+    """Satisfiable, with the candidate's detail and index, at the first
+    candidate on whose structure every unit holds; None if none does.  A
+    candidate is the problem's units with more, so that structure is a
+    model of the problem too; a candidate it fails proves nothing."""
+    for i, (detail, units) in enumerate(candidates):
+        clock.check()
+        try:
+            result = ClosedStructure(_named(units)[0], clock).evaluate()
+        except _Inapplicable:
+            continue
+        if result is not None and result.status == "Satisfiable":
+            return ProverResult("Satisfiable", detail, i)
+    return None
+
+
+def decide_units(units: list[TptpFormula], timeout_s: float = 10.0,
+                 candidates: Iterable[tuple[str, list[TptpFormula]]] = ()) -> ProverResult:
     """Decide a problem given as its units: read once into their candidate
     structure, merged (`ClosedStructure.merge`), their entailments found
     when the merge leaves definitions apart (`entailment.entailed`), then
     refuted by a denial (`_denial`), decided by the structure, refuted by
-    its empty definitions (`emptiness.refuted`), or, failing those,
-    clausified and decided by `miniprover.decide_clauses` in the time left.
-    The detail counts the merges, the entailments and the empty ones."""
+    its empty definitions (`emptiness.refuted`), satisfied on one of the
+    `candidates` (`_candidate`), each its detail and the problem's units
+    with more, taken one at a time, or, failing those, clausified and
+    decided by `miniprover.decide_clauses` in the time left.  The detail
+    counts the merges, the entailments and the empty ones, but for a
+    candidate's answer, which is the candidate's detail."""
     clock = Clock(time.monotonic() + timeout_s)
     # the units are read, merged and evaluated with the cycle collector
     # paused: none of it makes a reference cycle, and the full passes a
@@ -932,10 +968,7 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
     gc.disable()
     try:
         try:
-            named = [(u.name, u.body) for u in units
-                     if u.role in ("axiom", "hypothesis", "definition")]
-            conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
-            named.extend(conjectures)
+            named, conjectures = _named(units)
             try:
                 structure = ClosedStructure(named, clock)
             except _Inapplicable:
@@ -959,6 +992,10 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
             if refutation is not None:
                 result = ProverResult("Unsatisfiable", "; ".join(
                     filter(None, (found and found.detail(), refutation))))
+            if result is None:
+                result = _candidate(candidates, clock)
+                if result is not None:
+                    merged = ""  # the candidate's units are checked unmerged
         finally:
             if collecting:
                 gc.enable()
@@ -980,4 +1017,4 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0) -> ProverRes
     status, detail = result.status, "; ".join(filter(None, (merged, result.detail)))
     if conjectures and status in ("Satisfiable", "Unsatisfiable"):
         status = "CounterSatisfiable" if status == "Satisfiable" else "Theorem"
-    return ProverResult(status, detail)
+    return ProverResult(status, detail, result.candidate)

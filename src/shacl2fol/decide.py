@@ -7,6 +7,9 @@ built-in prover runs in process on the document's units themselves, which
 are the units that parsing the rendered text gives back, so `emit` (or
 `--out`) writes a file on which a manual prover run reproduces the
 integrated result.  The text is rendered only when a file is wanted.
+For `sat` and `contains` the built-in prover is also handed candidate
+RDF graphs (`witness`), each as the task's problem with that graph's
+closures, and the oracle confirms the one that decides.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import NamedTuple, Optional
 from . import translate as tr
 from .errors import InvalidOptions, ProverNotFound, ProverProtocolError
 from .fol import conj, neg
-from .rdf import Graph, RdfTerm
+from .rdf import Graph, RdfTerm, serialize_ntriples
 from .record import Record
 from .shapes import ShapeGraph
 from .tptp import (
@@ -135,12 +138,13 @@ class DecisionTask(Record):
 
 class DecisionResult(Record):
     __slots__ = ("verdict", "approximate", "szs_status", "problem_file", "prover_time_ms",
-                 "prover_kind", "prover_detail")
+                 "prover_kind", "prover_detail", "witness", "confirmed")
     __hash__ = None
 
     def __init__(self, verdict: Verdict, approximate: bool, szs_status: str,
                  problem_file: str, prover_time_ms: int, prover_kind: str = "",
-                 prover_detail: str = ""):
+                 prover_detail: str = "", witness: Optional[str] = None,
+                 confirmed: bool = False):
         self.verdict = verdict
         self.approximate = approximate
         self.szs_status = szs_status
@@ -148,9 +152,11 @@ class DecisionResult(Record):
         self.prover_time_ms = prover_time_ms
         self.prover_kind = prover_kind
         self.prover_detail = prover_detail
+        self.witness = witness  # the candidate graph that decided, as N-Triples
+        self.confirmed = confirmed  # whether the oracle confirms the witness
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "verdict": self.verdict.value,
             "approximate": self.approximate,
             "szsStatus": self.szs_status,
@@ -159,15 +165,21 @@ class DecisionResult(Record):
             "prover": self.prover_kind,
             "proverDetail": self.prover_detail,
         }
+        if self.witness is not None:
+            out["witness"] = {"nTriples": self.witness, "confirmed": self.confirmed}
+        return out
 
 
 # --- problem assembly -------------------------------------------------------
 
-def build_problem(task: DecisionTask) -> TptpDocument:
-    """The task's theory, then the ambient axioms for all it names."""
+def build_problem(task: DecisionTask, candidate: Optional[Graph] = None) -> TptpDocument:
+    """The task's theory, then the ambient axioms for all it names; with a
+    `candidate` graph of a `sat` or `contains` task, also that graph's
+    closures, kinds and unique names, as a validation problem has them."""
     doc = TptpDocument(dialect=task.options.dialect,
                        header=[f"task: {task.kind.value}"])
-    emitter = Emitter(task.options, data_graph=task.data_graph)
+    data_graph = task.data_graph if candidate is None else candidate
+    emitter = Emitter(task.options, data_graph=data_graph)
     sg = task.shape_graph_a
     if task.kind is TaskKind.SATISFIABILITY:
         doc.extend(tr.translate(sg, emitter=emitter))
@@ -246,10 +258,11 @@ class ProverRun(NamedTuple):
     problem_file: str
     elapsed_ms: int
     detail: str = ""  # the built-in prover's deciding procedure
+    candidate: Optional[int] = None  # the index of the candidate that decided
 
 
 def run_prover(doc: TptpDocument, config: ProverConfig,
-               problem_path: Optional[str] = None) -> ProverRun:
+               problem_path: Optional[str] = None, candidates=()) -> ProverRun:
     """Run the prover of `config` on the problem; `config` is resolved
     already (`ProverConfig.resolve`), so its kind is not `auto`.
 
@@ -257,7 +270,9 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
     Otherwise nothing is left behind and `problem_file` is "": the built-in
     prover decides the document's units in memory without rendering them,
     and an external prover reads the text from a temporary directory that
-    is removed after the run.
+    is removed after the run.  The built-in prover also checks the
+    `candidates` (`closed_structure.decide_units`); an external one
+    ignores them.
     """
     builtin = config.kind == "builtin"
     text = "" if builtin and problem_path is None else render(doc)
@@ -268,9 +283,9 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
     if builtin:
         from . import closed_structure
 
-        result = closed_structure.decide_units(doc.formulas, timeout_s=config.timeout_s)
+        result = closed_structure.decide_units(doc.formulas, config.timeout_s, candidates)
         elapsed = int((time.monotonic() - start) * 1000)
-        return ProverRun(result.status, problem_file, elapsed, result.detail)
+        return ProverRun(result.status, problem_file, elapsed, result.detail, result.candidate)
     import subprocess
 
     with tempfile.TemporaryDirectory(prefix="shacl2fol_") as tmp:
@@ -316,19 +331,61 @@ def _verdict(kind: TaskKind, szs: str) -> Verdict:
     return Verdict.CONFORMS if sat else Verdict.DOES_NOT_CONFORM
 
 
+# --- candidate graphs -------------------------------------------------------
+
+def _candidates(task: DecisionTask, offered: list):
+    """The candidate graphs of a `sat` or `contains` task (`witness`), each
+    appended to `offered` as it is built and given as its detail and its
+    problem (`build_problem`).  `witness` and `oracle`, which confirms the
+    one that decides, are loaded together when the prover first asks, so
+    one request pays for compiling both where no bytecode is cached."""
+    from . import oracle, witness  # noqa: F401
+
+    sg = task.shape_graph_a
+    if task.kind is TaskKind.CONTAINMENT:
+        found = witness.for_containment(sg, task.shape_graph_b)
+    else:
+        strong = task.strong_sat_shapes
+        found = witness.for_satisfiability(
+            sg, [] if strong is None else strong or sg.shape_names())
+    for w in found:
+        offered.append(w)
+        yield f"candidate graph of {len(w.graph)} triples", build_problem(task, w.graph).formulas
+
+
+def _confirmed(task: DecisionTask, w) -> bool:
+    """Whether the oracle finds that the witness conforms to A and, for
+    `sat`, has each instance the chase gave it, or for `contains`,
+    violates B."""
+    from . import oracle
+
+    if not oracle.evaluate(task.shape_graph_a, w.graph).conforms:
+        return False
+    if task.kind is TaskKind.CONTAINMENT:
+        return not oracle.evaluate(task.shape_graph_b, w.graph).conforms
+    return oracle.has_shapes(task.shape_graph_a, w.graph, w.instances)
+
+
 def run_task(task: DecisionTask) -> DecisionResult:
     doc = build_problem(task)
     config = task.prover.resolve()
-    run = run_prover(doc, config, task.problem_path)
+    offered: list = []
+    candidates = () if task.kind is TaskKind.VALIDATION else _candidates(task, offered)
+    run = run_prover(doc, config, task.problem_path, candidates)
     verdict = _verdict(task.kind, run.szs_status)
     # the star axioms admit the real closure, so a refutation holds
     exact = {"star"} if verdict in (Verdict.UNSATISFIABLE, Verdict.CONTAINED) else set()
+    witness = None if run.candidate is None else offered[run.candidate]
+    # a confirmed witness is a real graph, whatever the axioms approximate
+    confirmed = witness is not None and _confirmed(task, witness)
     return DecisionResult(
         verdict=verdict,
-        approximate=bool(doc.approximations - exact),
+        approximate=bool(doc.approximations - exact) and not confirmed,
         szs_status=run.szs_status,
         problem_file=run.problem_file,
         prover_time_ms=run.elapsed_ms,
         prover_kind=config.kind,
         prover_detail=run.detail,
+        witness=None if witness is None else serialize_ntriples(witness.graph),
+        confirmed=confirmed,
     )

@@ -224,3 +224,10 @@ def evaluate(sg: ShapeGraph, g: Graph) -> ValidationReport:
                 if not ev.check(shape.name, node):
                     violations[shape.name, node] = Violation(shape.name, node)
     return ValidationReport(conforms=not violations, violations=list(violations.values()))
+
+
+def has_shapes(sg: ShapeGraph, g: Graph, pairs) -> bool:
+    """Whether each node of the (shape name, node) `pairs` conforms to its
+    shape in `g`; the shape graph is checked already (`evaluate`)."""
+    ev = _Evaluator(sg, g)
+    return all(ev.check(name, node) for name, node in pairs)

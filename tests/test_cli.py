@@ -296,10 +296,17 @@ class TestConfigPlumbing:
         (["{f}", f"--strong-sat={EX}T,{EX}S"], 1),
         (["{f}", "--strong-sat", f"{EX}T"], 0),
         (["--strong-sat", f"{EX}S", "{f}"], 1),
+        (["--strong", "{f}"], 1),
+        (["--strong-s", "{f}"], 1),
+        (["--stro", "{f}"], 1),
+        (["{f}", "--strong"], 1),
     ], ids=["after", "before", "twice", "empty_list", "list_before", "list_after",
-            "list_of_two", "list_by_space_after", "list_by_space_before"])
+            "list_of_two", "list_by_space_after", "list_by_space_before",
+            "abbreviated_before", "abbreviated_s_before", "abbreviated_stro_before",
+            "abbreviated_after"])
     def test_strong_sat_before_or_after_the_file(self, tmp_path, capsys, argv, code):
-        # a bare --strong-sat, every shape, takes no file after it as its list
+        # a bare --strong-sat, every shape, takes no file after it as its
+        # list, nor does an abbreviation argparse reads as it
         untargeted = tmp_path / "untargeted.ttl"
         untargeted.write_text(PREFIX + "ex:S a sh:NodeShape ; sh:and ( [ sh:nodeKind sh:IRI ]"
                               " [ sh:nodeKind sh:Literal ] ) .\nex:T a sh:NodeShape .\n")
@@ -673,6 +680,16 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
   sh:property [ sh:path ex:p ; sh:minCount 1 ] .
 """
 MIN2_SHAPES = MIN1_SHAPES.replace("sh:minCount 1", "sh:minCount 2")
+# static-analysis's F2: every object of ex:p is a blank node in A and in B,
+# so A is contained in B; no candidate graph conforms to A and violates B,
+# and `find_model` still answers NotContained, the known fault F2
+F2_A_SHAPES = PREFIX + """
+ex:S a sh:NodeShape ; sh:targetObjectsOf ex:p ;
+  sh:not [ sh:nodeKind sh:IRI ] ; sh:not [ sh:nodeKind sh:Literal ] .
+"""
+F2_B_SHAPES = PREFIX + """
+ex:S a sh:NodeShape ; sh:targetObjectsOf ex:p ; sh:nodeKind sh:BlankNode .
+"""
 # static-analysis's strong_clash_kind: no node is both a blank node and a literal
 KIND_CLASH_SHAPES = PREFIX + """
 ex:S a sh:NodeShape ;
@@ -693,7 +710,11 @@ ex:S a sh:NodeShape ;
     ("shacl2fol.cli", ["sat", "{dir}/empty.ttl", "--json", *BUILTIN],
      _EMIT | {"closed_structure"}, "facts-only structure of 1 elements"),
     ("shacl2fol.cli", ["sat", "{dir}/min1.ttl", "--json", *BUILTIN],
-     _EMIT | _PROVER | {"emptiness"}, "finite model of size 2"),
+     _EMIT | {"closed_structure", "emptiness", "witness", "oracle"},
+     "candidate graph of 1 triples"),
+    ("shacl2fol.cli", ["contains", "{dir}/f2_a.ttl", "{dir}/f2_b.ttl", "--json", *BUILTIN],
+     _EMIT | _PROVER | {"emptiness", "entailment", "witness", "oracle"},
+     "finite model of size 5"),
     ("shacl2fol.cli", ["sat", "{dir}/clash.ttl", "--strong-sat", "--json", *BUILTIN],
      _EMIT | {"closed_structure", "emptiness"},
      "1 empty; strong_sat asserts an empty definition"),
@@ -706,15 +727,20 @@ ex:S a sh:NodeShape ;
     ("shacl2fol.cli", ["contains", "{dir}/min2.ttl", "{dir}/min1.ttl", "--json", *BUILTIN],
      _EMIT | {"closed_structure", "entailment"}, "1 entailed; neg_targets_b denies asserted units"),
 ], ids=["oracle", "emit-validate", "miniprover-parse-only", "validate-builtin",
-        "validate-star-approx", "sat-builtin", "sat-builtin-clausal", "sat-contradiction",
+        "validate-star-approx", "sat-builtin", "sat-builtin-witness",
+        "contains-builtin-clausal", "sat-contradiction",
         "sat-count-contradiction", "contains-itself", "contains-weakened"])
 def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, detail):
     """A fresh interpreter serving one request imports exactly the
     package's modules that the request runs, and no networkx, record class
     library or process launcher.  The built-in prover loads its clausal
     procedures only when the closed structure, or with no closure the
-    structure of the problem's facts, does not decide: `ex:a` of
-    `min1.ttl` has no `ex:p` value there, yet may have one in a model.
+    structure of the problem's facts, does not decide, and no candidate
+    graph does: `ex:a` of `min1.ttl` has no `ex:p` value there, yet has
+    one in the chased candidate, which `witness` builds and the oracle
+    confirms, the two loaded together.  F2's shapes (static-analysis's
+    `F2_node_kinds_not_exhaustive`) have no candidate that conforms to A
+    and not to B, so they still go on to the clausal procedures.
     Nor when a unit denies asserted units, as `min1.ttl` contained in
     itself does once B's definition is merged into A's, and `min2.ttl`
     contained in `min1.ttl` does once A's definition entails B's: only
@@ -730,6 +756,8 @@ def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, deta
     (files["dir"] / "empty.ttl").write_text(PREFIX)
     (files["dir"] / "min1.ttl").write_text(MIN1_SHAPES)
     (files["dir"] / "min2.ttl").write_text(MIN2_SHAPES)
+    (files["dir"] / "f2_a.ttl").write_text(F2_A_SHAPES)
+    (files["dir"] / "f2_b.ttl").write_text(F2_B_SHAPES)
     (files["dir"] / "clash.ttl").write_text(KIND_CLASH_SHAPES)
     (files["dir"] / "min_max.ttl").write_text(MIN1_SHAPES.replace("sh:minCount 1",
                                                                  "sh:minCount 2 ; sh:maxCount 1"))
@@ -746,6 +774,7 @@ def test_each_entry_point_loads_only_its_layers(files, entry, argv, loaded, deta
         printed = json.loads("\n".join(printed))
         assert printed["proverDetail"] == detail
         verdict = printed["verdict"]
-    assert result["code"] == (1 if verdict == "Unsatisfiable" else 0)  # 1: a negative verdict
+    # 1: a negative verdict
+    assert result["code"] == (1 if verdict in ("Unsatisfiable", "NotContained") else 0)
     assert result["modules"] == sorted({"shacl2fol"} | {f"shacl2fol.{m}" for m in loaded})
     assert result["foreign"] == []
