@@ -22,7 +22,7 @@ import stat
 import tempfile
 import time
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from . import translate as tr
 from .errors import InvalidOptions, ProverNotFound, ProverProtocolError
@@ -172,10 +172,12 @@ class DecisionResult(Record):
 
 # --- problem assembly -------------------------------------------------------
 
-def build_problem(task: DecisionTask, candidate: Optional[Graph] = None) -> TptpDocument:
+def build_problem(task: DecisionTask, candidate: Optional[Graph] = None,
+                  nodes: Iterable[RdfTerm] = ()) -> TptpDocument:
     """The task's theory, then the ambient axioms for all it names; with a
     `candidate` graph of a `sat` or `contains` task, also that graph's
-    closures, kinds and unique names, as a validation problem has them."""
+    closures, kinds and unique names, as a validation problem has them,
+    and the kinds and unique names of the `nodes` it has no triple about."""
     doc = TptpDocument(dialect=task.options.dialect,
                        header=[f"task: {task.kind.value}"])
     data_graph = task.data_graph if candidate is None else candidate
@@ -207,6 +209,8 @@ def build_problem(task: DecisionTask, candidate: Optional[Graph] = None) -> Tptp
         doc.add("neg_targets_b", neg(conj(b_targets)))
     else:
         doc.extend(tr.translate(sg, task.data_graph.predicate_names(), emitter))
+    for node in nodes:
+        emitter.const(node)
     attach_ambient_axioms(doc, emitter)
     return doc
 
@@ -350,7 +354,8 @@ def _candidates(task: DecisionTask, offered: list):
             sg, [] if strong is None else strong or sg.shape_names())
     for w in found:
         offered.append(w)
-        yield f"candidate graph of {len(w.graph)} triples", build_problem(task, w.graph).formulas
+        doc = build_problem(task, w.graph, [node for _, node in w.instances])
+        yield f"candidate graph of {len(w.graph)} triples", doc.formulas
 
 
 def _confirmed(task: DecisionTask, w) -> bool:

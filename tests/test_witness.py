@@ -250,3 +250,14 @@ def test_the_chase_meets_counts_listed_values_and_references():
     got = run_task(task)
     assert (got.verdict.value, got.prover_detail, got.confirmed) \
         == ("Satisfiable", "candidate graph of 6 triples", True)
+
+
+@pytest.mark.parametrize("kind", ["Literal", "BlankNode"])
+def test_an_instance_with_no_triple_is_named_in_the_candidates_problem(tmp_path, capsys, kind):
+    # the instance is a fresh literal or blank node with no triple about it,
+    # so the empty graph shows it only once the node is one of the constants
+    shapes = tmp_path / "kind.ttl"
+    shapes.write_text(PREFIX + f"ex:S a sh:NodeShape ; sh:nodeKind sh:{kind} .\n")
+    code, got = decide(capsys, ["sat", str(shapes), "--strong-sat"])
+    assert (code, got["proverDetail"]) == (0, "candidate graph of 0 triples")
+    assert got["witness"] == {"nTriples": "", "confirmed": True}
