@@ -84,7 +84,7 @@ import gc
 import itertools
 import time
 from collections import Counter
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
+from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
@@ -949,14 +949,15 @@ def _candidate(candidates: Iterable[tuple[str, list[TptpFormula]]],
 
 
 def decide_units(units: list[TptpFormula], timeout_s: float = 10.0,
-                 candidates: Iterable[tuple[str, list[TptpFormula]]] = ()) -> ProverResult:
+                 candidates: Optional[Callable[[Clock], Iterable]] = None) -> ProverResult:
     """Decide a problem given as its units: read once into their candidate
     structure, merged (`ClosedStructure.merge`), their entailments found
     when the merge leaves definitions apart (`entailment.entailed`), then
     refuted by a denial (`_denial`), decided by the structure, refuted by
     its empty definitions (`emptiness.refuted`), satisfied on one of the
-    `candidates` (`_candidate`), each its detail and the problem's units
-    with more, taken one at a time, or, failing those, clausified and
+    `candidates(clock)` (`_candidate`), each its detail and the problem's
+    units with more, built one at a time on the clock, or, failing those,
+    clausified and
     decided by `miniprover.decide_clauses` in the time left.  The detail
     counts the merges, the entailments and the empty ones, but for a
     candidate's answer, which is the candidate's detail."""
@@ -992,8 +993,8 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0,
             if refutation is not None:
                 result = ProverResult("Unsatisfiable", "; ".join(
                     filter(None, (found and found.detail(), refutation))))
-            if result is None:
-                result = _candidate(candidates, clock)
+            if result is None and candidates is not None:
+                result = _candidate(candidates(clock), clock)
                 if result is not None:
                     merged = ""  # the candidate's units are checked unmerged
         finally:

@@ -14,6 +14,7 @@ closures, and the oracle confirms the one that decides.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -266,7 +267,7 @@ class ProverRun(NamedTuple):
 
 
 def run_prover(doc: TptpDocument, config: ProverConfig,
-               problem_path: Optional[str] = None, candidates=()) -> ProverRun:
+               problem_path: Optional[str] = None, candidates=None) -> ProverRun:
     """Run the prover of `config` on the problem; `config` is resolved
     already (`ProverConfig.resolve`), so its kind is not `auto`.
 
@@ -337,21 +338,22 @@ def _verdict(kind: TaskKind, szs: str) -> Verdict:
 
 # --- candidate graphs -------------------------------------------------------
 
-def _candidates(task: DecisionTask, offered: list):
-    """The candidate graphs of a `sat` or `contains` task (`witness`), each
-    appended to `offered` as it is built and given as its detail and its
-    problem (`build_problem`).  `witness` and `oracle`, which confirms the
-    one that decides, are loaded together when the prover first asks, so
-    one request pays for compiling both where no bytecode is cached."""
+def _candidates(task: DecisionTask, offered: list, clock):
+    """The candidate graphs of a `sat` or `contains` task (`witness`),
+    chased on the prover's `clock`, each appended to `offered` as it is
+    built and given as its detail and its problem (`build_problem`).
+    `witness` and `oracle`, which confirms the one that decides, are
+    loaded together when the prover first asks, so one request pays for
+    compiling both where no bytecode is cached."""
     from . import oracle, witness  # noqa: F401
 
     sg = task.shape_graph_a
     if task.kind is TaskKind.CONTAINMENT:
-        found = witness.for_containment(sg, task.shape_graph_b)
+        found = witness.for_containment(sg, task.shape_graph_b, clock.tick)
     else:
         strong = task.strong_sat_shapes
         found = witness.for_satisfiability(
-            sg, [] if strong is None else strong or sg.shape_names())
+            sg, [] if strong is None else strong or sg.shape_names(), clock.tick)
     for w in found:
         offered.append(w)
         doc = build_problem(task, w.graph, [node for _, node in w.instances])
@@ -375,7 +377,8 @@ def run_task(task: DecisionTask) -> DecisionResult:
     doc = build_problem(task)
     config = task.prover.resolve()
     offered: list = []
-    candidates = () if task.kind is TaskKind.VALIDATION else _candidates(task, offered)
+    candidates = None if task.kind is TaskKind.VALIDATION \
+        else functools.partial(_candidates, task, offered)
     run = run_prover(doc, config, task.problem_path, candidates)
     verdict = _verdict(task.kind, run.szs_status)
     # the star axioms admit the real closure, so a refutation holds

@@ -103,7 +103,8 @@ def _targets(target: TargetDecl, g: rdf.Graph) -> list[RdfTerm]:
 
 
 class _Chase:
-    def __init__(self, sg: ShapeGraph):
+    def __init__(self, sg: ShapeGraph, tick):
+        self.tick = tick  # reports a step of work to the caller's clock
         self.shapes = {s.name: s for s in sg}
         self.triples: dict[Triple, None] = {}
         self.chased: dict[RdfTerm, set[RdfTerm]] = {}  # node -> the shapes chased on it
@@ -131,6 +132,7 @@ class _Chase:
         stack = [c]
         while stack:
             c = stack.pop()
+            self.tick()
             t = type(c)
             if t is And:
                 stack.extend(reversed(c.operands))
@@ -170,10 +172,10 @@ class _Chase:
         self.chased.setdefault(node, set()).update(pulled)
         self.todo.append((node, conjuncts))
 
-    def choose(self, conjuncts: list, subject: bool) -> RdfTerm:
-        """The listed value the conjuncts fix, or a fresh node of the first
-        kind they name, else of IRI, blank node and literal the first they
-        do not deny; never a literal with properties."""
+    def pick(self, conjuncts: list, subject: bool):
+        """The listed value the conjuncts fix, or else the kind of a fresh
+        node: the first they name, else of IRI, blank node and literal the
+        first they do not deny; never a literal with properties."""
         kinds, denied = [], set()
         for c in conjuncts:
             t = type(c)
@@ -189,22 +191,19 @@ class _Chase:
             denied.add(NodeKindValue.LITERAL)
         for kind in kinds[:1] or _KINDS:
             if kind not in denied:
-                return self.new(kind)
+                return kind
         raise _NoCandidate()
 
     def add(self, node: RdfTerm, step: tuple[str, bool], value: RdfTerm) -> None:
-        """`value` through `step` from `node`, and what every such value must satisfy."""
+        """`value` through `step` from `node`."""
         predicate, forward = step
         subject, obj = (node, value) if forward else (value, node)
         values = self.values.setdefault((node, step), [])
         if subject.is_literal or len(self.triples) == _LIMIT:
             raise _NoCandidate()
-        if value in values:
-            return
-        self.triples[Triple(subject, rdf.iri(predicate), obj)] = None
-        values.append(value)
-        for c in self.every.get((node, step), ()):
-            self.require(value, c)
+        if value not in values:
+            self.triples[Triple(subject, rdf.iri(predicate), obj)] = None
+            values.append(value)
 
     def apply(self, node: RdfTerm, conjuncts: list) -> None:
         for c in conjuncts:
@@ -223,14 +222,25 @@ class _Chase:
             step = _step(c.path)
             n = c.n - len(self.values.get((node, step), ())) \
                 if type(c.constraint) is TrueC else c.n
+            if n <= 0:
+                continue
+            # what each value must satisfy, read once for all n
+            wanted = And((c.constraint, *self.every.get((node, step), ())))
+            conjuncts, pulled = self.conjuncts(wanted)
+            pick = self.pick(conjuncts, not step[1])
             for _ in range(n):
-                wanted = And((c.constraint, *self.every.get((node, step), ())))
-                value = self.choose(self.conjuncts(wanted)[0], not step[1])
+                if type(pick) is NodeKindValue:
+                    value = self.new(pick)
+                    self.chased[value] = set(pulled)
+                    self.todo.append((value, conjuncts))
+                else:
+                    value = pick
+                    self.require(value, wanted)
                 self.add(node, step, value)
-                self.require(value, c.constraint)
 
     def focus(self, name: RdfTerm) -> RdfTerm:
-        node = self.choose(self.conjuncts(HasShape(name))[0], False)
+        pick = self.pick(self.conjuncts(HasShape(name))[0], False)
+        node = self.new(pick) if type(pick) is NodeKindValue else pick
         self.require(node, HasShape(name))
         return node
 
@@ -262,11 +272,12 @@ class _Chase:
                 return graph
 
 
-def for_satisfiability(sg: ShapeGraph, selected: list[RdfTerm]) -> Iterator[Witness]:
+def for_satisfiability(sg: ShapeGraph, selected: list[RdfTerm], tick) -> Iterator[Witness]:
     """The candidate of a `sat` problem: an instance of each `selected`
     shape and the shape graph's target nodes, chased; none when it is
-    empty, which the structure of the problem's facts has checked."""
-    chase = _Chase(sg)
+    empty, which the structure of the problem's facts has checked.
+    `tick()` is called at each step of the chase."""
+    chase = _Chase(sg, tick)
     try:
         instances = tuple((name, chase.focus(name)) for name in selected)
         graph = chase.run(sg)
@@ -276,13 +287,13 @@ def for_satisfiability(sg: ShapeGraph, selected: list[RdfTerm]) -> Iterator[Witn
         yield Witness(graph, instances)
 
 
-def for_containment(sg_a: ShapeGraph, sg_b: ShapeGraph) -> Iterator[Witness]:
+def for_containment(sg_a: ShapeGraph, sg_b: ShapeGraph, tick) -> Iterator[Witness]:
     """The candidates of `contains A B`, one per kind: a target of each of
     B's declarations that allows the kind, chased for A; each graph once,
-    and none empty."""
+    and none empty.  `tick()` is called at each step of the chase."""
     seen = set()
     for kind in _KINDS:
-        chase = _Chase(sg_a)
+        chase = _Chase(sg_a, tick)
         try:
             for shape in sg_b:
                 for target in shape.targets:

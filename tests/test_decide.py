@@ -227,7 +227,7 @@ class TestRunProver:
             rendered.append(render(doc))
             return rendered[-1]
 
-        def recording_decide(units, timeout_s, candidates=()):
+        def recording_decide(units, timeout_s, candidates=None):
             decided.append(list(units))
             return closed_structure.ProverResult("Unsatisfiable")
 

@@ -18,10 +18,12 @@ import pytest
 from conftest import load_shapes, shape_family
 from shacl2fol import cli, closed_structure, oracle, rdf, witness
 from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, build_problem, run_task
+from shacl2fol.errors import Clock, TimeBudgetExceeded
 from test_cli import LOADED_MODULES, PREFIX, _fresh_env
 
 EX = "http://example.org/"
 SIZES = (4, 30, 100)
+NO_CLOCK = Clock().tick  # a clock with no deadline
 
 
 def raised(text: str, n: int) -> str:
@@ -153,17 +155,18 @@ def test_the_mutated_candidate_fails_its_structure():
     # the check of the mutated candidate itself: not Satisfiable
     sg = load_shapes(MIN3)
     task = DecisionTask(TaskKind.SATISFIABILITY, sg)
-    (w,) = witness.for_satisfiability(sg, [])
+    (w,) = witness.for_satisfiability(sg, [], NO_CLOCK)
     assert len(w.graph) == 3
     problem = build_problem(task).formulas
     dropped = build_problem(task, rdf.Graph(sorted(w.graph)[1:])).formulas
     assert closed_structure.ClosedStructure(
         closed_structure._named(dropped)[0]).evaluate().status == "Unsatisfiable"
-    got = closed_structure.decide_units(problem, 10, [("dropped", dropped)])
+    got = closed_structure.decide_units(problem, 10, lambda clock: [("dropped", dropped)])
     assert (got.status, got.candidate) == ("Satisfiable", None)
     assert got.detail.startswith("finite model of size ")
     chased = build_problem(task, w.graph).formulas
-    got = closed_structure.decide_units(problem, 10, [("dropped", dropped), ("chased", chased)])
+    got = closed_structure.decide_units(problem, 10,
+                                        lambda clock: [("dropped", dropped), ("chased", chased)])
     assert (got.status, got.detail, got.candidate) == ("Satisfiable", "chased", 1)
 
 
@@ -212,7 +215,7 @@ def test_witness_is_an_option_of_sat_and_contains_only(tmp_path, capsys):
 ])
 def test_containment_candidates_take_each_kind_a_target_allows(text, kinds):
     # A is empty, so nothing is chased: each candidate holds B's focus alone
-    got = list(witness.for_containment(load_shapes(PREFIX), load_shapes(text)))
+    got = list(witness.for_containment(load_shapes(PREFIX), load_shapes(text), NO_CLOCK))
     assert len(got) == kinds
     assert len({g.graph for g in got}) == kinds
 
@@ -226,7 +229,7 @@ def test_containment_candidates_take_each_kind_a_target_allows(text, kinds):
 ], ids=["sequence_path", "property_pair", "empty_in", "literal_with_class"])
 def test_what_the_chase_does_not_build_gives_no_candidate(constraint):
     sg = load_shapes(PREFIX + f"ex:S sh:targetNode ex:a ; {constraint} .\n")
-    assert list(witness.for_satisfiability(sg, [])) == []
+    assert list(witness.for_satisfiability(sg, [], NO_CLOCK)) == []
 
 
 def test_the_chase_meets_counts_listed_values_and_references():
@@ -237,7 +240,7 @@ def test_the_chase_meets_counts_listed_values_and_references():
       sh:property [ sh:path ex:r ; sh:minCount 1 ; sh:in ( "x" "y" ) ] .
     ex:T sh:property [ sh:path ex:s ; sh:minCount 1 ; sh:class ex:D ] .
     """)
-    (w,) = witness.for_satisfiability(sg, [])
+    (w,) = witness.for_satisfiability(sg, [], NO_CLOCK)
     g = w.graph
     a = rdf.iri(EX + "a")
     assert len(g.objects(a, EX + "p")) == 2 and rdf.iri(EX + "v") in g.objects(a, EX + "p")
@@ -261,3 +264,25 @@ def test_an_instance_with_no_triple_is_named_in_the_candidates_problem(tmp_path,
     code, got = decide(capsys, ["sat", str(shapes), "--strong-sat"])
     assert (code, got["proverDetail"]) == (0, "candidate graph of 0 triples")
     assert got["witness"] == {"nTriples": "", "confirmed": True}
+
+
+def test_the_chase_reports_its_steps_to_the_clock(capsys, tmp_path):
+    # 100 counts of 32 values, each of a 300-constraint shape: the chase
+    # reads the values' constraints once per count, gives up past 4,096
+    # triples, and reports each step to the clock, whose deadline stops it
+    inner = " ; ".join(f"sh:property [ sh:path ex:q{i} ; sh:minCount 1 ; sh:class ex:D{i} ]"
+                       for i in range(300))
+    outer = " ; ".join(f"sh:property [ sh:path ex:p{i} ; sh:minCount 32 ; sh:node ex:T ]"
+                       for i in range(100))
+    sg = load_shapes(PREFIX + f"ex:S sh:targetNode ex:a ; {outer} .\nex:T {inner} .\n")
+    assert list(witness.for_satisfiability(sg, [], NO_CLOCK)) == []  # past 4,096 triples
+    steps = 0
+
+    def tick():
+        nonlocal steps
+        steps += 1
+        if steps == 1_000:
+            raise TimeBudgetExceeded()
+
+    with pytest.raises(TimeBudgetExceeded):
+        list(witness.for_satisfiability(sg, [], tick))
