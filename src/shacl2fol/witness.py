@@ -226,13 +226,13 @@ class _Chase:
                 continue
             # what each value must satisfy, read once for all n
             wanted = And((c.constraint, *self.every.get((node, step), ())))
-            conjuncts, pulled = self.conjuncts(wanted)
-            pick = self.pick(conjuncts, not step[1])
+            needs, pulled = self.conjuncts(wanted)
+            pick = self.pick(needs, not step[1])
             for _ in range(n):
                 if type(pick) is NodeKindValue:
                     value = self.new(pick)
                     self.chased[value] = set(pulled)
-                    self.todo.append((value, conjuncts))
+                    self.todo.append((value, needs))
                 else:
                     value = pick
                     self.require(value, wanted)
