@@ -957,10 +957,9 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0,
     its empty definitions (`emptiness.refuted`), satisfied on one of the
     `candidates(clock)` (`_candidate`), each its detail and the problem's
     units with more, built one at a time on the clock, or, failing those,
-    clausified and
-    decided by `miniprover.decide_clauses` in the time left.  The detail
-    counts the merges, the entailments and the empty ones, but for a
-    candidate's answer, which is the candidate's detail."""
+    clausified and decided by `miniprover.decide_clauses` in the time
+    left.  The detail counts the merges, the entailments and the empty
+    ones, but for a candidate's answer, which is the candidate's detail."""
     clock = Clock(time.monotonic() + timeout_s)
     # the units are read, merged and evaluated with the cycle collector
     # paused: none of it makes a reference cycle, and the full passes a
