@@ -16,7 +16,7 @@ formula `$distinct` is one literal.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func,
@@ -225,6 +225,7 @@ def _is_tautology(cl: Clause, clock: Clock) -> bool:
     return False
 
 
-def clausify(formulas: list[Formula], deadline: Optional[float] = None) -> list[Clause]:
-    """Raises `sat.TimeBudgetExceeded` once the clock passes `deadline`."""
-    return _Clausifier(Clock(deadline)).clausify(formulas)
+def clausify(formulas: list[Formula], clock: Clock = Clock()) -> list[Clause]:
+    """Raises `sat.TimeBudgetExceeded` once `clock` passes its deadline;
+    the default clock has none."""
+    return _Clausifier(clock).clausify(formulas)

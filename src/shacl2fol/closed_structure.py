@@ -57,34 +57,35 @@ The answers:
 The module evaluates first-order formulas; it knows nothing of shapes or
 RDF, so the oracle stays an independent cross-check.
 
-`decide_units` is the built-in prover's one entry point.  It reads the
-units once into their candidate structure, which merges the definitions
-that say the same thing (`ClosedStructure.merge`); when the merge leaves
-two apart at one key, `entailment`, loaded only then, records which
-entail which.  A unit that is `$false`, or `¬ψ` with each conjunct of ψ,
-or a strengthening of it through those entailments, a unit up to
-bound-variable names, refutes the problem at once (`_denial`): so
-`contains A A`, B with dropped targets and B weakening A are decided
-before any quantifier is planned.  Otherwise the structure is evaluated;
-when that gives no answer, a unit that asserts a definition whose body
-contradicts itself refutes (`emptiness.refuted`).  Then each of the
-caller's candidates, the problem's units with more (for a static
-problem, a candidate RDF graph's closures, kinds and unique names), is
-read into its own structure, and the first on which every unit holds
-is a model of the problem too (`_candidate`); one that fails a unit
-proves nothing.  Only then are the clausal procedures (`miniprover`,
-`clausify`, `sat`) loaded and run on the merged units, or at once on
-units with no one candidate structure.  The emitted text is unchanged:
-these steps are the prover's own preprocessing.
+`decide_units` is the built-in prover's one entry point, on its caller's
+clock.  It reads the units once into their candidate structure, which
+merges the definitions that say the same thing
+(`ClosedStructure.merge`); when the merge leaves two apart at one key,
+`entailment`, loaded only then, records which entail which.  A unit that
+is `$false`, or `¬ψ` with each conjunct of ψ, or a strengthening of it
+through those entailments, a unit up to bound-variable names, refutes
+the problem at once (`_denial`): so `contains A A`, B with dropped
+targets and B weakening A are decided before any quantifier is planned.
+Otherwise the structure is evaluated; when that gives no answer, a unit
+that asserts a definition whose body contradicts itself refutes
+(`emptiness.refuted`).  Then each of the caller's lazy candidates, the
+problem's units with more (for a static problem, a candidate RDF graph's
+closures, kinds and unique names), is read into its own structure, and
+the first on which every unit holds is a model of the problem too
+(`_candidate`); one that fails a unit proves nothing.  Only then are the
+clausal procedures (`miniprover`, `clausify`, `sat`) loaded and run on
+the merged units, or at once on units with no one candidate structure.
+The emitted text is unchanged: these steps are the prover's own
+preprocessing.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
-import time
 from collections import Counter
-from typing import AbstractSet, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
@@ -172,17 +173,32 @@ def _apart(f: Formula) -> tuple[str, ...]:
     return tuple(t.name for t in (f.operand.left, f.operand.right) if type(t) is Const)
 
 
-def _kept_apart(names: AbstractSet[str], groups: list[tuple[str, ...]]) -> bool:
-    """Whether every two of the constants `names` are kept apart, in
-    every model, by the groups of constants that units keep apart."""
-    n = len(names)
-    inside = [{c for c in group if c in names} for group in groups]
-    if n < 2 or any(len(group) == n for group in inside):
-        return True  # one $distinct over them all
-    pairs = set()
-    for group in inside:
-        pairs.update(itertools.combinations(sorted(group), 2))
-    return len(pairs) == n * (n - 1) // 2
+class Apart:
+    """The one index of the unique-name axioms, from the constants each
+    unit or clause keeps pairwise apart (None if it keeps none): a constant
+    maps to the constants of its pairs and to the numbers of the larger
+    groups that hold it.  Each group read is work on `clock`."""
+
+    def __init__(self, groups: Iterable[Optional[tuple[str, ...]]], clock: Clock):
+        self.partners: dict[str, set[str]] = {}
+        self.groups: dict[str, set[int]] = {}
+        for n, members in enumerate(groups):
+            clock.tick()
+            for c in members or ():
+                if len(members) == 2:
+                    self.partners.setdefault(c, set()).update(members)
+                else:
+                    self.groups.setdefault(c, set()).add(n)
+
+    def __call__(self, a: str, b: str) -> bool:  # two different constants, in O(1)
+        return b in self.partners.get(a, ()) \
+            or not self.groups.get(a, set()).isdisjoint(self.groups.get(b, ()))
+
+    def pairwise(self, names: AbstractSet[str]) -> bool:
+        """Whether every two of `names` are kept apart: linear if one group holds all."""
+        held = Counter(n for c in names for n in self.groups.get(c, ()))
+        return len(names) < 2 or len(names) in held.values() \
+            or all(itertools.starmap(self, itertools.combinations(names, 2)))
 
 
 def _definition_head(f: Formula):
@@ -289,6 +305,10 @@ class ClosedStructure:
         self.merging: set[str] = set()  # the predicates whose definitions merge
         self.into: dict[tuple, tuple] = {}  # a merged definition -> its target
         self.pairs: list[tuple[str, str, tuple]] = []  # (P, Q, ā) `merge` left apart
+
+    @functools.cached_property
+    def unique(self) -> Apart:  # the index of `apart`, built when first asked
+        return Apart(self.apart, self.clock)
 
     # --- reading the units ---
 
@@ -418,9 +438,8 @@ class ClosedStructure:
                   if pred not in self.unmerged}
         shared = Counter(shapes.values())
         shapes = {pred: shape for pred, shape in shapes.items() if shared[shape] > 1}
-        left = [pred for pred in shapes if _kept_apart(
-            set(itertools.chain(*self.definitions[pred], self.undefined.get(pred, ()))),
-            self.apart)]
+        left = [pred for pred in shapes if self.unique.pairwise(
+            set(itertools.chain(*self.definitions[pred], self.undefined.get(pred, ()))))]
         shared = Counter(shapes[pred] for pred in left)
         self.merging = {pred for pred in left if shared[shapes[pred]] > 1}
         first: dict[tuple, tuple] = {}  # (arity, pattern, canonical body) -> definition
@@ -475,7 +494,7 @@ class ClosedStructure:
         """Whether every model agrees with the candidate on every unit,
         so that a failing unit refutes the problem."""
         return not self.open_reference \
-            and _kept_apart(self.elements.keys(), self.apart) \
+            and self.unique.pairwise(self.elements.keys()) \
             and all(map(self._fixed, self.used)) and not self.unguarded()
 
     def unguarded(self) -> bool:
@@ -807,10 +826,10 @@ class ProverResult(Record):
     __slots__ = ("status", "detail", "candidate")
     __hash__ = None
 
-    def __init__(self, status: str, detail: str = "", candidate: Optional[int] = None):
+    def __init__(self, status: str, detail: str = "", candidate=None):
         self.status = status  # Satisfiable | Unsatisfiable | GaveUp | Timeout
         self.detail = detail
-        self.candidate = candidate  # the index of the candidate that is a model
+        self.candidate = candidate  # the witness of the candidate that is a model
 
 
 # --- definitions that say the same thing, and units that deny others --------
@@ -931,36 +950,34 @@ def _named(units: list[TptpFormula]) -> tuple[list, list]:
     return named + conjectures, conjectures
 
 
-def _candidate(candidates: Iterable[tuple[str, list[TptpFormula]]],
-               clock: Clock) -> Optional[ProverResult]:
-    """Satisfiable, with the candidate's detail and index, at the first
-    candidate on whose structure every unit holds; None if none does.  A
-    candidate is the problem's units with more, so that structure is a
-    model of the problem too; a candidate it fails proves nothing."""
-    for i, (detail, units) in enumerate(candidates):
+def _candidate(candidates: Iterable[tuple], clock: Clock) -> Optional[ProverResult]:
+    """Satisfiable, with its detail and witness, at the first candidate
+    (detail, units, witness) on whose structure every unit holds; None if
+    none does.  A candidate's units are the problem's with more, so that
+    structure is a model of the problem too; one it fails proves nothing."""
+    for detail, units, witness in candidates:
         clock.check()
         try:
             result = ClosedStructure(_named(units)[0], clock).evaluate()
         except _Inapplicable:
             continue
         if result is not None and result.status == "Satisfiable":
-            return ProverResult("Satisfiable", detail, i)
+            return ProverResult("Satisfiable", detail, witness)
     return None
 
 
-def decide_units(units: list[TptpFormula], timeout_s: float = 10.0,
-                 candidates: Optional[Callable[[Clock], Iterable]] = None) -> ProverResult:
-    """Decide a problem given as its units: read once into their candidate
-    structure, merged (`ClosedStructure.merge`), their entailments found
-    when the merge leaves definitions apart (`entailment.entailed`), then
-    refuted by a denial (`_denial`), decided by the structure, refuted by
-    its empty definitions (`emptiness.refuted`), satisfied on one of the
-    `candidates(clock)` (`_candidate`), each its detail and the problem's
-    units with more, built one at a time on the clock, or, failing those,
-    clausified and decided by `miniprover.decide_clauses` in the time
-    left.  The detail counts the merges, the entailments and the empty
-    ones, but for a candidate's answer, which is the candidate's detail."""
-    clock = Clock(time.monotonic() + timeout_s)
+def decide_units(units: list[TptpFormula], clock: Clock,
+                 candidates: Iterable = ()) -> ProverResult:
+    """Decide a problem given as its units on the caller's `clock`: read
+    once into their candidate structure, merged (`ClosedStructure.merge`),
+    their entailments found when the merge leaves definitions apart
+    (`entailment.entailed`), then refuted by a denial (`_denial`), decided
+    by the structure, refuted by its empty definitions (`emptiness.refuted`),
+    satisfied on one of the lazy `candidates` (`_candidate`), each its
+    detail, the problem's units with more and its witness, or, failing
+    those, clausified and decided by `miniprover.decide_clauses`.  The
+    detail counts the merges, the entailments and the empty ones, but for
+    a candidate's answer, which is the candidate's detail."""
     # the units are read, merged and evaluated with the cycle collector
     # paused: none of it makes a reference cycle, and the full passes a
     # large problem's plans set off would walk the whole heap, units included
@@ -992,8 +1009,8 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0,
             if refutation is not None:
                 result = ProverResult("Unsatisfiable", "; ".join(
                     filter(None, (found and found.detail(), refutation))))
-            if result is None and candidates is not None:
-                result = _candidate(candidates(clock), clock)
+            if result is None:
+                result = _candidate(candidates, clock)
                 if result is not None:
                     merged = ""  # the candidate's units are checked unmerged
         finally:
@@ -1008,12 +1025,10 @@ def decide_units(units: list[TptpFormula], timeout_s: float = 10.0,
             # otherwise walk it
             structure = rename = found = None
             # called through `miniprover`, where perfbench/tracing.py wraps them
-            clauses = miniprover.clausify([f for _, f in named], clock.deadline)
+            result = miniprover.decide_clauses(
+                miniprover.clausify([f for _, f in named], clock), clock)
     except TimeBudgetExceeded:
         return ProverResult("Timeout")
-    if result is None:
-        result = miniprover.decide_clauses(
-            clauses, timeout_s=max(0.0, clock.deadline - time.monotonic()))
     status, detail = result.status, "; ".join(filter(None, (merged, result.detail)))
     if conjectures and status in ("Satisfiable", "Unsatisfiable"):
         status = "CounterSatisfiable" if status == "Satisfiable" else "Theorem"

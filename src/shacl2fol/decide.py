@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Optional
 
 from . import translate as tr
-from .errors import InvalidOptions, ProverNotFound, ProverProtocolError
+from .errors import Clock, InvalidOptions, ProverNotFound, ProverProtocolError
 from .fol import conj, neg
 from .rdf import Graph, RdfTerm, serialize_ntriples
 from .record import Record
@@ -263,7 +263,7 @@ class ProverRun(NamedTuple):
     problem_file: str
     elapsed_ms: int
     detail: str = ""  # the built-in prover's deciding procedure
-    candidate: Optional[int] = None  # the index of the candidate that decided
+    candidate: object = None  # the witness of the candidate that decided
 
 
 def run_prover(doc: TptpDocument, config: ProverConfig,
@@ -275,9 +275,10 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
     Otherwise nothing is left behind and `problem_file` is "": the built-in
     prover decides the document's units in memory without rendering them,
     and an external prover reads the text from a temporary directory that
-    is removed after the run.  The built-in prover also checks the
-    `candidates` (`closed_structure.decide_units`); an external one
-    ignores them.
+    is removed after the run.  The built-in prover runs on one clock of
+    the configured timeout, made here, and also checks the candidates that
+    `candidates(clock)` builds lazily on that clock
+    (`closed_structure.decide_units`); an external prover ignores them.
     """
     builtin = config.kind == "builtin"
     text = "" if builtin and problem_path is None else render(doc)
@@ -288,7 +289,9 @@ def run_prover(doc: TptpDocument, config: ProverConfig,
     if builtin:
         from . import closed_structure
 
-        result = closed_structure.decide_units(doc.formulas, config.timeout_s, candidates)
+        clock = Clock(start + config.timeout_s)
+        result = closed_structure.decide_units(
+            doc.formulas, clock, () if candidates is None else candidates(clock))
         elapsed = int((time.monotonic() - start) * 1000)
         return ProverRun(result.status, problem_file, elapsed, result.detail, result.candidate)
     import subprocess
@@ -338,10 +341,10 @@ def _verdict(kind: TaskKind, szs: str) -> Verdict:
 
 # --- candidate graphs -------------------------------------------------------
 
-def _candidates(task: DecisionTask, offered: list, clock):
+def _candidates(task: DecisionTask, clock: Clock):
     """The candidate graphs of a `sat` or `contains` task (`witness`),
-    chased on the prover's `clock`, each appended to `offered` as it is
-    built and given as its detail and its problem (`build_problem`).
+    chased on the prover's `clock`, each given as its detail, its problem
+    (`build_problem`) and its witness.
     `witness` and `oracle`, which confirms the one that decides, are
     loaded together when the prover first asks, so one request pays for
     compiling both where no bytecode is cached."""
@@ -355,9 +358,8 @@ def _candidates(task: DecisionTask, offered: list, clock):
         found = witness.for_satisfiability(
             sg, [] if strong is None else strong or sg.shape_names(), clock.tick)
     for w in found:
-        offered.append(w)
         doc = build_problem(task, w.graph, [node for _, node in w.instances])
-        yield f"candidate graph of {len(w.graph)} triples", doc.formulas
+        yield f"candidate graph of {len(w.graph)} triples", doc.formulas, w
 
 
 def _confirmed(task: DecisionTask, w) -> bool:
@@ -376,14 +378,13 @@ def _confirmed(task: DecisionTask, w) -> bool:
 def run_task(task: DecisionTask) -> DecisionResult:
     doc = build_problem(task)
     config = task.prover.resolve()
-    offered: list = []
     candidates = None if task.kind is TaskKind.VALIDATION \
-        else functools.partial(_candidates, task, offered)
+        else functools.partial(_candidates, task)
     run = run_prover(doc, config, task.problem_path, candidates)
     verdict = _verdict(task.kind, run.szs_status)
     # the star axioms admit the real closure, so a refutation holds
     exact = {"star"} if verdict in (Verdict.UNSATISFIABLE, Verdict.CONTAINED) else set()
-    witness = None if run.candidate is None else offered[run.candidate]
+    witness = run.candidate
     # a confirmed witness is a real graph, whatever the axioms approximate
     confirmed = witness is not None and _confirmed(task, witness)
     return DecisionResult(

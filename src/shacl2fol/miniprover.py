@@ -28,16 +28,19 @@ the positive literals kept.  Making every other atom false extends a
 model of those instances to one of the full grounding.
 
 Both read the unique-name axioms, the literals `$distinct(c1, …, cn)` and
-ground units `¬(a = b)`, through one test, `_Apart`: the model search pins
-constants kept apart to their own domain elements, which the flattening
-leaves in place as it leaves variables, and the refutation folds the false
-equalities out of its equality axioms; neither grounds an axiom it has
-read.  Both give up on a problem larger than one limit, `_MAX_GROUND`,
-counted on what they build.
+ground units `¬(a = b)`, through the one unique-name index,
+`closed_structure.Apart`, built from the constants each clause keeps apart
+(`_kept_apart`): the model search pins constants kept apart to their own
+domain elements, which the flattening leaves in place as it leaves
+variables, and the refutation folds the false equalities out of its
+equality axioms; neither grounds an axiom it has read.  Both give up on a
+problem larger than one limit, `_MAX_GROUND`, counted on what they build.
 
-`decide_clauses` runs the refutation once, then the model search.  Every
-pass, the parse of a text and `clausify` to the SAT search, reports its
-work to one clock, `sat.Clock`.
+`decide_clauses` runs the refutation once, then the model search, each
+attempt on a slice of its caller's clock.  Every pass, from the parse of
+a text and `clausify` to the SAT search, reports its work to that one
+clock (`sat.Clock`), made where the seconds become a deadline:
+`decide_tptp_text` here, `decide.run_prover` for the integrated prover.
 If neither procedure concludes within its bounds the status is Timeout
 when the clock cut an attempt, and GaveUp otherwise.  The command-line
 entry point prints a standard `% SZS status <Status>` line.
@@ -97,7 +100,7 @@ def rewritten(f: Formula, rename, clock: sat.Clock) -> Formula:
 # --- MACE-style flattening --------------------------------------------------
 
 def _flatten_clause(cl: Clause, fresh: Iterator[str], pinned: dict[str, int],
-                    clock: Optional[sat.Clock] = None) -> list[Literal]:
+                    clock: sat.Clock) -> list[Literal]:
     """Rewrite so every literal is over values but for one shallow term.
 
     A value is a variable or a pinned constant.  Allowed literal shapes
@@ -146,15 +149,14 @@ def _args_key(args: tuple) -> str:
     return f"({', '.join(map(_term_key, args))})"
 
 
-def _ordered(cl: Clause, clock: Optional[sat.Clock] = None) -> list[Literal]:
+def _ordered(cl: Clause, clock: sat.Clock) -> list[Literal]:
     """The clause's literals in a fixed order, by predicate, sign and the
     `repr` of their arguments: a frozenset's iteration order follows the
     string hash seed, and the grounding and the SAT search would follow it
     too.  Each literal's key is work on `clock`."""
     keyed = []
     for lit in cl:
-        if clock is not None:
-            clock.tick()
+        clock.tick()
         keyed.append(((lit.pred, lit.positive, _args_key(lit.args)), lit))
     keyed.sort(key=_FIRST)
     return [lit for _, lit in keyed]
@@ -231,8 +233,7 @@ def _guard_order(arg_vars: list[list[set[str]]], guards: tuple[int, ...], first:
         k = heapq.heappop(heap)[1]
 
 
-def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0,
-          clock: Optional[sat.Clock] = None):
+def _plan(lits: list[Literal], guards: tuple[int, ...], first: int, clock: sat.Clock):
     """How to bind a clause's variables: `levels`, and `ready[k]`, the
     literals whose last variable level k binds (level 0 binds nothing).
 
@@ -245,8 +246,7 @@ def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0,
     and each guard placed is work on `clock`."""
     arg_vars = []
     for lit in lits:
-        if clock is not None:
-            clock.tick()
+        clock.tick()
         arg_vars.append([{v.name for v in term_vars(a)} for a in lit.args])
     lit_vars = [set().union(*names) for names in arg_vars]
     bound: set[str] = set()
@@ -258,8 +258,7 @@ def _plan(lits: list[Literal], guards: tuple[int, ...] = (), first: int = 0,
         depth.update(dict.fromkeys(names, len(levels)))
 
     for k in _guard_order(arg_vars, guards, first):
-        if clock is not None:
-            clock.tick()
+        clock.tick()
         g = guards[k]
         args = lits[g].args
         for name in sorted(lit_vars[g] - bound - {a.name for a in args if isinstance(a, Var)}):
@@ -381,30 +380,6 @@ def _kept_apart(cl: Clause) -> Optional[tuple[str, ...]]:
     return None
 
 
-class _Apart:
-    """The test `apart(a, b)`, O(1), of whether the unique-name axioms keep
-    two different constants apart: a constant maps to the constants of its
-    pairs, and to the clause indices of the larger literals that hold it.
-    Each clause read is work on `clock`."""
-
-    def __init__(self, clauses: list[Clause], clock: Optional[sat.Clock] = None):
-        self.partners: dict[str, set[str]] = {}
-        self.groups: dict[str, set[int]] = {}
-        for n, cl in enumerate(clauses):
-            if clock is not None:
-                clock.tick()
-            members = _kept_apart(cl)
-            for c in members or ():
-                if len(members) == 2:
-                    self.partners.setdefault(c, set()).update(members)
-                else:
-                    self.groups.setdefault(c, set()).add(n)
-
-    def __call__(self, a: str, b: str) -> bool:
-        return b in self.partners.get(a, ()) \
-            or not self.groups.get(a, set()).isdisjoint(self.groups.get(b, ()))
-
-
 # --- finite model search ----------------------------------------------------
 
 class _VarPool:
@@ -420,7 +395,7 @@ class _VarPool:
         return v
 
 
-def _pin(consts: list[str], apart: _Apart, domain_size: int) -> dict[str, int]:
+def _pin(consts: list[str], apart: closed_structure.Apart, domain_size: int) -> dict[str, int]:
     """Constants pinned to the elements 0, 1, ...: each constant, in order,
     that is kept apart from every one pinned before it, while elements last.
     Each `$distinct` literal counts its pinned members: a constant in a
@@ -448,7 +423,7 @@ def _pin(consts: list[str], apart: _Apart, domain_size: int) -> dict[str, int]:
 def find_model(
     clauses: list[Clause],
     domain_size: int,
-    deadline: Optional[float] = None,
+    clock: sat.Clock = sat.Clock(),
 ) -> Optional[dict]:
     """Search for a model over a fixed domain size; None if none exists.
 
@@ -458,12 +433,11 @@ def find_model(
     guard on such an atom: a model exists iff the full grounding has one.
 
     Raises `_TooLarge` when the problem passes `_MAX_GROUND`, and
-    `sat.TimeBudgetExceeded` when the clock passes `deadline`: the
+    `sat.TimeBudgetExceeded` when `clock` passes its deadline: the
     signature's scan, the flattening, the grounding and the SAT search each
     report their work to it."""
-    clock = sat.Clock(deadline)
     consts, funcs = _collect_signature(clauses, clock)
-    pinned = _pin(consts, _Apart(clauses, clock), domain_size)
+    pinned = _pin(consts, closed_structure.Apart(map(_kept_apart, clauses), clock), domain_size)
     domain = range(domain_size)
     # the totality and functionality rows of the unpinned constants and the
     # Skolem terms, 1 + d(d-1)/2 clauses each, counted before any is built
@@ -515,7 +489,7 @@ def find_model(
         prop.append(tuple(row))
         prop.extend((-x, -y) for x, y in itertools.combinations(row, 2))
 
-    model = sat.solve(prop, deadline=deadline)
+    model = sat.solve(prop, clock)
     if model is None:
         return None
     table = {key: model.get(vid, False) for key, vid in pool.ids.items()}
@@ -597,7 +571,7 @@ class _Relevant:
             for n, lits in enumerate(clauses):
                 guards = self.guards(lits)
                 if not guards:
-                    yield (lits, *_plan(lits, clock=clock), None)
+                    yield (lits, *_plan(lits, (), 0, clock), None)
                 for first, g in enumerate(guards):
                     self.triggers.setdefault((lits[g].pred, len(lits[g].args)), []) \
                         .append((n, guards, first))
@@ -681,7 +655,7 @@ class _Relevant:
             table.setdefault(tuple(args[p] for p in keyed), []).append(entry)
 
 
-def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[bool]:
+def refute(clauses: list[Clause], clock: sat.Clock = sat.Clock()) -> Optional[bool]:
     """True if a bounded grounding is propositionally unsatisfiable.
 
     The universe is the constants (one fresh constant if there are none)
@@ -709,7 +683,6 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
        equality theory over the universe;
     4. the lemma rows are ground equality axioms, so True is sound.
     """
-    clock = sat.Clock(deadline)
     consts, funcs = _collect_signature(clauses, clock)
     consts = consts or ["herbrand_c0"]
     if len(consts) + sum(len(consts) ** arity for arity in funcs.values()) > _MAX_GROUND:
@@ -722,7 +695,7 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
                          len(consts) + len(app_ids), pool)
     # the unique-name axioms make the equalities of the constants they keep
     # apart false: none gets a SAT variable, nor are its rows built
-    apart = _Apart(clauses, clock)
+    apart = closed_structure.Apart(map(_kept_apart, clauses), clock)
 
     def eq_var(pair: tuple[int, int]) -> Optional[int]:
         """The SAT variable of a sorted pair's equality; None if it is false."""
@@ -760,7 +733,7 @@ def refute(clauses: list[Clause], deadline: Optional[float] = None) -> Optional[
         prop = _ground(ordered, relevant, lit_code, clock)
         if len(prop) > _MAX_GROUND:
             return None
-        model = sat.solve(prop, deadline=deadline)
+        model = sat.solve(prop, clock)
         if model is None:
             return True
         lemmas = _equality_lemmas(pool, model, app_ids, eq_var)
@@ -825,9 +798,11 @@ def _equality_lemmas(pool: _VarPool, model: dict[int, bool], app_ids: dict,
 _STOP = object()  # an attempt's result when the clock cut it or it was too large
 
 
-def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResult:
-    """Run the procedures in turn, each attempt in a slice of 0.4 of the
-    timeout, and all within it.
+def decide_clauses(clauses: list[Clause], clock: sat.Clock) -> ProverResult:
+    """Run the procedures in turn, each attempt on a slice of `clock`,
+    which must have a deadline: a clock of its own that ends 0.4 of the
+    time `clock` has left at the start after the attempt begins, or at
+    `clock`'s deadline if that comes first.
 
     1. ground refutation over the constants and the depth-1 Skolem terms,
        which decides the violating graphs and the containments;
@@ -839,18 +814,17 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
     When neither concludes, the status is Timeout if the clock cut the
     signature's scan or an attempt, and GaveUp if each stopped at its bounds.
     """
-    deadline = time.monotonic() + timeout_s
+    share = (clock.deadline - time.monotonic()) * 0.4
     try:
-        consts, funcs = _collect_signature(clauses, sat.Clock(deadline))
+        consts, funcs = _collect_signature(clauses, clock)
     except sat.TimeBudgetExceeded:
         return ProverResult("Timeout")
     cut = False  # whether the clock cut an attempt
 
     def attempt(procedure, *args):
         nonlocal cut
-        slice_end = min(deadline, time.monotonic() + timeout_s * 0.4)
         try:
-            return procedure(*args, deadline=slice_end)
+            return procedure(*args, sat.Clock(min(clock.deadline, time.monotonic() + share)))
         except sat.TimeBudgetExceeded:
             cut = True
         except _TooLarge:
@@ -871,17 +845,17 @@ def decide_clauses(clauses: list[Clause], timeout_s: float = 10.0) -> ProverResu
 
 
 def decide_tptp_text(text: str, timeout_s: float = 10.0) -> ProverResult:
-    """Decide a TPTP problem given as text: its units, parsed on the
-    deadline's clock, by `closed_structure.decide_units` in the time the
-    parse leaves.  A parse that the clock cuts answers Timeout."""
+    """Decide a TPTP problem given as text on one clock of `timeout_s`
+    seconds: its units, parsed on it, by `closed_structure.decide_units` on
+    the same clock.  A parse that the clock cuts answers Timeout."""
     from . import tptp_parse
 
-    deadline = time.monotonic() + timeout_s
+    clock = sat.Clock(time.monotonic() + timeout_s)
     try:
-        units = tptp_parse.parse_tptp(text, sat.Clock(deadline))
+        units = tptp_parse.parse_tptp(text, clock)
     except sat.TimeBudgetExceeded:
         return ProverResult("Timeout")
-    return closed_structure.decide_units(units, deadline - time.monotonic())
+    return closed_structure.decide_units(units, clock)
 
 
 def _seconds(text: str) -> float:

@@ -6,7 +6,8 @@ activity-based branching from a lazy order heap (as in MiniSat, Eén &
 Sörensson, SAT 2003), saved phases, and geometric restarts — enough to
 handle the groundings the built-in prover produces.  `Clock`, that
 prover's one wall clock, and `TimeBudgetExceeded` are defined in `errors`
-and re-exported here.
+and re-exported here; `solve` reports its work to the clock its caller
+hands it.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ from .errors import Clock, TimeBudgetExceeded
 
 def solve(
     clauses: Iterable[tuple[int, ...]],
-    deadline: Optional[float] = None,
+    clock: Clock = Clock(),
 ) -> Optional[dict[int, bool]]:
     """Return a satisfying assignment (may omit don't-care vars) or None.
 
-    Raises TimeBudgetExceeded when the wall-clock deadline passes.
+    Raises TimeBudgetExceeded once `clock` passes its deadline; the
+    default clock has none.
     """
     cls: list[list[int]] = []
     units: list[int] = []
     activity: dict[int, float] = {}  # every variable's, for branching
-    clock = Clock(deadline)
     clock.check()  # once before the input, then per 4,096 literals read
     for c in clauses:
         clock.tick(len(c))

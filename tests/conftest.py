@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,13 @@ sys.path.insert(0, str(Path(__file__).parent))  # for the shared corpus module
 from shacl2fol import rdf, shapes
 from shacl2fol.clausify import DISTINCT, EQ, Literal
 from shacl2fol.decide import ProverConfig
+from shacl2fol.errors import Clock
 from shacl2fol.fol import Const, Func, Var
+
+
+def within(seconds: float) -> Clock:
+    """A prover clock whose deadline is `seconds` from now."""
+    return Clock(time.monotonic() + seconds)
 
 
 def load_shapes(ttl: str) -> shapes.ShapeGraph:

@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import within
 from shacl2fol import clausify as clausify_module
 from shacl2fol.clausify import DISTINCT, Literal, clausify
 from shacl2fol.fol import (
@@ -184,11 +185,11 @@ class TestDefinitionalCnf:
         from shacl2fol import miniprover
 
         f = self._big_dnf(8)
-        sat_res = miniprover.decide_clauses(clausify([f]))
+        sat_res = miniprover.decide_clauses(clausify([f]), within(10))
         assert sat_res.status == "Satisfiable"
         unsat = [f] + [
             OrN((NotN(Atom(f"a{i}", ())), NotN(Atom(f"b{i}", ()))))
             for i in range(8)
         ]
-        unsat_res = miniprover.decide_clauses(clausify(unsat))
+        unsat_res = miniprover.decide_clauses(clausify(unsat), within(10))
         assert unsat_res.status == "Unsatisfiable"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import load_graph, load_shapes, people_star
+from conftest import load_graph, load_shapes, people_star, within
 from corpus import CASES, NODES, PREDICATES, PREFIXES, SHAPE_POOL
 from shacl2fol import cli, closed_structure, miniprover, oracle, sat
 from shacl2fol.clausify import clausify
@@ -216,7 +216,7 @@ def test_the_check_agrees_with_the_procedures(problem):
     answer = check(named(units))
     assert answer is not None
     assert (answer.status == "Satisfiable") == oracle.evaluate(sg, g).conforms
-    got = miniprover.decide_clauses(clausify([u.body for u in units]), timeout_s=2)
+    got = miniprover.decide_clauses(clausify([u.body for u in units]), within(2))
     if got.status in ("Satisfiable", "Unsatisfiable"):
         assert answer.status == got.status
 
@@ -294,7 +294,7 @@ def test_the_check_agrees_with_the_procedures_on_any_closed_problem(seed):
     answer = check(units)
     if answer is None:
         return
-    got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=1)
+    got = miniprover.decide_clauses(clausify([f for _, f in units]), within(1))
     if got.status in ("Satisfiable", "Unsatisfiable"):
         assert answer.status == got.status
 
@@ -307,6 +307,37 @@ def test_a_missing_unique_name_unit_keeps_a_failure_from_refuting():
     assert check(named(units)).status == "Unsatisfiable"
     fewer = [u for u in units if u.name != "una_1"]
     assert check(named(fewer)) is None
+
+
+def test_one_distinct_of_20000_constants_is_pairwise_apart_in_linear_time():
+    # the index reads one $distinct unit whole: no pair of its 20,000
+    # constants is tested
+    constants = tuple(Const(f"c{i}") for i in range(20_000))
+    structure = ClosedStructure([("una", Distinct(constants))])
+    start = time.monotonic()
+    assert structure.unique.pairwise(structure.elements.keys())
+    assert time.monotonic() - start < 0.1
+
+
+def test_the_unique_name_index_reads_a_distinct_as_its_pairwise_units():
+    # 200 constants kept apart by one $distinct unit, as tff writes them,
+    # and by one unit ~(a = b) per pair, as fof does: the index answers
+    # alike on every set of them and every pair, and without the unit
+    # ~(c0 = c1) it keeps exactly the sets without both of those apart
+    consts = [Const(f"c{i}") for i in range(200)]
+    names = [c.name for c in consts]
+    pairs = [(f"una_{i}", NotN(Eq(a, b)))
+             for i, (a, b) in enumerate(itertools.combinations(consts, 2))]
+    tff = ClosedStructure([("una", Distinct(tuple(consts)))]).unique
+    fof = ClosedStructure(pairs).unique
+    fewer = ClosedStructure(pairs[1:]).unique
+    rng = random.Random(0)
+    for k in (0, 1, 2, 3, 20, 199, 200):
+        subset = set(rng.sample(names, k))
+        assert tff.pairwise(subset) and fof.pairwise(subset)
+        assert fewer.pairwise(subset) == (not {"c0", "c1"} <= subset)
+    assert all(tff(a, b) and fof(a, b) for a, b in itertools.combinations(names[:50], 2))
+    assert not fewer("c0", "c1") and fewer("c0", "c2")
 
 
 # closures, facts and unique names by form, under names the emitter never
@@ -489,7 +520,7 @@ def test_the_facts_only_structure_agrees_with_the_oracle_and_the_procedures():
             conforms = [oracle.evaluate(sg, empty).conforms for sg in graphs]
             assert conforms == ([True] if command == "sat" else [True, False]), texts
         else:
-            got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=5)
+            got = miniprover.decide_clauses(clausify([f for _, f in units]), within(5))
             assert got.status == "Unsatisfiable", texts
     assert decided[True] >= 10 and decided[False] >= 2, decided
     # the oracle stays an independent cross-check
@@ -528,7 +559,7 @@ def test_the_facts_only_structure_agrees_with_the_procedures(seed):
     answer = check(units)
     if answer is None:
         return
-    got = miniprover.decide_clauses(clausify([f for _, f in units]), timeout_s=1)
+    got = miniprover.decide_clauses(clausify([f for _, f in units]), within(1))
     if got.status in ("Satisfiable", "Unsatisfiable"):
         assert answer.status == got.status, answer
 
@@ -618,7 +649,7 @@ TWO_ARITIES = [
 def test_a_predicate_at_two_arities_is_left_to_the_procedures(text, tmp_path, capsys):
     units = parse_tptp(text)
     assert check(named(units)) is None
-    assert closed_structure.decide_units(units, timeout_s=5).status == "Satisfiable"
+    assert closed_structure.decide_units(units, within(5)).status == "Satisfiable"
     assert miniprover.decide_tptp_text(text, timeout_s=5).status == "Satisfiable"
     problem = tmp_path / "problem.p"
     problem.write_text(text)

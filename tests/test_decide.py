@@ -2,6 +2,7 @@ import math
 import os
 import stat
 import tempfile
+import time
 
 import pytest
 
@@ -227,7 +228,7 @@ class TestRunProver:
             rendered.append(render(doc))
             return rendered[-1]
 
-        def recording_decide(units, timeout_s, candidates=None):
+        def recording_decide(units, clock, candidates=()):
             decided.append(list(units))
             return closed_structure.ProverResult("Unsatisfiable")
 
@@ -252,6 +253,30 @@ class TestRunProver:
         run = run_prover(doc, ProverConfig("builtin", timeout_s=10))
         assert run.szs_status == "Unsatisfiable" and run.problem_file == ""
         assert rendered == [] and decided == [doc.formulas]
+
+    def test_builtin_builds_the_candidates_on_its_one_clock(self, monkeypatch):
+        # one clock of the timeout: the prover runs on it, the candidates
+        # are built on it, and the deciding one's witness comes back as is
+        from shacl2fol import closed_structure
+
+        clocks = []
+
+        def candidates(clock):
+            clocks.append(clock)
+            yield "a candidate", [], "its witness"
+
+        def deciding(units, clock, offered=()):
+            clocks.append(clock)
+            ((detail, _, witness),) = offered
+            return closed_structure.ProverResult("Satisfiable", detail, witness)
+
+        monkeypatch.setattr(closed_structure, "decide_units", deciding)
+        before = time.monotonic()
+        run = run_prover(self._doc(), ProverConfig("builtin", timeout_s=10), candidates=candidates)
+        assert (run.szs_status, run.detail, run.candidate) \
+            == ("Satisfiable", "a candidate", "its witness")
+        assert len(clocks) == 2 and clocks[0] is clocks[1]
+        assert before + 10 <= clocks[0].deadline <= time.monotonic() + 10
 
 
 class TestWriteProblem:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import load_graph, load_shapes, path_list
+from conftest import load_graph, load_shapes, path_list, within
 from corpus import CASES
 from shacl2fol import closed_structure, miniprover, sat, tptp_parse
 from shacl2fol.decide import DecisionTask, TaskKind, build_problem
@@ -64,7 +64,7 @@ def _decided_alike(doc):
     are decided as the text is."""
     text = render(doc)
     assert parse_tptp(text) == doc.formulas
-    units = closed_structure.decide_units(doc.formulas, timeout_s=TIMEOUT)
+    units = closed_structure.decide_units(doc.formulas, within(TIMEOUT))
     read = miniprover.decide_tptp_text(text, timeout_s=TIMEOUT)
     assert (units.status, units.detail) == (read.status, read.detail)
     return units
@@ -143,6 +143,29 @@ def test_the_clock_of_a_text_starts_before_its_parse(monkeypatch):
     assert miniprover.decide_tptp_text(text, timeout_s=0.3).status == "Timeout"
 
 
+def test_the_parse_and_the_units_share_one_clock(monkeypatch):
+    """`decide_tptp_text` makes one clock of its timeout, parses on it,
+    and hands `decide_units` that same clock."""
+    clocks = []
+    parse, decide = tptp_parse.parse_tptp, closed_structure.decide_units
+
+    def parsing(text, clock=None):
+        clocks.append(clock)
+        return parse(text, clock)
+
+    def deciding(units, clock, candidates=()):
+        clocks.append(clock)
+        return decide(units, clock, candidates)
+
+    monkeypatch.setattr(tptp_parse, "parse_tptp", parsing)
+    monkeypatch.setattr(closed_structure, "decide_units", deciding)
+    text = render(build_problem(ACCEPTANCE["sat_empty"]()))
+    before = time.monotonic()
+    assert miniprover.decide_tptp_text(text, timeout_s=TIMEOUT).status == "Satisfiable"
+    assert len(clocks) == 2 and clocks[0] is clocks[1]
+    assert before + TIMEOUT <= clocks[0].deadline <= time.monotonic() + TIMEOUT
+
+
 def test_a_parse_the_clock_cuts_answers_timeout(monkeypatch):
     """The parse of a text reports to the deadline's clock: past it, the
     answer is Timeout and no unit is decided."""
@@ -162,7 +185,7 @@ def test_a_short_budget_ends_near_its_deadline(sequence_40000):
     """Each pass before the SAT search reports its work to the one clock,
     so a 0.1 s budget answers Timeout within a second."""
     start = time.monotonic()
-    got = closed_structure.decide_units(sequence_40000, timeout_s=0.1)
+    got = closed_structure.decide_units(sequence_40000, within(0.1))
     assert time.monotonic() - start < 1
     assert got.status == "Timeout"
 
@@ -195,7 +218,7 @@ def test_a_40000_member_validation_is_decided_within_its_budget():
         data_graph=load_graph("@prefix ex: <http://example.org/> .\nex:a ex:p0 ex:b .\n"),
     )).formulas
     start = time.monotonic()
-    got = closed_structure.decide_units(units, timeout_s=1)
+    got = closed_structure.decide_units(units, within(1))
     assert time.monotonic() - start < 2
     assert (got.status, got.detail) == ("Unsatisfiable", "closed structure of 3 elements; fails target")
 
@@ -208,11 +231,11 @@ def test_a_budget_spent_in_clausify_answers_timeout(monkeypatch, sequence_40000)
     cut = []
     clausify = miniprover.clausify
 
-    def watched(formulas, deadline=None):
+    def watched(formulas, clock):
         try:
-            return clausify(formulas, deadline)
+            return clausify(formulas, clock)
         except sat.TimeBudgetExceeded:
-            cut.append(deadline)
+            cut.append(clock)
             raise
 
     def inapplicable(units, clock=None):
@@ -221,5 +244,5 @@ def test_a_budget_spent_in_clausify_answers_timeout(monkeypatch, sequence_40000)
     monkeypatch.setattr(closed_structure, "ClosedStructure", inapplicable)
     monkeypatch.setattr(miniprover, "clausify", watched)
     monkeypatch.setattr(miniprover, "decide_clauses", None)  # not to be called
-    assert closed_structure.decide_units(sequence_40000, timeout_s=0).status == "Timeout"
+    assert closed_structure.decide_units(sequence_40000, within(0)).status == "Timeout"
     assert len(cut) == 1

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import load_shapes, shape_family
+from conftest import load_shapes, shape_family, within
 from corpus import SHAPE_POOL
 from shacl2fol import closed_structure, emptiness, entailment, miniprover
 from shacl2fol.closed_structure import ClosedStructure
@@ -258,7 +258,7 @@ def test_the_step_answers_as_the_raw_clauses_do():
             if raw in decided:
                 both += 1
                 assert raw == "Unsatisfiable", task
-        whole = closed_structure.decide_units(units, timeout_s=0.5).status
+        whole = closed_structure.decide_units(units, within(0.5)).status
         if raw in decided and whole in decided:
             assert whole == raw, task
     # per seed, the five problems the step decides, and clash_kind, which

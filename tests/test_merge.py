@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import load_graph, load_shapes, not_chain, shape_family
+from conftest import load_graph, load_shapes, not_chain, shape_family, within
 from corpus import CASES
 from shacl2fol import closed_structure, entailment, miniprover
 from shacl2fol.closed_structure import ClosedStructure
@@ -253,7 +253,7 @@ def test_each_unit_is_read_once(edited, monkeypatch):
         return head(f)
 
     monkeypatch.setattr(closed_structure, "_definition_head", counted)
-    got = closed_structure.decide_units(units, timeout_s=0.3)
+    got = closed_structure.decide_units(units, within(0.3))
     assert got.detail.startswith("29 of 60 definitions merged" if edited else "30 of 60")
     assert reads and max(reads.values()) == 1
 
@@ -277,12 +277,12 @@ def test_the_clauses_hold_no_merged_atom(monkeypatch):
     units = build_problem(_task(family, _raised(family, 1))).formulas
     clausify, received = miniprover.clausify, []
 
-    def watched(formulas, deadline=None):
+    def watched(formulas, clock):
         received.extend(formulas)
-        return clausify(formulas, deadline)
+        return clausify(formulas, clock)
 
     monkeypatch.setattr(miniprover, "clausify", watched)
-    got = closed_structure.decide_units(units, timeout_s=0.3)
+    got = closed_structure.decide_units(units, within(0.3))
     assert got.detail.startswith("1 of 8 definitions merged")
     shapes_b = {atom.args[1].name for f in received for atom in _atoms(f)
                 if atom.pred == "hasShapeB"}
@@ -415,7 +415,7 @@ def test_a_renamed_formula_has_the_same_tokens():
 def _raw(units) -> str:
     """The status of the unmerged problem's clauses, in a short budget."""
     formulas = [u.body for u in units if u.role != "conjecture"]
-    return miniprover.decide_clauses(miniprover.clausify(formulas), timeout_s=0.5).status
+    return miniprover.decide_clauses(miniprover.clausify(formulas), within(0.5)).status
 
 
 DECIDED = {"Satisfiable", "Unsatisfiable"}
@@ -439,7 +439,7 @@ def test_merged_and_unmerged_problems_answer_alike():
     both = 0
     for task in tasks:
         units = build_problem(task).formulas
-        merged = closed_structure.decide_units(units, timeout_s=0.5).status
+        merged = closed_structure.decide_units(units, within(0.5)).status
         raw = _raw(units)
         if merged in DECIDED and raw in DECIDED:
             both += 1

@@ -5,15 +5,16 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SIZES, clause_sets, load_graph, load_shapes, path_list
+from conftest import SIZES, clause_sets, load_graph, load_shapes, path_list, within
 from corpus import CASES, PREFIXES
-from shacl2fol import cli, miniprover, oracle, sat
+from shacl2fol import cli, closed_structure, miniprover, oracle, sat
 from shacl2fol.clausify import DISTINCT, EQ, Literal, clausify, term_vars
 from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
@@ -29,8 +30,13 @@ A, B, C = Const("a"), Const("b"), Const("c")
 X, Y = Var("X"), Var("Y")
 
 
-def decide(formulas, **kw):
-    return miniprover.decide_clauses(clausify(formulas), **kw)
+def decide(formulas):
+    return miniprover.decide_clauses(clausify(formulas), within(10))
+
+
+def apart_of(clauses):
+    """The unique-name index that the procedures build of `clauses`."""
+    return closed_structure.Apart(map(miniprover._kept_apart, clauses), sat.Clock())
 
 
 @pytest.fixture(scope="module")
@@ -147,19 +153,19 @@ class TestPlan:
         # each clause, and one wide clause of every literal, planned from
         # each of its guards and without guards
         for cl in [*clauses, frozenset().union(*clauses)]:
-            lits = miniprover._ordered(cl)
+            lits = miniprover._ordered(cl, sat.Clock())
             guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
             for first in range(len(guards)):
-                assert miniprover._plan(lits, guards, first) \
+                assert miniprover._plan(lits, guards, first, sat.Clock()) \
                     == plan_reference(lits, guards, first)
-            assert miniprover._plan(lits) == plan_reference(lits)
+            assert miniprover._plan(lits, (), 0, sat.Clock()) == plan_reference(lits)
 
     def test_ordering_and_planning_stop_at_a_spent_deadline(self, sequence_10000, monkeypatch):
         # each literal of the 10,000-guard clause is one tick of the clock
         # as it is keyed and as it is planned, so a spent budget stops both
         # at the clock's first read, after fewer than 4,096 literals
         wide = max(sequence_10000, key=len)
-        lits = miniprover._ordered(wide)
+        lits = miniprover._ordered(wide, sat.Clock())
         guards = tuple(i for i, lit in enumerate(lits) if not lit.positive)
         assert len(guards) > 4096 and all(len(lit.args) <= 2 for lit in lits)
         calls = {"_args_key": 0, "term_vars": 0}
@@ -175,23 +181,21 @@ class TestPlan:
             miniprover._plan(lits, guards, 0, sat.Clock(time.monotonic() - 1))
         assert 0 < calls["term_vars"] < 2 * 4096
 
-    def test_the_unique_name_tables_stop_at_a_spent_deadline(self, sequence_10000, monkeypatch):
+    def test_the_unique_name_tables_stop_at_a_spent_deadline(self, sequence_10000):
         # each of the 10,009 clauses is one tick of the clock as it is read
         # for the constants it keeps apart, so a spent budget stops the
-        # tables at the clock's first read, after fewer than 4,096 clauses
+        # index at the clock's first read, at the 4,096th clause
         assert len(sequence_10000) > 2 * 4096
         calls = 0
-        kept_apart = miniprover._kept_apart
 
         def counted(cl):
             nonlocal calls
             calls += 1
-            return kept_apart(cl)
+            return miniprover._kept_apart(cl)
 
-        monkeypatch.setattr(miniprover, "_kept_apart", counted)
         with pytest.raises(sat.TimeBudgetExceeded):
-            miniprover._Apart(sequence_10000, sat.Clock(time.monotonic() - 1))
-        assert 0 < calls < 4096
+            closed_structure.Apart(map(counted, sequence_10000), within(-1))
+        assert calls == 4096
 
     def test_the_order_keys_are_the_arguments_reprs(self):
         args = (Var("X"), Const("it's"), Func("f", (Const('"q"'), Func("g", ()))), Var("\\"))
@@ -201,7 +205,7 @@ class TestPlan:
     def test_a_chain_of_3000_guards_is_planned_quickly(self):
         chain = [Literal(False, "r", (Var(f"X{i}"), Var(f"X{i + 1}"))) for i in range(3000)]
         start = time.monotonic()
-        levels, ready = miniprover._plan(chain, tuple(range(3000)), 1500)
+        levels, ready = miniprover._plan(chain, tuple(range(3000)), 1500, sat.Clock())
         assert time.monotonic() - start < 0.5
         # each next guard has one argument ground; on a tie the first wins
         assert [level.lit for level in levels] \
@@ -211,7 +215,7 @@ class TestPlan:
         # 10,000 guards in one clause: every plan counts against the clock,
         # which cuts the attempts, so the status is Timeout
         start = time.monotonic()
-        got = miniprover.decide_clauses(sequence_10000, timeout_s=2)
+        got = miniprover.decide_clauses(sequence_10000, within(2))
         assert time.monotonic() - start < 4
         assert got.status == "Timeout"
 
@@ -484,9 +488,9 @@ def counting_solve(monkeypatch):
     calls = []
     solve = sat.solve
 
-    def recording(prop, deadline=None):
+    def recording(prop, clock=sat.Clock()):
         calls.append(list(prop))
-        return solve(prop, deadline=deadline)
+        return solve(prop, clock)
 
     monkeypatch.setattr(sat, "solve", recording)
     return calls
@@ -499,14 +503,14 @@ class TestFlatten:
         clauses = data.draw(clause_sets(functions=True))
         consts, _ = miniprover._collect_signature(clauses, sat.Clock())
         size = data.draw(st.sampled_from(SIZES))
-        pinned = miniprover._pin(consts, miniprover._Apart(clauses), size)
+        pinned = miniprover._pin(consts, apart_of(clauses), size)
 
         def is_value(t):
             return isinstance(t, Var) or isinstance(t, Const) and t.name in pinned
 
         fresh = map("FL{}".format, itertools.count(1))
         for cl in clauses:
-            for lit in miniprover._flatten_clause(cl, fresh, pinned):
+            for lit in miniprover._flatten_clause(cl, fresh, pinned, sat.Clock()):
                 if lit.pred != EQ:
                     assert all(map(is_value, lit.args)), lit
                     continue
@@ -703,12 +707,36 @@ ex:C a sh:NodeShape ; sh:targetClass ex:CC ;
 
 
 class TestSchedule:
+    def test_each_attempt_gets_a_slice_of_the_callers_clock(self, monkeypatch):
+        # the schedule starts with 10 s left on its clock, so each attempt's
+        # clock ends 0.4 * 10 s after the attempt starts, or with the
+        # caller's, whichever is first; here each attempt takes 3 s (the
+        # schedule's own time, which the real clock never reaches)
+        start = time.monotonic() + 1000
+        now = [start]
+        monkeypatch.setattr(miniprover, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        given = []
+
+        def attempt(*args):
+            given.append(args[-1])
+            now[0] += 3
+            return None
+
+        monkeypatch.setattr(miniprover, "refute", attempt)
+        monkeypatch.setattr(miniprover, "find_model", attempt)
+        clock = sat.Clock(start + 10)
+        got = miniprover.decide_clauses(clausify([Atom("p", (A,))]), clock)
+        assert got.status == "GaveUp"
+        # the refutation, then the sizes 1 to 4
+        assert [c.deadline - start for c in given] == pytest.approx([4, 7, 10, 10, 10])
+        assert all(type(c) is sat.Clock and c is not clock for c in given)
+
     @pytest.mark.parametrize("name", ["or_violates", "and_violates", "qualified_min_violates"])
     def test_violation_decided_by_refutation_before_the_model_search_grows(
             self, name, monkeypatch):
         models = counting(monkeypatch, "find_model")
         case = next(c for c in CASES if c.name == name)
-        got = miniprover.decide_clauses(emitted_clauses(case.shapes_ttl, case.data_ttl))
+        got = miniprover.decide_clauses(emitted_clauses(case.shapes_ttl, case.data_ttl), within(10))
         assert got.status == "Unsatisfiable"
         assert got.detail == "ground refutation (skolem depth 1)"
         # the refutation runs first, so no model search runs at all
@@ -781,7 +809,7 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
         # refutation builds only the instances whose guards fall on atoms
         # that can be true, a few per name, so the one refutation over the
         # constants and the Skolem terms decides the violation
-        got = miniprover.decide_clauses(emitted_clauses(*max_two_people(n)), timeout_s=10)
+        got = miniprover.decide_clauses(emitted_clauses(*max_two_people(n)), within(10))
         assert (got.status, got.detail) == ("Unsatisfiable", "ground refutation (skolem depth 1)")
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -806,8 +834,7 @@ ex:S a sh:NodeShape ; sh:targetNode ex:a ;
         # gave 33,690, so a 3 s budget leaves a wide margin
         doc = build_problem(DecisionTask(TaskKind.SATISFIABILITY, load_shapes(F4_SHAPES)))
         solved = counting_solve(monkeypatch)
-        got = miniprover.decide_clauses(clausify([u.body for u in doc.formulas]),
-                                        timeout_s=3)
+        got = miniprover.decide_clauses(clausify([u.body for u in doc.formulas]), within(3))
         assert (got.status, got.detail) == ("Satisfiable", "finite model of size 6")
         assert len(solved[-1]) < 2_000
         # the command answers on the structure of the problem's facts: no
@@ -879,9 +906,9 @@ class TestUniqueNames:
         searches = []
         search = miniprover.find_model
 
-        def recording(clauses, domain_size, deadline=None):
+        def recording(clauses, domain_size, clock):
             try:
-                got = search(clauses, domain_size, deadline=deadline)
+                got = search(clauses, domain_size, clock)
             except sat.TimeBudgetExceeded:
                 searches.append((domain_size, "cut"))
                 raise
@@ -930,7 +957,7 @@ class TestUniqueNames:
 
         monkeypatch.setattr(miniprover, "refute", recording)
         start = time.monotonic()
-        status = miniprover.decide_clauses(clauses, timeout_s=10).status
+        status = miniprover.decide_clauses(clauses, within(10)).status
         elapsed = time.monotonic() - start
         assert status == ("Satisfiable" if code == 0 else "Unsatisfiable")
         if unnamed is None:
@@ -951,12 +978,12 @@ class TestUniqueNames:
                    for pair in itertools.combinations(consts, 2)]
         clauses.append(frozenset({Literal(True, "p", (consts[0],))}))
         grounded = counting(monkeypatch, "_ground")
-        model = miniprover.find_model(clauses, 500, deadline=time.monotonic() + 2)
+        model = miniprover.find_model(clauses, 500, within(2))
         assert len({key[2] for key, true in model["table"].items() if key[0] == "a" and true}) \
             == 500
         assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
         grounded.clear()
-        assert miniprover.refute(clauses, deadline=time.monotonic() + 2) is None
+        assert miniprover.refute(clauses, within(2)) is None
         assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
 
     def test_a_distinct_unit_is_read_whole(self, monkeypatch):
@@ -996,10 +1023,10 @@ class TestUniqueNames:
         # universe, which holds every depth-1 Skolem term; the timeouts
         # are those of the command line, whose default is 60 s
         got = miniprover.decide_clauses(emitted_clauses(PEOPLE_SHAPES, people(n, unnamed=n // 2)),
-                                        timeout_s=float(timeout[1]) if timeout else 60.0)
+                                        within(float(timeout[1]) if timeout else 60.0))
         assert (got.status, got.detail) == ("Unsatisfiable", "ground refutation (skolem depth 1)")
 
-    @pytest.mark.parametrize("n", [10, 20, 100, 1000])
+    @pytest.mark.parametrize("n", [10, 20, 100, 200, 1000])
     def test_planted_violation_fails_on_the_closed_structure(self, n, tmp_path, capsys):
         # 2n constants, the unnamed person the first failing target
         shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
@@ -1015,10 +1042,10 @@ class TestUniqueNames:
         # 42 constants, all pinned: the size-42 search grounds only the
         # relevant instances, about 250,000 clauses with the totality rows,
         # under the size limit, where the product passed it (GaveUp)
-        got = miniprover.decide_clauses(emitted_clauses(PEOPLE_SHAPES, people(20)), timeout_s=10)
+        got = miniprover.decide_clauses(emitted_clauses(PEOPLE_SHAPES, people(20)), within(10))
         assert (got.status, got.detail) == ("Satisfiable", "finite model of size 42")
 
-    @pytest.mark.parametrize("n", [20, 40, 100, 1000])
+    @pytest.mark.parametrize("n", [20, 40, 100, 200, 1000])
     def test_conforming_people_are_the_closed_structure(self, n, tmp_path, capsys):
         # 2n + 2 constants: the people, their names, the class and the shape
         shapes, data = tmp_path / "shapes.ttl", tmp_path / "data.ttl"
@@ -1036,16 +1063,16 @@ class TestUniqueNames:
         clauses = [frozenset({Literal(True, DISTINCT, tuple(consts))}),
                    frozenset({Literal(True, "p", (consts[0],))})]
         tests = []
-        apart = miniprover._Apart.__call__
-        monkeypatch.setattr(miniprover._Apart, "__call__",
+        apart = closed_structure.Apart.__call__
+        monkeypatch.setattr(closed_structure.Apart, "__call__",
                             lambda self, a, b: tests.append((a, b)) or apart(self, a, b))
-        pinned = miniprover._pin([c.name for c in consts], miniprover._Apart(clauses), 2000)
+        pinned = miniprover._pin([c.name for c in consts], apart_of(clauses), 2000)
         assert pinned == {c.name: i for i, c in enumerate(consts)}
         assert len(tests) <= len(consts)
         # nor does the model search ground a unit of a literal it pinned
         clauses = [frozenset({Literal(True, DISTINCT, tuple(consts[:300]))}), clauses[1]]
         grounded = counting(monkeypatch, "_ground")
-        assert miniprover.find_model(clauses, 300, deadline=time.monotonic() + 5) is not None
+        assert miniprover.find_model(clauses, 300, within(5)) is not None
         assert [[lit.pred for lit in lits] for args in grounded for lits in args[0]] == [["p"]]
 
 
@@ -1060,7 +1087,7 @@ class TestSizeLimit:
         # ~(X1 = c) | r(X1, X2, X3, X4) at size 30: 30 ** 4 instances in the
         # worst case, but c is pinned, so only X1 = c's element is ground
         clause = frozenset({Literal(False, EQ, (WIDE[1], C)), Literal(True, "r", WIDE[1:5])})
-        assert miniprover.find_model([clause], 30, deadline=time.monotonic() + 10) is not None
+        assert miniprover.find_model([clause], 30, within(10)) is not None
 
     def test_refute_gives_up_on_a_universe_past_the_limit(self, monkeypatch):
         # a binary function over 40 constants: 40 + 40 ** 2 terms
@@ -1098,7 +1125,7 @@ class TestDeadline:
         clause = frozenset({Literal(True, "p", WIDE), Literal(False, "q", WIDE)})
         start = time.monotonic()
         with pytest.raises(sat.TimeBudgetExceeded):
-            miniprover.find_model([clause], 8, deadline=time.monotonic() - 1)
+            miniprover.find_model([clause], 8, within(-1))
         assert time.monotonic() - start < 0.2
 
     def test_find_model_stops_inside_one_wide_clause(self):
@@ -1107,14 +1134,14 @@ class TestDeadline:
         clause = frozenset({Literal(True, f"p{i}", (X,)) for i in range(2000)})
         start = time.monotonic()
         with pytest.raises(sat.TimeBudgetExceeded):
-            miniprover.find_model([clause], 2000, deadline=time.monotonic() + 0.05)
+            miniprover.find_model([clause], 2000, within(0.05))
         assert time.monotonic() - start < 1
 
     def test_find_model_reads_the_clock_while_flattening(self, sequence_10000):
         # flattening the 10,000-member path's clauses takes about 0.4 s
         start = time.monotonic()
         with pytest.raises(sat.TimeBudgetExceeded):
-            miniprover.find_model(sequence_10000, 1, deadline=time.monotonic() + 0.05)
+            miniprover.find_model(sequence_10000, 1, within(0.05))
         assert time.monotonic() - start < 0.3
 
     def test_refute_stops_inside_a_large_grounding(self):
@@ -1124,7 +1151,7 @@ class TestDeadline:
         clause = frozenset({Literal(True, "p", WIDE[:4]), Literal(False, "r", WIDE[:1])})
         start = time.monotonic()
         with pytest.raises(sat.TimeBudgetExceeded):
-            miniprover.refute([clause] + facts, deadline=time.monotonic() - 1)
+            miniprover.refute([clause] + facts, within(-1))
         assert time.monotonic() - start < 0.2
 
     def test_refute_gives_up_once_it_keeps_too_many_clauses(self, monkeypatch):
@@ -1164,13 +1191,14 @@ ex:S a sh:NodeShape ; sh:targetClass ex:Person ;
         doc = build_problem(DecisionTask(TaskKind.VALIDATION, shapes, data_graph=data))
         clauses = clausify([u.body for u in parse_tptp(render(doc))])
         start = time.monotonic()
-        got = miniprover.decide_clauses(clauses, timeout_s=2)
+        got = miniprover.decide_clauses(clauses, within(2))
         assert time.monotonic() - start < 2.5
         assert got.status in ("Satisfiable", "Timeout", "GaveUp")
 
 
 RECORD_SOLVE = """
 import json
+from conftest import within
 from corpus import CASES
 from shacl2fol import miniprover, sat
 from test_miniprover import emitted_clauses
@@ -1178,13 +1206,13 @@ from test_miniprover import emitted_clauses
 calls = []
 solve = sat.solve
 
-def recording(clauses, deadline=None):
+def recording(clauses, clock):
     calls.append(list(clauses))
-    return solve(calls[-1], deadline=deadline)
+    return solve(calls[-1], clock)
 
 sat.solve = recording
 case = next(c for c in CASES if c.name == "or_violates")
-miniprover.decide_clauses(emitted_clauses(case.shapes_ttl, case.data_ttl))
+miniprover.decide_clauses(emitted_clauses(case.shapes_ttl, case.data_ttl), within(10))
 print(json.dumps(calls))
 """
 

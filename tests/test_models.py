@@ -14,7 +14,9 @@ from typing import Optional
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 
-from conftest import NAMES, SIZES, VARIABLES, clause_sets, load_graph, load_shapes
+from conftest import (
+    NAMES, SIZES, VARIABLES, clause_sets, load_graph, load_shapes, within,
+)
 from corpus import CASES
 from shacl2fol import miniprover, sat
 from shacl2fol.clausify import DISTINCT, EQ, Literal, clausify
@@ -124,8 +126,8 @@ def _returned_models(monkeypatch, task: DecisionTask):
     models = []
     search = miniprover.find_model
 
-    def recording(clauses, domain_size, deadline=None):
-        got = search(clauses, domain_size, deadline=deadline)
+    def recording(clauses, domain_size, clock):
+        got = search(clauses, domain_size, clock)
         if got is not None:
             models.append((clauses, got))
         return got
@@ -134,7 +136,7 @@ def _returned_models(monkeypatch, task: DecisionTask):
     # the task's clauses go to the procedures themselves: the validate path
     # decides a validation problem on its closed structure first
     clauses = clausify([u.body for u in parse_tptp(render(build_problem(task)))])
-    miniprover.decide_clauses(clauses, timeout_s=task.prover.timeout_s)
+    miniprover.decide_clauses(clauses, within(task.prover.timeout_s))
     return models
 
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from shacl2fol.sat import TimeBudgetExceeded, solve
+from shacl2fol.sat import Clock, TimeBudgetExceeded, solve
 
 
 def brute_force(clauses, n_vars):
@@ -111,7 +111,7 @@ class TestStructured:
             for p1, p2 in itertools.combinations(range(pigeons), 2):
                 clauses.append((-var(p1, h), -var(p2, h)))
         with pytest.raises(TimeBudgetExceeded):
-            solve(clauses, deadline=time.monotonic() - 1)
+            solve(clauses, Clock(time.monotonic() - 1))
 
     def test_a_wide_clause_keeps_the_deadline(self):
         # 20,000 literals, no two complementary: the clause is read in time
@@ -119,7 +119,7 @@ class TestStructured:
         clause = tuple(v if v % 2 else -v for v in range(1, 20_001))
         start = time.monotonic()
         try:
-            solve([clause], deadline=start + 0.5)
+            solve([clause], Clock(start + 0.5))
         except TimeBudgetExceeded:
             pass
         assert time.monotonic() - start < 1.5

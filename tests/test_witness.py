@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from conftest import load_shapes, shape_family
+from conftest import load_shapes, shape_family, within
 from shacl2fol import cli, closed_structure, oracle, rdf, witness
 from shacl2fol.decide import DecisionTask, ProverConfig, TaskKind, build_problem, run_task
 from shacl2fol.errors import Clock, TimeBudgetExceeded
@@ -161,13 +161,13 @@ def test_the_mutated_candidate_fails_its_structure():
     dropped = build_problem(task, rdf.Graph(sorted(w.graph)[1:])).formulas
     assert closed_structure.ClosedStructure(
         closed_structure._named(dropped)[0]).evaluate().status == "Unsatisfiable"
-    got = closed_structure.decide_units(problem, 10, lambda clock: [("dropped", dropped)])
+    got = closed_structure.decide_units(problem, within(10), [("dropped", dropped, "w0")])
     assert (got.status, got.candidate) == ("Satisfiable", None)
     assert got.detail.startswith("finite model of size ")
     chased = build_problem(task, w.graph).formulas
-    got = closed_structure.decide_units(problem, 10,
-                                        lambda clock: [("dropped", dropped), ("chased", chased)])
-    assert (got.status, got.detail, got.candidate) == ("Satisfiable", "chased", 1)
+    got = closed_structure.decide_units(problem, within(10),
+                                        [("dropped", dropped, "w0"), ("chased", chased, w)])
+    assert (got.status, got.detail, got.candidate) == ("Satisfiable", "chased", w)
 
 
 def test_an_unconfirmed_witness_is_flagged_and_not_written(tmp_path, capsys, monkeypatch):
