@@ -42,7 +42,8 @@ The answers:
   satisfiable;
 * a unit fails, not at the fresh element: the problem is unsatisfiable
   when every model agrees with the candidate on that unit, which holds
-  when every constant is kept apart, every predicate but the defined
+  when every constant is kept apart (the one question the unique-name
+  index, `Apart`, is built for), every predicate but the defined
   ones is closed with each tuple asserted or is a kind fixed at every
   element, every atom of a defined predicate has a definition, and every
   quantifier but a unit's universal prefix takes its values from a
@@ -59,7 +60,7 @@ RDF, so the oracle stays an independent cross-check.
 
 `decide_units` is the built-in prover's one entry point, on its caller's
 clock.  It reads the units once into their candidate structure, which
-merges the definitions that say the same thing
+merges the definitions that say the same thing for the steps that refute
 (`ClosedStructure.merge`); when the merge leaves two apart at one key,
 `entailment`, loaded only then, records which entail which.  A unit that
 is `$false`, or `¬ψ` with each conjunct of ψ, or a strengthening of it
@@ -74,7 +75,7 @@ closures, kinds and unique names), is read into its own structure, and
 the first on which every unit holds is a model of the problem too
 (`_candidate`); one that fails a unit proves nothing.  Only then are the
 clausal procedures (`miniprover`, `clausify`, `sat`) loaded and run on
-the merged units, or at once on units with no one candidate structure.
+the units as read.
 The emitted text is unchanged: these steps are the prover's own
 preprocessing.
 """
@@ -90,7 +91,7 @@ from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func, Iff,
-    Implies, NotN, OrN, TptpFormula, TrueF, Var, components,
+    Implies, NotN, OrN, TptpFormula, TrueF, Var, components, conjuncts,
 )
 from .record import Record
 
@@ -248,9 +249,6 @@ class ClosedStructure:
         # the predicates no merge may touch: with a second pattern, or with
         # an atom that holds a variable at a pattern position
         self.unmerged: set[str] = set()
-        # the constants at a defined predicate's pattern positions in its
-        # atoms without a definition
-        self.undefined: dict[str, set[str]] = {}
         for name, f in rest:
             head = _definition_head(f)
             if head is not None and head[0].pred not in self.closed:
@@ -302,12 +300,13 @@ class ClosedStructure:
             self.elements[_FRESH] = None
         self._check_acyclic(edges)
         self.index: dict[tuple, dict] = {}
-        self.merging: set[str] = set()  # the predicates whose definitions merge
+        # the predicates whose definitions may merge -> (arity, pattern)
+        self.merging: dict[str, tuple] = {}
         self.into: dict[tuple, tuple] = {}  # a merged definition -> its target
         self.pairs: list[tuple[str, str, tuple]] = []  # (P, Q, ā) `merge` left apart
 
     @functools.cached_property
-    def unique(self) -> Apart:  # the index of `apart`, built when first asked
+    def unique(self) -> Apart:  # the index of `apart`, built when `exact` first asks
         return Apart(self.apart, self.clock)
 
     # --- reading the units ---
@@ -354,8 +353,6 @@ class ClosedStructure:
                         refs.extend((g.pred, k) for k in self.definitions[g.pred])
                     else:
                         self.open_reference = True
-                        self.undefined.setdefault(g.pred, set()).update(
-                            g.args[i].name for i in pattern)
             elif t is Eq:
                 self._terms((g.left, g.right), bound)
             elif t is Distinct:
@@ -415,51 +412,45 @@ class ClosedStructure:
         `hasShapeB` do in `contains`, and their bodies are equal up to the
         names of bound variables, the head variables numbered by position
         and the atoms of definitions already merged renamed, compared in
-        dependency order.  A predicate with two patterns, with an atom that
-        holds a variable at a pattern position, or with two constants at
-        its pattern positions that no `$distinct` unit or unit `¬(c = d)`
-        keeps apart, is left as it is.
+        dependency order.  A predicate with two patterns, or with an atom
+        that holds a variable at a pattern position, is left as it is: an
+        atom is renamed by the constants at its predicate's one pattern.
 
-        Every model of the original units satisfies the merged ones: by
-        induction on the dependency order, Q(·, b̄) and P(·, ā) are the same
-        relation in it.  A model of the merged units is one of the original
-        ones once Q(·, b̄) is read as P(·, ā): no atom left in the merged
-        units tells the two apart, as each holds constants at Q's pattern
-        positions that name other elements than b̄'s.  So the two are
-        equisatisfiable (predicate elimination: Khasidashvili & Korovin,
-        *Predicate Elimination for Preprocessing in First-Order Theorem
-        Proving*, SAT 2016).  Without the constants kept apart the merge
-        could be unsound: with `b = c`, the definitions `q(X, b) ↔ r(X)` and
-        `q(X, c) ↔ ¬r(X)` contradict each other, and merging the first into
-        `p(X, a) ↔ r(X)` would leave a satisfiable rest.  The candidate
-        itself is unchanged, as the merged entries hold where their own
-        definitions do."""
+        The merged units serve refutation only, the denial (`_denial`) and
+        `emptiness.refuted`.  By induction on the dependency order, Q(·, b̄)
+        and P(·, ā) are the same relation in every model of the original
+        units, so each such model satisfies every renamed unit; a
+        refutation of the merged units, some originals left out, is then
+        one of the original units (predicate elimination: Khasidashvili &
+        Korovin, *Predicate Elimination for Preprocessing in First-Order
+        Theorem Proving*, SAT 2016).  No constant need be kept apart for
+        this.  A model of the merged units need not be one of the original
+        units, so the clausal procedures, whose model search answers
+        Satisfiable, get the units as read.  The candidate itself is
+        unchanged, as the merged entries hold where their own definitions
+        do."""
         shapes = {pred: (self.arity[pred], pattern) for pred, pattern in self.patterns.items()
                   if pred not in self.unmerged}
         shared = Counter(shapes.values())
-        shapes = {pred: shape for pred, shape in shapes.items() if shared[shape] > 1}
-        left = [pred for pred in shapes if self.unique.pairwise(
-            set(itertools.chain(*self.definitions[pred], self.undefined.get(pred, ()))))]
-        shared = Counter(shapes[pred] for pred in left)
-        self.merging = {pred for pred in left if shared[shapes[pred]] > 1}
+        self.merging = {pred: shape for pred, shape in shapes.items() if shared[shape] > 1}
         first: dict[tuple, tuple] = {}  # (arity, pattern, canonical body) -> definition
         at: dict[tuple, list[str]] = {}  # (arity, pattern, ā) -> the predicates left there
         dropped = set()  # the ids of the merged definitions' units
         for (node,) in self.order:
             pred, key = node
-            if pred not in shapes:
+            shape = self.merging.get(pred)
+            if shape is None:
                 continue
-            if pred in self.merging:
-                definition = self.definitions[pred][key]
-                canonical = (shapes[pred], _canonical(
-                    definition.body, self.clock, definition.numbered()[0], self.rename))
-                target = first.setdefault(canonical, node)
-                if target is not node:
-                    self.into[node] = target
-                    dropped.add(id(definition.unit))
-                    self.definitions[pred][key] = self.definitions[target[0]][target[1]]
-                    continue
-            others = at.setdefault((shapes[pred], key), [])
+            definition = self.definitions[pred][key]
+            canonical = (shape, _canonical(
+                definition.body, self.clock, definition.numbered()[0], self.rename))
+            target = first.setdefault(canonical, node)
+            if target is not node:
+                self.into[node] = target
+                dropped.add(id(definition.unit))
+                self.definitions[pred][key] = self.definitions[target[0]][target[1]]
+                continue
+            others = at.setdefault((shape, key), [])
             self.pairs.extend((other, pred, key) for other in others)
             others.append(pred)
         if not self.into:
@@ -905,10 +896,11 @@ def _canonical(f: Formula, clock: Clock, numbers: Optional[dict] = None,
 def _denial(named: list[tuple[str, Formula]], clock: Clock, rename=None,
             strengthened=None) -> Optional[str]:
     """How the units contradict each other at once, or None: one is
-    `$false`, or one is `¬ψ` and each conjunct of ψ (ψ itself when it is
-    no conjunction) is a unit, up to bound-variable names, once each atom
-    is renamed by `rename` or by one of the renamings `strengthened` gives
-    it.  A unit whose conjuncts are of no kind a unit is costs a type check."""
+    `$false`, or one is `¬ψ` and each conjunct of ψ (`fol.conjuncts`, ψ
+    itself when it is no conjunction) is a unit, up to bound-variable
+    names, once each atom is renamed by `rename` or by one of the renamings
+    `strengthened` gives it.  A unit whose conjuncts are of no kind a unit
+    is costs a type check."""
     present = set()  # the kinds of the units
     for name, f in named:
         if type(f) is FalseF:
@@ -920,23 +912,17 @@ def _denial(named: list[tuple[str, Formula]], clock: Clock, rename=None,
     for name, f in named:
         if type(f) is NotN:
             g = f.operand
-            if type(g) is not AndN:
-                if type(g) in present:
-                    denials.append((name, (g,)))
-                continue
-            for c in g.operands:
-                if type(c) not in present:
-                    break
-            else:
-                denials.append((name, g.operands))
+            cs = conjuncts(g) if type(g) is AndN else (g,)
+            if all(type(c) in present for c in cs):
+                denials.append((name, cs))
     if not denials:
         return None
-    wanted = {type(c) for _, conjuncts in denials for c in conjuncts}
+    wanted = {type(c) for _, cs in denials for c in cs}
     asserted = {_canonical(f, clock, rename=rename) for _, f in named if type(f) in wanted}
-    for name, conjuncts in denials:
+    for name, cs in denials:
         if all(any(_canonical(c, clock, rename=r) in asserted
                    for r in (rename, *(strengthened(c) if strengthened else ())))
-               for c in conjuncts):
+               for c in cs):
             return f"{name} denies asserted units"
     return None
 
@@ -971,13 +957,14 @@ def decide_units(units: list[TptpFormula], clock: Clock,
     """Decide a problem given as its units on the caller's `clock`: read
     once into their candidate structure, merged (`ClosedStructure.merge`),
     their entailments found when the merge leaves definitions apart
-    (`entailment.entailed`), then refuted by a denial (`_denial`), decided
-    by the structure, refuted by its empty definitions (`emptiness.refuted`),
-    satisfied on one of the lazy `candidates` (`_candidate`), each its
-    detail, the problem's units with more and its witness, or, failing
-    those, clausified and decided by `miniprover.decide_clauses`.  The
-    detail counts the merges, the entailments and the empty ones, but for
-    a candidate's answer, which is the candidate's detail."""
+    (`entailment.entailed`), then refuted by a denial of the merged units
+    (`_denial`), decided by the structure, refuted by its empty definitions
+    (`emptiness.refuted`), satisfied on one of the lazy `candidates`
+    (`_candidate`), each its detail, the problem's units with more and its
+    witness, or, failing those, clausified as read and decided by
+    `miniprover.decide_clauses`.  The detail counts the merges, the
+    entailments and the empty ones, but for a candidate's answer, which is
+    the candidate's detail."""
     # the units are read, merged and evaluated with the cycle collector
     # paused: none of it makes a reference cycle, and the full passes a
     # large problem's plans set off would walk the whole heap, units included
@@ -989,23 +976,23 @@ def decide_units(units: list[TptpFormula], clock: Clock,
             try:
                 structure = ClosedStructure(named, clock)
             except _Inapplicable:
-                structure, merged = None, ""
+                structure, pruned, merged = None, named, ""
             else:
-                named, merged = structure.merge(named)
-            rename = structure.rename if merged else None
+                pruned, merged = structure.merge(named)
             found = None
             if structure is not None and structure.pairs:
                 from . import entailment
 
                 found = entailment.entailed(structure, clock)
-            refutation = _denial(named, clock, rename, found and found.strengthened)
+            refutation = _denial(pruned, clock, structure.rename if merged else None,
+                                 found and found.strengthened)
             result = None
             if refutation is None and structure is not None:
                 result = structure.evaluate()
                 if result is None and structure.definitions:
                     from . import emptiness
 
-                    refutation = emptiness.refuted(structure, named, clock, found)
+                    refutation = emptiness.refuted(structure, pruned, clock, found)
             if refutation is not None:
                 result = ProverResult("Unsatisfiable", "; ".join(
                     filter(None, (found and found.detail(), refutation))))
@@ -1019,11 +1006,9 @@ def decide_units(units: list[TptpFormula], clock: Clock,
         if result is None:
             from . import miniprover
 
-            if rename is not None:
-                named = [(name, miniprover.rewritten(f, rename, clock)) for name, f in named]
             # freed before the clausal procedures, whose collections would
             # otherwise walk it
-            structure = rename = found = None
+            structure = pruned = found = None
             # called through `miniprover`, where perfbench/tracing.py wraps them
             result = miniprover.decide_clauses(
                 miniprover.clausify([f for _, f in named], clock), clock)

@@ -28,7 +28,8 @@ Each rule gives φ ⊨ ⊥ from the units, a kind disjointness being a unit
 itself, and recursion is rejected, so by induction on the dependency
 order `∀x̄ ¬P(x̄, ā)` holds in every model and the asserting unit in none:
 a targeted shape whose constraints clash (Pareti et al., *SHACL
-Satisfiability and Containment*, ISWC 2020).  Nothing is dropped, so no
+Satisfiability and Containment*, ISWC 2020).  The merged units it reads
+hold in every model of the units (`ClosedStructure.merge`), so no
 constants need be kept apart.
 """
 

@@ -34,8 +34,9 @@ This is structural subsumption (Borgida & Patel-Schneider, *A Semantics
 and Complete Algorithm for Subsumption in the CLASSIC Description Logic*,
 JAIR 1994).  Each rule is sound and each recorded entailment rests only
 on those recorded before it, so every one holds in every model of the
-merged units: `P(x̄, ā) ↔ φ ⊨ ψ ↔ Q(x̄, ā)`.  Nothing is dropped, so unlike
-the merge the step needs no constants kept apart.
+units, where each merged definition is the one it was merged into:
+`P(x̄, ā) ↔ φ ⊨ ψ ↔ Q(x̄, ā)`.  As for the merge, no constants need be
+kept apart: the entailments serve refutation only.
 
 `strengthened` serves the denial: a denied conjunct whose entailed atoms,
 read at positive positions as the atoms that entail them, form an

@@ -62,39 +62,8 @@ from typing import Iterator, NamedTuple, Optional
 from . import closed_structure, sat
 # `closed_structure.decide_units` calls `clausify` through this module
 from .clausify import DISTINCT, EQ, Clause, Literal, clausify, term_vars
-from .closed_structure import ProverResult, _parts
-from .fol import AndN, Atom, Const, Exists, Forall, Formula, Func, OrN, Term, Var
-
-
-# --- the merged units -------------------------------------------------------
-
-def rewritten(f: Formula, rename, clock: sat.Clock) -> Formula:
-    """`f` with each atom replaced by its image under `rename`, the
-    merge's renaming of a unit before it is clausified; a subformula with
-    no changed atom is kept, the same object."""
-    done: dict[int, Formula] = {}  # id of a subformula -> its image
-    stack = [(f, False)]
-    while stack:
-        g, ready = stack.pop()
-        clock.tick()
-        parts = _parts(g)
-        if not parts:
-            done[id(g)] = rename(g) if type(g) is Atom else g
-        elif not ready:
-            stack.append((g, True))
-            stack.extend((h, False) for h in parts if id(h) not in done)
-        else:
-            new = [done[id(h)] for h in parts]
-            t = type(g)
-            if all(map(operator.is_, new, parts)):
-                done[id(g)] = g
-            elif t is AndN or t is OrN:
-                done[id(g)] = t(tuple(new))
-            elif t is Forall or t is Exists:
-                done[id(g)] = t(g.variables, new[0])
-            else:
-                done[id(g)] = t(*new)  # NotN, Implies, Iff
-    return done[id(f)]
+from .closed_structure import ProverResult
+from .fol import Const, Func, Term, Var
 
 
 # --- MACE-style flattening --------------------------------------------------
@@ -799,10 +768,10 @@ _STOP = object()  # an attempt's result when the clock cut it or it was too larg
 
 
 def decide_clauses(clauses: list[Clause], clock: sat.Clock) -> ProverResult:
-    """Run the procedures in turn, each attempt on a slice of `clock`,
-    which must have a deadline: a clock of its own that ends 0.4 of the
-    time `clock` has left at the start after the attempt begins, or at
-    `clock`'s deadline if that comes first.
+    """Run the procedures in turn, each attempt on a slice of `clock`: a
+    clock of its own that ends 0.4 of the time `clock` has left at the
+    start after the attempt begins, or at `clock`'s deadline if that comes
+    first; an unbounded clock of its own when `clock` has no deadline.
 
     1. ground refutation over the constants and the depth-1 Skolem terms,
        which decides the violating graphs and the containments;
@@ -814,7 +783,7 @@ def decide_clauses(clauses: list[Clause], clock: sat.Clock) -> ProverResult:
     When neither concludes, the status is Timeout if the clock cut the
     signature's scan or an attempt, and GaveUp if each stopped at its bounds.
     """
-    share = (clock.deadline - time.monotonic()) * 0.4
+    share = None if clock.deadline is None else (clock.deadline - time.monotonic()) * 0.4
     try:
         consts, funcs = _collect_signature(clauses, clock)
     except sat.TimeBudgetExceeded:
@@ -823,8 +792,9 @@ def decide_clauses(clauses: list[Clause], clock: sat.Clock) -> ProverResult:
 
     def attempt(procedure, *args):
         nonlocal cut
+        deadline = None if share is None else min(clock.deadline, time.monotonic() + share)
         try:
-            return procedure(*args, sat.Clock(min(clock.deadline, time.monotonic() + share)))
+            return procedure(*args, sat.Clock(deadline))
         except sat.TimeBudgetExceeded:
             cut = True
         except _TooLarge:

@@ -3,9 +3,9 @@ others are found, and a unit that denies asserted units refutes, before
 the check and the clauses.
 
 Containment of a shape graph in itself, in one that drops targets, or in
-one that weakens a shape is decided there; every other problem goes on,
-merged, to the check and the clausal procedures, and is answered as the
-unmerged problem is."""
+one that weakens a shape is decided there; every other problem goes on
+to the check and the clausal procedures, which get its units as read,
+and is answered as the unmerged problem is."""
 
 import itertools
 import re
@@ -269,10 +269,9 @@ def _atoms(f):
             stack.extend(closed_structure._parts(g))
 
 
-def test_the_clauses_hold_no_merged_atom(monkeypatch):
-    # the clausal procedures get the merged units: B's shapes but the
-    # edited one and those that reach it by sh:node are gone, definitions
-    # and atoms both
+def test_the_clauses_get_every_unit_as_read(monkeypatch):
+    # the merge serves the refuting steps only: the clausal procedures get
+    # B's definitions of every shape, and its atoms, as the problem has them
     family = shape_family(4)
     units = build_problem(_task(family, _raised(family, 1))).formulas
     clausify, received = miniprover.clausify, []
@@ -284,12 +283,12 @@ def test_the_clauses_hold_no_merged_atom(monkeypatch):
     monkeypatch.setattr(miniprover, "clausify", watched)
     got = closed_structure.decide_units(units, within(0.3))
     assert got.detail.startswith("1 of 8 definitions merged")
+    assert received == [u.body for u in units]
     shapes_b = {atom.args[1].name for f in received for atom in _atoms(f)
                 if atom.pred == "hasShapeB"}
     defined_b = {f.body.left.args[1].name for f in received
                  if type(f) is Forall and type(f.body) is Iff and f.body.left.pred == "hasShapeB"}
-    assert shapes_b == defined_b == {f"{EX}S{k}" for k in _referencing(family, 1)} \
-        == {f"{EX}S{k}" for k in (1, 2, 3)}
+    assert shapes_b == defined_b == {f"{EX}S{k}" for k in range(4)}
 
 
 DEFINITIONS = """
@@ -318,22 +317,32 @@ fof(d_q2, axiom, ![X]: (q(X, c) <=> ~r(X))).
 """
 
 
-@pytest.mark.parametrize("text, status", [
-    (COINCIDING + "fof(u, axiom, b = c).", "Unsatisfiable"),
-    (COINCIDING + "fof(u, axiom, p(a, a)).", "Satisfiable"),
+@pytest.mark.parametrize("text, status, merged", [
+    (COINCIDING + "fof(u, axiom, b = c).", "Unsatisfiable", "1 of 3 definitions merged"),
+    (COINCIDING + "fof(u, axiom, p(a, a)).", "Satisfiable", "1 of 3 definitions merged"),
     # a key that only an atom holds
     (COINCIDING.replace("fof(d_q2, axiom, ![X]: (q(X, c) <=> ~r(X))).",
                         "fof(r_k, axiom, r(k)).\nfof(n, axiom, ~q(k, c)).")
-     + "fof(u, axiom, b = c).", "Unsatisfiable"),
+     + "fof(u, axiom, b = c).", "Unsatisfiable", "1 of 2 definitions merged"),
 ], ids=["equal", "unknown", "atom_key"])
-def test_keys_that_may_name_one_element_are_never_merged(text, status):
+def test_keys_that_may_name_one_element_merge(text, status, merged):
     # with b = c, q(·, b) and q(·, c) are one relation, r and its negation:
-    # merging q(·, b) into p(·, a) and dropping its definition would leave
-    # a satisfiable rest
+    # the units without q(·, b)'s definition have a model, so they serve
+    # only the refuting steps, and the clausal procedures get all the units
     units = named(parse_tptp(text))
-    assert _merge(units) == (units, "")
+    assert _merge(units)[1] == merged
     got = miniprover.decide_tptp_text(text, timeout_s=10)
-    assert got.status == status and "merged" not in got.detail
+    assert got.status == status and got.detail.startswith(merged + "; ")
+
+
+def test_a_merge_needs_no_unique_names():
+    # no unit keeps b and c apart, yet q(·, b) and p(·, a) are one relation
+    # in every model, so q(d, b) read as p(d, a) is denied by n
+    text = COINCIDING.replace("~r(X)", "s(X)") \
+        + "fof(u, axiom, q(d, b)).\nfof(n, axiom, ~p(d, a)).\n"
+    got = miniprover.decide_tptp_text(text, timeout_s=10)
+    assert (got.status, got.detail) \
+        == ("Unsatisfiable", "1 of 3 definitions merged; n denies asserted units")
 
 
 @pytest.mark.parametrize("apart", ["fof(u, axiom, ~(b = c)).", "tff(u, axiom, $distinct(c, b))."],
@@ -361,9 +370,11 @@ def test_constants_at_every_key_merge():
      "n denies asserted units"),
     ("fof(f, axiom, ![X]: (q(X) => ?[Y]: r(X, Y))).\n"
      "fof(n, axiom, ~![Z]: (q(Z) => ?[W]: r(Z, W))).\n", "n denies asserted units"),
+    ("fof(f, axiom, p(a)).\nfof(g, axiom, q(b)).\nfof(h, axiom, r(c)).\n"
+     "fof(n, axiom, ~(p(a) & (q(b) & r(c)))).\n", "n denies asserted units"),
     ("fof(f, axiom, p(a)).\nfof(n, axiom, $false).\n", "n is $false"),
     ("fof(f, axiom, p(a)).\nfof(c, conjecture, p(a)).\n", "c denies asserted units"),
-], ids=["conjunction", "renamed_variables", "false", "conjecture"])
+], ids=["conjunction", "renamed_variables", "nested_conjunction", "false", "conjecture"])
 def test_a_unit_that_denies_asserted_units_refutes(text, detail):
     got = miniprover.decide_tptp_text(text, timeout_s=10)
     assert got.status in ("Unsatisfiable", "Theorem") and got.detail == detail

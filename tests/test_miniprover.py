@@ -731,6 +731,14 @@ class TestSchedule:
         assert [c.deadline - start for c in given] == pytest.approx([4, 7, 10, 10, 10])
         assert all(type(c) is sat.Clock and c is not clock for c in given)
 
+    def test_the_clausal_procedures_decide_on_a_clock_without_a_deadline(self):
+        # the check gives no answer, as q is not closed, and neither does the
+        # denial: the schedule runs each attempt on an unbounded clock
+        units = parse_tptp("fof(a, axiom, p(a) | q(a)).\nfof(b, axiom, ~p(a)).\n"
+                           "fof(c, axiom, ![X]: (q(X) => r(X))).\n")
+        got = closed_structure.decide_units(units, sat.Clock())
+        assert (got.status, got.detail) == ("Satisfiable", "finite model of size 1")
+
     @pytest.mark.parametrize("name", ["or_violates", "and_violates", "qualified_min_violates"])
     def test_violation_decided_by_refutation_before_the_model_search_grows(
             self, name, monkeypatch):
