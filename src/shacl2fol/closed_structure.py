@@ -90,8 +90,8 @@ from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import Clock, TimeBudgetExceeded
 from .fol import (
-    AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func, Iff,
-    Implies, NotN, OrN, TptpFormula, TrueF, Var, components, conjuncts,
+    ASSERTED_ROLES, AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Formula, Func,
+    Iff, Implies, NotN, OrN, TptpFormula, TrueF, Var, components, conjuncts,
 )
 from .record import Record
 
@@ -930,8 +930,7 @@ def _denial(named: list[tuple[str, Formula]], clock: Clock, rename=None,
 def _named(units: list[TptpFormula]) -> tuple[list, list]:
     """The units as (name, formula) pairs, each conjecture negated, and
     the conjectures among them."""
-    named = [(u.name, u.body) for u in units
-             if u.role in ("axiom", "hypothesis", "definition")]
+    named = [(u.name, u.body) for u in units if u.role in ASSERTED_ROLES]
     conjectures = [(u.name, NotN(u.body)) for u in units if u.role == "conjecture"]
     return named + conjectures, conjectures
 

@@ -135,6 +135,13 @@ Formula = Union[
 ]
 
 
+# The TPTP roles of a unit that is asserted as it stands.  A `conjecture`
+# is asserted negated, and a `type` declaration asserts nothing; the
+# parser rejects every other role.
+ASSERTED_ROLES = frozenset(("axiom", "hypothesis", "definition", "assumption", "lemma",
+                            "theorem", "corollary", "plain", "negated_conjecture"))
+
+
 class TptpFormula(Record):
     """One annotated formula of a TPTP problem: what the emitter adds to a
     document and what the parser reads back."""
@@ -143,7 +150,7 @@ class TptpFormula(Record):
 
     def __init__(self, name: str, role: str, body: Formula):
         self.name = name
-        self.role = role  # axiom | conjecture | hypothesis | definition
+        self.role = role  # one of ASSERTED_ROLES, or conjecture
         self.body = body
 
 

@@ -25,18 +25,20 @@ A data graph is mostly statements of one line, `ex:s ex:p ex:o .`, and
 the regex tries one coarse token before the fine ones: TRIPLE, such a
 statement whole (an IRI, prefixed name or blank node, then a predicate,
 then one more of those or a plain string, then the `.`), at the start of
-a line.  The parser reads it in one step, from the parts its match
-captured.  The regex makes a TRIPLE only where the fine tokens would be
-exactly its four; met anywhere but at the start of a statement, it is
-split back into them in place.  So every document gives the triples, or
-the error with its line and column, that its fine tokens give.
+a line.  The regex makes a TRIPLE only where the fine tokens would be
+exactly its four.  The parser reads one at a statement's start, in one
+step, from the parts its match captured.  Met anywhere else, a TRIPLE
+makes the walk raise, and `parse_document` reads the whole text once
+more from its fine tokens alone: the triples or the error of that
+reading are the answer.  So every document gives the triples, or the
+error with its line and column, that its fine tokens give, and a valid
+document is read once.
 """
 
 from __future__ import annotations
 
 import codecs
 import functools
-import itertools
 import re
 from enum import Enum
 from functools import total_ordering
@@ -481,23 +483,24 @@ _TOKEN_RE = _token_re([("TRIPLE", _TRIPLE), *_TOKEN_SPEC])
 
 @functools.cache
 def _fine_token_re() -> re.Pattern:
-    """The tokenizer of the fine tokens alone, which the parser splits a
-    TRIPLE token with; compiled at its first use."""
+    """The tokenizer of the fine tokens alone, which reads the text again
+    when a TRIPLE is out of its place; compiled at its first use."""
     return _token_re(_TOKEN_SPEC)
 
 
-def _tokenize(text: str) -> list[tuple]:
+def _tokenize(text: str, fine: bool = False) -> list[tuple]:
     """The `(kind, text, offset)` tokens of `text`, ending in one or two EOF
-    tokens.  Punctuation is told apart by its text alone: no other token
-    is a single `;,.[]()` character.  A TRIPLE token (its group closes
-    after those of its parts, so the match's `lastgroup` names it) carries
-    its parts, `(subject, predicate, object, offset of the predicate,
-    offset of the object)`, in place of its text."""
+    tokens; with `fine`, the fine tokens alone.  Punctuation is told apart
+    by its text alone: no other token is a single `;,.[]()` character.  A
+    TRIPLE token (its group closes after those of its parts, so the
+    match's `lastgroup` names it) carries its parts, `(subject, predicate,
+    object, offset of the predicate, offset of the object)`, in place of
+    its text."""
     tokens = [
         (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
         if m.lastgroup != "TRIPLE" else
         ("TRIPLE", (*m.group("s", "p", "o"), m.start("p"), m.start("o")), m.start("s"))
-        for m in _TOKEN_RE.finditer(text)
+        for m in (_fine_token_re() if fine else _TOKEN_RE).finditer(text)
     ]
     kind, rest, at = tokens[-2] if len(tokens) > 1 else tokens[-1]
     if kind == "BAD":
@@ -515,32 +518,19 @@ _SUBJECT, _SUBJECT_LIST, _PREDICATE, _OBJECT, _ITEM, _DATATYPE = range(6)
 
 
 class _TurtleParser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, fine: bool = False):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, fine)
         self.terms = _Terms(text)
         self.triples: list[Triple] = []
 
     def error(self, message: str, at: int) -> RdfSyntaxError:
         return _error(self.text, message, at)
 
-    def split(self, i: int) -> bool:
-        """Whether tokens[i] is a TRIPLE token; if so, it is replaced in
-        place by the four fine tokens it stands for."""
-        kind, _, at = self.tokens[i]
-        if kind != "TRIPLE":
-            return False
-        self.tokens[i:i + 1] = [
-            (m.lastgroup, m.group(m.lastindex), m.start(m.lastindex))
-            for m in itertools.islice(_fine_token_re().finditer(self.text, at), 4)]
-        return True
-
     def expect(self, i: int, value: str) -> int:
         """The index after tokens[i], which must be the punctuation `value`."""
         _, text, at = self.tokens[i]
         if text != value:
-            if self.split(i):
-                return self.expect(i, value)
             raise self.error(f"expected {value}, found {text!r}", at)
         return i + 1
 
@@ -581,8 +571,6 @@ class _TurtleParser:
         if keyword.lstrip("@").lower() == "prefix":
             name_kind, name, at = self.tokens[i + 1]
             if name_kind != "PNAME":
-                if self.split(i + 1):
-                    return self.directive(i)
                 raise self.error(f"expected PNAME, found {name!r}", at)
             if not name.endswith(":") or name.count(":") != 1:
                 raise self.error("bad prefix declaration", at)
@@ -599,8 +587,6 @@ class _TurtleParser:
     def iri_ref(self, i: int) -> tuple[int, str]:
         kind, text, at = self.tokens[i]
         if kind != "IRIREF":
-            if self.split(i):
-                return self.iri_ref(i)
             raise self.error(f"expected IRIREF, found {text!r}", at)
         return i + 1, _decode_iri(text[1:-1], self.text, at + 1)
 
@@ -647,10 +633,6 @@ class _TurtleParser:
             elif text == ")" and where == _ITEM:
                 _, where, at, items = stack.pop()
                 value = self.collection(items)
-            elif kind == "TRIPLE":  # out of its place: read its fine tokens
-                i -= 1
-                self.split(i)
-                continue
             elif where == _PREDICATE:
                 raise self.error(f"unexpected token {text!r}", at)
             elif kind == "STRING" or kind == "STRING_LONG":
@@ -739,7 +721,10 @@ class _TurtleParser:
 def parse_document(text: str) -> Graph:
     """Parse a Turtle or N-Triples document into a Graph; blank labels are
     renamed apart per call."""
-    return _TurtleParser(text).parse()
+    try:
+        return _TurtleParser(text).parse()
+    except RdfSyntaxError:  # a TRIPLE out of its place, or bad text
+        return _TurtleParser(text, fine=True).parse()
 
 
 def parse_file(path) -> Graph:

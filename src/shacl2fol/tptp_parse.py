@@ -21,23 +21,28 @@ regex tries three coarse tokens before the fine ones (a word, a quoted
 atom, a defined word or a punctuation mark): a unit whose body is a
 ground atom of one or two arguments, `tff(graph_pos_1, axiom,
 'p'('a', 'b')).`; a type declaration, `tff(decl_c_1, type, 'a': $i).`;
-and a closure case, `((X = 'a') & (Y = 'b'))`.  The walker reads a
-coarse token in one step, with one match of its pattern for its parts,
-where it stands for a unit or a unitary formula.  The regex makes a
-coarse token only where the fine tokens would be exactly its own; met
-anywhere else, it is split back into them in place.  So every input
-gives the units, or the error, that its fine tokens give.
+and a closure case, `((X = 'a') & (Y = 'b'))`.  The regex makes a
+coarse token only where the fine tokens would be exactly its own.  The
+walker reads a unit token at a unit's start and a case token where a
+unitary formula stands, each in one step, with one match of its pattern
+for its parts; a type declaration skips any coarse token in it.  Met
+anywhere else, a coarse token makes the walk raise, and `parse_tptp`
+reads the whole text once more from its fine tokens alone: the units or
+the error of that reading are the answer.  So every text gives the
+units, or the error, that its fine tokens give, and valid text is read
+once.
 
 Given a clock (`sat.Clock`), the walk reports its tokens to it: each
 unit's, and inside a formula those up to each atom, so neither many units
 nor one wide formula outruns the deadline; a read past it raises
 `sat.TimeBudgetExceeded`.  A coarse token counts as the fine tokens it
-stands for.  The tokenizer reads the clock after each slice of about 64
-KiB, which ends after a line end, or in a longer line after a space
-outside any comment, where no token but a quoted atom can run across (a
-slice that ends inside one ends before it instead), so the tokens of a
-large text do not outrun the deadline either.  A `%` in a quoted atom,
-as in a percent-encoded IRI, opens no comment and does not stop the cut.
+stands for, and a text read twice is reported twice.  The tokenizer
+reads the clock after each slice of about 64 KiB, which ends after a
+line end, or in a longer line after a space outside any comment, where
+no token but a quoted atom can run across (a slice that ends inside one
+ends before it instead), so the tokens of a large text do not outrun the
+deadline either.  A `%` in a quoted atom, as in a percent-encoded IRI,
+opens no comment and does not stop the cut.
 
 Each call of `parse_tptp` keeps one symbol table, a dict from a constant
 or predicate token to its `Const`, filled as the tokens are first met: a
@@ -51,8 +56,8 @@ import functools
 import re
 
 from .fol import (
-    AndN, Atom, Const, Distinct, Eq, Exists, Forall, FalseF, Iff, Implies,
-    NotN, OrN, TptpFormula, TrueF, Var, unquote_atom,
+    ASSERTED_ROLES, AndN, Atom, Const, Distinct, Eq, Exists, Forall, FalseF, Iff,
+    Implies, NotN, OrN, TptpFormula, TrueF, Var, unquote_atom,
 )
 
 
@@ -64,21 +69,26 @@ _QUOTED = r"'[^'\\]*(?:\\.[^'\\]*)*'"  # quoted atom
 _DEFINED = r"\$[a-z][A-Za-z0-9_]*"  # defined word
 _WORD = r"[a-zA-Z_][A-Za-z0-9_]*"
 _FINE_TOKENS = rf"{_QUOTED}|{_DEFINED}|{_WORD}|<=>|=>|!=|[=!?~&|():,.\[\]*>]"
+_NAME = rf"(?:{_QUOTED}|[a-z][A-Za-z0-9_]*)"  # a unit's name: a quoted or lower word
+_UNIT_NAME = re.compile(_NAME)
+_ROLES = ASSERTED_ROLES | {"conjecture", "type"}
 
 # The coarse tokens: runs of fine tokens, with only whitespace between
 # them, that the emitter writes over and over.  Each part is one whole
 # fine token: every word and quoted atom in them is followed by
 # punctuation, and no punctuation by a part that a longer token starts
 # with.  A coarse token ends in `)` or `.`, which no fine token of two or
-# more characters does.  The walker reads a token's parts with one match
-# of its pattern.
+# more characters does, and its parentheses are balanced.  The walker
+# reads a token's parts with one match of its pattern.
 _SYMBOL = rf"(?:{_QUOTED}|[a-z_][A-Za-z0-9_]*)"  # a constant or a predicate
 _VARIABLE = r"[A-Z][A-Za-z0-9_]*"
 # A unit: a type declaration of a constant or a predicate, which the
-# walker skips, or one whose body is a ground atom of one or two arguments.
+# walker skips, or one whose body is a ground atom of one or two arguments;
+# its name and role are ones the walker takes.
 _TYPE = rf"(?:{_DEFINED}|\(\s*{_DEFINED}(?:\s*\*\s*{_DEFINED})*\s*\)\s*>\s*{_DEFINED})"
-_UNIT = (rf"(?:fof|tff)\s*\(\s*(?P<name>{_WORD})\s*,\s*"
-         rf"(?:type\s*,\s*{_SYMBOL}\s*:\s*{_TYPE}|(?P<role>{_WORD})\s*,\s*"
+_ROLE = "|".join(sorted(_ROLES - {"type"}))
+_UNIT = (rf"(?:fof|tff)\s*\(\s*(?P<name>{_NAME})\s*,\s*"
+         rf"(?:type\s*,\s*{_SYMBOL}\s*:\s*{_TYPE}|(?P<role>{_ROLE})\s*,\s*"
          rf"(?P<pred>{_SYMBOL})\s*\(\s*(?P<a>{_SYMBOL})\s*(?:,\s*(?P<b>{_SYMBOL})\s*)?\))"
          r"\s*\)\s*\.")
 # a case of a closure: a unitary formula `((X = a) & (Y = b))`
@@ -106,8 +116,8 @@ _FINE_TOKEN_START = re.compile(_FINE_TOKENS)
 
 @functools.cache
 def _fine_token() -> re.Pattern:
-    """The tokenizer of the fine tokens alone, which `_split` reads a coarse
-    token with; compiled at its first use."""
+    """The tokenizer of the fine tokens alone, which reads the text again
+    when a coarse token is out of its place; compiled at its first use."""
     return _token_re(_FINE_TOKENS)
 
 
@@ -135,8 +145,9 @@ def _cut(text: str, pos: int) -> int:
     return len(text) if line < 0 else line + 1
 
 
-def _tokenize(text: str, clock=None) -> list[str]:
-    """The token strings of `text`, followed by one or two "" (the end).
+def _tokenize(text: str, clock=None, fine: bool = False) -> list[str]:
+    """The token strings of `text`, followed by one or two "" (the end);
+    with `fine`, the fine tokens alone.
 
     The text is tokenized in slices (`_cut`), and the clock, if given, is
     read after each.  A slice that ends where no token starts, in a quoted
@@ -144,10 +155,11 @@ def _tokenize(text: str, clock=None) -> list[str]:
     instead: the next slice starts at that character, and reads to the end
     of the text when it would end there again.  A coarse token that runs
     across a cut is read as its fine tokens, which the walker reads alike."""
+    token = _fine_token() if fine else _TOKEN
     tokens: list[str] = []
     pos, end = 0, _cut(text, 0)
     while end < len(text):
-        part = _TOKEN.findall(text, pos, end)
+        part = token.findall(text, pos, end)
         while part and not part[-1]:  # the slice's end, not the text's
             part.pop()
         at = end
@@ -157,7 +169,7 @@ def _tokenize(text: str, clock=None) -> list[str]:
         pos, end = at, len(text) if at == pos else _cut(text, at)
         if clock is not None:
             clock.check()
-    tokens += _TOKEN.findall(text, pos)
+    tokens += token.findall(text, pos)
     rest = tokens[-2] if len(tokens) > 1 else ""  # the last before the end
     # a token, fine or coarse, starts with a fine token; the rest where no
     # token starts does not
@@ -170,22 +182,10 @@ def _tokenize(text: str, clock=None) -> list[str]:
     return tokens
 
 
-def _split(tokens: list[str], i: int) -> bool:
-    """Whether tokens[i] is a coarse token; if so, it is replaced in place
-    by its fine tokens."""
-    tok = tokens[i]
-    if len(tok) < 2 or tok[-1] not in ").":
-        return False
-    tokens[i:i + 1] = _fine_token().findall(tok)[:-1]
-    return True
-
-
 def _expect(tokens: list[str], i: int, value: str) -> int:
     """The index after tokens[i], which must be `value`."""
     tok = tokens[i]
     if tok != value:
-        if _split(tokens, i):
-            return _expect(tokens, i, value)
         if not tok:
             raise TptpParseError("unexpected end of input")
         raise TptpParseError(f"expected {value!r}, found {tok!r}")
@@ -194,7 +194,9 @@ def _expect(tokens: list[str], i: int, value: str) -> int:
 
 def _symbol(symbols: dict[str, Const], tok: str) -> Const:
     """The `Const` of the constant or predicate token `tok`, built on its
-    first occurrence."""
+    first occurrence; a coarse token is none."""
+    if tok[-1] in ").":
+        raise TptpParseError(f"unexpected token {tok!r}")
     c = symbols[tok] = Const(unquote_atom(tok) if tok[0] == "'" else tok)
     return c
 
@@ -207,8 +209,6 @@ def _term(tokens: list[str], i: int, symbols: dict[str, Const]):
         first = tok[:1]
         if "A" <= first <= "Z":
             return Var(tok), i + 1
-        if _split(tokens, i):
-            return _term(tokens, i, symbols)
         if not (first == "'" or "a" <= first <= "z" or first == "_"):
             if not tok:
                 raise TptpParseError("unexpected end of input")
@@ -256,8 +256,6 @@ def _atom(tokens: list[str], i: int, symbols: dict[str, Const]):
             return Atom(c.name, args), i
         if nxt == "=" or nxt == "!=":
             return _equality(c, tokens, i + 1, symbols)
-        if _split(tokens, i + 1):
-            return _atom(tokens, i, symbols)
         return Atom(c.name, ()), i + 1
     if tok == "$true":
         return TrueF(), i + 1
@@ -275,8 +273,6 @@ def _variable(tokens: list[str], i: int) -> str:
     if not tok:
         raise TptpParseError("unexpected end of input")
     if not "A" <= tok[0] <= "Z":
-        if _split(tokens, i):
-            return _variable(tokens, i)
         raise TptpParseError(f"bad variable name {tok!r}")
     return tok
 
@@ -296,7 +292,7 @@ def _formula(tokens: list[str], i: int, symbols: dict[str, Const], clock=None):
     `=>` or `<=>` and a unitary formula, or by one or more `&` (or `|`)
     and unitary formulas; a unitary formula is `~` or a quantifier before
     a unitary formula, a parenthesized formula, or an atom.  A closure
-    case token is a whole parenthesized formula.
+    case token is a whole parenthesized formula; a unit token is no atom.
     """
     stack: list = []
     ticked = i  # the tokens before it are reported to the clock
@@ -320,10 +316,7 @@ def _formula(tokens: list[str], i: int, symbols: dict[str, Const], clock=None):
             i = _expect(tokens, _expect(tokens, i, "]"), ":")
             stack.append((Forall if tok == "!" else Exists, tuple(variables)))
             continue
-        if len(tok) > 1 and tok[-1] in ").":  # a coarse token
-            if tok[-1] == ".":  # a unit, out of its place
-                _split(tokens, i)
-                continue
+        if len(tok) > 1 and tok[-1] == ")":  # a closure case
             x, a, y, b = _CASE_PARTS.match(tok).groups()
             f = AndN((Eq(Var(x), symbols.get(a) or _symbol(symbols, a)),
                       Eq(Var(y), symbols.get(b) or _symbol(symbols, b))))
@@ -369,8 +362,10 @@ def _formula(tokens: list[str], i: int, symbols: dict[str, Const], clock=None):
             stack.pop()  # _OPEN
 
 
-def _skip_type_declaration(tokens: list[str], i: int) -> int:
-    """The index of the ")" that closes the type declaration at tokens[i]."""
+def _skip_type_declaration(tokens: list[str], i: int, clock=None) -> int:
+    """The index of the ")" that closes the type declaration at tokens[i];
+    a coarse token in it is reported to `clock`, if given, as its fine
+    tokens but one."""
     depth = 0
     while True:
         tok = tokens[i]
@@ -382,8 +377,8 @@ def _skip_type_declaration(tokens: list[str], i: int) -> int:
             if depth == 0:
                 return i
             depth -= 1
-        elif _split(tokens, i):
-            continue
+        elif clock is not None and len(tok) > 1 and tok[-1] in ").":
+            clock.tick(len(_fine_token().findall(tok)) - 2)
         i += 1
 
 
@@ -392,7 +387,15 @@ def parse_tptp(text: str, clock=None) -> list[TptpFormula]:
 
     With a `sat.Clock`, the walk over the tokens reports them to it and
     raises `sat.TimeBudgetExceeded` at a read past its deadline."""
-    tokens = _tokenize(text, clock)
+    try:
+        return _units(_tokenize(text, clock), clock)
+    except TptpParseError:  # a coarse token out of its place, or bad text
+        return _units(_tokenize(text, clock, fine=True), clock)
+
+
+def _units(tokens: list[str], clock) -> list[TptpFormula]:
+    """The units of the tokens, whose coarse tokens stand at a unit's start,
+    where a unitary formula stands or in a type declaration."""
     symbols: dict[str, Const] = {}
     units = []
     i = 0
@@ -401,7 +404,7 @@ def parse_tptp(text: str, clock=None) -> list[TptpFormula]:
         kw = tokens[i]
         if len(kw) > 1 and kw[-1] == ".":  # a whole unit
             name, role, pred, a, b = _UNIT_PARTS.match(kw).groups()
-            if role is not None and role != "type":
+            if role is not None:
                 p = symbols.get(pred) or _symbol(symbols, pred)
                 c = symbols.get(a) or _symbol(symbols, a)
                 args = (c,) if b is None else (c, symbols.get(b) or _symbol(symbols, b))
@@ -413,22 +416,22 @@ def parse_tptp(text: str, clock=None) -> list[TptpFormula]:
             i += 1
             continue
         if kw != "fof" and kw != "tff":
-            if _split(tokens, i):
-                continue
             raise TptpParseError(f"expected fof/tff unit, found {kw!r}")
         i = _expect(tokens, i + 1, "(")
-        _split(tokens, i)
         name = tokens[i]
         if not name:
             raise TptpParseError("unexpected end of input")
         i = _expect(tokens, i + 1, ",")
-        _split(tokens, i)
+        if _UNIT_NAME.fullmatch(name) is None:
+            raise TptpParseError(f"bad unit name {name!r}")
         role = tokens[i]
         if not role:
             raise TptpParseError("unexpected end of input")
         i = _expect(tokens, i + 1, ",")
+        if role not in _ROLES:
+            raise TptpParseError(f"unknown role {role!r}")
         if role == "type":
-            i = _skip_type_declaration(tokens, i)
+            i = _skip_type_declaration(tokens, i, clock)
         elif tokens[i] == "$distinct" and role != "conjecture":
             consts, i = _terms(tokens, _expect(tokens, i + 1, "("), symbols)
             if any(isinstance(c, Var) for c in consts):

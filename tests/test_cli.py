@@ -1,6 +1,8 @@
 import codecs
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from conftest import node_chain, not_chain, path_list
-from shacl2fol import cli, miniprover
+from corpus import CASES
+from shacl2fol import cli, decide, miniprover
 from shacl2fol.rdf import iri
 from shacl2fol.shapes import And, HasShape, check_shape_graph
 from shacl2fol.tptp_parse import parse_tptp
@@ -132,6 +135,44 @@ class TestProverDiscovery:
         assert code == 64
         captured = capsys.readouterr()
         assert captured.out == "" and "prover path" in captured.err
+
+
+def _quick_start() -> list[list[str]]:
+    """The commands of README's *Quick start*, each as its words."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Quick start\n", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line and line[0] != "#"]
+
+
+def test_the_quick_start_runs_as_documented(tmp_path, monkeypatch, capsys):
+    # one corpus case as every file the commands name; with no external
+    # prover found, `auto` is the bundled prover on any machine
+    case = CASES[0]
+    for name, text in [("shapes.ttl", case.shapes_ttl), ("a.ttl", case.shapes_ttl),
+                       ("b.ttl", case.shapes_ttl), ("data.ttl", case.data_ttl)]:
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(decide, "_find_executable", lambda kind: None)
+    commands = _quick_start()
+    assert {program for program, *_ in commands} == {"shacl2fol", "shacl2fol-miniprover"}
+    assert any("--witness" in command for command in commands)
+    for program, *argv in commands:
+        if program == "shacl2fol-miniprover":
+            assert miniprover.main(argv) == 0
+            assert re.fullmatch(rf"% SZS status \w+ for {re.escape(argv[0])}\n(% .*\n)?",
+                                capsys.readouterr().out)
+            continue
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        if argv[0] == "emit":
+            assert (code, out) == (0, argv[argv.index("--out") + 1] + "\n")
+            continue
+        verdict = decide.Verdict(out.split()[0])
+        expected = 2 if verdict is decide.Verdict.UNKNOWN else \
+            0 if verdict in decide.POSITIVE_VERDICTS else 1
+        assert code == expected, argv
+        if "--witness" in argv:
+            assert (tmp_path / argv[argv.index("--witness") + 1]).is_file()
 
 
 class TestJson:

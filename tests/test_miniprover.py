@@ -20,7 +20,7 @@ from shacl2fol.decide import (
     DecisionTask, ProverConfig, TaskKind, build_problem, run_task,
 )
 from shacl2fol.fol import (
-    Atom, Const, Distinct, Eq, Exists, Forall, Func, Implies, NotN, OrN, Var,
+    ASSERTED_ROLES, Atom, Const, Distinct, Eq, Exists, Forall, Func, Implies, NotN, OrN, Var,
 )
 from shacl2fol.tptp import render
 from shacl2fol.tptp_parse import parse_tptp
@@ -632,6 +632,32 @@ class TestMain:
         out = capsys.readouterr().out
         assert out.count("\n") == 1
         assert out.startswith(f"% SZS status SyntaxError for {f} : ")
+
+    @pytest.mark.parametrize("dialect", ["fof", "tff"])
+    @pytest.mark.parametrize("role", sorted(ASSERTED_ROLES))
+    def test_each_asserted_role_is_asserted(self, role, dialect, tmp_path, capsys):
+        # `$false`, and a fact, which is one coarse token, with its denial
+        f = tmp_path / "problem.p"
+        for text in (f"{dialect}(a, {role}, $false).\n",
+                     f"{dialect}(f, {role}, p(c)).\n{dialect}(n, {role}, ~p(c)).\n"):
+            f.write_text(text)
+            assert miniprover.main([str(f)]) == 0
+            assert capsys.readouterr().out.startswith(f"% SZS status Unsatisfiable for {f}\n")
+
+    @pytest.mark.parametrize("dialect", ["fof", "tff"])
+    @pytest.mark.parametrize("unit, message", [
+        ("(a, axion, $false).", "unknown role 'axion'"),
+        ("(a, axion, p(c)).", "unknown role 'axion'"),
+        ("((, axiom, p).", "bad unit name '('"),
+        ("(A, axiom, p(c)).", "bad unit name 'A'"),
+    ], ids=["misspelt_role", "misspelt_role_of_a_fact", "parenthesis_as_name",
+            "variable_as_name"])
+    def test_a_bad_role_or_name_is_a_syntax_error(self, unit, message, dialect, tmp_path,
+                                                    capsys):
+        f = tmp_path / "problem.p"
+        f.write_text(dialect + unit + "\n")
+        assert miniprover.main([str(f)]) == 1
+        assert capsys.readouterr().out == f"% SZS status SyntaxError for {f} : {message}\n"
 
     @pytest.mark.parametrize("parse_only", [[], ["--parse-only"]], ids=["decide", "parse_only"])
     @pytest.mark.parametrize("content", [b"\xff\xfe", None], ids=["not_utf8", "missing"])

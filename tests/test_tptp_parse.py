@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import load_graph, load_shapes
+from conftest import load_graph, load_shapes, people_star
 from corpus import CASES
-from shacl2fol import fol, sat, tptp_parse
+from shacl2fol import fol, rdf, sat, tptp_parse
 from shacl2fol.decide import DecisionTask, TaskKind, build_problem
 from shacl2fol.fol import (
     AndN, Atom, Const, Distinct, Eq, Exists, FalseF, Forall, Iff, Implies, NotN,
     OrN, TrueF, Var, unquote_atom,
 )
-from shacl2fol.rdf import Graph, RDF_TYPE, Triple, iri, literal
+from shacl2fol.rdf import Graph, RDF_TYPE, Triple, iri, literal, parse_document
 from shacl2fol.tptp import (
     Dialect, EmitOptions, TptpDocument, TptpFormula, render,
 )
@@ -552,6 +552,17 @@ def test_a_coarse_token_out_of_its_place_gives_the_fine_error(text, message):
     assert _read_fine(text) == ("TptpParseError", message)
 
 
+@pytest.mark.parametrize("text", [
+    "tff(t, type, c: ((X = a) & (Y = b))).", "tff(t, type, fof(u, axiom, p(a)).).",
+], ids=["closure-case", "unit"])
+def test_a_type_declaration_skips_its_coarse_tokens_as_their_fine_ones(text):
+    # valid text, read once, whose work is its fine tokens
+    fine = tptp_parse._fine_token().findall(text)[:-1]
+    with mock.patch.object(tptp_parse, "_tokenize", wraps=tptp_parse._tokenize) as reads:
+        assert _read(text) == _read_fine(text) == ([], len(fine))
+    assert reads.call_count == 2
+
+
 def test_each_fact_declaration_and_closure_case_is_one_token():
     text = render(build_problem(_people_task(50)))
     tokens = tptp_parse._tokenize(text)
@@ -561,3 +572,23 @@ def test_each_fact_declaration_and_closure_case_is_one_token():
     cases = [tok for tok in tokens if len(tok) > 1 and tok[-1] == ")"]
     assert len(cases) == text.count("((X = ") > 100
     assert _read(text) == _read_fine(text)
+
+
+def test_valid_text_is_read_once():
+    # a valid text holds no coarse token out of its place, so neither
+    # reader reads it again from its fine tokens
+    documents = [text for case in CASES for text in (case.shapes_ttl, case.data_ttl)]
+    documents.append(people_star(450)[1])
+    problems = [render(build_problem(DecisionTask(
+        TaskKind.VALIDATION, load_shapes(case.shapes_ttl),
+        data_graph=load_graph(case.data_ttl), options=EmitOptions(dialect=dialect),
+    ))) for case in CASES for dialect in (Dialect.FOF, Dialect.TFF)]
+    problems.append(render(build_problem(_people_task(450))))
+    with mock.patch.object(rdf, "_tokenize", wraps=rdf._tokenize) as reads:
+        for text in documents:
+            parse_document(text)
+    assert reads.call_count == len(documents)
+    with mock.patch.object(tptp_parse, "_tokenize", wraps=tptp_parse._tokenize) as reads:
+        for text in problems:
+            assert parse_tptp(text, _CountingClock()) == parse_tptp(text)
+    assert reads.call_count == 2 * len(problems)
